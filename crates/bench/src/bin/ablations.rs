@@ -20,9 +20,7 @@
 //! Run: `cargo run --release -p oocp-bench --bin ablations`
 //! CI:  `... --bin ablations -- --smoke` (policy matrix only, 2 kernels).
 
-use oocp_bench::{
-    pct, run_ir_program, run_workload, run_workload_with, Args, Config, Mode, RunResult,
-};
+use oocp_bench::{pct, run_workload, Args, Config, Mode, RunResult, RunSpec};
 use oocp_core::ReleaseMode;
 use oocp_ir::parse_program;
 use oocp_nas::{build, App};
@@ -116,7 +114,7 @@ fn policy_cell(k: &PolicyKernel, cfg: &Config, mode: Mode, oracle: Option<u64>) 
             let src = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
             let prog = parse_program(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
-            run_ir_program(&prog, params, cfg, mode)
+            RunSpec::new(cfg, mode).run_ir(&prog, params).result
         }
     };
     let policy = r.policy.unwrap_or("compiler");
@@ -204,12 +202,10 @@ fn main() {
         let o = run_workload(&w, &cfg, Mode::Original);
         let mut cells = Vec::new();
         for b in [1u64, 2, 4, 8, 16] {
-            let p = run_workload_with(
-                &w,
-                &cfg,
-                Mode::Prefetch,
-                cfg.compiler_params().with_block_pages(b),
-            );
+            let p = RunSpec::new(&cfg, Mode::Prefetch)
+                .compiler(cfg.compiler_params().with_block_pages(b))
+                .run(&w)
+                .result;
             cells.push(format!("{:.2}x", o.total() as f64 / p.total() as f64));
         }
         println!(
@@ -264,12 +260,10 @@ fn main() {
             ("conservative", ReleaseMode::Conservative),
             ("aggressive", ReleaseMode::Aggressive),
         ] {
-            let p = run_workload_with(
-                &w,
-                &cfg,
-                Mode::Prefetch,
-                cfg.compiler_params().with_release_mode(mode),
-            );
+            let p = RunSpec::new(&cfg, Mode::Prefetch)
+                .compiler(cfg.compiler_params().with_release_mode(mode))
+                .run(&w)
+                .result;
             println!(
                 "{:<14} {:>8.2}x {:>9.0} fr {:>12}",
                 name,
@@ -311,7 +305,10 @@ fn main() {
         for scale in [0.25f64, 0.5, 1.0, 2.0, 4.0] {
             let mut cp = cfg.compiler_params();
             cp.fault_latency_ns = (cp.fault_latency_ns as f64 * scale) as u64;
-            let p = run_workload_with(&w, &cfg, Mode::Prefetch, cp);
+            let p = RunSpec::new(&cfg, Mode::Prefetch)
+                .compiler(cp)
+                .run(&w)
+                .result;
             println!(
                 "{:<10} {:>8.2}x {:>10}",
                 format!("{scale}x"),

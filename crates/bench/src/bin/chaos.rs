@@ -40,10 +40,7 @@
 //!
 //! Run: `cargo run --release -p oocp-bench --bin chaos`
 
-use oocp_bench::{
-    run_workload, run_workload_crash_recover, run_workload_faulted, secs, Args, Config, Mode,
-    RunResult,
-};
+use oocp_bench::{run_workload, secs, Args, Config, Mode, RunResult, RunSpec};
 use oocp_nas::{build, App};
 use oocp_os::{CrashPoint, CrashSpec, DiskDeath, FaultPlan, PolicyKind, Redundancy};
 use oocp_sim::time::MILLISECOND;
@@ -146,12 +143,19 @@ fn crash_sweep(cfg: &Config, ratio: f64, smoke: bool, journal: bool) -> u64 {
                     point,
                     torn_writes: torn,
                 });
-                let run = run_workload_crash_recover(&w, cfg, Mode::Prefetch, &plan);
+                let run = RunSpec::new(cfg, Mode::Prefetch)
+                    .faults(&plan)
+                    .crash_recover(&w);
                 let rec = &run.recovery;
-                let cut_off = run.crashed.flush.as_ref().map_or(0, |f| f.vpages.len());
-                let ok = run.rerun.verified.is_ok()
-                    && run.rerun.checksum == base.checksum
-                    && run.rerun.flush.is_none();
+                let cut_off = run
+                    .crashed
+                    .result
+                    .flush
+                    .as_ref()
+                    .map_or(0, |f| f.vpages.len());
+                let ok = run.rerun.result.verified.is_ok()
+                    && run.rerun.result.checksum == base.checksum
+                    && run.rerun.result.flush.is_none();
                 println!(
                     "{:<8} {:<18} torn {:<5} | died {:>8}s, {:>4} dirty cut off | \
                      replayed {:>4} discarded {:>4} torn-found {:>3} lost {:>3} | \
@@ -226,7 +230,7 @@ fn disk_death_sweep(cfg: &Config, ratio: f64, smoke: bool) {
             for (num, den, disk) in [(1u64, 4u64, 1usize), (3, 5, 2)] {
                 let at = (base.total() * num / den).max(1);
                 let plan = FaultPlan::none(FAULT_SEED).with_disk_death(DiskDeath { disk, at });
-                let r = run_workload_faulted(&w, &cell, mode, &plan);
+                let r = RunSpec::new(&cell, mode).faults(&plan).run(&w).result;
                 r.verified.as_ref().unwrap_or_else(|e| {
                     panic!("{app:?}/{} death run failed to verify: {e}", policy.name())
                 });
@@ -340,7 +344,7 @@ fn main() {
                 disk: 1,
                 at: (base.total() / 4).max(1),
             });
-            let _ = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
+            let _ = RunSpec::new(&cfg, Mode::Prefetch).faults(&plan).run(&w);
             println!("disk death with no redundancy did not lose data: the gate has no teeth");
             return;
         }
@@ -392,7 +396,10 @@ fn main() {
             secs(base.total()),
         );
         for (name, plan) in plans() {
-            let r = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
+            let r = RunSpec::new(&cfg, Mode::Prefetch)
+                .faults(&plan)
+                .run(&w)
+                .result;
             r.verified
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{app:?}/{name} failed to verify: {e}"));
@@ -424,9 +431,15 @@ fn main() {
     // Determinism: the same plan and seed must reproduce every counter.
     let w = build(App::Buk, cfg.bytes_for_ratio(args.ratio));
     let plan = plans().pop().expect("plans is non-empty").1;
-    let a = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
-    let b = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
-    let deterministic = fingerprint(&a) == fingerprint(&b);
+    let run = || {
+        fingerprint(
+            &RunSpec::new(&cfg, Mode::Prefetch)
+                .faults(&plan)
+                .run(&w)
+                .result,
+        )
+    };
+    let deterministic = run() == run();
 
     println!("---");
     println!(

@@ -17,7 +17,7 @@
 //!
 //! Run: `cargo run --release -p oocp-bench --bin futurework`
 
-use oocp_bench::{pct, run_workload, run_workload_pressured, secs, Args, Mode};
+use oocp_bench::{pct, run_workload, secs, Args, Mode, RunSpec};
 use oocp_core::ReleaseMode;
 use oocp_nas::{build, App};
 use oocp_sim::time::SECOND;
@@ -96,13 +96,11 @@ fn main() {
             ),
         ];
         for (name, mode, rel, calm) in rows {
-            let r = run_workload_pressured(
-                &w,
-                &cfg,
-                mode,
-                cfg.compiler_params().with_release_mode(rel),
-                schedule(),
-            );
+            let r = RunSpec::new(&cfg, mode)
+                .compiler(cfg.compiler_params().with_release_mode(rel))
+                .pressure(schedule())
+                .run(&w)
+                .result;
             if let Err(e) = &r.verified {
                 eprintln!("WARNING: {name} failed verification: {e}");
             }

@@ -12,12 +12,10 @@
 
 use std::process::ExitCode;
 
-use oocp_core::{compile, CompilerParams};
-use oocp_ir::{parse_program, run_program, ArrayBinding, CostModel, PagedVm, Program};
-use oocp_os::{
-    chrome_trace_json, HistoryReplay, Machine, MachineParams, PolicyKind, PrefetchPolicy,
-};
-use oocp_rt::{FilterMode, Runtime};
+use oocp_bench::{Config, Mode, RunSpec};
+use oocp_core::compile;
+use oocp_ir::{parse_program, Program};
+use oocp_os::{chrome_trace_json, MachineParams, PolicyKind};
 use oocp_sim::time::fmt_ns;
 
 struct Options {
@@ -135,16 +133,17 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let machine = MachineParams::paper_platform()
-        .with_memory_bytes(opts.mem_mb * 1024 * 1024)
+    let Some(mem_bytes) = opts.mem_mb.checked_mul(1024 * 1024) else {
+        usage()
+    };
+    let mut cfg = Config::default_platform();
+    cfg.machine = MachineParams::paper_platform()
+        .with_memory_bytes(mem_bytes)
         .with_prefetch_policy(opts.policy);
-    let cparams = CompilerParams::new(
-        machine.page_bytes,
-        machine.memory_bytes(),
-        machine.disk.avg_access_ns() + machine.fault_overhead_ns,
-    )
-    .with_block_pages(opts.block)
-    .with_two_version(opts.two_version);
+    let cparams = cfg
+        .compiler_params()
+        .with_block_pages(opts.block)
+        .with_two_version(opts.two_version);
     let (xformed, report) = compile(&prog, &cparams);
 
     if !opts.quiet {
@@ -165,8 +164,8 @@ fn main() -> ExitCode {
     };
     println!(
         "running on {} MB memory, {} disks, data set {:.1} MB",
-        machine.memory_bytes() / (1 << 20),
-        machine.ndisks,
+        cfg.machine.memory_bytes() / (1 << 20),
+        cfg.machine.ndisks,
         prog.data_bytes() as f64 / (1 << 20) as f64
     );
     // `--trace-out` needs a ring deep enough to hold the whole run, not
@@ -177,71 +176,53 @@ fn main() -> ExitCode {
         opts.trace
     };
     let mut totals = Vec::new();
-    for (label, p) in [("original", &prog), ("prefetch", &xformed)] {
-        let (binds, bytes) = ArrayBinding::sequential(&prog, machine.page_bytes);
-        let run_once = |policy_override: Option<Box<dyn PrefetchPolicy>>| {
-            let mut m = Machine::new(machine, bytes);
-            if let Some(pol) = policy_override {
-                m.set_policy(pol);
-            }
-            if trace_cap > 0 {
-                m.enable_trace(trace_cap);
-            }
-            let mut rt = Runtime::new(m, FilterMode::Enabled);
-            run_program(p, &binds, &pvals, CostModel::default(), &mut rt);
-            rt.machine_mut().finish();
-            rt
-        };
-        let mut rt = run_once(None);
-        // A replay policy records the miss trace on the first pass and
-        // injects on the second; report the replay pass, exactly like
-        // the bench harness does.
-        if opts.policy == PolicyKind::HistoryReplay {
-            if let Some(miss) = rt.machine().policy_miss_trace() {
-                rt = run_once(Some(Box::new(HistoryReplay::replaying(miss))));
-            }
+    for (label, mode) in [("original", Mode::Original), ("prefetch", Mode::Prefetch)] {
+        let out = RunSpec::new(&cfg, mode)
+            .compiler(cparams)
+            .trace(trace_cap)
+            .run_ir(&prog, &pvals);
+        let r = out.result;
+        if let Some(f) = &r.flush {
+            eprintln!("oocpc: {label} run: {f}");
+            return ExitCode::FAILURE;
         }
-        if trace_cap > 0 {
-            if let Some(trace) = rt.machine_mut().take_trace() {
-                if opts.trace > 0 {
+        if let Some(trace) = out.trace {
+            if opts.trace > 0 {
+                println!(
+                    "--- {label} timeline (last {} events, {} older dropped) ---",
+                    trace.len(),
+                    trace.dropped()
+                );
+                for r in &trace {
+                    println!("  {:>12} {:<6} {:?}", fmt_ns(r.at), r.event.tag(), r.event);
+                }
+            }
+            // The prefetch run is the timeline worth inspecting in
+            // Perfetto: its spans correlate issue/arrive/consume.
+            if label == "prefetch" {
+                if let Some(path) = &opts.trace_out {
+                    if let Err(e) = std::fs::write(path, chrome_trace_json(&trace)) {
+                        eprintln!("oocpc: cannot write {path}: {e}");
+                        return ExitCode::FAILURE;
+                    }
                     println!(
-                        "--- {label} timeline (last {} events, {} older dropped) ---",
+                        "wrote Chrome trace ({} events, {} dropped) to {path}",
                         trace.len(),
                         trace.dropped()
                     );
-                    for r in &trace {
-                        println!("  {:>12} {:<6} {:?}", fmt_ns(r.at), r.event.tag(), r.event);
-                    }
-                }
-                // The prefetch run is the timeline worth inspecting in
-                // Perfetto: its spans correlate issue/arrive/consume.
-                if label == "prefetch" {
-                    if let Some(path) = &opts.trace_out {
-                        if let Err(e) = std::fs::write(path, chrome_trace_json(&trace)) {
-                            eprintln!("oocpc: cannot write {path}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                        println!(
-                            "wrote Chrome trace ({} events, {} dropped) to {path}",
-                            trace.len(),
-                            trace.dropped()
-                        );
-                    }
                 }
             }
         }
-        let m = rt.machine();
         println!(
             "  {label:<9}: total {} (user {}, system {}, idle {}) | {} hard faults, coverage {:.1}%",
-            fmt_ns(m.breakdown().total()),
-            fmt_ns(m.breakdown().user),
-            fmt_ns(m.breakdown().system()),
-            fmt_ns(m.breakdown().idle),
-            m.stats().hard_faults,
-            m.stats().coverage() * 100.0,
+            fmt_ns(r.total()),
+            fmt_ns(r.time.user),
+            fmt_ns(r.time.system()),
+            fmt_ns(r.time.idle),
+            r.os.hard_faults,
+            r.os.coverage() * 100.0,
         );
-        totals.push(m.breakdown().total());
-        let _ = rt.page_bytes();
+        totals.push(r.total());
     }
     println!("  speedup  : {:.2}x", totals[0] as f64 / totals[1] as f64);
     ExitCode::SUCCESS

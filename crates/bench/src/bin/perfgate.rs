@@ -8,7 +8,7 @@
 //!   kernels plus the 5 `kernels/*.ook` sample kernels, each under the
 //!   canonical configurations (original, prefetch without the run-time
 //!   filter, prefetch+rt on FCFS, prefetch+rt on demand-priority
-//!   scheduling) — and writes a versioned `oocp-bench-v1` baseline
+//!   scheduling) — and writes a versioned `oocp-bench-v4` baseline
 //!   (`BENCH_<n>.json`, see `scripts/bench.sh`).
 //! * `--compare FILE` re-runs the same matrix and diffs every metric
 //!   against the stored baseline. The simulator is deterministic, so
@@ -27,19 +27,14 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use oocp_bench::tenants as mt;
-use oocp_bench::{
-    report, run_ir_profiled, run_ir_traced, run_workload, run_workload_faulted,
-    run_workload_profiled, run_workload_traced, secs, Config, Mode, RunResult,
-};
+use oocp_bench::{report, run_workload, secs, Config, Mode, RunOutput, RunSpec};
 use oocp_ir::parse_program;
 use oocp_nas::{build, App};
 use oocp_obs::baseline::{
     self, Allowance, Baseline, BaselineRun, CompareReport, DriftKind, Finding, ProfileSummary,
 };
 use oocp_obs::{tracediff, Json, WhylateSummary};
-use oocp_os::{
-    chrome_trace_json, DiskDeath, FaultPlan, PolicyKind, Redundancy, SchedPolicy, Trace,
-};
+use oocp_os::{chrome_trace_json, DiskDeath, FaultPlan, PolicyKind, Redundancy, SchedPolicy};
 
 /// Ring capacity for tracediff re-runs: deep enough to hold every event
 /// of a matrix cell, so span alignment sees the whole timeline.
@@ -273,32 +268,33 @@ fn cell_config(kernel: &Kernel, spec: &ConfigSpec) -> Config {
     cfg
 }
 
-/// Execute one matrix cell; `traced` additionally captures the event
-/// timeline for span alignment.
+/// Execute one matrix cell; a nonzero `trace_cap` additionally
+/// captures the event timeline for span alignment, `profile` the
+/// host-time attribution.
 fn run_cell(
     kernel: &Kernel,
     spec: &ConfigSpec,
     kernels_dir: &str,
     overrides: &Overrides,
-    traced: bool,
-) -> Result<(RunResult, Option<Trace>), String> {
+    trace_cap: usize,
+    profile: bool,
+) -> Result<RunOutput, String> {
     let mut cfg = cell_config(kernel, spec);
     overrides.apply(&mut cfg);
-    let cap = if traced { TRACE_CAP } else { 0 };
-    let (r, trace) = match kernel {
-        Kernel::Nas(app) => {
-            let w = build(*app, cfg.bytes_for_ratio(2.0));
-            run_workload_traced(&w, &cfg, spec.mode, cap)
-        }
+    let run = RunSpec::new(&cfg, spec.mode)
+        .trace(trace_cap)
+        .profile(profile);
+    let out = match kernel {
+        Kernel::Nas(app) => run.run(&build(*app, cfg.bytes_for_ratio(2.0))),
         Kernel::Ook { file, params, .. } => {
             let path = format!("{kernels_dir}/{file}");
             let src =
                 std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let prog = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-            run_ir_traced(&prog, params, &cfg, spec.mode, cap)
+            run.run_ir(&prog, params)
         }
     };
-    if let Err(e) = &r.verified {
+    if let Err(e) = &out.result.verified {
         return Err(format!(
             "{}/{} failed to verify: {e}",
             kernel.name(),
@@ -308,10 +304,10 @@ fn run_cell(
     // A matrix cell must also flush its dirty pages cleanly — a typed
     // FlushError here means the final writeback lost data, which is a
     // correctness failure, not a perf number.
-    if let Some(f) = &r.flush {
+    if let Some(f) = &out.result.flush {
         return Err(format!("{}/{}: {f}", kernel.name(), spec.name));
     }
-    Ok((r, trace))
+    Ok(out)
 }
 
 /// Stamp the wall-clock-derived simulation throughput (simulated ns per
@@ -336,20 +332,9 @@ fn profile_cell(
     spec: &ConfigSpec,
     kernels_dir: &str,
 ) -> Result<ProfileSummary, String> {
-    let cfg = cell_config(kernel, spec);
-    let prof = match kernel {
-        Kernel::Nas(app) => {
-            let w = build(*app, cfg.bytes_for_ratio(2.0));
-            run_workload_profiled(&w, &cfg, spec.mode).1
-        }
-        Kernel::Ook { file, params, .. } => {
-            let path = format!("{kernels_dir}/{file}");
-            let src =
-                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let prog = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-            run_ir_profiled(&prog, params, &cfg, spec.mode).1
-        }
-    };
+    let prof = run_cell(kernel, spec, kernels_dir, &Overrides::default(), 0, true)?
+        .profile
+        .expect("a profiled run carries its profile");
     Ok(ProfileSummary {
         total_host_ns: prof.total_ns(),
         sites: prof
@@ -373,7 +358,7 @@ fn run_matrix(
     for kernel in kernels().iter().filter(|k| selected(k, only)) {
         for spec in &CONFIGS {
             let started = std::time::Instant::now();
-            let (r, _) = run_cell(kernel, spec, kernels_dir, overrides, false)?;
+            let r = run_cell(kernel, spec, kernels_dir, overrides, 0, false)?.result;
             let host = started.elapsed();
             eprintln!(
                 "  ran {:<14} {:<10} elapsed {}s",
@@ -497,7 +482,7 @@ fn policy_runs(only: &Option<String>) -> Result<Vec<BaselineRun>, String> {
         cfg.machine = cfg.machine.with_prefetch_policy(kind);
         let w = build(App::Embar, cfg.bytes_for_ratio(2.0));
         let started = std::time::Instant::now();
-        let (r, _) = run_workload_traced(&w, &cfg, mode, 0);
+        let r = run_workload(&w, &cfg, mode);
         let host = started.elapsed();
         if let Err(e) = &r.verified {
             return Err(format!("{POLICY_KERNEL}/{name} failed to verify: {e}"));
@@ -563,10 +548,11 @@ fn redundancy_runs(only: &Option<String>) -> Result<Vec<BaselineRun>, String> {
             FaultPlan::none(REDUNDANCY_FAULT_SEED).with_disk_death(DiskDeath { disk: 1, at })
         });
         let started = std::time::Instant::now();
-        let r = match &plan {
-            None => run_workload(&w, &cfg, mode),
-            Some(p) => run_workload_faulted(&w, &cfg, mode, p),
-        };
+        let mut run = RunSpec::new(&cfg, mode);
+        if let Some(p) = &plan {
+            run = run.faults(p);
+        }
+        let r = run.run(&w).result;
         let host = started.elapsed();
         if let Err(e) = &r.verified {
             return Err(format!("{REDUNDANCY_KERNEL}/{name} failed to verify: {e}"));
@@ -737,8 +723,10 @@ fn print_tracediff(o: &Options, key: &str) -> Result<(), String> {
         .iter()
         .find(|c| c.name == cname)
         .ok_or_else(|| format!("unknown config {cname}"))?;
-    let (_, base_trace) = run_cell(&kernel, &spec, &o.kernels_dir, &Overrides::default(), true)?;
-    let (_, cur_trace) = run_cell(&kernel, &spec, &o.kernels_dir, &o.overrides, true)?;
+    let traced = |overrides| {
+        run_cell(&kernel, &spec, &o.kernels_dir, overrides, TRACE_CAP, false).map(|out| out.trace)
+    };
+    let (base_trace, cur_trace) = (traced(&Overrides::default())?, traced(&o.overrides)?);
     let (a, b) = (
         chrome_trace_json(&base_trace.ok_or("canonical run produced no trace")?),
         chrome_trace_json(&cur_trace.ok_or("current run produced no trace")?),

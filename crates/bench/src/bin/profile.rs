@@ -33,7 +33,7 @@
 use std::process::ExitCode;
 
 use oocp_bench::microbench::{class_costs, ClassCost};
-use oocp_bench::{run_ir_profiled, run_workload_profiled, secs, Config, Mode};
+use oocp_bench::{secs, Config, Mode, RunSpec};
 use oocp_ir::parse_program;
 use oocp_nas::{build, App};
 use oocp_obs::prof::{diff, Profile};
@@ -132,34 +132,28 @@ fn run_profiled(o: &Options) -> Result<Profile, String> {
     cfg.metrics = true;
     cfg.machine = cfg.machine.with_memory_bytes(o.mem_mb * 1024 * 1024);
     cfg.machine.sched = cfg.machine.sched.with_policy(o.sched);
-    if let Some(app) = App::ALL
+    let run = RunSpec::new(&cfg, o.mode).profile(true);
+    let out = match App::ALL
         .iter()
         .find(|a| a.name().eq_ignore_ascii_case(name))
     {
-        let w = build(*app, cfg.bytes_for_ratio(2.0));
-        let (r, prof) = run_workload_profiled(&w, &cfg, o.mode);
-        if let Err(e) = &r.verified {
-            return Err(format!("{name} failed to verify: {e}"));
+        Some(app) => run.run(&build(*app, cfg.bytes_for_ratio(2.0))),
+        None => {
+            let src =
+                std::fs::read_to_string(name).map_err(|e| format!("cannot read {name}: {e}"))?;
+            let prog = parse_program(&src).map_err(|e| format!("{name}: {e}"))?;
+            run.run_ir(&prog, &o.params)
         }
-        eprintln!(
-            "profiled {name} ({}): sim {}s",
-            o.mode.label(),
-            secs(r.total())
-        );
-        return Ok(prof);
-    }
-    let src = std::fs::read_to_string(name).map_err(|e| format!("cannot read {name}: {e}"))?;
-    let prog = parse_program(&src).map_err(|e| format!("{name}: {e}"))?;
-    let (r, prof) = run_ir_profiled(&prog, &o.params, &cfg, o.mode);
-    if let Err(e) = &r.verified {
+    };
+    if let Err(e) = &out.result.verified {
         return Err(format!("{name} failed to verify: {e}"));
     }
     eprintln!(
         "profiled {name} ({}): sim {}s",
         o.mode.label(),
-        secs(r.total())
+        secs(out.result.total())
     );
-    Ok(prof)
+    Ok(out.profile.expect("a profiled run carries its profile"))
 }
 
 fn pct(part: u64, total: u64) -> f64 {

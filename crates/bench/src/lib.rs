@@ -16,10 +16,10 @@ use oocp_ir::{
     run_program, run_program_profiled, ArrayBinding, ArrayData, CostModel, ExecStats, Program,
 };
 use oocp_nas::Workload;
-use oocp_obs::{HostProf, MachineProf, Profile, TimeAttribution};
+use oocp_obs::{HostProf, Profile, TimeAttribution};
 use oocp_os::{
-    FaultPlan, FlushError, HistoryReplay, MachineParams, MetricsRegistry, MetricsReport, OsStats,
-    PolicyKind, PrefetchPolicy, RecoveryReport, TimeSeriesRing, Trace,
+    FaultPlan, FlushError, HistoryReplay, Machine, MachineParams, MetricsRegistry, MetricsReport,
+    OsStats, PolicyKind, PrefetchPolicy, RecoveryReport, TimeSeriesRing, Trace,
 };
 use oocp_rt::{FilterMode, RtStats, Runtime};
 use oocp_sim::time::{Ns, TimeBreakdown};
@@ -197,352 +197,33 @@ impl Config {
     }
 }
 
-/// Host-time capture threaded through a profiled run: the
-/// interpreter's site tree plus the machine's flat charge-path
-/// buckets, combined into one [`Profile`] by [`ProfCapture::finish`].
-#[derive(Default)]
-pub struct ProfCapture {
-    /// Interpreter-side scoped collector.
-    pub host: HostProf,
-    /// Machine-side buckets, taken off the machine after the run.
-    pub machine: MachineProf,
-}
-
-impl ProfCapture {
-    /// A fresh, empty capture.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Freeze into a [`Profile`]: the interpreter tree with the
-    /// machine buckets grafted under the root as a `machine` subtree.
-    pub fn finish(self) -> Profile {
-        let mut p = self.host.finish();
-        p.attach_machine(&self.machine);
-        p
-    }
-}
-
-/// Compile (or not) and execute one workload; verify the results.
-pub fn run_workload(w: &Workload, cfg: &Config, mode: Mode) -> RunResult {
-    run_workload_with(w, cfg, mode, cfg.compiler_params())
-}
-
-/// [`run_workload`] under the host-time profiler: same simulated run
-/// (bit-identical results, stats, and timestamps — the probes read
-/// only the host clock), plus the wall-clock attribution [`Profile`].
-/// Under [`PolicyKind::HistoryReplay`] the *measured* second pass is
-/// the one profiled.
-pub fn run_workload_profiled(w: &Workload, cfg: &Config, mode: Mode) -> (RunResult, Profile) {
-    let mut cap = ProfCapture::new();
-    let (result, _) = run_workload_inner_prof(
-        w,
-        cfg,
-        mode,
-        cfg.compiler_params(),
-        Vec::new(),
-        None,
-        0,
-        Some(&mut cap),
-    );
-    (result, cap.finish())
-}
-
-/// [`run_workload`] with explicit compiler parameters (ablations).
-pub fn run_workload_with(
-    w: &Workload,
-    cfg: &Config,
+/// One experiment: a program, original or prefetching, on one
+/// platform. Every table, figure, gate and test builds one of these
+/// and calls [`RunSpec::run`] (a NAS [`Workload`]), [`RunSpec::run_ir`]
+/// (a bare IR program) or [`RunSpec::crash_recover`]; all three go
+/// through the same machine set-up, so a knob set here means the same
+/// thing on every path.
+pub struct RunSpec<'a> {
+    cfg: &'a Config,
     mode: Mode,
-    cparams: CompilerParams,
-) -> RunResult {
-    run_workload_pressured(w, cfg, mode, cparams, Vec::new())
-}
-
-/// [`run_workload_with`] plus a memory-pressure schedule: the resident
-/// limit changes at the given simulated times (the multiprogramming
-/// model of the paper's future work).
-pub fn run_workload_pressured(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
-    cparams: CompilerParams,
+    cparams: Option<CompilerParams>,
     pressure: Vec<(Ns, u64)>,
-) -> RunResult {
-    run_workload_inner(w, cfg, mode, cparams, pressure, None, 0).0
-}
-
-/// [`run_workload`] with a fault plan installed on the machine before
-/// the run starts: disk errors, stragglers, brownouts, bit-vector
-/// desync, and pressure storms all per the plan. The run must still
-/// verify and produce the same [`RunResult::checksum`] as a fault-free
-/// run — faults may only cost time.
-pub fn run_workload_faulted(w: &Workload, cfg: &Config, mode: Mode, plan: &FaultPlan) -> RunResult {
-    run_workload_inner(
-        w,
-        cfg,
-        mode,
-        cfg.compiler_params(),
-        Vec::new(),
-        Some(plan),
-        0,
-    )
-    .0
-}
-
-/// [`run_workload_faulted`] under the host-time profiler — the
-/// cross-product tests/proptest_prof.rs sweeps to prove attachment is
-/// host-time-only even while a fault plan is active.
-pub fn run_workload_profiled_faulted(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
-    plan: &FaultPlan,
-) -> (RunResult, Profile) {
-    let mut cap = ProfCapture::new();
-    let (result, _) = run_workload_inner_prof(
-        w,
-        cfg,
-        mode,
-        cfg.compiler_params(),
-        Vec::new(),
-        Some(plan),
-        0,
-        Some(&mut cap),
-    );
-    (result, cap.finish())
-}
-
-/// [`run_workload`] with the machine's event trace enabled: returns the
-/// run plus the captured timeline (ring capacity `trace_cap` records).
-/// The trace is what the perfgate tracediff aligns by prefetch span id.
-pub fn run_workload_traced(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
+    plan: Option<&'a FaultPlan>,
     trace_cap: usize,
-) -> (RunResult, Option<Trace>) {
-    run_workload_inner(
-        w,
-        cfg,
-        mode,
-        cfg.compiler_params(),
-        Vec::new(),
-        None,
-        trace_cap,
-    )
+    profile: bool,
 }
 
-/// Compile (or pass through) a workload's program for `mode`.
-fn prepare_program(
-    w: &Workload,
-    mode: Mode,
-    cparams: &CompilerParams,
-) -> (Program, Option<CompileReport>) {
-    match mode {
-        Mode::Original => (w.prog.clone(), None),
-        Mode::Prefetch | Mode::PrefetchNoFilter | Mode::PrefetchAdaptive => {
-            let (p, r) = compile(&w.prog, cparams);
-            (p, Some(r))
-        }
-        Mode::PrefetchTwoVersion => {
-            let (p, r) = compile(&w.prog, &cparams.with_two_version(true));
-            (p, Some(r))
-        }
-        Mode::PrefetchAdaptiveCode => {
-            let (p, r) = compile(&w.prog, &cparams.with_adaptive_in_core(true));
-            (p, Some(r))
-        }
-    }
-}
-
-/// Snapshot a finished runtime into a [`RunResult`].
-fn collect_result(
-    mode: Mode,
-    rt: &Runtime,
-    exec: ExecStats,
-    report: Option<CompileReport>,
-    verified: Result<(), String>,
-    checksum: u64,
-    flush: Option<FlushError>,
-) -> RunResult {
-    let m = rt.machine();
-    RunResult {
-        mode,
-        time: m.breakdown(),
-        os: *m.stats(),
-        disk: m.disk_stats(),
-        disk_util: m.disk_utilization(),
-        avg_free_frames: m.avg_free_frames(),
-        attr: m.attribution(),
-        obs: m.metrics_report(),
-        rt: *rt.stats(),
-        exec,
-        report,
-        verified,
-        checksum,
-        flush,
-        policy: m.policy_name(),
-        // Pulled separately by the run paths: sampler_output needs the
-        // machine mutably to refresh the registry.
-        telemetry: None,
-    }
-}
-
-/// Pull the telemetry sampler's output (if one was attached) off the
-/// finished runtime into the result.
-fn collect_telemetry(rt: &mut Runtime, result: &mut RunResult) {
-    result.telemetry = rt
-        .machine_mut()
-        .sampler_output()
-        .map(|(reg, ring)| (reg.clone(), ring.clone()));
-}
-
-/// Run a workload, handling the [`PolicyKind::HistoryReplay`] two-pass
-/// protocol: pass 1 runs with the recorder the machine installed by
-/// default, pass 2 re-runs the same workload with the recorded miss
-/// trace replayed as injected prefetches. All other policies (and the
-/// policy-free default) are a single pass.
-fn run_workload_inner(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
-    cparams: CompilerParams,
-    pressure: Vec<(Ns, u64)>,
-    plan: Option<&FaultPlan>,
-    trace_cap: usize,
-) -> (RunResult, Option<Trace>) {
-    run_workload_inner_prof(w, cfg, mode, cparams, pressure, plan, trace_cap, None)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_workload_inner_prof(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
-    cparams: CompilerParams,
-    pressure: Vec<(Ns, u64)>,
-    plan: Option<&FaultPlan>,
-    trace_cap: usize,
-    mut prof: Option<&mut ProfCapture>,
-) -> (RunResult, Option<Trace>) {
-    let (result, trace, miss) = run_workload_once(
-        w,
-        cfg,
-        mode,
-        &cparams,
-        pressure.clone(),
-        plan,
-        trace_cap,
-        None,
-        prof.as_deref_mut(),
-    );
-    if cfg.machine.policy == PolicyKind::HistoryReplay {
-        if let Some(miss) = miss {
-            // The replayed second pass is the measured one — restart
-            // the capture so the profile covers only it.
-            if let Some(p) = prof.as_deref_mut() {
-                *p = ProfCapture::new();
-            }
-            let replay: Box<dyn PrefetchPolicy> = Box::new(HistoryReplay::replaying(miss));
-            let (result, trace, _) = run_workload_once(
-                w,
-                cfg,
-                mode,
-                &cparams,
-                pressure,
-                plan,
-                trace_cap,
-                Some(replay),
-                prof,
-            );
-            return (result, trace);
-        }
-    }
-    (result, trace)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_workload_once(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
-    cparams: &CompilerParams,
-    pressure: Vec<(Ns, u64)>,
-    plan: Option<&FaultPlan>,
-    trace_cap: usize,
-    policy_override: Option<Box<dyn PrefetchPolicy>>,
-    prof: Option<&mut ProfCapture>,
-) -> (RunResult, Option<Trace>, Option<Vec<u64>>) {
-    let (prog, report) = prepare_program(w, mode, cparams);
-    let filter = if mode == Mode::PrefetchNoFilter {
-        FilterMode::Disabled
-    } else {
-        FilterMode::Enabled
-    };
-    // The machine is sized by the ORIGINAL program's layout so both
-    // versions see identical address spaces.
-    let (binds, bytes) = ArrayBinding::sequential(&w.prog, cfg.machine.page_bytes);
-    let mut machine = oocp_os::Machine::new(cfg.machine, bytes);
-    if let Some(pol) = policy_override {
-        machine.set_policy(pol);
-    }
-    if !pressure.is_empty() {
-        machine.set_pressure_schedule(pressure);
-    }
-    if let Some(plan) = plan {
-        machine.set_fault_plan(plan);
-    }
-    if trace_cap > 0 {
-        machine.enable_trace(trace_cap);
-    }
-    let mut rt = Runtime::new(machine, filter).with_adaptive(mode == Mode::PrefetchAdaptive);
-    if cfg.metrics {
-        rt = rt.with_metrics();
-    }
-    if let Some((interval, cap)) = cfg.sampler {
-        rt.machine_mut().attach_sampler(interval, cap);
-    }
-    w.init(&binds, &mut rt, cfg.seed);
-    if cfg.warm {
-        let m = rt.machine_mut();
-        let pages = m
-            .total_pages()
-            .min(cfg.machine.resident_limit - cfg.machine.high_water - 1);
-        m.preload(0, pages);
-    }
-    // Memory-adaptive programs take the available memory as an extra
-    // runtime parameter.
-    let mut param_values = w.param_values.clone();
-    if let Some(Some(ap)) = report.as_ref().map(|r| r.adaptive_param) {
-        debug_assert_eq!(ap, param_values.len());
-        param_values.push(cfg.machine.memory_bytes() as i64);
-    }
-    let exec = match prof {
-        Some(cap) => {
-            rt.machine_mut().attach_host_prof();
-            let exec = run_program_profiled(
-                &prog,
-                &binds,
-                &param_values,
-                cfg.cost,
-                &mut rt,
-                &mut cap.host,
-            );
-            if let Some(mp) = rt.machine_mut().take_host_prof() {
-                cap.machine = mp;
-            }
-            exec
-        }
-        None => run_program(&prog, &binds, &param_values, cfg.cost, &mut rt),
-    };
-    let flush = rt.machine_mut().try_finish().err();
-    let verified = w.verify(&binds, &rt);
-    let checksum = data_checksum(&rt, bytes);
-    let trace = rt.machine_mut().take_trace();
-    let miss = rt.machine().policy_miss_trace();
-    let mut result = collect_result(mode, &rt, exec, report, verified, checksum, flush);
-    collect_telemetry(&mut rt, &mut result);
-    (result, trace, miss)
+/// What a [`RunSpec`] run hands back.
+pub struct RunOutput {
+    /// Everything measured.
+    pub result: RunResult,
+    /// The machine's event timeline, when [`RunSpec::trace`] asked for
+    /// one — what the perfgate tracediff aligns by prefetch span id.
+    pub trace: Option<Trace>,
+    /// Host-time attribution, when [`RunSpec::profile`] asked for it.
+    /// Under `PolicyKind::HistoryReplay` it covers the *measured*
+    /// second pass only.
+    pub profile: Option<Profile>,
 }
 
 /// A crash-recovery round trip of one workload. The fault plan must
@@ -560,216 +241,281 @@ pub struct CrashRun {
     /// The run that hit the power loss. Its in-memory checksum is
     /// intact (the crash affects durability, never computation), but
     /// [`RunResult::flush`] reports everything that failed to land.
-    pub crashed: RunResult,
+    pub crashed: RunOutput,
     /// What recovery found and did.
     pub recovery: RecoveryReport,
     /// The post-recovery restart. Its stats carry the `recovery_*`
     /// counters of the machine it ran on.
-    pub rerun: RunResult,
+    pub rerun: RunOutput,
 }
 
-/// Run `w` into a scheduled power loss, recover, and re-run. See
-/// [`CrashRun`].
-///
-/// # Panics
-///
-/// Panics if `plan` schedules no crash.
-pub fn run_workload_crash_recover(
-    w: &Workload,
-    cfg: &Config,
-    mode: Mode,
-    plan: &FaultPlan,
-) -> CrashRun {
-    assert!(
-        plan.crash.is_some(),
-        "run_workload_crash_recover needs a plan with a scheduled crash"
-    );
-    let cparams = cfg.compiler_params();
-    let (prog, report) = prepare_program(w, mode, &cparams);
-    let filter = if mode == Mode::PrefetchNoFilter {
-        FilterMode::Disabled
-    } else {
-        FilterMode::Enabled
-    };
-    let (binds, bytes) = ArrayBinding::sequential(&w.prog, cfg.machine.page_bytes);
-    let mut param_values = w.param_values.clone();
-    if let Some(Some(ap)) = report.as_ref().map(|r| r.adaptive_param) {
-        debug_assert_eq!(ap, param_values.len());
-        param_values.push(cfg.machine.memory_bytes() as i64);
+/// What a run executes, built once and reused by every pass and leg:
+/// the program as compiled for the mode, its address-space layout and
+/// its runtime parameters.
+struct Prepared<'a> {
+    /// Initializer and verifier; a bare IR program has neither.
+    workload: Option<&'a Workload>,
+    prog: Program,
+    report: Option<CompileReport>,
+    binds: Vec<ArrayBinding>,
+    bytes: u64,
+    params: Vec<i64>,
+}
+
+impl<'a> RunSpec<'a> {
+    /// `mode` on `cfg`'s platform: compiler parameters matched to the
+    /// machine, no pressure, no faults, no trace, no profile.
+    pub fn new(cfg: &'a Config, mode: Mode) -> Self {
+        Self {
+            cfg,
+            mode,
+            cparams: None,
+            pressure: Vec::new(),
+            plan: None,
+            trace_cap: 0,
+            profile: false,
+        }
     }
 
-    // Leg 1: run into the crash.
-    let mut machine = oocp_os::Machine::new(cfg.machine, bytes);
-    machine.set_fault_plan(plan);
-    let mut rt = Runtime::new(machine, filter).with_adaptive(mode == Mode::PrefetchAdaptive);
-    if cfg.metrics {
-        rt = rt.with_metrics();
+    /// Explicit compiler parameters (ablations) in place of
+    /// [`Config::compiler_params`].
+    pub fn compiler(mut self, cparams: CompilerParams) -> Self {
+        self.cparams = Some(cparams);
+        self
     }
-    w.init(&binds, &mut rt, cfg.seed);
-    let exec = run_program(&prog, &binds, &param_values, cfg.cost, &mut rt);
-    let flush = rt.machine_mut().try_finish().err();
-    let verified = w.verify(&binds, &rt);
-    let checksum = data_checksum(&rt, bytes);
-    let crashed = collect_result(mode, &rt, exec, report.clone(), verified, checksum, flush);
 
-    // Recovery.
-    let (machine, recovery) = rt.into_machine().recover();
-
-    // Leg 2: application restart on the recovered machine.
-    let mut rt = Runtime::new(machine, filter).with_adaptive(mode == Mode::PrefetchAdaptive);
-    if cfg.metrics {
-        rt = rt.with_metrics();
+    /// A memory-pressure schedule: the resident limit changes at the
+    /// given simulated times (the multiprogramming model of the
+    /// paper's future work).
+    pub fn pressure(mut self, schedule: Vec<(Ns, u64)>) -> Self {
+        self.pressure = schedule;
+        self
     }
-    w.init(&binds, &mut rt, cfg.seed);
-    let exec = run_program(&prog, &binds, &param_values, cfg.cost, &mut rt);
-    let flush = rt.machine_mut().try_finish().err();
-    let verified = w.verify(&binds, &rt);
-    let checksum = data_checksum(&rt, bytes);
-    let rerun = collect_result(mode, &rt, exec, report, verified, checksum, flush);
 
-    CrashRun {
-        crashed,
-        recovery,
-        rerun,
+    /// Install a fault plan before the run starts: disk errors,
+    /// stragglers, brownouts, bit-vector desync, pressure storms, disk
+    /// deaths and power loss, all per the plan. The run must still
+    /// verify and produce the same [`RunResult::checksum`] as a
+    /// fault-free run — faults may only cost time.
+    pub fn faults(mut self, plan: &'a FaultPlan) -> Self {
+        self.plan = Some(plan);
+        self
     }
-}
 
-/// Run a bare IR [`Program`] (e.g. a parsed `kernels/*.ook` file) on
-/// the simulated machine, same contract as [`run_workload`] but without
-/// a workload's initializer or verifier: the program starts from a
-/// zeroed address space (the sample kernels initialize their own data),
-/// `verified` is trivially `Ok`, and the checksum still fingerprints the
-/// final address-space contents.
-///
-/// Only the non-adaptive modes make sense here ([`Mode::Original`],
-/// [`Mode::Prefetch`], [`Mode::PrefetchNoFilter`],
-/// [`Mode::PrefetchTwoVersion`]); the adaptive modes need a workload's
-/// parameter plumbing.
-pub fn run_ir_program(prog: &Program, param_values: &[i64], cfg: &Config, mode: Mode) -> RunResult {
-    run_ir_traced(prog, param_values, cfg, mode, 0).0
-}
+    /// Capture the machine's event trace in a ring of `cap` records
+    /// (0 = off) and return it as [`RunOutput::trace`].
+    pub fn trace(mut self, cap: usize) -> Self {
+        self.trace_cap = cap;
+        self
+    }
 
-/// [`run_ir_program`] with the event trace enabled (see
-/// [`run_workload_traced`]).
-pub fn run_ir_traced(
-    prog: &Program,
-    param_values: &[i64],
-    cfg: &Config,
-    mode: Mode,
-    trace_cap: usize,
-) -> (RunResult, Option<Trace>) {
-    let (result, trace, _) = run_ir_inner(prog, param_values, cfg, mode, trace_cap, None);
-    (result, trace)
-}
+    /// Run under the host-time profiler: the same simulated run
+    /// (bit-identical results, stats and timestamps — the probes read
+    /// only the host clock), plus [`RunOutput::profile`].
+    pub fn profile(mut self, on: bool) -> Self {
+        self.profile = on;
+        self
+    }
 
-/// [`run_ir_program`] under the host-time profiler (see
-/// [`run_workload_profiled`]).
-pub fn run_ir_profiled(
-    prog: &Program,
-    param_values: &[i64],
-    cfg: &Config,
-    mode: Mode,
-) -> (RunResult, Profile) {
-    let mut cap = ProfCapture::new();
-    let (result, _, _) = run_ir_inner(prog, param_values, cfg, mode, 0, Some(&mut cap));
-    (result, cap.finish())
-}
+    /// Compile (or not) and execute one workload; verify the results.
+    pub fn run(&self, w: &Workload) -> RunOutput {
+        self.run_passes(&self.prepare(&w.prog, &w.param_values, Some(w)))
+    }
 
-fn run_ir_inner(
-    prog: &Program,
-    param_values: &[i64],
-    cfg: &Config,
-    mode: Mode,
-    trace_cap: usize,
-    mut prof: Option<&mut ProfCapture>,
-) -> (RunResult, Option<Trace>, Option<Vec<u64>>) {
-    let (result, trace, miss) = run_ir_once(
-        prog,
-        param_values,
-        cfg,
-        mode,
-        trace_cap,
-        None,
-        prof.as_deref_mut(),
-    );
-    if cfg.machine.policy == PolicyKind::HistoryReplay {
-        if let Some(miss) = miss {
-            if let Some(p) = prof.as_deref_mut() {
-                *p = ProfCapture::new();
+    /// Run a bare IR [`Program`] (e.g. a parsed `kernels/*.ook` file):
+    /// a workload whose initializer is a no-op and whose verifier
+    /// accepts. The program starts from a zeroed address space (the
+    /// sample kernels initialize their own data) and the checksum
+    /// still fingerprints the final contents.
+    pub fn run_ir(&self, prog: &Program, param_values: &[i64]) -> RunOutput {
+        self.run_passes(&self.prepare(prog, param_values, None))
+    }
+
+    /// Run `w` into the plan's scheduled power loss, recover, and
+    /// restart on the recovered machine. See [`CrashRun`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no fault plan was given or it schedules no crash.
+    pub fn crash_recover(&self, w: &Workload) -> CrashRun {
+        assert!(
+            self.plan.is_some_and(|p| p.crash.is_some()),
+            "crash_recover needs a fault plan with a scheduled crash"
+        );
+        let prepared = self.prepare(&w.prog, &w.param_values, Some(w));
+        let (crashed, machine) = self.execute(&prepared, None, None);
+        let (machine, recovery) = machine.recover();
+        let (rerun, _) = self.execute(&prepared, Some(machine), None);
+        CrashRun {
+            crashed,
+            recovery,
+            rerun,
+        }
+    }
+
+    /// Compile `source` for the mode and lay out its address space.
+    fn prepare(
+        &self,
+        source: &Program,
+        param_values: &[i64],
+        workload: Option<&'a Workload>,
+    ) -> Prepared<'a> {
+        let cparams = self.cparams.unwrap_or_else(|| self.cfg.compiler_params());
+        let (prog, report) = match self.mode {
+            Mode::Original => (source.clone(), None),
+            Mode::Prefetch | Mode::PrefetchNoFilter | Mode::PrefetchAdaptive => {
+                let (p, r) = compile(source, &cparams);
+                (p, Some(r))
             }
-            let replay: Box<dyn PrefetchPolicy> = Box::new(HistoryReplay::replaying(miss));
-            return run_ir_once(prog, param_values, cfg, mode, trace_cap, Some(replay), prof);
+            Mode::PrefetchTwoVersion => {
+                let (p, r) = compile(source, &cparams.with_two_version(true));
+                (p, Some(r))
+            }
+            Mode::PrefetchAdaptiveCode => {
+                let (p, r) = compile(source, &cparams.with_adaptive_in_core(true));
+                (p, Some(r))
+            }
+        };
+        // The machine is sized by the ORIGINAL program's layout so both
+        // versions see identical address spaces.
+        let (binds, bytes) = ArrayBinding::sequential(source, self.cfg.machine.page_bytes);
+        // Memory-adaptive programs take the available memory as an extra
+        // runtime parameter.
+        let mut params = param_values.to_vec();
+        if let Some(Some(ap)) = report.as_ref().map(|r| r.adaptive_param) {
+            debug_assert_eq!(ap, params.len());
+            params.push(self.cfg.machine.memory_bytes() as i64);
+        }
+        Prepared {
+            workload,
+            prog,
+            report,
+            binds,
+            bytes,
+            params,
         }
     }
-    (result, trace, miss)
+
+    /// The `PolicyKind::HistoryReplay` two-pass protocol: pass 1 runs
+    /// with the recorder the machine installed by default, pass 2
+    /// re-runs with the recorded miss trace replayed as injected
+    /// prefetches and is the one reported. Every other policy (and the
+    /// policy-free default) records nothing and is a single pass.
+    fn run_passes(&self, p: &Prepared) -> RunOutput {
+        let (out, machine) = self.execute(p, None, None);
+        match machine.policy_miss_trace() {
+            Some(miss) => {
+                let replay = Box::new(HistoryReplay::replaying(miss));
+                self.execute(p, None, Some(replay)).0
+            }
+            None => out,
+        }
+    }
+
+    /// One pass on one machine — a new one, or the `recovered` machine
+    /// of a crash round trip, which has already lived through the fault
+    /// plan. Hands the machine back for recovery or for its miss trace.
+    fn execute(
+        &self,
+        p: &Prepared,
+        recovered: Option<Machine>,
+        policy_override: Option<Box<dyn PrefetchPolicy>>,
+    ) -> (RunOutput, Machine) {
+        let cfg = self.cfg;
+        let plan = self.plan.filter(|_| recovered.is_none());
+        let mut machine = recovered.unwrap_or_else(|| Machine::new(cfg.machine, p.bytes));
+        if let Some(pol) = policy_override {
+            machine.set_policy(pol);
+        }
+        if !self.pressure.is_empty() {
+            machine.set_pressure_schedule(self.pressure.clone());
+        }
+        if let Some(plan) = plan {
+            machine.set_fault_plan(plan);
+        }
+        if self.trace_cap > 0 {
+            machine.enable_trace(self.trace_cap);
+        }
+        let filter = if self.mode == Mode::PrefetchNoFilter {
+            FilterMode::Disabled
+        } else {
+            FilterMode::Enabled
+        };
+        let mut rt =
+            Runtime::new(machine, filter).with_adaptive(self.mode == Mode::PrefetchAdaptive);
+        if cfg.metrics {
+            rt = rt.with_metrics();
+        }
+        if let Some((interval, cap)) = cfg.sampler {
+            rt.machine_mut().attach_sampler(interval, cap);
+        }
+        if let Some(w) = p.workload {
+            w.init(&p.binds, &mut rt, cfg.seed);
+        }
+        if cfg.warm {
+            let m = rt.machine_mut();
+            let pages = m
+                .total_pages()
+                .min(cfg.machine.resident_limit - cfg.machine.high_water - 1);
+            m.preload(0, pages);
+        }
+        let mut host = self.profile.then(HostProf::default);
+        let exec = match &mut host {
+            Some(host) => {
+                rt.machine_mut().attach_host_prof();
+                run_program_profiled(&p.prog, &p.binds, &p.params, cfg.cost, &mut rt, host)
+            }
+            None => run_program(&p.prog, &p.binds, &p.params, cfg.cost, &mut rt),
+        };
+        // The interpreter's site tree with the machine's flat
+        // charge-path buckets grafted under the root.
+        let profile = host.map(|host| {
+            let mut profile = host.finish();
+            if let Some(buckets) = rt.machine_mut().take_host_prof() {
+                profile.attach_machine(&buckets);
+            }
+            profile
+        });
+        let flush = rt.machine_mut().try_finish().err();
+        let verified = p.workload.map_or(Ok(()), |w| w.verify(&p.binds, &rt));
+        let checksum = data_checksum(&rt, p.bytes);
+        let trace = rt.machine_mut().take_trace();
+        // Needs the machine mutably to refresh the registry.
+        let telemetry = rt
+            .machine_mut()
+            .sampler_output()
+            .map(|(reg, ring)| (reg.clone(), ring.clone()));
+        let m = rt.machine();
+        let result = RunResult {
+            mode: self.mode,
+            time: m.breakdown(),
+            os: *m.stats(),
+            disk: m.disk_stats(),
+            disk_util: m.disk_utilization(),
+            avg_free_frames: m.avg_free_frames(),
+            attr: m.attribution(),
+            obs: m.metrics_report(),
+            rt: *rt.stats(),
+            exec,
+            report: p.report.clone(),
+            verified,
+            checksum,
+            flush,
+            policy: m.policy_name(),
+            telemetry,
+        };
+        let out = RunOutput {
+            result,
+            trace,
+            profile,
+        };
+        (out, rt.into_machine())
+    }
 }
 
-fn run_ir_once(
-    prog: &Program,
-    param_values: &[i64],
-    cfg: &Config,
-    mode: Mode,
-    trace_cap: usize,
-    policy_override: Option<Box<dyn PrefetchPolicy>>,
-    prof: Option<&mut ProfCapture>,
-) -> (RunResult, Option<Trace>, Option<Vec<u64>>) {
-    let cparams = cfg.compiler_params();
-    let (run_prog, report): (Program, Option<CompileReport>) = match mode {
-        Mode::Original => (prog.clone(), None),
-        Mode::PrefetchTwoVersion => {
-            let (p, r) = compile(prog, &cparams.with_two_version(true));
-            (p, Some(r))
-        }
-        _ => {
-            let (p, r) = compile(prog, &cparams);
-            (p, Some(r))
-        }
-    };
-    let filter = if mode == Mode::PrefetchNoFilter {
-        FilterMode::Disabled
-    } else {
-        FilterMode::Enabled
-    };
-    let (binds, bytes) = ArrayBinding::sequential(prog, cfg.machine.page_bytes);
-    let mut machine = oocp_os::Machine::new(cfg.machine, bytes);
-    if let Some(pol) = policy_override {
-        machine.set_policy(pol);
-    }
-    if trace_cap > 0 {
-        machine.enable_trace(trace_cap);
-    }
-    let mut rt = Runtime::new(machine, filter);
-    if cfg.metrics {
-        rt = rt.with_metrics();
-    }
-    if let Some((interval, cap)) = cfg.sampler {
-        rt.machine_mut().attach_sampler(interval, cap);
-    }
-    let exec = match prof {
-        Some(cap) => {
-            rt.machine_mut().attach_host_prof();
-            let exec = run_program_profiled(
-                &run_prog,
-                &binds,
-                param_values,
-                cfg.cost,
-                &mut rt,
-                &mut cap.host,
-            );
-            if let Some(mp) = rt.machine_mut().take_host_prof() {
-                cap.machine = mp;
-            }
-            exec
-        }
-        None => run_program(&run_prog, &binds, param_values, cfg.cost, &mut rt),
-    };
-    let flush = rt.machine_mut().try_finish().err();
-    let checksum = data_checksum(&rt, bytes);
-    let trace = rt.machine_mut().take_trace();
-    let miss = rt.machine().policy_miss_trace();
-    let mut result = collect_result(mode, &rt, exec, report, Ok(()), checksum, flush);
-    collect_telemetry(&mut rt, &mut result);
-    (result, trace, miss)
+/// Shorthand for the common case: `mode` on `cfg`, nothing else set.
+pub fn run_workload(w: &Workload, cfg: &Config, mode: Mode) -> RunResult {
+    RunSpec::new(cfg, mode).run(w).result
 }
 
 /// FNV-1a over the whole simulated address space, read word-by-word
@@ -829,14 +575,48 @@ pub const SAMPLE_INTERVAL_NS: Ns = 1_000_000;
 /// Default time-series ring capacity (oldest rows evicted beyond it).
 pub const SAMPLE_RING_CAP: usize = 8192;
 
-/// Parse `--key value` style overrides shared by the binaries.
-///
-/// Supported: `--mem-mb <n>`, `--seed <n>`, `--ratio <f>`, `--disks <n>`,
-/// `--csv <path>`, `--json <path>`, `--metrics-out <prefix>`,
-/// `--sample-interval-us <n>`, `--sched <policy>`, `--queue-depth <n>`,
-/// `--policy <name>`, `--redundancy <none|parity>`, `--coalesce`,
-/// `--smoke`, `--crash`, `--no-journal`, `--disk-death`,
-/// `--corrupt-parity`.
+/// A command line [`Args::try_parse_from`] rejected.
+#[derive(Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// A flag the shared parser does not know.
+    UnknownFlag(String),
+    /// A value-taking flag with nothing after it.
+    MissingValue(String),
+    /// A value that does not parse, or is out of range, for its flag.
+    BadValue {
+        /// The flag the value was given to.
+        flag: String,
+        /// The rejected text.
+        value: String,
+        /// What the flag takes.
+        expected: &'static str,
+    },
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::UnknownFlag(flag) => write!(f, "unknown argument {flag}"),
+            ArgError::MissingValue(flag) => write!(f, "{flag} takes a value"),
+            ArgError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} takes {expected}, got {value:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+/// The flags [`Args`] understands, printed with every [`ArgError`].
+const FLAGS: &str = "--mem-mb <n> --seed <n> --ratio <f> --disks <n> --csv <path> \
+--json <path> --metrics-out <prefix> --sample-interval-us <n> --sched <policy> \
+--queue-depth <n> --policy <name> --redundancy <none|parity> --coalesce --smoke --crash \
+--no-journal --disk-death --corrupt-parity";
+
+/// `--key value` style overrides shared by the binaries. A rejected
+/// command line prints the full flag list.
 pub struct Args {
     /// Parsed configuration (including any `--sched`/`--queue-depth`/
     /// `--coalesce` scheduler overrides, applied to `cfg.machine.sched`).
@@ -878,121 +658,124 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args`.
+    /// Parse from `std::env::args`. A bad command line or an invalid
+    /// machine configuration is an operator mistake: print it and exit
+    /// with status 2.
     pub fn parse() -> Self {
-        let mut cfg = Config::default_platform();
-        let mut ratio = 2.0;
-        let mut csv = None;
-        let mut json = None;
-        let mut metrics_out = None;
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let args = Self::try_parse_from(&argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nflags: {FLAGS}");
+            std::process::exit(2);
+        });
+        exit_on_bad_config(&args.cfg);
+        args
+    }
+
+    /// Parse the arguments after the program name.
+    pub fn try_parse_from(argv: &[String]) -> Result<Self, ArgError> {
+        let mut args = Self {
+            cfg: Config::default_platform(),
+            ratio: 2.0,
+            csv: None,
+            json: None,
+            metrics_out: None,
+            smoke: false,
+            crash: false,
+            no_journal: false,
+            disk_death: false,
+            corrupt_parity: false,
+        };
+        let cfg = &mut args.cfg;
         let mut sample_interval = SAMPLE_INTERVAL_NS;
-        let mut smoke = false;
-        let mut crash = false;
-        let mut no_journal = false;
-        let mut disk_death = false;
-        let mut corrupt_parity = false;
-        let argv: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < argv.len() {
-            // Flags without a value first.
-            match argv[i].as_str() {
-                "--coalesce" => {
-                    cfg.machine.sched = cfg.machine.sched.with_coalesce(true);
-                    i += 1;
-                    continue;
-                }
-                "--smoke" => {
-                    smoke = true;
-                    i += 1;
-                    continue;
-                }
-                "--crash" => {
-                    crash = true;
-                    i += 1;
-                    continue;
-                }
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            let mut value = || {
+                it.next()
+                    .ok_or_else(|| ArgError::MissingValue(flag.clone()))
+            };
+            let bad = |value: &str, expected| ArgError::BadValue {
+                flag: flag.clone(),
+                value: value.to_string(),
+                expected,
+            };
+            match flag.as_str() {
+                "--coalesce" => cfg.machine.sched = cfg.machine.sched.with_coalesce(true),
+                "--smoke" => args.smoke = true,
+                "--crash" => args.crash = true,
                 "--no-journal" => {
-                    no_journal = true;
+                    args.no_journal = true;
                     cfg.machine.journal = false;
-                    i += 1;
-                    continue;
                 }
-                "--disk-death" => {
-                    disk_death = true;
-                    i += 1;
-                    continue;
-                }
-                "--corrupt-parity" => {
-                    corrupt_parity = true;
-                    i += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            let v = argv
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("{} takes a value", argv[i]));
-            match argv[i].as_str() {
+                "--disk-death" => args.disk_death = true,
+                "--corrupt-parity" => args.corrupt_parity = true,
                 "--mem-mb" => {
-                    let mb: u64 = v.parse().expect("--mem-mb takes an integer");
-                    cfg.machine = cfg.machine.with_memory_bytes(mb * 1024 * 1024);
+                    let v = value()?;
+                    let bytes = v
+                        .parse::<u64>()
+                        .ok()
+                        .and_then(|mb| mb.checked_mul(1024 * 1024))
+                        .ok_or_else(|| bad(v, "a memory size in MiB"))?;
+                    cfg.machine = cfg.machine.with_memory_bytes(bytes);
                 }
-                "--seed" => cfg.seed = v.parse().expect("--seed takes an integer"),
-                "--ratio" => ratio = v.parse().expect("--ratio takes a float"),
-                "--disks" => cfg.machine = cfg.machine.with_ndisks(v.parse().expect("--disks int")),
-                "--csv" => csv = Some(v.clone()),
+                "--seed" => {
+                    let v = value()?;
+                    cfg.seed = v.parse().map_err(|_| bad(v, "an integer"))?;
+                }
+                "--ratio" => {
+                    let v = value()?;
+                    args.ratio = v.parse().map_err(|_| bad(v, "a number"))?;
+                }
+                "--disks" => {
+                    let v = value()?;
+                    let n = v.parse().map_err(|_| bad(v, "an integer"))?;
+                    cfg.machine = cfg.machine.with_ndisks(n);
+                }
+                "--csv" => args.csv = Some(value()?.clone()),
                 "--json" => {
-                    json = Some(v.clone());
+                    args.json = Some(value()?.clone());
                     cfg.metrics = true;
                 }
                 "--metrics-out" => {
-                    metrics_out = Some(v.clone());
+                    args.metrics_out = Some(value()?.clone());
                     cfg.metrics = true;
                 }
                 "--sample-interval-us" => {
-                    let us: u64 = v.parse().expect("--sample-interval-us takes an integer");
-                    assert!(us > 0, "--sample-interval-us must be positive");
-                    sample_interval = us * 1_000;
+                    let v = value()?;
+                    sample_interval = v
+                        .parse::<u64>()
+                        .ok()
+                        .and_then(|us| us.checked_mul(1_000))
+                        .filter(|&ns| ns > 0)
+                        .ok_or_else(|| bad(v, "a positive number of microseconds"))?;
                 }
                 "--sched" => {
+                    let v = value()?;
                     let policy = oocp_os::SchedPolicy::parse(v)
-                        .unwrap_or_else(|| panic!("unknown scheduling policy {v}"));
+                        .ok_or_else(|| bad(v, "a scheduling policy"))?;
                     cfg.machine.sched = cfg.machine.sched.with_policy(policy);
                 }
                 "--queue-depth" => {
-                    let depth: usize = v.parse().expect("--queue-depth takes an integer");
+                    let v = value()?;
+                    let depth = v.parse().map_err(|_| bad(v, "an integer"))?;
                     cfg.machine.sched = cfg.machine.sched.with_queue_depth(depth);
                 }
                 "--policy" => {
-                    let kind = PolicyKind::parse(v)
-                        .unwrap_or_else(|| panic!("unknown prefetch policy {v}"));
+                    let v = value()?;
+                    let kind = PolicyKind::parse(v).ok_or_else(|| bad(v, "a prefetch policy"))?;
                     cfg.machine = cfg.machine.with_prefetch_policy(kind);
                 }
                 "--redundancy" => {
-                    let r = oocp_os::Redundancy::parse(v)
-                        .unwrap_or_else(|| panic!("unknown redundancy scheme {v}"));
-                    cfg.machine.redundancy = r;
+                    let v = value()?;
+                    cfg.machine.redundancy =
+                        oocp_os::Redundancy::parse(v).ok_or_else(|| bad(v, "none or parity"))?;
                 }
-                other => panic!("unknown argument {other}"),
+                _ => return Err(ArgError::UnknownFlag(flag.clone())),
             }
-            i += 2;
         }
-        if metrics_out.is_some() {
+        if args.metrics_out.is_some() {
             cfg.sampler = Some((sample_interval, SAMPLE_RING_CAP));
         }
-        exit_on_bad_config(&cfg);
-        Self {
-            cfg,
-            ratio,
-            csv,
-            json,
-            metrics_out,
-            smoke,
-            crash,
-            no_journal,
-            disk_death,
-            corrupt_parity,
-        }
+        Ok(args)
     }
 }
 
@@ -1108,12 +891,56 @@ mod tests {
         let mut cfg = Config::default_platform();
         cfg.machine = cfg.machine.with_memory_bytes(16 * 4096);
         cfg.metrics = true;
-        let o = run_ir_program(&prog, &[], &cfg, Mode::Original);
-        let (p, trace) = run_ir_traced(&prog, &[], &cfg, Mode::Prefetch, 1 << 14);
+        let o = RunSpec::new(&cfg, Mode::Original).run_ir(&prog, &[]).result;
+        let out = RunSpec::new(&cfg, Mode::Prefetch)
+            .trace(1 << 14)
+            .run_ir(&prog, &[]);
+        let p = out.result;
         assert_eq!(o.checksum, p.checksum, "modes agree on the data");
         assert!(p.attr.sums_to(p.total(), 0.0), "attribution exact");
         assert!(p.obs.is_some(), "metrics flow through the IR path");
-        let trace = trace.expect("trace was enabled");
+        let trace = out.trace.expect("trace was enabled");
         assert!(!trace.span_lifecycles().is_empty(), "prefetch spans traced");
+    }
+
+    fn parse(line: &str) -> Result<Args, ArgError> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        Args::try_parse_from(&argv)
+    }
+
+    #[test]
+    fn args_parse_the_shared_flags() {
+        let a = parse("--mem-mb 4 --ratio 1.5 --smoke --policy readahead --json r.json").unwrap();
+        assert_eq!(a.cfg.machine.memory_bytes(), 4 * 1024 * 1024);
+        assert_eq!(a.ratio, 1.5);
+        assert!(a.smoke && a.cfg.metrics);
+        assert_eq!(a.cfg.machine.policy, PolicyKind::Readahead);
+        assert_eq!(a.json.as_deref(), Some("r.json"));
+    }
+
+    #[test]
+    fn args_reject_bad_input_with_typed_errors() {
+        let bad = |line: &str, flag: &str, value: &str| match parse(line) {
+            Err(ArgError::BadValue {
+                flag: f, value: v, ..
+            }) => assert_eq!((f.as_str(), v.as_str()), (flag, value), "{line}"),
+            other => panic!("{line}: expected BadValue, got {:?}", other.map(|_| ())),
+        };
+        bad("--mem-mb x", "--mem-mb", "x");
+        // mb * 1024 * 1024 must not wrap into a small machine.
+        bad("--mem-mb 99999999999999", "--mem-mb", "99999999999999");
+        bad("--seed -1", "--seed", "-1");
+        bad("--sched nope", "--sched", "nope");
+        bad("--sample-interval-us 0", "--sample-interval-us", "0");
+        assert_eq!(
+            parse("--smoke --mem-mb").map(|_| ()),
+            Err(ArgError::MissingValue("--mem-mb".into()))
+        );
+        assert_eq!(
+            parse("--frobnicate 3").map(|_| ()),
+            Err(ArgError::UnknownFlag("--frobnicate".into()))
+        );
+        let msg = parse("--mem-mb x").map(|_| ()).unwrap_err().to_string();
+        assert!(msg.contains("--mem-mb") && msg.contains("\"x\""), "{msg}");
     }
 }

@@ -1,19 +1,11 @@
-//! Minimal wall-clock micro-benchmark harness.
-//!
-//! The container this reproduction builds in has no network access, so
-//! the benches cannot depend on Criterion; this module provides the
-//! small subset the suite needs: auto-calibrated iteration counts,
-//! warm-up, and a min/median/mean report per benchmark. Each bench
-//! target is a plain `harness = false` binary calling [`bench`] /
-//! [`bench_with_setup`].
-//!
-//! It also hosts the per-opcode-class interpreter dispatch
-//! microbenchmarks ([`class_costs`]): one tiny loop program per opcode
-//! class, timed detached and then re-run under the host-time profiler
-//! so the wall-clock ranking can be cross-checked against the
-//! profiler's self-time ranking (`profile --xcheck`).
+//! Per-opcode-class interpreter dispatch microbenchmarks
+//! ([`class_costs`]): one tiny loop program per opcode class, timed
+//! detached and then re-run under the host-time profiler so the
+//! wall-clock ranking can be cross-checked against the profiler's
+//! self-time ranking (`profile --xcheck`). Every other layer probe
+//! lives in `benchmark/` (`bash benchmark/run.sh --probes`).
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use oocp_ir::{
     lin, run_program, run_program_profiled, var, ArrayBinding, ArrayRef, CostModel, ElemType, Expr,
@@ -21,81 +13,10 @@ use oocp_ir::{
 };
 use oocp_obs::{HostProf, Profile};
 
-pub use std::hint::black_box;
+use std::hint::black_box;
 
-/// Target measurement time per benchmark (split over samples).
-const TARGET: Duration = Duration::from_millis(300);
-/// Number of timed samples collected per benchmark.
+/// Number of timed samples collected per opcode class.
 const SAMPLES: usize = 11;
-
-/// Format nanoseconds-per-iteration compactly.
-fn fmt(ns: f64) -> String {
-    if ns >= 1e9 {
-        format!("{:.3} s", ns / 1e9)
-    } else if ns >= 1e6 {
-        format!("{:.3} ms", ns / 1e6)
-    } else if ns >= 1e3 {
-        format!("{:.3} us", ns / 1e3)
-    } else {
-        format!("{ns:.1} ns")
-    }
-}
-
-/// Time `f` repeatedly, printing a one-line min/median/mean report.
-///
-/// The closure is first run once for warm-up and calibration, then the
-/// iteration count is chosen so one sample lasts roughly
-/// `TARGET / SAMPLES` of wall time.
-pub fn bench<F: FnMut()>(name: &str, mut f: F) {
-    // Warm-up + calibration.
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().max(Duration::from_nanos(1));
-    let per_sample = TARGET / SAMPLES as u32;
-    let iters = (per_sample.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
-
-    let mut samples: Vec<f64> = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        samples.push(t.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    report(name, &mut samples);
-}
-
-/// Like [`bench`], but re-creates fresh state with `setup` outside the
-/// timed region before every invocation (for destructive bodies).
-pub fn bench_with_setup<S, T, F>(name: &str, mut setup: S, mut f: F)
-where
-    S: FnMut() -> T,
-    F: FnMut(T),
-{
-    let mut samples: Vec<f64> = Vec::with_capacity(SAMPLES);
-    // One warm-up invocation.
-    f(setup());
-    for _ in 0..SAMPLES {
-        let state = setup();
-        let t = Instant::now();
-        f(state);
-        samples.push(t.elapsed().as_nanos() as f64);
-    }
-    report(name, &mut samples);
-}
-
-fn report(name: &str, samples: &mut [f64]) {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    let min = samples[0];
-    let median = samples[samples.len() / 2];
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    println!(
-        "{name:<44} min {:>12}  median {:>12}  mean {:>12}",
-        fmt(min),
-        fmt(median),
-        fmt(mean)
-    );
-}
 
 /// Iterations of each opcode-class dispatch loop: large enough that
 /// per-iteration dispatch dominates program setup, small enough that

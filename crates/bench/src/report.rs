@@ -226,7 +226,7 @@ pub fn write_report(path: &str, doc: &Json) -> Result<(), WriteError> {
     Ok(())
 }
 
-/// Distill one run into a trajectory entry for the `oocp-bench-v1`
+/// Distill one run into a trajectory entry for the `oocp-bench-v4`
 /// baseline schema (see `oocp_obs::baseline`): the perfgate-gated
 /// subset of [`run_json`], keyed by kernel and configuration label.
 /// Runs without the observability layer contribute zeroed ledger and

@@ -4,14 +4,17 @@
 //! The within-run layer (attribution, ledger, histograms) explains one
 //! execution; this module makes those numbers *comparable across
 //! commits*. A capture run of the benchmark matrix is serialized as an
-//! `oocp-bench-v2` document (`BENCH_<n>.json` at the repo root; v1
-//! documents remain readable); a
+//! `oocp-bench-v4` document (`BENCH_<n>.json` at the repo root); a
 //! later compare run re-executes the same matrix and diffs every metric
 //! against the stored trajectory entry. The simulator is deterministic,
 //! so the default contract is *identical-by-default*: any drift at all
 //! is a gate finding unless an explicit [`Allowance`] (from a
 //! `--allow metric=pct` flag or a checked-in `perf-allowances.toml`)
 //! declares the change intentional and bounds it.
+//!
+//! Only the current schema loads. `BENCH_1`–`BENCH_6` (v1–v3) stay in
+//! the tree as read-only history of the trajectory and are rejected by
+//! their tag; `BENCH_7.json` is the gate.
 //!
 //! Direction matters for reading a report, not for gating: a lower
 //! elapsed time is an *improvement* and a higher one a *regression*,
@@ -20,31 +23,12 @@
 
 use crate::{Json, LatencyHist, LedgerCounts, TimeAttribution, WhylateSummary};
 
-/// Original schema identifier; still accepted on read.
-pub const SCHEMA: &str = "oocp-bench-v1";
-
-/// Current schema identifier, written by every new capture. v2 adds
-/// the optional per-run `whylate` cause vector, the optional
-/// wall-clock-derived `sim_throughput`, and a baseline-level aggregate
-/// `whylate` block. Every v1 document is a valid v2 document with all
-/// three absent, so old trajectory entries keep loading.
-pub const SCHEMA_V2: &str = "oocp-bench-v2";
-
-/// Previous schema identifier; still accepted on read. v3 adds
-/// the optional per-run `profile` block — a compact host-time profile
-/// summary (total host nanoseconds plus the top self-time sites).
-/// Profile fields are **report-only**: they never appear in
-/// [`metrics`] and can never gate, because host time is wall-clock
-/// noise by construction. Every v2 document is a valid v3 document
-/// with the block absent, so old trajectory entries keep loading.
-pub const SCHEMA_V3: &str = "oocp-bench-v3";
-
-/// Current schema identifier, written by every new capture. v4 adds
-/// the optional per-run `redundancy` block (degraded reads, hedging,
-/// and rebuild counters for parity cells) and the two redundancy
-/// whylate causes, all riding strictly behind every v3 metric so
-/// positional compare against a v3-era cell stays aligned. Every v3
-/// document is a valid v4 document with the block absent.
+/// The schema identifier, written by every capture and the only one
+/// accepted on read. Optional per-run blocks (`whylate`,
+/// `sim_throughput`, the report-only `profile`, `redundancy`) are each
+/// complete or absent, and their metrics ride strictly behind the
+/// always-present ones so positional compare stays aligned between
+/// cells with and without them.
 pub const SCHEMA_V4: &str = "oocp-bench-v4";
 
 /// Compact summary of a [`LatencyHist`]: the quantiles the trajectory
@@ -859,7 +843,7 @@ fn parse_run(v: &Json) -> Result<BaselineRun, String> {
     Ok(run)
 }
 
-/// Parse and validate an `oocp-bench-v1`/`-v2`/`-v3`/`-v4` document.
+/// Parse and validate an `oocp-bench-v4` document.
 ///
 /// Beyond shape checking this enforces the cross-layer invariants on
 /// every entry (attribution covers elapsed exactly) and rejects
@@ -867,12 +851,8 @@ fn parse_run(v: &Json) -> Result<BaselineRun, String> {
 /// function from matrix cell to measurement.
 pub fn parse_baseline(doc: &Json) -> Result<Baseline, String> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA || s == SCHEMA_V2 || s == SCHEMA_V3 || s == SCHEMA_V4 => {}
-        Some(s) => {
-            return Err(format!(
-                "schema is {s}, expected {SCHEMA}, {SCHEMA_V2}, {SCHEMA_V3} or {SCHEMA_V4}"
-            ))
-        }
+        Some(s) if s == SCHEMA_V4 => {}
+        Some(s) => return Err(format!("schema is {s}, expected {SCHEMA_V4}")),
         None => return Err("missing schema field".into()),
     }
     let runs_v = doc
@@ -1272,23 +1252,28 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse_and_v2_additions_roundtrip() {
-        // A committed BENCH_<n>.json from before the telemetry PR
-        // carries the v1 schema tag and no whylate/sim_throughput
-        // anywhere — it must keep loading, with all v2 fields None.
-        let b = sample_baseline();
-        let mut doc = baseline_json(&b);
-        if let Json::Obj(fields) = &mut doc {
-            fields[0].1 = Json::Str(SCHEMA.into());
+    fn old_schema_tags_are_rejected_by_name() {
+        // BENCH_1..BENCH_6 are history, not gates: their v1-v3 tags
+        // must fail with the typed message, not half-load.
+        for old in ["oocp-bench-v1", "oocp-bench-v2", "oocp-bench-v3"] {
+            let mut doc = baseline_json(&sample_baseline());
+            if let Json::Obj(fields) = &mut doc {
+                fields[0].1 = Json::Str(old.into());
+            }
+            assert_eq!(
+                parse_baseline(&doc).unwrap_err(),
+                format!("schema is {old}, expected {SCHEMA_V4}")
+            );
         }
-        let back = parse_baseline(&doc).unwrap();
-        assert_eq!(back, b);
-        assert!(back.whylate.is_none());
-        assert!(back.runs[0].sim_throughput.is_none());
+    }
 
-        // v2 captures round-trip the new blocks exactly, and the new
-        // metrics ride strictly behind every v1 metric so positional
-        // compare against a v1-era cell stays aligned.
+    #[test]
+    fn whylate_and_throughput_additions_roundtrip() {
+        // Captures round-trip the whylate and sim_throughput blocks
+        // exactly, and the new metrics ride strictly behind every
+        // always-present metric so positional compare against a cell
+        // without them stays aligned.
+        let b = sample_baseline();
         let mut b2 = sample_baseline();
         let w = WhylateSummary {
             late_queue_wait: 5,
@@ -1340,22 +1325,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_documents_still_parse_and_v3_profile_roundtrips() {
-        // A committed BENCH_<n>.json from before the profiler PR
-        // carries the v2 schema tag and no profile block anywhere — it
-        // must keep loading, with `profile` None everywhere.
-        let b = sample_baseline();
-        let mut doc = baseline_json(&b);
-        if let Json::Obj(fields) = &mut doc {
-            fields[0].1 = Json::Str(SCHEMA_V2.into());
-        }
-        let back = parse_baseline(&doc).unwrap();
-        assert_eq!(back, b);
-        assert!(back.runs[0].profile.is_none());
-
-        // v3 captures round-trip the profile block exactly, and the
+    fn profile_block_roundtrips_and_never_gates() {
+        // Captures round-trip the profile block exactly, and the
         // block is report-only: the gated metric list must be
         // bit-identical with and without it.
+        let b = sample_baseline();
         let mut b3 = sample_baseline();
         b3.runs[0].profile = Some(ProfileSummary {
             total_host_ns: 5_000_000,
@@ -1386,24 +1360,10 @@ mod tests {
     }
 
     #[test]
-    fn v3_documents_still_parse_and_v4_redundancy_roundtrips() {
-        // A committed BENCH_<n>.json from before the redundancy PR
-        // carries the v3 schema tag and no redundancy block anywhere —
-        // it must keep loading, with `redundancy` None everywhere, and
-        // its gated metric list must be identical to a fresh non-parity
-        // capture's (positional-zip compatibility across the PR).
-        let b = sample_baseline();
-        let mut doc = baseline_json(&b);
-        if let Json::Obj(fields) = &mut doc {
-            fields[0].1 = Json::Str(SCHEMA_V3.into());
-        }
-        let back = parse_baseline(&doc).unwrap();
-        assert_eq!(back, b);
-        assert!(back.runs[0].redundancy.is_none());
-        assert_eq!(metrics(&back.runs[0]), metrics(&b.runs[0]));
-
-        // v4 parity cells round-trip the block exactly and append every
+    fn redundancy_block_roundtrips_behind_the_plain_metrics() {
+        // Parity cells round-trip the block exactly and append every
         // redundancy metric strictly behind the non-parity list.
+        let b = sample_baseline();
         let mut b4 = sample_baseline();
         b4.runs[0].redundancy = Some(RedundancySummary {
             degraded_reads: 31,

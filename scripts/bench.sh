@@ -5,17 +5,17 @@
 # plus the 5 sample .ook kernels, each under the original, both
 # prefetching, and demand-priority configurations) — and writes it to
 # the next free BENCH_<n>.json at the repo root, then re-validates the
-# file with the schema validator. From BENCH_5 the file carries the
-# oocp-bench-v2 schema: per-run whylate cause vectors, a matrix-level
-# whylate roll-up, and sim_throughput (simulated ns per host second,
-# gated only under the wide simthroughput.* band). From BENCH_6 the
-# schema is oocp-bench-v3: `--profile` stamps each single-kernel cell
-# with a host-time profile summary (total host ns + top self-time
-# sites) from a second, profiled run — report-only context for the
-# bytecode-compilation push, never gated and never polluting the
-# detached sim_throughput measurement. Commit the new file together
-# with the change that motivated it; `scripts/ci.sh` compares every
-# build against the newest baseline.
+# file with the schema validator. The file carries the oocp-bench-v4
+# schema, the only one the reader accepts: BENCH_1..BENCH_6 (v1-v3) stay
+# in the tree as read-only history and no longer load, BENCH_7.json is
+# the gate. Per run it holds the whylate cause vector, sim_throughput
+# (simulated ns per host second, gated only under the wide
+# simthroughput.* band), the parity cells' redundancy counters and,
+# with `--profile`, a host-time profile summary (total host ns + top
+# self-time sites) from a second, profiled run: report-only, never
+# gated and never polluting the detached sim_throughput measurement.
+# Commit the new file together with the change that motivated it;
+# `scripts/ci.sh` compares every build against the newest baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -11,7 +11,15 @@ echo "== cargo build --release"
 cargo build --release --workspace --bins
 
 echo "== cargo test -q"
+# default-members covers the workspace: the facade's integration and
+# property suites plus every crate's unit tests.
 cargo test -q
+
+echo "== benchmark package (unit tests + 1/64-scale smoke)"
+# benchmark/ is a stand-alone package built against ../crates/*; a
+# change that breaks the public items it calls fails here, before the
+# benchmark pipeline sees it.
+cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
 echo "== schedsweep smoke (policy sweep correctness gate)"
 cargo run --release -q -p oocp-bench --bin schedsweep -- --smoke

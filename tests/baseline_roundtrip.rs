@@ -12,7 +12,7 @@
 use oocp::obs::baseline::{baseline_json, compare, metrics, parse_baseline, Baseline};
 use oocp::os::FaultPlan;
 use oocp::sim::SimRng;
-use oocp_bench::{report, run_workload, run_workload_faulted, Config, Mode};
+use oocp_bench::{report, run_workload, Config, Mode, RunSpec};
 use oocp_nas::{build, App};
 
 fn small_config() -> Config {
@@ -87,7 +87,10 @@ fn faulted_baseline_roundtrips_and_reproduces() {
         // (correctly) fatal here, so survivable plans strip them.
         let plan = FaultPlan::sample(&mut g).without_disk_deaths();
         let capture = |()| {
-            let r = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
+            let r = RunSpec::new(&cfg, Mode::Prefetch)
+                .faults(&plan)
+                .run(&w)
+                .result;
             r.verified
                 .as_ref()
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));

@@ -18,7 +18,7 @@
 //! (used by the CI crash gate's quick pass).
 
 use oocp::os::{CrashPoint, CrashSpec, FaultPlan};
-use oocp_bench::{run_workload, run_workload_crash_recover, Config, Mode};
+use oocp_bench::{run_workload, Config, Mode, RunSpec};
 use oocp_nas::{build, App};
 
 fn apps() -> Vec<App> {
@@ -57,7 +57,9 @@ fn crash_recover_restart_matches_uncrashed_reference() {
                     point,
                     torn_writes: torn,
                 });
-                let run = run_workload_crash_recover(&w, &cfg, Mode::Prefetch, &plan);
+                let run = RunSpec::new(&cfg, Mode::Prefetch)
+                    .faults(&plan)
+                    .crash_recover(&w);
                 let tag = format!("{app:?} point {point:?} torn={torn}");
 
                 // The crash engaged: the machine died mid-run.
@@ -65,6 +67,7 @@ fn crash_recover_restart_matches_uncrashed_reference() {
                 // The crash costs durability, never in-memory
                 // computation: the zombie leg still verifies.
                 run.crashed
+                    .result
                     .verified
                     .as_ref()
                     .unwrap_or_else(|e| panic!("{tag}: zombie leg corrupted data: {e}"));
@@ -87,7 +90,7 @@ fn crash_recover_restart_matches_uncrashed_reference() {
                 }
                 // Recovery work is visible to the perf harness.
                 assert_eq!(
-                    run.rerun.os.recovery_ns, run.recovery.recovery_ns,
+                    run.rerun.result.os.recovery_ns, run.recovery.recovery_ns,
                     "{tag}: recovery time not carried into the rerun's counters"
                 );
                 assert!(run.recovery.recovery_ns > 0, "{tag}: recovery took no time");
@@ -95,15 +98,16 @@ fn crash_recover_restart_matches_uncrashed_reference() {
                 // THE oracle: restart on the recovered machine equals
                 // the never-crashed run, bit for bit.
                 run.rerun
+                    .result
                     .verified
                     .as_ref()
                     .unwrap_or_else(|e| panic!("{tag}: recovered rerun failed to verify: {e}"));
                 assert_eq!(
-                    run.rerun.checksum, reference.checksum,
+                    run.rerun.result.checksum, reference.checksum,
                     "{tag}: recovered rerun diverged from the uncrashed reference"
                 );
                 assert!(
-                    run.rerun.flush.is_none(),
+                    run.rerun.result.flush.is_none(),
                     "{tag}: the rerun must flush clean"
                 );
             }
@@ -112,19 +116,31 @@ fn crash_recover_restart_matches_uncrashed_reference() {
 }
 
 /// Crashing at the very first submission recovers to the pristine
-/// post-init state and still replays to the reference result.
+/// post-init state and still replays to the reference result. Both
+/// legs go through the one run path, so the telemetry sampler rides
+/// along: timing-neutral, and filled on the recovered machine too.
 #[test]
 fn crash_at_first_op_recovers_to_baseline_and_reruns_clean() {
     let mut cfg = Config::default_platform();
     cfg.machine = cfg.machine.with_memory_bytes(1024 * 1024);
     let w = build(App::Embar, cfg.bytes_for_ratio(2.0));
     let reference = run_workload(&w, &cfg, Mode::Prefetch);
+    cfg.sampler = Some((1_000_000, 8192));
     let plan = FaultPlan::none(0x00C4_A5FF).with_crash(CrashSpec {
         point: CrashPoint::AtOp(0),
         torn_writes: true,
     });
-    let run = run_workload_crash_recover(&w, &cfg, Mode::Prefetch, &plan);
+    let run = RunSpec::new(&cfg, Mode::Prefetch)
+        .faults(&plan)
+        .crash_recover(&w);
     assert_eq!(run.recovery.unrecoverable, 0);
     assert_eq!(run.recovery.pages_replayed, 0, "nothing was ever written");
-    assert_eq!(run.rerun.checksum, reference.checksum);
+    assert_eq!(run.rerun.result.checksum, reference.checksum);
+    let (_, ring) = run
+        .rerun
+        .result
+        .telemetry
+        .as_ref()
+        .expect("the rerun leg attaches the sampler");
+    assert!(!ring.is_empty(), "the rerun leg sampled its time series");
 }

@@ -24,9 +24,7 @@ use oocp::os::{
     CrashPoint, CrashSpec, DiskDeath, FaultPlan, Machine, MachineParams, OsError, PolicyKind,
     Redundancy,
 };
-use oocp_bench::{
-    run_workload, run_workload_crash_recover, run_workload_faulted, Config, Mode, RunResult,
-};
+use oocp_bench::{run_workload, Config, Mode, RunResult, RunSpec};
 use oocp_nas::{build, App};
 
 fn quick() -> bool {
@@ -125,7 +123,7 @@ fn disk_death_is_bit_identical_to_fault_free_reference() {
             for (i, &(at, disk, engage)) in death_points(reference.total()).iter().enumerate() {
                 let plan =
                     FaultPlan::none(0xD15F_0000 + i as u64).with_disk_death(DiskDeath { disk, at });
-                let r = run_workload_faulted(&w, &c, mode, &plan);
+                let r = RunSpec::new(&c, mode).faults(&plan).run(&w).result;
                 let tag = format!(
                     "{app:?}/{}/{} death disk {disk} at {at} ns",
                     mode.label(),
@@ -162,7 +160,9 @@ fn crash_during_rebuild_recovers_and_reruns_clean() {
                 point: CrashPoint::AtTime(crash_at),
                 torn_writes: torn,
             });
-        let run = run_workload_crash_recover(&w, &cfg, Mode::Prefetch, &plan);
+        let run = RunSpec::new(&cfg, Mode::Prefetch)
+            .faults(&plan)
+            .crash_recover(&w);
         let tag = format!("EMBAR death@{death_at} crash@{crash_at} torn={torn}");
         assert!(run.recovery.crashed_at > 0, "{tag}: crash never tripped");
         assert_eq!(
@@ -171,15 +171,16 @@ fn crash_during_rebuild_recovers_and_reruns_clean() {
             run.recovery
         );
         run.rerun
+            .result
             .verified
             .as_ref()
             .unwrap_or_else(|e| panic!("{tag}: recovered rerun failed to verify: {e}"));
         assert_eq!(
-            run.rerun.checksum, reference.checksum,
+            run.rerun.result.checksum, reference.checksum,
             "{tag}: recovered rerun diverged from the uncrashed reference"
         );
         assert!(
-            run.rerun.flush.is_none(),
+            run.rerun.result.flush.is_none(),
             "{tag}: the rerun must flush clean"
         );
     }

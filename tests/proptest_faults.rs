@@ -12,7 +12,7 @@ use std::collections::HashMap;
 
 use oocp::os::{FaultPlan, Machine, MachineParams};
 use oocp::sim::SimRng;
-use oocp_bench::{run_workload, run_workload_faulted, Config, Mode};
+use oocp_bench::{run_workload, Config, Mode, RunSpec};
 use oocp_nas::{build, App};
 
 /// The shared bounded-plan generator (also used by the baseline
@@ -38,7 +38,10 @@ fn faulted_kernels_match_fault_free_results() {
         base.verified.as_ref().expect("fault-free run verifies");
         for case in 0..4 {
             let plan = random_plan(&mut g);
-            let r = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
+            let r = RunSpec::new(&cfg, Mode::Prefetch)
+                .faults(&plan)
+                .run(&w)
+                .result;
             r.verified.as_ref().unwrap_or_else(|e| {
                 panic!("{app:?} case {case} plan {plan:?}: failed to verify: {e}")
             });
@@ -48,6 +51,42 @@ fn faulted_kernels_match_fault_free_results() {
             );
         }
     }
+}
+
+/// A bare IR program takes the same run path as a workload: a fault
+/// plan costs it retries but never changes its data, and a warm start
+/// preloads its data set.
+#[test]
+fn faulted_and_warm_ir_runs_match_the_plain_result() {
+    let src = "program t {\n    long a[65536];\n    for i = 0 to 65536 { a[i] = i; }\n    \
+               for i = 0 to 65536 { a[i] = a[i] + 1; }\n}\n";
+    let prog = oocp::ir::parse_program(src).unwrap();
+    let mut cfg = Config::default_platform();
+    cfg.machine = cfg.machine.with_memory_bytes(64 * 4096);
+    let base = RunSpec::new(&cfg, Mode::Prefetch).run_ir(&prog, &[]).result;
+    assert_eq!(base.os.io_retries, 0);
+
+    let plan = FaultPlan::none(0xFA_0004).with_errors(0.05, 0.10, 0.05);
+    let faulted = RunSpec::new(&cfg, Mode::Prefetch)
+        .faults(&plan)
+        .run_ir(&prog, &[])
+        .result;
+    assert_eq!(faulted.checksum, base.checksum, "faults changed the data");
+    assert!(faulted.disk.faults_injected > 0, "the plan was installed");
+    assert!(faulted.os.io_retries > 0, "injected errors were retried");
+
+    cfg.warm = true;
+    let warm = RunSpec::new(&cfg, Mode::Prefetch)
+        .faults(&plan)
+        .run_ir(&prog, &[])
+        .result;
+    assert_eq!(warm.checksum, base.checksum, "warm start changed the data");
+    assert!(
+        warm.os.hard_faults < faulted.os.hard_faults,
+        "preloaded pages fault less: {} vs {}",
+        warm.os.hard_faults,
+        faulted.os.hard_faults
+    );
 }
 
 /// [`FaultPlan::sample`] only ever produces well-formed plans: every

@@ -18,7 +18,7 @@ use oocp::obs::Json;
 use oocp::os::{chrome_trace_json, FaultPlan, Machine, MachineParams};
 use oocp::sim::time::MILLISECOND;
 use oocp::sim::SimRng;
-use oocp_bench::{run_workload, run_workload_faulted, Config, Mode};
+use oocp_bench::{run_workload, Config, Mode, RunSpec};
 use oocp_nas::{build, App};
 
 #[derive(Clone, Debug)]
@@ -180,7 +180,10 @@ fn kernel_ledger_partitions_fault_free_and_faulted() {
         let mut runs = vec![("fault-free".to_string(), base)];
         for case in 0..3 {
             let plan = random_plan(&mut g);
-            let r = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
+            let r = RunSpec::new(&cfg, Mode::Prefetch)
+                .faults(&plan)
+                .run(&w)
+                .result;
             r.verified
                 .as_ref()
                 .unwrap_or_else(|e| panic!("{app:?} case {case}: {e}"));

@@ -16,7 +16,7 @@
 
 use oocp::os::FaultPlan;
 use oocp::sim::SimRng;
-use oocp_bench::{run_workload, run_workload_faulted, Config, Mode, RunResult};
+use oocp_bench::{run_workload, Config, Mode, RunResult, RunSpec};
 use oocp_nas::{build, App, Workload};
 use oocp_policy::PolicyKind;
 
@@ -122,7 +122,10 @@ fn policies_survive_fault_plans_bit_identically() {
             let plan = FaultPlan::sample(&mut g).without_disk_deaths();
             let mut c = cfg;
             c.machine = c.machine.with_prefetch_policy(kind);
-            let r = run_workload_faulted(&w, &c, natural_mode(kind), &plan);
+            let r = RunSpec::new(&c, natural_mode(kind))
+                .faults(&plan)
+                .run(&w)
+                .result;
             check_run(
                 &r,
                 base.checksum,

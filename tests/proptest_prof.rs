@@ -23,11 +23,8 @@
 use oocp::obs::prof::{ProfNode, Profile};
 use oocp::os::FaultPlan;
 use oocp::sim::SimRng;
-use oocp_bench::{
-    run_workload, run_workload_faulted, run_workload_profiled, run_workload_profiled_faulted,
-    Config, Mode, RunResult,
-};
-use oocp_nas::{build, App};
+use oocp_bench::{run_workload, Config, Mode, RunResult, RunSpec};
+use oocp_nas::{build, App, Workload};
 use oocp_policy::PolicyKind;
 
 fn platform() -> Config {
@@ -35,6 +32,15 @@ fn platform() -> Config {
     cfg.machine = cfg.machine.with_memory_bytes(1024 * 1024);
     cfg.metrics = true;
     cfg
+}
+
+/// `spec` with the profiler attached: the run and its capture.
+fn profiled(spec: RunSpec, w: &Workload) -> (RunResult, Profile) {
+    let out = spec.profile(true).run(w);
+    (
+        out.result,
+        out.profile.expect("a profiled run carries its profile"),
+    )
 }
 
 /// Every sim-visible observable of `b` must equal `a`'s. `checksum`
@@ -126,7 +132,7 @@ fn profiled_runs_are_sim_identical_fault_free() {
         let w = build(app, cfg.bytes_for_ratio(2.0));
         for mode in [Mode::Original, Mode::Prefetch] {
             let detached = run_workload(&w, &cfg, mode);
-            let (profiled, prof) = run_workload_profiled(&w, &cfg, mode);
+            let (profiled, prof) = profiled(RunSpec::new(&cfg, mode), &w);
             let what = format!("{app:?}/{}", mode.label());
             assert_sim_identical(&detached, &profiled, &what);
             check_profile(&prof, w.prog.name.as_str(), &what);
@@ -148,7 +154,7 @@ fn profiled_runs_are_sim_identical_fault_free() {
         let mut c = cfg;
         c.machine = c.machine.with_prefetch_policy(kind);
         let detached = run_workload(&w, &c, mode);
-        let (profiled, prof) = run_workload_profiled(&w, &c, mode);
+        let (profiled, prof) = profiled(RunSpec::new(&c, mode), &w);
         let what = format!("EMBAR/{}", kind.name());
         assert_sim_identical(&detached, &profiled, &what);
         check_profile(&prof, w.prog.name.as_str(), &what);
@@ -167,8 +173,9 @@ fn profiled_runs_are_sim_identical_under_fault_plans() {
         // Plain striping: a sampled whole-disk death would be
         // (correctly) fatal here, so survivable plans strip them.
         let plan = FaultPlan::sample(&mut g).without_disk_deaths();
-        let detached = run_workload_faulted(&w, &cfg, Mode::Prefetch, &plan);
-        let (profiled, prof) = run_workload_profiled_faulted(&w, &cfg, Mode::Prefetch, &plan);
+        let faulted = || RunSpec::new(&cfg, Mode::Prefetch).faults(&plan);
+        let detached = faulted().run(&w).result;
+        let (profiled, prof) = profiled(faulted(), &w);
         let what = format!("EMBAR/P/case {case} plan {plan:?}");
         assert_sim_identical(&detached, &profiled, &what);
         check_profile(&prof, w.prog.name.as_str(), &what);

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use oocp::os::{FaultPlan, Machine, MachineParams, SchedConfig, SchedPolicy};
 use oocp::sim::time::MILLISECOND;
 use oocp::sim::SimRng;
-use oocp_bench::{run_workload, run_workload_faulted, Config, Mode, RunResult};
+use oocp_bench::{run_workload, Config, Mode, RunResult, RunSpec};
 use oocp_nas::{build, App};
 
 /// The scheduler configurations the properties sweep: every policy,
@@ -126,7 +126,10 @@ fn faulted_policies_still_compute_correct_results() {
             );
         let mut c = cfg;
         c.machine = c.machine.with_sched(sched);
-        let r = run_workload_faulted(&w, &c, Mode::Prefetch, &plan);
+        let r = RunSpec::new(&c, Mode::Prefetch)
+            .faults(&plan)
+            .run(&w)
+            .result;
         r.verified
             .as_ref()
             .unwrap_or_else(|e| panic!("case {case} {sched:?}: failed to verify: {e}"));
