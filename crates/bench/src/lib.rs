@@ -12,16 +12,14 @@ pub mod report;
 pub mod tenants;
 
 use oocp_core::{compile, CompileReport, CompilerParams};
-use oocp_ir::{
-    run_program, run_program_profiled, ArrayBinding, ArrayData, CostModel, ExecStats, Program,
-};
+use oocp_ir::{run_program, run_program_profiled, ArrayBinding, CostModel, ExecStats, Program};
 use oocp_nas::Workload;
 use oocp_obs::{HostProf, Profile, TimeAttribution};
 use oocp_os::{
     FaultPlan, FlushError, HistoryReplay, Machine, MachineParams, MetricsRegistry, MetricsReport,
-    OsStats, PolicyKind, PrefetchPolicy, RecoveryReport, TimeSeriesRing, Trace,
+    OsStats, PolicyKind, PrefetchPolicy, RecoveryReport, Segment, TimeSeriesRing, Trace,
 };
-use oocp_rt::{FilterMode, RtStats, Runtime};
+use oocp_rt::{segment_checksum, FilterMode, RtStats, Runtime};
 use oocp_sim::time::{Ns, TimeBreakdown};
 
 /// A file the harness could not create or write, with the path kept
@@ -522,18 +520,7 @@ pub fn run_workload(w: &Workload, cfg: &Config, mode: Mode) -> RunResult {
 /// through the zero-cost peek path (does not perturb the run — it is
 /// taken after `finish()`).
 pub fn data_checksum(rt: &Runtime, bytes: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut addr = 0;
-    while addr + 8 <= bytes {
-        for b in (rt.peek_i64(addr) as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        addr += 8;
-    }
-    h
+    segment_checksum(rt.machine(), Segment { base: 0, bytes })
 }
 
 /// Format a nanosecond count as seconds with 3 decimals.

@@ -18,10 +18,13 @@
 //! flow through here exactly as compiled application code would.
 
 use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Program};
-use oocp_os::{Machine, MachineParams};
+use oocp_os::{Machine, MachineParams, Segment};
 use oocp_sim::time::{Ns, MICROSECOND};
 
+mod filter;
 pub mod tenants;
+
+use filter::{HintFilter, Verdict};
 
 pub use tenants::{segment_checksum, HubData, HubResult, TenantHub, TenantOutcome, TenantProgram};
 
@@ -111,13 +114,11 @@ impl RtStats {
     }
 }
 
-/// The run-time layer bound to a machine.
+/// The run-time layer bound to a machine: the hint filter scoped to
+/// the whole address space, plus in-core adaptive suppression.
 pub struct Runtime {
     machine: Machine,
-    mode: FilterMode,
-    /// User-level cost of one bit-vector check (~1% of a hint syscall).
-    check_ns: Ns,
-    stats: RtStats,
+    filter: HintFilter,
     /// In-core adaptive mode (the paper's section 4.3.1 future work):
     /// when the data set fits in memory and the cold faults are done,
     /// suppress hint processing entirely.
@@ -126,58 +127,28 @@ pub struct Runtime {
     filtered_streak: u32,
     /// Suppression engaged (terminal for the run).
     suppressing: bool,
-    /// Degraded (demand-paging-only) mode engaged: the hint path was
-    /// erroring, so hints are dropped at user level until probes show
-    /// the path has recovered. Hints are non-binding, so this only
-    /// costs time, never correctness.
-    degraded: bool,
-    /// Simulated time the current degraded episode began.
-    degraded_since: Ns,
-    /// Sliding window of recent hint-syscall outcomes, newest in bit 0
-    /// (1 = the syscall observed a dropped-on-error hint).
-    win_err: u32,
-    /// Valid samples in `win_err` (saturates at [`Runtime::DEGRADE_WINDOW`]).
-    win_len: u32,
-    /// Consecutive clean probes observed while degraded.
-    clean_probes: u32,
-    /// Prefetch-bearing ops since the last probe while degraded.
-    since_probe: u32,
-    /// Hint operations seen (drives the periodic resync cadence).
-    hint_seq: u64,
 }
 
 impl Runtime {
     /// Default per-check cost on the paper platform: 2.5 us, ~1% of the
     /// default hint syscall. On other platforms the cost scales with
-    /// the machine (see [`Runtime::new`]).
+    /// the machine's hint-syscall cost.
     pub const DEFAULT_CHECK_NS: Ns = 2_500;
 
     /// Wrap a machine, registering the shared bit vector.
-    ///
-    /// The per-check cost is derived from the machine: the paper reports
-    /// that "the overhead of dropping an unnecessary prefetch in the
-    /// run-time layer is roughly 1% as expensive as issuing it to the
-    /// OS", and that *ratio* is what carries across platforms (a bit
-    /// test is a couple of instructions on any machine).
     pub fn new(machine: Machine, mode: FilterMode) -> Self {
         // Registration itself is a one-time syscall; its cost is noise
         // and is folded into program startup (not modeled).
-        let check_ns = (machine.params().hint_syscall_ns / 100).max(1);
+        let whole = Segment {
+            base: 0,
+            bytes: machine.total_pages() * machine.params().page_bytes,
+        };
         Self {
+            filter: HintFilter::new(&machine, mode, 0, whole),
             machine,
-            mode,
-            check_ns,
-            stats: RtStats::default(),
             adaptive: false,
             filtered_streak: 0,
             suppressing: false,
-            degraded: false,
-            degraded_since: 0,
-            win_err: 0,
-            win_len: 0,
-            clean_probes: 0,
-            since_probe: 0,
-            hint_seq: 0,
         }
     }
 
@@ -198,7 +169,7 @@ impl Runtime {
 
     /// Override the per-check cost.
     pub fn with_check_ns(mut self, ns: Ns) -> Self {
-        self.check_ns = ns;
+        self.filter.check_ns = ns;
         self
     }
 
@@ -233,9 +204,6 @@ impl Runtime {
     /// Consecutive fully-filtered operations before suppression engages.
     const SUPPRESS_STREAK: u32 = 32;
 
-    /// Cost of the suppressed-hint fast path (a flag test).
-    const SUPPRESS_NS: Ns = 100;
-
     /// Whether adaptive suppression may ever engage for this run.
     fn in_core(&self) -> bool {
         self.machine.total_pages() + self.machine.params().high_water
@@ -252,128 +220,27 @@ impl Runtime {
         }
     }
 
-    /// Fast path for a suppressed hint.
-    fn suppress(&mut self) {
-        self.stats.suppressed_ops += 1;
-        self.machine.tick_user(Self::SUPPRESS_NS);
+    /// Fast path for a suppressed hint carrying the given operation
+    /// counts; `false` when suppression is not engaged.
+    fn suppress(&mut self, prefetch_ops: u64, release_ops: u64) -> bool {
+        if self.suppressing {
+            let stats = &mut self.filter.stats;
+            stats.prefetch_ops += prefetch_ops;
+            stats.release_ops += release_ops;
+            stats.suppressed_ops += 1;
+            self.machine.tick_user(HintFilter::SUPPRESS_NS);
+        }
+        self.suppressing
     }
-
-    /// Sliding-window size for hint-path error observation.
-    const DEGRADE_WINDOW: u32 = 32;
-
-    /// Samples required before the error rate is trusted.
-    const DEGRADE_MIN_SAMPLES: u32 = 8;
-
-    /// Window error rate that triggers degraded mode: 1/2.
-    /// (Entered when `2 * errors >= samples`.)
-    const DEGRADE_NUM: u32 = 2;
-
-    /// Prefetch-bearing ops between recovery probes while degraded.
-    const PROBE_INTERVAL: u32 = 16;
-
-    /// Consecutive clean probes required to leave degraded mode.
-    const EXIT_CLEAN_PROBES: u32 = 4;
-
-    /// Hint ops between periodic bit-vector resyncs (only performed
-    /// when the installed fault plan can desync the vector).
-    const RESYNC_INTERVAL: u64 = 256;
 
     /// Whether the runtime is currently in degraded mode.
     pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Per-hint-op bookkeeping shared by all three hint entry points.
-    /// Returns `true` when the op must be dropped cheaply because the
-    /// runtime is degraded; `false` means "process the hint normally"
-    /// (including the every-Nth probe issued while degraded).
-    /// `probe_eligible` is set for prefetch-bearing ops — only those can
-    /// observe hint-path health, so only those serve as probes.
-    fn begin_hint_op(&mut self, probe_eligible: bool) -> bool {
-        if self.mode != FilterMode::Enabled {
-            return false;
-        }
-        self.hint_seq += 1;
-        if self.hint_seq.is_multiple_of(Self::RESYNC_INTERVAL)
-            && self
-                .machine
-                .fault_plan()
-                .is_some_and(|p| p.bitvec_stale_prob > 0.0)
-        {
-            self.stats.periodic_resyncs += 1;
-            self.machine.resync_bits();
-        }
-        if !self.degraded {
-            return false;
-        }
-        if probe_eligible {
-            self.since_probe += 1;
-            if self.since_probe >= Self::PROBE_INTERVAL {
-                self.since_probe = 0;
-                return false; // issue this one for real, as a probe
-            }
-        }
-        self.stats.hints_dropped_degraded += 1;
-        self.machine.tick_user(Self::SUPPRESS_NS);
-        true
-    }
-
-    /// Record the outcome of a prefetch syscall: `err` is whether the
-    /// OS dropped any of its pages on an I/O error. Drives both the
-    /// entry window and the probe-based exit path.
-    fn note_hint_outcome(&mut self, err: bool) {
-        if self.degraded {
-            self.stats.degraded_probes += 1;
-            if err {
-                self.clean_probes = 0;
-            } else {
-                self.clean_probes += 1;
-                if self.clean_probes >= Self::EXIT_CLEAN_PROBES {
-                    self.exit_degraded();
-                }
-            }
-        } else {
-            // Shifting past the window width drops the oldest sample.
-            self.win_err = (self.win_err << 1) | err as u32;
-            self.win_len = (self.win_len + 1).min(Self::DEGRADE_WINDOW);
-            if self.win_len >= Self::DEGRADE_MIN_SAMPLES
-                && Self::DEGRADE_NUM * self.win_err.count_ones() >= self.win_len
-            {
-                self.enter_degraded();
-            }
-        }
-    }
-
-    /// Fall back to demand-paging-only mode.
-    fn enter_degraded(&mut self) {
-        self.degraded = true;
-        self.degraded_since = self.machine.now();
-        self.clean_probes = 0;
-        self.since_probe = 0;
-        self.stats.degraded_entries += 1;
-        self.machine.note_degraded(true);
-        // A reactive policy injecting readahead would defeat the whole
-        // point of demand-only mode; pause it for the episode.
-        self.machine.set_policy_enabled(false);
-    }
-
-    /// Resume hinting: the probe streak showed the path is healthy.
-    /// The bit vector may have drifted while hints were erroring, so it
-    /// is resynced before the filter trusts it again.
-    fn exit_degraded(&mut self) {
-        self.degraded = false;
-        self.stats.degraded_exits += 1;
-        self.stats.degraded_ns += self.machine.now().saturating_sub(self.degraded_since);
-        self.win_err = 0;
-        self.win_len = 0;
-        self.machine.resync_bits();
-        self.machine.note_degraded(false);
-        self.machine.set_policy_enabled(true);
+        self.filter.degraded()
     }
 
     /// Run-time-layer counters.
     pub fn stats(&self) -> &RtStats {
-        &self.stats
+        &self.filter.stats
     }
 
     /// The wrapped machine.
@@ -389,13 +256,6 @@ impl Runtime {
     /// Consume the runtime, returning the machine.
     pub fn into_machine(self) -> Machine {
         self.machine
-    }
-
-    /// Check one page's residency bit, charging the user-level cost.
-    fn check(&mut self, page: u64) -> bool {
-        self.stats.bit_checks += 1;
-        self.machine.tick_user(self.check_ns);
-        self.machine.bits().test(page)
     }
 }
 
@@ -425,118 +285,29 @@ impl PagedVm for Runtime {
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {
-        self.stats.prefetch_ops += 1;
-        if self.suppressing {
-            self.suppress();
+        if self.suppress(1, 0) {
             return;
         }
-        if self.begin_hint_op(true) {
-            return;
-        }
-        let start = self.machine.page_of(addr);
-        // Clamp the hint to the address space (hints near the end of an
-        // array may name pages past it; they are non-binding).
-        let pages = pages.min(self.machine.total_pages().saturating_sub(start));
-        self.stats.prefetch_pages += pages;
-        if pages == 0 {
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                self.machine.sys_prefetch(start, pages);
-            }
-            FilterMode::Enabled => {
-                // Check pages until one is not believed resident; pass
-                // the remainder to the OS in one call.
-                let mut k = 0;
-                while k < pages && self.check(start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pages {
-                    self.stats.ops_fully_filtered += 1;
-                    self.note_fully_filtered();
-                } else {
-                    self.stats.prefetch_syscalls += 1;
-                    self.filtered_streak = 0;
-                    let drops = self.machine.stats().hints_dropped_on_error;
-                    self.machine.sys_prefetch(start + k, pages - k);
-                    self.note_hint_outcome(self.machine.stats().hints_dropped_on_error > drops);
-                }
-            }
+        match self.filter.hint(&mut self.machine, addr, pages, None) {
+            Verdict::Filtered => self.note_fully_filtered(),
+            Verdict::Issued => self.filtered_streak = 0,
+            Verdict::Dropped => {}
         }
     }
 
     fn release(&mut self, addr: u64, pages: u64) {
-        if self.suppressing {
-            self.stats.release_ops += 1;
-            self.suppress();
+        if self.suppress(0, 1) {
             return;
         }
-        self.stats.release_ops += 1;
-        // Releases cannot observe prefetch-read health, so they never
-        // serve as recovery probes.
-        if self.begin_hint_op(false) {
-            return;
-        }
-        self.stats.release_syscalls += 1;
-        let start = self.machine.page_of(addr);
-        self.machine.sys_release(start, pages);
+        self.filter.release(&mut self.machine, addr, pages);
     }
 
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64) {
-        self.stats.prefetch_ops += 1;
-        self.stats.release_ops += 1;
-        if self.suppressing {
-            self.suppress();
+        if self.suppress(1, 1) {
             return;
         }
-        if self.begin_hint_op(true) {
-            return;
-        }
-        let pf_start = self.machine.page_of(pf_addr);
-        let rel_start = self.machine.page_of(rel_addr);
-        let pf_pages = pf_pages.min(self.machine.total_pages().saturating_sub(pf_start));
-        self.stats.prefetch_pages += pf_pages;
-        if pf_pages == 0 {
-            self.stats.release_syscalls += 1;
-            self.machine.sys_release(rel_start, rel_pages);
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                self.stats.release_syscalls += 1;
-                self.machine
-                    .sys_prefetch_release(pf_start, pf_pages, rel_start, rel_pages);
-            }
-            FilterMode::Enabled => {
-                let mut k = 0;
-                while k < pf_pages && self.check(pf_start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pf_pages {
-                    // Prefetch fully filtered; the release half still
-                    // requires a call.
-                    self.stats.ops_fully_filtered += 1;
-                    self.stats.release_syscalls += 1;
-                    self.machine.sys_release(rel_start, rel_pages);
-                } else {
-                    self.stats.prefetch_syscalls += 1;
-                    self.stats.release_syscalls += 1;
-                    let drops = self.machine.stats().hints_dropped_on_error;
-                    self.machine.sys_prefetch_release(
-                        pf_start + k,
-                        pf_pages - k,
-                        rel_start,
-                        rel_pages,
-                    );
-                    self.note_hint_outcome(self.machine.stats().hints_dropped_on_error > drops);
-                }
-            }
-        }
+        let rel = Some((rel_addr, rel_pages));
+        self.filter.hint(&mut self.machine, pf_addr, pf_pages, rel);
     }
 }
 
@@ -646,7 +417,7 @@ mod tests {
     fn filter_check_is_two_orders_cheaper_than_syscall() {
         let r = rt(FilterMode::Enabled);
         let syscall = r.machine().params().hint_syscall_ns;
-        assert!(r.check_ns * 50 <= syscall + r.machine().params().hint_per_page_ns);
+        assert!(r.filter.check_ns * 50 <= syscall + r.machine().params().hint_per_page_ns);
     }
 
     #[test]
@@ -724,7 +495,7 @@ mod tests {
         let mut r = Runtime::new(m, FilterMode::Enabled);
         // Every prefetch syscall fails during the brownout; the error
         // window fills and the runtime falls back to demand paging.
-        for pg in 0..Runtime::DEGRADE_MIN_SAMPLES as u64 {
+        for pg in 0..HintFilter::DEGRADE_MIN_SAMPLES as u64 {
             r.prefetch(pg * 4096, 1);
         }
         assert!(r.degraded(), "window full of errors must degrade");
@@ -745,7 +516,7 @@ mod tests {
         assert_eq!(r.stats().degraded_exits, 1);
         assert!(r.stats().degraded_ns > 0);
         assert!(r.stats().hints_dropped_degraded > 0);
-        assert!(r.stats().degraded_probes >= Runtime::EXIT_CLEAN_PROBES as u64);
+        assert!(r.stats().degraded_probes >= HintFilter::EXIT_CLEAN_PROBES as u64);
         // Recovery resynced the shared bit vector.
         assert!(r.machine().stats().bitvec_resyncs >= 1);
         assert!(r.stats().mean_degraded_episode_ns() > 0.0);
@@ -767,7 +538,7 @@ mod tests {
             until: Ns::MAX,
         }));
         let mut r = Runtime::new(m, FilterMode::Enabled);
-        for pg in 0..Runtime::DEGRADE_MIN_SAMPLES as u64 {
+        for pg in 0..HintFilter::DEGRADE_MIN_SAMPLES as u64 {
             r.prefetch(pg * 4096, 1);
         }
         assert!(r.degraded());
@@ -795,7 +566,7 @@ mod tests {
         let mut m = Machine::new(p, 256 * 4096);
         m.set_fault_plan(&FaultPlan::none(13).with_bitvec_staleness(1.0));
         let mut r = Runtime::new(m, FilterMode::Enabled);
-        for i in 0..Runtime::RESYNC_INTERVAL {
+        for i in 0..HintFilter::RESYNC_INTERVAL {
             r.prefetch((i % 200) * 4096, 1);
         }
         assert_eq!(r.stats().periodic_resyncs, 1);
@@ -803,7 +574,7 @@ mod tests {
         // Without staleness in the plan the cadence stays quiet.
         let m2 = Machine::new(p, 256 * 4096);
         let mut r2 = Runtime::new(m2, FilterMode::Enabled);
-        for i in 0..Runtime::RESYNC_INTERVAL {
+        for i in 0..HintFilter::RESYNC_INTERVAL {
             r2.prefetch((i % 200) * 4096, 1);
         }
         assert_eq!(r2.stats().periodic_resyncs, 0);

@@ -28,14 +28,15 @@
 //!
 //! # Graceful degradation
 //!
-//! Each tenant carries its own user-level hint filter and degraded-mode
-//! state machine (same constants as [`crate::Runtime`]). On top of the
-//! error-window entry path, the pressure arbiter pushes non-guaranteed
-//! tenants into demand-only degraded mode whenever global pressure
-//! reaches brownout; recovery works by the same probing scheme — every
-//! Nth hint is issued for real, and a streak of clean probes (no error
-//! drops, no pressure sheds) re-enables hinting with a bit-vector
-//! resync.
+//! Each tenant carries its own instance of the crate's one hint filter
+//! and degraded-mode state machine — the very code [`crate::Runtime`]
+//! runs, scoped to the tenant's id, [`TenantSpec`] and segment. That
+//! scope is what switches on the tenant-only rules: hints are clamped
+//! to the segment and the pipelining-depth quota, the pressure arbiter
+//! pushes non-guaranteed tenants into demand-only degraded mode
+//! whenever global pressure reaches brownout, and their probes count
+//! pressure sheds as errors, so a clean streak means the pressure has
+//! passed as well as the faults.
 //!
 //! # Crash (kill) modeling
 //!
@@ -49,12 +50,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use oocp_ir::{run_program, ArrayBinding, ArrayData, CostModel, PagedVm, Program};
 use oocp_os::{
-    ConfigError, Machine, MachineParams, MetricsReport, OsStats, PressureLevel, QosClass, Segment,
-    TenantSpec, TenantStats, TimeAttribution, Touch,
+    ConfigError, Machine, MachineParams, MetricsReport, OsStats, Segment, TenantSpec, TenantStats,
+    TimeAttribution, Touch,
 };
 use oocp_sim::time::{Ns, TimeBreakdown};
 
-use crate::{FilterMode, RtStats, Runtime};
+use crate::filter::HintFilter;
+use crate::{FilterMode, RtStats};
 
 /// One tenant's program and policy, as submitted to the hub.
 pub struct TenantProgram {
@@ -238,34 +240,17 @@ fn acquire(sh: &Shared, id: usize) -> MutexGuard<'_, Core> {
 /// that baton traffic is noise.
 const OPS_PER_SLICE: u32 = 256;
 
-/// One tenant's virtual machine: the per-tenant half of the runtime
-/// layer (filter + degraded mode) bound to the shared machine through
-/// the baton.
+/// One tenant's virtual machine: the tenant's hint filter bound to the
+/// shared machine through the baton, plus kill and timeslice logic.
 struct TenantVm {
     sh: Arc<Shared>,
     id: usize,
-    spec: TenantSpec,
-    mode: FilterMode,
-    /// User-level cost of one bit-vector check (see [`Runtime::new`]).
-    check_ns: Ns,
     page_bytes: u64,
-    /// First page and page count of the tenant's segment (hints are
-    /// clamped to it).
-    seg_first: u64,
-    seg_pages: u64,
+    filter: HintFilter,
     kill_at_op: Option<u64>,
     ops: u64,
     ops_since_yield: u32,
     killed: bool,
-    stats: RtStats,
-    // Degraded-mode state machine, mirroring `Runtime`.
-    degraded: bool,
-    degraded_since: Ns,
-    win_err: u32,
-    win_len: u32,
-    clean_probes: u32,
-    since_probe: u32,
-    hint_seq: u64,
 }
 
 impl TenantVm {
@@ -324,128 +309,6 @@ impl TenantVm {
             core.stalls[self.id].push(io_wait);
         }
         self.maybe_yield(&mut core);
-    }
-
-    /// Check one page's residency bit in the tenant's private vector,
-    /// charging the user-level cost.
-    fn check(&mut self, core: &mut Core, page: u64) -> bool {
-        self.stats.bit_checks += 1;
-        core.machine.tick_user(self.check_ns);
-        core.machine.tenant_bits_of(self.id as u32).test(page)
-    }
-
-    /// Per-hint-op bookkeeping (see [`Runtime`]): periodic resync,
-    /// arbiter-driven degradation, degraded-mode drops and probes.
-    /// `true` means the op was swallowed cheaply.
-    fn begin_hint_op(&mut self, core: &mut Core, probe_eligible: bool) -> bool {
-        if self.mode != FilterMode::Enabled {
-            return false;
-        }
-        self.hint_seq += 1;
-        if self.hint_seq.is_multiple_of(Runtime::RESYNC_INTERVAL)
-            && core
-                .machine
-                .fault_plan()
-                .is_some_and(|p| p.bitvec_stale_prob > 0.0)
-        {
-            self.stats.periodic_resyncs += 1;
-            core.machine.resync_bits();
-        }
-        // The pressure arbiter's strongest lever: a brownout pushes
-        // non-guaranteed tenants straight into demand-only mode; the
-        // probing recovery below notices when pressure has passed.
-        if !self.degraded
-            && self.spec.qos != QosClass::Guaranteed
-            && core.machine.pressure_level() == PressureLevel::Brownout
-        {
-            self.enter_degraded(core);
-        }
-        if !self.degraded {
-            return false;
-        }
-        if probe_eligible {
-            self.since_probe += 1;
-            if self.since_probe >= Runtime::PROBE_INTERVAL {
-                self.since_probe = 0;
-                return false; // issue this one for real, as a probe
-            }
-        }
-        self.stats.hints_dropped_degraded += 1;
-        core.machine.tick_user(Runtime::SUPPRESS_NS);
-        true
-    }
-
-    /// Record a hint syscall's health: `err` is set when the OS dropped
-    /// any of its pages on an I/O error — or, for non-guaranteed
-    /// tenants, shed them under pressure.
-    fn note_hint_outcome(&mut self, core: &mut Core, err: bool) {
-        if self.degraded {
-            self.stats.degraded_probes += 1;
-            if err {
-                self.clean_probes = 0;
-            } else {
-                self.clean_probes += 1;
-                if self.clean_probes >= Runtime::EXIT_CLEAN_PROBES {
-                    self.exit_degraded(core);
-                }
-            }
-        } else {
-            self.win_err = (self.win_err << 1) | err as u32;
-            self.win_len = (self.win_len + 1).min(Runtime::DEGRADE_WINDOW);
-            if self.win_len >= Runtime::DEGRADE_MIN_SAMPLES
-                && Runtime::DEGRADE_NUM * self.win_err.count_ones() >= self.win_len
-            {
-                self.enter_degraded(core);
-            }
-        }
-    }
-
-    fn enter_degraded(&mut self, core: &mut Core) {
-        self.degraded = true;
-        self.degraded_since = core.machine.now();
-        self.clean_probes = 0;
-        self.since_probe = 0;
-        self.stats.degraded_entries += 1;
-        core.machine.note_degraded(true);
-    }
-
-    fn exit_degraded(&mut self, core: &mut Core) {
-        self.degraded = false;
-        self.stats.degraded_exits += 1;
-        self.stats.degraded_ns += core.machine.now().saturating_sub(self.degraded_since);
-        self.win_err = 0;
-        self.win_len = 0;
-        core.machine.resync_bits();
-        core.machine.note_degraded(false);
-    }
-
-    /// Issue a prefetch syscall and observe its health.
-    fn sys_prefetch(&mut self, core: &mut Core, start: u64, pages: u64) {
-        self.stats.prefetch_syscalls += 1;
-        let before = *core.machine.stats();
-        core.machine.sys_prefetch(start, pages);
-        let after = core.machine.stats();
-        let err = after.hints_dropped_on_error > before.hints_dropped_on_error
-            || (self.spec.qos != QosClass::Guaranteed
-                && after.hints_dropped_pressure > before.hints_dropped_pressure);
-        self.note_hint_outcome(core, err);
-    }
-
-    /// Clamp a hint to the tenant's segment and its pipelining-depth
-    /// quota (tightened for best-effort tenants under elevated
-    /// pressure: the arbiter's second lever).
-    fn clamp_hint(&self, core: &Core, start: u64, pages: u64) -> u64 {
-        let end = self.seg_first + self.seg_pages;
-        let mut pages = pages.min(end.saturating_sub(start));
-        if let Some(d) = self.spec.max_pipeline_depth {
-            pages = pages.min(d.max(1));
-        }
-        if self.spec.qos == QosClass::BestEffort
-            && core.machine.pressure_level() == PressureLevel::Elevated
-        {
-            pages = pages.min(oocp_os::ELEVATED_BEST_EFFORT_SLOTS);
-        }
-        pages
     }
 
     /// Finish: mark Done and pass the baton on if this tenant held it.
@@ -521,38 +384,9 @@ impl PagedVm for TenantVm {
         if self.note_op() {
             return;
         }
-        self.stats.prefetch_ops += 1;
         let sh = Arc::clone(&self.sh);
         let mut core = acquire(&sh, self.id);
-        if self.begin_hint_op(&mut core, true) {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        let start = addr / self.page_bytes;
-        let pages = self.clamp_hint(&core, start, pages);
-        self.stats.prefetch_pages += pages;
-        if pages == 0 {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                core.machine.sys_prefetch(start, pages);
-            }
-            FilterMode::Enabled => {
-                let mut k = 0;
-                while k < pages && self.check(&mut core, start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pages {
-                    self.stats.ops_fully_filtered += 1;
-                } else {
-                    self.sys_prefetch(&mut core, start + k, pages - k);
-                }
-            }
-        }
+        self.filter.hint(&mut core.machine, addr, pages, None);
         self.maybe_yield(&mut core);
     }
 
@@ -560,19 +394,9 @@ impl PagedVm for TenantVm {
         if self.note_op() {
             return;
         }
-        self.stats.release_ops += 1;
         let sh = Arc::clone(&self.sh);
         let mut core = acquire(&sh, self.id);
-        if self.begin_hint_op(&mut core, false) {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        self.stats.release_syscalls += 1;
-        // Raw page count, exactly like `Runtime`: the hint charge is a
-        // function of the pages *named*, and the OS itself refuses to
-        // release pages the tenant does not own.
-        let start = addr / self.page_bytes;
-        core.machine.sys_release(start, pages);
+        self.filter.release(&mut core.machine, addr, pages);
         self.maybe_yield(&mut core);
     }
 
@@ -580,59 +404,10 @@ impl PagedVm for TenantVm {
         if self.note_op() {
             return;
         }
-        self.stats.prefetch_ops += 1;
-        self.stats.release_ops += 1;
         let sh = Arc::clone(&self.sh);
         let mut core = acquire(&sh, self.id);
-        if self.begin_hint_op(&mut core, true) {
-            self.maybe_yield(&mut core);
-            return;
-        }
-        let pf_start = pf_addr / self.page_bytes;
-        let rel_start = rel_addr / self.page_bytes;
-        let pf_pages = self.clamp_hint(&core, pf_start, pf_pages);
-        self.stats.prefetch_pages += pf_pages;
-        if pf_pages == 0 {
-            self.stats.release_syscalls += 1;
-            core.machine.sys_release(rel_start, rel_pages);
-            self.maybe_yield(&mut core);
-            return;
-        }
-        match self.mode {
-            FilterMode::Disabled => {
-                self.stats.prefetch_syscalls += 1;
-                self.stats.release_syscalls += 1;
-                core.machine
-                    .sys_prefetch_release(pf_start, pf_pages, rel_start, rel_pages);
-            }
-            FilterMode::Enabled => {
-                let mut k = 0;
-                while k < pf_pages && self.check(&mut core, pf_start + k) {
-                    self.stats.pages_filtered += 1;
-                    k += 1;
-                }
-                if k == pf_pages {
-                    self.stats.ops_fully_filtered += 1;
-                    self.stats.release_syscalls += 1;
-                    core.machine.sys_release(rel_start, rel_pages);
-                } else {
-                    self.stats.prefetch_syscalls += 1;
-                    self.stats.release_syscalls += 1;
-                    let before = *core.machine.stats();
-                    core.machine.sys_prefetch_release(
-                        pf_start + k,
-                        pf_pages - k,
-                        rel_start,
-                        rel_pages,
-                    );
-                    let after = core.machine.stats();
-                    let err = after.hints_dropped_on_error > before.hints_dropped_on_error
-                        || (self.spec.qos != QosClass::Guaranteed
-                            && after.hints_dropped_pressure > before.hints_dropped_pressure);
-                    self.note_hint_outcome(&mut core, err);
-                }
-            }
-        }
+        let rel = Some((rel_addr, rel_pages));
+        self.filter.hint(&mut core.machine, pf_addr, pf_pages, rel);
         self.maybe_yield(&mut core);
     }
 }
@@ -642,7 +417,6 @@ struct Entry {
     prog: Program,
     binds: Vec<ArrayBinding>,
     params: Vec<i64>,
-    spec: TenantSpec,
     mode: FilterMode,
     kill_at_op: Option<u64>,
     seg: Segment,
@@ -708,7 +482,6 @@ impl TenantHub {
                     prog: t.prog,
                     binds,
                     params: t.params,
-                    spec: t.spec,
                     mode: t.mode,
                     kill_at_op: t.kill_at_op,
                     seg,
@@ -758,8 +531,13 @@ impl TenantHub {
     /// machine (for workload verifiers and post-mortems).
     pub fn run_full(self) -> (HubResult, Machine) {
         let n = self.entries.len();
-        let check_ns = (self.machine.params().hint_syscall_ns / 100).max(1);
         let page_bytes = self.machine.params().page_bytes;
+        let filters: Vec<HintFilter> = self
+            .entries
+            .iter()
+            .enumerate()
+            .map(|(id, e)| HintFilter::new(&self.machine, e.mode, id as u32, e.seg))
+            .collect();
         let shared = Arc::new(Shared {
             core: Mutex::new(Core {
                 machine: self.machine,
@@ -780,35 +558,24 @@ impl TenantHub {
             let handles: Vec<_> = self
                 .entries
                 .iter()
+                .zip(filters)
                 .enumerate()
-                .map(|(id, e)| {
+                .map(|(id, (e, filter))| {
                     let sh = Arc::clone(&shared);
                     s.spawn(move || {
                         let mut vm = TenantVm {
                             sh,
                             id,
-                            spec: e.spec,
-                            mode: e.mode,
-                            check_ns,
                             page_bytes,
-                            seg_first: e.seg.base / page_bytes,
-                            seg_pages: e.seg.bytes / page_bytes,
+                            filter,
                             kill_at_op: e.kill_at_op,
                             ops: 0,
                             ops_since_yield: 0,
                             killed: false,
-                            stats: RtStats::default(),
-                            degraded: false,
-                            degraded_since: 0,
-                            win_err: 0,
-                            win_len: 0,
-                            clean_probes: 0,
-                            since_probe: 0,
-                            hint_seq: 0,
                         };
                         run_program(&e.prog, &e.binds, &e.params, cost, &mut vm);
                         let at = vm.finish();
-                        (vm.stats, vm.killed, at)
+                        (vm.filter.stats, vm.killed, at)
                     })
                 })
                 .collect();
@@ -862,9 +629,9 @@ impl TenantHub {
     }
 }
 
-/// FNV-1a over one segment's final bytes, word by word — the same
-/// algorithm (and thus the same value) as the bench harness's
-/// whole-space checksum of a solo run of the same program.
+/// FNV-1a over one segment's final bytes, word by word, through the
+/// zero-cost peek path. The bench harness's whole-space checksum of a
+/// solo run is this function over `[0, bytes)`.
 pub fn segment_checksum(machine: &Machine, seg: Segment) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -883,7 +650,9 @@ pub fn segment_checksum(machine: &Machine, seg: Segment) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Runtime;
     use oocp_ir::{lin, var, ArrayRef, ElemType, Expr, HintTarget, Stmt};
+    use oocp_os::{Brownout, FaultPlan};
 
     const PAGE: u64 = 4096;
     const WORDS: i64 = (PAGE / 8) as i64;
@@ -920,6 +689,29 @@ mod tests {
                 },
             ],
         )];
+        p
+    }
+
+    /// [`stream`] behind a burst of `burst` single-page prefetches with
+    /// no demand access between them: enough back-to-back hint syscalls
+    /// to fill the filter's error window before the first fault.
+    fn burst_then_stream(burst: i64, pages: i64) -> Program {
+        let mut p = stream(pages);
+        let j = p.fresh_var();
+        let target = ArrayRef::affine(0, vec![var(j).scale(WORDS)]);
+        p.body.insert(
+            0,
+            Stmt::for_(
+                j,
+                lin(0),
+                lin(burst),
+                1,
+                vec![Stmt::Prefetch {
+                    target: HintTarget { target },
+                    pages: 1,
+                }],
+            ),
+        );
         p
     }
 
@@ -966,15 +758,23 @@ mod tests {
     }
 
     /// Run `prog` alone through the classic blocking [`Runtime`].
-    fn solo_runtime(prog: &Program, salt: u64) -> (u64, Ns, oocp_os::OsStats) {
+    fn solo_runtime(
+        prog: &Program,
+        salt: u64,
+        plan: Option<&FaultPlan>,
+    ) -> (u64, Ns, OsStats, RtStats) {
         let (bytes, _) = layout_bytes(prog);
         let (mut rt, binds) = Runtime::for_program(params(), prog, FilterMode::Enabled);
+        if let Some(plan) = plan {
+            rt.machine_mut().set_fault_plan(plan);
+        }
         fill(&mut rt, 0, bytes, salt);
         run_program(prog, &binds, &[], CostModel::default(), &mut rt);
+        let rt_stats = *rt.stats();
         let mut machine = rt.into_machine();
         machine.try_finish().unwrap();
         let sum = segment_checksum(&machine, Segment { base: 0, bytes });
-        (sum, machine.now(), *machine.stats())
+        (sum, machine.now(), *machine.stats(), rt_stats)
     }
 
     fn layout_bytes(prog: &Program) -> (u64, Vec<ArrayBinding>) {
@@ -983,9 +783,12 @@ mod tests {
     }
 
     /// Run `prog` alone through the hub (one registered tenant).
-    fn solo_hub(prog: &Program, salt: u64) -> HubResult {
+    fn solo_hub(prog: &Program, salt: u64, plan: Option<&FaultPlan>) -> HubResult {
         let mut hub =
             TenantHub::new(params(), vec![TenantProgram::new(prog.clone(), vec![])]).unwrap();
+        if let Some(plan) = plan {
+            hub.machine_mut().set_fault_plan(plan);
+        }
         let seg = hub.segment(0);
         fill(&mut hub.data(), seg.base, seg.bytes, salt);
         hub.run()
@@ -993,17 +796,40 @@ mod tests {
 
     #[test]
     fn solo_via_hub_is_cycle_identical_to_runtime() {
-        let prog = stream(256);
-        let (sum, elapsed, os) = solo_runtime(&prog, 3);
-        let hub = solo_hub(&prog, 3);
-        assert_eq!(hub.tenants[0].checksum, sum, "data image must match");
-        assert_eq!(hub.elapsed_ns, elapsed, "sim clock must match");
-        assert_eq!(hub.os.hard_faults, os.hard_faults);
-        assert_eq!(hub.os.soft_faults, os.soft_faults);
-        assert_eq!(hub.os.prefetch_pages_issued, os.prefetch_pages_issued);
-        assert_eq!(hub.os.hint_syscalls, os.hint_syscalls);
-        assert_eq!(hub.os.fault_wait.sum(), os.fault_wait.sum());
-        assert!(!hub.tenants[0].killed);
+        // Fault-free, then with the hint path erroring through a
+        // brownout and the shared bit vector going stale: the second
+        // input walks both front ends through degraded entry, probing,
+        // exit and the periodic resync.
+        let faulty = FaultPlan::none(21)
+            .with_brownout(Brownout {
+                disk: None,
+                from: 0,
+                until: 20_000_000,
+            })
+            .with_bitvec_staleness(0.5);
+        let inputs = [
+            (stream(256), None),
+            (burst_then_stream(16, 256), Some(&faulty)),
+        ];
+        for (prog, plan) in inputs {
+            let (sum, elapsed, os, rt) = solo_runtime(&prog, 3, plan);
+            let hub = solo_hub(&prog, 3, plan);
+            assert_eq!(hub.tenants[0].checksum, sum, "data image must match");
+            assert_eq!(hub.elapsed_ns, elapsed, "sim clock must match");
+            assert_eq!(hub.os, os, "every OS counter must match");
+            assert_eq!(
+                format!("{:?}", hub.tenants[0].rt),
+                format!("{rt:?}"),
+                "every run-time-layer counter must match"
+            );
+            assert!(!hub.tenants[0].killed);
+            if plan.is_some() {
+                assert!(rt.degraded_entries >= 1 && rt.degraded_exits >= 1);
+                assert!(rt.degraded_probes >= 4 && rt.periodic_resyncs >= 1);
+                assert!(os.hints_dropped_on_error > 0 && os.io_retries > 0);
+                assert!(os.bitvec_stale_fixed > 0);
+            }
+        }
     }
 
     #[test]
@@ -1012,7 +838,7 @@ mod tests {
         // tenant, so a lone run leaves the array idle and co-scheduling
         // has stalls to overlap.
         let prog = demand(256);
-        let solo: Vec<HubResult> = (0..3).map(|t| solo_hub(&prog, t)).collect();
+        let solo: Vec<HubResult> = (0..3).map(|t| solo_hub(&prog, t, None)).collect();
         let mut hub = TenantHub::new(
             params(),
             (0..3)
@@ -1045,7 +871,7 @@ mod tests {
     #[test]
     fn killed_tenant_leaves_the_survivor_bit_exact() {
         let prog = stream(256);
-        let survivor_solo = solo_hub(&prog, 0).tenants[0].checksum;
+        let survivor_solo = solo_hub(&prog, 0, None).tenants[0].checksum;
         let mut hub = TenantHub::new(
             params(),
             vec![
@@ -1072,7 +898,7 @@ mod tests {
         // No releases: used pages pile up, so the 2-frame quota forces
         // the starved tenant to recycle its own frames on every fault.
         let prog = demand(128);
-        let solo = solo_hub(&prog, 9).tenants[0].checksum;
+        let solo = solo_hub(&prog, 9, None).tenants[0].checksum;
         let starved = TenantSpec::unlimited().with_memory_frames(2);
         let mut hub = TenantHub::new(
             params(),
