@@ -2328,8 +2328,6 @@ impl Machine {
                 // On a multi-tenant machine the queued read is first
                 // promoted to demand class — somebody is blocked on it
                 // now, and it must not wait out the hint shares.
-                // The late cause is judged at the moment of the touch,
-                // before any stall moves the clock.
                 self.charge(TimeCategory::SystemFault, self.params.fault_overhead_ns);
                 self.stats.hard_faults += 1;
                 self.stats.prefetched_faults_inflight += 1;
@@ -2338,12 +2336,11 @@ impl Machine {
                 }
                 let completion = self.disks.wait_for_detail(ticket);
                 let arrival = completion.at;
-                let touched_at = self.now;
+                let lt0 = self.prof_start();
+                let cause = self.classify_late(vpage, self.now, completion);
                 let waited = self.fault_wait(arrival, wait);
                 self.stats.fault_wait.push(waited as f64);
                 self.stats.late_prefetch_stall_ns += waited;
-                let lt0 = self.prof_start();
-                let cause = self.classify_late(vpage, touched_at, completion);
                 if let Some(mx) = &mut self.metrics {
                     mx.fault_wait.record(waited);
                     mx.ledger.consumed_late_caused(vpage, arrival, cause);
@@ -4909,6 +4906,34 @@ mod tests {
     }
 
     #[test]
+    fn policy_pause_applies_to_the_solo_machine_only() {
+        // Sequential cold faults are what the readahead policy reacts to.
+        let walk = |m: &mut Machine, from: u64| {
+            for p in from..from + 12 {
+                m.touch(p * 4096, 8, false);
+            }
+            m.stats().policy_injected_prefetch_pages
+        };
+        let readahead = || {
+            let p = MachineParams::small().with_prefetch_policy(oocp_policy::PolicyKind::Readahead);
+            Machine::new(p, 64 * 4096)
+        };
+
+        let mut solo = readahead();
+        solo.set_policy_enabled(false);
+        assert_eq!(walk(&mut solo, 0), 0, "paused: the policy sees nothing");
+        solo.set_policy_enabled(true);
+        assert!(walk(&mut solo, 16) > 0, "resumed");
+
+        // With a tenant registered the pause would silence the policy
+        // for every neighbour, so the call is a no-op.
+        let mut shared = readahead();
+        shared.register_tenant(TenantSpec::unlimited(), 16 * 4096);
+        shared.set_policy_enabled(false);
+        assert!(walk(&mut shared, 0) > 0, "ignored with tenants registered");
+    }
+
+    #[test]
     fn prefetch_slot_quota_drops_excess_hints() {
         let (mut m, segs) = multi(&[
             TenantSpec::unlimited().with_prefetch_slots(2),
@@ -5040,8 +5065,8 @@ mod tests {
         assert_eq!(a.breakdown(), b.breakdown(), "attribution identical");
         // The ledger names the same late cause for every late page.
         let (ra, rb) = (a.metrics_report().unwrap(), b.metrics_report().unwrap());
-        assert_eq!(format!("{:?}", ra.whylate), format!("{:?}", rb.whylate));
-        assert_eq!(format!("{:?}", ra.ledger), format!("{:?}", rb.ledger));
+        assert_eq!(ra.whylate, rb.whylate);
+        assert_eq!(ra.ledger, rb.ledger);
     }
 
     // ------------------------------------------------------------------

@@ -41,7 +41,7 @@ pub enum FilterMode {
 }
 
 /// Counters kept by the run-time layer.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtStats {
     /// Prefetch operations executed by the application (compiler-
     /// inserted dynamic prefetches, before any filtering).

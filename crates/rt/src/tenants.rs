@@ -818,8 +818,7 @@ mod tests {
             assert_eq!(hub.elapsed_ns, elapsed, "sim clock must match");
             assert_eq!(hub.os, os, "every OS counter must match");
             assert_eq!(
-                format!("{:?}", hub.tenants[0].rt),
-                format!("{rt:?}"),
+                hub.tenants[0].rt, rt,
                 "every run-time-layer counter must match"
             );
             assert!(!hub.tenants[0].killed);
