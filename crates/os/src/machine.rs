@@ -2320,121 +2320,149 @@ impl Machine {
                 self.policy_touch(vpage, TouchKind::SoftFault);
                 Ok(None)
             }
-            PageState::InFlight { ticket } => {
-                // Fault on a page whose prefetch is still in progress:
-                // only the residual latency is left to wait. `wait_for`
-                // redeems this page's completion unit, so the page
-                // transitions directly (a settle would redeem twice).
-                // On a multi-tenant machine the queued read is first
-                // promoted to demand class — somebody is blocked on it
-                // now, and it must not wait out the hint shares.
-                self.charge(TimeCategory::SystemFault, self.params.fault_overhead_ns);
-                self.stats.hard_faults += 1;
-                self.stats.prefetched_faults_inflight += 1;
-                if !self.tenants.is_empty() {
-                    self.disks.promote(ticket, self.now);
-                }
-                let completion = self.disks.wait_for_detail(ticket);
-                let arrival = completion.at;
-                let lt0 = self.prof_start();
-                let cause = self.classify_late(vpage, self.now, completion);
-                let waited = self.fault_wait(arrival, wait);
-                self.stats.fault_wait.push(waited as f64);
-                self.stats.late_prefetch_stall_ns += waited;
-                if let Some(mx) = &mut self.metrics {
-                    mx.fault_wait.record(waited);
-                    mx.ledger.consumed_late_caused(vpage, arrival, cause);
-                }
-                self.prof_end(lt0, MachineBucket::Ledger);
-                if page.span != 0 {
-                    self.trace_event(TraceEvent::PrefetchConsume {
-                        page: vpage,
-                        span: page.span,
-                        late: true,
-                    });
-                }
-                self.inflight -= 1;
-                self.note_tenant_inflight(vpage, -1);
-                self.note_tenant_fault(waited);
-                self.resident += 1;
-                let p = &mut self.pages[vpage as usize];
-                p.touched = true;
-                p.prefetch_tag = false;
-                p.span = 0;
-                p.state = PageState::Resident {
-                    dirty: write,
-                    referenced: true,
-                    on_free_list: false,
-                };
-                self.policy_touch(vpage, TouchKind::PrefetchedLate);
-                Ok(Some(arrival))
-            }
-            PageState::Unmapped => {
-                // Hard fault: full kernel overhead plus the whole disk
-                // latency.
-                self.charge(TimeCategory::SystemFault, self.params.fault_overhead_ns);
-                self.stats.hard_faults += 1;
-                if page.prefetch_tag {
-                    // Prefetched at some point, but the page was dropped
-                    // or flushed before use.
-                    self.stats.prefetched_faults_lost += 1;
-                } else {
-                    self.stats.non_prefetched_faults += 1;
-                }
-                self.enforce_memory_quota();
-                self.alloc_frame_demand()?;
-                let (disk, block) = self.fs.place(self.swap, vpage).map_err(OsError::Fs)?;
-                let (done, degraded) = match self.demand_read_submit(vpage, disk, block) {
-                    Ok(v) => v,
-                    Err(OsError::Crashed { .. }) => {
-                        // The power died under this very fault. Serve it
-                        // zombie-style (the in-memory image is still
-                        // authoritative for the interpreter) so `touch`
-                        // callers do not panic mid-kernel.
-                        let p = &mut self.pages[vpage as usize];
-                        p.state = PageState::Resident {
-                            dirty: write,
-                            referenced: true,
-                            on_free_list: false,
-                        };
-                        p.touched = true;
-                        p.prefetch_tag = false;
-                        p.span = 0;
-                        self.resident += 1;
-                        return Ok(Some(self.now));
-                    }
-                    Err(e) => return Err(e),
-                };
-                let waited = self.fault_wait(done, wait);
-                if degraded {
-                    self.stats.degraded_read_ns += waited;
-                }
-                self.stats.fault_wait.push(waited as f64);
-                self.note_tenant_fault(waited);
-                if let Some(mx) = &mut self.metrics {
-                    mx.fault_wait.record(waited);
-                }
-                self.trace_event(TraceEvent::HardFault {
-                    page: vpage,
-                    waited,
-                });
-                let p = &mut self.pages[vpage as usize];
-                p.state = PageState::Resident {
-                    dirty: write,
-                    referenced: true,
-                    on_free_list: false,
-                };
-                p.touched = true;
-                p.prefetch_tag = false;
-                p.span = 0;
-                self.resident += 1;
-                self.bit_in(vpage);
-                self.run_daemon();
-                self.note_free_level();
-                self.policy_touch(vpage, TouchKind::HardFault);
-                Ok(Some(done))
-            }
+            PageState::InFlight { ticket } => Ok(Some(
+                self.fault_in_flight(vpage, page.span, ticket, write, wait),
+            )),
+            PageState::Unmapped => self
+                .fault_unmapped(vpage, page.prefetch_tag, write, wait)
+                .map(Some),
         }
+    }
+
+    // The two hard-fault arms of `touch_page` are functions of their
+    // own and never inlined: inlined they make one 7.7 KB body, every
+    // resident touch pays for the fault paths' stack frame, and the
+    // host time of a fault-bound run moves ~20% with where the linker
+    // places it. Each returns the completion time of the page's read.
+
+    /// Fault on a page whose prefetch is still in progress: only the
+    /// residual latency is left to wait. `wait_for` redeems this page's
+    /// completion unit, so the page transitions directly (a settle
+    /// would redeem twice). On a multi-tenant machine the queued read
+    /// is first promoted to demand class — somebody is blocked on it
+    /// now, and it must not wait out the hint shares.
+    #[inline(never)]
+    fn fault_in_flight(
+        &mut self,
+        vpage: u64,
+        span: u64,
+        ticket: Ticket,
+        write: bool,
+        wait: FaultWait,
+    ) -> Ns {
+        self.charge(TimeCategory::SystemFault, self.params.fault_overhead_ns);
+        self.stats.hard_faults += 1;
+        self.stats.prefetched_faults_inflight += 1;
+        if !self.tenants.is_empty() {
+            self.disks.promote(ticket, self.now);
+        }
+        let completion = self.disks.wait_for_detail(ticket);
+        let arrival = completion.at;
+        let lt0 = self.prof_start();
+        let cause = self.classify_late(vpage, self.now, completion);
+        let waited = self.fault_wait(arrival, wait);
+        self.stats.fault_wait.push(waited as f64);
+        self.stats.late_prefetch_stall_ns += waited;
+        if let Some(mx) = &mut self.metrics {
+            mx.fault_wait.record(waited);
+            mx.ledger.consumed_late_caused(vpage, arrival, cause);
+        }
+        self.prof_end(lt0, MachineBucket::Ledger);
+        if span != 0 {
+            self.trace_event(TraceEvent::PrefetchConsume {
+                page: vpage,
+                span,
+                late: true,
+            });
+        }
+        self.inflight -= 1;
+        self.note_tenant_inflight(vpage, -1);
+        self.note_tenant_fault(waited);
+        self.resident += 1;
+        let p = &mut self.pages[vpage as usize];
+        p.touched = true;
+        p.prefetch_tag = false;
+        p.span = 0;
+        p.state = PageState::Resident {
+            dirty: write,
+            referenced: true,
+            on_free_list: false,
+        };
+        self.policy_touch(vpage, TouchKind::PrefetchedLate);
+        arrival
+    }
+
+    /// Hard fault on a page that is not in memory: full kernel overhead
+    /// plus the whole disk latency.
+    #[inline(never)]
+    fn fault_unmapped(
+        &mut self,
+        vpage: u64,
+        prefetch_tag: bool,
+        write: bool,
+        wait: FaultWait,
+    ) -> Result<Ns, OsError> {
+        self.charge(TimeCategory::SystemFault, self.params.fault_overhead_ns);
+        self.stats.hard_faults += 1;
+        if prefetch_tag {
+            // Prefetched at some point, but the page was dropped or
+            // flushed before use.
+            self.stats.prefetched_faults_lost += 1;
+        } else {
+            self.stats.non_prefetched_faults += 1;
+        }
+        self.enforce_memory_quota();
+        self.alloc_frame_demand()?;
+        let (disk, block) = self.fs.place(self.swap, vpage).map_err(OsError::Fs)?;
+        let (done, degraded) = match self.demand_read_submit(vpage, disk, block) {
+            Ok(v) => v,
+            Err(OsError::Crashed { .. }) => {
+                // The power died under this very fault. Serve it
+                // zombie-style (the in-memory image is still
+                // authoritative for the interpreter) so `touch` callers
+                // do not panic mid-kernel.
+                let p = &mut self.pages[vpage as usize];
+                p.state = PageState::Resident {
+                    dirty: write,
+                    referenced: true,
+                    on_free_list: false,
+                };
+                p.touched = true;
+                p.prefetch_tag = false;
+                p.span = 0;
+                self.resident += 1;
+                return Ok(self.now);
+            }
+            Err(e) => return Err(e),
+        };
+        let waited = self.fault_wait(done, wait);
+        if degraded {
+            self.stats.degraded_read_ns += waited;
+        }
+        self.stats.fault_wait.push(waited as f64);
+        self.note_tenant_fault(waited);
+        if let Some(mx) = &mut self.metrics {
+            mx.fault_wait.record(waited);
+        }
+        self.trace_event(TraceEvent::HardFault {
+            page: vpage,
+            waited,
+        });
+        let p = &mut self.pages[vpage as usize];
+        p.state = PageState::Resident {
+            dirty: write,
+            referenced: true,
+            on_free_list: false,
+        };
+        p.touched = true;
+        p.prefetch_tag = false;
+        p.span = 0;
+        self.resident += 1;
+        self.bit_in(vpage);
+        self.run_daemon();
+        self.note_free_level();
+        self.policy_touch(vpage, TouchKind::HardFault);
+        Ok(done)
     }
 
     // ------------------------------------------------------------------
