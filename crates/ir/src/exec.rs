@@ -1,7 +1,8 @@
 //! The interpreter: executes a program against a [`PagedVm`].
 
-use crate::expr::{BinOp, CmpOp, Cond, Expr, LinExpr, Sym, UnOp};
-use crate::program::{ArrayRef, ElemType, Index, Loop, Program, Stmt};
+use crate::dispatch::Vm;
+use crate::lower::lower;
+use crate::program::Program;
 use crate::vm::{CostModel, PagedVm};
 use oocp_obs::prof::{HostProf, NoProf, ProfSink};
 
@@ -51,501 +52,15 @@ pub struct ExecStats {
     pub prefetch_pages: u64,
 }
 
-/// Runtime value.
-#[derive(Clone, Copy, Debug)]
-enum V {
-    F(f64),
-    I(i64),
-}
-
-impl V {
-    fn as_f(self) -> f64 {
-        match self {
-            V::F(v) => v,
-            V::I(v) => v as f64,
-        }
-    }
-
-    fn as_i(self) -> i64 {
-        match self {
-            V::F(v) => v as i64,
-            V::I(v) => v,
-        }
-    }
-}
-
-/// Interpreter state for one run.
+/// Run `prog` to completion against `vm`, returning dynamic counts.
 ///
-/// Generic over a host-time [`ProfSink`]: the default [`NoProf`] sink
-/// has `ACTIVE = false` and empty inline methods, so every probe site
-/// below monomorphizes to nothing and a detached run compiles to the
-/// same code as before the profiler existed. Attach a live collector
-/// with [`Executor::with_prof`] (or [`run_program_profiled`]); probes
-/// only read the host clock, never the simulated one, so attachment
-/// cannot change any simulated timestamp or computed result.
-pub struct Executor<'a, M: PagedVm, P: ProfSink = NoProf> {
-    prog: &'a Program,
-    binds: &'a [ArrayBinding],
-    params: &'a [i64],
-    cost: CostModel,
-    vm: &'a mut M,
-    vars: Vec<i64>,
-    fscalars: Vec<f64>,
-    iscalars: Vec<i64>,
-    pending_ns: u64,
-    stats: ExecStats,
-    prof: P,
-    /// `for#<var>` site labels, formatted once here so the per-entry
-    /// probe in [`Executor::exec_loop`] never allocates. Empty when the
-    /// sink is inactive.
-    loop_labels: Vec<String>,
-}
-
-impl<'a, M: PagedVm> Executor<'a, M, NoProf> {
-    /// Prepare an execution of `prog`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the binding or parameter counts do not match the
-    /// program, or if the program fails validation.
-    pub fn new(
-        prog: &'a Program,
-        binds: &'a [ArrayBinding],
-        params: &'a [i64],
-        cost: CostModel,
-        vm: &'a mut M,
-    ) -> Self {
-        Self::with_prof(prog, binds, params, cost, vm, NoProf)
-    }
-}
-
-impl<'a, M: PagedVm, P: ProfSink> Executor<'a, M, P> {
-    /// Like [`Executor::new`], but host time is attributed into `prof`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the binding or parameter counts do not match the
-    /// program, or if the program fails validation.
-    pub fn with_prof(
-        prog: &'a Program,
-        binds: &'a [ArrayBinding],
-        params: &'a [i64],
-        cost: CostModel,
-        vm: &'a mut M,
-        prof: P,
-    ) -> Self {
-        assert_eq!(
-            binds.len(),
-            prog.arrays.len(),
-            "one binding per array required"
-        );
-        assert_eq!(
-            params.len(),
-            prog.params.len(),
-            "one value per program parameter required"
-        );
-        let problems = prog.validate();
-        assert!(
-            problems.is_empty(),
-            "invalid program {}: {}",
-            prog.name,
-            problems.join("; ")
-        );
-        let loop_labels = if P::ACTIVE {
-            (0..prog.num_vars).map(|v| format!("for#{v}")).collect()
-        } else {
-            Vec::new()
-        };
-        Self {
-            prog,
-            binds,
-            params,
-            cost,
-            vm,
-            vars: vec![0; prog.num_vars],
-            fscalars: vec![0.0; prog.num_fscalars],
-            iscalars: vec![0; prog.num_iscalars],
-            pending_ns: 0,
-            stats: ExecStats::default(),
-            prof,
-            loop_labels,
-        }
-    }
-
-    /// Execute the program to completion, returning dynamic counts.
-    pub fn run(mut self) -> ExecStats {
-        if P::ACTIVE {
-            let prog = self.prog;
-            self.prof.enter(&prog.name);
-        }
-        let body = &self.prog.body;
-        self.exec_block(body);
-        self.flush();
-        if P::ACTIVE {
-            self.prof.exit();
-        }
-        self.stats
-    }
-
-    fn flush(&mut self) {
-        if self.pending_ns > 0 {
-            self.vm.tick_user(self.pending_ns);
-            self.pending_ns = 0;
-        }
-    }
-
-    fn charge_iops(&mut self, n: u64) {
-        self.stats.iops += n;
-        self.pending_ns += self.cost.ns_per_iop * n;
-    }
-
-    fn charge_flop(&mut self) {
-        self.stats.flops += 1;
-        self.pending_ns += self.cost.ns_per_flop;
-    }
-
-    fn eval_lin(&mut self, e: &LinExpr) -> i64 {
-        self.charge_iops(e.terms.len() as u64);
-        e.c + e
-            .terms
-            .iter()
-            .map(|&(k, s)| {
-                k * match s {
-                    Sym::Var(v) => self.vars[v],
-                    Sym::Param(p) => self.params[p],
-                }
-            })
-            .sum::<i64>()
-    }
-
-    /// Compute the byte address of a reference.
-    ///
-    /// With `clamp`, every subscript (including indirect inner ones) is
-    /// clamped into its dimension — used for hint targets, whose
-    /// addresses may legally run past the iteration space. Without it,
-    /// out-of-bounds subscripts panic (a kernel bug).
-    fn ref_addr(&mut self, r: &ArrayRef, clamp: bool) -> u64 {
-        if P::ACTIVE {
-            self.prof.enter("op:addr");
-        }
-        let addr = self.ref_addr_inner(r, clamp);
-        if P::ACTIVE {
-            self.prof.exit();
-        }
-        addr
-    }
-
-    fn ref_addr_inner(&mut self, r: &ArrayRef, clamp: bool) -> u64 {
-        let decl = &self.prog.arrays[r.array];
-        let rank = decl.dims.len();
-        let mut flat: i64 = 0;
-        for (d, ix) in r.idx.iter().enumerate() {
-            let mut sub = match ix {
-                Index::Lin(e) => self.eval_lin(e),
-                Index::Ind { array, idx } => {
-                    // One timed load of the index array element.
-                    let inner = ArrayRef::affine(*array, idx.clone());
-                    let addr = self.ref_addr(&inner, clamp);
-                    self.flush();
-                    self.stats.loads += 1;
-                    self.pending_ns += self.cost.ns_per_access;
-                    self.vm.load_i64(addr)
-                }
-            };
-            let dim = decl.dims[d];
-            if clamp {
-                sub = sub.clamp(0, dim - 1);
-            } else {
-                assert!(
-                    (0..dim).contains(&sub),
-                    "subscript {sub} out of range [0,{dim}) in dim {d} of array {} ({})",
-                    decl.name,
-                    self.prog.name
-                );
-            }
-            flat += sub * decl.stride(d);
-            self.charge_iops(if d + 1 < rank { 2 } else { 1 });
-        }
-        self.binds[r.array].base + flat as u64 * decl.elem.bytes()
-    }
-
-    fn load_ref(&mut self, r: &ArrayRef) -> V {
-        if P::ACTIVE {
-            self.prof.enter("op:load");
-        }
-        let elem = self.prog.arrays[r.array].elem;
-        let addr = self.ref_addr(r, false);
-        self.pending_ns += self.cost.ns_per_access;
-        self.flush();
-        self.stats.loads += 1;
-        let v = match elem {
-            ElemType::F64 => V::F(self.vm.load_f64(addr)),
-            ElemType::I64 => V::I(self.vm.load_i64(addr)),
-        };
-        if P::ACTIVE {
-            self.prof.exit();
-        }
-        v
-    }
-
-    fn eval(&mut self, e: &Expr) -> V {
-        match e {
-            Expr::LoadF(r) | Expr::LoadI(r) => self.load_ref(r),
-            Expr::ScalarF(i) => V::F(self.fscalars[*i]),
-            Expr::ScalarI(i) => V::I(self.iscalars[*i]),
-            Expr::Lin(l) => V::I(self.eval_lin(l)),
-            Expr::ConstF(v) => V::F(*v),
-            Expr::Bin(op, a, b) => {
-                let va = self.eval(a);
-                let vb = self.eval(b);
-                match (va, vb) {
-                    (V::I(x), V::I(y)) => {
-                        self.charge_iops(1);
-                        V::I(match op {
-                            BinOp::Add => x.wrapping_add(y),
-                            BinOp::Sub => x.wrapping_sub(y),
-                            BinOp::Mul => x.wrapping_mul(y),
-                            BinOp::Div => {
-                                assert!(y != 0, "integer division by zero");
-                                x / y
-                            }
-                            BinOp::Rem => {
-                                assert!(y != 0, "integer remainder by zero");
-                                x % y
-                            }
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                        })
-                    }
-                    _ => {
-                        let (x, y) = (va.as_f(), vb.as_f());
-                        self.charge_flop();
-                        V::F(match op {
-                            BinOp::Add => x + y,
-                            BinOp::Sub => x - y,
-                            BinOp::Mul => x * y,
-                            BinOp::Div => x / y,
-                            BinOp::Rem => x % y,
-                            BinOp::Min => x.min(y),
-                            BinOp::Max => x.max(y),
-                        })
-                    }
-                }
-            }
-            Expr::Un(op, a) => {
-                let v = self.eval(a);
-                match (op, v) {
-                    (UnOp::Neg, V::I(x)) => {
-                        self.charge_iops(1);
-                        V::I(-x)
-                    }
-                    (UnOp::Abs, V::I(x)) => {
-                        self.charge_iops(1);
-                        V::I(x.abs())
-                    }
-                    (op, v) => {
-                        self.charge_flop();
-                        let x = v.as_f();
-                        V::F(match op {
-                            UnOp::Neg => -x,
-                            UnOp::Sqrt => x.sqrt(),
-                            UnOp::Ln => x.ln(),
-                            UnOp::Abs => x.abs(),
-                        })
-                    }
-                }
-            }
-            Expr::ToF(a) => {
-                let v = self.eval(a);
-                self.charge_flop();
-                V::F(v.as_f())
-            }
-            Expr::ToI(a) => {
-                let v = self.eval(a);
-                self.charge_iops(1);
-                V::I(v.as_i())
-            }
-        }
-    }
-
-    fn eval_cond(&mut self, c: &Cond) -> bool {
-        let l = self.eval(&c.lhs);
-        let r = self.eval(&c.rhs);
-        self.charge_iops(1);
-        match (l, r) {
-            (V::I(a), V::I(b)) => match c.op {
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-                CmpOp::Eq => a == b,
-                CmpOp::Ne => a != b,
-            },
-            (a, b) => {
-                let (a, b) = (a.as_f(), b.as_f());
-                match c.op {
-                    CmpOp::Lt => a < b,
-                    CmpOp::Le => a <= b,
-                    CmpOp::Gt => a > b,
-                    CmpOp::Ge => a >= b,
-                    CmpOp::Eq => a == b,
-                    CmpOp::Ne => a != b,
-                }
-            }
-        }
-    }
-
-    fn exec_block(&mut self, stmts: &[Stmt]) {
-        for s in stmts {
-            self.exec(s);
-        }
-    }
-
-    fn exec(&mut self, s: &Stmt) {
-        if P::ACTIVE {
-            // Loops get their own `for#<var>` site in `exec_loop`; every
-            // other statement class is a site whose *self* time is the
-            // expression-evaluation / dispatch work not claimed by an
-            // `op:*` leaf below it.
-            let label = match s {
-                Stmt::For(_) => None,
-                Stmt::Store { .. } => Some("stmt:store"),
-                Stmt::LetF { .. } | Stmt::LetI { .. } => Some("stmt:let"),
-                Stmt::If { .. } => Some("stmt:if"),
-                Stmt::Prefetch { .. } => Some("stmt:prefetch"),
-                Stmt::Release { .. } => Some("stmt:release"),
-                Stmt::PrefetchRelease { .. } => Some("stmt:prefetch_release"),
-            };
-            if let Some(label) = label {
-                self.prof.enter(label);
-                self.exec_inner(s);
-                self.prof.exit();
-                return;
-            }
-        }
-        self.exec_inner(s);
-    }
-
-    fn exec_inner(&mut self, s: &Stmt) {
-        match s {
-            Stmt::For(l) => self.exec_loop(l),
-            Stmt::Store { dst, value } => {
-                let v = self.eval(value);
-                if P::ACTIVE {
-                    self.prof.enter("op:store");
-                }
-                let elem = self.prog.arrays[dst.array].elem;
-                let addr = self.ref_addr(dst, false);
-                self.pending_ns += self.cost.ns_per_access;
-                self.flush();
-                self.stats.stores += 1;
-                match elem {
-                    ElemType::F64 => self.vm.store_f64(addr, v.as_f()),
-                    ElemType::I64 => self.vm.store_i64(addr, v.as_i()),
-                }
-                if P::ACTIVE {
-                    self.prof.exit();
-                }
-            }
-            Stmt::LetF { dst, value } => {
-                let v = self.eval(value);
-                self.fscalars[*dst] = v.as_f();
-            }
-            Stmt::LetI { dst, value } => {
-                let v = self.eval(value);
-                self.iscalars[*dst] = v.as_i();
-            }
-            Stmt::If { cond, then_, else_ } => {
-                if self.eval_cond(cond) {
-                    self.exec_block(then_);
-                } else {
-                    self.exec_block(else_);
-                }
-            }
-            Stmt::Prefetch { target, pages } => {
-                let addr = self.ref_addr(&target.target, true);
-                if P::ACTIVE {
-                    self.prof.enter("op:hint");
-                }
-                self.pending_ns += self.cost.ns_per_hint_issue;
-                self.flush();
-                self.stats.prefetch_stmts += 1;
-                self.stats.prefetch_pages += pages;
-                self.vm.prefetch(addr, *pages);
-                if P::ACTIVE {
-                    self.prof.exit();
-                }
-            }
-            Stmt::Release { target, pages } => {
-                let addr = self.ref_addr(&target.target, true);
-                if P::ACTIVE {
-                    self.prof.enter("op:hint");
-                }
-                self.pending_ns += self.cost.ns_per_hint_issue;
-                self.flush();
-                self.stats.release_stmts += 1;
-                self.vm.release(addr, *pages);
-                if P::ACTIVE {
-                    self.prof.exit();
-                }
-            }
-            Stmt::PrefetchRelease {
-                pf,
-                pf_pages,
-                rel,
-                rel_pages,
-            } => {
-                let pf_addr = self.ref_addr(&pf.target, true);
-                let rel_addr = self.ref_addr(&rel.target, true);
-                if P::ACTIVE {
-                    self.prof.enter("op:hint");
-                }
-                self.pending_ns += self.cost.ns_per_hint_issue;
-                self.flush();
-                self.stats.prefetch_stmts += 1;
-                self.stats.release_stmts += 1;
-                self.stats.prefetch_pages += pf_pages;
-                self.vm
-                    .prefetch_release(pf_addr, *pf_pages, rel_addr, *rel_pages);
-                if P::ACTIVE {
-                    self.prof.exit();
-                }
-            }
-        }
-    }
-
-    fn exec_loop(&mut self, l: &Loop) {
-        // One site per loop *entry*, not per iteration: a probe pair
-        // inside the iteration latch would dominate what it measures.
-        if P::ACTIVE {
-            self.prof.enter(&self.loop_labels[l.var]);
-        }
-        // Bounds are computed once at loop entry, Fortran-style.
-        let lo = self.eval_lin(&l.lo);
-        let mut hi = self.eval_lin(&l.hi);
-        if let Some(m) = &l.hi_min {
-            let m = self.eval_lin(m);
-            hi = if l.step > 0 { hi.min(m) } else { hi.max(m) };
-        }
-        let mut i = lo;
-        loop {
-            let more = if l.step > 0 { i < hi } else { i > hi };
-            if !more {
-                break;
-            }
-            self.vars[l.var] = i;
-            self.stats.iters += 1;
-            self.pending_ns += self.cost.ns_per_iter;
-            self.exec_block(&l.body);
-            i += l.step;
-        }
-        if P::ACTIVE {
-            self.prof.exit();
-        }
-    }
-}
-
-/// Convenience wrapper: build an executor and run it.
+/// The program is lowered to register bytecode first (see
+/// [`crate::lower`]) and the flat op stream is what executes.
+///
+/// # Panics
+///
+/// Panics if the binding or parameter counts do not match the program,
+/// or if the program fails validation.
 pub fn run_program<M: PagedVm>(
     prog: &Program,
     binds: &[ArrayBinding],
@@ -553,54 +68,38 @@ pub fn run_program<M: PagedVm>(
     cost: CostModel,
     vm: &mut M,
 ) -> ExecStats {
-    Executor::new(prog, binds, params, cost, vm).run()
+    let code = lower(prog, binds, params, cost, NoProf::ACTIVE);
+    Vm::new(&code).run(vm, &mut NoProf)
 }
 
 /// Like [`run_program`], but with host-time attribution into `prof`:
 /// the run lands as a `<prog.name>` subtree of sites (loop nests,
-/// statement classes, opcode classes) under the collector's root.
+/// statement classes, opcode classes) under the collector's root. The
+/// site brackets are ops of the lowered program, emitted only here;
+/// they read the host clock, never the simulated one, so attachment
+/// cannot change any simulated timestamp or computed result.
 pub fn run_program_profiled<M: PagedVm>(
     prog: &Program,
     binds: &[ArrayBinding],
     params: &[i64],
     cost: CostModel,
     vm: &mut M,
-    prof: &mut HostProf,
+    mut prof: &mut HostProf,
 ) -> ExecStats {
-    Executor::with_prof(prog, binds, params, cost, vm, prof).run()
+    let code = lower(prog, binds, params, cost, <&mut HostProf>::ACTIVE);
+    prof.enter(&prog.name);
+    let stats = Vm::new(&code).run(vm, &mut prof);
+    prof.exit();
+    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{lin, var};
-    use crate::program::HintTarget;
+    use crate::expr::{lin, var, Expr};
+    use crate::oracle::programs::{self, axpy};
+    use crate::program::{ArrayRef, ElemType, HintTarget, Index, Stmt};
     use crate::vm::{ArrayData, MemVm};
-
-    /// y[i] = 2*x[i] + y[i] over n elements.
-    fn axpy(n: i64) -> Program {
-        let mut p = Program::new("axpy");
-        let x = p.array("x", ElemType::F64, vec![n]);
-        let y = p.array("y", ElemType::F64, vec![n]);
-        let i = p.fresh_var();
-        p.body = vec![Stmt::for_(
-            i,
-            lin(0),
-            lin(n),
-            1,
-            vec![Stmt::Store {
-                dst: ArrayRef::affine(y, vec![var(i)]),
-                value: Expr::add(
-                    Expr::mul(
-                        Expr::ConstF(2.0),
-                        Expr::LoadF(ArrayRef::affine(x, vec![var(i)])),
-                    ),
-                    Expr::LoadF(ArrayRef::affine(y, vec![var(i)])),
-                ),
-            }],
-        )];
-        p
-    }
 
     fn setup(prog: &Program) -> (Vec<ArrayBinding>, MemVm) {
         let (binds, bytes) = ArrayBinding::sequential(prog, 4096);
@@ -637,27 +136,8 @@ mod tests {
     #[test]
     fn indirect_reference_reads_index_array() {
         // a[b[i]] += 1 (histogram).
-        let mut p = Program::new("hist");
-        let a = p.array("a", ElemType::I64, vec![10]);
-        let b = p.array("b", ElemType::I64, vec![5]);
-        let i = p.fresh_var();
-        let aref = ArrayRef {
-            array: a,
-            idx: vec![Index::Ind {
-                array: b,
-                idx: vec![var(i)],
-            }],
-        };
-        p.body = vec![Stmt::for_(
-            i,
-            lin(0),
-            lin(5),
-            1,
-            vec![Stmt::Store {
-                dst: aref.clone(),
-                value: Expr::add(Expr::LoadI(aref), Expr::Lin(lin(1))),
-            }],
-        )];
+        let p = programs::histogram();
+        let (a, b) = (0, 1);
         let (binds, mut vm) = setup(&p);
         let keys = [3i64, 7, 3, 0, 7];
         for (i, &k) in keys.iter().enumerate() {
@@ -672,68 +152,29 @@ mod tests {
 
     #[test]
     fn symbolic_bounds_come_from_params() {
-        let mut p = Program::new("sym");
-        let x = p.array("x", ElemType::F64, vec![100]);
-        let n = p.param("n");
-        let i = p.fresh_var();
-        p.body = vec![Stmt::for_(
-            i,
-            lin(0),
-            crate::expr::param(n),
-            1,
-            vec![Stmt::Store {
-                dst: ArrayRef::affine(x, vec![var(i)]),
-                value: Expr::ConstF(1.0),
-            }],
-        )];
+        let p = programs::symbolic_bound();
         let (binds, mut vm) = setup(&p);
         let stats = run_program(&p, &binds, &[7], CostModel::free(), &mut vm);
         assert_eq!(stats.iters, 7);
-        assert_eq!(vm.peek_f64(binds[x].base + 6 * 8), 1.0);
-        assert_eq!(vm.peek_f64(binds[x].base + 7 * 8), 0.0);
+        assert_eq!(vm.peek_f64(binds[0].base + 6 * 8), 1.0);
+        assert_eq!(vm.peek_f64(binds[0].base + 7 * 8), 0.0);
     }
 
     #[test]
     fn negative_step_runs_backwards() {
-        let mut p = Program::new("back");
-        let x = p.array("x", ElemType::I64, vec![10]);
-        let i = p.fresh_var();
         // for (i = 9; i > -1; i--) x[i] = i
-        p.body = vec![Stmt::for_(
-            i,
-            lin(9),
-            lin(-1),
-            -1,
-            vec![Stmt::Store {
-                dst: ArrayRef::affine(x, vec![var(i)]),
-                value: Expr::Lin(var(i)),
-            }],
-        )];
+        let p = programs::backwards();
         let (binds, mut vm) = setup(&p);
         let stats = run_program(&p, &binds, &[], CostModel::free(), &mut vm);
         assert_eq!(stats.iters, 10);
-        assert_eq!(vm.peek_i64(binds[x].base + 9 * 8), 9);
-        assert_eq!(vm.peek_i64(binds[x].base), 0);
+        assert_eq!(vm.peek_i64(binds[0].base + 9 * 8), 9);
+        assert_eq!(vm.peek_i64(binds[0].base), 0);
     }
 
     #[test]
     fn hint_targets_are_clamped_not_fatal() {
-        let mut p = Program::new("clamp");
-        let x = p.array("x", ElemType::F64, vec![10]);
-        let i = p.fresh_var();
-        p.body = vec![Stmt::for_(
-            i,
-            lin(0),
-            lin(10),
-            1,
-            vec![Stmt::Prefetch {
-                target: HintTarget {
-                    // x[i + 100] runs far past the array; must clamp.
-                    target: ArrayRef::affine(x, vec![var(i).offset(100)]),
-                },
-                pages: 1,
-            }],
-        )];
+        // x[i + 100] runs far past the array; must clamp.
+        let p = programs::clamped_hint();
         let (binds, mut vm) = setup(&p);
         let stats = run_program(&p, &binds, &[], CostModel::free(), &mut vm);
         assert_eq!(stats.prefetch_stmts, 10);
@@ -743,19 +184,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn demand_out_of_bounds_panics() {
-        let mut p = Program::new("oob");
-        let x = p.array("x", ElemType::F64, vec![10]);
-        let i = p.fresh_var();
-        p.body = vec![Stmt::for_(
-            i,
-            lin(0),
-            lin(11),
-            1,
-            vec![Stmt::Store {
-                dst: ArrayRef::affine(x, vec![var(i)]),
-                value: Expr::ConstF(0.0),
-            }],
-        )];
+        let p = programs::out_of_bounds();
         let (binds, mut vm) = setup(&p);
         run_program(&p, &binds, &[], CostModel::free(), &mut vm);
     }
@@ -763,42 +192,8 @@ mod tests {
     #[test]
     fn scalars_and_conditionals_work() {
         // s = 0; for i { if x[i] > 0.5 { s = s + x[i] } }
-        let mut p = Program::new("condsum");
-        let x = p.array("x", ElemType::F64, vec![4]);
-        let s = p.fresh_fscalar();
-        let i = p.fresh_var();
-        let sum = p.array("sum", ElemType::F64, vec![1]);
-        p.body = vec![
-            Stmt::LetF {
-                dst: s,
-                value: Expr::ConstF(0.0),
-            },
-            Stmt::for_(
-                i,
-                lin(0),
-                lin(4),
-                1,
-                vec![Stmt::If {
-                    cond: Cond {
-                        lhs: Expr::LoadF(ArrayRef::affine(x, vec![var(i)])),
-                        op: CmpOp::Gt,
-                        rhs: Expr::ConstF(0.5),
-                    },
-                    then_: vec![Stmt::LetF {
-                        dst: s,
-                        value: Expr::add(
-                            Expr::ScalarF(s),
-                            Expr::LoadF(ArrayRef::affine(x, vec![var(i)])),
-                        ),
-                    }],
-                    else_: vec![],
-                }],
-            ),
-            Stmt::Store {
-                dst: ArrayRef::affine(sum, vec![lin(0)]),
-                value: Expr::ScalarF(s),
-            },
-        ];
+        let p = programs::conditional_sum();
+        let (x, sum) = (0, 1);
         let (binds, mut vm) = setup(&p);
         for (i, v) in [0.25, 0.75, 1.0, 0.1].iter().enumerate() {
             vm.poke_f64(binds[x].base + i as u64 * 8, *v);
@@ -809,31 +204,12 @@ mod tests {
 
     #[test]
     fn multidim_row_major_addressing() {
-        let mut p = Program::new("mat");
-        let c = p.array("c", ElemType::F64, vec![3, 4]);
-        let i = p.fresh_var();
-        let j = p.fresh_var();
-        p.body = vec![Stmt::for_(
-            i,
-            lin(0),
-            lin(3),
-            1,
-            vec![Stmt::for_(
-                j,
-                lin(0),
-                lin(4),
-                1,
-                vec![Stmt::Store {
-                    dst: ArrayRef::affine(c, vec![var(i), var(j)]),
-                    value: Expr::Lin(var(i).scale(10).add(&var(j))),
-                }],
-            )],
-        )];
+        let p = programs::matrix();
         let (binds, mut vm) = setup(&p);
         run_program(&p, &binds, &[], CostModel::free(), &mut vm);
         // c[2][3] = 23 at flat index 2*4+3 = 11.
-        assert_eq!(vm.peek_f64(binds[c].base + 11 * 8), 23.0);
-        assert_eq!(vm.peek_f64(binds[c].base + 4 * 8), 10.0);
+        assert_eq!(vm.peek_f64(binds[0].base + 11 * 8), 23.0);
+        assert_eq!(vm.peek_f64(binds[0].base + 4 * 8), 10.0);
     }
 
     #[test]

@@ -3,20 +3,20 @@
 //!
 //! Everything else in this crate measures simulated nanoseconds. This
 //! module applies the same Figure-5 discipline to **host** time: the
-//! tree-walking interpreter (`oocp-ir::exec`) and the machine's charge
-//! paths carry scoped probes that attribute real `Instant` deltas to a
-//! site tree — kernel → loop nest → statement → opcode class on the
-//! interpreter side, flat residency/ledger/journal/sampler buckets on
-//! the machine side. The resulting [`Profile`] is the attribution
-//! baseline the ROADMAP item-2 bytecode compiler is driven by: it
-//! exports inferno-compatible collapsed stacks, merges across runs,
-//! and diffs against another capture by site path.
+//! interpreter (`oocp-ir`) and the machine's charge paths carry scoped
+//! probes that attribute real `Instant` deltas to a site tree — kernel
+//! → loop nest → statement → opcode class on the interpreter side,
+//! flat residency/ledger/journal/sampler buckets on the machine side.
+//! The resulting [`Profile`] is the attribution baseline the register
+//! bytecode was driven by: it exports inferno-compatible collapsed
+//! stacks, merges across runs, and diffs against another capture by
+//! site path.
 //!
-//! The probes are **monomorphized away** when detached: the executor
-//! is generic over a [`ProfSink`], and the default [`NoProf`] sink has
-//! `ACTIVE = false` and empty inline methods, so a detached run
-//! compiles to exactly the code it compiled to before this module
-//! existed. Attached runs read the host clock but never the sim clock,
+//! The probes **do not exist** when detached: the interpreter's
+//! dispatch loop is generic over a [`ProfSink`], its lowering step
+//! emits site-bracket ops only when the sink's `ACTIVE` is true, and
+//! the default [`NoProf`] sink has `ACTIVE = false` and empty inline
+//! methods. Attached runs read the host clock but never the sim clock,
 //! so every simulated timestamp, checksum, and stat stays bit-identical
 //! (property-tested in `tests/proptest_prof.rs`).
 
@@ -63,7 +63,7 @@ struct LiveNode {
 }
 
 /// A live host-time collector: an interned site tree plus an open-scope
-/// stack of `Instant`s. Attach with `&mut prof` as the executor's sink,
+/// stack of `Instant`s. Attach with `&mut prof` as the interpreter's sink,
 /// then [`HostProf::finish`] into an immutable [`Profile`].
 pub struct HostProf {
     nodes: Vec<LiveNode>,

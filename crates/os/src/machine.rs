@@ -233,6 +233,9 @@ pub struct RecoveryReport {
 /// ```
 pub struct Machine {
     params: MachineParams,
+    /// `log2(params.page_bytes)`: the page size is a validated power of
+    /// two, so [`Machine::page_of`] shifts instead of dividing.
+    page_shift: u32,
     now: Ns,
     breakdown: TimeBreakdown,
     stats: OsStats,
@@ -437,6 +440,7 @@ impl Machine {
         disks.set_sched(params.sched);
         Ok(Self {
             params,
+            page_shift: params.page_bytes.trailing_zeros(),
             now: 0,
             breakdown: TimeBreakdown::new(),
             stats: OsStats::default(),
@@ -914,7 +918,7 @@ impl Machine {
 
     /// Page number containing byte address `addr`.
     pub fn page_of(&self, addr: u64) -> u64 {
-        addr / self.params.page_bytes
+        addr >> self.page_shift
     }
 
     /// Allocate a page-aligned segment of `bytes` from the address space.
@@ -3916,6 +3920,19 @@ mod tests {
         p.high_water = 8;
         // 64 pages of address space.
         Machine::new(p, 64 * 4096)
+    }
+
+    #[test]
+    fn page_of_shifts_by_the_validated_page_size() {
+        for page_bytes in [512u64, 4096, 65536] {
+            let mut p = MachineParams::small();
+            p.page_bytes = page_bytes;
+            p.disk.block_bytes = page_bytes;
+            let m = Machine::new(p, 64 * page_bytes);
+            for addr in [0, 1, page_bytes - 1, page_bytes, 63 * page_bytes + 7] {
+                assert_eq!(m.page_of(addr), addr / page_bytes, "{addr} at {page_bytes}");
+            }
+        }
     }
 
     #[test]

@@ -4,33 +4,54 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== cargo fmt --all -- --check"
+# Every stage prints its wall time when the next one starts, and the
+# last line carries the total, so a CI log is also a timing record.
+CI_T0=$SECONDS
+STAGE=""
+stage() {
+    if [ -n "$STAGE" ]; then
+        echo "-- $STAGE: $((SECONDS - STAGE_T0)) s"
+    fi
+    STAGE="$1"
+    STAGE_T0=$SECONDS
+    if [ -n "$STAGE" ]; then
+        echo "== $STAGE"
+    fi
+}
+
+stage "cargo fmt --all -- --check"
 cargo fmt --all -- --check
 
-echo "== cargo build --release"
+stage "cargo build --release"
 cargo build --release --workspace --bins
 
-echo "== cargo test -q"
+stage "cargo test -q"
 # default-members covers the workspace: the facade's integration and
 # property suites plus every crate's unit tests.
 cargo test -q
 
-echo "== benchmark package (unit tests + 1/64-scale smoke)"
+stage "differential oracle, release arithmetic (bytecode == tree-walker)"
+# `cargo test -q` above ran it with debug arithmetic (overflow checks
+# on); wrapping behaviour and float codegen differ in release, which is
+# what every binary below actually runs.
+cargo test -q --release -p oocp-ir vm_matches_tree_walker
+
+stage "benchmark package (unit tests + 1/64-scale smoke)"
 # benchmark/ is a stand-alone package built against ../crates/*; a
 # change that breaks the public items it calls fails here, before the
 # benchmark pipeline sees it.
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
-echo "== schedsweep smoke (policy sweep correctness gate)"
+stage "schedsweep smoke (policy sweep correctness gate)"
 cargo run --release -q -p oocp-bench --bin schedsweep -- --smoke
 
-echo "== ablations smoke (policy x kernel matrix + checksum oracle)"
+stage "ablations smoke (policy x kernel matrix + checksum oracle)"
 # The policy matrix gates itself: every policy cell must verify and
 # its final checksum must equal the no-prefetch run — policies are
 # timing-only by contract.
 cargo run --release -q -p oocp-bench --bin ablations -- --smoke
 
-echo "== policy negative gate (a data-corrupting policy must be caught)"
+stage "policy negative gate (a data-corrupting policy must be caught)"
 # Install the test-only broken policy; the same matrix must now fail
 # with a verification error or checksum divergence — otherwise the
 # timing-only oracle has no teeth. The proptest twin of this gate is
@@ -47,7 +68,7 @@ grep -q "failed to verify\|checksum" /tmp/oocp-bp.$$ || {
     echo "ablations --policy broken failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-bp.$$
 
-echo "== tenants smoke (multi-tenant fairness + isolation gates)"
+stage "tenants smoke (multi-tenant fairness + isolation gates)"
 # Co-schedule 1/2/4 kernels on one machine: every tenant's checksum
 # must match its solo run, worst p95 demand stall within 3x solo, and
 # the co-scheduled makespan must beat the serial schedule; a chaos
@@ -55,7 +76,7 @@ echo "== tenants smoke (multi-tenant fairness + isolation gates)"
 # bit-exact. The binary gates all of this itself and exits non-zero.
 cargo run --release -q -p oocp-bench --bin tenants -- --smoke
 
-echo "== tenants quota gates (enforcement, then a required failure)"
+stage "tenants quota gates (enforcement, then a required failure)"
 # Positive: a hint-free hog sharing the machine with a small victim is
 # clamped at its fair share, with quota evictions as the witness.
 cargo run --release -q -p oocp-bench --bin tenants -- --quota-gate
@@ -74,7 +95,7 @@ grep -q "exceeds fair share" /tmp/oocp-nq.$$ || {
     echo "tenants --no-quotas failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-nq.$$
 
-echo "== obsreport smoke (observability invariants + JSON round-trip)"
+stage "obsreport smoke (observability invariants + JSON round-trip)"
 # The binary asserts the attribution, ledger, and whylate-partition
 # invariants itself; --json makes it re-read, re-parse, and
 # re-validate the emitted file; --metrics-out attaches the sim-time
@@ -88,14 +109,14 @@ cargo run --release -q -p oocp-bench --bin obsreport -- --smoke --json "$OBS_JSO
     --metrics-out "$MET_PREFIX"
 test -s "$OBS_JSON" || { echo "obsreport wrote an empty report"; exit 1; }
 
-echo "== telemetry export smoke (prom + jsonl validate, dash renders)"
+stage "telemetry export smoke (prom + jsonl validate, dash renders)"
 cargo run --release -q -p oocp-bench --bin obsreport -- --check-metrics "$MET_PREFIX.prom"
 cargo run --release -q -p oocp-bench --bin obsreport -- --check-metrics "$MET_PREFIX.jsonl"
 cargo run --release -q -p oocp-bench --bin obsreport -- --check-report "$OBS_JSON"
 cargo run --release -q -p oocp-bench --bin dash -- "$MET_PREFIX.jsonl" \
     --report "$OBS_JSON" > /dev/null
 
-echo "== profile smoke (host-time capture -> validator -> flamegraph)"
+stage "profile smoke (host-time capture -> validator -> flamegraph)"
 # Run one sample kernel under the host-time profiler; the collapsed
 # dump must pass the structural validator from the outside and the
 # dash flamegraph renderer must accept the site tree. The profiled
@@ -110,7 +131,7 @@ cargo run --release -q -p oocp-bench --bin obsreport -- \
 cargo run --release -q -p oocp-bench --bin dash -- \
     --flame "$PROF_PREFIX.prof" > /dev/null
 
-echo "== profile negative gate (a corrupted collapsed stack must be rejected)"
+stage "profile negative gate (a corrupted collapsed stack must be rejected)"
 # Break the first line's sample count; the validator must refuse the
 # file and say why — otherwise the smoke gate above proves nothing.
 BAD_COLL="/tmp/oocp-badcoll.$$"
@@ -127,7 +148,7 @@ grep -q "not an unsigned integer" /tmp/oocp-cc.$$ || {
     echo "obsreport --check-collapsed failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-cc.$$ "$BAD_COLL" "$PROF_PREFIX.prof" "$PROF_PREFIX.collapsed"
 
-echo "== whylate negative gate (a mis-attributed cause table must be caught)"
+stage "whylate negative gate (a mis-attributed cause table must be caught)"
 # Corrupt one whylate cause count in the emitted report; the partition
 # check inside --check-report must fail — otherwise the causal
 # attribution is decorative.
@@ -145,7 +166,7 @@ grep -q "whylate" /tmp/oocp-wl.$$ || {
     echo "obsreport --check-report failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-wl.$$ "$BAD_JSON"
 
-echo "== oocpc --trace-out smoke (Chrome trace export parses)"
+stage "oocpc --trace-out smoke (Chrome trace export parses)"
 # Compile-and-run one sample kernel with the trace exporter on; the
 # emitted file must be non-empty and must parse with our own JSON
 # parser — `perfgate tracediff` of a file against itself does exactly
@@ -155,7 +176,7 @@ cargo run --release -q -p oocp-bench --bin oocpc -- kernels/stencil.ook \
 test -s "$TRACE_JSON" || { echo "oocpc wrote an empty trace"; exit 1; }
 cargo run --release -q -p oocp-bench --bin perfgate -- tracediff "$TRACE_JSON" "$TRACE_JSON"
 
-echo "== perfgate --compare (performance-trajectory gate)"
+stage "perfgate --compare (performance-trajectory gate)"
 # Compare the live tree against the newest checked-in baseline. The
 # simulator is deterministic, so any diff is a real behaviour change:
 # either fix it, or grant an explicit allowance / re-capture with
@@ -164,7 +185,7 @@ BENCH="$(ls BENCH_*.json 2>/dev/null | sort -V | tail -1 || true)"
 if [ -n "$BENCH" ]; then
     cargo run --release -q -p oocp-bench --bin perfgate -- \
         --compare "$BENCH" --allowances perf-allowances.toml
-    echo "== perfgate negative gate (a deliberate slowdown must fail)"
+    stage "perfgate negative gate (a deliberate slowdown must fail)"
     # Strangle the disk queue on one kernel; the gate must catch it,
     # name an attribution bucket, and report a span-level divergence.
     if cargo run --release -q -p oocp-bench --bin perfgate -- \
@@ -184,7 +205,7 @@ else
     echo "no BENCH_<n>.json baseline found; run scripts/bench.sh to capture one"
 fi
 
-echo "== crash-recovery gate (power loss -> journal replay -> verified restart)"
+stage "crash-recovery gate (power loss -> journal replay -> verified restart)"
 # The chaos binary's crash sweep: kill each kernel mid-run (torn writes
 # included), recover through the writeback journal, and require an
 # application restart to match the never-crashed reference bit for bit.
@@ -193,7 +214,7 @@ cargo run --release -q -p oocp-bench --bin chaos -- --crash --smoke
 # matrix); the full five-kernel matrix runs with plain `cargo test`.
 CRASH_ORACLE_QUICK=1 cargo test -q --test proptest_crash
 
-echo "== crash negative gate (a disabled journal must lose data)"
+stage "crash negative gate (a disabled journal must lose data)"
 # Inverted expectation: with --no-journal the same sweep must go
 # unrecoverable and exit non-zero — otherwise the oracle has no teeth.
 if cargo run --release -q -p oocp-bench --bin chaos -- \
@@ -208,7 +229,7 @@ grep -q "unrecoverable (expected)" /tmp/oocp-nj.$$ || {
     echo "chaos --crash --no-journal failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-nj.$$
 
-echo "== disk-death gate (parity survival: degraded reads -> online rebuild)"
+stage "disk-death gate (parity survival: degraded reads -> online rebuild)"
 # The chaos binary's disk-death sweep: kill a whole disk mid-run under
 # rotating parity, serve the hole through survivor reconstruction, and
 # require every cell's final data to match the fault-free reference bit
@@ -219,7 +240,7 @@ cargo run --release -q -p oocp-bench --bin chaos -- --disk-death --smoke
 # `cargo test`.
 DISKFAIL_ORACLE_QUICK=1 cargo test -q --test proptest_diskfail
 
-echo "== disk-death negative gate (no redundancy must be fatal, and typed)"
+stage "disk-death negative gate (no redundancy must be fatal, and typed)"
 # Inverted expectation: the same death on a plain striped array must
 # abort with the typed data-loss error — if it survives, degraded reads
 # are fabricating data from nowhere.
@@ -235,7 +256,7 @@ grep -q "no redundancy: data lost" /tmp/oocp-nr.$$ || {
     echo "chaos --disk-death --redundancy none failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-nr.$$
 
-echo "== parity-corruption gate (latent bad parity must be caught by rebuild verify)"
+stage "parity-corruption gate (latent bad parity must be caught by rebuild verify)"
 # Corrupt two parity rows behind the machine's back; the rebuild's
 # verify sweep must detect exactly those rows, heal them from the
 # durable data pages, and reconstruct the dead disk correctly anyway.
@@ -244,10 +265,11 @@ cargo run --release -q -p oocp-bench --bin chaos -- --corrupt-parity
 # Clippy needs its component installed; offline or minimal toolchains
 # may not have it, and the gate should not fail for that.
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "== cargo clippy (workspace, deny warnings)"
+    stage "cargo clippy (workspace, deny warnings)"
     cargo clippy --workspace --all-targets -- -D warnings
 else
-    echo "== cargo clippy not available; skipping lint"
+    stage "cargo clippy not available; skipping lint"
 fi
 
-echo "ci: all gates passed"
+stage ""
+echo "ci: all gates passed in $((SECONDS - CI_T0)) s"

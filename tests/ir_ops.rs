@@ -3,7 +3,7 @@
 
 use oocp::ir::{
     lin, param, run_program, var, ArrayBinding, ArrayData, ArrayRef, BinOp, CmpOp, Cond, CostModel,
-    ElemType, Expr, MemVm, Program, Stmt, UnOp,
+    ElemType, Expr, LinExpr, MemVm, Program, Stmt, Sym, UnOp,
 };
 
 /// Build a program that stores `expr` into `out[slot]` and run it.
@@ -78,6 +78,76 @@ fn int_binops() {
     assert_eq!(eval_int(|_| Expr::bin(BinOp::Rem, l(7), l(3))), 1);
     assert_eq!(eval_int(|_| Expr::bin(BinOp::Min, l(7), l(3))), 3);
     assert_eq!(eval_int(|_| Expr::bin(BinOp::Max, l(7), l(3))), 7);
+}
+
+/// Integer arithmetic wraps in every operator, in debug and release
+/// alike: data in a program must not be able to abort the interpreter.
+#[test]
+fn integer_edge_cases_wrap() {
+    let l = |n| Expr::Lin(lin(n));
+    let (min, max) = (i64::MIN, i64::MAX);
+    assert_eq!(eval_int(|_| Expr::bin(BinOp::Add, l(max), l(1))), min);
+    assert_eq!(eval_int(|_| Expr::bin(BinOp::Sub, l(min), l(1))), max);
+    assert_eq!(eval_int(|_| Expr::bin(BinOp::Mul, l(max), l(2))), -2);
+    assert_eq!(eval_int(|_| Expr::bin(BinOp::Div, l(min), l(-1))), min);
+    assert_eq!(eval_int(|_| Expr::bin(BinOp::Rem, l(min), l(-1))), 0);
+    assert_eq!(eval_int(|_| Expr::un(UnOp::Neg, l(min))), min);
+    assert_eq!(eval_int(|_| Expr::un(UnOp::Abs, l(min))), min);
+}
+
+/// A linear form's `+` and `*` wrap too, whether it is a value, a loop
+/// bound or (clamped, in a hint) a subscript.
+#[test]
+fn linear_forms_wrap() {
+    let mut p = Program::new("linwrap");
+    let out = p.array("out", ElemType::I64, vec![4]);
+    let one = p.param("one");
+    let two = p.param("two");
+    let i = p.fresh_var();
+    let sum = LinExpr {
+        c: i64::MAX,
+        terms: vec![(1, Sym::Param(one))],
+    };
+    let product = LinExpr {
+        c: 0,
+        terms: vec![(i64::MAX, Sym::Param(two))],
+    };
+    p.body = vec![
+        Stmt::Store {
+            dst: ArrayRef::affine(out, vec![lin(0)]),
+            value: Expr::Lin(sum.clone()),
+        },
+        Stmt::Store {
+            dst: ArrayRef::affine(out, vec![lin(1)]),
+            value: Expr::Lin(product.clone()),
+        },
+        // i64::MAX + 1 wraps below zero: the loop does not run.
+        Stmt::for_(
+            i,
+            lin(0),
+            sum.clone(),
+            1,
+            vec![Stmt::Store {
+                dst: ArrayRef::affine(out, vec![lin(2)]),
+                value: Expr::Lin(lin(1)),
+            }],
+        ),
+        // A wrapped hint subscript clamps like any other.
+        Stmt::Prefetch {
+            target: oocp::ir::HintTarget {
+                target: ArrayRef::affine(out, vec![product]),
+            },
+            pages: 1,
+        },
+    ];
+    let (binds, bytes) = ArrayBinding::sequential(&p, 4096);
+    let mut vm = MemVm::new(bytes, 4096);
+    let stats = run_program(&p, &binds, &[1, 2], CostModel::free(), &mut vm);
+    assert_eq!(vm.peek_i64(binds[out].base), i64::MIN);
+    assert_eq!(vm.peek_i64(binds[out].base + 8), -2);
+    assert_eq!(stats.iters, 0);
+    assert_eq!(vm.peek_i64(binds[out].base + 16), 0);
+    assert_eq!(vm.prefetches, 1);
 }
 
 #[test]
