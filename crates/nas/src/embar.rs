@@ -207,15 +207,17 @@ pub fn build_sized(n: i64, iters: i64) -> Workload {
             // Replay the exact arithmetic in Rust and compare.
             let (mut sa, mut sb, mut na) = (0.0f64, 0.0f64, 0.0f64);
             for it in 0..iters {
+                // The table is consumed in order, a pair at a time, so
+                // the replay draws it as it goes instead of holding
+                // `n` doubles beside the machine's own copy.
                 let mut x = it * 7919 + 271_828_183;
-                let mut tab = vec![0.0f64; n as usize];
-                for t in tab.iter_mut() {
+                let mut draw = || {
                     x = (LCG_A * x + LCG_C) % LCG_M;
-                    *t = x as f64 * (1.0 / LCG_M as f64);
-                }
-                for j in 0..(n / 2) as usize {
-                    let a = 2.0 * tab[2 * j] - 1.0;
-                    let b = 2.0 * tab[2 * j + 1] - 1.0;
+                    x as f64 * (1.0 / LCG_M as f64)
+                };
+                for _ in 0..n / 2 {
+                    let a = 2.0 * draw() - 1.0;
+                    let b = 2.0 * draw() - 1.0;
                     let t = a * a + b * b;
                     if t <= 1.0 && t > 0.0 {
                         let s = (-2.0 * t.ln() / t).sqrt();

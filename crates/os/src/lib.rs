@@ -23,6 +23,7 @@
 pub mod bitvec;
 pub mod error;
 pub mod export;
+mod image;
 pub mod machine;
 pub mod metrics;
 pub mod params;

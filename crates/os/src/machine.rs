@@ -16,6 +16,7 @@ use oocp_sim::time::{Ns, TimeBreakdown, TimeCategory, MILLISECOND};
 
 use crate::bitvec::ResidencyBits;
 use crate::error::{FlushError, OsError};
+use crate::image::Image;
 use crate::metrics::{MetricsReport, ObsMetrics};
 use crate::params::{MachineParams, Redundancy};
 use crate::parity::ParityStore;
@@ -254,7 +255,7 @@ pub struct Machine {
     fs: FileSystem,
     swap: FileId,
     bits: ResidencyBits,
-    data: Vec<u8>,
+    data: Image,
     next_segment_page: u64,
     free_level: TimeWeighted,
     finished: bool,
@@ -454,7 +455,7 @@ impl Machine {
             fs,
             swap,
             bits,
-            data: vec![0u8; (total_pages * params.page_bytes) as usize],
+            data: Image::zeroed((total_pages * params.page_bytes) as usize),
             next_segment_page: 0,
             free_level: TimeWeighted::start(0, limit as f64),
             finished: false,
