@@ -18,7 +18,7 @@
 //! the only consequence is a later fault, never incorrect data).
 
 /// Shared residency bit vector (one page of bits).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResidencyBits {
     words: Vec<u64>,
     granularity: u64,
@@ -60,6 +60,7 @@ impl ResidencyBits {
         self.pages_covered
     }
 
+    #[inline]
     fn bit_of(&self, page: u64) -> usize {
         debug_assert!(page < self.pages_covered, "page beyond covered space");
         (page / self.granularity) as usize
@@ -67,6 +68,7 @@ impl ResidencyBits {
 
     /// Whether the bit covering `page` is set (run-time layer's view of
     /// "believed to be in memory").
+    #[inline]
     pub fn test(&self, page: u64) -> bool {
         let b = self.bit_of(page);
         self.words[b / 64] >> (b % 64) & 1 == 1

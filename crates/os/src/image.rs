@@ -82,12 +82,14 @@ impl Drop for Image {
 
 impl Deref for Image {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.0
     }
 }
 
 impl DerefMut for Image {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         &mut self.0
     }

@@ -107,7 +107,7 @@ enum RevertCause {
 }
 
 /// Per-page metadata.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Page {
     state: PageState,
     /// A prefetch named this page and it has not been demand-touched
@@ -134,6 +134,21 @@ impl Page {
             bit_noted: false,
             span: 0,
         }
+    }
+
+    /// Whether a demand access (a store, when `write`) would leave this
+    /// entry exactly as it found it: the state in which `touch_page`'s
+    /// resident arm stores back what it read, charges nothing and
+    /// notifies no one. Derived from the fields that arm maintains, so
+    /// there is nothing to invalidate.
+    #[inline]
+    fn hot(&self, write: bool) -> bool {
+        matches!(
+            self.state,
+            PageState::Resident { dirty, referenced: true, on_free_list: false } if dirty || !write
+        ) && self.touched
+            && !self.prefetch_tag
+            && self.span == 0
     }
 }
 
@@ -567,6 +582,7 @@ impl Machine {
     }
 
     /// The installed fault plan, if it injects anything at all.
+    #[inline]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
     }
@@ -778,6 +794,7 @@ impl Machine {
         self.do_sample();
     }
 
+    #[inline(never)]
     fn do_sample(&mut self) {
         let t0 = self.prof_start();
         let Some(mut s) = self.sampler.take() else {
@@ -873,6 +890,7 @@ impl Machine {
     }
 
     /// Machine parameters.
+    #[inline]
     pub fn params(&self) -> &MachineParams {
         &self.params
     }
@@ -883,6 +901,7 @@ impl Machine {
     }
 
     /// Current simulated time.
+    #[inline]
     pub fn now(&self) -> Ns {
         self.now
     }
@@ -893,6 +912,7 @@ impl Machine {
     }
 
     /// OS counters so far.
+    #[inline]
     pub fn stats(&self) -> &OsStats {
         &self.stats
     }
@@ -918,6 +938,7 @@ impl Machine {
     }
 
     /// Page number containing byte address `addr`.
+    #[inline]
     pub fn page_of(&self, addr: u64) -> u64 {
         addr >> self.page_shift
     }
@@ -1017,6 +1038,7 @@ impl Machine {
 
     /// A tenant's private residency bit vector (its own pages only).
     /// Falls back to the shared vector without registrations.
+    #[inline]
     pub fn tenant_bits_of(&self, t: TenantId) -> &ResidencyBits {
         self.tenant_bits.get(t as usize).unwrap_or(&self.bits)
     }
@@ -1047,6 +1069,7 @@ impl Machine {
     /// pageout watermarks. The arbiter sheds hint load in QoS order as
     /// this rises; the hub additionally pushes low-QoS tenants into
     /// demand-only degraded mode under [`PressureLevel::Brownout`].
+    #[inline]
     pub fn pressure_level(&self) -> PressureLevel {
         let pool = self.truly_free() + self.free_list_len();
         if pool >= self.params.high_water {
@@ -1172,6 +1195,7 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Charge `ns` of user-mode computation.
+    #[inline]
     pub fn tick_user(&mut self, ns: Ns) {
         self.now += ns;
         self.breakdown.charge(TimeCategory::User, ns);
@@ -1932,11 +1956,52 @@ impl Machine {
     /// failures as typed errors. Pages before the failing one remain
     /// touched; the failing page is left unmapped, so the access can be
     /// retried later.
+    ///
+    /// Inlined into its caller as far as the resident-hit test; the
+    /// miss is one out-of-line call.
+    #[inline]
     pub fn try_touch(&mut self, addr: u64, len: u64, write: bool) -> Result<u64, OsError> {
-        let t0 = self.prof_start();
-        let r = self.try_touch_inner(addr, len, write);
-        self.prof_end(t0, MachineBucket::Residency);
-        r
+        if self.touch_is_hit(addr, len, write) {
+            return Ok(0);
+        }
+        self.try_touch_miss(addr, len, write)
+    }
+
+    /// The resident-hit fast path: whether the demand access
+    /// `[addr, addr + len)` changes nothing at all, so its caller may
+    /// skip [`Machine::try_touch`] altogether. True when the access
+    /// lies in one page, that page is [`Page::hot`], and nothing the
+    /// touch preamble consults is armed:
+    ///
+    /// * `host_prof` counts every touch into its residency bucket;
+    /// * `durable` takes its lazy baseline snapshot on the first timed
+    ///   access;
+    /// * `crashed` serves accesses zombie-style;
+    /// * a non-empty `pressure` schedule is applied as the clock passes
+    ///   each entry, and a touch is where that is noticed;
+    /// * `dead_disk` pumps the rebuild on every touch.
+    ///
+    /// Sampler, metrics, trace, policy and tenants are not on the list:
+    /// the resident arm of `touch_page` consults them only on the first
+    /// touch after a load or for a page with an open prefetch span, and
+    /// a hot page is neither; the sampler fires from `charge`, and a
+    /// hit charges nothing.
+    #[inline]
+    fn touch_is_hit(&self, addr: u64, len: u64, write: bool) -> bool {
+        debug_assert!(!self.finished, "touch after finish()");
+        // An access that wraps the address space is the slow path's to
+        // report (or to wrap), as is a page past the last one.
+        let Some(end) = addr.checked_add(len.max(1) - 1) else {
+            return false;
+        };
+        let vpage = self.page_of(addr);
+        vpage == self.page_of(end)
+            && self.pages.get(vpage as usize).is_some_and(|p| p.hot(write))
+            && self.host_prof.is_none()
+            && self.durable.is_none()
+            && self.crashed.is_none()
+            && self.pressure.is_empty()
+            && self.dead_disk.is_none()
     }
 
     /// What every demand access does before its first page, blocking
@@ -1968,6 +2033,15 @@ impl Machine {
         Some((first, last))
     }
 
+    /// [`Machine::try_touch`] past the fast path: every access that is
+    /// not a resident hit, and for the differential test all of them.
+    fn try_touch_miss(&mut self, addr: u64, len: u64, write: bool) -> Result<u64, OsError> {
+        let t0 = self.prof_start();
+        let r = self.try_touch_inner(addr, len, write);
+        self.prof_end(t0, MachineBucket::Residency);
+        r
+    }
+
     fn try_touch_inner(&mut self, addr: u64, len: u64, write: bool) -> Result<u64, OsError> {
         let Some((first, last)) = self.touch_preamble(addr, len, write) else {
             return Ok(0);
@@ -1996,6 +2070,14 @@ impl Machine {
     /// not of one tenant) — rare by construction, since demand reads
     /// bypass the per-tenant queue shares.
     pub fn touch_nb(&mut self, addr: u64, len: u64, write: bool) -> Result<Touch, OsError> {
+        if self.touch_is_hit(addr, len, write) {
+            return Ok(Touch::Done { faults: 0 });
+        }
+        self.touch_nb_miss(addr, len, write)
+    }
+
+    /// [`Machine::touch_nb`] past the fast path.
+    fn touch_nb_miss(&mut self, addr: u64, len: u64, write: bool) -> Result<Touch, OsError> {
         let t0 = self.prof_start();
         let r = self.touch_nb_inner(addr, len, write);
         self.prof_end(t0, MachineBucket::Residency);
@@ -3837,6 +3919,7 @@ impl Machine {
     // ------------------------------------------------------------------
 
     /// Read an `f64` at `addr` without touching residency (init/verify).
+    #[inline]
     pub fn peek_f64(&self, addr: u64) -> f64 {
         f64::from_le_bytes(
             self.data[addr as usize..addr as usize + 8]
@@ -3846,11 +3929,13 @@ impl Machine {
     }
 
     /// Write an `f64` at `addr` without touching residency (init only).
+    #[inline]
     pub fn poke_f64(&mut self, addr: u64, v: f64) {
         self.data[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
     }
 
     /// Read an `i64` at `addr` without touching residency (init/verify).
+    #[inline]
     pub fn peek_i64(&self, addr: u64) -> i64 {
         i64::from_le_bytes(
             self.data[addr as usize..addr as usize + 8]
@@ -3860,31 +3945,48 @@ impl Machine {
     }
 
     /// Write an `i64` at `addr` without touching residency (init only).
+    #[inline]
     pub fn poke_i64(&mut self, addr: u64, v: i64) {
         self.data[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    /// The touch of a timed 8-byte access: the hit test inlined into
+    /// the caller, a miss the ordinary out-of-line [`Machine::touch`]
+    /// (whose `Result` plumbing would otherwise be copied to every
+    /// load and store of the dispatch loop, which then stops inlining
+    /// them).
+    #[inline]
+    fn touch_word(&mut self, addr: u64, write: bool) {
+        if !self.touch_is_hit(addr, 8, write) {
+            self.touch(addr, 8, write);
+        }
+    }
+
     /// Timed load of an `f64`: touches the page, then reads.
+    #[inline]
     pub fn load_f64(&mut self, addr: u64) -> f64 {
-        self.touch(addr, 8, false);
+        self.touch_word(addr, false);
         self.peek_f64(addr)
     }
 
     /// Timed store of an `f64`: touches the page for write, then writes.
+    #[inline]
     pub fn store_f64(&mut self, addr: u64, v: f64) {
-        self.touch(addr, 8, true);
+        self.touch_word(addr, true);
         self.poke_f64(addr, v);
     }
 
     /// Timed load of an `i64`.
+    #[inline]
     pub fn load_i64(&mut self, addr: u64) -> i64 {
-        self.touch(addr, 8, false);
+        self.touch_word(addr, false);
         self.peek_i64(addr)
     }
 
     /// Timed store of an `i64`.
+    #[inline]
     pub fn store_i64(&mut self, addr: u64, v: i64) {
-        self.touch(addr, 8, true);
+        self.touch_word(addr, true);
         self.poke_i64(addr, v);
     }
 
@@ -5300,5 +5402,530 @@ mod tests {
         assert_eq!(a.now(), b.now());
         assert_eq!(a.stats(), b.stats());
         assert_eq!(a.breakdown(), b.breakdown());
+    }
+
+    // ------------------------------------------------------------------
+    // Resident-hit fast path
+    // ------------------------------------------------------------------
+
+    /// One step of the differential driver.
+    #[derive(Clone, Copy, Debug)]
+    enum DiffOp {
+        Load {
+            addr: u64,
+            int: bool,
+        },
+        Store {
+            addr: u64,
+            int: bool,
+            bits: u64,
+        },
+        Touch {
+            addr: u64,
+            len: u64,
+            write: bool,
+        },
+        TouchNb {
+            addr: u64,
+            len: u64,
+            write: bool,
+        },
+        Prefetch {
+            page: u64,
+            n: u64,
+        },
+        Release {
+            page: u64,
+            n: u64,
+        },
+        PrefetchRelease {
+            pf: u64,
+            pf_n: u64,
+            rel: u64,
+            rel_n: u64,
+        },
+        Tick {
+            ns: Ns,
+        },
+        Tenant {
+            t: TenantId,
+        },
+    }
+
+    impl DiffOp {
+        /// The demand access this op makes, if it makes one.
+        fn access(self) -> Option<(u64, u64, bool)> {
+            match self {
+                DiffOp::Load { addr, .. } => Some((addr, 8, false)),
+                DiffOp::Store { addr, .. } => Some((addr, 8, true)),
+                DiffOp::Touch { addr, len, write } | DiffOp::TouchNb { addr, len, write } => {
+                    Some((addr, len, write))
+                }
+                _ => None,
+            }
+        }
+
+        /// A seeded op over `pages` pages of `page_bytes`: a small
+        /// working set that stays hot, a uniform tail that cycles the
+        /// clock hand and the pageout daemon, and aligned, unaligned
+        /// and page-straddling offsets.
+        fn random(rng: &mut SimRng, pages: u64, page_bytes: u64, tenants: u64) -> Self {
+            let page = if rng.next_below(10) < 6 {
+                rng.next_below(6)
+            } else {
+                rng.next_below(pages - 1)
+            };
+            let addr = page * page_bytes
+                + match rng.next_below(4) {
+                    0 | 1 => 8 * rng.next_below(page_bytes / 8),
+                    2 => rng.next_below(page_bytes - 8),
+                    _ => page_bytes - 1 - rng.next_below(7),
+                };
+            let write = rng.next_below(3) == 0;
+            let int = rng.next_below(2) == 0;
+            match rng.next_below(20) {
+                0..=4 => DiffOp::Load { addr, int },
+                5..=7 => DiffOp::Store {
+                    addr,
+                    int,
+                    bits: rng.next_below(1 << 40),
+                },
+                8..=9 => DiffOp::Touch {
+                    addr,
+                    len: rng
+                        .next_below(2 * page_bytes)
+                        .min((pages - page - 1) * page_bytes),
+                    write,
+                },
+                10 => DiffOp::TouchNb {
+                    addr,
+                    len: 8,
+                    write,
+                },
+                11..=12 => DiffOp::Prefetch {
+                    page: rng.next_below(pages),
+                    n: 1 + rng.next_below(6),
+                },
+                13 => DiffOp::Release {
+                    page: rng.next_below(pages),
+                    n: 1 + rng.next_below(4),
+                },
+                14 => DiffOp::PrefetchRelease {
+                    pf: rng.next_below(pages),
+                    pf_n: 1 + rng.next_below(4),
+                    rel: rng.next_below(pages),
+                    rel_n: 1 + rng.next_below(4),
+                },
+                15..=18 => DiffOp::Tick {
+                    ns: [100, 5_000, 200_000, 5_000_000, 60_000_000][rng.next_below(5) as usize],
+                },
+                _ => DiffOp::Tenant {
+                    t: rng.next_below(tenants) as TenantId,
+                },
+            }
+        }
+
+        /// Run the op; `slow` sends its demand access around the fast
+        /// path. The value is whatever the op reports (loaded bits,
+        /// fault count).
+        fn apply(self, m: &mut Machine, slow: bool) -> Result<u64, OsError> {
+            match self {
+                DiffOp::Load { addr, int } if slow => {
+                    m.try_touch_miss(addr, 8, false)?;
+                    return Ok(if int {
+                        m.peek_i64(addr) as u64
+                    } else {
+                        m.peek_f64(addr).to_bits()
+                    });
+                }
+                DiffOp::Load { addr, int: true } => return Ok(m.load_i64(addr) as u64),
+                DiffOp::Load { addr, int: false } => return Ok(m.load_f64(addr).to_bits()),
+                DiffOp::Store { addr, int, bits } if slow => {
+                    m.try_touch_miss(addr, 8, true)?;
+                    if int {
+                        m.poke_i64(addr, bits as i64);
+                    } else {
+                        m.poke_f64(addr, f64::from_bits(bits));
+                    }
+                }
+                DiffOp::Store {
+                    addr,
+                    int: true,
+                    bits,
+                } => m.store_i64(addr, bits as i64),
+                DiffOp::Store {
+                    addr,
+                    int: false,
+                    bits,
+                } => m.store_f64(addr, f64::from_bits(bits)),
+                DiffOp::Touch { addr, len, write } if slow => {
+                    return m.try_touch_miss(addr, len, write)
+                }
+                DiffOp::Touch { addr, len, write } => return m.try_touch(addr, len, write),
+                DiffOp::TouchNb { addr, len, write } => loop {
+                    let r = if slow {
+                        m.touch_nb_miss(addr, len, write)
+                    } else {
+                        m.touch_nb(addr, len, write)
+                    };
+                    match r? {
+                        Touch::Done { faults } => return Ok(faults),
+                        Touch::Blocked { until } => m.advance_idle_to(until),
+                    }
+                },
+                DiffOp::Prefetch { page, n } => m.sys_prefetch(page, n),
+                DiffOp::Release { page, n } => m.sys_release(page, n),
+                DiffOp::PrefetchRelease {
+                    pf,
+                    pf_n,
+                    rel,
+                    rel_n,
+                } => m.sys_prefetch_release(pf, pf_n, rel, rel_n),
+                DiffOp::Tick { ns } => m.tick_user(ns),
+                DiffOp::Tenant { t } => m.set_tenant(t),
+            }
+            Ok(0)
+        }
+    }
+
+    /// Everything two machines fed the same ops must agree on. `deep`
+    /// adds what is too long to walk after every op: the whole trace,
+    /// the histograms, the sampler's ring.
+    fn assert_same_machine(a: &mut Machine, b: &mut Machine, deep: bool, ctx: &str) {
+        macro_rules! same {
+            ($what:literal, $of:expr) => {{
+                let of = $of;
+                assert_eq!(of(&*a), of(&*b), "{}: {} differ", ctx, $what);
+            }};
+        }
+        same!("now()", |m: &Machine| m.now);
+        same!("breakdown()", |m: &Machine| m.breakdown);
+        same!("stats()", |m: &Machine| m.stats);
+        same!("frame counts", |m: &Machine| (
+            m.resident,
+            m.inflight,
+            m.reclaimable,
+            m.clock_hand,
+            m.params.resident_limit
+        ));
+        assert!(a.pages == b.pages, "{ctx}: page tables differ");
+        assert!(a.free_list == b.free_list, "{ctx}: free lists differ");
+        assert!(a.bits == b.bits, "{ctx}: residency bits differ");
+        assert!(a.tenant_bits == b.tenant_bits, "{ctx}: tenant bits differ");
+        assert!(*a.data == *b.data, "{ctx}: data images differ");
+        same!("tenant stats", |m: &Machine| m
+            .tenants
+            .iter()
+            .map(|t| (t.stats, t.hand))
+            .collect::<Vec<_>>());
+        same!("pressure schedule", |m: &Machine| m.pressure.clone());
+        same!("crash state", |m: &Machine| (m.crashed, m.crash_resolved));
+        same!("dead disk and rebuild", |m: &Machine| (
+            m.dead_disk,
+            m.rebuilt_rows,
+            m.rebuild_next_at
+        ));
+        assert!(
+            a.durable.as_ref().map(DurableStore::images)
+                == b.durable.as_ref().map(DurableStore::images),
+            "{ctx}: durable stores differ"
+        );
+        same!("MachineProf call counts", |m: &Machine| m
+            .host_prof
+            .map(|p| p.rows().map(|(_, _, n)| n).collect::<Vec<_>>()));
+        same!("trace length", |m: &Machine| m.trace.as_ref().map(|t| (
+            t.len(),
+            t.dropped(),
+            t.iter().last().copied()
+        )));
+        same!("ledger", |m: &Machine| m.metrics.as_ref().map(|x| (
+            *x.ledger.counts(),
+            x.ledger.entries(),
+            x.ledger.open_entries(),
+            x.fault_wait.count()
+        )));
+        same!("sampler rows", |m: &Machine| m
+            .sampler
+            .as_ref()
+            .map(|s| (s.ring.len(), s.next_due)));
+        if deep {
+            same!("trace", |m: &Machine| m.trace.as_ref().map(Trace::records));
+            same!("metrics report", |m: &Machine| format!(
+                "{:?}",
+                m.metrics_report()
+            ));
+            same!("disk stats", |m: &Machine| format!("{:?}", m.disk_stats()));
+            let ring = |m: &mut Machine| {
+                m.sampler_output()
+                    .map(|(reg, ring)| format!("{reg:?} {ring:?}"))
+            };
+            assert_eq!(ring(a), ring(b), "{ctx}: sampler output differs");
+        }
+    }
+
+    /// What one arm of the differential test left behind.
+    struct DiffRun {
+        /// Accesses the fast path answered on the machine that has one.
+        hits: u64,
+        fast: Machine,
+    }
+
+    /// Drive two machines built by `make` with the same seeded ops, one
+    /// through the public entries and one around the fast path, and
+    /// compare them after every op and once more after `try_finish`.
+    fn fast_path_matches_slow_path(arm: &str, make: fn() -> Machine) -> DiffRun {
+        const OPS: u64 = 4_000;
+        let (mut a, mut b) = (make(), make());
+        let (pages, page_bytes) = (a.total_pages(), a.params.page_bytes);
+        let tenants = a.tenant_count() as u64;
+        let mut rng = SimRng::new(0xD1FF ^ arm.len() as u64);
+        for m in [&mut a, &mut b] {
+            // Untimed input data, so a durable baseline taken late is
+            // not the one taken on time; a warm start, so the very
+            // first access can already be hot.
+            for w in 0..pages * page_bytes / 8 {
+                m.poke_i64(w * 8, (w * 31) as i64);
+            }
+            m.preload(0, 4);
+        }
+        let mut hits = 0;
+        for i in 0..OPS {
+            let op = DiffOp::random(&mut rng, pages, page_bytes, tenants);
+            let hit = op
+                .access()
+                .is_some_and(|(addr, len, write)| a.touch_is_hit(addr, len, write));
+            hits += u64::from(hit);
+            let ctx = format!("{arm}: op {i} {op:?} (hit: {hit})");
+            assert_eq!(op.apply(&mut a, false), op.apply(&mut b, true), "{ctx}");
+            assert_same_machine(&mut a, &mut b, i % 256 == 0, &ctx);
+        }
+        assert_eq!(a.try_finish(), b.try_finish(), "{arm}: try_finish");
+        assert_same_machine(&mut a, &mut b, true, &format!("{arm}: after try_finish"));
+        DiffRun { hits, fast: a }
+    }
+
+    impl DiffRun {
+        /// Whether the run was long enough to cycle the clock hand and
+        /// the pageout daemon several times over.
+        fn went_round(&self) -> bool {
+            let s = self.fast.stats();
+            s.hard_faults > 4 * self.fast.total_pages()
+                && s.writebacks > 0
+                && s.daemon_evictions > 0
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_slow_path_detached() {
+        let run = fast_path_matches_slow_path("detached", tiny);
+        assert!(run.went_round() && run.hits > 300, "only {} hits", run.hits);
+    }
+
+    #[test]
+    fn fast_path_matches_slow_path_with_each_gate_entry_armed() {
+        let run = fast_path_matches_slow_path("pressure schedule", || {
+            let mut m = tiny();
+            m.set_pressure_schedule(
+                (1..=40)
+                    .map(|k| (k * 150 * MILLISECOND, [12, 32, 20, 32][k as usize % 4]))
+                    .collect(),
+            );
+            m
+        });
+        assert!(run.went_round() && run.fast.pressure.is_empty());
+
+        let run = fast_path_matches_slow_path("durable store", tiny_parity);
+        assert!(run.went_round() && run.fast.durable.is_some());
+        assert_eq!(run.hits, 0, "a durable store keeps every touch slow");
+
+        let run = fast_path_matches_slow_path("crash point", || {
+            let mut m = tiny();
+            m.set_fault_plan(&crash_plan(3, CrashPoint::AtOp(1_500), true));
+            m
+        });
+        assert!(run.fast.crashed.is_some(), "the crash point was reached");
+        assert_eq!(run.hits, 0);
+
+        let run = fast_path_matches_slow_path("dead disk under parity", || {
+            let mut m = tiny_parity();
+            m.set_fault_plan(&FaultPlan::none(7).with_disk_death(oocp_disk::DiskDeath {
+                disk: 1,
+                at: 300 * MILLISECOND,
+            }));
+            m
+        });
+        let s = run.fast.stats();
+        assert!(run.went_round() && s.degraded_reads > 0 && s.rebuild_rows > 0);
+
+        let run = fast_path_matches_slow_path("host profiler", || {
+            let mut m = tiny();
+            m.attach_host_prof();
+            m
+        });
+        assert_eq!(run.hits, 0, "the profiler counts every touch");
+        let calls = run.fast.host_prof.unwrap().rows().next().unwrap().2;
+        assert!(run.went_round() && calls > 1_000, "{calls} touches counted");
+    }
+
+    #[test]
+    fn fast_path_matches_slow_path_with_each_observer_attached() {
+        let run = fast_path_matches_slow_path("sampler", || {
+            let mut m = tiny();
+            m.attach_sampler(20 * MILLISECOND, 1 << 12);
+            m
+        });
+        assert!(run.went_round() && run.hits > 300);
+        assert!(run.fast.sampler.unwrap().ring.len() > 100);
+
+        let run = fast_path_matches_slow_path("metrics and ledger", || {
+            let mut m = tiny();
+            m.enable_metrics();
+            m
+        });
+        let r = run.fast.metrics_report().unwrap();
+        assert!(run.went_round() && run.hits > 300);
+        assert!(r.ledger.timely_hits > 0 && r.ledger.late_inflight > 0);
+
+        let run = fast_path_matches_slow_path("trace", || {
+            let mut m = tiny();
+            m.enable_trace(1 << 16);
+            m
+        });
+        assert!(run.went_round() && run.hits > 300);
+        assert!(run.fast.trace.unwrap().len() > 1_000);
+
+        let run = fast_path_matches_slow_path("readahead policy", || {
+            let mut p = *tiny().params();
+            p.policy = oocp_policy::PolicyKind::Readahead;
+            Machine::new(p, 64 * 4096)
+        });
+        assert_eq!(run.fast.policy_name(), Some("readahead"));
+        assert!(run.went_round() && run.hits > 300);
+        assert!(run.fast.stats().policy_injected_prefetch_pages > 0);
+
+        let run = fast_path_matches_slow_path("two tenants", || {
+            multi(&[
+                TenantSpec::unlimited().with_memory_frames(10),
+                TenantSpec::unlimited(),
+            ])
+            .0
+        });
+        assert!(run.went_round() && run.hits > 300);
+        assert!(run.fast.tenant_stats(0).quota_evictions > 0);
+        assert!(run.fast.tenant_stats(1).demand_faults > 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "touch after finish()")]
+    fn touch_of_a_hot_page_after_finish_still_asserts() {
+        let mut m = tiny();
+        m.touch(0, 8, false);
+        m.finish();
+        m.touch(0, 8, false);
+    }
+
+    #[test]
+    fn address_past_the_last_page_panics_in_the_slow_path() {
+        let m = tiny();
+        let past = 64 * 4096;
+        // Declined, not indexed: the predicate looks the page up with
+        // `get`, and an access that would wrap is not one page.
+        assert!(!m.touch_is_hit(past, 8, false));
+        assert!(!m.touch_is_hit(u64::MAX - 3, 8, false));
+        assert!(!m.touch_is_hit(u64::MAX, 0, false));
+        let message = |access: fn(&mut Machine, u64)| {
+            let mut m = tiny();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                access(&mut m, past);
+            }))
+            .expect_err("an access past the address space panics");
+            panic.downcast_ref::<String>().cloned()
+        };
+        let from_touch = message(|m, a| {
+            m.touch(a, 8, false);
+        });
+        assert!(from_touch.as_ref().is_some_and(|s| s.contains("index")));
+        assert_eq!(
+            message(|m, a| {
+                m.load_f64(a);
+            }),
+            from_touch
+        );
+        assert_eq!(message(|m, a| m.store_i64(a, 1)), from_touch);
+    }
+
+    #[test]
+    fn store_to_a_clean_hot_page_goes_slow_once() {
+        let mut m = tiny();
+        m.load_f64(0);
+        assert!(m.touch_is_hit(0, 8, false), "hot for a load");
+        assert!(!m.touch_is_hit(0, 8, true), "clean, so not for a store");
+        m.store_f64(0, 1.0);
+        assert!(m.touch_is_hit(0, 8, true), "dirty now: hot either way");
+        assert!(m.touch_is_hit(4088, 8, true) && !m.touch_is_hit(4089, 8, true));
+        assert_eq!(m.stats().hard_faults, 1);
+    }
+
+    /// A policy that only reports the touches it is shown.
+    struct TouchLog(std::sync::mpsc::Sender<(u64, TouchKind)>);
+
+    impl PrefetchPolicy for TouchLog {
+        fn name(&self) -> &'static str {
+            "touch-log"
+        }
+        fn on_touch(&mut self, vpage: u64, kind: TouchKind, _: Ns, _: &mut PolicyActions) {
+            self.0.send((vpage, kind)).expect("the test is listening");
+        }
+        fn on_hint(
+            &mut self,
+            _: Option<(u64, u64)>,
+            _: Option<(u64, u64)>,
+            _: Ns,
+            _: &mut PolicyActions,
+        ) {
+        }
+        fn counters(&self) -> oocp_policy::PolicyCounters {
+            Default::default()
+        }
+    }
+
+    #[test]
+    fn first_touch_of_a_prefetched_page_is_never_hot() {
+        let mut m = tiny();
+        let (tx, touches) = std::sync::mpsc::channel();
+        m.set_policy(Box::new(TouchLog(tx)));
+        m.enable_metrics();
+        m.enable_trace(64);
+        m.sys_prefetch(3, 1);
+        assert!(!m.touch_is_hit(3 * 4096, 8, false), "in flight");
+        m.tick_user(oocp_sim::time::SECOND);
+        assert!(!m.touch_is_hit(3 * 4096, 8, false), "arrived, unsettled");
+        assert_eq!(m.load_f64(3 * 4096), 0.0);
+        assert!(m.touch_is_hit(3 * 4096, 8, false), "hot from the second on");
+        assert_eq!(m.load_f64(3 * 4096 + 8), 0.0);
+        assert_eq!(m.stats().prefetched_hits, 1);
+        assert_eq!(m.metrics_report().unwrap().ledger.timely_hits, 1);
+        assert_eq!(
+            touches.try_iter().collect::<Vec<_>>(),
+            [(3, TouchKind::PrefetchedTimely)],
+            "policy_touch fired once, on the first touch"
+        );
+        let trace = m.take_trace().unwrap();
+        assert!(trace.iter().any(|r| matches!(
+            r.event,
+            TraceEvent::PrefetchConsume {
+                page: 3,
+                late: false,
+                ..
+            }
+        )));
+        // A released page is mapped but not hot: the touch is a soft
+        // fault, and hot again after it.
+        m.sys_release(3, 1);
+        assert!(!m.touch_is_hit(3 * 4096, 8, false), "on the free list");
+        m.touch(3 * 4096, 8, false);
+        assert_eq!(m.stats().soft_faults, 1);
+        assert!(m.touch_is_hit(3 * 4096, 8, false));
     }
 }

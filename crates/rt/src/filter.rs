@@ -178,6 +178,7 @@ impl HintFilter {
     }
 
     /// Check one page's residency bit, charging the user-level cost.
+    #[inline]
     fn check(&mut self, m: &mut Machine, page: u64) -> bool {
         self.stats.bit_checks += 1;
         m.tick_user(self.check_ns);

@@ -264,22 +264,27 @@ impl PagedVm for Runtime {
         self.machine.params().page_bytes
     }
 
+    #[inline]
     fn tick_user(&mut self, ns: u64) {
         self.machine.tick_user(ns);
     }
 
+    #[inline]
     fn load_f64(&mut self, addr: u64) -> f64 {
         self.machine.load_f64(addr)
     }
 
+    #[inline]
     fn store_f64(&mut self, addr: u64, v: f64) {
         self.machine.store_f64(addr, v);
     }
 
+    #[inline]
     fn load_i64(&mut self, addr: u64) -> i64 {
         self.machine.load_i64(addr)
     }
 
+    #[inline]
     fn store_i64(&mut self, addr: u64, v: i64) {
         self.machine.store_i64(addr, v);
     }

@@ -72,6 +72,7 @@ impl TimeBreakdown {
     }
 
     /// Add `ns` nanoseconds to category `cat`.
+    #[inline]
     pub fn charge(&mut self, cat: TimeCategory, ns: Ns) {
         match cat {
             TimeCategory::User => self.user += ns,

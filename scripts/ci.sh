@@ -36,6 +36,12 @@ stage "differential oracle, release arithmetic (bytecode == tree-walker)"
 # what every binary below actually runs.
 cargo test -q --release -p oocp-ir vm_matches_tree_walker
 
+stage "differential oracle, release build (resident-hit fast path == slow path)"
+# The same split for the machine's fast path: the debug run above had
+# the `debug_assert`s and overflow checks of `touch_is_hit` compiled in,
+# every binary below has them compiled out.
+cargo test -q --release -p oocp-os fast_path_matches_slow_path
+
 stage "benchmark package (unit tests + 1/64-scale smoke)"
 # benchmark/ is a stand-alone package built against ../crates/*; a
 # change that breaks the public items it calls fails here, before the
