@@ -3,26 +3,31 @@
 //! All run state — program counter, both register files (loop frames
 //! and reference addresses live in the integer one), the pending user
 //! time and the dynamic counts — is the [`Vm`] struct; the loop itself
-//! never recurses on the host stack. That is what a resumable
-//! `step(budget)` needs and all it needs: stop between two ops, keep
-//! the struct.
+//! never recurses on the host stack. That is what makes a run
+//! resumable: [`Vm::step`] stops between two `PagedVm` calls when the
+//! machine under it asks ([`PagedVm::parked`]) and keeps the struct.
 
-use oocp_obs::prof::ProfSink;
+use oocp_obs::prof::{NoProf, ProfSink};
 
-use crate::exec::ExecStats;
+use crate::exec::{ArrayBinding, ExecStats};
 use crate::expr::CmpOp;
-use crate::lower::{At, Charge, Code, LinPlan, LoopPlan, Op, Sub};
-use crate::vm::PagedVm;
+use crate::lower::{lower, At, Charge, Code, LinPlan, LoopPlan, Op, Sub};
+use crate::program::Program;
+use crate::vm::{CostModel, PagedVm, Park};
 
-/// One run of a lowered program.
-pub(crate) struct Vm<'c> {
-    code: &'c Code<'c>,
+/// One run of a lowered program, resumable between any two of its
+/// [`PagedVm`] calls.
+pub struct Vm<'p> {
+    code: Code<'p>,
     pc: usize,
     iregs: Vec<i64>,
     fregs: Vec<f64>,
     /// User nanoseconds charged since the last `tick_user`.
     pending_ns: u64,
     stats: ExecStats,
+    /// The run is parked inside the op at `pc`, which has paid — been
+    /// charged, flushed and counted — but still owes its call.
+    paid: bool,
 }
 
 #[cfg(test)]
@@ -122,27 +127,62 @@ impl Code<'_> {
     }
 }
 
-impl<'c> Vm<'c> {
-    pub fn new(code: &'c Code<'c>) -> Self {
+impl<'p> Vm<'p> {
+    /// Lower `prog` (see [`crate::lower`]) and stand at its first op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binding or parameter counts do not match the
+    /// program, or if the program fails validation.
+    pub fn new(prog: &'p Program, binds: &[ArrayBinding], params: &[i64], cost: CostModel) -> Self {
+        Self::start(lower(prog, binds, params, cost, NoProf::ACTIVE))
+    }
+
+    pub(crate) fn start(mut code: Code<'p>) -> Self {
         Self {
-            code,
             pc: 0,
-            iregs: code.iregs.clone(),
-            fregs: code.fregs.clone(),
+            iregs: std::mem::take(&mut code.iregs),
+            fregs: std::mem::take(&mut code.fregs),
+            code,
             pending_ns: 0,
             stats: ExecStats::default(),
+            paid: false,
         }
     }
 
-    /// Execute to completion, returning the dynamic counts.
-    pub fn run<M: PagedVm, P: ProfSink>(&mut self, vm: &mut M, prof: &mut P) -> ExecStats {
-        let code = self.code;
+    /// Execute until the program halts (`Some` of its dynamic counts,
+    /// and again on every later call) or `vm` parks the run (`None`;
+    /// the next call carries on from exactly there). A `vm` that never
+    /// parks gets the whole program in one call.
+    pub fn step<M: PagedVm>(&mut self, vm: &mut M) -> Option<ExecStats> {
+        self.step_probed(vm, &mut NoProf)
+    }
+
+    /// Step until the program halts, resuming at once whenever `vm`
+    /// parks; `prof` is the sink the code was lowered for.
+    pub(crate) fn run<M: PagedVm, P: ProfSink>(&mut self, vm: &mut M, prof: &mut P) -> ExecStats {
+        loop {
+            if let Some(stats) = self.step_probed(vm, prof) {
+                return stats;
+            }
+        }
+    }
+
+    fn step_probed<M: PagedVm, P: ProfSink>(
+        &mut self,
+        vm: &mut M,
+        prof: &mut P,
+    ) -> Option<ExecStats> {
+        let code = &self.code;
         let ops = &code.ops[..];
         let ir = &mut self.iregs[..];
         let fr = &mut self.fregs[..];
         let mut pc = self.pc;
         let mut pending = self.pending_ns;
         let mut stats = self.stats;
+        // Constant `false` for a `vm` that never parks, and every park
+        // check below folds away with it.
+        let mut paid = M::PARKS && std::mem::take(&mut self.paid);
 
         macro_rules! charge {
             ($c:expr) => {{
@@ -152,64 +192,79 @@ impl<'c> Vm<'c> {
                 stats.flops += flops as u64;
             }};
         }
-        macro_rules! flush {
-            ($ns:expr) => {{
-                pending += $ns;
-                if pending > 0 {
-                    vm.tick_user(pending);
-                    pending = 0;
+        // Park inside the op just fetched, its call still owed: the op
+        // is re-entered from its top and skips what it has paid.
+        macro_rules! park_owing {
+            () => {{
+                self.paid = true;
+                pc -= 1;
+                break false;
+            }};
+        }
+        // Everything an op does before its call: charge its own `$ns`,
+        // flush the pending user time, count itself. The tick is a call
+        // like any other, so the run may park behind it.
+        macro_rules! pay {
+            ($ns:expr $(, $stat:ident += $n:expr)*) => {{
+                if !std::mem::take(&mut paid) {
+                    $(stats.$stat += $n;)*
+                    pending += $ns;
+                    if pending > 0 {
+                        vm.tick_user(pending);
+                        pending = 0;
+                        if M::PARKS && vm.parked().is_some() {
+                            park_owing!();
+                        }
+                    }
+                }
+            }};
+        }
+        // The op's call. `$keep` consumes the result unless the VM wants
+        // the call made again.
+        macro_rules! call {
+            ($call:expr) => {
+                call!(() = $call => {})
+            };
+            ($v:pat = $call:expr => $keep:expr) => {{
+                let $v = $call;
+                let park = if M::PARKS { vm.parked() } else { None };
+                if park == Some(Park::Redo) {
+                    park_owing!();
+                }
+                $keep;
+                if park.is_some() {
+                    break false;
                 }
             }};
         }
         // The address is resolved (and may panic) before the flush, as
         // the statement tree computes a reference before it charges it.
-        macro_rules! load_f {
-            ($dst:ident, $addr:expr, $ns:ident) => {{
+        macro_rules! load {
+            ($file:ident[$dst:ident] = $load:ident($addr:expr), $ns:ident) => {{
                 let addr = $addr;
-                flush!($ns);
-                stats.loads += 1;
-                f!($dst) = vm.load_f64(addr);
+                pay!($ns, loads += 1);
+                call!(v = vm.$load(addr) => $file[$dst as usize] = v);
             }};
         }
-        macro_rules! load_i {
-            ($dst:ident, $addr:expr, $ns:ident) => {{
+        macro_rules! store {
+            ($store:ident($addr:expr, $src:expr), $ns:ident) => {{
                 let addr = $addr;
-                flush!($ns);
-                stats.loads += 1;
-                i!($dst) = vm.load_i64(addr);
-            }};
-        }
-        macro_rules! store_f {
-            ($src:ident, $addr:expr, $ns:ident) => {{
-                let addr = $addr;
-                flush!($ns);
-                stats.stores += 1;
-                vm.store_f64(addr, f!($src));
-            }};
-        }
-        macro_rules! store_i {
-            ($src:ident, $addr:expr, $ns:ident) => {{
-                let addr = $addr;
-                flush!($ns);
-                stats.stores += 1;
-                vm.store_i64(addr, i!($src));
+                pay!($ns, stores += 1);
+                call!(vm.$store(addr, $src));
             }};
         }
         macro_rules! prefetch {
             ($addr:expr, $pages:ident, $ns:ident) => {{
                 let addr = $addr;
-                flush!($ns);
-                stats.prefetch_stmts += 1;
-                stats.prefetch_pages += $pages;
-                vm.prefetch(addr, $pages);
+                pay!($ns, prefetch_stmts += 1, prefetch_pages += $pages);
+                call!(vm.prefetch(addr, $pages));
             }};
         }
         macro_rules! release {
             ($addr:expr, $pages:ident, $ns:ident) => {{
                 let addr = $addr;
-                flush!($ns);
-                stats.release_stmts += 1;
-                vm.release(addr, $pages);
+                pay!($ns, release_stmts += 1);
+                call!(vm.release(addr, $pages));
             }};
         }
         macro_rules! f {
@@ -223,7 +278,7 @@ impl<'c> Vm<'c> {
             };
         }
 
-        loop {
+        let halted = loop {
             let op = ops[pc];
             pc += 1;
             match op {
@@ -265,14 +320,14 @@ impl<'c> Vm<'c> {
                     code.resolve(r, ir);
                 }
 
-                Op::LoadF { dst, at, ns } => load_f!(dst, i!(at) as u64, ns),
-                Op::LoadFAt { dst, r, ns } => load_f!(dst, code.resolve(r, ir), ns),
-                Op::LoadI { dst, at, ns } => load_i!(dst, i!(at) as u64, ns),
-                Op::LoadIAt { dst, r, ns } => load_i!(dst, code.resolve(r, ir), ns),
-                Op::StoreF { src, at, ns } => store_f!(src, i!(at) as u64, ns),
-                Op::StoreFAt { src, r, ns } => store_f!(src, code.resolve(r, ir), ns),
-                Op::StoreI { src, at, ns } => store_i!(src, i!(at) as u64, ns),
-                Op::StoreIAt { src, r, ns } => store_i!(src, code.resolve(r, ir), ns),
+                Op::LoadF { dst, at, ns } => load!(fr[dst] = load_f64(i!(at) as u64), ns),
+                Op::LoadFAt { dst, r, ns } => load!(fr[dst] = load_f64(code.resolve(r, ir)), ns),
+                Op::LoadI { dst, at, ns } => load!(ir[dst] = load_i64(i!(at) as u64), ns),
+                Op::LoadIAt { dst, r, ns } => load!(ir[dst] = load_i64(code.resolve(r, ir)), ns),
+                Op::StoreF { src, at, ns } => store!(store_f64(i!(at) as u64, f!(src)), ns),
+                Op::StoreFAt { src, r, ns } => store!(store_f64(code.resolve(r, ir), f!(src)), ns),
+                Op::StoreI { src, at, ns } => store!(store_i64(i!(at) as u64, i!(src)), ns),
+                Op::StoreIAt { src, r, ns } => store!(store_i64(code.resolve(r, ir), i!(src)), ns),
                 Op::Prefetch { at, pages, ns } => prefetch!(i!(at) as u64, pages, ns),
                 Op::PrefetchAt { r, pages, ns } => prefetch!(code.resolve(r, ir), pages, ns),
                 Op::Release { at, pages, ns } => release!(i!(at) as u64, pages, ns),
@@ -284,11 +339,13 @@ impl<'c> Vm<'c> {
                         At::Ref(r) => code.resolve(r, ir),
                     };
                     let (pf, rel) = (address(b.pf_at), address(b.rel_at));
-                    flush!(b.ns);
-                    stats.prefetch_stmts += 1;
-                    stats.release_stmts += 1;
-                    stats.prefetch_pages += b.pf_pages;
-                    vm.prefetch_release(pf, b.pf_pages, rel, b.rel_pages);
+                    pay!(
+                        b.ns,
+                        prefetch_stmts += 1,
+                        release_stmts += 1,
+                        prefetch_pages += b.pf_pages
+                    );
+                    call!(vm.prefetch_release(pf, b.pf_pages, rel, b.rel_pages));
                 }
 
                 Op::BrI {
@@ -365,17 +422,17 @@ impl<'c> Vm<'c> {
                     }
                 }
                 Op::Halt => {
-                    flush!(0);
-                    // Stay parked on the `Halt`.
+                    pay!(0);
+                    // Stay on the `Halt`.
                     pc -= 1;
-                    break;
+                    break true;
                 }
 
                 Op::Enter { site } => prof.enter(&code.sites[site as usize]),
                 Op::Exit => prof.exit(),
             }
-        }
+        };
         (self.pc, self.pending_ns, self.stats) = (pc, pending, stats);
-        stats
+        halted.then_some(stats)
     }
 }

@@ -55,7 +55,9 @@ pub struct ExecStats {
 /// Run `prog` to completion against `vm`, returning dynamic counts.
 ///
 /// The program is lowered to register bytecode first (see
-/// [`crate::lower`]) and the flat op stream is what executes.
+/// [`crate::lower`]) and the flat op stream is what executes: this is
+/// [`Vm::step`] until it halts, so a `vm` that parks the run is simply
+/// resumed at once.
 ///
 /// # Panics
 ///
@@ -68,8 +70,7 @@ pub fn run_program<M: PagedVm>(
     cost: CostModel,
     vm: &mut M,
 ) -> ExecStats {
-    let code = lower(prog, binds, params, cost, NoProf::ACTIVE);
-    Vm::new(&code).run(vm, &mut NoProf)
+    Vm::new(prog, binds, params, cost).run(vm, &mut NoProf)
 }
 
 /// Like [`run_program`], but with host-time attribution into `prof`:
@@ -88,7 +89,7 @@ pub fn run_program_profiled<M: PagedVm>(
 ) -> ExecStats {
     let code = lower(prog, binds, params, cost, <&mut HostProf>::ACTIVE);
     prof.enter(&prog.name);
-    let stats = Vm::new(&code).run(vm, &mut prof);
+    let stats = Vm::start(code).run(vm, &mut prof);
     prof.exit();
     stats
 }

@@ -30,8 +30,9 @@ pub mod program;
 mod treewalk;
 pub mod vm;
 
+pub use dispatch::Vm;
 pub use exec::{run_program, run_program_profiled, ArrayBinding, ExecStats};
 pub use expr::{lin, param, var, BinOp, CmpOp, Cond, Expr, LinExpr, Sym, UnOp};
 pub use parse::{parse_program, ParseError};
 pub use program::{ArrayDecl, ArrayRef, ElemType, HintTarget, Index, Loop, Program, Stmt};
-pub use vm::{ArrayData, CostModel, MemVm, PagedVm};
+pub use vm::{ArrayData, CostModel, MemVm, PagedVm, Park};

@@ -6,7 +6,8 @@
 //! `tick_user` argument, every access with its address and value, every
 //! hint with its address and page count), the [`ExecStats`], the final
 //! memory — and, when a run panics, the panic message and the log up to
-//! it.
+//! it. The dispatch loop runs a second time under a [`ParkingVm`], which
+//! parks it at seeded calls and resumes it; that changes nothing either.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -17,7 +18,7 @@ use crate::expr::{lin, param, var, BinOp, CmpOp, Cond, Expr, LinExpr, UnOp};
 use crate::parse::parse_program;
 use crate::program::{ArrayRef, ElemType, HintTarget, Index, Program, Stmt};
 use crate::treewalk::Executor;
-use crate::vm::{ArrayData, CostModel, MemVm, PagedVm};
+use crate::vm::{ArrayData, CostModel, MemVm, PagedVm, Park};
 
 /// One call across the [`PagedVm`] boundary. Float values are kept as
 /// bits so a NaN compares equal to itself.
@@ -114,6 +115,99 @@ impl PagedVm for RecVm {
     }
 }
 
+thread_local! {
+    /// Parks taken by every [`ParkingVm`] so far: behind a call, and
+    /// with the call refused.
+    static PARKS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// A [`RecVm`] that parks the run about one call in six: behind the
+/// call, or — not a `tick_user` — by refusing it unlogged and undone,
+/// to be made again.
+struct ParkingVm<'a> {
+    rec: &'a mut RecVm,
+    rng: Rng,
+    park: Option<Park>,
+}
+
+impl ParkingVm<'_> {
+    fn refuse(&mut self) -> bool {
+        let refused = self.rng.chance(8);
+        if refused {
+            self.park = Some(Park::Redo);
+            PARKS.set((PARKS.get().0, PARKS.get().1 + 1));
+        }
+        refused
+    }
+
+    fn carried_out(&mut self) {
+        if self.rng.chance(8) {
+            self.park = Some(Park::After);
+            PARKS.set((PARKS.get().0 + 1, PARKS.get().1));
+        }
+    }
+}
+
+impl PagedVm for ParkingVm<'_> {
+    const PARKS: bool = true;
+    fn parked(&mut self) -> Option<Park> {
+        self.park.take()
+    }
+    fn page_bytes(&self) -> u64 {
+        self.rec.page_bytes()
+    }
+    fn tick_user(&mut self, ns: u64) {
+        self.rec.tick_user(ns);
+        self.carried_out();
+    }
+    fn load_f64(&mut self, addr: u64) -> f64 {
+        if self.refuse() {
+            return f64::NAN;
+        }
+        let v = self.rec.load_f64(addr);
+        self.carried_out();
+        v
+    }
+    fn store_f64(&mut self, addr: u64, v: f64) {
+        if !self.refuse() {
+            self.rec.store_f64(addr, v);
+            self.carried_out();
+        }
+    }
+    fn load_i64(&mut self, addr: u64) -> i64 {
+        if self.refuse() {
+            return i64::MIN;
+        }
+        let v = self.rec.load_i64(addr);
+        self.carried_out();
+        v
+    }
+    fn store_i64(&mut self, addr: u64, v: i64) {
+        if !self.refuse() {
+            self.rec.store_i64(addr, v);
+            self.carried_out();
+        }
+    }
+    fn prefetch(&mut self, addr: u64, pages: u64) {
+        if !self.refuse() {
+            self.rec.prefetch(addr, pages);
+            self.carried_out();
+        }
+    }
+    fn release(&mut self, addr: u64, pages: u64) {
+        if !self.refuse() {
+            self.rec.release(addr, pages);
+            self.carried_out();
+        }
+    }
+    fn prefetch_release(&mut self, pf: u64, pf_pages: u64, rel: u64, rel_pages: u64) {
+        if !self.refuse() {
+            self.rec.prefetch_release(pf, pf_pages, rel, rel_pages);
+            self.carried_out();
+        }
+    }
+}
+
 /// A tiny deterministic generator (splitmix64).
 struct Rng(u64);
 
@@ -203,8 +297,9 @@ fn assert_same(what: &str, tree: &Outcome, lowered: &Outcome) {
     );
 }
 
-/// Run `prog` through both interpreters and hold every observable
-/// equal; with `profiled`, once more with a live profiler sink on both.
+/// Run `prog` through both interpreters, and through the dispatch loop
+/// parked and resumed, and hold every observable equal; with
+/// `profiled`, once more with a live profiler sink on both.
 /// Returns the tree-walker's outcome.
 fn check(
     what: &str,
@@ -222,6 +317,15 @@ fn check(
     });
     let lowered = observe(&start, |vm| run_program(prog, &binds, params, cost, vm));
     assert_same(what, &tree, &lowered);
+    let stepped = observe(&start, |rec| {
+        let mut vm = ParkingVm {
+            rec,
+            rng: Rng(seed ^ 0x9a7c),
+            park: None,
+        };
+        run_program(prog, &binds, params, cost, &mut vm)
+    });
+    assert_same(&format!("{what} (stepped)"), &tree, &stepped);
     if !profiled {
         return tree;
     }
@@ -873,6 +977,7 @@ fn vm_matches_tree_walker() {
     // accesses, indirect subscripts, hints with out-of-range targets.
     let (mut completed, mut panicked) = (0, 0);
     crate::dispatch::HOISTS.set((0, 0));
+    PARKS.set((0, 0));
     for seed in 0..600 {
         let (prog, params) = random_program(seed);
         let cost = [CostModel::free(), CostModel::default(), odd_cost()][seed as usize % 3];
@@ -889,5 +994,10 @@ fn vm_matches_tree_walker() {
     assert!(
         hoisted >= 1000 && fell_back >= 30,
         "and both copies of a hoisted loop ({hoisted} entries hoisted, {fell_back} fell back)"
+    );
+    let (after, redone) = PARKS.get();
+    assert!(
+        after >= 1000 && redone >= 1000,
+        "and both kinds of park ({after} behind a call, {redone} with the call to redo)"
     );
 }

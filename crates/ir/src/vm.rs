@@ -85,6 +85,30 @@ pub trait PagedVm {
     fn release(&mut self, addr: u64, pages: u64);
     /// Bundled prefetch + release hint (one call).
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64);
+
+    /// Whether this VM ever parks the run driving it. The interpreter
+    /// asks [`PagedVm::parked`] only of a VM that says `true`; for the
+    /// rest the question is compiled out.
+    const PARKS: bool = false;
+    /// Asked once after every call above (`page_bytes` apart): should
+    /// the run stop here, and was the call it just made carried out? The
+    /// request is consumed by the asking. `tick_user` is always carried
+    /// out, so behind it either answer means [`Park::After`].
+    fn parked(&mut self) -> Option<Park> {
+        None
+    }
+}
+
+/// A [`PagedVm`]'s request that the run driving it stop where it is
+/// ([`crate::Vm::step`] returns `None`) until stepped again.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Park {
+    /// The call was carried out; resume behind it.
+    After,
+    /// The call was not carried out (a load's result is meaningless):
+    /// resume by making it again, same arguments, nothing charged or
+    /// counted twice.
+    Redo,
 }
 
 /// Untimed raw access to array bytes, for initialization and result

@@ -192,8 +192,8 @@ const MACHINE_BUCKETS: usize = 4;
 const MACHINE_BUCKET_NAMES: [&str; MACHINE_BUCKETS] = ["residency", "ledger", "journal", "sampler"];
 
 /// Flat host-time accumulator for the machine's charge paths. Plain
-/// data (no `Instant`s stored), so a `Machine` holding one stays
-/// `Send` for the multi-tenant hub.
+/// data (no `Instant`s stored): the caller measures each duration and
+/// only the sums live here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MachineProf {
     ns: [u64; MACHINE_BUCKETS],
@@ -719,10 +719,23 @@ mod tests {
 
     #[test]
     fn top_self_ranks_descending() {
-        let p = capture();
-        let top = p.top_self(2);
-        assert_eq!(top.len(), 2);
-        assert!(top[0].self_ns >= top[1].self_ns);
-        assert_eq!(top[0].path, "all;kern;for#i;op:load");
+        // Fixed numbers, not a capture: which of two real spins ran
+        // longer is the host scheduler's call.
+        let site = |name: &str, total_ns: u64, children: &str| {
+            format!(
+                r#"{{"name":"{name}","total_ns":{total_ns},"count":1,"children":[{children}]}}"#
+            )
+        };
+        let leaves = [site("op:load", 40_000, ""), site("op:store", 20_000, "")].join(",");
+        let root = site("all", 65_000, &site("kern", 65_000, &leaves));
+        let text = format!(r#"{{"schema":"{PROF_SCHEMA}","root":{root}}}"#);
+        let top = Profile::parse_text(&text).unwrap().top_self(3);
+        let ranked: Vec<(&str, u64)> = top.iter().map(|r| (&*r.path, r.self_ns)).collect();
+        let expect = [
+            ("all;kern;op:load", 40_000),
+            ("all;kern;op:store", 20_000),
+            ("all;kern", 5_000),
+        ];
+        assert_eq!(ranked, expect);
     }
 }

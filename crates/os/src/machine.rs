@@ -363,9 +363,7 @@ pub struct Machine {
     /// Host-time profiler buckets for the machine's charge paths
     /// (residency / ledger / journal / sampler). `None` by default,
     /// following the trace/sampler precedent: detached runs pay one
-    /// `is_some` branch per probed boundary and read no clocks. Plain
-    /// data — no `Instant` stored — so the machine stays `Send` for
-    /// the multi-tenant hub.
+    /// `is_some` branch per probed boundary and read no clocks.
     host_prof: Option<MachineProf>,
     /// Parity content model of the swap file (RAID-5 rotating parity;
     /// present only under [`Redundancy::Parity`], so plain machines

@@ -167,10 +167,7 @@ pub struct PolicyCounters {
 /// field is the deliberate, test-only exception) — and the proptest
 /// oracle verifies the result checksums stay bit-identical across
 /// policies, faults included.
-///
-/// `Send` because the machine that owns the policy is moved across
-/// threads by the multi-tenant runtime.
-pub trait PrefetchPolicy: Send {
+pub trait PrefetchPolicy {
     /// Stable label for reports.
     fn name(&self) -> &'static str;
 

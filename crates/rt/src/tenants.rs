@@ -10,17 +10,16 @@
 //!
 //! # Interleaving model
 //!
-//! The interpreter is run-to-completion, so each tenant runs on its own
-//! OS thread and the hub passes a *baton* between them: exactly one
-//! thread touches the machine at a time, and every hand-off point is a
-//! deterministic function of simulated state (a blocked demand fault,
-//! or the per-slice operation budget). Wall-clock thread scheduling
-//! cannot change the simulated interleaving, so co-scheduled runs are
-//! exactly reproducible.
+//! One loop on the calling thread: pick a tenant round-robin, step its
+//! resumable interpreter ([`oocp_ir::Vm::step`]) until the tenant's VM
+//! parks it, pick again. A VM parks in two cases, both functions of
+//! simulated state alone — the tenant's slice of [`PagedVm`] calls ran
+//! out, or a demand fault blocked — so co-scheduled runs are exactly
+//! reproducible, and a tenant's panic is the hub's.
 //!
 //! A tenant that hard-faults uses the machine's non-blocking touch
 //! ([`Machine::touch_nb`]): all fault bookkeeping happens at block
-//! time, the baton passes to the next runnable tenant, and the clock
+//! time, the tenant parks with the access still to make, and the clock
 //! only advances idle when *every* tenant is blocked on disk
 //! ([`Machine::advance_idle_to`]). Driven with a single tenant this
 //! degenerates to exactly the classic blocking path, so solo-via-hub
@@ -46,9 +45,7 @@
 //! resident pages linger until the pageout daemon reclaims them —
 //! exactly what happens to a SIGKILLed process's page cache.
 
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-
-use oocp_ir::{run_program, ArrayBinding, ArrayData, CostModel, PagedVm, Program};
+use oocp_ir::{ArrayBinding, ArrayData, CostModel, PagedVm, Park, Program, Vm};
 use oocp_os::{
     ConfigError, Machine, MachineParams, MetricsReport, OsStats, Segment, TenantSpec, TenantStats,
     TimeAttribution, Touch,
@@ -146,279 +143,225 @@ pub struct HubResult {
 /// Scheduler state of one tenant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Run {
-    /// Runnable (or currently running).
+    /// Runnable (or currently being stepped).
     Ready,
     /// Blocked on a demand read completing at the given time.
     Blocked(Ns),
-    /// Interpreter finished.
+    /// Program halted.
     Done,
 }
 
-/// Shared mutable state: the machine plus the baton scheduler.
-struct Core {
-    machine: Machine,
-    /// Tenant currently holding the baton (`None` once all are done).
-    running: Option<usize>,
-    state: Vec<Run>,
-    /// Round-robin cursor: last scheduled tenant.
-    rr: usize,
-    /// Per-tenant demand-stall samples (exact, for honest p95s).
-    stalls: Vec<Vec<Ns>>,
-}
-
-struct Shared {
-    core: Mutex<Core>,
-    cv: Condvar,
-}
-
-/// Pick the next tenant and hand it the baton. Runs under the core
-/// lock; every call site is a deterministic point in simulated time,
-/// so the schedule is a pure function of program behaviour.
-fn schedule(core: &mut Core, cv: &Condvar) {
-    let n = core.state.len();
+/// Pick the next tenant to step (`None` once all are done), `rr` being
+/// the round-robin cursor: the last tenant picked. Every call site is a
+/// deterministic point in simulated time, so the schedule is a pure
+/// function of program behaviour.
+fn schedule(machine: &mut Machine, tenants: &mut [Tenant], rr: &mut usize) -> Option<usize> {
+    let n = tenants.len();
     loop {
-        let now = core.machine.now();
-        let mut pick = None;
-        for k in 1..=n {
-            let t = (core.rr + k) % n;
-            match core.state[t] {
-                Run::Ready => {
-                    pick = Some(t);
-                    break;
-                }
-                Run::Blocked(u) if u <= now => {
-                    pick = Some(t);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        if let Some(t) = pick {
-            core.state[t] = Run::Ready;
-            core.rr = t;
-            core.running = Some(t);
-            core.machine.set_tenant(t as u32);
-            cv.notify_all();
-            return;
+        let now = machine.now();
+        let runnable = |t: &usize| match tenants[*t].run {
+            Run::Ready => true,
+            Run::Blocked(u) => u <= now,
+            Run::Done => false,
+        };
+        if let Some(t) = (1..=n).map(|k| (*rr + k) % n).find(runnable) {
+            tenants[t].run = Run::Ready;
+            *rr = t;
+            machine.set_tenant(t as u32);
+            return Some(t);
         }
         // No tenant is runnable. If any are blocked, the whole machine
         // is waiting on disk: advance the clock (charged as idle) to
         // the earliest completion and try again. Otherwise all are
-        // done and the baton retires.
-        let next = core
-            .state
+        // done.
+        let next = tenants
             .iter()
-            .filter_map(|s| match s {
-                Run::Blocked(u) => Some(*u),
+            .filter_map(|t| match t.run {
+                Run::Blocked(u) => Some(u),
                 _ => None,
             })
             .min();
-        match next {
-            Some(u) => core.machine.advance_idle_to(u),
-            None => {
-                core.running = None;
-                cv.notify_all();
-                return;
-            }
-        }
+        machine.advance_idle_to(next?);
     }
 }
 
-/// Acquire the baton for tenant `id` (blocks the OS thread, never the
-/// sim clock). A free function so the guard borrows the caller's local
-/// `Arc` clone rather than the `TenantVm` itself.
-fn acquire(sh: &Shared, id: usize) -> MutexGuard<'_, Core> {
-    let mut core = sh.core.lock().unwrap();
-    while core.running != Some(id) {
-        core = sh.cv.wait(core).unwrap();
-    }
-    core
-}
-
-/// VM operations between cooperative yields. Small enough that a
+/// VM calls between cooperative yields. Small enough that a
 /// compute-bound tenant cannot starve its neighbours, large enough
-/// that baton traffic is noise.
+/// that scheduling is noise.
 const OPS_PER_SLICE: u32 = 256;
 
-/// One tenant's virtual machine: the tenant's hint filter bound to the
-/// shared machine through the baton, plus kill and timeslice logic.
-struct TenantVm {
-    sh: Arc<Shared>,
-    id: usize,
-    page_bytes: u64,
+/// What one tenant carries from slice to slice: its scheduler state and
+/// hint filter, plus kill and timeslice counters.
+struct Tenant {
+    run: Run,
     filter: HintFilter,
     kill_at_op: Option<u64>,
     ops: u64,
     ops_since_yield: u32,
     killed: bool,
+    /// Page-in service time of the demand access in progress, summed
+    /// over its blocked attempts (`Some` from the first block until
+    /// the access goes through).
+    io_wait: Option<Ns>,
+    /// Demand-stall samples (exact, for honest p95s).
+    stalls: Vec<Ns>,
+    /// The interpreter's next answer from [`PagedVm::parked`].
+    park: Option<Park>,
+    /// Simulated time the program halted.
+    finished_at: Ns,
 }
 
-impl TenantVm {
+/// One tenant's virtual machine for one slice: the tenant bound to the
+/// shared machine.
+struct TenantVm<'a> {
+    machine: &'a mut Machine,
+    t: &'a mut Tenant,
+}
+
+impl TenantVm<'_> {
     /// Count one VM operation; returns `true` when the op must be
     /// swallowed because the tenant is (now) dead.
     fn note_op(&mut self) -> bool {
-        if self.killed {
+        let t = &mut *self.t;
+        if t.killed {
             return true;
         }
-        self.ops += 1;
-        if self.kill_at_op.is_some_and(|k| self.ops > k) {
-            self.killed = true;
+        // An access made again after blocking was counted the first time.
+        if t.io_wait.is_some() {
+            return false;
+        }
+        t.ops += 1;
+        if t.kill_at_op.is_some_and(|k| t.ops > k) {
+            t.killed = true;
             return true;
         }
         false
     }
 
-    /// End-of-op bookkeeping: hand the baton on after a full slice.
-    fn maybe_yield(&mut self, core: &mut Core) {
-        self.ops_since_yield += 1;
-        if self.ops_since_yield >= OPS_PER_SLICE {
-            self.ops_since_yield = 0;
-            schedule(core, &self.sh.cv);
+    /// End-of-op bookkeeping: park after a full slice.
+    fn maybe_yield(&mut self) {
+        self.t.ops_since_yield += 1;
+        if self.t.ops_since_yield >= OPS_PER_SLICE {
+            self.t.ops_since_yield = 0;
+            self.t.park = Some(Park::After);
         }
     }
 
-    /// Demand-touch with baton hand-off on every blocked fault.
-    fn touch(&mut self, addr: u64, len: u64, write: bool) {
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        // The stall sample is the page-in *service* time: from blocking
-        // to the page's arrival. Alone on the machine the tenant also
-        // resumes at exactly that moment, so the sample equals the
-        // wall-clock wait; co-scheduled, any further delay before the
-        // interpreter runs again is CPU queueing behind other tenants —
-        // scheduler wait, not demand stall, and not what the disk
-        // scheduler and quotas are answerable for.
-        let mut io_wait: Ns = 0;
-        let mut blocked = false;
-        loop {
-            match core.machine.touch_nb(addr, len, write) {
-                Ok(Touch::Done { .. }) => break,
-                Ok(Touch::Blocked { until }) => {
-                    blocked = true;
-                    io_wait += until.saturating_sub(core.machine.now());
-                    core.state[self.id] = Run::Blocked(until);
-                    schedule(&mut core, &self.sh.cv);
-                    while core.running != Some(self.id) {
-                        core = self.sh.cv.wait(core).unwrap();
-                    }
-                }
-                Err(e) => panic!("page-in failed: {e}"),
+    /// Demand-touch; `false` when the fault blocked, the tenant is
+    /// parked on it and the access has to be made again.
+    fn touch(&mut self, addr: u64, len: u64, write: bool) -> bool {
+        let t = &mut *self.t;
+        match self.machine.touch_nb(addr, len, write) {
+            Ok(Touch::Done { .. }) => {
+                // The stall sample is the page-in *service* time: from
+                // blocking to the page's arrival. Alone on the machine
+                // the tenant also resumes at exactly that moment, so the
+                // sample equals the wall-clock wait; co-scheduled, any
+                // further delay before the interpreter runs again is CPU
+                // queueing behind other tenants — scheduler wait, not
+                // demand stall, and not what the disk scheduler and
+                // quotas are answerable for.
+                t.stalls.extend(t.io_wait.take());
+                true
             }
+            Ok(Touch::Blocked { until }) => {
+                *t.io_wait.get_or_insert(0) += until.saturating_sub(self.machine.now());
+                t.run = Run::Blocked(until);
+                t.park = Some(Park::Redo);
+                false
+            }
+            Err(e) => panic!("page-in failed: {e}"),
         }
-        if blocked {
-            core.stalls[self.id].push(io_wait);
-        }
-        self.maybe_yield(&mut core);
-    }
-
-    /// Finish: mark Done and pass the baton on if this tenant held it.
-    fn finish(&self) -> Ns {
-        let mut core = self.sh.core.lock().unwrap();
-        core.state[self.id] = Run::Done;
-        let at = core.machine.now();
-        if core.running == Some(self.id) {
-            schedule(&mut core, &self.sh.cv);
-        } else {
-            self.sh.cv.notify_all();
-        }
-        at
     }
 }
 
-impl PagedVm for TenantVm {
+// A demand access moves its data with its touch, inside the same slice:
+// whatever snapshots the image between two slices (a durable or parity
+// write-back) sees every store the clock has been charged for.
+impl PagedVm for TenantVm<'_> {
+    const PARKS: bool = true;
+
+    fn parked(&mut self) -> Option<Park> {
+        self.t.park.take()
+    }
+
     fn page_bytes(&self) -> u64 {
-        self.page_bytes
+        self.machine.params().page_bytes
     }
 
     fn tick_user(&mut self, ns: u64) {
         if self.note_op() {
             return;
         }
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        core.machine.tick_user(ns);
-        self.maybe_yield(&mut core);
+        self.machine.tick_user(ns);
+        self.maybe_yield();
     }
 
     fn load_f64(&mut self, addr: u64) -> f64 {
-        if self.note_op() {
+        if self.note_op() || !self.touch(addr, 8, false) {
             return 0.0;
         }
-        self.touch(addr, 8, false);
-        let sh = Arc::clone(&self.sh);
-        let core = acquire(&sh, self.id);
-        core.machine.peek_f64(addr)
+        let v = self.machine.peek_f64(addr);
+        self.maybe_yield();
+        v
     }
 
     fn store_f64(&mut self, addr: u64, v: f64) {
-        if self.note_op() {
+        if self.note_op() || !self.touch(addr, 8, true) {
             return;
         }
-        self.touch(addr, 8, true);
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        core.machine.poke_f64(addr, v);
+        self.machine.poke_f64(addr, v);
+        self.maybe_yield();
     }
 
     fn load_i64(&mut self, addr: u64) -> i64 {
-        if self.note_op() {
+        if self.note_op() || !self.touch(addr, 8, false) {
             return 0;
         }
-        self.touch(addr, 8, false);
-        let sh = Arc::clone(&self.sh);
-        let core = acquire(&sh, self.id);
-        core.machine.peek_i64(addr)
+        let v = self.machine.peek_i64(addr);
+        self.maybe_yield();
+        v
     }
 
     fn store_i64(&mut self, addr: u64, v: i64) {
-        if self.note_op() {
+        if self.note_op() || !self.touch(addr, 8, true) {
             return;
         }
-        self.touch(addr, 8, true);
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        core.machine.poke_i64(addr, v);
+        self.machine.poke_i64(addr, v);
+        self.maybe_yield();
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {
         if self.note_op() {
             return;
         }
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        self.filter.hint(&mut core.machine, addr, pages, None);
-        self.maybe_yield(&mut core);
+        self.t.filter.hint(self.machine, addr, pages, None);
+        self.maybe_yield();
     }
 
     fn release(&mut self, addr: u64, pages: u64) {
         if self.note_op() {
             return;
         }
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
-        self.filter.release(&mut core.machine, addr, pages);
-        self.maybe_yield(&mut core);
+        self.t.filter.release(self.machine, addr, pages);
+        self.maybe_yield();
     }
 
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64) {
         if self.note_op() {
             return;
         }
-        let sh = Arc::clone(&self.sh);
-        let mut core = acquire(&sh, self.id);
         let rel = Some((rel_addr, rel_pages));
-        self.filter.hint(&mut core.machine, pf_addr, pf_pages, rel);
-        self.maybe_yield(&mut core);
+        self.t.filter.hint(self.machine, pf_addr, pf_pages, rel);
+        self.maybe_yield();
     }
 }
 
-/// One registered tenant inside the hub.
+/// One registered tenant inside the hub: the program as submitted,
+/// and where registration put it.
 struct Entry {
-    prog: Program,
+    t: TenantProgram,
     binds: Vec<ArrayBinding>,
-    params: Vec<i64>,
-    mode: FilterMode,
-    kill_at_op: Option<u64>,
     seg: Segment,
 }
 
@@ -478,14 +421,7 @@ impl TenantHub {
                 for b in &mut binds {
                     b.base += seg.base;
                 }
-                Entry {
-                    prog: t.prog,
-                    binds,
-                    params: t.params,
-                    mode: t.mode,
-                    kill_at_op: t.kill_at_op,
-                    seg,
-                }
+                Entry { t, binds, seg }
             })
             .collect();
         Ok(Self {
@@ -530,75 +466,49 @@ impl TenantHub {
     /// [`TenantHub::run`], additionally handing back the finished
     /// machine (for workload verifiers and post-mortems).
     pub fn run_full(self) -> (HubResult, Machine) {
-        let n = self.entries.len();
-        let page_bytes = self.machine.params().page_bytes;
-        let filters: Vec<HintFilter> = self
+        let mut machine = self.machine;
+        let mut tenants: Vec<Tenant> = self
             .entries
             .iter()
             .enumerate()
-            .map(|(id, e)| HintFilter::new(&self.machine, e.mode, id as u32, e.seg))
+            .map(|(id, e)| Tenant {
+                run: Run::Ready,
+                filter: HintFilter::new(&machine, e.t.mode, id as u32, e.seg),
+                kill_at_op: e.t.kill_at_op,
+                ops: 0,
+                ops_since_yield: 0,
+                killed: false,
+                io_wait: None,
+                stalls: Vec::new(),
+                park: None,
+                finished_at: 0,
+            })
             .collect();
-        let shared = Arc::new(Shared {
-            core: Mutex::new(Core {
-                machine: self.machine,
-                running: None,
-                state: vec![Run::Ready; n],
-                rr: n - 1,
-                stalls: vec![Vec::new(); n],
-            }),
-            cv: Condvar::new(),
-        });
-        {
-            let mut core = shared.core.lock().unwrap();
-            schedule(&mut core, &shared.cv);
-        }
-        let cost = self.cost;
-        let mut joined: Vec<Option<(RtStats, bool, Ns)>> = (0..n).map(|_| None).collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .entries
-                .iter()
-                .zip(filters)
-                .enumerate()
-                .map(|(id, (e, filter))| {
-                    let sh = Arc::clone(&shared);
-                    s.spawn(move || {
-                        let mut vm = TenantVm {
-                            sh,
-                            id,
-                            page_bytes,
-                            filter,
-                            kill_at_op: e.kill_at_op,
-                            ops: 0,
-                            ops_since_yield: 0,
-                            killed: false,
-                        };
-                        run_program(&e.prog, &e.binds, &e.params, cost, &mut vm);
-                        let at = vm.finish();
-                        (vm.filter.stats, vm.killed, at)
-                    })
-                })
-                .collect();
-            for (id, h) in handles.into_iter().enumerate() {
-                joined[id] = Some(h.join().expect("tenant thread panicked"));
+        let mut runs: Vec<Vm> = self
+            .entries
+            .iter()
+            .map(|e| Vm::new(&e.t.prog, &e.binds, &e.t.params, self.cost))
+            .collect();
+        let mut rr = tenants.len() - 1;
+        while let Some(t) = schedule(&mut machine, &mut tenants, &mut rr) {
+            let mut vm = TenantVm {
+                machine: &mut machine,
+                t: &mut tenants[t],
+            };
+            if runs[t].step(&mut vm).is_some() {
+                tenants[t].run = Run::Done;
+                tenants[t].finished_at = machine.now();
             }
-        });
-        let core = Arc::try_unwrap(shared)
-            .unwrap_or_else(|_| unreachable!("all tenant threads joined"))
-            .core
-            .into_inner()
-            .unwrap();
-        let mut machine = core.machine;
-        let stalls = core.stalls;
+        }
         // Flush leftover dirty pages exactly like a solo run's finish.
         let _ = machine.try_finish();
         let tenants = self
             .entries
             .iter()
+            .zip(tenants)
             .enumerate()
-            .map(|(t, e)| {
-                let (rt, killed, finished_at) = joined[t].take().expect("every tenant joined");
-                let mut sorted = stalls[t].clone();
+            .map(|(id, (e, t))| {
+                let mut sorted = t.stalls;
                 sorted.sort_unstable();
                 let p95 = if sorted.is_empty() {
                     0
@@ -607,13 +517,13 @@ impl TenantHub {
                 };
                 TenantOutcome {
                     checksum: segment_checksum(&machine, e.seg),
-                    killed,
-                    finished_at,
+                    killed: t.killed,
+                    finished_at: t.finished_at,
                     demand_stall_p95_ns: p95,
                     demand_stalls: sorted.len() as u64,
-                    resident_frames: machine.tenant_usage(t as u32),
-                    os: machine.tenant_stats(t as u32),
-                    rt,
+                    resident_frames: machine.tenant_usage(id as u32),
+                    os: machine.tenant_stats(id as u32),
+                    rt: t.filter.stats,
                 }
             })
             .collect();
@@ -651,7 +561,7 @@ pub fn segment_checksum(machine: &Machine, seg: Segment) -> u64 {
 mod tests {
     use super::*;
     use crate::Runtime;
-    use oocp_ir::{lin, var, ArrayRef, ElemType, Expr, HintTarget, Stmt};
+    use oocp_ir::{lin, run_program, var, ArrayRef, ElemType, Expr, HintTarget, Stmt};
     use oocp_os::{Brownout, FaultPlan};
 
     const PAGE: u64 = 4096;
@@ -919,6 +829,43 @@ mod tests {
             res.tenants[1].os.quota_evictions > 0,
             "the starved tenant must have recycled its own frames"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "subscript 512 out of range [0,512) in dim 0 of array a (demand)")]
+    fn a_tenants_panic_is_the_hubs_panic() {
+        // Two pages' worth of stores into a one-page array, next to a
+        // healthy neighbour: the interpreter's own message must come out
+        // of `run`.
+        let mut overrun = demand(2);
+        overrun.arrays[0].dims = vec![WORDS];
+        let tenants = vec![
+            TenantProgram::new(stream(8), vec![]),
+            TenantProgram::new(overrun, vec![]),
+        ];
+        TenantHub::new(params(), tenants).unwrap().run();
+    }
+
+    #[test]
+    fn rerun_is_identical_down_to_finish_times() {
+        // Unpriced user code makes a `stream` iteration exactly four VM
+        // calls, so 64 pages end on the last call of a slice and every
+        // tenant is parked when its `Halt` retires. `finished_at` is the
+        // sim time of that retirement, not of whoever ran in between.
+        let run = || {
+            let tenants = (0..3)
+                .map(|_| TenantProgram::new(stream(64), vec![]))
+                .collect();
+            let mut hub = TenantHub::new(params(), tenants)
+                .unwrap()
+                .with_cost(CostModel::free());
+            for t in 0..3 {
+                let seg = hub.segment(t);
+                fill(&mut hub.data(), seg.base, seg.bytes, t as u64);
+            }
+            hub.run()
+        };
+        assert_eq!(format!("{:?}", run()), format!("{:?}", run()));
     }
 
     #[test]

@@ -25,10 +25,12 @@ cargo fmt --all -- --check
 stage "cargo build --release"
 cargo build --release --workspace --bins
 
-stage "cargo test -q"
+stage "cargo test -q --no-fail-fast"
 # default-members covers the workspace: the facade's integration and
-# property suites plus every crate's unit tests.
-cargo test -q
+# property suites plus every crate's unit tests. Cargo stops at the
+# first red package by default; `--no-fail-fast` runs the rest too, so
+# one failure cannot hide another two hundred tests behind it.
+cargo test -q --no-fail-fast
 
 stage "differential oracle, release arithmetic (bytecode == tree-walker)"
 # `cargo test -q` above ran it with debug arithmetic (overflow checks
@@ -80,16 +82,18 @@ stage "tenants smoke (multi-tenant fairness + isolation gates)"
 # the co-scheduled makespan must beat the serial schedule; a chaos
 # cell (disk faults + one tenant killed) must leave survivors
 # bit-exact. The binary gates all of this itself and exits non-zero.
-cargo run --release -q -p oocp-bench --bin tenants -- --smoke
+# Each run takes seconds; under `timeout`, a scheduler that never
+# terminates fails its stage instead of hanging CI.
+timeout 600 cargo run --release -q -p oocp-bench --bin tenants -- --smoke
 
 stage "tenants quota gates (enforcement, then a required failure)"
 # Positive: a hint-free hog sharing the machine with a small victim is
 # clamped at its fair share, with quota evictions as the witness.
-cargo run --release -q -p oocp-bench --bin tenants -- --quota-gate
+timeout 600 cargo run --release -q -p oocp-bench --bin tenants -- --quota-gate
 # Negative: with quotas disabled the same hog must overrun its share
 # and the binary must fail saying so — otherwise the quota machinery
 # is decorative.
-if cargo run --release -q -p oocp-bench --bin tenants -- \
+if timeout 600 cargo run --release -q -p oocp-bench --bin tenants -- \
     --quota-gate --no-quotas > /tmp/oocp-nq.$$ 2>&1; then
     cat /tmp/oocp-nq.$$
     rm -f /tmp/oocp-nq.$$
