@@ -1,31 +1,46 @@
 //! The simulated machine: CPU clock, paged VM, prefetch/release hints,
 //! disks, and the backing data of the whole virtual address space.
+//!
+//! This file is the paging core (DESIGN.md §3.2): page table, clock and
+//! free-list pageout daemon, shared bit vector, the demand-access path
+//! and the two non-binding hints. Everything else the machine can do is
+//! one of five extensions, each a child module owning one state struct
+//! — a single field of [`Machine`] — and the methods only it needs:
+//! `durability` (§9), `redundancy` (§14), `tenancy` (§10), `policy`
+//! (§11) and `observe` (§3.5, §12, §13). The core calls
+//! into them through `#[inline]` is-armed tests, and the ones that can
+//! intercept a demand access or a hint are listed once, in
+//! `Machine::extensions_quiet` and `Machine::wake_extensions`.
+
+mod durability;
+mod observe;
+mod policy;
+mod redundancy;
+mod tenancy;
 
 use std::collections::VecDeque;
 
-use oocp_disk::{Completion, DiskArray, FaultPlan, IoError, ReqKind, Request, Ticket};
-use oocp_fs::{FileId, FileSystem, WriteJournal};
-use oocp_obs::{
-    LateCause, MachineBucket, MachineProf, MetricsRegistry, TimeAttribution, TimeSeriesRing,
-    ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE,
-};
-use oocp_policy::{PolicyActions, PrefetchPolicy, TouchKind};
+use oocp_disk::{DiskArray, FaultPlan, IoError, ReqKind, Request, Ticket};
+use oocp_fs::{FileId, FileSystem};
+use oocp_obs::MachineBucket;
+use oocp_policy::TouchKind;
 use oocp_sim::rng::SimRng;
 use oocp_sim::stats::TimeWeighted;
-use oocp_sim::time::{Ns, TimeBreakdown, TimeCategory, MILLISECOND};
+use oocp_sim::time::{Ns, TimeBreakdown, TimeCategory};
 
+use self::durability::Durability;
+pub use self::durability::{DurableRecord, RecoveryReport};
+use self::observe::Observers;
+use self::policy::PolicyState;
+use self::redundancy::RedundancyState;
+use self::tenancy::Tenancy;
 use crate::bitvec::ResidencyBits;
 use crate::error::{FlushError, OsError};
 use crate::image::Image;
-use crate::metrics::{MetricsReport, ObsMetrics};
 use crate::params::{MachineParams, Redundancy};
-use crate::parity::ParityStore;
 use crate::stats::OsStats;
-use crate::store::{page_checksum, DurableStore, SECTOR_BYTES};
-use crate::tenant::{
-    PressureLevel, QosClass, TenantId, TenantSpec, TenantStats, ELEVATED_BEST_EFFORT_SLOTS,
-};
-use crate::trace::{Trace, TraceEvent};
+use crate::tenant::PressureLevel;
+use crate::trace::TraceEvent;
 
 /// A page-aligned region of the virtual address space backing one array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,19 +49,6 @@ pub struct Segment {
     pub base: u64,
     /// Length in bytes (rounded up to whole pages at allocation).
     pub bytes: u64,
-}
-
-/// One registered tenant: its policy, the page range it owns, its
-/// residency view, and its counters.
-struct TenantInfo {
-    spec: TenantSpec,
-    /// First page of the tenant's segment.
-    first_page: u64,
-    /// Pages in the tenant's segment.
-    pages: u64,
-    /// Tenant-local clock hand for quota self-eviction.
-    hand: u64,
-    stats: TenantStats,
 }
 
 /// Outcome of a non-blocking demand access ([`Machine::touch_nb`]).
@@ -150,78 +152,19 @@ impl Page {
             && !self.prefetch_tag
             && self.span == 0
     }
-}
 
-/// One journaled writeback whose commit protocol is in flight: the
-/// journal slot it reserved, a snapshot of the page image being
-/// written, and the tickets of the protocol's four writes (descriptor,
-/// payload, in-place data, commit mark). A ticket is `None` when the
-/// submission itself was refused (crash or exhausted retries) — the
-/// write never reached the media, so its effective completion time is
-/// "never".
-struct WalRecord {
-    seq: u64,
-    disk: usize,
-    vpage: u64,
-    payload: Vec<u8>,
-    desc: Option<Ticket>,
-    pay: Option<Ticket>,
-    data: Option<Ticket>,
-    commit: Option<Ticket>,
-}
-
-/// An unjournaled durable write in flight (durability mode with the
-/// journal disabled — the configuration the negative CI gate uses to
-/// prove torn writes lose data without WAL protection).
-struct PlainWrite {
-    vpage: u64,
-    payload: Vec<u8>,
-    data: Ticket,
-}
-
-/// A journal record whose journal blocks were durable when the power
-/// died — exactly what a recovery scan of the rings can see.
-#[derive(Clone, Debug)]
-pub struct DurableRecord {
-    /// Record sequence number (per-disk monotone).
-    pub seq: u64,
-    /// Disk whose ring holds the record.
-    pub disk: usize,
-    /// The page the record describes.
-    pub vpage: u64,
-    /// The full page image from the journal's payload block.
-    pub payload: Vec<u8>,
-    /// Whether the commit mark was durable too (the in-place data
-    /// write is then guaranteed durable by the write barrier).
-    pub committed: bool,
-}
-
-/// What [`Machine::recover`] found and did.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Simulated time of the power loss (0 if the machine never
-    /// crashed and recovery was a no-op).
-    pub crashed_at: Ns,
-    /// Sealed journal records the ring scan found.
-    pub scanned_records: u64,
-    /// Pages replayed from journal payloads onto their home blocks
-    /// (uncommitted records, plus any page whose image failed its
-    /// checksum).
-    pub pages_replayed: u64,
-    /// In-flight updates discarded because their intent record was not
-    /// durably sealed — the home block kept its last durable version.
-    pub pages_discarded: u64,
-    /// Home blocks whose stored checksum failed: torn writes caught
-    /// mid-air by the crash.
-    pub torn_detected: u64,
-    /// Torn/lost pages with no journal payload to repair from. Always
-    /// zero with the journal enabled; the negative gate proves it goes
-    /// positive without one.
-    pub unrecoverable: u64,
-    /// The unrecoverable pages themselves.
-    pub unrecoverable_pages: Vec<u64>,
-    /// Simulated time the recovery pass took (scan + replay + verify).
-    pub recovery_ns: Ns,
+    /// A demand access takes the page: mapped and active, referenced,
+    /// touched, and done with whatever prefetch brought it in.
+    fn activate(&mut self, dirty: bool) {
+        self.state = PageState::Resident {
+            dirty,
+            referenced: true,
+            on_free_list: false,
+        };
+        self.touched = true;
+        self.prefetch_tag = false;
+        self.span = 0;
+    }
 }
 
 /// The simulated machine.
@@ -278,12 +221,6 @@ pub struct Machine {
     /// multiprogramming model: other applications taking and returning
     /// memory). Applied lazily as the clock passes each entry.
     pressure: Vec<(Ns, u64)>,
-    /// Optional event trace (flight recorder).
-    trace: Option<Trace>,
-    /// Optional observability layer: latency histograms and the
-    /// prefetch-lifecycle ledger. Purely passive — never advances the
-    /// clock or changes a paging decision.
-    metrics: Option<ObsMetrics>,
     /// Next prefetch-lifecycle span id (always allocated, metrics or
     /// not, so span ids in traces are stable across instrumentation
     /// choices; 0 means "no span").
@@ -295,112 +232,16 @@ pub struct Machine {
     /// OS-level knobs like bit-vector staleness, which the disk array's
     /// injector does not carry).
     fault_plan: Option<FaultPlan>,
-    /// Durable (on-media) page images + checksums. Present only in
-    /// durability mode (a crash is scheduled, or this machine came out
-    /// of a recovery), so default runs pay nothing.
-    durable: Option<DurableStore>,
-    /// Per-disk write-ahead journal rings (durability mode with
-    /// `params.journal`).
-    journal: Option<WriteJournal>,
-    /// Journaled writebacks whose commit protocol is in flight.
-    wal_pending: Vec<WalRecord>,
-    /// Unjournaled durable writes in flight (journal disabled).
-    plain_pending: Vec<PlainWrite>,
-    /// Journal records durable at crash time, as a recovery scan would
-    /// find them.
-    wal_durable: Vec<DurableRecord>,
-    /// Simulated time of the power loss, once it happened. From then on
-    /// the machine is a "zombie": accesses are served from the
-    /// in-memory image with no disk and no time, so the interpreter can
-    /// run to completion and the harness can recover.
-    crashed: Option<Ns>,
-    /// Whether crash resolution (freezing the in-flight writes into
-    /// durable state) has run.
-    crash_resolved: bool,
-    /// Whether in-flight writes may tear at the crash.
-    torn_writes: bool,
-    /// Seeded stream deciding how many sectors of each in-flight write
-    /// land (the torn-write model).
-    crash_rng: Option<SimRng>,
-    /// Updates lost at the crash: writebacks whose intent record was
-    /// never sealed (journaled) or whose write never landed (plain).
-    crash_discarded: Vec<u64>,
-    /// Dirty pages whose final contents never became durable:
-    /// abandoned writebacks plus everything cut off by a crash.
-    flush_failures: Vec<u64>,
-    /// Registered tenants in registration order (each owns one
-    /// segment). Empty for the classic single-program machine, which
-    /// behaves as one implicit guaranteed tenant with no quotas.
-    tenants: Vec<TenantInfo>,
-    /// The tenant whose accesses and hints are currently executing
-    /// (set by the co-scheduling hub before each slice; 0 otherwise).
-    cur_tenant: TenantId,
-    /// Per-tenant residency bit vectors (same geometry as the shared
-    /// one; each tracks only its owner's pages). Present only when
-    /// tenants are registered.
-    tenant_bits: Vec<ResidencyBits>,
-    /// Installed prefetch policy. `None` under the default
-    /// `PolicyKind::CompilerOnly`, which keeps every paging path
-    /// bit-identical to a build without the policy subsystem.
-    policy: Option<Box<dyn PrefetchPolicy>>,
-    /// Set while policy-requested actions are applied, so `do_prefetch`
-    /// and `do_release` attribute the pages to the policy and tag the
-    /// disk requests as policy-injected.
-    policy_issue: bool,
-    /// Policy hooks suspended (the runtime pauses reactive policies
-    /// while it is degraded to demand-only paging).
-    policy_paused: bool,
-    /// Degraded-mode generation counter: bumped every time the runtime
-    /// enters degraded (demand-only) paging. A prefetch that was in
-    /// flight across a bump was paused on, not raced — the whylate
-    /// engine attributes its lateness to the mode switch.
-    degrade_epoch: u64,
-    /// Continuous-telemetry sampler. `None` by default: the only cost
-    /// an unattached run pays is one `is_some` branch per clock
-    /// advance, so default runs stay bit-identical (the sampler itself
-    /// is pull-only and never advances the clock).
-    sampler: Option<SamplerState>,
-    /// Host-time profiler buckets for the machine's charge paths
-    /// (residency / ledger / journal / sampler). `None` by default,
-    /// following the trace/sampler precedent: detached runs pay one
-    /// `is_some` branch per probed boundary and read no clocks.
-    host_prof: Option<MachineProf>,
-    /// Parity content model of the swap file (RAID-5 rotating parity;
-    /// present only under [`Redundancy::Parity`], so plain machines
-    /// stay bit-identical to pre-redundancy builds).
-    parity: Option<ParityStore>,
-    /// The dead disk slot and its death time, while the array is
-    /// holed: from detection until the rebuild completes (parity mode)
-    /// or forever (no redundancy — every later demand access surfaces
-    /// [`OsError::DiskLost`]).
-    dead_disk: Option<(usize, Ns)>,
-    /// Sim time the death was detected (`rebuild_ns` measures from
-    /// here to rebuild completion).
-    death_detected_at: Ns,
-    /// Rebuild watermark: stripe rows already reconstructed onto the
-    /// hot spare. Rows below the watermark read normally from the
-    /// spare; rows at or above it still go through degraded survivor
-    /// fan-out.
-    rebuilt_rows: u64,
-    /// Sim-time pacing of the scrubber: the watermark may not advance
-    /// before this instant (the spare serializes one row write per
-    /// average disk access).
-    rebuild_next_at: Ns,
-}
-
-/// The attached sampler: a metrics registry whose scalar vector is
-/// refilled from live machine state and snapshotted into a bounded
-/// time-series ring every `interval` of *simulated* time.
-struct SamplerState {
-    reg: MetricsRegistry,
-    ring: TimeSeriesRing,
-    /// Next sim time a row is due.
-    next_due: Ns,
-    /// Disk count captured at attach (fixed for the machine's life).
-    ndisks: usize,
-    /// Tenants registered when the sampler attached; later
-    /// registrations are not sampled (attach after setup to see them).
-    ntenants: usize,
+    /// What has durably landed, the journal, the crash latch (§9).
+    durability: Durability,
+    /// Parity, the dead disk and its rebuild (§14).
+    redundancy: RedundancyState,
+    /// Registered tenants, their quotas and residency views (§10).
+    tenancy: Tenancy,
+    /// The installed prefetch policy (§11).
+    policy: PolicyState,
+    /// Trace, metrics, sampler and host profiler (§3.5, §12, §13).
+    observe: Observers,
 }
 
 impl Machine {
@@ -437,17 +278,6 @@ impl Machine {
             pages: total_pages,
             capacity_blocks: params.disk.blocks,
         })?;
-        // Parity mode keeps the durable content model from day one:
-        // parity is defined over *durable* page images, so the store
-        // must exist even when no crash is scheduled.
-        let parity = (params.redundancy == Redundancy::Parity).then(|| {
-            ParityStore::new(
-                total_pages.div_ceil(params.ndisks as u64 - 1),
-                params.page_bytes,
-            )
-        });
-        let durable = (params.redundancy == Redundancy::Parity)
-            .then(|| DurableStore::new(total_pages, params.page_bytes));
         let bits = ResidencyBits::new(total_pages, params.page_bytes);
         let limit = params.resident_limit;
         let mut disks = DiskArray::new(params.ndisks, params.disk);
@@ -473,43 +303,21 @@ impl Machine {
             free_level: TimeWeighted::start(0, limit as f64),
             finished: false,
             pressure: Vec::new(),
-            trace: None,
-            metrics: None,
             next_span: 1,
             chaos_bits: None,
             fault_plan: None,
-            durable,
-            journal: None,
-            wal_pending: Vec::new(),
-            plain_pending: Vec::new(),
-            wal_durable: Vec::new(),
-            crashed: None,
-            crash_resolved: false,
-            torn_writes: false,
-            crash_rng: None,
-            crash_discarded: Vec::new(),
-            flush_failures: Vec::new(),
-            tenants: Vec::new(),
-            cur_tenant: 0,
-            tenant_bits: Vec::new(),
-            policy: oocp_policy::build(params.policy),
-            policy_issue: false,
-            policy_paused: false,
-            degrade_epoch: 0,
-            sampler: None,
-            host_prof: None,
-            parity,
-            dead_disk: None,
-            death_detected_at: 0,
-            rebuilt_rows: 0,
-            rebuild_next_at: 0,
+            durability: Durability::new(&params, total_pages),
+            redundancy: RedundancyState::new(&params, total_pages),
+            tenancy: Tenancy::default(),
+            policy: PolicyState::new(params.policy),
+            observe: Observers::default(),
         })
     }
 
     /// Install a fault plan: disk-level faults go to the disk array's
-    /// injector, bit-vector staleness stays here, and pressure storms
-    /// are converted into a pressure schedule. Replaces any previously
-    /// installed plan.
+    /// injector, bit-vector staleness stays here, pressure storms are
+    /// converted into a pressure schedule, and a crash point arms the
+    /// durability extension. Replaces any previously installed plan.
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         self.chaos_bits = (plan.bitvec_stale_prob > 0.0).then(|| {
             (
@@ -529,362 +337,17 @@ impl Machine {
         }
         self.disks.set_fault_plan(plan.clone());
         if let Some(spec) = plan.crash {
-            // Durability mode: from here on the simulator distinguishes
-            // the in-memory image from what has durably landed.
-            self.torn_writes = spec.torn_writes;
-            self.crash_rng = Some(SimRng::new(plan.seed ^ 0x70B5_C4A5_11ED));
-            if self.durable.is_none() {
-                self.durable = Some(DurableStore::new(
-                    self.total_pages(),
-                    self.params.page_bytes,
-                ));
-            }
-            if self.params.journal && self.journal.is_none() {
-                self.journal = Some(
-                    WriteJournal::create(&mut self.fs, self.params.journal_blocks_per_disk)
-                        .expect("disks must have room for the writeback journal"),
-                );
-            }
+            self.arm_crash(spec, plan.seed);
         }
         let has_effect =
             plan.is_active() || plan.bitvec_stale_prob > 0.0 || !plan.pressure_storms.is_empty();
         self.fault_plan = has_effect.then(|| plan.clone());
     }
 
-    /// Simulated time of the power loss, if one has happened.
-    pub fn crashed_at(&self) -> Option<Ns> {
-        self.crashed
-    }
-
-    /// Whether this machine keeps a durable page store (a crash is
-    /// scheduled, or it came out of a recovery).
-    pub fn durability_enabled(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// Take the lazy durable-baseline snapshot if durability mode is on
-    /// and it has not been taken yet (first timed access).
-    fn ensure_durable_snapshot(&mut self) {
-        if let Some(d) = &mut self.durable {
-            d.ensure_snapshot(&self.data);
-            // Parity is defined over the durable images; derive it
-            // once, then keep it incrementally consistent at every
-            // durable landing ([`Machine::land_durable`]).
-            if let Some(ps) = &mut self.parity {
-                if !ps.is_synced() {
-                    let k = self.fs.ndisks() as u64 - 1;
-                    ps.resync(k, d.images(), self.pages.len() as u64);
-                }
-            }
-        }
-    }
-
     /// The installed fault plan, if it injects anything at all.
     #[inline]
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
-    }
-
-    /// Enable event tracing with a bounded ring of `capacity` records.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
-    }
-
-    /// Take the trace collected so far (tracing continues with a fresh
-    /// buffer of the same capacity).
-    pub fn take_trace(&mut self) -> Option<Trace> {
-        let cap = self.trace.as_ref().map(|t| t.capacity())?;
-        self.trace.replace(Trace::new(cap))
-    }
-
-    #[inline]
-    fn trace_event(&mut self, event: TraceEvent) {
-        if let Some(t) = &mut self.trace {
-            t.push(self.now, event);
-        }
-    }
-
-    /// Enable the observability layer: latency histograms for fault and
-    /// backpressure waits plus the prefetch-lifecycle ledger. Idempotent
-    /// (re-enabling keeps accumulated state). Timing-neutral: the layer
-    /// only records what already happened and never influences paging.
-    pub fn enable_metrics(&mut self) {
-        if self.metrics.is_none() {
-            self.metrics = Some(ObsMetrics::default());
-        }
-    }
-
-    /// The live observability state, if enabled.
-    pub fn metrics(&self) -> Option<&ObsMetrics> {
-        self.metrics.as_ref()
-    }
-
-    /// Flat snapshot of the observability state, if enabled.
-    pub fn metrics_report(&self) -> Option<MetricsReport> {
-        self.metrics.as_ref().map(|m| m.report())
-    }
-
-    /// Attach the continuous-telemetry sampler: every `interval_ns` of
-    /// simulated time, the full registry of counters and gauges (disk
-    /// queue depths and per-class waits, residency and free-frame
-    /// levels, journal occupancy, ledger and policy counters, ops
-    /// retired) is snapshotted into a ring holding up to `capacity`
-    /// rows. Implies [`Machine::enable_metrics`]. Pull-based and
-    /// passive: sampling reads state the machine already keeps and
-    /// never advances the clock, so a sampled run's simulated timeline
-    /// is identical to an unsampled one.
-    ///
-    /// Per-tenant series cover the tenants registered at attach time;
-    /// attach after `register_tenant` calls to see them all.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero interval or capacity.
-    pub fn attach_sampler(&mut self, interval_ns: Ns, capacity: usize) {
-        self.enable_metrics();
-        let ndisks = self.params.ndisks;
-        let ntenants = self.tenants.len();
-        let mut reg = MetricsRegistry::new();
-        reg.counter("os.user_ops", "interpreter operations retired");
-        reg.counter("os.hard_faults", "demand faults that went to disk");
-        reg.counter("os.soft_faults", "reclaims from the free list");
-        reg.counter("os.prefetch_pages_issued", "prefetch pages put in flight");
-        reg.counter("os.prefetch_pages_dropped", "hint pages dropped");
-        reg.counter(
-            "os.late_prefetch_stall_ns",
-            "time stalled on in-flight prefetches",
-        );
-        reg.gauge("os.resident_pages", "pages resident in memory");
-        reg.gauge("os.free_frames", "unallocated plus reclaimable frames");
-        reg.gauge("os.inflight_prefetch", "prefetch pages in flight");
-        reg.counter("ledger.timely_hits", "prefetches that arrived before use");
-        reg.counter(
-            "ledger.late_inflight",
-            "prefetches consumed while in flight",
-        );
-        reg.counter("journal.appends", "write-ahead journal intents appended");
-        reg.counter("journal.stalls", "writebacks that waited for a ring slot");
-        reg.gauge("journal.ring_in_use", "live journal slots across all rings");
-        reg.counter(
-            "policy.injected_prefetch_pages",
-            "prefetch pages injected by the policy",
-        );
-        reg.counter(
-            "policy.injected_release_pages",
-            "release pages injected by the policy",
-        );
-        reg.counter("disk.demand_wait_ns", "demand-read queue wait, all disks");
-        reg.counter(
-            "disk.prefetch_wait_ns",
-            "prefetch-read queue wait, all disks",
-        );
-        reg.counter("disk.write_wait_ns", "write queue wait, all disks");
-        for d in 0..ndisks {
-            reg.gauge(
-                &format!("disk{d}.queue_len"),
-                "undispatched requests queued",
-            );
-        }
-        for t in 0..ntenants {
-            reg.gauge(
-                &format!("tenant{t}.resident_pages"),
-                "pages resident in the tenant's segment",
-            );
-            reg.gauge(
-                &format!("tenant{t}.inflight_prefetch"),
-                "tenant prefetch pages in flight",
-            );
-        }
-        reg.gauge(
-            "redundancy.rebuild_rows_done",
-            "stripe rows reconstructed onto the hot spare",
-        );
-        reg.counter(
-            "redundancy.degraded_reads",
-            "demand reads served by survivor reconstruction",
-        );
-        reg.counter(
-            "redundancy.hedged_reads",
-            "degraded-mode demand reads that hedged the tail",
-        );
-        reg.hist("os.fault_wait_ns", "demand-fault stall distribution");
-        self.sampler = Some(SamplerState {
-            reg,
-            ring: TimeSeriesRing::new(interval_ns, capacity),
-            next_due: self.now + interval_ns,
-            ndisks,
-            ntenants,
-        });
-    }
-
-    /// The sampled telemetry (registry in its end-of-run state plus the
-    /// time-series ring), if a sampler is attached. Refreshes the
-    /// registry first so exports reflect the final counters.
-    pub fn sampler_output(&mut self) -> Option<(&MetricsRegistry, &TimeSeriesRing)> {
-        let mut s = self.sampler.take()?;
-        self.fill_registry(&mut s);
-        self.sampler = Some(s);
-        self.sampler.as_ref().map(|s| (&s.reg, &s.ring))
-    }
-
-    /// Refill the registry's scalar vector from live machine state, in
-    /// exactly the order [`Machine::attach_sampler`] registered it.
-    fn fill_registry(&self, s: &mut SamplerState) {
-        let st = &self.stats;
-        let ledger = self.metrics.as_ref().map(|m| *m.ledger.counts());
-        let lc = ledger.unwrap_or_default();
-        let journal_in_use: u64 = match &self.journal {
-            Some(j) => (0..s.ndisks).map(|d| j.in_use(d)).sum(),
-            None => 0,
-        };
-        let disk = self.disks.total_stats();
-        let mut v = vec![
-            st.user_ops,
-            st.hard_faults,
-            st.soft_faults,
-            st.prefetch_pages_issued,
-            st.prefetch_pages_dropped,
-            st.late_prefetch_stall_ns,
-            self.resident,
-            self.truly_free() + self.free_list_len(),
-            self.inflight,
-            lc.timely_hits,
-            lc.late_inflight,
-            st.journal_appends,
-            st.journal_stalls,
-            journal_in_use,
-            st.policy_injected_prefetch_pages,
-            st.policy_injected_release_pages,
-            disk.demand_wait_ns,
-            disk.prefetch_wait_ns,
-            disk.write_wait_ns,
-        ];
-        for d in 0..s.ndisks {
-            v.push(self.disks.queue_len(d) as u64);
-        }
-        for t in 0..s.ntenants {
-            let info = &self.tenants[t];
-            let resident = self.tenant_bits.get(t).map_or(0, ResidencyBits::set_bits);
-            v.push(resident);
-            v.push(info.stats.inflight_prefetch);
-        }
-        v.push(self.rebuilt_rows);
-        v.push(st.degraded_reads);
-        v.push(st.hedged_reads);
-        debug_assert_eq!(v.len(), s.reg.values().len());
-        for (i, val) in v.into_iter().enumerate() {
-            s.reg.set(i, val);
-        }
-        if let Some(m) = &self.metrics {
-            s.reg.set_hist(0, m.fault_wait);
-        }
-    }
-
-    /// Emit any sample rows that came due as the clock advanced. Rows
-    /// are stamped at their scheduled tick (the state is read at the
-    /// first instant the machine observes the tick has passed — the
-    /// sim-time analogue of a scrape).
-    #[inline]
-    fn maybe_sample(&mut self) {
-        if self.sampler.is_none() {
-            return;
-        }
-        self.do_sample();
-    }
-
-    #[inline(never)]
-    fn do_sample(&mut self) {
-        let t0 = self.prof_start();
-        let Some(mut s) = self.sampler.take() else {
-            return;
-        };
-        while s.next_due <= self.now {
-            self.fill_registry(&mut s);
-            let row = s.reg.snapshot_row();
-            let due = s.next_due;
-            s.ring.push(due, row);
-            s.next_due = due + s.ring.interval();
-        }
-        self.sampler = Some(s);
-        self.prof_end(t0, MachineBucket::Sampler);
-    }
-
-    /// Attach the host-time profiler: from now on the machine's charge
-    /// paths accrue wall-clock nanoseconds into four flat buckets
-    /// (residency / ledger / journal / sampler). Probes read only the
-    /// host clock, so simulated time, stats, and data stay
-    /// bit-identical to a detached run.
-    pub fn attach_host_prof(&mut self) {
-        self.host_prof = Some(MachineProf::default());
-    }
-
-    /// Detach the host-time profiler and return its buckets, if one
-    /// was attached.
-    pub fn take_host_prof(&mut self) -> Option<MachineProf> {
-        self.host_prof.take()
-    }
-
-    #[inline]
-    fn prof_start(&self) -> Option<std::time::Instant> {
-        if self.host_prof.is_some() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        }
-    }
-
-    #[inline]
-    fn prof_end(&mut self, t0: Option<std::time::Instant>, bucket: MachineBucket) {
-        if let (Some(t0), Some(p)) = (t0, &mut self.host_prof) {
-            p.record(bucket, t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// Figure-5 time attribution of every nanosecond elapsed so far.
-    ///
-    /// Works with or without [`Machine::enable_metrics`] — it is built
-    /// from the always-on [`OsStats`] accumulators — and partitions
-    /// [`Machine::now`] exactly:
-    /// `attribution().total() == breakdown().total() == now()`.
-    pub fn attribution(&self) -> TimeAttribution {
-        let b = self.breakdown;
-        let mut backpressure = self.stats.queue_full_wait_ns + self.stats.io_retry_wait_ns;
-        let mut fault_wait = self.stats.fault_wait.sum() as Ns;
-        let mut late = self.stats.late_prefetch_stall_ns;
-        if self.tenants.len() > 1 {
-            // Co-scheduled tenants overlap their disk waits with each
-            // other's execution, so the per-fault wait sum can exceed
-            // the machine's idle time. The attribution partitions the
-            // *machine's* elapsed time, so the stall buckets are
-            // clamped to the idle they refine; the overlap is visible
-            // per tenant in `TenantStats::fault_wait_ns` instead.
-            backpressure = backpressure.min(b.idle);
-            fault_wait = fault_wait.min(b.idle - backpressure);
-            late = late.min(fault_wait);
-        }
-        TimeAttribution::new(
-            b.user,
-            b.sys_fault,
-            b.sys_prefetch,
-            b.idle,
-            fault_wait,
-            late,
-            backpressure,
-        )
-    }
-
-    /// Record a runtime degradation transition in the trace (the state
-    /// machine itself lives in the run-time layer, which has no trace
-    /// of its own).
-    pub fn note_degraded(&mut self, entered: bool) {
-        if entered {
-            self.degrade_epoch += 1;
-        }
-        self.trace_event(if entered {
-            TraceEvent::DegradedEnter
-        } else {
-            TraceEvent::DegradedExit
-        });
     }
 
     /// Machine parameters.
@@ -964,105 +427,6 @@ impl Machine {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Tenants
-    // ------------------------------------------------------------------
-
-    /// Register a tenant owning a fresh segment of `bytes`. Returns the
-    /// tenant id (dense, registration order) and its segment.
-    ///
-    /// Declares the new tenant count to the disk scheduler so its
-    /// round-robin shares adjust. A machine with no registered tenants
-    /// is the classic single-program machine: one implicit guaranteed
-    /// tenant with no quotas and unchanged behaviour.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the address space is exhausted (see
-    /// [`Machine::alloc_segment`]).
-    pub fn register_tenant(&mut self, spec: TenantSpec, bytes: u64) -> (TenantId, Segment) {
-        let seg = self.alloc_segment(bytes);
-        let id = self.tenants.len() as TenantId;
-        self.tenants.push(TenantInfo {
-            spec,
-            first_page: seg.base / self.params.page_bytes,
-            pages: seg.bytes / self.params.page_bytes,
-            hand: 0,
-            stats: TenantStats::default(),
-        });
-        self.tenant_bits.push(ResidencyBits::new(
-            self.total_pages(),
-            self.params.page_bytes,
-        ));
-        self.disks.set_tenant_count(self.tenants.len());
-        (id, seg)
-    }
-
-    /// Select the tenant whose accesses and hints execute next (the
-    /// co-scheduling hub calls this before each slice).
-    pub fn set_tenant(&mut self, t: TenantId) {
-        debug_assert!(
-            (t as usize) < self.tenants.len().max(1),
-            "unknown tenant {t}"
-        );
-        self.cur_tenant = t;
-    }
-
-    /// The currently selected tenant (0 without registrations).
-    pub fn cur_tenant(&self) -> TenantId {
-        self.cur_tenant
-    }
-
-    /// Number of tenants sharing the machine (1 without registrations).
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len().max(1)
-    }
-
-    /// A tenant's policy (the implicit solo tenant is unlimited).
-    pub fn tenant_spec(&self, t: TenantId) -> TenantSpec {
-        self.tenants
-            .get(t as usize)
-            .map_or_else(TenantSpec::unlimited, |i| i.spec)
-    }
-
-    /// A tenant's counters (zeros for the implicit solo tenant — its
-    /// events live in the shared [`OsStats`]).
-    pub fn tenant_stats(&self, t: TenantId) -> TenantStats {
-        self.tenants
-            .get(t as usize)
-            .map(|i| i.stats)
-            .unwrap_or_default()
-    }
-
-    /// A tenant's private residency bit vector (its own pages only).
-    /// Falls back to the shared vector without registrations.
-    #[inline]
-    pub fn tenant_bits_of(&self, t: TenantId) -> &ResidencyBits {
-        self.tenant_bits.get(t as usize).unwrap_or(&self.bits)
-    }
-
-    /// Frames currently charged to a tenant: active resident pages plus
-    /// in-flight prefetches inside its segment (free-list pages are
-    /// reclaimable by anyone and charged to no one). For the implicit
-    /// solo tenant this is the machine-wide occupancy.
-    pub fn tenant_usage(&self, t: TenantId) -> u64 {
-        let Some(info) = self.tenants.get(t as usize) else {
-            return self.resident + self.inflight;
-        };
-        let mut used = 0;
-        for v in info.first_page..info.first_page + info.pages {
-            match self.pages[v as usize].state {
-                PageState::Resident {
-                    on_free_list: false,
-                    ..
-                }
-                | PageState::InFlight { .. } => used += 1,
-                _ => {}
-            }
-        }
-        used
-    }
-
     /// Classify global memory pressure from the free pool against the
     /// pageout watermarks. The arbiter sheds hint load in QoS order as
     /// this rises; the hub additionally pushes low-QoS tenants into
@@ -1084,108 +448,6 @@ impl Machine {
     /// clock is already past `until`.
     pub fn advance_idle_to(&mut self, until: Ns) {
         self.stall_until(until);
-    }
-
-    /// The tenant owning `vpage`, if any segment covers it.
-    fn owner_of(&self, vpage: u64) -> Option<TenantId> {
-        if self.tenants.is_empty() {
-            return None;
-        }
-        // Segments are allocated in ascending page order.
-        let idx = self
-            .tenants
-            .partition_point(|i| i.first_page <= vpage)
-            .checked_sub(1)?;
-        let info = &self.tenants[idx];
-        (vpage < info.first_page + info.pages).then_some(idx as TenantId)
-    }
-
-    /// Adjust the owner's in-flight prefetch gauge when a page enters
-    /// or leaves `InFlight` (no-op without registered tenants).
-    #[inline]
-    fn note_tenant_inflight(&mut self, vpage: u64, delta: i64) {
-        if self.tenants.is_empty() {
-            return;
-        }
-        if let Some(t) = self.owner_of(vpage) {
-            let g = &mut self.tenants[t as usize].stats.inflight_prefetch;
-            *g = (*g as i64 + delta) as u64;
-        }
-    }
-
-    /// Attribute a demand fault and its stall to the current tenant.
-    #[inline]
-    fn note_tenant_fault(&mut self, waited: Ns) {
-        if let Some(info) = self.tenants.get_mut(self.cur_tenant as usize) {
-            info.stats.demand_faults += 1;
-            info.stats.fault_wait_ns += waited;
-        }
-    }
-
-    /// Memory-quota enforcement on the demand path: while the current
-    /// tenant is at or over its frame quota, evict one of its *own*
-    /// pages, so over-quota tenants recycle their own frames instead of
-    /// taking anyone else's — and a quota-starved tenant still makes
-    /// progress.
-    fn enforce_memory_quota(&mut self) {
-        let Some(info) = self.tenants.get(self.cur_tenant as usize) else {
-            return;
-        };
-        let Some(q) = info.spec.memory_frames else {
-            return;
-        };
-        let q = q.max(1);
-        while self.tenant_usage(self.cur_tenant) >= q {
-            if !self.evict_own_page(self.cur_tenant) {
-                break; // everything left is in flight; let it land
-            }
-        }
-    }
-
-    /// Clock-scan the tenant's segment and evict one of its active
-    /// resident pages (second chance on the first pass). Returns
-    /// `false` if nothing was evictable.
-    fn evict_own_page(&mut self, t: TenantId) -> bool {
-        let (first, pages) = {
-            let i = &self.tenants[t as usize];
-            (i.first_page, i.pages)
-        };
-        let mut scanned = 0;
-        while scanned < 2 * pages {
-            let hand = self.tenants[t as usize].hand;
-            let v = first + hand;
-            self.tenants[t as usize].hand = (hand + 1) % pages;
-            scanned += 1;
-            self.settle(v);
-            if let PageState::Resident {
-                dirty,
-                referenced,
-                on_free_list: false,
-            } = self.pages[v as usize].state
-            {
-                if referenced && scanned <= pages {
-                    self.pages[v as usize].state = PageState::Resident {
-                        dirty,
-                        referenced: false,
-                        on_free_list: false,
-                    };
-                } else {
-                    // Through the free list so dirty pages get their
-                    // writeback, then straight back off it: the frame
-                    // goes to the global pool, not to a neighbour's
-                    // reclaim.
-                    self.queue_on_free_list(v, true);
-                    if let Some(p) = self.pop_free_list() {
-                        debug_assert_eq!(p, v);
-                        self.reclaim(p);
-                    }
-                    self.tenants[t as usize].stats.quota_evictions += 1;
-                    self.trace_event(TraceEvent::Eviction { page: v });
-                    return true;
-                }
-            }
-        }
-        false
     }
 
     // ------------------------------------------------------------------
@@ -1238,11 +500,7 @@ impl Machine {
         if !p.bit_noted {
             p.bit_noted = true;
             self.bits.note_resident(vpage);
-            if !self.tenant_bits.is_empty() {
-                if let Some(t) = self.owner_of(vpage) {
-                    self.tenant_bits[t as usize].note_resident(vpage);
-                }
-            }
+            self.note_tenant_bit(vpage, true);
         }
     }
 
@@ -1266,11 +524,7 @@ impl Machine {
                 }
             }
             self.bits.note_gone(vpage);
-            if !self.tenant_bits.is_empty() {
-                if let Some(t) = self.owner_of(vpage) {
-                    self.tenant_bits[t as usize].note_gone(vpage);
-                }
-            }
+            self.note_tenant_bit(vpage, false);
         }
     }
 
@@ -1288,26 +542,20 @@ impl Machine {
         }
         let fixed = before.saturating_sub(fresh.set_bits());
         self.bits = fresh;
-        for t in 0..self.tenant_bits.len() {
-            let mut tv = ResidencyBits::new(self.total_pages(), self.params.page_bytes);
-            let info = &self.tenants[t];
-            for v in info.first_page..info.first_page + info.pages {
-                if self.pages[v as usize].bit_noted {
-                    tv.note_resident(v);
-                }
-            }
-            self.tenant_bits[t] = tv;
-        }
+        self.resync_tenant_bits();
         self.stats.bitvec_resyncs += 1;
         self.stats.bitvec_stale_fixed += fixed;
         self.trace_event(TraceEvent::BitvecResync { fixed });
         fixed
     }
+}
 
-    // ------------------------------------------------------------------
-    // Frame accounting
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Frames: the free list, the pageout daemon, and the disk requests the
+// application needs
+// ----------------------------------------------------------------------
 
+impl Machine {
     fn truly_free(&self) -> u64 {
         self.params
             .resident_limit
@@ -1336,7 +584,7 @@ impl Machine {
                 self.resident += 1;
                 // `done` is the read's exact completion time even when
                 // this observation is late (completions settle lazily).
-                if let Some(mx) = &mut self.metrics {
+                if let Some(mx) = &mut self.observe.metrics {
                     mx.ledger.arrived(vpage, done);
                 }
                 let span = self.pages[vpage as usize].span;
@@ -1345,11 +593,7 @@ impl Machine {
                     span,
                     arrival: done,
                 });
-                if self.policy_ready() {
-                    if let Some(pol) = self.policy.as_mut() {
-                        pol.on_prefetch_arrived(vpage, done);
-                    }
-                }
+                self.policy_arrived(vpage, done);
             }
         }
     }
@@ -1380,14 +624,12 @@ impl Machine {
         self.bit_out(vpage);
         // If a prefetch loaded this page and it was never touched, its
         // I/O is now provably wasted (no-op for demand-loaded pages).
-        if let Some(mx) = &mut self.metrics {
+        if let Some(mx) = &mut self.observe.metrics {
             mx.ledger.evicted(vpage);
         }
         self.pages[vpage as usize].span = 0;
-        if wasted && self.policy_ready() {
-            if let Some(pol) = self.policy.as_mut() {
-                pol.on_prefetch_evicted_unused(vpage);
-            }
+        if wasted {
+            self.policy_evicted_unused(vpage);
         }
     }
 
@@ -1438,7 +680,7 @@ impl Machine {
                 Err(IoError::Crashed { at }) => {
                     // Power loss: latch it. Not retryable, not counted
                     // against the retry budget — the disks are gone.
-                    self.crashed = Some(at);
+                    self.latch_crash(at);
                     return Err(OsError::Crashed { at });
                 }
                 Err(IoError::DiskDead { disk: d, at }) => {
@@ -1460,7 +702,7 @@ impl Machine {
                     self.charge(TimeCategory::Idle, wait);
                     self.stats.queue_full_waits += 1;
                     self.stats.queue_full_wait_ns += wait;
-                    if let Some(mx) = &mut self.metrics {
+                    if let Some(mx) = &mut self.observe.metrics {
                         mx.queue_wait.record(wait);
                     }
                     self.trace_event(TraceEvent::QueueFullWait {
@@ -1527,109 +769,28 @@ impl Machine {
         self.retry_ladder(disk, req, vpage, DiskArray::try_track)
     }
 
-    /// Record a whole-disk death the first time any submission path
-    /// observes it. Returns whether the machine can tolerate the loss:
-    /// `true` only in parity mode for a first (or already-known) death,
-    /// in which case the hot spare is installed into the dead slot at
-    /// once and the rebuild watermark starts at zero — the injector
-    /// stops failing the slot, and from here on the *machine* gates
-    /// reads by `rebuilt_rows`. A second concurrent death (or any death
-    /// without redundancy) is data loss.
-    fn note_disk_death(&mut self, disk: usize, at: Ns) -> bool {
-        match self.dead_disk {
-            Some((d, _)) if d == disk => self.parity.is_some(),
-            Some(_) => false,
-            None => {
-                self.dead_disk = Some((disk, at));
-                self.death_detected_at = self.now;
-                if self.parity.is_some() {
-                    self.disks.install_spare(disk);
-                    self.rebuilt_rows = 0;
-                    self.rebuild_next_at = self.now;
-                    true
-                } else {
-                    false
-                }
-            }
-        }
-    }
-
-    /// Whether the array is currently holed: a disk died and (in parity
-    /// mode) the rebuild has not yet completed.
-    pub fn degraded_active(&self) -> bool {
-        self.dead_disk.is_some()
-    }
-
-    /// The dead disk slot and its death time, while the array is holed.
-    pub fn dead_disk(&self) -> Option<(usize, Ns)> {
-        self.dead_disk
-    }
-
-    /// Rebuild progress as `(rows_rebuilt, total_rows)`. Total is zero
-    /// for machines without a parity layout.
-    pub fn rebuild_progress(&self) -> (u64, u64) {
-        (self.rebuilt_rows, self.fs.rows(self.swap).unwrap_or(0))
-    }
-
-    /// Whether a read of `vpage` (whose home block is on `disk`) must
-    /// go through degraded survivor reconstruction: the home disk is
-    /// the dead slot, parity exists, and the page's stripe row has not
-    /// yet been rebuilt onto the spare.
-    fn read_goes_degraded(&self, disk: usize, vpage: u64) -> bool {
-        let Some((dead, _)) = self.dead_disk else {
-            return false;
-        };
-        if disk != dead || self.parity.is_none() {
-            return false;
-        }
-        self.fs
-            .row_of(self.swap, vpage)
-            .is_ok_and(|r| r >= self.rebuilt_rows)
-    }
-
-    /// Snapshot the current in-memory image of `vpage` (the bytes a
-    /// writeback would persist).
-    fn page_image(&self, vpage: u64) -> Vec<u8> {
-        let start = (vpage * self.params.page_bytes) as usize;
-        self.data[start..start + self.params.page_bytes as usize].to_vec()
-    }
-
     /// Schedule a write-back of `vpage`'s current contents.
     ///
     /// Failures are retried with backoff; if retries exhaust, the
     /// write-back is abandoned, counted, and the page recorded for
     /// [`Machine::try_finish`]'s [`FlushError`] — the simulator's
     /// backing store is authoritative, so abandonment affects the
-    /// durability ledger, never the computed results. In durability
-    /// mode the write goes through the write-ahead journal (or, with
-    /// the journal disabled, as a bare tracked write), so crash
-    /// resolution can decide exactly what landed.
+    /// durability ledger, never the computed results.
     fn writeback(&mut self, vpage: u64) {
-        if self.crashed.is_some() {
+        if self.durability.crashed.is_some() {
             // Power is out: the write can never happen.
-            self.stats.writebacks_abandoned += 1;
-            self.flush_failures.push(vpage);
+            self.abandon_writeback(vpage);
             return;
         }
         let (disk, block) = self
             .fs
             .place(self.swap, vpage)
             .expect("resident page must have backing blocks");
-        if self.parity.is_some() {
-            // RAID-5 read-modify-write: every data writeback carries a
-            // parity-block write on the row's parity disk. The content
-            // change lands when the data write settles
-            // ([`Machine::land_durable`]); this models the traffic.
+        if self.redundancy.parity.is_some() {
             self.post_parity_write(vpage);
         }
-        if self.durable.is_some() {
-            self.ensure_durable_snapshot();
-            let payload = self.page_image(vpage);
-            if self.journal.is_some() {
-                self.writeback_journaled(vpage, disk, block, payload);
-            } else {
-                self.writeback_plain(vpage, disk, block, payload);
-            }
+        if self.durability.store.is_some() {
+            self.writeback_durable(vpage, disk, block);
             return;
         }
         let owner = self.owner_of(vpage).unwrap_or(0);
@@ -1638,194 +799,15 @@ impl Machine {
             Request::new(ReqKind::Write, block, 1).with_tenant(owner),
             vpage,
         ) {
-            Ok(_) => {
-                self.stats.writebacks += 1;
-                self.trace_event(TraceEvent::Writeback { page: vpage });
-            }
-            Err(_) => {
-                self.stats.writebacks_abandoned += 1;
-                self.flush_failures.push(vpage);
-            }
+            Ok(_) => self.note_writeback(vpage),
+            Err(_) => self.abandon_writeback(vpage),
         }
     }
 
-    /// The WAL commit protocol for one writeback. All four writes are
-    /// issued up front on the page's disk; ordering is enforced
-    /// *logically* by effective completion times (each stage's
-    /// effective time is the max of its own completion and the prior
-    /// stage's), which models a per-disk write barrier without
-    /// serializing the physical queue:
-    ///
-    /// 1. descriptor + payload into the journal slot  (seal),
-    /// 2. the in-place data write to the home block   (apply),
-    /// 3. the descriptor rewritten with its commit mark (commit).
-    fn writeback_journaled(&mut self, vpage: u64, disk: usize, block: u64, payload: Vec<u8>) {
-        let t0 = self.prof_start();
-        self.writeback_journaled_inner(vpage, disk, block, payload);
-        self.prof_end(t0, MachineBucket::Journal);
-    }
-
-    fn writeback_journaled_inner(&mut self, vpage: u64, disk: usize, block: u64, payload: Vec<u8>) {
-        let slot = loop {
-            let j = self.journal.as_mut().expect("journaled writeback");
-            match j.reserve(disk) {
-                Some(slot) => break slot,
-                None => {
-                    if !self.force_retire_oldest(disk) {
-                        self.stats.writebacks_abandoned += 1;
-                        self.flush_failures.push(vpage);
-                        return;
-                    }
-                }
-            }
-        };
-        self.stats.journal_appends += 1;
-        let issue = |m: &mut Self, b: u64| {
-            m.submit_tracked_with_retry(disk, Request::new(ReqKind::Write, b, 1), vpage)
-                .ok()
-        };
-        let desc = issue(self, slot.desc_block);
-        let pay = issue(self, slot.payload_block);
-        let data = issue(self, block);
-        let commit = issue(self, slot.desc_block);
-        let complete = desc.is_some() && pay.is_some() && data.is_some() && commit.is_some();
-        self.wal_pending.push(WalRecord {
-            seq: slot.seq,
-            disk,
-            vpage,
-            payload,
-            desc,
-            pay,
-            data,
-            commit,
-        });
-        if complete {
-            self.stats.writebacks += 1;
-            self.trace_event(TraceEvent::Writeback { page: vpage });
-        } else if self.crashed.is_none() {
-            // Retries exhausted mid-protocol with the power still on:
-            // the update may never land, so report it as unflushed.
-            self.stats.writebacks_abandoned += 1;
-            self.flush_failures.push(vpage);
-        }
-    }
-
-    /// Durable writeback without WAL protection: one bare tracked
-    /// write. A crash catching it mid-air can tear the home block with
-    /// no payload to repair from — the unrecoverable case.
-    fn writeback_plain(&mut self, vpage: u64, disk: usize, block: u64, payload: Vec<u8>) {
-        match self.submit_tracked_with_retry(disk, Request::new(ReqKind::Write, block, 1), vpage) {
-            Ok(data) => {
-                self.stats.writebacks += 1;
-                self.trace_event(TraceEvent::Writeback { page: vpage });
-                self.plain_pending.push(PlainWrite {
-                    vpage,
-                    payload,
-                    data,
-                });
-            }
-            Err(OsError::Crashed { .. }) => {
-                // Never accepted: the home block keeps the old image;
-                // the update is simply lost.
-                self.crash_discarded.push(vpage);
-                self.flush_failures.push(vpage);
-            }
-            Err(_) => {
-                self.stats.writebacks_abandoned += 1;
-                self.flush_failures.push(vpage);
-            }
-        }
-    }
-
-    /// Post the parity-block write that accompanies a data writeback
-    /// in parity mode. Skipped when the row's parity block sits on the
-    /// un-rebuilt part of the dead disk (there is nowhere to write it
-    /// until the rebuild reaches that row). Queue-full refusals are
-    /// dropped — the traffic is timing-only; the content model is
-    /// updated at the durable landing regardless.
-    fn post_parity_write(&mut self, vpage: u64) {
-        let Ok(row) = self.fs.row_of(self.swap, vpage) else {
-            return;
-        };
-        let Ok((pd, pb)) = self.fs.parity_place(self.swap, row) else {
-            return;
-        };
-        if let Some((dead, _)) = self.dead_disk {
-            if pd == dead && row >= self.rebuilt_rows {
-                return;
-            }
-        }
-        let owner = self.owner_of(vpage).unwrap_or(0);
-        match self.disks.try_post(
-            pd,
-            self.now,
-            Request::new(ReqKind::Write, pb, 1).with_tenant(owner),
-        ) {
-            Ok(()) => self.stats.parity_writes += 1,
-            Err(IoError::Crashed { at }) => self.crashed = Some(at),
-            Err(IoError::DiskDead { disk, at }) => {
-                self.note_disk_death(disk, at);
-            }
-            Err(_) => {}
-        }
-    }
-
-    /// Land a page image in the durable store, first folding the
-    /// change into its stripe row's parity content (the XOR identity
-    /// `parity ^= old ^ new` needs the *old* durable image, so the
-    /// order matters).
-    fn land_durable(&mut self, vpage: u64, payload: &[u8]) {
-        if self.parity.is_some() {
-            if let Ok(row) = self.fs.row_of(self.swap, vpage) {
-                if let (Some(ps), Some(d)) = (&mut self.parity, &self.durable) {
-                    if ps.is_synced() {
-                        ps.update(row, d.page(vpage), payload);
-                    }
-                }
-            }
-        }
-        if let Some(d) = &mut self.durable {
-            d.write_page(vpage, payload);
-        }
-    }
-
-    /// Synchronously make the oldest journal record on `disk` durable
-    /// and reclaim its slot (the ring is full). Returns `false` if
-    /// there is nothing to retire.
-    fn force_retire_oldest(&mut self, disk: usize) -> bool {
-        let Some(seq) = self.journal.as_ref().and_then(|j| j.oldest_live(disk)) else {
-            return false;
-        };
-        let Some(idx) = self
-            .wal_pending
-            .iter()
-            .position(|r| r.disk == disk && r.seq == seq)
-        else {
-            // Already resolved elsewhere; just reclaim the slot.
-            self.journal.as_mut().expect("journal").retire(disk, seq);
-            return true;
-        };
-        let rec = self.wal_pending.remove(idx);
-        let done = [rec.desc, rec.pay, rec.data, rec.commit]
-            .into_iter()
-            .flatten()
-            .map(|t| self.disks.wait_for(t))
-            .max()
-            .unwrap_or(self.now);
-        self.stall_until(done);
-        self.stats.journal_stalls += 1;
-        if rec.data.is_some() {
-            self.land_durable(rec.vpage, &rec.payload);
-        }
-        self.journal.as_mut().expect("journal").retire(disk, seq);
-        self.wal_durable.push(DurableRecord {
-            seq: rec.seq,
-            disk: rec.disk,
-            vpage: rec.vpage,
-            payload: rec.payload,
-            committed: true,
-        });
-        true
+    /// A write-back was accepted by the disks.
+    fn note_writeback(&mut self, vpage: u64) {
+        self.stats.writebacks += 1;
+        self.trace_event(TraceEvent::Writeback { page: vpage });
     }
 
     /// Move a resident page to the free list (daemon eviction path).
@@ -1848,23 +830,24 @@ impl Machine {
         self.reclaimable += 1;
     }
 
-    /// Pageout daemon: clock-scan resident pages onto the free list until
-    /// the pool reaches the high watermark.
-    ///
-    /// The daemon's CPU time is not charged to the application (it ran on
-    /// spare cycles in Hurricane); its disk traffic is fully modeled.
-    fn run_daemon(&mut self) {
-        let pool = self.truly_free() + self.free_list_len();
-        if pool >= self.params.low_water {
-            return;
-        }
-        let total = self.total_pages();
-        let mut scanned = 0u64;
-        let mut pool = pool;
-        while pool < self.params.high_water && scanned < 2 * total {
-            let v = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % total;
-            scanned += 1;
+    /// The clock-with-second-chance sweep, for the global hand and the
+    /// tenants' own: advance `hand` over the `len` pages from `first`,
+    /// settling each, until it has passed an active page whose
+    /// referenced bit is clear — the victim. A referenced page loses the
+    /// bit instead; nothing sets one during a sweep, so only the first
+    /// revolution has any to clear. `scanned` counts steps across the
+    /// calls of one eviction round, which gives up after two revolutions.
+    fn clock_sweep(
+        &mut self,
+        first: u64,
+        len: u64,
+        hand: &mut u64,
+        scanned: &mut u64,
+    ) -> Option<u64> {
+        while *scanned < 2 * len {
+            let v = first + *hand;
+            *hand = (*hand + 1) % len;
+            *scanned += 1;
             self.settle(v);
             if let PageState::Resident {
                 dirty,
@@ -1872,19 +855,49 @@ impl Machine {
                 on_free_list: false,
             } = self.pages[v as usize].state
             {
-                if referenced {
+                if referenced && *scanned <= len {
                     self.pages[v as usize].state = PageState::Resident {
                         dirty,
                         referenced: false,
                         on_free_list: false,
                     };
                 } else {
-                    self.queue_on_free_list(v, false);
-                    self.stats.daemon_evictions += 1;
-                    self.trace_event(TraceEvent::Eviction { page: v });
-                    pool += 1;
+                    return Some(v);
                 }
             }
+        }
+        None
+    }
+
+    /// One eviction by the global clock hand, onto the back of the free
+    /// list. `None` once two revolutions have found no victim.
+    fn daemon_evict(&mut self, scanned: &mut u64) -> Option<u64> {
+        let mut hand = self.clock_hand;
+        let victim = self.clock_sweep(0, self.total_pages(), &mut hand, scanned);
+        self.clock_hand = hand;
+        let v = victim?;
+        self.queue_on_free_list(v, false);
+        self.stats.daemon_evictions += 1;
+        Some(v)
+    }
+
+    /// Pageout daemon: clock-scan resident pages onto the free list until
+    /// the pool reaches the high watermark.
+    ///
+    /// The daemon's CPU time is not charged to the application (it ran on
+    /// spare cycles in Hurricane); its disk traffic is fully modeled.
+    fn run_daemon(&mut self) {
+        let mut pool = self.truly_free() + self.free_list_len();
+        if pool >= self.params.low_water {
+            return;
+        }
+        let mut scanned = 0;
+        while pool < self.params.high_water {
+            let Some(page) = self.daemon_evict(&mut scanned) else {
+                break;
+            };
+            self.trace_event(TraceEvent::Eviction { page });
+            pool += 1;
         }
     }
 
@@ -1929,11 +942,13 @@ impl Machine {
         }
         false
     }
+}
 
-    // ------------------------------------------------------------------
-    // Demand accesses
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Demand accesses
+// ----------------------------------------------------------------------
 
+impl Machine {
     /// Touch the bytes `[addr, addr + len)` as a demand access,
     /// faulting as needed. `write` marks the pages dirty.
     ///
@@ -1962,28 +977,17 @@ impl Machine {
         if self.touch_is_hit(addr, len, write) {
             return Ok(0);
         }
-        self.try_touch_miss(addr, len, write)
+        match self.touch_miss(addr, len, write, FaultWait::Inline)? {
+            Touch::Done { faults } => Ok(faults),
+            Touch::Blocked { .. } => unreachable!("an inline wait stalls; it never blocks"),
+        }
     }
 
     /// The resident-hit fast path: whether the demand access
     /// `[addr, addr + len)` changes nothing at all, so its caller may
     /// skip [`Machine::try_touch`] altogether. True when the access
-    /// lies in one page, that page is [`Page::hot`], and nothing the
-    /// touch preamble consults is armed:
-    ///
-    /// * `host_prof` counts every touch into its residency bucket;
-    /// * `durable` takes its lazy baseline snapshot on the first timed
-    ///   access;
-    /// * `crashed` serves accesses zombie-style;
-    /// * a non-empty `pressure` schedule is applied as the clock passes
-    ///   each entry, and a touch is where that is noticed;
-    /// * `dead_disk` pumps the rebuild on every touch.
-    ///
-    /// Sampler, metrics, trace, policy and tenants are not on the list:
-    /// the resident arm of `touch_page` consults them only on the first
-    /// touch after a load or for a page with an open prefetch span, and
-    /// a hot page is neither; the sampler fires from `charge`, and a
-    /// hit charges nothing.
+    /// lies in one page, that page is [`Page::hot`], and no extension
+    /// that intercepts an access is armed.
     #[inline]
     fn touch_is_hit(&self, addr: u64, len: u64, write: bool) -> bool {
         debug_assert!(!self.finished, "touch after finish()");
@@ -1995,11 +999,58 @@ impl Machine {
         let vpage = self.page_of(addr);
         vpage == self.page_of(end)
             && self.pages.get(vpage as usize).is_some_and(|p| p.hot(write))
-            && self.host_prof.is_none()
-            && self.durable.is_none()
-            && self.crashed.is_none()
+            && self.extensions_quiet()
+    }
+
+    /// The extensions that intercept a demand access or a hint call
+    /// before the core sees it, each with what it does there. This and
+    /// [`Machine::wake_extensions`] are the one place the list is
+    /// written: the fast path asks whether all of them are disarmed, the
+    /// slow path and the hints give each armed one its turn.
+    ///
+    /// Tenancy, policy, and the trace, metrics and sampler observers are
+    /// not on it: the resident arm of `touch_page` consults them only on
+    /// the first touch after a load or for a page with an open prefetch
+    /// span, and a hot page is neither; the sampler fires from `charge`,
+    /// and a hit charges nothing.
+    #[inline]
+    fn extensions_quiet(&self) -> bool {
+        // The host profiler counts every touch into its residency bucket.
+        self.observe.host_prof.is_none()
+            // The durable store takes its lazy baseline snapshot on the
+            // first timed access.
+            && self.durability.store.is_none()
+            // A crashed machine serves accesses zombie-style.
+            && self.durability.crashed.is_none()
+            // Pressure-schedule entries are applied as the clock passes
+            // them, and an access or a hint is where that is noticed.
             && self.pressure.is_empty()
-            && self.dead_disk.is_none()
+            // A dead disk's rebuild is pumped from every entry point.
+            && self.redundancy.dead_disk.is_none()
+    }
+
+    /// Give every armed extension of [`Machine::extensions_quiet`] its
+    /// turn, in the same order, at the head of a demand access or a hint
+    /// call. Returns `false` when the power is out: there is no disk and
+    /// no time, and the caller serves the access from memory or drops
+    /// the hint.
+    #[inline(always)]
+    fn wake_extensions(&mut self) -> bool {
+        // The host profiler has no turn here: its probe brackets the
+        // whole access in `touch_miss`, and hints are not probed.
+        if self.durability.store.is_some() {
+            self.ensure_durable_snapshot();
+        }
+        if self.durability.crashed.is_some() {
+            return false;
+        }
+        if !self.pressure.is_empty() {
+            self.apply_pressure();
+        }
+        if self.redundancy.dead_disk.is_some() {
+            self.pump_rebuild();
+        }
+        true
     }
 
     /// What every demand access does before its first page, blocking
@@ -2008,49 +1059,49 @@ impl Machine {
     #[inline(always)]
     fn touch_preamble(&mut self, addr: u64, len: u64, write: bool) -> Option<(u64, u64)> {
         debug_assert!(!self.finished, "touch after finish()");
-        if self.durable.is_some() {
-            self.ensure_durable_snapshot();
-        }
+        let powered = self.wake_extensions();
         let first = self.page_of(addr);
         let last = self.page_of(addr + len.max(1) - 1);
-        if self.crashed.is_some() {
-            // Zombie mode: the power is out, so there is no disk and no
-            // time — serve from the in-memory image so the interpreter
-            // can run to completion and the harness can recover.
-            for vpage in first..=last {
-                self.touch_page_crashed(vpage, write);
-            }
+        if !powered {
+            self.touch_crashed(first, last, write);
             return None;
-        }
-        if !self.pressure.is_empty() {
-            self.apply_pressure();
-        }
-        if self.dead_disk.is_some() {
-            self.pump_rebuild();
         }
         Some((first, last))
     }
 
-    /// [`Machine::try_touch`] past the fast path: every access that is
-    /// not a resident hit, and for the differential test all of them.
-    fn try_touch_miss(&mut self, addr: u64, len: u64, write: bool) -> Result<u64, OsError> {
+    /// A demand access past the fast path: every access that is not a
+    /// resident hit, and for the differential test all of them. Under
+    /// [`FaultWait::Inline`] each fault has been stalled out by the time
+    /// it is counted, so the result is never [`Touch::Blocked`].
+    fn touch_miss(
+        &mut self,
+        addr: u64,
+        len: u64,
+        write: bool,
+        wait: FaultWait,
+    ) -> Result<Touch, OsError> {
         let t0 = self.prof_start();
-        let r = self.try_touch_inner(addr, len, write);
-        self.prof_end(t0, MachineBucket::Residency);
-        r
-    }
-
-    fn try_touch_inner(&mut self, addr: u64, len: u64, write: bool) -> Result<u64, OsError> {
-        let Some((first, last)) = self.touch_preamble(addr, len, write) else {
-            return Ok(0);
-        };
-        let mut faults = 0;
-        for vpage in first..=last {
-            if self.touch_page(vpage, write, FaultWait::Inline)?.is_some() {
-                faults += 1;
+        let touched = (|| {
+            let Some((first, last)) = self.touch_preamble(addr, len, write) else {
+                return Ok(Touch::Done { faults: 0 });
+            };
+            let mut faults = 0;
+            for vpage in first..=last {
+                match self.touch_page(vpage, write, wait)? {
+                    None => {}
+                    Some(until) if until > self.now => {
+                        // Counted faults on earlier pages stay counted
+                        // in the stats; the retry re-reports only the
+                        // rest.
+                        return Ok(Touch::Blocked { until });
+                    }
+                    Some(_) => faults += 1,
+                }
             }
-        }
-        Ok(faults)
+            Ok(Touch::Done { faults })
+        })();
+        self.prof_end(t0, MachineBucket::Residency);
+        touched
     }
 
     /// Non-blocking variant of [`Machine::try_touch`] for co-scheduling
@@ -2071,174 +1122,20 @@ impl Machine {
         if self.touch_is_hit(addr, len, write) {
             return Ok(Touch::Done { faults: 0 });
         }
-        self.touch_nb_miss(addr, len, write)
+        self.touch_miss(addr, len, write, FaultWait::Caller)
     }
 
-    /// [`Machine::touch_nb`] past the fast path.
-    fn touch_nb_miss(&mut self, addr: u64, len: u64, write: bool) -> Result<Touch, OsError> {
-        let t0 = self.prof_start();
-        let r = self.touch_nb_inner(addr, len, write);
-        self.prof_end(t0, MachineBucket::Residency);
-        r
+    /// The demand read of one block on behalf of the current tenant.
+    fn demand_request(&self, block: u64) -> Request {
+        Request::new(ReqKind::DemandRead, block, 1).with_tenant(self.tenancy.cur)
     }
 
-    fn touch_nb_inner(&mut self, addr: u64, len: u64, write: bool) -> Result<Touch, OsError> {
-        let Some((first, last)) = self.touch_preamble(addr, len, write) else {
-            return Ok(Touch::Done { faults: 0 });
-        };
-        let mut faults = 0;
-        for vpage in first..=last {
-            match self.touch_page(vpage, write, FaultWait::Caller)? {
-                None => {}
-                Some(until) if until > self.now => {
-                    // Counted faults on earlier pages stay counted in
-                    // the stats; the retry re-reports only the rest.
-                    return Ok(Touch::Blocked { until });
-                }
-                Some(_) => faults += 1,
-            }
-        }
-        Ok(Touch::Done { faults })
-    }
-
-    /// Assign the single dominant cause of a late prefetch: the page
-    /// was touched at `touch` (before any stall) while its read, whose
-    /// completion detail is `c`, was still in flight. The decision tree
-    /// (documented on [`LateCause`]) checks environmental interference
-    /// first, then asks whether even an uncontended disk could have made
-    /// the deadline, then splits the remainder by where the flight time
-    /// actually went.
-    fn classify_late(&self, vpage: u64, touch: Ns, c: Completion) -> LateCause {
-        let Some((issued_at, js0, de0)) = self
-            .metrics
-            .as_ref()
-            .and_then(|m| m.ledger.issue_ctx(vpage))
-        else {
-            return LateCause::IssueLag;
-        };
-        let flags = self
-            .metrics
-            .as_ref()
-            .and_then(|m| m.ledger.issue_flags(vpage))
-            .unwrap_or(0);
-        if flags & ISSUE_DEGRADED != 0 {
-            // The read itself was a survivor fan-out for a page on the
-            // dead disk — reconstruction latency, not scheduling.
-            return LateCause::DegradedRead;
-        }
-        if self.degrade_epoch != de0 {
-            return LateCause::DegradedPause;
-        }
-        if self.stats.journal_stalls > js0 && c.wait >= c.service {
-            return LateCause::JournalStall;
-        }
-        if flags & ISSUE_REBUILD_ACTIVE != 0 && c.wait >= c.service {
-            // Queue wait dominated while the rebuild scrubber was
-            // pushing reconstruction I/O through the survivors.
-            return LateCause::RebuildContention;
-        }
-        if touch.saturating_sub(issued_at) < c.service {
-            return LateCause::IssueLag;
-        }
-        if c.wait >= c.service {
-            return LateCause::QueueWait;
-        }
-        LateCause::ServiceTime
-    }
-
-    /// Fan one read per *other* block of `vpage`'s stripe row — its
-    /// data siblings plus the parity block — on the real queues, and
-    /// return the slowest completion: the cost of reconstructing
-    /// `vpage` by XOR. Used both for degraded reads of the dead slot
-    /// and for speculative reconstruction when hedging.
-    fn row_fanout_read(&mut self, vpage: u64, row: u64) -> Result<Ns, OsError> {
-        let pages = self.fs.row_pages(self.swap, row).map_err(OsError::Fs)?;
-        let mut done = self.now;
-        for p in pages {
-            if p == vpage {
-                continue;
-            }
-            let (d, b) = self.fs.place(self.swap, p).map_err(OsError::Fs)?;
-            done = done.max(self.submit_with_retry(
-                d,
-                Request::new(ReqKind::DemandRead, b, 1).with_tenant(self.cur_tenant),
-                vpage,
-            )?);
-        }
-        let (pd, pb) = self.fs.parity_place(self.swap, row).map_err(OsError::Fs)?;
-        done = done.max(self.submit_with_retry(
-            pd,
-            Request::new(ReqKind::DemandRead, pb, 1).with_tenant(self.cur_tenant),
-            vpage,
-        )?);
-        Ok(done)
-    }
-
-    /// Serve a demand read whose home block is on the un-rebuilt part
-    /// of the dead disk: reconstruct it from the row's survivors.
-    fn degraded_demand_read(&mut self, vpage: u64) -> Result<Ns, OsError> {
-        let row = self.fs.row_of(self.swap, vpage).map_err(OsError::Fs)?;
-        let done = self.row_fanout_read(vpage, row)?;
-        self.stats.degraded_reads += 1;
-        Ok(done)
-    }
-
-    /// Deadline after which a degraded-mode demand read hedges: the
-    /// p99 of observed fault waits (the tail the hedge is cutting),
-    /// falling back to a generous constant when metrics are detached
-    /// or still empty.
-    fn hedge_deadline(&self) -> Ns {
-        let p99 = self.metrics.as_ref().map_or(0, |m| m.fault_wait.p99());
-        if p99 > 0 {
-            p99
-        } else {
-            25 * MILLISECOND
-        }
-    }
-
-    /// Hedged tail read: in degraded mode the survivors carry fan-out
-    /// and rebuild traffic, so a read predicted to blow the p99
-    /// deadline races a speculative alternative and takes the earlier
-    /// completion. If the page's stripe row is already whole again
-    /// (rebuilt onto the spare) the alternative is a full XOR
-    /// reconstruction from the row's other blocks; otherwise the row
-    /// is still holed — reconstruction is impossible — and the hedge
-    /// is a duplicate read of the same block.
-    fn maybe_hedge(
-        &mut self,
-        vpage: u64,
-        disk: usize,
-        block: u64,
-        done: Ns,
-    ) -> Result<Ns, OsError> {
-        let deadline = self.now.saturating_add(self.hedge_deadline());
-        if done <= deadline {
-            return Ok(done);
-        }
-        self.stats.hedged_reads += 1;
-        let row = self.fs.row_of(self.swap, vpage).map_err(OsError::Fs)?;
-        let alt = if row < self.rebuilt_rows {
-            self.row_fanout_read(vpage, row)?
-        } else {
-            self.submit_with_retry(
-                disk,
-                Request::new(ReqKind::DemandRead, block, 1).with_tenant(self.cur_tenant),
-                vpage,
-            )?
-        };
-        if alt < done {
-            self.stats.hedged_wins += 1;
-            Ok(alt)
-        } else {
-            Ok(done)
-        }
-    }
-
-    /// Submit the demand read for `vpage` (home block `(disk, block)`),
-    /// going through survivor reconstruction when the home is on the
-    /// un-rebuilt part of a dead disk and hedging tail reads while the
-    /// array is degraded. Returns the completion time and whether the
-    /// read was served degraded.
+    /// Submit the demand read for `vpage` (home block `(disk, block)`).
+    /// On a healthy array that is one request through the retry ladder;
+    /// the redundancy extension takes over when the home is on the
+    /// un-rebuilt part of a dead disk (survivor reconstruction) and
+    /// hedges tail reads while the array is degraded. Returns the
+    /// completion time and whether the read was served degraded.
     fn demand_read_submit(
         &mut self,
         vpage: u64,
@@ -2248,22 +1145,12 @@ impl Machine {
         if self.read_goes_degraded(disk, vpage) {
             return self.degraded_demand_read(vpage).map(|d| (d, true));
         }
-        match self.submit_with_retry(
-            disk,
-            Request::new(ReqKind::DemandRead, block, 1).with_tenant(self.cur_tenant),
-            vpage,
-        ) {
-            Ok(done) => {
-                let done = if self.dead_disk.is_some() && self.parity.is_some() {
-                    self.maybe_hedge(vpage, disk, block, done)?
-                } else {
-                    done
-                };
-                Ok((done, false))
-            }
-            Err(OsError::DiskLost { .. })
-                if self.parity.is_some() && self.dead_disk.is_some_and(|(d, _)| d == disk) =>
-            {
+        match self.submit_with_retry(disk, self.demand_request(block), vpage) {
+            Ok(done) if self.redundancy.degraded() => self
+                .maybe_hedge(vpage, disk, block, done)
+                .map(|d| (d, false)),
+            Ok(done) => Ok((done, false)),
+            Err(OsError::DiskLost { .. }) if self.redundancy.reconstructs(disk) => {
                 // First contact with the freshly dead disk: the death
                 // was latched inside the retry loop; reconstruct.
                 self.degraded_demand_read(vpage).map(|d| (d, true))
@@ -2272,33 +1159,20 @@ impl Machine {
         }
     }
 
-    /// Post-crash page touch: pure metadata bookkeeping, no disk, no
-    /// time, no fault statistics. Keeps frame counters consistent so a
-    /// later [`Machine::recover`] starts from sane accounting.
-    fn touch_page_crashed(&mut self, vpage: u64, write: bool) {
-        let page = self.pages[vpage as usize];
-        match page.state {
-            PageState::Resident {
-                on_free_list: true, ..
-            } => self.reclaimable -= 1,
-            PageState::Resident { .. } => {}
-            PageState::InFlight { .. } => {
-                self.inflight -= 1;
-                self.note_tenant_inflight(vpage, -1);
-                self.resident += 1;
-            }
-            PageState::Unmapped => self.resident += 1,
+    /// First touch of a page a prefetch loaded and nothing has used
+    /// since: the fault it eliminated.
+    fn note_prefetched_hit(&mut self, vpage: u64, span: u64) {
+        self.stats.prefetched_hits += 1;
+        if let Some(mx) = &mut self.observe.metrics {
+            mx.ledger.consumed(vpage, self.now);
         }
-        let dirty = matches!(page.state, PageState::Resident { dirty: true, .. });
-        let p = &mut self.pages[vpage as usize];
-        p.state = PageState::Resident {
-            dirty: dirty || write,
-            referenced: true,
-            on_free_list: false,
-        };
-        p.touched = true;
-        p.prefetch_tag = false;
-        p.span = 0;
+        if span != 0 {
+            self.trace_event(TraceEvent::PrefetchConsume {
+                page: vpage,
+                span,
+                late: false,
+            });
+        }
     }
 
     /// Touch one page. `Ok(None)` means no hard fault; `Ok(Some(done))`
@@ -2316,6 +1190,9 @@ impl Machine {
     ) -> Result<Option<Ns>, OsError> {
         self.settle(vpage);
         let page = self.pages[vpage as usize];
+        // A prefetch loaded the page and this is its first use (a page
+        // loaded by a demand fault was classified at fault time).
+        let prefetched_hit = !page.touched && page.prefetch_tag;
         match page.state {
             PageState::Resident {
                 dirty,
@@ -2324,37 +1201,13 @@ impl Machine {
             } => {
                 // In memory and active: classify the first touch after a
                 // load, update reference/dirty bits, no fault.
-                if !page.touched {
-                    if page.prefetch_tag {
-                        self.stats.prefetched_hits += 1;
-                        let lt0 = self.prof_start();
-                        if let Some(mx) = &mut self.metrics {
-                            mx.ledger.consumed(vpage, self.now);
-                        }
-                        self.prof_end(lt0, MachineBucket::Ledger);
-                        if page.span != 0 {
-                            self.trace_event(TraceEvent::PrefetchConsume {
-                                page: vpage,
-                                span: page.span,
-                                late: false,
-                            });
-                        }
-                    } else {
-                        // Loaded by a demand fault; already classified
-                        // at fault time.
-                    }
+                if prefetched_hit {
+                    let lt0 = self.prof_start();
+                    self.note_prefetched_hit(vpage, page.span);
+                    self.prof_end(lt0, MachineBucket::Ledger);
                 }
-                let first_touch = !page.touched;
-                let p = &mut self.pages[vpage as usize];
-                p.touched = true;
-                p.prefetch_tag = false;
-                p.span = 0;
-                p.state = PageState::Resident {
-                    dirty: dirty || write,
-                    referenced: true,
-                    on_free_list: false,
-                };
-                if first_touch && page.prefetch_tag {
+                self.pages[vpage as usize].activate(dirty || write);
+                if prefetched_hit {
                     self.policy_touch(vpage, TouchKind::PrefetchedTimely);
                 }
                 Ok(None)
@@ -2372,32 +1225,13 @@ impl Machine {
                 self.stats.soft_faults += 1;
                 self.reclaimable -= 1;
                 self.trace_event(TraceEvent::SoftFault { page: vpage });
-                let first_touch = !page.touched;
-                if first_touch && page.prefetch_tag {
+                if prefetched_hit {
                     // Loaded from disk by a prefetch, released/evicted
                     // before first use, but still mapped: the original
                     // fault was eliminated.
-                    self.stats.prefetched_hits += 1;
-                    if let Some(mx) = &mut self.metrics {
-                        mx.ledger.consumed(vpage, self.now);
-                    }
-                    if page.span != 0 {
-                        self.trace_event(TraceEvent::PrefetchConsume {
-                            page: vpage,
-                            span: page.span,
-                            late: false,
-                        });
-                    }
+                    self.note_prefetched_hit(vpage, page.span);
                 }
-                let p = &mut self.pages[vpage as usize];
-                p.touched = true;
-                p.prefetch_tag = false;
-                p.span = 0;
-                p.state = PageState::Resident {
-                    dirty: dirty || write,
-                    referenced: true,
-                    on_free_list: false,
-                };
+                self.pages[vpage as usize].activate(dirty || write);
                 // Back in active use: restore its bit (a release had
                 // cleared it). The stale deque entry is pruned lazily.
                 self.bit_in(vpage);
@@ -2438,7 +1272,7 @@ impl Machine {
         self.charge(TimeCategory::SystemFault, self.params.fault_overhead_ns);
         self.stats.hard_faults += 1;
         self.stats.prefetched_faults_inflight += 1;
-        if !self.tenants.is_empty() {
+        if !self.tenancy.tenants.is_empty() {
             self.disks.promote(ticket, self.now);
         }
         let completion = self.disks.wait_for_detail(ticket);
@@ -2448,7 +1282,7 @@ impl Machine {
         let waited = self.fault_wait(arrival, wait);
         self.stats.fault_wait.push(waited as f64);
         self.stats.late_prefetch_stall_ns += waited;
-        if let Some(mx) = &mut self.metrics {
+        if let Some(mx) = &mut self.observe.metrics {
             mx.fault_wait.record(waited);
             mx.ledger.consumed_late_caused(vpage, arrival, cause);
         }
@@ -2464,15 +1298,7 @@ impl Machine {
         self.note_tenant_inflight(vpage, -1);
         self.note_tenant_fault(waited);
         self.resident += 1;
-        let p = &mut self.pages[vpage as usize];
-        p.touched = true;
-        p.prefetch_tag = false;
-        p.span = 0;
-        p.state = PageState::Resident {
-            dirty: write,
-            referenced: true,
-            on_free_list: false,
-        };
+        self.pages[vpage as usize].activate(write);
         self.policy_touch(vpage, TouchKind::PrefetchedLate);
         arrival
     }
@@ -2506,16 +1332,7 @@ impl Machine {
                 // zombie-style (the in-memory image is still
                 // authoritative for the interpreter) so `touch` callers
                 // do not panic mid-kernel.
-                let p = &mut self.pages[vpage as usize];
-                p.state = PageState::Resident {
-                    dirty: write,
-                    referenced: true,
-                    on_free_list: false,
-                };
-                p.touched = true;
-                p.prefetch_tag = false;
-                p.span = 0;
-                self.resident += 1;
+                self.touch_crashed(vpage, vpage, write);
                 return Ok(self.now);
             }
             Err(e) => return Err(e),
@@ -2526,22 +1343,14 @@ impl Machine {
         }
         self.stats.fault_wait.push(waited as f64);
         self.note_tenant_fault(waited);
-        if let Some(mx) = &mut self.metrics {
+        if let Some(mx) = &mut self.observe.metrics {
             mx.fault_wait.record(waited);
         }
         self.trace_event(TraceEvent::HardFault {
             page: vpage,
             waited,
         });
-        let p = &mut self.pages[vpage as usize];
-        p.state = PageState::Resident {
-            dirty: write,
-            referenced: true,
-            on_free_list: false,
-        };
-        p.touched = true;
-        p.prefetch_tag = false;
-        p.span = 0;
+        self.pages[vpage as usize].activate(write);
         self.resident += 1;
         self.bit_in(vpage);
         self.run_daemon();
@@ -2549,137 +1358,13 @@ impl Machine {
         self.policy_touch(vpage, TouchKind::HardFault);
         Ok(done)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Prefetch policy (the pluggable rival of the compiler's hints)
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Hints (system calls issued by the run-time layer)
+// ----------------------------------------------------------------------
 
-    /// Replace the installed prefetch policy. The bench harness uses
-    /// this to install a replaying [`oocp_policy::HistoryReplay`] for
-    /// the second pass of a record/replay run.
-    pub fn set_policy(&mut self, pol: Box<dyn PrefetchPolicy>) {
-        self.policy = Some(pol);
-    }
-
-    /// Name of the installed policy, if any.
-    pub fn policy_name(&self) -> Option<&'static str> {
-        self.policy.as_ref().map(|p| p.name())
-    }
-
-    /// The miss trace recorded by the installed policy, if it is a
-    /// recorder (see [`oocp_policy::PrefetchPolicy::miss_trace`]).
-    pub fn policy_miss_trace(&self) -> Option<Vec<u64>> {
-        self.policy.as_ref()?.miss_trace().map(<[u64]>::to_vec)
-    }
-
-    /// Suspend or resume the policy hooks. The runtime pauses reactive
-    /// policies while it is degraded to demand-only paging (injected
-    /// hint traffic is exactly what degraded mode exists to stop) and
-    /// resumes them on recovery. The policy object keeps its state.
-    ///
-    /// The pause is machine-wide, so it only applies to the
-    /// single-program machine: with registered tenants one tenant's
-    /// degraded episode must not silence the policy for its neighbours,
-    /// and the call is ignored.
-    pub fn set_policy_enabled(&mut self, enabled: bool) {
-        if self.tenants.is_empty() {
-            self.policy_paused = !enabled;
-        }
-    }
-
-    /// Whether the observation hooks should fire at all.
-    #[inline]
-    fn policy_ready(&self) -> bool {
-        self.policy.is_some() && !self.policy_paused && self.crashed.is_none()
-    }
-
-    /// Mirror the policy's own counters into [`OsStats`] so reports and
-    /// baselines see them without reaching into the trait object.
-    fn sync_policy_counters(&mut self) {
-        if let Some(pol) = &self.policy {
-            let c = pol.counters();
-            self.stats.policy_window_peak = c.window_peak;
-            self.stats.policy_distance_retunes = c.distance_retunes;
-            self.stats.policy_late_rate_samples = c.late_rate_samples;
-        }
-    }
-
-    /// Observation hook: a first demand touch (or fault) resolved.
-    fn policy_touch(&mut self, vpage: u64, kind: TouchKind) {
-        if !self.policy_ready() {
-            return;
-        }
-        let now = self.now;
-        let mut act = PolicyActions::default();
-        if let Some(pol) = self.policy.as_mut() {
-            pol.on_touch(vpage, kind, now, &mut act);
-        }
-        self.sync_policy_counters();
-        if !act.is_empty() {
-            self.apply_policy_actions(act);
-        }
-    }
-
-    /// Observation hook: the program issued a hint call.
-    fn policy_hint(&mut self, prefetch: Option<(u64, u64)>, release: Option<(u64, u64)>) {
-        if !self.policy_ready() {
-            return;
-        }
-        let now = self.now;
-        let mut act = PolicyActions::default();
-        if let Some(pol) = self.policy.as_mut() {
-            pol.on_hint(prefetch, release, now, &mut act);
-        }
-        self.sync_policy_counters();
-        if !act.is_empty() {
-            self.apply_policy_actions(act);
-        }
-    }
-
-    /// Apply the actions a hook requested. Injected prefetches and
-    /// releases flow through the ordinary hint machinery (`do_prefetch`
-    /// / `do_release`) but charge no hint-syscall time — the policy
-    /// lives inside the kernel, like Linux readahead, rather than
-    /// calling into it. The `policy_issue` flag makes those paths
-    /// attribute the pages to the policy and tag the disk requests.
-    fn apply_policy_actions(&mut self, act: PolicyActions) {
-        self.policy_issue = true;
-        // Releases first: a streaming policy frees the pages behind its
-        // window in the same action batch that extends it ahead, and the
-        // freed frames must be visible to the prefetch admission check.
-        for (start, count) in act.release {
-            self.do_release(start, count);
-        }
-        for (start, count) in act.prefetch {
-            // Injections get first-class spans from the same counter as
-            // prefetch lifecycle spans, so the two families can never
-            // collide in the Chrome-trace export and tracediff aligns
-            // injections across runs instead of skipping instants.
-            let span = self.next_span;
-            self.next_span += 1;
-            self.trace_event(TraceEvent::PolicyInject {
-                page: start,
-                count,
-                span,
-            });
-            self.do_prefetch(start, count);
-        }
-        self.policy_issue = false;
-        // The deliberate rule-breaker: only `BrokenPolicy` ever asks for
-        // this, and only so the timing-only oracle can prove it notices.
-        for vpage in act.corrupt {
-            if vpage < self.total_pages() {
-                let off = (vpage * self.params.page_bytes) as usize;
-                self.data[off] ^= 0xFF;
-            }
-        }
-        self.note_free_level();
-    }
-
-    // ------------------------------------------------------------------
-    // Hints (system calls issued by the run-time layer)
-    // ------------------------------------------------------------------
-
+impl Machine {
     /// Prefetch `npages` pages starting at `start_page` (system call).
     pub fn sys_prefetch(&mut self, start_page: u64, npages: u64) {
         self.hint_call(Some((start_page, npages)), None);
@@ -2698,18 +1383,9 @@ impl Machine {
 
     fn hint_call(&mut self, prefetch: Option<(u64, u64)>, release: Option<(u64, u64)>) {
         debug_assert!(!self.finished, "hint after finish()");
-        if self.durable.is_some() {
-            self.ensure_durable_snapshot();
-        }
-        if self.crashed.is_some() {
+        if !self.wake_extensions() {
             // Hints are advice; a dead machine takes none.
             return;
-        }
-        if !self.pressure.is_empty() {
-            self.apply_pressure();
-        }
-        if self.dead_disk.is_some() {
-            self.pump_rebuild();
         }
         self.stats.hint_syscalls += 1;
         let pages_named = prefetch.map_or(0, |(_, n)| n) + release.map_or(0, |(_, n)| n);
@@ -2735,11 +1411,12 @@ impl Machine {
             // On a multi-tenant machine a release is advice about the
             // caller's own pages only: a hint that runs past the
             // segment boundary must not evict a neighbour.
-            if !self.tenants.is_empty() && self.owner_of(vpage) != Some(self.cur_tenant) {
+            let shared = !self.tenancy.tenants.is_empty();
+            if shared && self.owner_of(vpage) != Some(self.tenancy.cur) {
                 continue;
             }
             self.stats.release_pages += 1;
-            if self.policy_issue {
+            if self.policy.issuing {
                 self.stats.policy_injected_release_pages += 1;
             }
             self.settle(vpage);
@@ -2765,55 +1442,23 @@ impl Machine {
         }
     }
 
-    /// Drop one prefetch hint page at the arbitration gate, attributed
-    /// to the current tenant's `quota` (true) or to pressure shedding
-    /// (false).
-    fn drop_hint(&mut self, vpage: u64, quota: bool) {
-        self.stats.prefetch_pages_dropped += 1;
-        let t = self.cur_tenant;
-        if quota {
-            self.stats.hints_dropped_quota += 1;
-            self.tenants[t as usize].stats.hints_dropped_quota += 1;
-            if let Some(mx) = &mut self.metrics {
-                mx.ledger.dropped_quota();
-            }
-            self.trace_event(TraceEvent::HintDropQuota {
-                page: vpage,
-                tenant: t,
-            });
-        } else {
-            self.stats.hints_dropped_pressure += 1;
-            self.tenants[t as usize].stats.hints_dropped_pressure += 1;
-            if let Some(mx) = &mut self.metrics {
-                mx.ledger.dropped_pressure();
-            }
-            self.trace_event(TraceEvent::HintDropPressure {
-                page: vpage,
-                tenant: t,
-            });
-        }
-        // Like a memory-pressure drop: keep the tag so a later fault on
-        // the page classifies as "prefetched but lost" (Figure 4(a)).
-        self.pages[vpage as usize].prefetch_tag = true;
+    /// The prefetch read of `nblocks` blocks on behalf of the current
+    /// tenant, tagged when a policy rather than the program asked.
+    fn prefetch_request(&self, block: u64, nblocks: u64) -> Request {
+        Request::new(ReqKind::PrefetchRead, block, nblocks)
+            .with_tenant(self.tenancy.cur)
+            .with_policy_injected(self.policy.issuing)
     }
 
     fn do_prefetch(&mut self, start: u64, n: u64) {
         let end = (start + n).min(self.total_pages());
         let start = start.min(self.total_pages());
-        // Arbitration state for this hint: the pressure level at entry,
-        // the issuing tenant's policy, and (if it has a frame quota) a
-        // running count of its charged frames, maintained incrementally
-        // so the per-page gate stays O(1).
-        let multi = !self.tenants.is_empty();
-        let level = self.pressure_level();
-        let spec = self.tenant_spec(self.cur_tenant);
-        let mut mem_used =
-            (multi && spec.memory_frames.is_some()).then(|| self.tenant_usage(self.cur_tenant));
+        let mut arbiter = self.hint_arbiter();
         // Pages that need disk reads, grouped into contiguous spans.
         let mut spans: Vec<(u64, u64)> = Vec::new();
         for vpage in start..end {
             self.stats.prefetch_pages_requested += 1;
-            if self.policy_issue {
+            if self.policy.issuing {
                 self.stats.policy_injected_prefetch_pages += 1;
             }
             self.settle(vpage);
@@ -2840,45 +1485,18 @@ impl Machine {
                     p.prefetch_tag = true;
                     self.stats.prefetch_pages_reclaimed += 1;
                     self.bit_in(vpage);
-                    if let Some(u) = &mut mem_used {
-                        *u += 1; // free-list page back on the books
-                    }
+                    arbiter.charge_frame(); // free-list page back on the books
                 }
                 PageState::InFlight { .. } => {
                     self.stats.prefetch_pages_inflight += 1;
                 }
                 PageState::Unmapped => {
-                    if multi {
-                        let t = self.cur_tenant;
-                        let inflight = self.tenants[t as usize].stats.inflight_prefetch;
-                        // Pressure shedding, strictly QoS-ordered:
-                        // brownout drops every non-guaranteed hint;
-                        // elevation clamps best-effort pipelining.
-                        let shed = match (spec.qos, level) {
-                            (QosClass::Guaranteed, _) => false,
-                            (_, PressureLevel::Brownout) => true,
-                            (QosClass::BestEffort, PressureLevel::Elevated) => {
-                                inflight >= ELEVATED_BEST_EFFORT_SLOTS
-                            }
-                            _ => false,
-                        };
-                        if shed {
-                            self.drop_hint(vpage, false);
-                            continue;
-                        }
-                        let over_slots = spec.prefetch_slots.is_some_and(|q| inflight >= q);
-                        let over_mem = match (mem_used, spec.memory_frames) {
-                            (Some(u), Some(q)) => u >= q.max(1),
-                            _ => false,
-                        };
-                        if over_slots || over_mem {
-                            self.drop_hint(vpage, true);
-                            continue;
-                        }
+                    if arbiter.multi && self.arbiter_drops(&arbiter, vpage) {
+                        continue;
                     }
                     if !self.alloc_frame_prefetch() {
                         self.stats.prefetch_pages_dropped += 1;
-                        if let Some(mx) = &mut self.metrics {
+                        if let Some(mx) = &mut self.observe.metrics {
                             mx.ledger.dropped_no_memory();
                         }
                         self.trace_event(TraceEvent::PrefetchDrop { page: vpage });
@@ -2890,12 +1508,11 @@ impl Machine {
                     }
                     self.inflight += 1;
                     self.note_tenant_inflight(vpage, 1);
-                    if let Some(info) = self.tenants.get_mut(self.cur_tenant as usize) {
+                    let cur = self.tenancy.cur as usize;
+                    if let Some(info) = self.tenancy.tenants.get_mut(cur) {
                         info.stats.prefetch_pages_issued += 1;
                     }
-                    if let Some(u) = &mut mem_used {
-                        *u += 1;
-                    }
+                    arbiter.charge_frame();
                     self.stats.prefetch_pages_issued += 1;
                     // Span ids are allocated in page order, so a
                     // contiguous issue span holds consecutive ids (the
@@ -2909,18 +1526,13 @@ impl Machine {
                     // count, degraded-mode epoch, redundancy flags) so
                     // a late consumption can tell interference during
                     // the flight from a plain short lead.
-                    let (now, js, de) = (self.now, self.stats.journal_stalls, self.degrade_epoch);
-                    let flags = if self.dead_disk.is_some() && self.parity.is_some() {
-                        let mut f = ISSUE_REBUILD_ACTIVE;
-                        let home = self.fs.place(self.swap, vpage).map(|(d, _)| d);
-                        if home.is_ok_and(|d| self.read_goes_degraded(d, vpage)) {
-                            f |= ISSUE_DEGRADED;
-                        }
-                        f
-                    } else {
-                        0
-                    };
-                    if let Some(mx) = &mut self.metrics {
+                    let (now, js, de) = (
+                        self.now,
+                        self.stats.journal_stalls,
+                        self.observe.degrade_epoch,
+                    );
+                    let flags = self.issue_flags(vpage);
+                    if let Some(mx) = &mut self.observe.metrics {
                         mx.ledger.issued_ctx_flags(vpage, now, js, de, flags);
                     }
                     self.bit_in(vpage);
@@ -2959,23 +1571,21 @@ impl Machine {
                             .expect("placed runs cover data blocks only")
                     })
                     .collect();
-                if self.parity.is_some() && self.dead_disk.is_some_and(|(d, _)| d == run.disk) {
-                    // The run targets the dead slot: handle it page by
-                    // page — rebuilt rows read normally from the
-                    // spare, un-rebuilt rows reroute into survivor
-                    // fan-outs instead of being dropped.
+                // A run aimed at the dead slot goes page by page: rebuilt
+                // rows read normally from the spare, un-rebuilt rows
+                // reroute into survivor fan-outs instead of being
+                // dropped.
+                let reroute = |m: &mut Self| {
                     for (i, &vpage) in pages.iter().enumerate() {
-                        self.prefetch_degraded_page(vpage, run.disk, run.start_block + i as u64);
+                        m.prefetch_degraded_page(vpage, run.disk, run.start_block + i as u64);
                     }
+                };
+                if self.redundancy.reconstructs(run.disk) {
+                    reroute(self);
                     continue;
                 }
-                match self.disks.try_track(
-                    run.disk,
-                    self.now,
-                    Request::new(ReqKind::PrefetchRead, run.start_block, run.nblocks)
-                        .with_tenant(self.cur_tenant)
-                        .with_policy_injected(self.policy_issue),
-                ) {
+                let req = self.prefetch_request(run.start_block, run.nblocks);
+                match self.disks.try_track(run.disk, self.now, req) {
                     Ok(ticket) => {
                         // Every page of the run redeems one unit of the
                         // run's ticket when the request completes.
@@ -2987,13 +1597,7 @@ impl Machine {
                         if self.note_disk_death(d, at) {
                             // First contact with the freshly dead disk:
                             // the spare is installed; reroute the run.
-                            for (i, &vpage) in pages.iter().enumerate() {
-                                self.prefetch_degraded_page(
-                                    vpage,
-                                    run.disk,
-                                    run.start_block + i as u64,
-                                );
-                            }
+                            reroute(self);
                         } else {
                             self.drop_prefetch_run(&pages, run.disk, e);
                         }
@@ -3018,7 +1622,7 @@ impl Machine {
                 RevertCause::QueueFull
             }
             IoError::Crashed { at } => {
-                self.crashed = Some(at);
+                self.latch_crash(at);
                 RevertCause::Crashed
             }
             _ => {
@@ -3033,64 +1637,6 @@ impl Machine {
         };
         for &vpage in pages {
             self.revert_prefetch_page(vpage, cause);
-        }
-    }
-
-    /// Submit one prefetch page whose home block sits on the dead
-    /// slot. Rebuilt rows read normally (the spare holds the block);
-    /// un-rebuilt rows reroute into a survivor fan-out — the hint is
-    /// still useful, it just costs `ndisks - 1` reads: the parity-
-    /// block read carries the page's ticket, the sibling data reads
-    /// are posted untracked to model the fan-out's queue occupancy.
-    fn prefetch_degraded_page(&mut self, vpage: u64, disk: usize, block: u64) {
-        let Ok(row) = self.fs.row_of(self.swap, vpage) else {
-            self.revert_prefetch_page(vpage, RevertCause::IoError);
-            return;
-        };
-        let outcome = if row < self.rebuilt_rows {
-            self.disks.try_track(
-                disk,
-                self.now,
-                Request::new(ReqKind::PrefetchRead, block, 1)
-                    .with_tenant(self.cur_tenant)
-                    .with_policy_injected(self.policy_issue),
-            )
-        } else {
-            let fanout = self
-                .fs
-                .row_pages(self.swap, row)
-                .ok()
-                .zip(self.fs.parity_place(self.swap, row).ok());
-            match fanout {
-                Some((pages, (pd, pb))) => {
-                    for p in pages {
-                        if p == vpage {
-                            continue;
-                        }
-                        if let Ok((d, b)) = self.fs.place(self.swap, p) {
-                            self.post_background(d, ReqKind::PrefetchRead, b);
-                        }
-                    }
-                    let r = self.disks.try_track(
-                        pd,
-                        self.now,
-                        Request::new(ReqKind::PrefetchRead, pb, 1)
-                            .with_tenant(self.cur_tenant)
-                            .with_policy_injected(self.policy_issue),
-                    );
-                    if r.is_ok() {
-                        self.stats.hints_rerouted_degraded += 1;
-                    }
-                    r
-                }
-                None => Err(IoError::EmptyRequest),
-            }
-        };
-        match outcome {
-            Ok(ticket) => {
-                self.pages[vpage as usize].state = PageState::InFlight { ticket };
-            }
-            Err(e) => self.drop_prefetch_run(&[vpage], disk, e),
         }
     }
 
@@ -3111,24 +1657,26 @@ impl Machine {
         match cause {
             RevertCause::QueueFull => {
                 self.stats.hints_dropped_queue_full += 1;
-                if let Some(mx) = &mut self.metrics {
+                if let Some(mx) = &mut self.observe.metrics {
                     mx.ledger.dropped_queue_full(vpage);
                 }
             }
             RevertCause::IoError => {
                 self.stats.hints_dropped_on_error += 1;
-                if let Some(mx) = &mut self.metrics {
+                if let Some(mx) = &mut self.observe.metrics {
                     mx.ledger.dropped_io_error(vpage);
                 }
             }
             RevertCause::Crashed => {}
         }
     }
+}
 
-    // ------------------------------------------------------------------
-    // Run control
-    // ------------------------------------------------------------------
+// ----------------------------------------------------------------------
+// Run control
+// ----------------------------------------------------------------------
 
+impl Machine {
     /// Warm-start helper: make pages resident without charging any time
     /// (Figure 6's warm-started runs preload the data before timing).
     ///
@@ -3143,17 +1691,7 @@ impl Machine {
         );
         for vpage in start_page..start_page + npages {
             if matches!(self.pages[vpage as usize].state, PageState::Unmapped) {
-                self.pages[vpage as usize] = Page {
-                    state: PageState::Resident {
-                        dirty: false,
-                        referenced: true,
-                        on_free_list: false,
-                    },
-                    prefetch_tag: false,
-                    touched: true,
-                    bit_noted: false,
-                    span: 0,
-                };
+                self.pages[vpage as usize].activate(false);
                 self.resident += 1;
                 self.bit_in(vpage);
             }
@@ -3179,8 +1717,11 @@ impl Machine {
         {
             if let Some(p) = self.pop_free_list() {
                 self.reclaim(p);
-            } else {
-                self.force_evict_one();
+            } else if self.daemon_evict(&mut 0).is_some() {
+                // Forced onto the free list and straight back off it.
+                if let Some(p) = self.pop_free_list() {
+                    self.reclaim(p);
+                }
             }
             guard += 1;
         }
@@ -3214,37 +1755,6 @@ impl Machine {
         }
     }
 
-    /// Clock-scan resident pages until one lands on the free list.
-    fn force_evict_one(&mut self) {
-        let total = self.total_pages();
-        for _ in 0..2 * total {
-            let v = self.clock_hand;
-            self.clock_hand = (self.clock_hand + 1) % total;
-            self.settle(v);
-            if let PageState::Resident {
-                dirty,
-                referenced,
-                on_free_list: false,
-            } = self.pages[v as usize].state
-            {
-                if referenced {
-                    self.pages[v as usize].state = PageState::Resident {
-                        dirty,
-                        referenced: false,
-                        on_free_list: false,
-                    };
-                } else {
-                    self.queue_on_free_list(v, false);
-                    self.stats.daemon_evictions += 1;
-                    if let Some(p) = self.pop_free_list() {
-                        self.reclaim(p);
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
     /// End the run: flush dirty pages and (by default) stall until the
     /// disks drain, mirroring the paper's applications writing their
     /// results back to disk. Flush failures are swallowed; callers who
@@ -3262,19 +1772,19 @@ impl Machine {
     pub fn try_finish(&mut self) -> Result<(), FlushError> {
         if !self.finished {
             self.finished = true;
-            if self.crashed.is_some() {
+            if self.durability.crashed.is_some() {
                 self.finish_crashed();
             } else {
                 self.finish_clean();
             }
-            self.flush_failures.sort_unstable();
-            self.flush_failures.dedup();
+            self.durability.flush_failures.sort_unstable();
+            self.durability.flush_failures.dedup();
         }
-        if self.flush_failures.is_empty() {
+        if self.durability.flush_failures.is_empty() {
             Ok(())
         } else {
             Err(FlushError {
-                vpages: self.flush_failures.clone(),
+                vpages: self.durability.flush_failures.clone(),
             })
         }
     }
@@ -3300,7 +1810,7 @@ impl Machine {
         }
         // The final flush itself can be the submission that trips the
         // crash point: hand over to the crashed path if it did.
-        if self.crashed.is_some() {
+        if self.durability.crashed.is_some() {
             self.finish_crashed();
             return;
         }
@@ -3317,605 +1827,25 @@ impl Machine {
                 self.settle(vpage);
             }
         }
-        // Close the lifecycle ledger: prefetched pages never touched by
-        // now are wasted I/O, and the partition becomes total.
-        if let Some(mx) = &mut self.metrics {
+        self.close_ledger();
+    }
+
+    /// The last step of a run, clean or crashed: close the lifecycle
+    /// ledger — prefetched pages never touched by now are wasted I/O,
+    /// and the partition becomes total — and note the final free level.
+    fn close_ledger(&mut self) {
+        if let Some(mx) = &mut self.observe.metrics {
             mx.ledger.finalize();
         }
         self.note_free_level();
     }
+}
 
-    fn finish_crashed(&mut self) {
-        self.resolve_crash();
-        // Every page still dirty in memory never made it to disk.
-        for vpage in 0..self.total_pages() {
-            if let PageState::Resident { dirty: true, .. } = self.pages[vpage as usize].state {
-                self.flush_failures.push(vpage);
-            }
-        }
-        if let Some(mx) = &mut self.metrics {
-            mx.ledger.finalize();
-        }
-        self.note_free_level();
-    }
+// ----------------------------------------------------------------------
+// Backing data (the actual bytes of the address space)
+// ----------------------------------------------------------------------
 
-    /// Power stayed on to the end: every accepted durable write lands
-    /// in full. Apply them to the durable store in issue order and
-    /// retire their journal slots.
-    fn settle_pending_durable(&mut self, drain: Ns) {
-        if self.durable.is_none() {
-            return;
-        }
-        for rec in std::mem::take(&mut self.wal_pending) {
-            for t in [rec.desc, rec.pay, rec.data, rec.commit]
-                .into_iter()
-                .flatten()
-            {
-                let _ = self.disks.poll(t, drain);
-            }
-            if rec.data.is_some() {
-                self.land_durable(rec.vpage, &rec.payload);
-            }
-            if let Some(j) = &mut self.journal {
-                j.retire(rec.disk, rec.seq);
-            }
-            // Keep the committed record as scrubber repair state (the
-            // simulator's stand-in for the journal's retired history).
-            self.wal_durable.push(DurableRecord {
-                seq: rec.seq,
-                disk: rec.disk,
-                vpage: rec.vpage,
-                payload: rec.payload,
-                committed: true,
-            });
-        }
-        for w in std::mem::take(&mut self.plain_pending) {
-            let _ = self.disks.poll(w.data, drain);
-            self.land_durable(w.vpage, &w.payload);
-        }
-    }
-
-    /// Freeze the in-flight writes into durable on-media state as of
-    /// the power loss. Deferred (and idempotent) so submission paths
-    /// only have to latch the crash; the heavy classification runs once,
-    /// from [`Machine::try_finish`] or [`Machine::recover`].
-    ///
-    /// The per-disk write barrier makes each protocol stage's
-    /// *effective* completion the max of its own completion and the
-    /// prior stage's, so classification reduces to comparing effective
-    /// times against the crash instant `T`:
-    ///
-    /// * seal after `T` — the intent never became durable; the home
-    ///   block kept its old image (barrier): the update is discarded.
-    /// * seal at/before `T`, data write still in flight — the home
-    ///   block may be torn; the sealed journal payload can repair it.
-    /// * data write done by `T` — the new image is durable.
-    fn resolve_crash(&mut self) {
-        let Some(t_crash) = self.crashed else {
-            return;
-        };
-        if self.crash_resolved {
-            return;
-        }
-        self.crash_resolved = true;
-        let drain = self.disks.drain_all();
-        let per_page = self.params.page_bytes / SECTOR_BYTES;
-        let poll = |disks: &mut DiskArray, t: Option<Ticket>| -> Ns {
-            t.and_then(|t| disks.poll(t, drain)).unwrap_or(Ns::MAX)
-        };
-        for rec in std::mem::take(&mut self.wal_pending) {
-            let desc_done = poll(&mut self.disks, rec.desc);
-            let pay_done = poll(&mut self.disks, rec.pay);
-            let data_done = poll(&mut self.disks, rec.data);
-            let commit_done = poll(&mut self.disks, rec.commit);
-            let sealed_eff = desc_done.max(pay_done);
-            let applied_eff = data_done.max(sealed_eff);
-            let committed_eff = commit_done.max(applied_eff);
-            if sealed_eff > t_crash {
-                // Intent never sealed: the barrier kept the home block's
-                // old image intact. The update is simply lost.
-                self.crash_discarded.push(rec.vpage);
-                self.flush_failures.push(rec.vpage);
-                continue;
-            }
-            if applied_eff <= t_crash {
-                // Data durably landed before the lights went out.
-                if let Some(d) = &mut self.durable {
-                    d.write_page(rec.vpage, &rec.payload);
-                }
-            } else if self.torn_writes {
-                // The data write was caught mid-air: an arbitrary
-                // sector prefix landed (possibly none, possibly all).
-                let k = self
-                    .crash_rng
-                    .as_mut()
-                    .expect("torn writes need the crash rng")
-                    .next_below(per_page + 1);
-                if let Some(d) = &mut self.durable {
-                    d.tear_page(rec.vpage, &rec.payload, k);
-                }
-            }
-            // Either way the sealed record is what a recovery scan of
-            // the rings will find.
-            self.wal_durable.push(DurableRecord {
-                seq: rec.seq,
-                disk: rec.disk,
-                vpage: rec.vpage,
-                payload: rec.payload,
-                committed: committed_eff <= t_crash,
-            });
-        }
-        for w in std::mem::take(&mut self.plain_pending) {
-            let done = self.disks.poll(w.data, drain).unwrap_or(Ns::MAX);
-            if done <= t_crash {
-                if let Some(d) = &mut self.durable {
-                    d.write_page(w.vpage, &w.payload);
-                }
-                continue;
-            }
-            let mut landed_fully = false;
-            if self.torn_writes {
-                let k = self
-                    .crash_rng
-                    .as_mut()
-                    .expect("torn writes need the crash rng")
-                    .next_below(per_page + 1);
-                landed_fully = k >= per_page;
-                if let Some(d) = &mut self.durable {
-                    d.tear_page(w.vpage, &w.payload, k);
-                }
-            }
-            if !landed_fully {
-                self.crash_discarded.push(w.vpage);
-                self.flush_failures.push(w.vpage);
-            }
-        }
-    }
-
-    /// Recover from a simulated power loss: scan the journal rings,
-    /// replay committed-but-unapplied intents, discard torn and
-    /// uncommitted updates (falling back to the last durable version),
-    /// verify every page's stored checksum, resync the residency bit
-    /// vector, and hand back a clean machine whose memory image is
-    /// exactly the durable state. Consumes the crashed machine.
-    ///
-    /// On a machine that never crashed this is a no-op returning `self`
-    /// and a default report.
-    pub fn recover(mut self) -> (Machine, RecoveryReport) {
-        let Some(t_crash) = self.crashed else {
-            return (self, RecoveryReport::default());
-        };
-        self.resolve_crash();
-        let mut durable = self.durable.take().expect("crash implies durability mode");
-        let wal_durable = std::mem::take(&mut self.wal_durable);
-        let discarded = std::mem::take(&mut self.crash_discarded);
-        let total = self.total_pages();
-        let mut report = RecoveryReport {
-            crashed_at: t_crash,
-            scanned_records: wal_durable.len() as u64,
-            pages_discarded: discarded.len() as u64,
-            ..RecoveryReport::default()
-        };
-
-        // A fresh machine: same geometry, same (deterministic) swap
-        // layout, clock restarted at zero — the reboot.
-        let mut m = Machine::try_new(self.params, total * self.params.page_bytes)
-            .expect("the crashed machine's geometry was valid");
-        if self.params.journal {
-            m.journal = Some(
-                WriteJournal::create(&mut m.fs, self.params.journal_blocks_per_disk)
-                    .expect("journal fit before the crash, so it fits now"),
-            );
-        }
-
-        // Phase 1: sequential scan of every journal ring (one read per
-        // disk covering the whole ring extent).
-        if let Some(j) = &m.journal {
-            let mut done = 0;
-            for d in 0..m.fs.ndisks() {
-                let ext = j.extent(d);
-                if let Ok(t) = m.disks.try_submit(
-                    d,
-                    m.now,
-                    Request::new(ReqKind::DemandRead, ext.start, ext.len),
-                ) {
-                    done = done.max(t);
-                }
-            }
-            m.stall_until(done);
-        }
-
-        // Phase 2: replay. Uncommitted sealed records must be replayed
-        // (their data write may or may not have landed — the journal
-        // payload is authoritative either way); committed records are
-        // guaranteed applied and only need replay if verification says
-        // otherwise (it never does — this is an invariant, not a
-        // branch we expect to take).
-        let mut replay_done = m.now;
-        for rec in &wal_durable {
-            if !durable.verify(rec.vpage) {
-                report.torn_detected += 1;
-            }
-            if !rec.committed || !durable.verify(rec.vpage) {
-                durable.write_page(rec.vpage, &rec.payload);
-                report.pages_replayed += 1;
-                if let Ok((disk, block)) = m.fs.place(m.swap, rec.vpage) {
-                    if let Ok(t) =
-                        m.disks
-                            .try_submit(disk, m.now, Request::new(ReqKind::Write, block, 1))
-                    {
-                        replay_done = replay_done.max(t);
-                    }
-                }
-            }
-        }
-        m.stall_until(replay_done);
-
-        // Phase 3: full-surface verification sweep (one sequential read
-        // per disk over the swap area), catching torn home blocks that
-        // had no journal record — with the journal disabled, or plain
-        // writes torn mid-air. No payload to repair from makes the page
-        // unrecoverable: it reverts to whatever the torn image holds.
-        let mut scan_done = m.now;
-        let ndisks = m.fs.ndisks() as u64;
-        let parity_rows = m.fs.rows(m.swap).unwrap_or(0);
-        for d in 0..m.fs.ndisks() {
-            // One sequential read per disk covering its swap extent:
-            // plain striping puts every `ndisks`-th page on disk `d`;
-            // the rotating-parity layout gives every disk exactly one
-            // block (data or parity) per stripe row.
-            let (disk, block, nblocks) = if parity_rows > 0 {
-                // Row 0 places data page `o` on disk `o` and parity on
-                // disk `ndisks - 1`, so each disk's extent start is
-                // recoverable from the row-0 placements.
-                let start = if d as u64 == ndisks - 1 {
-                    m.fs.parity_place(m.swap, 0).map(|(_, b)| b)
-                } else if (d as u64) < total {
-                    m.fs.place(m.swap, d as u64).map(|(_, b)| b)
-                } else {
-                    continue;
-                };
-                match start {
-                    Ok(b) => (d, b, parity_rows),
-                    Err(_) => continue,
-                }
-            } else {
-                let pages_on_disk = (total.saturating_sub(d as u64)).div_ceil(ndisks);
-                if pages_on_disk == 0 {
-                    continue;
-                }
-                match m.fs.place(m.swap, d as u64) {
-                    Ok((disk, block)) => (disk, block, pages_on_disk),
-                    Err(_) => continue,
-                }
-            };
-            if let Ok(t) = m.disks.try_submit(
-                disk,
-                m.now,
-                Request::new(ReqKind::DemandRead, block, nblocks),
-            ) {
-                scan_done = scan_done.max(t);
-            }
-        }
-        m.stall_until(scan_done);
-        for vpage in 0..total {
-            if durable.verify(vpage) {
-                continue;
-            }
-            report.torn_detected += 1;
-            // Last committed journal payload for this page, if any.
-            if let Some(rec) = wal_durable.iter().rev().find(|r| r.vpage == vpage) {
-                durable.write_page(vpage, &rec.payload);
-                report.pages_replayed += 1;
-            } else {
-                report.unrecoverable += 1;
-                report.unrecoverable_pages.push(vpage);
-            }
-        }
-
-        // Adopt the durable image as the reborn machine's memory state.
-        m.data.copy_from_slice(durable.images());
-        m.resync_bits();
-        report.recovery_ns = m.now();
-        m.stats.recovery_pages_replayed = report.pages_replayed;
-        m.stats.recovery_pages_discarded = report.pages_discarded;
-        m.stats.recovery_torn_detected = report.torn_detected;
-        m.stats.recovery_unrecoverable = report.unrecoverable;
-        m.stats.recovery_ns = report.recovery_ns;
-        // The recovered machine keeps durability tracking (it has a
-        // durable store with a settled baseline) but no scheduled
-        // crash: the re-run is an ordinary one.
-        m.durable = Some(durable);
-        m.wal_durable = wal_durable;
-        // Parity is re-derived wholesale from the recovered durable
-        // image (replay may have changed any subset of rows, and a
-        // crash mid-rebuild leaves no trustworthy incremental state).
-        // The reboot replaced the hardware, so the array is whole.
-        if let Some(ps) = &mut m.parity {
-            let k = m.fs.ndisks() as u64 - 1;
-            ps.resync(k, m.durable.as_ref().expect("just set").images(), total);
-        }
-        (m, report)
-    }
-
-    /// Background scrubber: verify the stored checksums of up to
-    /// `max_pages` cold (unmapped) pages against the durable store and
-    /// repair any corruption from committed journal state. Returns
-    /// `(verified, repaired)`. A no-op outside durability mode or after
-    /// a crash.
-    pub fn scrub(&mut self, max_pages: u64) -> (u64, u64) {
-        if self.crashed.is_some() || self.durable.is_none() {
-            return (0, 0);
-        }
-        self.ensure_durable_snapshot();
-        let (mut verified, mut repaired) = (0, 0);
-        for vpage in 0..self.total_pages() {
-            if verified >= max_pages {
-                break;
-            }
-            if !matches!(self.pages[vpage as usize].state, PageState::Unmapped) {
-                continue;
-            }
-            // Model the verification read; the scrubber runs in the
-            // background, so nothing stalls on it.
-            if let Ok((disk, block)) = self.fs.place(self.swap, vpage) {
-                let _ = self.disks.try_post(
-                    disk,
-                    self.now,
-                    Request::new(ReqKind::DemandRead, block, 1),
-                );
-            }
-            verified += 1;
-            let ok = self
-                .durable
-                .as_ref()
-                .map(|d| d.verify(vpage))
-                .unwrap_or(true);
-            if ok {
-                continue;
-            }
-            if let Some(rec) = self
-                .wal_durable
-                .iter()
-                .rev()
-                .find(|r| r.vpage == vpage && r.committed)
-            {
-                let payload = rec.payload.clone();
-                // Plain `write_page`, not `land_durable`: the current
-                // image is corrupt, so it cannot serve as the parity
-                // XOR's "old" term. Restoring the committed content
-                // restores the parity invariant as a side effect.
-                if let Some(d) = &mut self.durable {
-                    d.write_page(vpage, &payload);
-                }
-                if let Ok((disk, block)) = self.fs.place(self.swap, vpage) {
-                    let _ =
-                        self.disks
-                            .try_post(disk, self.now, Request::new(ReqKind::Write, block, 1));
-                }
-                repaired += 1;
-            }
-        }
-        self.stats.scrub_pages_verified += verified;
-        self.stats.scrub_pages_repaired += repaired;
-        (verified, repaired)
-    }
-
-    /// Test hook: flip bits in a durable page image without updating
-    /// its stored checksum (latent media corruption for scrubber
-    /// tests). Returns `false` outside durability mode.
-    pub fn corrupt_durable_page(&mut self, vpage: u64) -> bool {
-        self.ensure_durable_snapshot();
-        match &mut self.durable {
-            Some(d) => {
-                d.corrupt(vpage);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Test hook: flip bits in one stripe row's parity content without
-    /// updating anything else — latent parity corruption that the
-    /// rebuild verify sweep must catch. Returns `false` without a
-    /// parity layout.
-    pub fn corrupt_parity_row(&mut self, row: u64) -> bool {
-        self.ensure_durable_snapshot();
-        match &mut self.parity {
-            Some(ps) if row < ps.rows() => {
-                ps.corrupt_row(row);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Online rebuild (reconstructing the dead disk onto the hot spare)
-    // ------------------------------------------------------------------
-
-    /// Advance the online rebuild, paced in simulated time. Called
-    /// opportunistically from the machine's entry points (demand
-    /// touches and hint calls), so rebuild traffic contends with
-    /// foreground I/O on the survivors. Two bounds throttle the
-    /// scrubber:
-    ///
-    /// * the hot spare physically serializes one row write per average
-    ///   access, so the watermark never advances faster than one row
-    ///   per `avg_access_ns` of simulated time (stretched 4x under
-    ///   elevated pressure — the scrubber yields the spindles);
-    /// * the same pressure levels that shed prefetch hints cap the
-    ///   per-entry catch-up batch, and brownouts pause it entirely.
-    fn pump_rebuild(&mut self) {
-        let Some((dead, _)) = self.dead_disk else {
-            return;
-        };
-        if self.parity.is_none() || self.crashed.is_some() {
-            return;
-        }
-        self.ensure_durable_snapshot();
-        let (batch, cost_mul) = match self.pressure_level() {
-            PressureLevel::Nominal => (8, 1),
-            PressureLevel::Elevated => (2, 4),
-            PressureLevel::Brownout => (0, 0),
-        };
-        let row_cost = self.params.disk.avg_access_ns() * cost_mul;
-        let rows = self.fs.rows(self.swap).unwrap_or(0);
-        let mut done = 0;
-        while done < batch
-            && self.rebuilt_rows < rows
-            && self.crashed.is_none()
-            && self.now >= self.rebuild_next_at
-        {
-            let row = self.rebuilt_rows;
-            self.rebuild_row(row, dead);
-            self.rebuilt_rows += 1;
-            self.rebuild_next_at = self.rebuild_next_at.saturating_add(row_cost);
-            done += 1;
-        }
-        if self.rebuilt_rows >= rows {
-            self.finish_rebuild_bookkeeping();
-        }
-    }
-
-    /// Drive the rebuild to completion regardless of pressure (harness
-    /// hook: the workload is done and the scrubber gets the array to
-    /// itself). No-op when the array is healthy or power is out.
-    pub fn finish_rebuild(&mut self) {
-        let Some((dead, _)) = self.dead_disk else {
-            return;
-        };
-        if self.parity.is_none() || self.crashed.is_some() {
-            return;
-        }
-        self.ensure_durable_snapshot();
-        let rows = self.fs.rows(self.swap).unwrap_or(0);
-        while self.rebuilt_rows < rows && self.crashed.is_none() {
-            let row = self.rebuilt_rows;
-            self.rebuild_row(row, dead);
-            self.rebuilt_rows += 1;
-        }
-        if self.rebuilt_rows >= rows {
-            self.finish_rebuild_bookkeeping();
-        }
-    }
-
-    fn finish_rebuild_bookkeeping(&mut self) {
-        self.stats.rebuild_ns = self.now.saturating_sub(self.death_detected_at);
-        self.dead_disk = None;
-    }
-
-    /// Reconstruct one stripe row's lost block onto the hot spare:
-    /// post one background read per survivor block, verify the
-    /// reconstruction against the durable content model's checksums,
-    /// and post the write to the spare. A mismatch (latent parity
-    /// corruption) is counted and the row's parity re-derived from the
-    /// durable data pages, whose per-page checksums are authoritative.
-    fn rebuild_row(&mut self, row: u64, dead: usize) {
-        let Ok(pages) = self.fs.row_pages(self.swap, row) else {
-            return;
-        };
-        let Ok((pd, pb)) = self.fs.parity_place(self.swap, row) else {
-            return;
-        };
-        // Survivor reads, prefetch class: the foreground's demand
-        // reads keep priority over reconstruction traffic.
-        let mut lost: Option<u64> = None;
-        for p in pages.clone() {
-            let Ok((d, b)) = self.fs.place(self.swap, p) else {
-                continue;
-            };
-            if d == dead {
-                lost = Some(p);
-                continue;
-            }
-            self.post_background(d, ReqKind::PrefetchRead, b);
-        }
-        if pd != dead {
-            self.post_background(pd, ReqKind::PrefetchRead, pb);
-        }
-        let page_bytes = self.params.page_bytes as usize;
-        if self.parity.is_none() || self.durable.is_none() {
-            return;
-        }
-        // The authoritative parity image of this row: XOR of its
-        // durable data pages (each protected by its own checksum).
-        let xor = {
-            let d = self.durable.as_ref().expect("checked above");
-            let mut xor = vec![0u8; page_bytes];
-            for p in pages.clone() {
-                for (dst, src) in xor.iter_mut().zip(d.page(p)) {
-                    *dst ^= src;
-                }
-            }
-            xor
-        };
-        let mismatch = {
-            let ps = self.parity.as_ref().expect("checked above");
-            let d = self.durable.as_ref().expect("checked above");
-            if pd == dead {
-                // The row lost its parity block: verify the content
-                // model's row checksum against the recomputation.
-                page_checksum(&xor) != ps.row_checksum(row)
-            } else if let Some(lp) = lost {
-                // The row lost a data page: reconstruct it from the
-                // survivors + parity and check it against the page's
-                // stored checksum.
-                let rec = ps.reconstruct(row, pages.clone(), lp, d.images());
-                page_checksum(&rec) != d.stored_checksum(lp)
-            } else {
-                // Short final row whose dead-slot block holds neither
-                // data nor parity: nothing to reconstruct.
-                false
-            }
-        };
-        if mismatch {
-            self.stats.rebuild_verify_mismatches += 1;
-        }
-        if mismatch || pd == dead {
-            // Adopt the authoritative recomputation as the row's parity
-            // content: heals latent corruption, and is the freshly
-            // rebuilt parity block when the parity home was the dead
-            // slot (a byte-identical no-op when already clean).
-            if let Some(ps) = &mut self.parity {
-                let cur = ps.row(row).to_vec();
-                ps.update(row, &cur, &xor);
-            }
-        }
-        // The write that lands the reconstructed block on the spare.
-        let wb = if pd == dead {
-            self.stats.parity_writes += 1;
-            Some(pb)
-        } else {
-            lost.and_then(|lp| self.fs.place(self.swap, lp).ok().map(|(_, b)| b))
-        };
-        if let Some(b) = wb {
-            self.post_background(dead, ReqKind::Write, b);
-        }
-        self.stats.rebuild_rows += 1;
-    }
-
-    /// Post one background (non-stalling) request, latching crash or
-    /// death signals; queue-full refusals are dropped — background
-    /// traffic is timing-only.
-    fn post_background(&mut self, disk: usize, kind: ReqKind, block: u64) {
-        match self
-            .disks
-            .try_post(disk, self.now, Request::new(kind, block, 1))
-        {
-            Ok(()) | Err(IoError::QueueFull { .. }) => {}
-            Err(IoError::Crashed { at }) => self.crashed = Some(at),
-            Err(IoError::DiskDead { disk: d, at }) => {
-                self.note_disk_death(d, at);
-            }
-            Err(_) => {}
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Backing data (the actual bytes of the address space)
-    // ------------------------------------------------------------------
-
+impl Machine {
     /// Read an `f64` at `addr` without touching residency (init/verify).
     #[inline]
     pub fn peek_f64(&self, addr: u64) -> f64 {
@@ -4011,7 +1941,13 @@ impl Machine {
 
 #[cfg(test)]
 mod tests {
+    use oocp_policy::{PolicyActions, PrefetchPolicy};
+    use oocp_sim::time::MILLISECOND;
+
     use super::*;
+    use crate::store::DurableStore;
+    use crate::tenant::{QosClass, TenantId, TenantSpec};
+    use crate::trace::Trace;
 
     fn tiny() -> Machine {
         let mut p = MachineParams::small();
@@ -4862,7 +2798,7 @@ mod tests {
         assert_eq!(m2.stats().recovery_ns, report.recovery_ns);
         assert!(m2.now() > 0, "recovery consumed simulated time");
         assert!(m2.crashed_at().is_none(), "the recovered machine is clean");
-        assert!(m2.durability_enabled());
+        assert!(m2.durability.store.is_some());
     }
 
     #[test]
@@ -5262,7 +3198,7 @@ mod tests {
         assert!(s.degraded_read_ns > 0, "reconstruction cost real time");
         assert!(s.rebuild_rows > 0, "the online rebuild made progress");
         m.finish_rebuild();
-        assert!(!m.degraded_active(), "rebuild completed");
+        assert!(m.dead_disk().is_none(), "rebuild completed");
         let (done, total) = m.rebuild_progress();
         assert_eq!(done, total);
         assert_eq!(m.stats().rebuild_verify_mismatches, 0, "clean verify");
@@ -5307,7 +3243,7 @@ mod tests {
         // path, before any rebuild progress: the runs aimed at the dead
         // slot must reroute into survivor fan-outs, not drop.
         m.sys_prefetch(0, 28);
-        assert!(m.degraded_active(), "hint path latched the death");
+        assert!(m.dead_disk().is_some(), "hint path latched the death");
         let s = m.stats();
         assert!(
             s.hints_rerouted_degraded > 0,
@@ -5335,7 +3271,7 @@ mod tests {
         );
         m.touch(2 * 4096, 8, false); // page 2 lives on disk 2: trips detection
         m.finish_rebuild();
-        assert!(!m.degraded_active());
+        assert!(m.dead_disk().is_none());
         assert_eq!(
             m.stats().rebuild_verify_mismatches,
             2,
@@ -5450,6 +3386,14 @@ mod tests {
         },
     }
 
+    /// The blocking demand access, around the fast path.
+    fn touch_slow(m: &mut Machine, addr: u64, len: u64, write: bool) -> Result<u64, OsError> {
+        match m.touch_miss(addr, len, write, FaultWait::Inline)? {
+            Touch::Done { faults } => Ok(faults),
+            Touch::Blocked { until } => panic!("an inline wait blocked until {until}"),
+        }
+    }
+
     impl DiffOp {
         /// The demand access this op makes, if it makes one.
         fn access(self) -> Option<(u64, u64, bool)> {
@@ -5529,7 +3473,7 @@ mod tests {
         fn apply(self, m: &mut Machine, slow: bool) -> Result<u64, OsError> {
             match self {
                 DiffOp::Load { addr, int } if slow => {
-                    m.try_touch_miss(addr, 8, false)?;
+                    touch_slow(m, addr, 8, false)?;
                     return Ok(if int {
                         m.peek_i64(addr) as u64
                     } else {
@@ -5539,7 +3483,7 @@ mod tests {
                 DiffOp::Load { addr, int: true } => return Ok(m.load_i64(addr) as u64),
                 DiffOp::Load { addr, int: false } => return Ok(m.load_f64(addr).to_bits()),
                 DiffOp::Store { addr, int, bits } if slow => {
-                    m.try_touch_miss(addr, 8, true)?;
+                    touch_slow(m, addr, 8, true)?;
                     if int {
                         m.poke_i64(addr, bits as i64);
                     } else {
@@ -5557,12 +3501,12 @@ mod tests {
                     bits,
                 } => m.store_f64(addr, f64::from_bits(bits)),
                 DiffOp::Touch { addr, len, write } if slow => {
-                    return m.try_touch_miss(addr, len, write)
+                    return touch_slow(m, addr, len, write)
                 }
                 DiffOp::Touch { addr, len, write } => return m.try_touch(addr, len, write),
                 DiffOp::TouchNb { addr, len, write } => loop {
                     let r = if slow {
-                        m.touch_nb_miss(addr, len, write)
+                        m.touch_miss(addr, len, write, FaultWait::Caller)
                     } else {
                         m.touch_nb(addr, len, write)
                     };
@@ -5609,45 +3553,60 @@ mod tests {
         assert!(a.pages == b.pages, "{ctx}: page tables differ");
         assert!(a.free_list == b.free_list, "{ctx}: free lists differ");
         assert!(a.bits == b.bits, "{ctx}: residency bits differ");
-        assert!(a.tenant_bits == b.tenant_bits, "{ctx}: tenant bits differ");
+        assert!(
+            a.tenancy.bits == b.tenancy.bits,
+            "{ctx}: tenant bits differ"
+        );
         assert!(*a.data == *b.data, "{ctx}: data images differ");
         same!("tenant stats", |m: &Machine| m
+            .tenancy
             .tenants
             .iter()
             .map(|t| (t.stats, t.hand))
             .collect::<Vec<_>>());
         same!("pressure schedule", |m: &Machine| m.pressure.clone());
-        same!("crash state", |m: &Machine| (m.crashed, m.crash_resolved));
+        same!("crash state", |m: &Machine| (
+            m.durability.crashed,
+            m.durability.crash_resolved
+        ));
         same!("dead disk and rebuild", |m: &Machine| (
-            m.dead_disk,
-            m.rebuilt_rows,
-            m.rebuild_next_at
+            m.redundancy.dead_disk,
+            m.redundancy.rebuilt_rows,
+            m.redundancy.rebuild_next_at
         ));
         assert!(
-            a.durable.as_ref().map(DurableStore::images)
-                == b.durable.as_ref().map(DurableStore::images),
+            a.durability.store.as_ref().map(DurableStore::images)
+                == b.durability.store.as_ref().map(DurableStore::images),
             "{ctx}: durable stores differ"
         );
         same!("MachineProf call counts", |m: &Machine| m
+            .observe
             .host_prof
             .map(|p| p.rows().map(|(_, _, n)| n).collect::<Vec<_>>()));
-        same!("trace length", |m: &Machine| m.trace.as_ref().map(|t| (
-            t.len(),
-            t.dropped(),
-            t.iter().last().copied()
-        )));
-        same!("ledger", |m: &Machine| m.metrics.as_ref().map(|x| (
-            *x.ledger.counts(),
-            x.ledger.entries(),
-            x.ledger.open_entries(),
-            x.fault_wait.count()
-        )));
+        same!("trace length", |m: &Machine| m
+            .observe
+            .trace
+            .as_ref()
+            .map(|t| (t.len(), t.dropped(), t.iter().last().copied())));
+        same!("ledger", |m: &Machine| m.observe.metrics.as_ref().map(
+            |x| (
+                *x.ledger.counts(),
+                x.ledger.entries(),
+                x.ledger.open_entries(),
+                x.fault_wait.count()
+            )
+        ));
         same!("sampler rows", |m: &Machine| m
+            .observe
             .sampler
             .as_ref()
             .map(|s| (s.ring.len(), s.next_due)));
         if deep {
-            same!("trace", |m: &Machine| m.trace.as_ref().map(Trace::records));
+            same!("trace", |m: &Machine| m
+                .observe
+                .trace
+                .as_ref()
+                .map(Trace::records));
             same!("metrics report", |m: &Machine| format!(
                 "{:?}",
                 m.metrics_report()
@@ -5733,7 +3692,7 @@ mod tests {
         assert!(run.went_round() && run.fast.pressure.is_empty());
 
         let run = fast_path_matches_slow_path("durable store", tiny_parity);
-        assert!(run.went_round() && run.fast.durable.is_some());
+        assert!(run.went_round() && run.fast.durability.store.is_some());
         assert_eq!(run.hits, 0, "a durable store keeps every touch slow");
 
         let run = fast_path_matches_slow_path("crash point", || {
@@ -5741,7 +3700,10 @@ mod tests {
             m.set_fault_plan(&crash_plan(3, CrashPoint::AtOp(1_500), true));
             m
         });
-        assert!(run.fast.crashed.is_some(), "the crash point was reached");
+        assert!(
+            run.fast.durability.crashed.is_some(),
+            "the crash point was reached"
+        );
         assert_eq!(run.hits, 0);
 
         let run = fast_path_matches_slow_path("dead disk under parity", || {
@@ -5761,7 +3723,7 @@ mod tests {
             m
         });
         assert_eq!(run.hits, 0, "the profiler counts every touch");
-        let calls = run.fast.host_prof.unwrap().rows().next().unwrap().2;
+        let calls = run.fast.observe.host_prof.unwrap().rows().next().unwrap().2;
         assert!(run.went_round() && calls > 1_000, "{calls} touches counted");
     }
 
@@ -5773,7 +3735,7 @@ mod tests {
             m
         });
         assert!(run.went_round() && run.hits > 300);
-        assert!(run.fast.sampler.unwrap().ring.len() > 100);
+        assert!(run.fast.observe.sampler.unwrap().ring.len() > 100);
 
         let run = fast_path_matches_slow_path("metrics and ledger", || {
             let mut m = tiny();
@@ -5790,7 +3752,7 @@ mod tests {
             m
         });
         assert!(run.went_round() && run.hits > 300);
-        assert!(run.fast.trace.unwrap().len() > 1_000);
+        assert!(run.fast.observe.trace.unwrap().len() > 1_000);
 
         let run = fast_path_matches_slow_path("readahead policy", || {
             let mut p = *tiny().params();
@@ -5811,6 +3773,97 @@ mod tests {
         assert!(run.went_round() && run.hits > 300);
         assert!(run.fast.tenant_stats(0).quota_evictions > 0);
         assert!(run.fast.tenant_stats(1).demand_faults > 0);
+    }
+
+    #[test]
+    fn every_armed_extension_declines_the_fast_path() {
+        type Step = fn(&mut Machine);
+        // One arm per line of `extensions_quiet`, each arming only that
+        // line. Where the machine offers no way back (a durable store
+        // stays, a crash stays latched, a plain array never rebuilds)
+        // the disarm step resets the extension's one field.
+        let gate: [(&str, Step, Step); 5] = [
+            (
+                "host profiler",
+                |m| m.attach_host_prof(),
+                |m| {
+                    m.take_host_prof().expect("attached");
+                },
+            ),
+            (
+                "durable store",
+                |m| m.set_fault_plan(&crash_plan(1, CrashPoint::AtOp(u64::MAX), false)),
+                |m| m.durability = Durability::default(),
+            ),
+            (
+                "latched crash",
+                |m| m.latch_crash(0),
+                |m| m.durability = Durability::default(),
+            ),
+            (
+                "pending pressure entry",
+                |m| m.set_pressure_schedule(vec![(1_000, 32)]),
+                |m| {
+                    m.tick_user(1_000);
+                    m.touch(0, 8, false); // the slow path consumes the entry
+                },
+            ),
+            (
+                "dead disk",
+                |m| {
+                    let death = oocp_disk::DiskDeath { disk: 1, at: 1 };
+                    m.set_fault_plan(&FaultPlan::none(7).with_disk_death(death));
+                    let lost = m.try_touch(4096, 8, false); // page 1 lives on disk 1
+                    assert!(matches!(lost, Err(OsError::DiskLost { disk: 1, .. })));
+                },
+                |m| m.redundancy = RedundancyState::default(),
+            ),
+        ];
+        let observers: [(&str, Step); 5] = [
+            ("sampler", |m| m.attach_sampler(MILLISECOND, 16)),
+            ("metrics", |m| m.enable_metrics()),
+            ("trace", |m| m.enable_trace(16)),
+            ("policy", |m| {
+                let readahead = oocp_policy::build(oocp_policy::PolicyKind::Readahead);
+                m.set_policy(readahead.expect("readahead is a policy"));
+            }),
+            ("tenants", |m| {
+                m.register_tenant(TenantSpec::unlimited(), 16 * 4096);
+            }),
+        ];
+        let warm = || {
+            let mut m = tiny();
+            m.preload(0, 1);
+            assert!(m.touch_is_hit(0, 8, false), "a preloaded page is hot");
+            m
+        };
+        for (line, arm, disarm) in gate {
+            let mut m = warm();
+            arm(&mut m);
+            let armed = [
+                m.observe.host_prof.is_some(),
+                m.durability.store.is_some(),
+                m.durability.crashed.is_some(),
+                !m.pressure.is_empty(),
+                m.redundancy.dead_disk.is_some(),
+            ];
+            assert_eq!(armed.iter().filter(|&&a| a).count(), 1, "{line}: {armed:?}");
+            assert!(!m.touch_is_hit(0, 8, false), "{line} armed");
+            disarm(&mut m);
+            assert!(m.touch_is_hit(0, 8, false), "{line} disarmed");
+        }
+        // The rebuild is the dead disk's own way back, but parity brings
+        // the durable store with it, so it is shown on the field alone.
+        let mut m = tiny_parity();
+        m.note_disk_death(1, 0);
+        assert!(m.redundancy.dead_disk.is_some());
+        m.finish_rebuild();
+        assert!(m.redundancy.dead_disk.is_none(), "rebuild finished");
+        for (what, attach) in observers {
+            let mut m = warm();
+            attach(&mut m);
+            assert!(m.touch_is_hit(0, 8, false), "{what} is not on the gate");
+        }
     }
 
     #[test]

@@ -35,13 +35,17 @@ cargo test -q --no-fail-fast
 stage "differential oracle, release arithmetic (bytecode == tree-walker)"
 # `cargo test -q` above ran it with debug arithmetic (overflow checks
 # on); wrapping behaviour and float codegen differ in release, which is
-# what every binary below actually runs.
+# what every binary below actually runs. The oracle lives beside the
+# tree-walker it compares against, in crates/ir/src/oracle.rs.
 cargo test -q --release -p oocp-ir vm_matches_tree_walker
 
 stage "differential oracle, release build (resident-hit fast path == slow path)"
 # The same split for the machine's fast path: the debug run above had
 # the `debug_assert`s and overflow checks of `touch_is_hit` compiled in,
-# every binary below has them compiled out.
+# every binary below has them compiled out. The driver (`DiffOp`,
+# `assert_same_machine`) lives beside the paging core, in the tests of
+# crates/os/src/machine.rs, and arms each extension of
+# crates/os/src/machine/ in turn.
 cargo test -q --release -p oocp-os fast_path_matches_slow_path
 
 stage "benchmark package (unit tests + 1/64-scale smoke)"
@@ -279,6 +283,27 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
 else
     stage "cargo clippy not available; skipping lint"
+fi
+
+stage "line counts (oocp-os non-test lines; machine.rs must not regrow)"
+# The line-count twin of the per-stage wall times. A file's non-test
+# lines are those before its first `#[cfg(test)]`. machine.rs is the
+# paging core, and the cap is the size it had when the extensions moved
+# out to machine/*.rs: something that belongs to one of them goes there,
+# and a cap raised on purpose is raised in the same commit.
+MACHINE_RS_MAX=1941
+OS_TOTAL=0
+MACHINE_RS=0
+while IFS= read -r f; do
+    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+    printf '%6d  %s\n' "$n" "$f"
+    OS_TOTAL=$((OS_TOTAL + n))
+    if [ "$f" = crates/os/src/machine.rs ]; then MACHINE_RS=$n; fi
+done < <(find crates/os/src -name '*.rs' | sort)
+printf '%6d  total\n' "$OS_TOTAL"
+if [ "$MACHINE_RS" -gt "$MACHINE_RS_MAX" ]; then
+    echo "crates/os/src/machine.rs has $MACHINE_RS non-test lines, over its cap of $MACHINE_RS_MAX"
+    exit 1
 fi
 
 stage ""
