@@ -1,7 +1,7 @@
 //! Single-disk model: geometry parameters, service times, a scheduled
 //! request queue, and statistics.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use oocp_obs::LatencyHist;
 use oocp_sim::time::{Ns, MICROSECOND, MILLISECOND};
@@ -350,18 +350,16 @@ pub struct Disk {
     head: u64,
     busy_until: Ns,
     stats: DiskStats,
-    /// Undispatched requests, in arrival order (ascending ticket seq).
-    queue: Vec<Pending>,
+    /// Undispatched requests, in arrival order.
+    queue: VecDeque<Pending>,
     /// Scheduler state carried across picks (elevator direction and the
     /// tenant round-robin cursor).
     pick_state: PickState,
     /// Tenants sharing this disk; divides the queue depth into
     /// per-tenant prefetch shares when greater than one.
     tenant_count: usize,
-    next_seq: u64,
-    /// Completions of dispatched tracked/blocking requests:
-    /// `seq -> (completion detail, units left to redeem)`.
-    done: HashMap<u64, (Completion, u64)>,
+    /// Completions of dispatched tracked/blocking requests.
+    done: Completions,
 }
 
 /// Completion detail of a tracked request: when it finished and how the
@@ -380,6 +378,81 @@ pub struct Completion {
     pub wait: Ns,
     /// Media service time, including any injected straggle.
     pub service: Ns,
+}
+
+/// The ticket `seq` of a posted request: it names no slot.
+const POSTED: u64 = u64::MAX;
+
+/// One ticket's slot in [`Completions`].
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Bumped each time the slot is recycled, so a spent ticket's `seq`
+    /// no longer names it.
+    gen: u32,
+    /// Units still to redeem; zero until the request is dispatched.
+    left: u64,
+    done: Completion,
+}
+
+/// The completion store: one slot per tracked ticket *outstanding*.
+///
+/// A ticket's `seq` is its slot's index under the slot's generation
+/// (`gen << 32 | index`). The slot is claimed when the request is
+/// accepted, filled at dispatch, and recycled when its last unit is
+/// redeemed — so the store is as large as the most tickets ever
+/// outstanding at once, however many were issued, and a ticket nobody
+/// redeems costs its own slot and pins nothing else. Redeeming is an
+/// index and a compare: no hashing, no allocation.
+#[derive(Clone, Debug, Default)]
+struct Completions {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+}
+
+impl Completions {
+    /// Claim a slot for a newly accepted tracked request.
+    fn issue(&mut self) -> u64 {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(Slot {
+                gen: 0,
+                left: 0,
+                done: Completion {
+                    at: 0,
+                    wait: 0,
+                    service: 0,
+                },
+            });
+            (self.slots.len() - 1) as u32
+        });
+        (self.slots[idx as usize].gen as u64) << 32 | idx as u64
+    }
+
+    /// The live slot `seq` names, if it still names one.
+    fn slot(&mut self, seq: u64) -> Option<&mut Slot> {
+        let slot = self.slots.get_mut(seq as u32 as usize)?;
+        (slot.gen == (seq >> 32) as u32).then_some(slot)
+    }
+
+    /// The request behind `seq` was dispatched: `units` redemptions of
+    /// `done` are now owed.
+    fn complete(&mut self, seq: u64, units: u64, done: Completion) {
+        let slot = self.slot(seq).expect("a queued ticket holds its slot");
+        slot.left = units;
+        slot.done = done;
+    }
+
+    /// Redeem one unit of `seq` if its request has been dispatched and
+    /// completes by `by`, recycling the slot with the last unit.
+    fn take(&mut self, seq: u64, by: Ns) -> Option<Completion> {
+        let slot = self.slot(seq).filter(|s| s.left > 0 && s.done.at <= by)?;
+        slot.left -= 1;
+        let done = slot.done;
+        if slot.left == 0 {
+            slot.gen = slot.gen.wrapping_add(1);
+            self.free.push(seq as u32);
+        }
+        Some(done)
+    }
 }
 
 impl Disk {
@@ -403,11 +476,10 @@ impl Disk {
             head: 0,
             busy_until: 0,
             stats: DiskStats::default(),
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             pick_state: PickState::default(),
             tenant_count: 1,
-            next_seq: 0,
-            done: HashMap::new(),
+            done: Completions::default(),
         }
     }
 
@@ -535,9 +607,12 @@ impl Disk {
         // depth and coalescing windows reflect the true backlog at
         // `now`, not history.
         self.advance(now);
-        let seq = self.next_seq;
-        let merged = self.sched.coalesce && self.try_coalesce(&req, mult, add_ns, seq, units);
-        if !merged {
+        let target = if self.sched.coalesce {
+            self.coalesce_target(&req, mult, add_ns)
+        } else {
+            None
+        };
+        if target.is_none() {
             if req.kind == ReqKind::PrefetchRead && self.tenant_count > 1 {
                 // Per-tenant queue share: a tenant may hold at most an
                 // equal fraction of the queue in undispatched
@@ -568,16 +643,32 @@ impl Disk {
                     retry_at: self.busy_until.max(now + 1),
                 });
             }
-            self.queue.push(Pending {
-                req,
-                arrival: now,
-                mult,
-                add_ns,
-                tickets: vec![(seq, units)],
-            });
-            self.stats.queue_depth_hwm = self.stats.queue_depth_hwm.max(self.queue.len() as u64);
         }
-        self.next_seq += 1;
+        // Accepted. Only a request whose completion someone will ask
+        // for takes a slot in the completion store.
+        let seq = if units > 0 { self.done.issue() } else { POSTED };
+        match target {
+            Some(i) => {
+                let p = &mut self.queue[i];
+                p.req.start_block = p.req.start_block.min(req.start_block);
+                p.req.nblocks += req.nblocks;
+                p.merged.push((seq, units));
+                self.stats.coalesced_requests += 1;
+                self.stats.coalesced_blocks += req.nblocks;
+            }
+            None => {
+                self.queue.push_back(Pending {
+                    req,
+                    arrival: now,
+                    mult,
+                    add_ns,
+                    ticket: (seq, units),
+                    merged: Vec::new(),
+                });
+                self.stats.queue_depth_hwm =
+                    self.stats.queue_depth_hwm.max(self.queue.len() as u64);
+            }
+        }
         // Class counters record *accepted* requests at submission (the
         // historical observable); a merge changes only how the blocks
         // reach the media.
@@ -601,52 +692,55 @@ impl Disk {
         Ok(seq)
     }
 
-    /// Merge `req` into an adjacent queued request of the same class
-    /// and straggle profile, if the merged transfer stays within one
-    /// cylinder span (so it still pays a single positioning).
-    fn try_coalesce(&mut self, req: &Request, mult: f64, add_ns: Ns, seq: u64, units: u64) -> bool {
+    /// The queued request `req` can merge into: adjacent, of the same
+    /// class and straggle profile, and the merged transfer stays within
+    /// one cylinder span (so it still pays a single positioning).
+    fn coalesce_target(&self, req: &Request, mult: f64, add_ns: Ns) -> Option<usize> {
         if req.kind == ReqKind::Write {
-            return false;
+            return None;
         }
         let cap = self.params.cylinder_blocks;
-        for p in &mut self.queue {
-            if p.req.kind != req.kind || p.mult.to_bits() != mult.to_bits() || p.add_ns != add_ns {
-                continue;
-            }
-            let merged = p.req.nblocks.saturating_add(req.nblocks);
-            if merged > cap {
-                continue;
-            }
-            if p.req.start_block + p.req.nblocks == req.start_block {
-                p.req.nblocks = merged;
-            } else if req.start_block + req.nblocks == p.req.start_block {
-                p.req.start_block = req.start_block;
-                p.req.nblocks = merged;
-            } else {
-                continue;
-            }
-            p.tickets.push((seq, units));
-            self.stats.coalesced_requests += 1;
-            self.stats.coalesced_blocks += req.nblocks;
-            return true;
+        self.queue.iter().position(|p| {
+            p.req.kind == req.kind
+                && p.mult.to_bits() == mult.to_bits()
+                && p.add_ns == add_ns
+                && p.req.nblocks.saturating_add(req.nblocks) <= cap
+                && (p.req.start_block + p.req.nblocks == req.start_block
+                    || req.start_block + req.nblocks == p.req.start_block)
+        })
+    }
+
+    /// Dispatch the next queued request if its slot — the media going
+    /// idle, or the earliest arrival if that is later — has come by
+    /// `limit`. Returns whether one went.
+    fn dispatch_next(&mut self, limit: Ns) -> bool {
+        let Some(front) = self.queue.front() else {
+            return false;
+        };
+        // With a request already waiting when the media goes idle the
+        // slot is that instant; only an idle disk looks for the
+        // earliest arrival.
+        let start = if front.arrival <= self.busy_until {
+            self.busy_until
+        } else {
+            let earliest = self.queue.iter().map(|p| p.arrival).min();
+            self.busy_until.max(earliest.expect("queue is non-empty"))
+        };
+        if start > limit {
+            return false;
         }
-        false
+        self.dispatch_at(start);
+        true
     }
 
     /// Dispatch every queued request whose slot has passed by `now`.
     fn advance(&mut self, now: Ns) {
-        while let Some(earliest) = self.queue.iter().map(|p| p.arrival).min() {
-            let start = self.busy_until.max(earliest);
-            if start > now {
-                break;
-            }
-            self.dispatch_at(start);
-        }
+        while self.dispatch_next(now) {}
     }
 
     /// Dispatch the policy's pick at time `start`, advancing the busy
     /// horizon and recording per-class wait/service statistics.
-    fn dispatch_at(&mut self, start: Ns) -> Ns {
+    fn dispatch_at(&mut self, start: Ns) {
         let Picked {
             idx,
             preempted,
@@ -658,7 +752,7 @@ impl Disk {
             self.sched.prefetch_age_ns,
             &mut self.pick_state,
         );
-        let p = self.queue.remove(idx);
+        let p = self.queue.remove(idx).expect("the pick is a queue index");
         let base = self.params.service_ns(self.head, &p.req);
         let service = (base as f64 * p.mult.max(1.0)) as Ns + p.add_ns;
         if service > base {
@@ -699,24 +793,11 @@ impl Disk {
             wait,
             service,
         };
-        for (seq, units) in p.tickets {
+        for (seq, units) in p.tickets() {
             if units > 0 {
-                self.done.insert(seq, (completion, units));
+                self.done.complete(seq, units, completion);
             }
         }
-        done
-    }
-
-    /// Consume one completion unit of ticket `seq` if its request has
-    /// been dispatched.
-    fn take_done(&mut self, seq: u64) -> Option<Completion> {
-        let entry = self.done.get_mut(&seq)?;
-        let c = entry.0;
-        entry.1 -= 1;
-        if entry.1 == 0 {
-            self.done.remove(&seq);
-        }
-        Some(c)
     }
 
     /// Reclassify the still-queued prefetch read holding ticket `seq`
@@ -728,7 +809,7 @@ impl Disk {
     pub fn promote(&mut self, seq: u64, now: Ns) -> bool {
         self.advance(now);
         for p in &mut self.queue {
-            if p.req.kind == ReqKind::PrefetchRead && p.tickets.iter().any(|&(s, _)| s == seq) {
+            if p.req.kind == ReqKind::PrefetchRead && p.tickets().any(|(s, _)| s == seq) {
                 p.req.kind = ReqKind::DemandRead;
                 self.stats.promotions += 1;
                 return true;
@@ -748,12 +829,7 @@ impl Disk {
     /// (queue wait and service split) instead of just the time.
     pub fn poll_detail(&mut self, seq: u64, now: Ns) -> Option<Completion> {
         self.advance(now);
-        let (c, _) = *self.done.get(&seq)?;
-        if c.at <= now {
-            self.take_done(seq)
-        } else {
-            None
-        }
+        self.done.take(seq, now)
     }
 
     /// Block until ticket `seq` completes (dispatching queued requests
@@ -778,31 +854,20 @@ impl Disk {
     /// redeemed — redeeming a ticket twice is a logic error.
     pub fn wait_for_detail(&mut self, seq: u64) -> Completion {
         loop {
-            if let Some(c) = self.take_done(seq) {
+            if let Some(c) = self.done.take(seq, Ns::MAX) {
                 return c;
             }
             assert!(
-                !self.queue.is_empty(),
+                self.dispatch_next(Ns::MAX),
                 "waiting on unknown or fully-redeemed disk ticket {seq}"
             );
-            let earliest = self
-                .queue
-                .iter()
-                .map(|p| p.arrival)
-                .min()
-                .expect("queue is non-empty");
-            let start = self.busy_until.max(earliest);
-            self.dispatch_at(start);
         }
     }
 
     /// Dispatch everything still queued and return the time the media
     /// goes idle.
     pub fn drain(&mut self) -> Ns {
-        while let Some(earliest) = self.queue.iter().map(|p| p.arrival).min() {
-            let start = self.busy_until.max(earliest);
-            self.dispatch_at(start);
-        }
+        while self.dispatch_next(Ns::MAX) {}
         self.busy_until
     }
 
@@ -978,6 +1043,50 @@ mod tests {
         assert_eq!(d.poll(t, done), Some(done));
         assert_eq!(d.wait_for(t), done, "third unit still redeemable");
         assert_eq!(d.poll(t, done), None, "all units consumed");
+    }
+
+    #[test]
+    fn completion_store_is_bounded_by_tickets_outstanding() {
+        let mut d = Disk::new(DiskParams::default());
+        // One old ticket nobody redeems, then 100 000 more that are
+        // each redeemed before the next is issued.
+        let old = d.try_track(0, req(ReqKind::PrefetchRead, 7, 1)).unwrap();
+        let mut now = 0;
+        for i in 0..100_000u64 {
+            let t = d
+                .try_track(now, req(ReqKind::Write, 1_000 + i % 50_000, 1))
+                .unwrap();
+            assert_ne!(t, old, "a live ticket's seq is never reissued");
+            now = d.wait_for(t);
+            assert!(d.done.slots.len() <= 2, "{} slots", d.done.slots.len());
+        }
+        // A burst of 64 outstanding at once grows the store to the
+        // burst, and redeeming it gives the slots back for reuse.
+        for round in 0..100 {
+            let burst: Vec<u64> = (0..64)
+                .map(|i| d.try_track(now, req(ReqKind::Write, 64 * i, 1)).unwrap())
+                .collect();
+            now = burst.iter().map(|&t| d.wait_for(t)).max().unwrap();
+            assert!(d.done.slots.len() <= 65, "round {round}");
+        }
+        // The old ticket was dispatched long ago and is still good.
+        let done = d.poll(old, now).expect("completed at the start");
+        assert!(done < now);
+        assert_eq!(d.poll(old, now), None, "its one unit is spent");
+    }
+
+    #[test]
+    #[should_panic(expected = "waiting on unknown or fully-redeemed disk ticket")]
+    fn redeeming_a_ticket_twice_panics() {
+        let mut d = Disk::new(DiskParams::default());
+        let t = d.try_track(0, req(ReqKind::PrefetchRead, 7, 1)).unwrap();
+        d.wait_for(t);
+        // The slot has since been recycled for another request; the
+        // spent ticket must not redeem that one's completion.
+        let u = d.try_track(0, req(ReqKind::PrefetchRead, 9, 1)).unwrap();
+        assert_ne!(t, u);
+        d.drain();
+        d.wait_for(t);
     }
 
     #[test]

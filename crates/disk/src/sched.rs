@@ -30,6 +30,7 @@
 //! reads, so computed results are identical across policies (the
 //! property `tests/proptest_sched.rs` checks).
 
+use std::collections::VecDeque;
 use std::fmt;
 
 use oocp_sim::time::{Ns, MILLISECOND};
@@ -221,9 +222,19 @@ pub(crate) struct Pending {
     pub(crate) mult: f64,
     /// Straggler additive latency decided at enqueue.
     pub(crate) add_ns: Ns,
-    /// `(ticket seq, completion units)` — more than one entry after
-    /// coalescing; zero units means posted (no completion tracking).
-    pub(crate) tickets: Vec<(u64, u64)>,
+    /// `(ticket seq, completion units)` of the request itself; zero
+    /// units means posted (no completion tracking).
+    pub(crate) ticket: (u64, u64),
+    /// The tickets of the requests coalesced into this one. Empty — and
+    /// so never allocated — unless a merge happened.
+    pub(crate) merged: Vec<(u64, u64)>,
+}
+
+impl Pending {
+    /// Every `(ticket seq, completion units)` riding on this request.
+    pub(crate) fn tickets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        std::iter::once(self.ticket).chain(self.merged.iter().copied())
+    }
 }
 
 /// Mutable scheduler state a disk carries across picks: the elevator
@@ -262,6 +273,14 @@ pub(crate) struct Picked {
     pub(crate) aged: bool,
 }
 
+/// The queued requests that had arrived by `start`, with their queue
+/// indices, in queue (= arrival) order.
+fn eligible(q: &VecDeque<Pending>, start: Ns) -> impl Iterator<Item = (usize, &Pending)> + Clone {
+    q.iter()
+        .enumerate()
+        .filter(move |(_, p)| p.arrival <= start)
+}
+
 impl SchedPolicy {
     /// Choose which queued request to dispatch at time `start`.
     ///
@@ -271,66 +290,57 @@ impl SchedPolicy {
     /// deterministic.
     pub(crate) fn pick(
         self,
-        q: &[Pending],
+        q: &VecDeque<Pending>,
         head: u64,
         start: Ns,
         age_limit: Ns,
         state: &mut PickState,
     ) -> Picked {
-        let idxs: Vec<usize> = (0..q.len()).filter(|i| q[*i].arrival <= start).collect();
-        debug_assert!(!idxs.is_empty(), "dispatch with no eligible request");
-        match self {
-            SchedPolicy::Fcfs => Picked {
-                idx: idxs[0],
-                preempted: false,
-                aged: false,
-            },
-            SchedPolicy::Sstf => {
-                let idx = *idxs
-                    .iter()
-                    .min_by_key(|&&i| q[i].req.start_block.abs_diff(head))
-                    .expect("eligible set is non-empty");
-                Picked {
-                    idx,
-                    preempted: false,
-                    aged: false,
-                }
-            }
-            SchedPolicy::Scan => {
-                let idx = Self::pick_scan(q, &idxs, head, &mut state.scan_up);
-                Picked {
-                    idx,
-                    preempted: false,
-                    aged: false,
-                }
-            }
+        let el = eligible(q, start);
+        debug_assert!(
+            el.clone().next().is_some(),
+            "dispatch with no eligible request"
+        );
+        let idx = match self {
+            SchedPolicy::Fcfs => el.map(|(i, _)| i).next(),
+            SchedPolicy::Sstf => el
+                .map(|(i, p)| (p.req.start_block.abs_diff(head), i))
+                .min()
+                .map(|(_, i)| i),
+            SchedPolicy::Scan => Some(Self::pick_scan(el, head, &mut state.scan_up)),
             SchedPolicy::DemandPriority => {
-                Self::pick_demand_priority(q, &idxs, start, age_limit, &mut state.rr_tenant)
+                return Self::pick_demand_priority(el, start, age_limit, &mut state.rr_tenant)
             }
+        };
+        Picked {
+            idx: idx.expect("eligible set is non-empty"),
+            preempted: false,
+            aged: false,
         }
     }
 
     /// Elevator pick: nearest eligible request along the current sweep
     /// direction; reverse the direction when the sweep is exhausted.
-    fn pick_scan(q: &[Pending], idxs: &[usize], head: u64, scan_up: &mut bool) -> usize {
+    fn pick_scan<'q>(
+        el: impl Iterator<Item = (usize, &'q Pending)> + Clone,
+        head: u64,
+        scan_up: &mut bool,
+    ) -> usize {
         for _ in 0..2 {
+            // Keyed `(block, index)`: among equal blocks the minimum is
+            // the first queued and the maximum the last.
+            let blocks = el.clone().map(|(i, p)| (p.req.start_block, i));
             let found = if *scan_up {
-                idxs.iter()
-                    .filter(|&&i| q[i].req.start_block >= head)
-                    .min_by_key(|&&i| q[i].req.start_block)
+                blocks.filter(|&(b, _)| b >= head).min()
             } else {
-                idxs.iter()
-                    .filter(|&&i| q[i].req.start_block <= head)
-                    .max_by_key(|&&i| q[i].req.start_block)
+                blocks.filter(|&(b, _)| b <= head).max()
             };
-            if let Some(&i) = found {
+            if let Some((_, i)) = found {
                 return i;
             }
             *scan_up = !*scan_up;
         }
-        // Unreachable: one of the two sweeps always covers a non-empty
-        // eligible set. Fall back to FCFS for safety.
-        idxs[0]
+        unreachable!("one of the two sweeps covers a non-empty eligible set")
     }
 
     /// Demand > write > prefetch, FCFS within a class; a prefetch past
@@ -344,73 +354,68 @@ impl SchedPolicy {
     /// refinements reduce exactly to the historical behavior — the
     /// oldest prefetch overall is the only aging candidate and FCFS
     /// order wins within each class — so solo timing is bit-identical.
-    fn pick_demand_priority(
-        q: &[Pending],
-        idxs: &[usize],
+    fn pick_demand_priority<'q>(
+        el: impl Iterator<Item = (usize, &'q Pending)> + Clone,
         start: Ns,
         age_limit: Ns,
         rr: &mut u32,
     ) -> Picked {
-        let class = |i: usize| q[i].req.kind;
-        let tenant = |i: usize| q[i].req.tenant;
-        let multi = idxs.iter().any(|&i| tenant(i) != tenant(idxs[0]));
+        let first_tenant = el.clone().next().map(|(_, p)| p.req.tenant);
+        let multi = el.clone().any(|(_, p)| Some(p.req.tenant) != first_tenant);
         // Rotation key: how far cyclically past the last-served tenant.
-        let rr_dist = |i: usize, rr: u32| tenant(i).wrapping_sub(rr).wrapping_sub(1);
+        let rr_dist = |p: &Pending, rr: u32| p.req.tenant.wrapping_sub(rr).wrapping_sub(1);
         // Aging: each tenant's oldest queued prefetch carries its own
         // clock; when several tenants' prefetches are past the bound,
         // the rotation shares the aged dispatches instead of letting
         // the deepest backlog monopolize them.
-        let mut aged_set: Vec<usize> = Vec::new();
-        let mut seen: Vec<u32> = Vec::new();
-        for &i in idxs {
-            if class(i) != ReqKind::PrefetchRead || seen.contains(&tenant(i)) {
-                continue;
+        let prefetches = el
+            .clone()
+            .filter(|(_, p)| p.req.kind == ReqKind::PrefetchRead);
+        let mut aged = prefetches.clone().filter(|&(i, p)| {
+            start.saturating_sub(p.arrival) > age_limit
+                && !prefetches
+                    .clone()
+                    .take_while(|&(j, _)| j < i)
+                    .any(|(_, older)| older.req.tenant == p.req.tenant)
+        });
+        let aged_pick = if multi {
+            aged.min_by_key(|(_, p)| rr_dist(p, *rr))
+        } else {
+            aged.next()
+        };
+        if let Some((idx, p)) = aged_pick {
+            if multi {
+                *rr = p.req.tenant;
             }
-            seen.push(tenant(i));
-            if start.saturating_sub(q[i].arrival) > age_limit {
-                aged_set.push(i);
-            }
-        }
-        if !aged_set.is_empty() {
-            let pf = if multi {
-                let i = aged_set
-                    .iter()
-                    .copied()
-                    .min_by_key(|&i| rr_dist(i, *rr))
-                    .expect("aged set is non-empty");
-                *rr = tenant(i);
-                i
-            } else {
-                aged_set[0]
-            };
             // Starvation bound: the aged prefetch goes next. Count it
             // only when it actually bypassed something.
-            let bypassed = idxs.iter().any(|&i| class(i) != ReqKind::PrefetchRead);
+            let bypassed = el.clone().any(|(_, p)| p.req.kind != ReqKind::PrefetchRead);
             return Picked {
-                idx: pf,
+                idx,
                 preempted: false,
                 aged: bypassed,
             };
         }
         for kind in [ReqKind::DemandRead, ReqKind::Write, ReqKind::PrefetchRead] {
-            let in_class = || idxs.iter().copied().filter(|&i| class(i) == kind);
+            let mut in_class = el.clone().filter(|(_, p)| p.req.kind == kind);
             let picked = if multi {
                 // Serve the tenant cyclically after the last-served
                 // one; within a tenant, oldest first (queue order).
-                in_class().min_by_key(|&i| (rr_dist(i, *rr), i))
+                in_class.min_by_key(|&(i, p)| (rr_dist(p, *rr), i))
             } else {
-                in_class().next()
+                in_class.next()
             };
-            if let Some(i) = picked {
+            if let Some((idx, p)) = picked {
                 if multi {
-                    *rr = tenant(i);
+                    *rr = p.req.tenant;
                 }
                 let preempted = kind == ReqKind::DemandRead
-                    && idxs
-                        .iter()
-                        .any(|&j| j < i && class(j) != ReqKind::DemandRead);
+                    && el
+                        .clone()
+                        .take_while(|&(j, _)| j < idx)
+                        .any(|(_, p)| p.req.kind != ReqKind::DemandRead);
                 return Picked {
-                    idx: i,
+                    idx,
                     preempted,
                     aged: false,
                 };
@@ -435,7 +440,8 @@ mod tests {
             arrival,
             mult: 1.0,
             add_ns: 0,
-            tickets: vec![(0, 0)],
+            ticket: (0, 0),
+            merged: Vec::new(),
         }
     }
 
@@ -464,10 +470,10 @@ mod tests {
 
     #[test]
     fn fcfs_picks_first_eligible() {
-        let q = vec![
+        let q = VecDeque::from([
             pend(ReqKind::PrefetchRead, 900, 0),
             pend(ReqKind::DemandRead, 10, 1),
-        ];
+        ]);
         let mut st = PickState::default();
         let p = SchedPolicy::Fcfs.pick(&q, 0, 5, Ns::MAX, &mut st);
         assert_eq!(p.idx, 0);
@@ -475,11 +481,11 @@ mod tests {
 
     #[test]
     fn sstf_picks_nearest_to_head() {
-        let q = vec![
+        let q = VecDeque::from([
             pend(ReqKind::DemandRead, 9_000, 0),
             pend(ReqKind::DemandRead, 110, 0),
             pend(ReqKind::DemandRead, 4_000, 0),
-        ];
+        ]);
         let mut st = PickState::default();
         let p = SchedPolicy::Sstf.pick(&q, 100, 0, Ns::MAX, &mut st);
         assert_eq!(p.idx, 1, "block 110 is nearest to head 100");
@@ -487,11 +493,11 @@ mod tests {
 
     #[test]
     fn scan_sweeps_up_then_reverses() {
-        let q = vec![
+        let q = VecDeque::from([
             pend(ReqKind::DemandRead, 50, 0),
             pend(ReqKind::DemandRead, 200, 0),
             pend(ReqKind::DemandRead, 500, 0),
-        ];
+        ]);
         let mut st = PickState::default();
         // Head at 100 moving up: 200 first, not the nearer 50.
         assert_eq!(SchedPolicy::Scan.pick(&q, 100, 0, Ns::MAX, &mut st).idx, 1);
@@ -503,11 +509,11 @@ mod tests {
 
     #[test]
     fn demand_priority_jumps_older_prefetches() {
-        let q = vec![
+        let q = VecDeque::from([
             pend(ReqKind::PrefetchRead, 10, 0),
             pend(ReqKind::Write, 20, 1),
             pend(ReqKind::DemandRead, 900, 2),
-        ];
+        ]);
         let mut st = PickState::default();
         let p = SchedPolicy::DemandPriority.pick(&q, 0, 5, Ns::MAX, &mut st);
         assert_eq!(p.idx, 2, "demand read first");
@@ -518,10 +524,10 @@ mod tests {
     #[test]
     fn aged_prefetch_beats_demand() {
         let age = 1_000;
-        let q = vec![
+        let q = VecDeque::from([
             pend(ReqKind::PrefetchRead, 10, 0),
             pend(ReqKind::DemandRead, 900, 5),
-        ];
+        ]);
         let mut st = PickState::default();
         let p = SchedPolicy::DemandPriority.pick(&q, 0, age + 1, age, &mut st);
         assert_eq!(p.idx, 0, "prefetch waited past the bound");
@@ -548,11 +554,11 @@ mod tests {
     fn demand_priority_round_robins_tenants_within_class() {
         // Tenant 0 floods the demand class; tenant 1 queues one demand
         // read behind the flood.
-        let q = vec![
+        let q = VecDeque::from([
             pend_t(ReqKind::DemandRead, 10, 0, 0),
             pend_t(ReqKind::DemandRead, 20, 1, 0),
             pend_t(ReqKind::DemandRead, 30, 2, 1),
-        ];
+        ]);
         let mut st = PickState::default();
         let p = SchedPolicy::DemandPriority.pick(&q, 0, 5, Ns::MAX, &mut st);
         assert_eq!(p.idx, 2, "tenant 1 is cyclically next after cursor 0");
@@ -566,10 +572,10 @@ mod tests {
     fn single_tenant_pick_ignores_the_rotation_cursor() {
         // A non-zero cursor must not perturb a single-tenant queue:
         // FCFS within the class, exactly the historical order.
-        let q = vec![
+        let q = VecDeque::from([
             pend_t(ReqKind::DemandRead, 10, 0, 3),
             pend_t(ReqKind::DemandRead, 20, 1, 3),
-        ];
+        ]);
         let mut st = PickState {
             scan_up: true,
             rr_tenant: 7,
@@ -586,11 +592,11 @@ mod tests {
         // 0's arrived first. The rotation (cursor 0) still serves
         // tenant 1 next, so one tenant's deep backlog of stale hints
         // cannot monopolize the aging escape hatch.
-        let q = vec![
+        let q = VecDeque::from([
             pend_t(ReqKind::PrefetchRead, 10, 0, 0),
             pend_t(ReqKind::PrefetchRead, 20, 1, 1),
             pend_t(ReqKind::DemandRead, 900, 2, 0),
-        ];
+        ]);
         let mut st = PickState::default();
         let p = SchedPolicy::DemandPriority.pick(&q, 0, age + 2, age, &mut st);
         assert_eq!(p.idx, 1, "tenant 1's aged prefetch rotates in first");
@@ -603,10 +609,10 @@ mod tests {
 
     #[test]
     fn not_yet_arrived_requests_are_ineligible() {
-        let q = vec![
+        let q = VecDeque::from([
             pend(ReqKind::DemandRead, 10, 100),
             pend(ReqKind::DemandRead, 20, 0),
-        ];
+        ]);
         let mut st = PickState::default();
         // At start=50 only the second request has arrived.
         let p = SchedPolicy::Sstf.pick(&q, 10, 50, Ns::MAX, &mut st);

@@ -1945,6 +1945,7 @@ mod tests {
     use oocp_sim::time::MILLISECOND;
 
     use super::*;
+    use crate::parity::ParityStore;
     use crate::store::DurableStore;
     use crate::tenant::{QosClass, TenantId, TenantSpec};
     use crate::trace::Trace;
@@ -2891,6 +2892,70 @@ mod tests {
     }
 
     #[test]
+    fn a_write_completing_after_the_crash_instant_is_not_landed_early() {
+        // `AtTime(t)` latches at the first submission *after* `t`, so a
+        // write-back can find the clock past `t` with the power still
+        // nominally on. A write that completed in that gap was in
+        // flight when the power died: crash resolution must get to tear
+        // or discard it, draw and all. Three machines run the same
+        // operations; only the horizon the retire loop polls against
+        // differs.
+        type Outcome = (RecoveryReport, Vec<u64>, Option<u64>, Vec<u8>);
+        fn run(horizon: impl Fn(Ns) -> Option<Ns>) -> Outcome {
+            let mut p = MachineParams::small();
+            p.journal = false;
+            // Releasing a dirty page writes it back without stalling:
+            // three batches of five writes, the clock run on between.
+            let ops = |m: &mut Machine, upto: u64| {
+                for page in 0..20u64 {
+                    m.store_f64(page * 4096, 1.0 + page as f64);
+                }
+                m.sys_release(0, 5);
+                m.tick_user(1_000 * MILLISECOND);
+                m.sys_release(5, 5);
+                if upto == 2 {
+                    return;
+                }
+                m.tick_user(10_000 * MILLISECOND);
+                m.sys_release(10, 5);
+            };
+            // The instant: just after the second batch is issued, long
+            // before it completes.
+            let t = {
+                let mut dry = Machine::new(p, 64 * 4096);
+                dry.set_fault_plan(&crash_plan(31, CrashPoint::AtOp(u64::MAX), true));
+                ops(&mut dry, 2);
+                assert_eq!(dry.stats().writebacks, 10);
+                dry.now() + 1
+            };
+            let mut m = Machine::new(p, 64 * 4096);
+            m.set_fault_plan(&crash_plan(31, CrashPoint::AtTime(t), true));
+            m.durability.crash_at_time = horizon(t);
+            ops(&mut m, 3);
+            // The third batch's first write-back found the clock ten
+            // seconds past `t` and the power on, and tripped the latch.
+            assert_eq!(m.crashed_at(), Some(t));
+            assert_eq!(m.stats().writebacks, 10);
+            assert!(m.try_finish().is_err());
+            let (discarded, next_draw) = m.durability.crash_verdict();
+            let (m2, report) = m.recover();
+            (report, discarded, next_draw, m2.data.to_vec())
+        }
+        // The machine as built; one where nothing is retired before
+        // `finish` (no write completes by time 0); and the trap — a
+        // retire loop that asks `done <= now` alone.
+        let built = run(Some);
+        let deferred = run(|_| Some(0));
+        let naive = run(|_| None);
+        assert!(built == deferred, "{:?} vs {:?}", built.0, deferred.0);
+        // Batch one had landed by `t`; batch two was in flight (each
+        // write torn, or discarded whole); batch three never started.
+        assert!(built.1.iter().all(|&page| page >= 5) && built.1.contains(&10));
+        assert_eq!(naive.1, [10], "landed early, batch two spent no draws");
+        assert_ne!(built.2, naive.2, "the torn-write stream moved");
+    }
+
+    #[test]
     fn pressure_storm_from_edge_is_inclusive_and_zero_length_nets_out() {
         // A storm whose window is [from, until): the limit lands at
         // `from` itself (inclusive) ...
@@ -3184,6 +3249,76 @@ mod tests {
         assert!(m.try_finish().is_ok());
         assert_eq!(m.stats().degraded_reads, 0);
         assert_eq!(m.breakdown().total(), m.now());
+    }
+
+    /// The durable store holds the memory image, page for page, and
+    /// parity is what a from-scratch resync of it gives — an oracle
+    /// that does not care *when* each write landed.
+    fn assert_durable_is_memory_and_parity_its_xor(m: &Machine) {
+        let store = m.durability.store.as_ref().expect("parity keeps a store");
+        for page in 0..m.total_pages() {
+            let r = (page * 4096) as usize..(page * 4096 + 4096) as usize;
+            assert!(store.page(page) == &m.data[r], "durable page {page}");
+            assert!(store.verify(page), "checksum of page {page}");
+        }
+        let ps = m.redundancy.parity.as_ref().expect("parity mode");
+        let mut fresh = ParityStore::new(ps.rows(), 4096);
+        fresh.resync(m.params.ndisks as u64 - 1, store.images(), m.total_pages());
+        for row in 0..ps.rows() {
+            assert!(ps.row(row) == fresh.row(row), "parity row {row}");
+        }
+    }
+
+    #[test]
+    fn durable_payloads_are_bounded_by_the_io_in_flight() {
+        let mut m = tiny_parity();
+        let frames = m.params.resident_limit as usize;
+        let mut peak = 0;
+        let mut round = 0u64;
+        while m.stats().writebacks < 10_000 {
+            round += 1;
+            for p in 0..64u64 {
+                m.store_f64(p * 4096, (round * 64 + p) as f64);
+                m.tick_user(300 * oocp_sim::time::MICROSECOND);
+                let held = m.durability.payload_buffers();
+                let queued = m.disk_stats().queue_depth_hwm as usize;
+                assert!(
+                    held <= frames + queued,
+                    "{held} payloads held at write-back {} (frames {frames}, deepest queue {queued})",
+                    m.stats().writebacks
+                );
+                peak = peak.max(held);
+            }
+        }
+        assert!(peak > 0, "write-backs did hold payloads in flight");
+        assert!(m.try_finish().is_ok());
+        assert_durable_is_memory_and_parity_its_xor(&m);
+    }
+
+    #[test]
+    fn early_landing_survives_a_disk_death_and_online_rebuild() {
+        let mut m = tiny_parity();
+        for round in 0..6u64 {
+            if round == 2 {
+                let at = m.now() + 1;
+                m.set_fault_plan(
+                    &FaultPlan::none(7).with_disk_death(oocp_disk::DiskDeath { disk: 1, at }),
+                );
+            }
+            for p in 0..64u64 {
+                m.store_f64(p * 4096, (round * 64 + p) as f64 + 0.5);
+                m.tick_user(300 * oocp_sim::time::MICROSECOND);
+            }
+        }
+        assert!(
+            m.stats().rebuild_rows > 0,
+            "the rebuild ran beside the write-backs"
+        );
+        m.finish_rebuild();
+        assert!(m.dead_disk().is_none());
+        assert_eq!(m.stats().rebuild_verify_mismatches, 0);
+        assert!(m.try_finish().is_ok());
+        assert_durable_is_memory_and_parity_its_xor(&m);
     }
 
     #[test]

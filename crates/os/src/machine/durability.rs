@@ -4,7 +4,9 @@
 //! [`Machine::recover`] and the scrubber. Armed by a scheduled crash
 //! point, a recovery, or parity mode; otherwise nothing here runs.
 
-use oocp_disk::{CrashSpec, DiskArray, ReqKind, Request, Ticket};
+use std::collections::VecDeque;
+
+use oocp_disk::{CrashPoint, CrashSpec, DiskArray, ReqKind, Request, Ticket};
 use oocp_fs::WriteJournal;
 use oocp_obs::MachineBucket;
 use oocp_sim::rng::SimRng;
@@ -46,9 +48,10 @@ impl WalRecord {
     }
 }
 
-/// An unjournaled durable write in flight (durability mode with the
-/// journal disabled — the configuration the negative CI gate uses to
-/// prove torn writes lose data without WAL protection).
+/// An unjournaled durable write in flight: parity mode with no crash
+/// scheduled, or durability mode with the journal disabled — the
+/// configuration the negative CI gate uses to prove torn writes lose
+/// data without WAL protection.
 struct PlainWrite {
     vpage: u64,
     payload: Vec<u8>,
@@ -113,8 +116,19 @@ pub(super) struct Durability {
     journal: Option<WriteJournal>,
     /// Journaled writebacks whose commit protocol is in flight.
     wal_pending: Vec<WalRecord>,
-    /// Unjournaled durable writes in flight (journal disabled).
-    plain_pending: Vec<PlainWrite>,
+    /// Unjournaled durable writes in flight (no journal), in issue
+    /// order. [`Machine::retire_landed`] lands them from the front
+    /// as their disk writes complete, so what is here is what the disks
+    /// still owe — not the run's history.
+    plain_pending: VecDeque<PlainWrite>,
+    /// Page buffers of retired plain writes, kept for the next payload:
+    /// a steady-state write-back allocates nothing.
+    spare_payloads: Vec<Vec<u8>>,
+    /// `t` of a scheduled [`CrashPoint::AtTime`]. That crash latches at
+    /// the first submission *after* `t`, so until then the clock can be
+    /// past `t` with the power still nominally on — and a write that
+    /// completes in that gap was, in truth, in flight when it died.
+    pub(super) crash_at_time: Option<Ns>,
     /// Journal records durable at crash time, as a recovery scan would
     /// find them.
     wal_durable: Vec<DurableRecord>,
@@ -190,6 +204,10 @@ impl Machine {
     /// durably landed.
     pub(super) fn arm_crash(&mut self, spec: CrashSpec, seed: u64) {
         self.durability.torn_writes = spec.torn_writes;
+        self.durability.crash_at_time = match spec.point {
+            CrashPoint::AtTime(t) => Some(t),
+            CrashPoint::AtOp(_) => None,
+        };
         self.durability.crash_rng = Some(SimRng::new(seed ^ 0x70B5_C4A5_11ED));
         if self.durability.store.is_none() {
             self.durability.store = Some(DurableStore::new(
@@ -246,8 +264,11 @@ impl Machine {
     /// landed.
     pub(super) fn writeback_durable(&mut self, vpage: u64, disk: usize, block: u64) {
         self.ensure_durable_snapshot();
+        self.retire_landed();
         let start = (vpage * self.params.page_bytes) as usize;
-        let payload = self.data[start..start + self.params.page_bytes as usize].to_vec();
+        let mut payload = self.durability.spare_payloads.pop().unwrap_or_default();
+        payload.clear();
+        payload.extend_from_slice(&self.data[start..start + self.params.page_bytes as usize]);
         if self.durability.journal.is_some() {
             let t0 = self.prof_start();
             self.writeback_journaled(vpage, disk, block, payload);
@@ -320,7 +341,7 @@ impl Machine {
         match self.submit_tracked_with_retry(disk, Request::new(ReqKind::Write, block, 1), vpage) {
             Ok(data) => {
                 self.note_writeback(vpage);
-                self.durability.plain_pending.push(PlainWrite {
+                self.durability.plain_pending.push_back(PlainWrite {
                     vpage,
                     payload,
                     data,
@@ -330,6 +351,33 @@ impl Machine {
             // update is simply lost.
             Err(OsError::Crashed { .. }) => self.durability.discard_at_crash(vpage),
             Err(_) => self.abandon_writeback(vpage),
+        }
+    }
+
+    /// A durable write lands when its disk write completes: land, from
+    /// the front, every plain write that has. Issue order, so a page
+    /// written twice ends with the later image and the parity XOR chain
+    /// is the one a single pass at exit would have produced.
+    ///
+    /// A write may land only once [`Machine::resolve_crash`] could no
+    /// longer call it in flight (tear or discard it, spending a
+    /// `crash_rng` draw): complete by `now`, and by `t` too when a crash
+    /// is scheduled `AtTime(t)` — see `crash_at_time`.
+    fn retire_landed(&mut self) {
+        let by = self
+            .now
+            .min(self.durability.crash_at_time.unwrap_or(Ns::MAX));
+        while let Some(w) = self.durability.plain_pending.front() {
+            if self.disks.poll(w.data, by).is_none() {
+                break;
+            }
+            let w = self
+                .durability
+                .plain_pending
+                .pop_front()
+                .expect("just seen");
+            self.land_durable(w.vpage, &w.payload);
+            self.durability.spare_payloads.push(w.payload);
         }
     }
 
@@ -427,9 +475,9 @@ impl Machine {
         self.close_ledger();
     }
 
-    /// Power stayed on to the end: every accepted durable write lands
-    /// in full. Apply them to the durable store in issue order and
-    /// retire their journal slots.
+    /// Power stayed on to the end: every accepted durable write still
+    /// in flight lands in full. Apply them to the durable store in
+    /// issue order and retire their journal slots.
     pub(super) fn settle_pending_durable(&mut self, drain: Ns) {
         if self.durability.store.is_none() {
             return;
@@ -776,5 +824,21 @@ impl Machine {
             }
             None => false,
         }
+    }
+}
+
+#[cfg(test)]
+impl Durability {
+    /// Page buffers the write-back path holds: one per durable write
+    /// in flight, plus the spares kept for the next ones.
+    pub(super) fn payload_buffers(&self) -> usize {
+        self.wal_pending.len() + self.plain_pending.len() + self.spare_payloads.len()
+    }
+
+    /// What crash resolution decided: the updates it discarded, in
+    /// order, and where it left the torn-write stream (its next draw).
+    pub(super) fn crash_verdict(&mut self) -> (Vec<u64>, Option<u64>) {
+        let next_draw = self.crash_rng.as_mut().map(|r| r.next_below(u64::MAX));
+        (self.crash_discarded.clone(), next_draw)
     }
 }

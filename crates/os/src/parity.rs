@@ -59,7 +59,8 @@ impl ParityStore {
         &self.image[self.range(row)]
     }
 
-    /// Checksum of one row's parity image (FNV-1a, like data pages).
+    /// Checksum of one row's parity image ([`page_checksum`], like data
+    /// pages).
     pub fn row_checksum(&self, row: u64) -> u64 {
         page_checksum(self.row(row))
     }

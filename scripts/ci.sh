@@ -54,6 +54,18 @@ stage "benchmark package (unit tests + 1/64-scale smoke)"
 # benchmark pipeline sees it.
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
+stage "page_write memory gate (write-back payloads bounded by the I/O in flight)"
+# Under parity every write-back carries a 4 KB payload until it lands.
+# It lands when its disk write completes, so the run peaks at the data
+# set's own images (about 46 MB here); held until `finish` instead, the
+# same run peaked at 171 MB and grew with its length.
+PW_LINE="$(bash benchmark/run.sh --workload page_write --seconds 1 --trace 0 | tail -1)"
+PW_RSS="$(sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<< "$PW_LINE")"
+echo "page_write peak_rss_mb = ${PW_RSS:-missing}"
+grep -q '"correct":true' <<< "$PW_LINE" || { echo "$PW_LINE"; echo "page_write did not verify"; exit 1; }
+awk -v v="$PW_RSS" 'BEGIN { exit !(v != "" && v + 0 < 64) }' || {
+    echo "$PW_LINE"; echo "page_write peak_rss_mb must stay under 64"; exit 1; }
+
 stage "schedsweep smoke (policy sweep correctness gate)"
 cargo run --release -q -p oocp-bench --bin schedsweep -- --smoke
 
