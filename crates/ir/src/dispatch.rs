@@ -6,14 +6,22 @@
 //! never recurses on the host stack. That is what makes a run
 //! resumable: [`Vm::step`] stops between two `PagedVm` calls when the
 //! machine under it asks ([`PagedVm::parked`]) and keeps the struct.
+//!
+//! There are two loops over the same ops. The general one makes every
+//! call the program implies. The strip executor ([`Code::run_strip`])
+//! runs whole iterations of a hoisted leaf body for which the
+//! [`PagedVm`] has said every access is a plain hit
+//! ([`PagedVm::strip`]): no call inside, the time they owe handed over
+//! once ([`PagedVm::strip_charge`]). The arithmetic arms are shared
+//! (`dispatch!`).
 
 use oocp_obs::prof::{NoProf, ProfSink};
 
 use crate::exec::{ArrayBinding, ExecStats};
 use crate::expr::CmpOp;
-use crate::lower::{lower, At, Charge, Code, LinPlan, LoopPlan, Op, Sub};
+use crate::lower::{lower, At, Charge, Code, LinPlan, LoopPlan, Op, Pc, Sub};
 use crate::program::Program;
-use crate::vm::{CostModel, PagedVm, Park};
+use crate::vm::{CostModel, PagedVm, Park, StripRef};
 
 /// One run of a lowered program, resumable between any two of its
 /// [`PagedVm`] calls.
@@ -28,6 +36,8 @@ pub struct Vm<'p> {
     /// The run is parked inside the op at `pc`, which has paid — been
     /// charged, flushed and counted — but still owes its call.
     paid: bool,
+    /// The reference list of the strip being asked for, reused.
+    strip_refs: Vec<StripRef>,
 }
 
 #[cfg(test)]
@@ -36,6 +46,90 @@ thread_local! {
     /// and how many fell back to the checked one. The oracle reads this
     /// to know its programs reach both.
     pub(crate) static HOISTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+    /// Strips, by how they went: run to the length granted, refused by
+    /// the VM, ended early by a zero divisor; and the iterations run
+    /// inside them, a part of one counting as one.
+    pub(crate) static STRIPS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+}
+
+/// `match $op { .. }` with the arithmetic, conversion and `Lin` arms —
+/// the ones both dispatch loops execute alike, written once — ahead of
+/// the caller's own `$arms`. `$fr` and `$ir` are the register files; a
+/// zero divisor goes to the caller's `$zero!` with the panic's message.
+macro_rules! dispatch {
+    ($op:expr, $code:expr, $ir:ident, $fr:ident, $zero:ident, { $($arms:tt)* }) => {
+        match $op {
+            Op::AddF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] + $fr[b as usize],
+            Op::SubF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] - $fr[b as usize],
+            Op::MulF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] * $fr[b as usize],
+            Op::DivF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] / $fr[b as usize],
+            Op::RemF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] % $fr[b as usize],
+            Op::MinF { dst, a, b } => $fr[dst as usize] = $fr[a as usize].min($fr[b as usize]),
+            Op::MaxF { dst, a, b } => $fr[dst as usize] = $fr[a as usize].max($fr[b as usize]),
+            Op::NegF { dst, a } => $fr[dst as usize] = -$fr[a as usize],
+            Op::AbsF { dst, a } => $fr[dst as usize] = $fr[a as usize].abs(),
+            Op::SqrtF { dst, a } => $fr[dst as usize] = $fr[a as usize].sqrt(),
+            Op::LnF { dst, a } => $fr[dst as usize] = $fr[a as usize].ln(),
+            Op::MovF { dst, a } => $fr[dst as usize] = $fr[a as usize],
+            Op::IToF { dst, a } => $fr[dst as usize] = $ir[a as usize] as f64,
+
+            Op::AddI { dst, a, b } => {
+                $ir[dst as usize] = $ir[a as usize].wrapping_add($ir[b as usize])
+            }
+            Op::SubI { dst, a, b } => {
+                $ir[dst as usize] = $ir[a as usize].wrapping_sub($ir[b as usize])
+            }
+            Op::MulI { dst, a, b } => {
+                $ir[dst as usize] = $ir[a as usize].wrapping_mul($ir[b as usize])
+            }
+            Op::DivI { dst, a, b } => {
+                if $ir[b as usize] == 0 {
+                    $zero!("integer division by zero");
+                }
+                $ir[dst as usize] = $ir[a as usize].wrapping_div($ir[b as usize]);
+            }
+            Op::RemI { dst, a, b } => {
+                if $ir[b as usize] == 0 {
+                    $zero!("integer remainder by zero");
+                }
+                $ir[dst as usize] = $ir[a as usize].wrapping_rem($ir[b as usize]);
+            }
+            Op::MinI { dst, a, b } => $ir[dst as usize] = $ir[a as usize].min($ir[b as usize]),
+            Op::MaxI { dst, a, b } => $ir[dst as usize] = $ir[a as usize].max($ir[b as usize]),
+            Op::NegI { dst, a } => $ir[dst as usize] = $ir[a as usize].wrapping_neg(),
+            Op::AbsI { dst, a } => $ir[dst as usize] = $ir[a as usize].wrapping_abs(),
+            Op::MovI { dst, a } => $ir[dst as usize] = $ir[a as usize],
+            Op::FToI { dst, a } => $ir[dst as usize] = $fr[a as usize] as i64,
+            Op::Lin { dst, lin } => $ir[dst as usize] = $code.lin(lin, $ir),
+
+            $($arms)*
+        }
+    };
+}
+
+/// What a strip came to, for its caller to hand to the VM and to carry
+/// on from.
+struct Strip {
+    /// Where the general loop carries on: at the body's `LoopNext`,
+    /// which the strip leaves to it after the last body granted, or at
+    /// the op that found a zero divisor, to panic there.
+    pc: usize,
+    /// The user time pending there, as the per-op path would hold it.
+    pending: u64,
+    /// The `tick_user` calls the iterations would have made, and the
+    /// time they would have handed over between them.
+    ticks: u64,
+    ns: u64,
+    /// Loads and stores made.
+    accesses: u64,
+}
+
+#[cfg(test)]
+fn note_strip(how: usize, iterations: u64) {
+    let mut strips = STRIPS.get();
+    strips[how] += 1;
+    strips[3] += iterations;
+    STRIPS.set(strips);
 }
 
 fn compare<T: PartialOrd>(cmp: CmpOp, a: T, b: T) -> bool {
@@ -125,6 +219,150 @@ impl Code<'_> {
         }
         true
     }
+
+    /// The strip executor: run `n` iterations of `lp`'s hoisted body
+    /// from its first op, every access a bare 8-byte move in `mem` and
+    /// the `LoopNext` between two of them done on the spot, and count
+    /// them into `stats`. It makes no call and cannot panic: a zero
+    /// divisor ends the strip in front of the op that found it.
+    /// `pending` is the user time not yet flushed. Inside, behind an
+    /// access it is zero: the accesses' own `ns` and their flushes are
+    /// a sum over the [`StripPlan`](crate::lower::StripPlan), made once
+    /// at the end; branch charges are added as they are taken.
+    #[allow(clippy::too_many_arguments)]
+    fn run_strip(
+        &self,
+        lp: &LoopPlan,
+        n: u64,
+        lead: u64,
+        ir: &mut [i64],
+        fr: &mut [f64],
+        mem: &mut [u8],
+        stats: &mut ExecStats,
+    ) -> Strip {
+        let plan = lp.strip.expect("asked of a loop with a plan");
+        let ops = &self.ops[..];
+        let bumps = lp.inds.of(&self.inds);
+        let head = lp.fast_body as usize;
+        let (mut pc, mut pending) = (head, lead);
+        let (mut left, mut early) = (n, false);
+        // Branch charges taken: ns, integer and float operations.
+        let mut taken = (0, 0, 0);
+        macro_rules! end_early {
+            ($msg:literal) => {{
+                pc -= 1;
+                early = true;
+                break;
+            }};
+        }
+        macro_rules! word {
+            ($at:ident) => {
+                mem[ir[$at as usize] as usize..][..8]
+            };
+        }
+        macro_rules! branch {
+            ($charge:ident) => {{
+                pending += $charge.ns;
+                taken.0 += $charge.ns;
+                taken.1 += $charge.iops as u64;
+                taken.2 += $charge.flops as u64;
+            }};
+        }
+        loop {
+            // Matched in place: an arm loads the fields it names, not
+            // the 32 bytes.
+            let op = &ops[pc];
+            pc += 1;
+            dispatch!(*op, self, ir, fr, end_early, {
+                Op::LoadF { dst, at, .. } => {
+                    fr[dst as usize] = f64::from_le_bytes(word!(at).try_into().unwrap());
+                    pending = 0;
+                }
+                Op::LoadI { dst, at, .. } => {
+                    ir[dst as usize] = i64::from_le_bytes(word!(at).try_into().unwrap());
+                    pending = 0;
+                }
+                Op::StoreF { src, at, .. } => {
+                    word!(at).copy_from_slice(&fr[src as usize].to_le_bytes());
+                    pending = 0;
+                }
+                Op::StoreI { src, at, .. } => {
+                    word!(at).copy_from_slice(&ir[src as usize].to_le_bytes());
+                    pending = 0;
+                }
+                Op::BrI { a, b, cmp, else_, charge } => {
+                    branch!(charge);
+                    if !compare(cmp, ir[a as usize], ir[b as usize]) {
+                        pc = else_ as usize;
+                    }
+                }
+                Op::BrF { a, b, cmp, else_, charge } => {
+                    branch!(charge);
+                    if !compare(cmp, fr[a as usize], fr[b as usize]) {
+                        pc = else_ as usize;
+                    }
+                }
+                Op::Jump { to, charge } => {
+                    branch!(charge);
+                    pc = to as usize;
+                }
+                Op::LoopNext { .. } => {
+                    left -= 1;
+                    if left == 0 {
+                        pc -= 1;
+                        break;
+                    }
+                    pending += lp.tail.ns;
+                    let i = ir[lp.frame as usize].wrapping_add(lp.step);
+                    ir[lp.frame as usize] = i;
+                    ir[lp.var as usize] = i;
+                    for ind in bumps {
+                        let at = &mut ir[ind.reg as usize];
+                        *at = at.wrapping_add(ind.delta);
+                    }
+                    pc = head;
+                }
+                _ => unreachable!("lowering lets no other op into a strip body"),
+            });
+        }
+        let whole = n - left;
+        #[cfg(test)]
+        note_strip(if early { 2 } else { 0 }, whole + early as u64);
+
+        // Each body but the last was followed by its `LoopNext`; one
+        // cut short by none yet, and it got through part of a pass.
+        let nexts = whole - !early as u64;
+        let part = if early {
+            self.accesses(lp.fast_body, pc as Pc, lp.tail.ns)
+        } else {
+            Default::default()
+        };
+        let body = plan.body;
+        let (loads, stores) = (
+            body.loads * whole + part.loads,
+            body.stores * whole + part.stores,
+        );
+        let mut ticks = body.ticks * whole + part.ticks;
+        if loads + stores > 0 {
+            // The strip's first access found `lead` pending, not the
+            // loop's tail as the plan has it.
+            ticks += u64::from(lead + plan.first_ns > 0);
+            ticks -= u64::from(lp.tail.ns + plan.first_ns > 0);
+        }
+        stats.loads += loads;
+        stats.stores += stores;
+        stats.iters += nexts;
+        stats.iops += lp.tail.iops as u64 * nexts + taken.1;
+        stats.flops += lp.tail.flops as u64 * nexts + taken.2;
+        let charged = lead + body.ns * whole + part.ns + lp.tail.ns * nexts + taken.0;
+        Strip {
+            pc,
+            pending,
+            ticks,
+            ns: charged - pending,
+            accesses: loads + stores,
+        }
+    }
 }
 
 impl<'p> Vm<'p> {
@@ -147,6 +385,7 @@ impl<'p> Vm<'p> {
             pending_ns: 0,
             stats: ExecStats::default(),
             paid: false,
+            strip_refs: Vec::new(),
         }
     }
 
@@ -180,6 +419,7 @@ impl<'p> Vm<'p> {
         let mut pc = self.pc;
         let mut pending = self.pending_ns;
         let mut stats = self.stats;
+        let refs = &mut self.strip_refs;
         // Constant `false` for a `vm` that never parks, and every park
         // check below folds away with it.
         let mut paid = M::PARKS && std::mem::take(&mut self.paid);
@@ -267,6 +507,11 @@ impl<'p> Vm<'p> {
                 call!(vm.release(addr, $pages));
             }};
         }
+        macro_rules! zero_panics {
+            ($msg:literal) => {
+                panic!($msg)
+            };
+        }
         macro_rules! f {
             ($r:ident) => {
                 fr[$r as usize]
@@ -277,44 +522,48 @@ impl<'p> Vm<'p> {
                 ir[$r as usize]
             };
         }
+        // Standing at the first op of an iteration of `$lp`'s hoisted
+        // body: run as many of the iterations left as `vm` lets pass for
+        // plain hits in the strip executor, and charge them in one
+        // piece. The strip stops at a `LoopNext` (or, its divisor zero,
+        // at the op that will panic) with `pending` and `stats` what
+        // op-by-op execution would have made them; when none is granted
+        // nothing has happened at all.
+        macro_rules! strip {
+            ($lp:ident) => {
+                if let Some(plan) = &$lp.strip {
+                    let list = plan.refs.of(&code.strip_refs);
+                    let now = |&(reg, delta, store): &(u32, i64, bool)| -> StripRef {
+                        (ir[reg as usize] as u64, delta, store)
+                    };
+                    // Where every reference faults a refusal is the
+                    // common answer: get it for one page's test.
+                    let mut n = vm.strip(&[now(&list[0])], 1, pending, plan.max_ns).0;
+                    if n > 0 {
+                        let (i, hi) = (ir[$lp.frame as usize], ir[$lp.frame as usize + 1]);
+                        let left = (hi.wrapping_sub(i) - $lp.step.signum()) / $lp.step + 1;
+                        refs.clear();
+                        refs.extend(list.iter().map(now));
+                        let mem;
+                        (n, mem) = vm.strip(refs, left as u64, pending, plan.max_ns);
+                        if n > 0 {
+                            let strip = code.run_strip($lp, n, pending, ir, fr, mem, &mut stats);
+                            vm.strip_charge(strip.ns, strip.ticks, strip.accesses);
+                            (pc, pending) = (strip.pc, strip.pending);
+                        }
+                    }
+                    #[cfg(test)]
+                    if n == 0 {
+                        note_strip(1, 0);
+                    }
+                }
+            };
+        }
 
         let halted = loop {
             let op = ops[pc];
             pc += 1;
-            match op {
-                Op::AddF { dst, a, b } => f!(dst) = f!(a) + f!(b),
-                Op::SubF { dst, a, b } => f!(dst) = f!(a) - f!(b),
-                Op::MulF { dst, a, b } => f!(dst) = f!(a) * f!(b),
-                Op::DivF { dst, a, b } => f!(dst) = f!(a) / f!(b),
-                Op::RemF { dst, a, b } => f!(dst) = f!(a) % f!(b),
-                Op::MinF { dst, a, b } => f!(dst) = f!(a).min(f!(b)),
-                Op::MaxF { dst, a, b } => f!(dst) = f!(a).max(f!(b)),
-                Op::NegF { dst, a } => f!(dst) = -f!(a),
-                Op::AbsF { dst, a } => f!(dst) = f!(a).abs(),
-                Op::SqrtF { dst, a } => f!(dst) = f!(a).sqrt(),
-                Op::LnF { dst, a } => f!(dst) = f!(a).ln(),
-                Op::MovF { dst, a } => f!(dst) = f!(a),
-                Op::IToF { dst, a } => f!(dst) = i!(a) as f64,
-
-                Op::AddI { dst, a, b } => i!(dst) = i!(a).wrapping_add(i!(b)),
-                Op::SubI { dst, a, b } => i!(dst) = i!(a).wrapping_sub(i!(b)),
-                Op::MulI { dst, a, b } => i!(dst) = i!(a).wrapping_mul(i!(b)),
-                Op::DivI { dst, a, b } => {
-                    assert!(i!(b) != 0, "integer division by zero");
-                    i!(dst) = i!(a).wrapping_div(i!(b));
-                }
-                Op::RemI { dst, a, b } => {
-                    assert!(i!(b) != 0, "integer remainder by zero");
-                    i!(dst) = i!(a).wrapping_rem(i!(b));
-                }
-                Op::MinI { dst, a, b } => i!(dst) = i!(a).min(i!(b)),
-                Op::MaxI { dst, a, b } => i!(dst) = i!(a).max(i!(b)),
-                Op::NegI { dst, a } => i!(dst) = i!(a).wrapping_neg(),
-                Op::AbsI { dst, a } => i!(dst) = i!(a).wrapping_abs(),
-                Op::MovI { dst, a } => i!(dst) = i!(a),
-                Op::FToI { dst, a } => i!(dst) = f!(a) as i64,
-                Op::Lin { dst, lin } => i!(dst) = code.lin(lin, ir),
-
+            dispatch!(op, code, ir, fr, zero_panics, {
                 Op::Addr { dst, r } => i!(dst) = code.resolve(r, ir) as i64,
                 Op::Check { r } => {
                     code.resolve(r, ir);
@@ -398,6 +647,9 @@ impl<'p> Vm<'p> {
                             HOISTS.set((took + hoisted as u64, fell_back + !hoisted as u64));
                         }
                         pc = if hoisted { lp.fast_body } else { lp.body } as usize;
+                        if hoisted {
+                            strip!(lp);
+                        }
                     } else {
                         pc = lp.exit as usize;
                     }
@@ -417,6 +669,11 @@ impl<'p> Vm<'p> {
                             *at = at.wrapping_add(ind.delta);
                         }
                         pc = head as usize;
+                        // The hoisted copy's `LoopNext` is the one with
+                        // inductions to bump.
+                        if !bumps.is_empty() {
+                            strip!(lp);
+                        }
                     } else {
                         pc = lp.exit as usize;
                     }
@@ -430,7 +687,7 @@ impl<'p> Vm<'p> {
 
                 Op::Enter { site } => prof.enter(&code.sites[site as usize]),
                 Op::Exit => prof.exit(),
-            }
+            });
         };
         (self.pc, self.pending_ns, self.stats) = (pc, pending, stats);
         halted.then_some(stats)

@@ -33,6 +33,10 @@
 //!   counts. The dispatch loop adds the first to its pending time and
 //!   flushes exactly where the statement tree is flushed, so the
 //!   sequence of `tick_user` arguments is unchanged.
+//! * **Strips.** A hoisted body made of nothing but arithmetic, accesses
+//!   through its own inductions and forward branches also gets a
+//!   [`StripPlan`]: what a run of its iterations costs, summed here, so
+//!   the dispatch loop can run them without a `PagedVm` call apiece.
 //! * **Probes.** With a live profiler sink the site brackets are ops
 //!   in the stream ([`Op::Enter`]/[`Op::Exit`]); with the detached sink
 //!   none are emitted.
@@ -383,6 +387,38 @@ pub(crate) struct Induction {
     pub delta: i64,
 }
 
+/// What the accesses of a stretch of a strip body come to.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Accesses {
+    pub loads: u64,
+    pub stores: u64,
+    /// Sum of the accesses' own `ns`.
+    pub ns: u64,
+    /// How many of them flush (call `tick_user`).
+    pub ticks: u64,
+}
+
+/// A hoisted leaf body that can run as a strip: every op of it is
+/// arithmetic, a load or store through one of its loop's inductions, or
+/// a forward branch landing inside it. Iterations of such a body reach
+/// the [`PagedVm`](crate::vm::PagedVm) in a fixed pattern, summed here.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct StripPlan {
+    /// The loop's inductions as the VM is asked about them: `(address
+    /// register, bytes per iteration, stored through)`, widest stride
+    /// first. Window into [`Code::strip_refs`].
+    pub refs: Span,
+    /// One whole pass over the body, begun with the loop's `tail.ns`
+    /// pending as every iteration after a loop's first is.
+    pub body: Accesses,
+    /// The `ns` of the body's first access: with the time pending when
+    /// an iteration starts, what decides whether that access flushes.
+    pub first_ns: u64,
+    /// The most one iteration can charge: its accesses, the loop's
+    /// tail, and every branch charge whether taken or not.
+    pub max_ns: u64,
+}
+
 /// One counted loop.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LoopPlan {
@@ -410,6 +446,8 @@ pub(crate) struct LoopPlan {
     pub exit: Pc,
     /// The hoisted copy's inductions, window into [`Code::inds`].
     pub inds: Span,
+    /// How to run the hoisted copy in strips, when its shape allows.
+    pub strip: Option<StripPlan>,
 }
 
 /// Where an access finds its address.
@@ -473,11 +511,40 @@ pub(crate) struct Code<'a> {
     pub refs: Vec<RefPlan>,
     pub dims: Vec<DimPlan>,
     pub inds: Vec<Induction>,
+    pub strip_refs: Vec<(Reg, i64, bool)>,
     pub loops: Vec<LoopPlan>,
     pub bundles: Vec<Bundle>,
     pub sites: Vec<String>,
     pub iregs: Vec<i64>,
     pub fregs: Vec<f64>,
+}
+
+impl Code<'_> {
+    /// What the accesses among `ops[from..to]` of a strip body come to
+    /// when the first of them finds `carried` ns pending: a whole pass,
+    /// or the part of one that a strip ending early got through. (An
+    /// access is under no `if`, so all of them before `to` have run.)
+    pub fn accesses(&self, from: Pc, to: Pc, carried: u64) -> Accesses {
+        let mut sum = Accesses::default();
+        let mut pending = carried;
+        for op in &self.ops[from as usize..to as usize] {
+            let ns = match *op {
+                Op::LoadF { ns, .. } | Op::LoadI { ns, .. } => {
+                    sum.loads += 1;
+                    ns
+                }
+                Op::StoreF { ns, .. } | Op::StoreI { ns, .. } => {
+                    sum.stores += 1;
+                    ns
+                }
+                _ => continue,
+            };
+            sum.ns += ns;
+            sum.ticks += u64::from(pending + ns > 0);
+            pending = 0;
+        }
+        sum
+    }
 }
 
 /// A typed register.
@@ -557,6 +624,7 @@ pub(crate) fn lower<'a>(
             refs: Vec::new(),
             dims: Vec::new(),
             inds: Vec::new(),
+            strip_refs: Vec::new(),
             loops: Vec::new(),
             bundles: Vec::new(),
             sites: Vec::new(),
@@ -1179,6 +1247,7 @@ impl<'a> Lowerer<'a> {
             fast_body: 0,
             exit: 0,
             inds: Span::default(),
+            strip: None,
         });
         self.emit(Op::LoopEnter { l: id as u32 });
 
@@ -1203,6 +1272,7 @@ impl<'a> Lowerer<'a> {
             Some(_) => span(first, self.code.inds.len()),
             None => Span::default(),
         };
+        let strip = self.strip_plan(head, inds, tail);
         self.emit(Op::LoopNext {
             l: id as u32,
             head,
@@ -1223,7 +1293,105 @@ impl<'a> Lowerer<'a> {
         let plan = &mut self.code.loops[id];
         (plan.tail, plan.body, plan.fast_body, plan.exit, plan.inds) =
             (tail, body, head, exit, inds);
+        plan.strip = strip;
         self.exit();
+    }
+
+    /// The [`StripPlan`] of the hoisted body just emitted from `head`
+    /// on, if it has the shape: references under an `if` are `..At`
+    /// ops, so they refuse it as hints, checks and profiler brackets do.
+    fn strip_plan(&mut self, head: Pc, inds: Span, tail: Charge) -> Option<StripPlan> {
+        let next = self.pc();
+        let mut refs: Vec<_> = inds
+            .of(&self.code.inds)
+            .iter()
+            .map(|ind| (ind.reg, ind.delta, false))
+            .collect();
+        let (mut branch_ns, mut first_ns, mut free_access) = (0, None, false);
+        for (pc, op) in (head..next).zip(&self.code.ops[head as usize..]) {
+            match *op {
+                Op::LoadF { at, ns, .. }
+                | Op::LoadI { at, ns, .. }
+                | Op::StoreF { at, ns, .. }
+                | Op::StoreI { at, ns, .. } => {
+                    let through = refs.iter_mut().find(|(reg, ..)| *reg == at)?;
+                    through.2 |= matches!(op, Op::StoreF { .. } | Op::StoreI { .. });
+                    first_ns.get_or_insert(ns);
+                    free_access |= ns == 0;
+                }
+                Op::BrI {
+                    else_: to, charge, ..
+                }
+                | Op::BrF {
+                    else_: to, charge, ..
+                }
+                | Op::Jump { to, charge } => {
+                    if to <= pc || to > next {
+                        return None;
+                    }
+                    branch_ns += charge.ns;
+                }
+                Op::AddF { .. }
+                | Op::SubF { .. }
+                | Op::MulF { .. }
+                | Op::DivF { .. }
+                | Op::RemF { .. }
+                | Op::MinF { .. }
+                | Op::MaxF { .. }
+                | Op::NegF { .. }
+                | Op::AbsF { .. }
+                | Op::SqrtF { .. }
+                | Op::LnF { .. }
+                | Op::MovF { .. }
+                | Op::IToF { .. }
+                | Op::AddI { .. }
+                | Op::SubI { .. }
+                | Op::MulI { .. }
+                | Op::DivI { .. }
+                | Op::RemI { .. }
+                | Op::MinI { .. }
+                | Op::MaxI { .. }
+                | Op::NegI { .. }
+                | Op::AbsI { .. }
+                | Op::MovI { .. }
+                | Op::FToI { .. }
+                | Op::Lin { .. } => {}
+                Op::Addr { .. }
+                | Op::Check { .. }
+                | Op::Prefetch { .. }
+                | Op::Release { .. }
+                | Op::LoadFAt { .. }
+                | Op::LoadIAt { .. }
+                | Op::StoreFAt { .. }
+                | Op::StoreIAt { .. }
+                | Op::PrefetchAt { .. }
+                | Op::ReleaseAt { .. }
+                | Op::PrefetchRelease { .. }
+                | Op::LoopEnter { .. }
+                | Op::LoopNext { .. }
+                | Op::Halt
+                | Op::Enter { .. }
+                | Op::Exit => return None,
+            }
+        }
+        // The tick count below is a fact of the body only while the
+        // time a branch leaves pending cannot decide whether the access
+        // behind it flushes: an access that charges something always
+        // does.
+        if branch_ns > 0 && free_access {
+            return None;
+        }
+        let first_ns = first_ns?;
+        refs.sort_by_key(|&(_, delta, _)| std::cmp::Reverse(delta.unsigned_abs()));
+        let start = self.code.strip_refs.len();
+        self.code.strip_refs.extend(refs);
+        let body = self.code.accesses(head, next, tail.ns);
+        Some(StripPlan {
+            refs: span(start, self.code.strip_refs.len()),
+            body,
+            first_ns,
+            max_ns: body.ns + tail.ns + branch_ns,
+        })
     }
 
     /// One copy of a loop body; returns the charge left for its

@@ -8,6 +8,10 @@
 //! memory — and, when a run panics, the panic message and the log up to
 //! it. The dispatch loop runs a second time under a [`ParkingVm`], which
 //! parks it at seeded calls and resumes it; that changes nothing either.
+//! A third time the [`RecVm`] grants strips of seeded lengths: those
+//! iterations make no calls, so what must agree there is what the calls
+//! add up to ([`Sums`]) — tick time and count, accesses, the hint stream
+//! — beside the stats, the memory and the panic.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -18,7 +22,7 @@ use crate::expr::{lin, param, var, BinOp, CmpOp, Cond, Expr, LinExpr, UnOp};
 use crate::parse::parse_program;
 use crate::program::{ArrayRef, ElemType, HintTarget, Index, Program, Stmt};
 use crate::treewalk::Executor;
-use crate::vm::{ArrayData, CostModel, MemVm, PagedVm, Park};
+use crate::vm::{ArrayData, CostModel, MemVm, PagedVm, Park, StripRef};
 
 /// One call across the [`PagedVm`] boundary. Float values are kept as
 /// bits so a NaN compares equal to itself.
@@ -39,6 +43,22 @@ enum Ev {
 /// than a ten-call unit program.
 const HEAD: usize = 1 << 16;
 
+/// What a run's calls add up to, however many of them a strip's bulk
+/// charge stood in for.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Sums {
+    tick_ns: u64,
+    ticks: u64,
+    /// Digest of the hint calls alone, in order.
+    hints: u64,
+}
+
+fn mix(digest: &mut u64, words: [u64; 5]) {
+    for w in words {
+        *digest = (*digest ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
 /// A recording [`PagedVm`] over a flat memory.
 #[derive(Clone)]
 struct RecVm {
@@ -46,6 +66,9 @@ struct RecVm {
     head: Vec<Ev>,
     calls: u64,
     digest: u64,
+    sums: Sums,
+    /// Grant strips, of lengths drawn from this.
+    strips: Option<Rng>,
 }
 
 impl RecVm {
@@ -55,6 +78,8 @@ impl RecVm {
             head: Vec::new(),
             calls: 0,
             digest: 0,
+            sums: Sums::default(),
+            strips: None,
         }
     }
 
@@ -69,8 +94,17 @@ impl RecVm {
             Ev::Release(a, n) => (7, [a, n, 0, 0]),
             Ev::PrefetchRelease(a, n, b, m) => (8, [a, n, b, m]),
         };
-        for w in [tag, words[0], words[1], words[2], words[3]] {
-            self.digest = (self.digest ^ w).wrapping_mul(0x0000_0100_0000_01b3);
+        let words = [tag, words[0], words[1], words[2], words[3]];
+        mix(&mut self.digest, words);
+        match ev {
+            Ev::Tick(ns) => {
+                self.sums.tick_ns += ns;
+                self.sums.ticks += 1;
+            }
+            Ev::Prefetch(..) | Ev::Release(..) | Ev::PrefetchRelease(..) => {
+                mix(&mut self.sums.hints, words)
+            }
+            _ => {}
         }
         self.calls += 1;
         if self.head.len() < HEAD {
@@ -112,6 +146,24 @@ impl PagedVm for RecVm {
     }
     fn prefetch_release(&mut self, pf: u64, pf_pages: u64, rel: u64, rel_pages: u64) {
         self.log(Ev::PrefetchRelease(pf, pf_pages, rel, rel_pages));
+    }
+    // A length anywhere in `[0, want]`, the two ends favoured: strips
+    // are refused, stop short of the loop's exit, and run up to it.
+    fn strip(&mut self, refs: &[StripRef], want: u64, lead: u64, iter: u64) -> (u64, &mut [u8]) {
+        let Some(rng) = &mut self.strips else {
+            return (0, &mut []);
+        };
+        let n = match rng.range(0, 8) {
+            0 => 0,
+            1..=3 => want,
+            _ => rng.range(0, want as i64 + 1) as u64,
+        };
+        (n, self.mem.strip(refs, n, lead, iter).1)
+    }
+    fn strip_charge(&mut self, ns: u64, ticks: u64, accesses: u64) {
+        self.sums.tick_ns += ns;
+        self.sums.ticks += ticks;
+        self.mem.strip_charge(ns, ticks, accesses);
     }
 }
 
@@ -209,6 +261,7 @@ impl PagedVm for ParkingVm<'_> {
 }
 
 /// A tiny deterministic generator (splitmix64).
+#[derive(Clone)]
 struct Rng(u64);
 
 impl Rng {
@@ -297,8 +350,23 @@ fn assert_same(what: &str, tree: &Outcome, lowered: &Outcome) {
     );
 }
 
+/// The strip leg's comparison: the calls differ, what they add up to
+/// must not.
+fn assert_same_sums(what: &str, tree: &Outcome, stripped: &Outcome) {
+    assert_eq!(tree.vm.sums, stripped.vm.sums, "{what}: ticks or hints");
+    assert_eq!(
+        tree.vm.mem.accesses, stripped.vm.mem.accesses,
+        "{what}: accesses"
+    );
+    assert_eq!(tree.result, stripped.result, "{what}: stats or panic");
+    assert!(
+        tree.vm.mem.bytes() == stripped.vm.mem.bytes(),
+        "{what}: final memory"
+    );
+}
+
 /// Run `prog` through both interpreters, and through the dispatch loop
-/// parked and resumed, and hold every observable equal; with
+/// parked and resumed and in strips, and hold every observable equal; with
 /// `profiled`, once more with a live profiler sink on both.
 /// Returns the tree-walker's outcome.
 fn check(
@@ -326,6 +394,10 @@ fn check(
         run_program(prog, &binds, params, cost, &mut vm)
     });
     assert_same(&format!("{what} (stepped)"), &tree, &stepped);
+    let mut granting = start.clone();
+    granting.strips = Some(Rng(seed ^ 0x57a1));
+    let stripped = observe(&granting, |vm| run_program(prog, &binds, params, cost, vm));
+    assert_same_sums(&format!("{what} (strips)"), &tree, &stripped);
     if !profiled {
         return tree;
     }
@@ -587,26 +659,61 @@ pub(crate) mod programs {
     /// `for i in 0..4 { x[i] = x[i] + 1; n = 7 / (2 - i) }`: two
     /// iterations complete, the third divides by zero.
     pub fn divide_by_zero() -> Program {
+        divides(false)
+    }
+
+    /// The same with the division first: the third iteration stops
+    /// before its first access, the loop's tail charge still pending.
+    pub fn divide_first() -> Program {
+        divides(true)
+    }
+
+    fn divides(first: bool) -> Program {
         let mut p = Program::new("divzero");
         let x = p.array("x", ElemType::F64, vec![4]);
         let n = p.fresh_iscalar();
         let i = p.fresh_var();
         let xi = ArrayRef::affine(x, vec![var(i)]);
+        let mut body = vec![
+            Stmt::Store {
+                dst: xi.clone(),
+                value: Expr::add(Expr::LoadF(xi), Expr::ConstF(1.0)),
+            },
+            Stmt::LetI {
+                dst: n,
+                value: Expr::div(Expr::Lin(lin(7)), Expr::Lin(var(i).scale(-1).offset(2))),
+            },
+        ];
+        if first {
+            // And something behind the store, for the loop's tail to owe.
+            body.reverse();
+            body.push(Stmt::LetI {
+                dst: n,
+                value: Expr::Lin(var(i).offset(3)),
+            });
+        }
+        p.body = vec![Stmt::for_(i, lin(0), lin(4), 1, body)];
+        p
+    }
+
+    /// `for i below n { s = x[i] }`: the body's last op is its access,
+    /// so nothing is pending behind an iteration but what a strip must
+    /// not leave there.
+    pub fn load_last() -> Program {
+        let mut p = Program::new("loadlast");
+        let x = p.array("x", ElemType::F64, vec![100]);
+        let n = p.param("n");
+        let s = p.fresh_fscalar();
+        let i = p.fresh_var();
         p.body = vec![Stmt::for_(
             i,
             lin(0),
-            lin(4),
+            param(n),
             1,
-            vec![
-                Stmt::Store {
-                    dst: xi.clone(),
-                    value: Expr::add(Expr::LoadF(xi), Expr::ConstF(1.0)),
-                },
-                Stmt::LetI {
-                    dst: n,
-                    value: Expr::div(Expr::Lin(lin(7)), Expr::Lin(var(i).scale(-1).offset(2))),
-                },
-            ],
+            vec![Stmt::LetF {
+                dst: s,
+                value: Expr::LoadF(ArrayRef::affine(x, vec![var(i)])),
+            }],
         )];
         p
     }
@@ -897,9 +1004,10 @@ fn odd_cost() -> CostModel {
 #[test]
 fn vm_matches_tree_walker() {
     use programs::*;
+    crate::dispatch::STRIPS.set([0; 4]);
 
     // The hand-written unit programs, under a free and a priced model.
-    let units: [(Program, &[i64]); 9] = [
+    let units: [(Program, &[i64]); 10] = [
         (axpy(100), &[]),
         (histogram(), &[]),
         (symbolic_bound(), &[7]),
@@ -909,6 +1017,7 @@ fn vm_matches_tree_walker() {
         (matrix(), &[]),
         (hinted(), &[]),
         (symbolic_bound(), &[0]),
+        (load_last(), &[9]),
     ];
     for (prog, params) in &units {
         for cost in [CostModel::free(), CostModel::default(), odd_cost()] {
@@ -935,6 +1044,16 @@ fn vm_matches_tree_walker() {
         "integer division by zero"
     );
     assert_eq!(div.vm.calls, 12, "three load/store pairs came first");
+    // More strip lengths over it, and with the division ahead of the
+    // accesses: some reach the third iteration and must stop in front
+    // of the division.
+    for seed in 2..10 {
+        check("divzero", &divide_by_zero(), &[], odd_cost(), seed, false);
+        let div = check("divfirst", &divide_first(), &[], odd_cost(), seed, true);
+        assert_eq!(div.vm.calls, 8, "two load/store pairs came first");
+        // And one strip from the loop's entry to its exit among these.
+        check("loadlast", &load_last(), &[9], odd_cost(), seed, false);
+    }
 
     // Every kernel file, as written (detached only: a live profiler
     // over matmul's 33 M references is minutes of host clock reads).
@@ -1000,4 +1119,37 @@ fn vm_matches_tree_walker() {
         after >= 1000 && redone >= 1000,
         "and both kinds of park ({after} behind a call, {redone} with the call to redo)"
     );
+    let [taken, refused, early, inside] = crate::dispatch::STRIPS.get();
+    assert!(
+        taken >= 1000 && refused >= 1000 && early >= 3 && inside >= 10 * taken,
+        "and every way a strip can go ({taken} taken with {inside} iterations inside, \
+         {refused} refused, {early} ended early)"
+    );
+}
+
+/// On a VM that grants whatever is asked, every iteration of the
+/// stencil's leaf loop runs inside a strip — one strip per row — and
+/// only the outer loop's iterations are dispatched op by op.
+#[test]
+fn stencil_strips_every_leaf_iteration() {
+    let src = include_str!("../../../kernels/stencil.ook");
+    let prog = parse_program(src).expect("stencil parses");
+    let (binds, bytes) = ArrayBinding::sequential(&prog, 4096);
+    let run = || {
+        crate::dispatch::STRIPS.set([0; 4]);
+        let mut vm = MemVm::new(bytes, 4096);
+        let stats = run_program(&prog, &binds, &[], CostModel::default(), &mut vm);
+        (stats.iters, vm.accesses, crate::dispatch::STRIPS.get())
+    };
+    let (rows, cols) = (2046, 510);
+    let first = run();
+    assert_eq!(
+        first,
+        (
+            rows + rows * cols,
+            5 * rows * cols,
+            [rows, 0, 0, rows * cols]
+        )
+    );
+    assert_eq!(run(), first, "and again");
 }

@@ -97,7 +97,41 @@ pub trait PagedVm {
     fn parked(&mut self) -> Option<Park> {
         None
     }
+
+    /// Asked before a run of iterations of an innermost loop whose body
+    /// reaches memory through `refs` and nothing else: iteration `t`
+    /// makes 8-byte accesses at `addr + t·delta` of each of them. For
+    /// how many consecutive iterations from the first, `want` at most,
+    /// would every one of those accesses be answered without anything
+    /// else changing or being told — given that they hand over no more
+    /// than `lead_ns + n·iter_ns` of user time — and which bytes are
+    /// they then to be made against? `0` refuses, and a VM that always
+    /// refuses (the default) is never run in strips.
+    #[inline]
+    fn strip(
+        &mut self,
+        refs: &[StripRef],
+        want: u64,
+        lead_ns: u64,
+        iter_ns: u64,
+    ) -> (u64, &mut [u8]) {
+        let _ = (refs, want, lead_ns, iter_ns);
+        (0, &mut [])
+    }
+
+    /// What the iterations granted by the last [`PagedVm::strip`] came
+    /// to: `accesses` loads and stores made directly against the bytes,
+    /// and the `ticks` calls of `tick_user` around them, `ns` in all.
+    fn strip_charge(&mut self, ns: u64, ticks: u64, accesses: u64) {
+        let _ = (ns, ticks, accesses);
+        unreachable!("no strip was granted");
+    }
 }
+
+/// One reference stream of a strip: the byte address its first
+/// iteration accesses, the bytes it moves per iteration, and whether the
+/// loop body stores through it.
+pub type StripRef = (u64, i64, bool);
 
 /// A [`PagedVm`]'s request that the run driving it stop where it is
 /// ([`crate::Vm::step`] returns `None`) until stepped again.
@@ -164,49 +198,71 @@ impl MemVm {
 }
 
 impl PagedVm for MemVm {
+    #[inline]
     fn page_bytes(&self) -> u64 {
         self.page_bytes
     }
 
+    #[inline]
     fn tick_user(&mut self, ns: u64) {
         self.user_ns += ns;
     }
 
+    #[inline]
     fn load_f64(&mut self, addr: u64) -> f64 {
         self.accesses += 1;
         self.peek_f64(addr)
     }
 
+    #[inline]
     fn store_f64(&mut self, addr: u64, v: f64) {
         self.accesses += 1;
         self.poke_f64(addr, v);
     }
 
+    #[inline]
     fn load_i64(&mut self, addr: u64) -> i64 {
         self.accesses += 1;
         self.peek_i64(addr)
     }
 
+    #[inline]
     fn store_i64(&mut self, addr: u64, v: i64) {
         self.accesses += 1;
         self.poke_i64(addr, v);
     }
 
+    #[inline]
     fn prefetch(&mut self, _addr: u64, _pages: u64) {
         self.prefetches += 1;
     }
 
+    #[inline]
     fn release(&mut self, _addr: u64, _pages: u64) {
         self.releases += 1;
     }
 
+    #[inline]
     fn prefetch_release(&mut self, _pf: u64, _pfn: u64, _rel: u64, _reln: u64) {
         self.prefetches += 1;
         self.releases += 1;
     }
+
+    // Flat memory: every iteration qualifies.
+    #[inline]
+    fn strip(&mut self, _refs: &[StripRef], want: u64, _lead: u64, _iter: u64) -> (u64, &mut [u8]) {
+        (want, &mut self.data)
+    }
+
+    #[inline]
+    fn strip_charge(&mut self, ns: u64, _ticks: u64, accesses: u64) {
+        self.user_ns += ns;
+        self.accesses += accesses;
+    }
 }
 
 impl ArrayData for MemVm {
+    #[inline]
     fn peek_f64(&self, addr: u64) -> f64 {
         f64::from_le_bytes(
             self.data[addr as usize..addr as usize + 8]
@@ -215,10 +271,12 @@ impl ArrayData for MemVm {
         )
     }
 
+    #[inline]
     fn poke_f64(&mut self, addr: u64, v: f64) {
         self.data[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn peek_i64(&self, addr: u64) -> i64 {
         i64::from_le_bytes(
             self.data[addr as usize..addr as usize + 8]
@@ -227,6 +285,7 @@ impl ArrayData for MemVm {
         )
     }
 
+    #[inline]
     fn poke_i64(&mut self, addr: u64, v: i64) {
         self.data[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
     }

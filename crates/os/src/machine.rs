@@ -71,23 +71,19 @@ pub enum Touch {
     },
 }
 
-/// Residency state of one virtual page.
+/// Where one virtual page is ([`Page::residency`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PageState {
+enum Residency {
     /// Not in memory; a touch is a hard fault.
     Unmapped,
-    /// Prefetch read in progress; `ticket` redeems one completion unit
-    /// per page against the disk array. Demand reads never appear here:
-    /// a single-threaded application stalls inline on its own fault, so
-    /// the page is resident by the time it runs again.
-    InFlight { ticket: Ticket },
-    /// In memory. `on_free_list` pages are reclaimable but still mapped,
-    /// so touching one is only a soft fault.
-    Resident {
-        dirty: bool,
-        referenced: bool,
-        on_free_list: bool,
-    },
+    /// Prefetch read in progress; the ticket redeems one completion
+    /// unit per page. Demand reads never appear here: the application
+    /// stalls inline on its own fault and finds the page resident.
+    InFlight(Ticket),
+    /// In memory and in use.
+    Active,
+    /// Reclaimable but still mapped: touching it is only a soft fault.
+    OnFreeList,
 }
 
 /// Who waits out a hard fault's disk latency.
@@ -108,62 +104,82 @@ enum RevertCause {
     Crashed,
 }
 
-/// Per-page metadata.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Per-page metadata: one byte of flags, so that the hit test is one
+/// masked compare, and what an outstanding prefetch needs beside them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Page {
-    state: PageState,
-    /// A prefetch named this page and it has not been demand-touched
-    /// since; drives the Figure 4(a) fault classification.
-    prefetch_tag: bool,
-    /// The page has been demand-touched since its last load from disk.
-    touched: bool,
-    /// The page is currently counted as "in memory" in the shared bit
-    /// vector (idempotence guard for the per-bit reference counts).
-    bit_noted: bool,
+    flags: u8,
+    /// The prefetch read loading the page: `Some` exactly while it is
+    /// in flight (and the page therefore not yet `RESIDENT`).
+    ticket: Option<Ticket>,
     /// Lifecycle span id of the outstanding prefetch (0 = none).
-    /// Assigned when a prefetch read is issued for the page and cleared
-    /// when the span terminates (consume, drop, revert, or reclaim);
-    /// correlates the issue/arrive/consume trace events.
+    /// Assigned, with `PREFETCH_TAG`, when a prefetch read is issued
+    /// for the page and cleared when the span terminates (consume,
+    /// drop, revert, or reclaim); correlates the issue/arrive/consume
+    /// trace events.
     span: u64,
 }
 
 impl Page {
-    const fn new() -> Self {
-        Self {
-            state: PageState::Unmapped,
-            prefetch_tag: false,
-            touched: false,
-            bit_noted: false,
-            span: 0,
+    /// In memory. The next three flags mean something only with it.
+    const RESIDENT: u8 = 1;
+    const DIRTY: u8 = 1 << 1;
+    const REFERENCED: u8 = 1 << 2;
+    /// Reclaimable but still mapped ([`Residency::OnFreeList`]).
+    const ON_FREE_LIST: u8 = 1 << 3;
+    /// A prefetch named this page and it has not been demand-touched
+    /// since; drives the Figure 4(a) fault classification.
+    const PREFETCH_TAG: u8 = 1 << 4;
+    /// The page has been demand-touched since its last load from disk.
+    const TOUCHED: u8 = 1 << 5;
+    /// The page is currently counted as "in memory" in the shared bit
+    /// vector (idempotence guard for the per-bit reference counts).
+    const BIT_NOTED: u8 = 1 << 6;
+    /// What outlives a change of residency.
+    const HISTORY: u8 = Self::PREFETCH_TAG | Self::TOUCHED | Self::BIT_NOTED;
+
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
+    }
+
+    #[inline]
+    fn residency(&self) -> Residency {
+        match (self.has(Self::RESIDENT), self.ticket) {
+            (true, _) if self.has(Self::ON_FREE_LIST) => Residency::OnFreeList,
+            (true, _) => Residency::Active,
+            (false, Some(ticket)) => Residency::InFlight(ticket),
+            (false, None) => Residency::Unmapped,
         }
     }
 
     /// Whether a demand access (a store, when `write`) would leave this
     /// entry exactly as it found it: the state in which `touch_page`'s
     /// resident arm stores back what it read, charges nothing and
-    /// notifies no one. Derived from the fields that arm maintains, so
-    /// there is nothing to invalidate.
+    /// notifies no one — active, referenced, touched, dirty if it is to
+    /// be written, and with no prefetch outstanding (no tag, hence no
+    /// span). Derived from the flags that arm maintains, so there is
+    /// nothing to invalidate.
     #[inline]
     fn hot(&self, write: bool) -> bool {
-        matches!(
-            self.state,
-            PageState::Resident { dirty, referenced: true, on_free_list: false } if dirty || !write
-        ) && self.touched
-            && !self.prefetch_tag
-            && self.span == 0
+        let want = Self::RESIDENT | Self::REFERENCED | Self::TOUCHED | (write as u8 * Self::DIRTY);
+        debug_assert!(self.span == 0 || self.has(Self::PREFETCH_TAG));
+        self.flags & (want | Self::ON_FREE_LIST | Self::PREFETCH_TAG) == want
     }
 
     /// A demand access takes the page: mapped and active, referenced,
     /// touched, and done with whatever prefetch brought it in.
     fn activate(&mut self, dirty: bool) {
-        self.state = PageState::Resident {
-            dirty,
-            referenced: true,
-            on_free_list: false,
-        };
-        self.touched = true;
-        self.prefetch_tag = false;
+        self.flags = (self.flags & Self::BIT_NOTED)
+            | (Self::RESIDENT | Self::REFERENCED | Self::TOUCHED)
+            | (dirty as u8 * Self::DIRTY);
+        self.ticket = None;
         self.span = 0;
+    }
+
+    /// Resident with exactly `state` of the three residency flags.
+    fn map(&mut self, state: u8) {
+        self.flags = (self.flags & Self::HISTORY) | Self::RESIDENT | state;
+        self.ticket = None;
     }
 }
 
@@ -288,7 +304,7 @@ impl Machine {
             now: 0,
             breakdown: TimeBreakdown::new(),
             stats: OsStats::default(),
-            pages: vec![Page::new(); total_pages as usize],
+            pages: vec![Page::default(); total_pages as usize],
             free_list: VecDeque::new(),
             reclaimable: 0,
             resident: 0,
@@ -457,10 +473,18 @@ impl Machine {
     /// Charge `ns` of user-mode computation.
     #[inline]
     pub fn tick_user(&mut self, ns: Ns) {
+        self.strip_charge(ns, 1);
+        self.maybe_sample();
+    }
+
+    /// `ticks` calls of [`Machine::tick_user`], `ns` between them, in
+    /// one step: the user time of a run of iterations [`Machine::strip`]
+    /// granted, which by that grant ends before the next sample is due.
+    #[inline]
+    pub fn strip_charge(&mut self, ns: Ns, ticks: u64) {
         self.now += ns;
         self.breakdown.charge(TimeCategory::User, ns);
-        self.stats.user_ops += 1;
-        self.maybe_sample();
+        self.stats.user_ops += ticks;
     }
 
     fn charge(&mut self, cat: TimeCategory, ns: Ns) {
@@ -497,8 +521,8 @@ impl Machine {
     /// Mark `vpage` as in-memory in the shared bit vector (idempotent).
     fn bit_in(&mut self, vpage: u64) {
         let p = &mut self.pages[vpage as usize];
-        if !p.bit_noted {
-            p.bit_noted = true;
+        if !p.has(Page::BIT_NOTED) {
+            p.flags |= Page::BIT_NOTED;
             self.bits.note_resident(vpage);
             self.note_tenant_bit(vpage, true);
         }
@@ -515,8 +539,8 @@ impl Machine {
     /// will suppress prefetches for a page that is actually gone.
     fn bit_out(&mut self, vpage: u64) {
         let p = &mut self.pages[vpage as usize];
-        if p.bit_noted {
-            p.bit_noted = false;
+        if p.has(Page::BIT_NOTED) {
+            p.flags &= !Page::BIT_NOTED;
             if let Some((prob, rng)) = &mut self.chaos_bits {
                 if rng.next_f64() < *prob {
                     self.stats.bitvec_stale_injected += 1;
@@ -536,7 +560,7 @@ impl Machine {
         let before = self.bits.set_bits();
         let mut fresh = ResidencyBits::new(self.total_pages(), self.params.page_bytes);
         for (i, p) in self.pages.iter().enumerate() {
-            if p.bit_noted {
+            if p.has(Page::BIT_NOTED) {
                 fresh.note_resident(i as u64);
             }
         }
@@ -571,14 +595,11 @@ impl Machine {
     /// Materialize an in-flight page whose I/O has already completed,
     /// redeeming one of its ticket's completion units.
     fn settle(&mut self, vpage: u64) {
-        if let PageState::InFlight { ticket } = self.pages[vpage as usize].state {
+        if let Residency::InFlight(ticket) = self.pages[vpage as usize].residency() {
             if let Some(done) = self.disks.poll(ticket, self.now) {
-                self.pages[vpage as usize].state = PageState::Resident {
-                    dirty: false,
-                    referenced: false,
-                    on_free_list: false,
-                };
-                self.pages[vpage as usize].touched = false;
+                let page = &mut self.pages[vpage as usize];
+                page.map(0);
+                page.flags &= !Page::TOUCHED;
                 self.inflight -= 1;
                 self.note_tenant_inflight(vpage, -1);
                 self.resident += 1;
@@ -600,26 +621,16 @@ impl Machine {
 
     /// Unmap a free-list page, returning its frame to the free pool.
     fn reclaim(&mut self, vpage: u64) {
-        let wasted = self.pages[vpage as usize].prefetch_tag && !self.pages[vpage as usize].touched;
         let page = &mut self.pages[vpage as usize];
-        debug_assert!(matches!(
-            page.state,
-            PageState::Resident {
-                on_free_list: true,
-                ..
-            }
-        ));
-        if let PageState::Resident { dirty: true, .. } = page.state {
+        let wasted = page.has(Page::PREFETCH_TAG) && !page.has(Page::TOUCHED);
+        debug_assert_eq!(page.residency(), Residency::OnFreeList);
+        if page.has(Page::DIRTY) {
             // Free-list pages are cleaned when queued, but settle order
             // can leave a dirty one; write it back now.
-            page.state = PageState::Resident {
-                dirty: false,
-                referenced: false,
-                on_free_list: true,
-            };
+            page.map(Page::ON_FREE_LIST);
             self.writeback(vpage);
         }
-        self.pages[vpage as usize].state = PageState::Unmapped;
+        self.pages[vpage as usize].flags &= Page::HISTORY;
         self.resident -= 1;
         self.bit_out(vpage);
         // If a prefetch loaded this page and it was never touched, its
@@ -636,13 +647,7 @@ impl Machine {
     /// Pop the next live free-list page, skipping stale entries.
     fn pop_free_list(&mut self) -> Option<u64> {
         while let Some(p) = self.free_list.pop_front() {
-            if matches!(
-                self.pages[p as usize].state,
-                PageState::Resident {
-                    on_free_list: true,
-                    ..
-                }
-            ) {
+            if self.pages[p as usize].residency() == Residency::OnFreeList {
                 self.reclaimable -= 1;
                 return Some(p);
             }
@@ -813,12 +818,8 @@ impl Machine {
     /// Move a resident page to the free list (daemon eviction path).
     fn queue_on_free_list(&mut self, vpage: u64, front: bool) {
         let page = &mut self.pages[vpage as usize];
-        let dirty = matches!(page.state, PageState::Resident { dirty: true, .. });
-        page.state = PageState::Resident {
-            dirty: false,
-            referenced: false,
-            on_free_list: true,
-        };
+        let dirty = page.has(Page::DIRTY);
+        page.map(Page::ON_FREE_LIST);
         if dirty {
             self.writeback(vpage);
         }
@@ -849,18 +850,10 @@ impl Machine {
             *hand = (*hand + 1) % len;
             *scanned += 1;
             self.settle(v);
-            if let PageState::Resident {
-                dirty,
-                referenced,
-                on_free_list: false,
-            } = self.pages[v as usize].state
-            {
-                if referenced && *scanned <= len {
-                    self.pages[v as usize].state = PageState::Resident {
-                        dirty,
-                        referenced: false,
-                        on_free_list: false,
-                    };
+            let page = &mut self.pages[v as usize];
+            if page.residency() == Residency::Active {
+                if page.has(Page::REFERENCED) && *scanned <= len {
+                    page.flags &= !Page::REFERENCED;
                 } else {
                     return Some(v);
                 }
@@ -1000,6 +993,49 @@ impl Machine {
         vpage == self.page_of(end)
             && self.pages.get(vpage as usize).is_some_and(|p| p.hot(write))
             && self.extensions_quiet()
+    }
+
+    /// [`Machine::touch_is_hit`] for a run of loop iterations at once:
+    /// iteration `t` makes an 8-byte access (a store, when `write`) at
+    /// `addr + t·delta` of every `(addr, delta, write)` in `refs`, and
+    /// `n` of them charge at most `lead_ns + n·iter_ns` of user time.
+    /// Returns the image's bytes and for how many iterations, `want` at
+    /// most, every access is such a hit (each reference is walked page
+    /// by page, up to the first not hot) and the clock stays short of the
+    /// sampler's next row, the one observer driven by time alone.
+    pub fn strip(
+        &mut self,
+        refs: &[(u64, i64, bool)],
+        want: u64,
+        lead_ns: Ns,
+        iter_ns: Ns,
+    ) -> (u64, &mut [u8]) {
+        let mut n = if self.extensions_quiet() { want } else { 0 };
+        if let Some(s) = &self.observe.sampler {
+            let room = s.next_due.checked_sub(self.now + lead_ns + 1);
+            n = n.min(room.map_or(0, |ns| ns.checked_div(iter_ns).unwrap_or(n)));
+        }
+        for &(addr, delta, write) in refs {
+            let (mut at, mut hits) = (addr, 0);
+            // Aligned words never straddle a page.
+            while hits < n && (at | delta as u64) & 7 == 0 {
+                match self.pages.get(self.page_of(at) as usize) {
+                    Some(page) if page.hot(write) => {}
+                    _ => break,
+                }
+                // Iterations until `at` leaves the page, if it moves at all.
+                let within = at & (self.params.page_bytes - 1);
+                let ahead = match delta {
+                    1.. => (self.params.page_bytes - within).div_ceil(delta as u64),
+                    0 => n,
+                    _ => within / delta.unsigned_abs() + 1,
+                };
+                hits += ahead;
+                at = at.wrapping_add(ahead.wrapping_mul(delta as u64));
+            }
+            n = n.min(hits);
+        }
+        (n, &mut self.data)
     }
 
     /// The extensions that intercept a demand access or a hint call
@@ -1192,13 +1228,10 @@ impl Machine {
         let page = self.pages[vpage as usize];
         // A prefetch loaded the page and this is its first use (a page
         // loaded by a demand fault was classified at fault time).
-        let prefetched_hit = !page.touched && page.prefetch_tag;
-        match page.state {
-            PageState::Resident {
-                dirty,
-                on_free_list: false,
-                ..
-            } => {
+        let prefetched_hit = page.has(Page::PREFETCH_TAG) && !page.has(Page::TOUCHED);
+        let dirty = page.has(Page::DIRTY);
+        match page.residency() {
+            Residency::Active => {
                 // In memory and active: classify the first touch after a
                 // load, update reference/dirty bits, no fault.
                 if prefetched_hit {
@@ -1212,11 +1245,7 @@ impl Machine {
                 }
                 Ok(None)
             }
-            PageState::Resident {
-                dirty,
-                on_free_list: true,
-                ..
-            } => {
+            Residency::OnFreeList => {
                 // Soft fault: reclaim from the free list, no disk I/O.
                 self.charge(
                     TimeCategory::SystemFault,
@@ -1239,11 +1268,11 @@ impl Machine {
                 self.policy_touch(vpage, TouchKind::SoftFault);
                 Ok(None)
             }
-            PageState::InFlight { ticket } => Ok(Some(
+            Residency::InFlight(ticket) => Ok(Some(
                 self.fault_in_flight(vpage, page.span, ticket, write, wait),
             )),
-            PageState::Unmapped => self
-                .fault_unmapped(vpage, page.prefetch_tag, write, wait)
+            Residency::Unmapped => self
+                .fault_unmapped(vpage, page.has(Page::PREFETCH_TAG), write, wait)
                 .map(Some),
         }
     }
@@ -1420,11 +1449,7 @@ impl Machine {
                 self.stats.policy_injected_release_pages += 1;
             }
             self.settle(vpage);
-            if let PageState::Resident {
-                on_free_list: false,
-                ..
-            } = self.pages[vpage as usize].state
-            {
+            if self.pages[vpage as usize].residency() == Residency::Active {
                 self.queue_on_free_list(vpage, true);
                 self.stats.release_pages_effective += 1;
                 self.trace_event(TraceEvent::Release {
@@ -1462,35 +1487,24 @@ impl Machine {
                 self.stats.policy_injected_prefetch_pages += 1;
             }
             self.settle(vpage);
-            match self.pages[vpage as usize].state {
-                PageState::Resident {
-                    on_free_list: false,
-                    ..
-                } => {
+            match self.pages[vpage as usize].residency() {
+                Residency::Active => {
                     self.stats.prefetch_pages_unnecessary += 1;
                 }
-                PageState::Resident {
-                    dirty,
-                    on_free_list: true,
-                    ..
-                } => {
+                Residency::OnFreeList => {
                     // Reclaim from the free list: useful work, no I/O.
                     self.reclaimable -= 1;
                     let p = &mut self.pages[vpage as usize];
-                    p.state = PageState::Resident {
-                        dirty,
-                        referenced: true,
-                        on_free_list: false,
-                    };
-                    p.prefetch_tag = true;
+                    p.map((p.flags & Page::DIRTY) | Page::REFERENCED);
+                    p.flags |= Page::PREFETCH_TAG;
                     self.stats.prefetch_pages_reclaimed += 1;
                     self.bit_in(vpage);
                     arbiter.charge_frame(); // free-list page back on the books
                 }
-                PageState::InFlight { .. } => {
+                Residency::InFlight(_) => {
                     self.stats.prefetch_pages_inflight += 1;
                 }
-                PageState::Unmapped => {
+                Residency::Unmapped => {
                     if arbiter.multi && self.arbiter_drops(&arbiter, vpage) {
                         continue;
                     }
@@ -1503,7 +1517,7 @@ impl Machine {
                         // Leave any prior prefetch_tag: a dropped hint
                         // still marks the fault as "prefetched" for
                         // Figure 4(a).
-                        self.pages[vpage as usize].prefetch_tag = true;
+                        self.pages[vpage as usize].flags |= Page::PREFETCH_TAG;
                         continue;
                     }
                     self.inflight += 1;
@@ -1520,7 +1534,7 @@ impl Machine {
                     let sid = self.next_span;
                     self.next_span += 1;
                     let p = &mut self.pages[vpage as usize];
-                    p.prefetch_tag = true;
+                    p.flags |= Page::PREFETCH_TAG;
                     p.span = sid;
                     // Record the issue-time environment (journal-stall
                     // count, degraded-mode epoch, redundancy flags) so
@@ -1590,7 +1604,7 @@ impl Machine {
                         // Every page of the run redeems one unit of the
                         // run's ticket when the request completes.
                         for &vpage in &pages {
-                            self.pages[vpage as usize].state = PageState::InFlight { ticket };
+                            self.pages[vpage as usize].ticket = Some(ticket);
                         }
                     }
                     Err(e @ IoError::DiskDead { disk: d, at }) => {
@@ -1644,10 +1658,7 @@ impl Machine {
     /// it keeps its prefetch tag, so a later fault classifies as
     /// "prefetched but lost", exactly like a memory-pressure drop.
     fn revert_prefetch_page(&mut self, vpage: u64, cause: RevertCause) {
-        debug_assert!(matches!(
-            self.pages[vpage as usize].state,
-            PageState::Unmapped
-        ));
+        debug_assert_eq!(self.pages[vpage as usize].residency(), Residency::Unmapped);
         self.inflight -= 1;
         self.note_tenant_inflight(vpage, -1);
         self.bit_out(vpage);
@@ -1690,7 +1701,7 @@ impl Machine {
             "preload exceeds resident limit"
         );
         for vpage in start_page..start_page + npages {
-            if matches!(self.pages[vpage as usize].state, PageState::Unmapped) {
+            if self.pages[vpage as usize].residency() == Residency::Unmapped {
                 self.pages[vpage as usize].activate(false);
                 self.resident += 1;
                 self.bit_in(vpage);
@@ -1792,20 +1803,9 @@ impl Machine {
     fn finish_clean(&mut self) {
         for vpage in 0..self.total_pages() {
             self.settle(vpage);
-            if let PageState::Resident { dirty: true, .. } = self.pages[vpage as usize].state {
+            if self.pages[vpage as usize].has(Page::DIRTY) {
                 self.writeback(vpage);
-                if let PageState::Resident {
-                    referenced,
-                    on_free_list,
-                    ..
-                } = self.pages[vpage as usize].state
-                {
-                    self.pages[vpage as usize].state = PageState::Resident {
-                        dirty: false,
-                        referenced,
-                        on_free_list,
-                    };
-                }
+                self.pages[vpage as usize].flags &= !Page::DIRTY;
             }
         }
         // The final flush itself can be the submission that trips the
@@ -3910,6 +3910,223 @@ mod tests {
         assert!(run.fast.tenant_stats(1).demand_faults > 0);
     }
 
+    /// What the strip test asks of one machine: the references of a
+    /// loop body, made for `want` iterations at most.
+    #[derive(Debug)]
+    struct StripAsk {
+        refs: Vec<(u64, i64, bool)>,
+        /// Charged before each reference's access, in order.
+        ns: Vec<Ns>,
+        want: u64,
+        lead: Ns,
+    }
+
+    impl StripAsk {
+        fn random(rng: &mut SimRng, pages: u64, page_bytes: u64) -> Self {
+            let nrefs = 1 + rng.next_below(3) as usize;
+            let refs = (0..nrefs)
+                .map(|_| {
+                    // Mostly in the working set the churn keeps hot.
+                    let page = if rng.next_below(4) < 3 {
+                        rng.next_below(8)
+                    } else {
+                        rng.next_below(pages)
+                    };
+                    let unaligned = u64::from(rng.next_below(40) == 0);
+                    let addr = page * page_bytes + 8 * rng.next_below(page_bytes / 8) + unaligned;
+                    let page = page_bytes as i64;
+                    let deltas = [8, 8, 8, -8, 16, 0, 1024, -2048, page, -page, page + 8, 12];
+                    let delta = deltas[rng.next_below(deltas.len() as u64) as usize];
+                    (addr, delta, rng.next_below(3) == 0)
+                })
+                .collect();
+            let ns = [0, 400, 1_300];
+            StripAsk {
+                refs,
+                ns: (0..nrefs).map(|_| ns[rng.next_below(3) as usize]).collect(),
+                want: 1 + rng.next_below(300),
+                lead: [0, 0, 250, 90_000][rng.next_below(4) as usize],
+            }
+        }
+
+        fn iter_ns(&self) -> Ns {
+            self.ns.iter().sum()
+        }
+
+        /// Where reference `r` is on iteration `t`.
+        fn at(&self, r: usize, t: u64) -> u64 {
+            let (addr, delta, _) = self.refs[r];
+            addr.wrapping_add(t.wrapping_mul(delta as u64))
+        }
+
+        fn value(t: u64, r: usize) -> i64 {
+            (t * 7 + r as u64 * 1_000_003) as i64
+        }
+
+        /// As a strip: one query, the accesses made on the bytes it
+        /// hands out, one bulk charge. Returns the length granted and a
+        /// digest of what the loads read.
+        fn stripped(&self, m: &mut Machine) -> (u64, u64) {
+            let (n, mem) = m.strip(&self.refs, self.want, self.lead, self.iter_ns());
+            let (mut read, mut ticks, mut pending) = (0u64, 0, self.lead);
+            for t in 0..n {
+                for (r, &(_, _, write)) in self.refs.iter().enumerate() {
+                    pending += self.ns[r];
+                    ticks += u64::from(pending > 0);
+                    pending = 0;
+                    let word = &mut mem[self.at(r, t) as usize..][..8];
+                    if write {
+                        word.copy_from_slice(&Self::value(t, r).to_le_bytes());
+                    } else {
+                        let v = i64::from_le_bytes((&*word).try_into().unwrap());
+                        read = read.wrapping_mul(31).wrapping_add(v as u64);
+                    }
+                }
+            }
+            if n > 0 {
+                m.strip_charge(self.lead + n * self.iter_ns(), ticks);
+            }
+            (n, read)
+        }
+
+        /// Iterations `from..to` one reference at a time, the first of
+        /// them behind `lead` pending.
+        fn one_by_one(&self, m: &mut Machine, from: u64, to: u64, lead: Ns) -> u64 {
+            let (mut read, mut pending) = (0u64, lead);
+            for t in from..to {
+                for (r, &(_, _, write)) in self.refs.iter().enumerate() {
+                    pending += self.ns[r];
+                    if pending > 0 {
+                        m.tick_user(pending);
+                        pending = 0;
+                    }
+                    if write {
+                        m.store_i64(self.at(r, t), Self::value(t, r));
+                    } else {
+                        let v = m.load_i64(self.at(r, t));
+                        read = read.wrapping_mul(31).wrapping_add(v as u64);
+                    }
+                }
+            }
+            read
+        }
+
+        /// Whether iteration `t` is all plain hits on `m` as it stands.
+        fn all_hits(&self, m: &Machine, t: u64) -> bool {
+            (0..self.refs.len()).all(|r| {
+                let (_, delta, write) = self.refs[r];
+                (self.at(r, t) | delta as u64) & 7 == 0 && m.touch_is_hit(self.at(r, t), 8, write)
+            })
+        }
+    }
+
+    /// What [`strips_match_per_reference_accesses`] saw.
+    #[derive(Debug, Default)]
+    struct StripRun {
+        granted: u64,
+        refused: u64,
+        /// Strips the sampler's next row cut short of hot pages.
+        cut_by_time: u64,
+        /// Strips that went from one page into another.
+        crossed: u64,
+        iterations: u64,
+        rows: usize,
+    }
+
+    /// Two machines from `make`, fed the same seeded mix: a loop body's
+    /// references as a strip on one (query, raw accesses, bulk charge)
+    /// and one by one through `tick_user`/`load`/`store` on the other;
+    /// then, on both, the iteration the strip stopped in front of and
+    /// some churn of the resident set. Whole-machine state is compared
+    /// after each.
+    fn strips_match_per_reference_accesses(
+        arm: &str,
+        rounds: u64,
+        make: fn() -> Machine,
+    ) -> StripRun {
+        let (mut a, mut b) = (make(), make());
+        let (pages, page_bytes) = (a.total_pages(), a.params.page_bytes);
+        let mut rng = SimRng::new(0x57A1 ^ arm.len() as u64);
+        for m in [&mut a, &mut b] {
+            for w in 0..pages * page_bytes / 8 {
+                m.poke_i64(w * 8, (w * 31) as i64);
+            }
+            m.preload(0, 4);
+        }
+        let mut run = StripRun::default();
+        for round in 0..rounds {
+            let ask = StripAsk::random(&mut rng, pages, page_bytes);
+            let ctx = format!("{arm}: round {round} {ask:?}");
+            let (n, read) = ask.stripped(&mut a);
+            let ctx = format!("{ctx}: {n} granted");
+            assert_eq!(ask.one_by_one(&mut b, 0, n, ask.lead), read, "{ctx}: loads");
+            assert_same_machine(&mut a, &mut b, round % 256 == 0, &ctx);
+            run.iterations += n;
+            *(if n > 0 {
+                &mut run.granted
+            } else {
+                &mut run.refused
+            }) += 1;
+            let last = ask.at(0, n.saturating_sub(1));
+            run.crossed += u64::from(ask.refs[0].0 / page_bytes != last / page_bytes);
+            // The strip is as long as it may be: the iteration it
+            // stopped in front of misses somewhere — it is then made the
+            // ordinary way, on both, if it is in the address space at
+            // all — or would run the clock into the sampler's next row.
+            let lead = if n == 0 { ask.lead } else { 0 };
+            if n < ask.want && !ask.all_hits(&b, n) {
+                let inside = |r| ask.at(r, n) <= pages * page_bytes - 8;
+                if (0..ask.refs.len()).all(inside) {
+                    let made = ask.one_by_one(&mut a, n, n + 1, lead);
+                    assert_eq!(made, ask.one_by_one(&mut b, n, n + 1, lead), "{ctx}");
+                }
+            } else if n < ask.want {
+                let due = b.observe.sampler.as_ref().map(|s| s.next_due);
+                let end = b.now + lead + ask.iter_ns();
+                assert!(
+                    due.is_some_and(|due| end >= due),
+                    "{ctx}: stopped for nothing"
+                );
+                run.cut_by_time += 1;
+            }
+            for _ in 0..rng.next_below(4) {
+                let op = DiffOp::random(&mut rng, pages, page_bytes, 1);
+                let done = op.apply(&mut a, false);
+                assert_eq!(done, op.apply(&mut b, false), "{ctx}: {op:?}");
+            }
+            assert_same_machine(&mut a, &mut b, false, &format!("{ctx}: after churn"));
+        }
+        assert_eq!(a.try_finish(), b.try_finish(), "{arm}: try_finish");
+        assert_same_machine(&mut a, &mut b, true, &format!("{arm}: after try_finish"));
+        run.rows = a.observe.sampler.as_ref().map_or(0, |s| s.ring.len());
+        run
+    }
+
+    #[test]
+    fn strips_match_per_reference_accesses_detached() {
+        let run = strips_match_per_reference_accesses("detached", 3_000, tiny);
+        assert!(
+            run.granted > 500 && run.refused > 500 && run.crossed > 50 && run.iterations > 20_000,
+            "{run:?}"
+        );
+        assert_eq!(run.cut_by_time, 0, "nothing tells the time here");
+    }
+
+    #[test]
+    fn strips_stop_short_of_the_samplers_next_row() {
+        // Rows a few hundred references apart: many strips are cut by
+        // the clock, and the series must be the per-reference run's.
+        let run = strips_match_per_reference_accesses("sampler", 1_000, || {
+            let mut m = tiny();
+            m.attach_sampler(400_000, 1 << 12);
+            m
+        });
+        assert!(
+            run.granted > 200 && run.cut_by_time > 50 && run.rows > 1_000,
+            "{run:?}"
+        );
+    }
+
     #[test]
     fn every_armed_extension_declines_the_fast_path() {
         type Step = fn(&mut Machine);
@@ -3984,8 +4201,10 @@ mod tests {
             ];
             assert_eq!(armed.iter().filter(|&&a| a).count(), 1, "{line}: {armed:?}");
             assert!(!m.touch_is_hit(0, 8, false), "{line} armed");
+            assert_eq!(m.strip(&[(0, 8, false)], 9, 0, 400).0, 0, "{line} armed");
             disarm(&mut m);
             assert!(m.touch_is_hit(0, 8, false), "{line} disarmed");
+            assert_eq!(m.strip(&[(0, 8, false)], 9, 0, 400).0, 9, "{line} disarmed");
         }
         // The rebuild is the dead disk's own way back, but parity brings
         // the durable store with it, so it is shown on the field alone.
@@ -3998,6 +4217,7 @@ mod tests {
             let mut m = warm();
             attach(&mut m);
             assert!(m.touch_is_hit(0, 8, false), "{what} is not on the gate");
+            assert_eq!(m.strip(&[(0, 8, false)], 9, 0, 400).0, 9, "{what}");
         }
     }
 

@@ -12,7 +12,7 @@ use oocp_obs::MachineBucket;
 use oocp_sim::rng::SimRng;
 use oocp_sim::time::Ns;
 
-use super::{Machine, PageState};
+use super::{Machine, Page, Residency};
 use crate::error::OsError;
 use crate::params::{MachineParams, Redundancy};
 use crate::store::{DurableStore, SECTOR_BYTES};
@@ -445,20 +445,17 @@ impl Machine {
     /// starts from sane accounting.
     pub(super) fn touch_crashed(&mut self, first: u64, last: u64, write: bool) {
         for vpage in first..=last {
-            let state = self.pages[vpage as usize].state;
-            match state {
-                PageState::Resident {
-                    on_free_list: true, ..
-                } => self.reclaimable -= 1,
-                PageState::Resident { .. } => {}
-                PageState::InFlight { .. } => {
+            match self.pages[vpage as usize].residency() {
+                Residency::OnFreeList => self.reclaimable -= 1,
+                Residency::Active => {}
+                Residency::InFlight(_) => {
                     self.inflight -= 1;
                     self.note_tenant_inflight(vpage, -1);
                     self.resident += 1;
                 }
-                PageState::Unmapped => self.resident += 1,
+                Residency::Unmapped => self.resident += 1,
             }
-            let dirty = matches!(state, PageState::Resident { dirty: true, .. });
+            let dirty = self.pages[vpage as usize].has(Page::DIRTY);
             self.pages[vpage as usize].activate(dirty || write);
         }
     }
@@ -468,7 +465,7 @@ impl Machine {
         self.resolve_crash();
         // Every page still dirty in memory never made it to disk.
         for vpage in 0..self.total_pages() {
-            if let PageState::Resident { dirty: true, .. } = self.pages[vpage as usize].state {
+            if self.pages[vpage as usize].has(Page::DIRTY) {
                 self.durability.flush_failures.push(vpage);
             }
         }
@@ -762,7 +759,7 @@ impl Machine {
             if verified >= max_pages {
                 break;
             }
-            if !matches!(self.pages[vpage as usize].state, PageState::Unmapped) {
+            if self.pages[vpage as usize].residency() != Residency::Unmapped {
                 continue;
             }
             // Model the verification read; the scrubber runs in the

@@ -11,7 +11,7 @@ use oocp_fs::FsError;
 use oocp_obs::{ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE};
 use oocp_sim::time::{Ns, MILLISECOND};
 
-use super::{Machine, PageState, RevertCause};
+use super::{Machine, RevertCause};
 use crate::error::OsError;
 use crate::params::{MachineParams, Redundancy};
 use crate::parity::ParityStore;
@@ -311,7 +311,7 @@ impl Machine {
         };
         match outcome {
             Ok(ticket) => {
-                self.pages[vpage as usize].state = PageState::InFlight { ticket };
+                self.pages[vpage as usize].ticket = Some(ticket);
             }
             Err(e) => self.drop_prefetch_run(&[vpage], disk, e),
         }

@@ -7,7 +7,7 @@
 
 use oocp_sim::time::Ns;
 
-use super::{Machine, PageState, Segment};
+use super::{Machine, Page, Residency, Segment};
 use crate::bitvec::ResidencyBits;
 use crate::tenant::{
     PressureLevel, QosClass, TenantId, TenantSpec, TenantStats, ELEVATED_BEST_EFFORT_SLOTS,
@@ -153,14 +153,8 @@ impl Machine {
         };
         let mut used = 0;
         for v in info.first_page..info.first_page + info.pages {
-            match self.pages[v as usize].state {
-                PageState::Resident {
-                    on_free_list: false,
-                    ..
-                }
-                | PageState::InFlight { .. } => used += 1,
-                _ => {}
-            }
+            let at = self.pages[v as usize].residency();
+            used += matches!(at, Residency::Active | Residency::InFlight(_)) as u64;
         }
         used
     }
@@ -203,7 +197,7 @@ impl Machine {
             let mut tv = ResidencyBits::new(self.total_pages(), self.params.page_bytes);
             let info = &self.tenancy.tenants[t];
             for v in info.first_page..info.first_page + info.pages {
-                if self.pages[v as usize].bit_noted {
+                if self.pages[v as usize].has(Page::BIT_NOTED) {
                     tv.note_resident(v);
                 }
             }
@@ -355,6 +349,6 @@ impl Machine {
         }
         // Like a memory-pressure drop: keep the tag so a later fault on
         // the page classifies as "prefetched but lost" (Figure 4(a)).
-        self.pages[vpage as usize].prefetch_tag = true;
+        self.pages[vpage as usize].flags |= Page::PREFETCH_TAG;
     }
 }

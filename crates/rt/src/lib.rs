@@ -17,6 +17,7 @@
 //! [`oocp_ir::PagedVm`], so the interpreter's loads, stores, and hints
 //! flow through here exactly as compiled application code would.
 
+use oocp_ir::vm::StripRef;
 use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Program};
 use oocp_os::{Machine, MachineParams, Segment};
 use oocp_sim::time::{Ns, MICROSECOND};
@@ -287,6 +288,16 @@ impl PagedVm for Runtime {
     #[inline]
     fn store_i64(&mut self, addr: u64, v: i64) {
         self.machine.store_i64(addr, v);
+    }
+
+    #[inline]
+    fn strip(&mut self, refs: &[StripRef], want: u64, lead: u64, iter: u64) -> (u64, &mut [u8]) {
+        self.machine.strip(refs, want, lead, iter)
+    }
+
+    #[inline]
+    fn strip_charge(&mut self, ns: u64, ticks: u64, _accesses: u64) {
+        self.machine.strip_charge(ns, ticks);
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {

@@ -36,8 +36,11 @@ stage "differential oracle, release arithmetic (bytecode == tree-walker)"
 # `cargo test -q` above ran it with debug arithmetic (overflow checks
 # on); wrapping behaviour and float codegen differ in release, which is
 # what every binary below actually runs. The oracle lives beside the
-# tree-walker it compares against, in crates/ir/src/oracle.rs.
-cargo test -q --release -p oocp-ir vm_matches_tree_walker
+# tree-walker it compares against, in crates/ir/src/oracle.rs; its
+# strip leg (strips of seeded lengths, compared by what the calls add
+# up to) and the pinned strip coverage of kernels/stencil.ook run here
+# too.
+cargo test -q --release -p oocp-ir -- vm_matches_tree_walker stencil_strips
 
 stage "differential oracle, release build (resident-hit fast path == slow path)"
 # The same split for the machine's fast path: the debug run above had
@@ -45,14 +48,28 @@ stage "differential oracle, release build (resident-hit fast path == slow path)"
 # every binary below has them compiled out. The driver (`DiffOp`,
 # `assert_same_machine`) lives beside the paging core, in the tests of
 # crates/os/src/machine.rs, and arms each extension of
-# crates/os/src/machine/ in turn.
-cargo test -q --release -p oocp-os fast_path_matches_slow_path
+# crates/os/src/machine/ in turn. `strips_` is the same comparison for
+# `Machine::strip` + `strip_charge` against the accesses one by one.
+cargo test -q --release -p oocp-os -- fast_path_matches_slow_path strips_
 
 stage "benchmark package (unit tests + 1/64-scale smoke)"
 # benchmark/ is a stand-alone package built against ../crates/*; a
 # change that breaks the public items it calls fails here, before the
 # benchmark pipeline sees it.
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
+
+stage "strips == per-op, all 16 nas_ooc cells (benchmark's traced pass vs its plain pass)"
+# A traced run makes one pass through `TracedVm`, which grants no
+# strips, and one through the `Runtime`, which does, and exits non-zero
+# if any simulated number of any cell differs between them or `MemVm`
+# disagrees on the final data.
+bash benchmark/run.sh --workload nas_ooc --seconds 1 --trace 1 > /tmp/oocp-strips.$$ || {
+    tail -5 /tmp/oocp-strips.$$; rm -f /tmp/oocp-strips.$$
+    echo "nas_ooc traced and plain passes disagree"; exit 1; }
+tail -1 /tmp/oocp-strips.$$ | grep -q '"correct":true,"attempted":48,"failed":0' || {
+    tail -1 /tmp/oocp-strips.$$; rm -f /tmp/oocp-strips.$$
+    echo "nas_ooc traced run did not verify"; exit 1; }
+rm -f /tmp/oocp-strips.$$
 
 stage "page_write memory gate (write-back payloads bounded by the I/O in flight)"
 # Under parity every write-back carries a 4 KB payload until it lands.
