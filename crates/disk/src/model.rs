@@ -360,6 +360,10 @@ pub struct Disk {
     tenant_count: usize,
     /// Completions of dispatched tracked/blocking requests.
     done: Completions,
+    /// The emptied [`Pending::merged`] lists of dispatched requests, for
+    /// the next request that absorbs another: as many as were ever
+    /// queued at once, so coalescing stops allocating once warm.
+    spare_merged: Vec<Vec<(u64, u64)>>,
 }
 
 /// Completion detail of a tracked request: when it finished and how the
@@ -480,6 +484,7 @@ impl Disk {
             pick_state: PickState::default(),
             tenant_count: 1,
             done: Completions::default(),
+            spare_merged: Vec::new(),
         }
     }
 
@@ -652,6 +657,9 @@ impl Disk {
                 let p = &mut self.queue[i];
                 p.req.start_block = p.req.start_block.min(req.start_block);
                 p.req.nblocks += req.nblocks;
+                if p.merged.capacity() == 0 {
+                    p.merged = self.spare_merged.pop().unwrap_or_default();
+                }
                 p.merged.push((seq, units));
                 self.stats.coalesced_requests += 1;
                 self.stats.coalesced_blocks += req.nblocks;
@@ -797,6 +805,11 @@ impl Disk {
             if units > 0 {
                 self.done.complete(seq, units, completion);
             }
+        }
+        if p.merged.capacity() > 0 {
+            let mut merged = p.merged;
+            merged.clear();
+            self.spare_merged.push(merged);
         }
     }
 
@@ -1187,6 +1200,31 @@ mod tests {
             merged.busy_ns,
             split.busy_ns
         );
+    }
+
+    #[test]
+    fn merged_ticket_lists_are_recycled_not_accumulated() {
+        let sched = SchedConfig::default().with_coalesce(true);
+        let mut d = Disk::with_sched(DiskParams::default(), sched);
+        let mut now = 0;
+        for round in 0..1_000u64 {
+            // A plug, then two queued requests that each absorb another.
+            let blocks = [
+                (ReqKind::DemandRead, 500_000),
+                (ReqKind::PrefetchRead, 1_000),
+            ]
+            .into_iter()
+            .chain([1_001, 2_000, 2_001].map(|b| (ReqKind::PrefetchRead, b)));
+            let tickets: Vec<u64> = blocks
+                .map(|(kind, b)| d.try_track(now, req(kind, b, 1)).unwrap())
+                .collect();
+            now = d.drain();
+            assert!(tickets.iter().all(|&t| d.poll(t, now).is_some()));
+            // Both lists are back, empty, for the next round's merges.
+            assert_eq!(d.spare_merged.len(), 2, "round {round}");
+            assert!(d.spare_merged.iter().all(Vec::is_empty));
+        }
+        assert_eq!(d.stats().coalesced_requests, 2_000);
     }
 
     #[test]

@@ -226,7 +226,8 @@ pub(crate) struct Pending {
     /// units means posted (no completion tracking).
     pub(crate) ticket: (u64, u64),
     /// The tickets of the requests coalesced into this one. Empty — and
-    /// so never allocated — unless a merge happened.
+    /// so never allocated — unless a merge happened, and then a list
+    /// recycled through the disk's `spare_merged`.
     pub(crate) merged: Vec<(u64, u64)>,
 }
 

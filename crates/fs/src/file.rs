@@ -351,9 +351,25 @@ impl FileSystem {
     /// contiguous thanks to the extent layout, so exactly one run per
     /// touched disk is produced. Runs are returned ordered by disk.
     pub fn place_run(&self, id: FileId, page: u64, count: u64) -> Result<Vec<PlacedRun>, FsError> {
+        let mut runs = Vec::with_capacity(self.disks.len().min(count as usize));
+        self.place_run_into(id, page, count, &mut runs)?;
+        Ok(runs)
+    }
+
+    /// [`FileSystem::place_run`] into a buffer the caller keeps: `runs`
+    /// is cleared and refilled, so a caller placing span after span
+    /// allocates only until the buffer has grown to its widest span.
+    pub fn place_run_into(
+        &self,
+        id: FileId,
+        page: u64,
+        count: u64,
+        runs: &mut Vec<PlacedRun>,
+    ) -> Result<(), FsError> {
+        runs.clear();
         let meta = self.meta(id)?;
         if count == 0 {
-            return Ok(Vec::new());
+            return Ok(());
         }
         if page + count > meta.pages {
             return Err(FsError::BadPage {
@@ -365,35 +381,37 @@ impl FileSystem {
         if meta.parity {
             // The rotating parity block interleaves with the data, so
             // a disk's touched data blocks need not be contiguous (the
-            // disk is some rows' parity home). Walk the span page by
-            // page and merge adjacent blocks per disk; pages ascend,
-            // so each disk's block list is strictly increasing.
-            let mut by_disk: Vec<Vec<u64>> = vec![Vec::new(); self.disks.len()];
-            for p in page..page + count {
-                let (d, b) = self.place(id, p)?;
-                by_disk[d].push(b);
-            }
-            let mut runs = Vec::new();
-            for (d, blocks) in by_disk.iter().enumerate() {
-                let mut i = 0;
-                while i < blocks.len() {
-                    let start = blocks[i];
-                    let mut len = 1usize;
-                    while i + len < blocks.len() && blocks[i + len] == start + len as u64 {
-                        len += 1;
+            // disk is some rows' parity home). A disk holds one block
+            // of every stripe row, so walk each disk down the span's
+            // rows — blocks ascend with the row — and merge adjacent
+            // ones.
+            let k = n - 1;
+            for d in 0..n {
+                let ext = meta.extents[d as usize].start;
+                for row in page / k..=(page + count - 1) / k {
+                    let pd = n - 1 - row % n;
+                    let o = (d + n - (pd + 1)) % n;
+                    let p = row * k + o;
+                    if o == k || p < page || p >= page + count {
+                        continue; // the row's parity, or outside the span
                     }
-                    runs.push(PlacedRun {
-                        disk: d,
-                        start_block: start,
-                        nblocks: len as u64,
-                    });
-                    i += len;
+                    match runs.last_mut() {
+                        Some(r)
+                            if r.disk == d as usize && r.start_block + r.nblocks == ext + row =>
+                        {
+                            r.nblocks += 1
+                        }
+                        _ => runs.push(PlacedRun {
+                            disk: d as usize,
+                            start_block: ext + row,
+                            nblocks: 1,
+                        }),
+                    }
                 }
             }
-            return Ok(runs);
+            return Ok(());
         }
-        let mut runs = Vec::with_capacity(n.min(count) as usize);
-        for d in 0..self.disks.len() as u64 {
+        for d in 0..n {
             // Pages on disk d within [page, page+count): those congruent
             // to d mod n. First such page >= page:
             let first = page + (d + n - page % n) % n;
@@ -408,7 +426,7 @@ impl FileSystem {
                 nblocks,
             });
         }
-        Ok(runs)
+        Ok(())
     }
 
     fn meta(&self, id: FileId) -> Result<&FileMeta, FsError> {
@@ -609,6 +627,46 @@ mod tests {
                     });
                     assert!(covered, "page {p} not covered");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn place_run_is_the_per_disk_merge_of_single_placements() {
+        // The reference: place every page on its own, then per disk, in
+        // page order, merge blocks that follow one another.
+        for n in [2usize, 3, 4, 7] {
+            let mut fs = FileSystem::new(n, 1000);
+            let files = [
+                fs.create_file(60).unwrap(),
+                fs.create_parity_file(60).unwrap(),
+            ];
+            let mut runs = Vec::new();
+            for (f, start, count) in files
+                .iter()
+                .flat_map(|&f| (0..60).flat_map(move |s| (0..=60 - s).map(move |c| (f, s, c))))
+            {
+                let mut want: Vec<PlacedRun> = Vec::new();
+                for d in 0..n {
+                    for p in start..start + count {
+                        let (pd, b) = fs.place(f, p).unwrap();
+                        match want.last_mut() {
+                            _ if pd != d => {}
+                            Some(r) if r.disk == d && r.start_block + r.nblocks == b => {
+                                r.nblocks += 1
+                            }
+                            _ => want.push(PlacedRun {
+                                disk: d,
+                                start_block: b,
+                                nblocks: 1,
+                            }),
+                        }
+                    }
+                }
+                // The buffer is refilled, whatever the last span left.
+                fs.place_run_into(f, start, count, &mut runs).unwrap();
+                assert_eq!(runs, want, "{n} disks, {f:?}, {start}+{count}");
+                assert_eq!(fs.place_run(f, start, count).unwrap(), want);
             }
         }
     }

@@ -11,17 +11,17 @@
 //! into them through `#[inline]` is-armed tests, and the ones that can
 //! intercept a demand access or a hint are listed once, in
 //! `Machine::extensions_quiet` and `Machine::wake_extensions`.
+//! (`freelist` is the core's own: the free list as a data structure.)
 
 mod durability;
+mod freelist;
 mod observe;
 mod policy;
 mod redundancy;
 mod tenancy;
 
-use std::collections::VecDeque;
-
 use oocp_disk::{DiskArray, FaultPlan, IoError, ReqKind, Request, Ticket};
-use oocp_fs::{FileId, FileSystem};
+use oocp_fs::{FileId, FileSystem, PlacedRun};
 use oocp_obs::MachineBucket;
 use oocp_policy::TouchKind;
 use oocp_sim::rng::SimRng;
@@ -30,6 +30,7 @@ use oocp_sim::time::{Ns, TimeBreakdown, TimeCategory};
 
 use self::durability::Durability;
 pub use self::durability::{DurableRecord, RecoveryReport};
+use self::freelist::FreeList;
 use self::observe::Observers;
 use self::policy::PolicyState;
 use self::redundancy::RedundancyState;
@@ -215,11 +216,9 @@ pub struct Machine {
     breakdown: TimeBreakdown,
     stats: OsStats,
     pages: Vec<Page>,
-    /// Lazily-pruned queue of free-list candidates (front = next reclaim).
-    free_list: VecDeque<u64>,
-    /// Exact number of live (reclaimable) free-list pages; the deque may
-    /// additionally hold stale entries awaiting lazy pruning.
-    reclaimable: u64,
+    /// Exactly the [`Residency::OnFreeList`] pages, front = next reclaim:
+    /// a release queues at the front, the daemon at the back.
+    free_list: FreeList,
     /// Pages in `Resident` state (including the free list).
     resident: u64,
     /// Pages in `InFlight` state.
@@ -233,6 +232,10 @@ pub struct Machine {
     next_segment_page: u64,
     free_level: TimeWeighted,
     finished: bool,
+    /// `do_prefetch`'s page spans and placed runs: empty between calls,
+    /// kept for their capacity so a hint allocates nothing.
+    hint_spans: Vec<(u64, u64)>,
+    hint_runs: Vec<PlacedRun>,
     /// Future changes to the resident limit, sorted by time (the
     /// multiprogramming model: other applications taking and returning
     /// memory). Applied lazily as the clock passes each entry.
@@ -305,8 +308,7 @@ impl Machine {
             breakdown: TimeBreakdown::new(),
             stats: OsStats::default(),
             pages: vec![Page::default(); total_pages as usize],
-            free_list: VecDeque::new(),
-            reclaimable: 0,
+            free_list: FreeList::new(total_pages),
             resident: 0,
             inflight: 0,
             clock_hand: 0,
@@ -318,6 +320,8 @@ impl Machine {
             next_segment_page: 0,
             free_level: TimeWeighted::start(0, limit as f64),
             finished: false,
+            hint_spans: Vec::new(),
+            hint_runs: Vec::new(),
             pressure: Vec::new(),
             next_span: 1,
             chaos_bits: None,
@@ -586,10 +590,8 @@ impl Machine {
             .saturating_sub(self.resident + self.inflight)
     }
 
-    /// Live entries on the free list (the deque is lazily pruned; this
-    /// counter is maintained exactly).
     fn free_list_len(&self) -> u64 {
-        self.reclaimable
+        self.free_list.len()
     }
 
     /// Materialize an in-flight page whose I/O has already completed,
@@ -642,17 +644,6 @@ impl Machine {
         if wasted {
             self.policy_evicted_unused(vpage);
         }
-    }
-
-    /// Pop the next live free-list page, skipping stale entries.
-    fn pop_free_list(&mut self) -> Option<u64> {
-        while let Some(p) = self.free_list.pop_front() {
-            if self.pages[p as usize].residency() == Residency::OnFreeList {
-                self.reclaimable -= 1;
-                return Some(p);
-            }
-        }
-        None
     }
 
     /// The one bounded-retry ladder every request the application
@@ -823,12 +814,7 @@ impl Machine {
         if dirty {
             self.writeback(vpage);
         }
-        if front {
-            self.free_list.push_front(vpage);
-        } else {
-            self.free_list.push_back(vpage);
-        }
-        self.reclaimable += 1;
+        self.free_list.push(vpage, front);
     }
 
     /// The clock-with-second-chance sweep, for the global hand and the
@@ -903,14 +889,14 @@ impl Machine {
         if self.truly_free() > 0 {
             return Ok(());
         }
-        if let Some(p) = self.pop_free_list() {
+        if let Some(p) = self.free_list.pop_front() {
             self.reclaim(p);
             return Ok(());
         }
         // Nothing free and nothing reclaimable: force the daemon to build
         // a pool, then reclaim.
         self.run_daemon();
-        if let Some(p) = self.pop_free_list() {
+        if let Some(p) = self.free_list.pop_front() {
             self.reclaim(p);
             return Ok(());
         }
@@ -929,7 +915,7 @@ impl Machine {
         if self.truly_free() > self.params.demand_reserve {
             return true;
         }
-        if let Some(p) = self.pop_free_list() {
+        if let Some(p) = self.free_list.pop_front() {
             self.reclaim(p);
             return true;
         }
@@ -1252,7 +1238,7 @@ impl Machine {
                     self.params.soft_fault_overhead_ns,
                 );
                 self.stats.soft_faults += 1;
-                self.reclaimable -= 1;
+                self.free_list.remove(vpage);
                 self.trace_event(TraceEvent::SoftFault { page: vpage });
                 if prefetched_hit {
                     // Loaded from disk by a prefetch, released/evicted
@@ -1262,7 +1248,7 @@ impl Machine {
                 }
                 self.pages[vpage as usize].activate(dirty || write);
                 // Back in active use: restore its bit (a release had
-                // cleared it). The stale deque entry is pruned lazily.
+                // cleared it).
                 self.bit_in(vpage);
                 self.note_free_level();
                 self.policy_touch(vpage, TouchKind::SoftFault);
@@ -1480,7 +1466,7 @@ impl Machine {
         let start = start.min(self.total_pages());
         let mut arbiter = self.hint_arbiter();
         // Pages that need disk reads, grouped into contiguous spans.
-        let mut spans: Vec<(u64, u64)> = Vec::new();
+        let mut spans = std::mem::take(&mut self.hint_spans);
         for vpage in start..end {
             self.stats.prefetch_pages_requested += 1;
             if self.policy.issuing {
@@ -1493,7 +1479,7 @@ impl Machine {
                 }
                 Residency::OnFreeList => {
                     // Reclaim from the free list: useful work, no I/O.
-                    self.reclaimable -= 1;
+                    self.free_list.remove(vpage);
                     let p = &mut self.pages[vpage as usize];
                     p.map((p.flags & Page::DIRTY) | Page::REFERENCED);
                     p.flags |= Page::PREFETCH_TAG;
@@ -1560,76 +1546,67 @@ impl Machine {
         // Issue the disk reads: each contiguous span becomes one run per
         // disk (the striping turns k consecutive pages into <= k
         // single-positioning requests on distinct disks).
-        for (span_start, count) in spans {
+        let mut runs = std::mem::take(&mut self.hint_runs);
+        for &(span_start, count) in &spans {
             let first_span = self.pages[span_start as usize].span;
             self.trace_event(TraceEvent::PrefetchIssue {
                 page: span_start,
                 count,
                 span: first_span,
             });
-            let runs = self
-                .fs
-                .place_run(self.swap, span_start, count)
+            self.fs
+                .place_run_into(self.swap, span_start, count, &mut runs)
                 .expect("prefetch span inside the address space");
-            for run in runs {
-                // The data pages this run covers, in block order. The
-                // inverse placement works in both layouts (parity
-                // blocks never appear in `place_run` output); for the
-                // plain layout it reproduces the historical
-                // `first + i * ndisks` stride exactly.
-                let pages: Vec<u64> = (0..run.nblocks)
-                    .map(|i| {
-                        self.fs
-                            .page_at(self.swap, run.disk, run.start_block + i)
-                            .expect("run inside the file")
-                            .expect("placed runs cover data blocks only")
-                    })
-                    .collect();
-                // A run aimed at the dead slot goes page by page: rebuilt
-                // rows read normally from the spare, un-rebuilt rows
-                // reroute into survivor fan-outs instead of being
-                // dropped.
-                let reroute = |m: &mut Self| {
-                    for (i, &vpage) in pages.iter().enumerate() {
-                        m.prefetch_degraded_page(vpage, run.disk, run.start_block + i as u64);
-                    }
-                };
-                if self.redundancy.reconstructs(run.disk) {
-                    reroute(self);
-                    continue;
-                }
-                let req = self.prefetch_request(run.start_block, run.nblocks);
-                match self.disks.try_track(run.disk, self.now, req) {
-                    Ok(ticket) => {
-                        // Every page of the run redeems one unit of the
-                        // run's ticket when the request completes.
-                        for &vpage in &pages {
-                            self.pages[vpage as usize].ticket = Some(ticket);
-                        }
-                    }
-                    Err(e @ IoError::DiskDead { disk: d, at }) => {
-                        if self.note_disk_death(d, at) {
-                            // First contact with the freshly dead disk:
-                            // the spare is installed; reroute the run.
-                            reroute(self);
-                        } else {
-                            self.drop_prefetch_run(&pages, run.disk, e);
-                        }
-                    }
-                    Err(e) => self.drop_prefetch_run(&pages, run.disk, e),
+            for &run in &runs {
+                self.issue_prefetch_run(run);
+            }
+        }
+        spans.clear();
+        (self.hint_spans, self.hint_runs) = (spans, runs);
+    }
+
+    /// The data page in block `i` of a placed run. The inverse placement
+    /// works in both layouts (parity blocks never appear in placed
+    /// runs); for the plain layout it is the `first + i * ndisks` stride.
+    fn run_page(&self, run: PlacedRun, i: u64) -> u64 {
+        self.fs
+            .page_at(self.swap, run.disk, run.start_block + i)
+            .expect("run inside the file")
+            .expect("placed runs cover data blocks only")
+    }
+
+    /// One multi-block prefetch read; every page of the run redeems one
+    /// unit of its ticket when the request completes.
+    fn issue_prefetch_run(&mut self, run: PlacedRun) {
+        if self.redundancy.reconstructs(run.disk) {
+            self.prefetch_degraded_run(run);
+            return;
+        }
+        let req = self.prefetch_request(run.start_block, run.nblocks);
+        match self.disks.try_track(run.disk, self.now, req) {
+            Ok(ticket) => {
+                for i in 0..run.nblocks {
+                    let vpage = self.run_page(run, i);
+                    self.pages[vpage as usize].ticket = Some(ticket);
                 }
             }
+            // First contact with the freshly dead disk: the spare is
+            // installed; reroute the run.
+            Err(IoError::DiskDead { disk, at }) if self.note_disk_death(disk, at) => {
+                self.prefetch_degraded_run(run);
+            }
+            Err(e) => self.drop_prefetch_run(run, e),
         }
     }
 
-    /// A prefetch submission covering `pages` was refused. Prefetches
+    /// The prefetch submission of `run` was refused. Prefetches
     /// are hints: no retry, no surfaced error. A full queue is
     /// backpressure, dropped silently with no error counted; a power
     /// loss is latched (zombie mode takes over from here); anything
     /// else — a disk death without redundancy included — is an I/O
     /// error the run-time layer's health window will see.
-    fn drop_prefetch_run(&mut self, pages: &[u64], disk: usize, e: IoError) {
-        let (page, count) = (pages[0], pages.len() as u64);
+    fn drop_prefetch_run(&mut self, run: PlacedRun, e: IoError) {
+        let (page, count, disk) = (self.run_page(run, 0), run.nblocks, run.disk);
         let cause = match e {
             IoError::QueueFull { .. } => {
                 self.trace_event(TraceEvent::HintDropQueueFull { page, count });
@@ -1649,8 +1626,8 @@ impl Machine {
                 RevertCause::IoError
             }
         };
-        for &vpage in pages {
-            self.revert_prefetch_page(vpage, cause);
+        for i in 0..run.nblocks {
+            self.revert_prefetch_page(self.run_page(run, i), cause);
         }
     }
 
@@ -1726,11 +1703,11 @@ impl Machine {
             && self.resident > 0
             && guard < 2 * self.total_pages()
         {
-            if let Some(p) = self.pop_free_list() {
+            if let Some(p) = self.free_list.pop_front() {
                 self.reclaim(p);
             } else if self.daemon_evict(&mut 0).is_some() {
                 // Forced onto the free list and straight back off it.
-                if let Some(p) = self.pop_free_list() {
+                if let Some(p) = self.free_list.pop_front() {
                     self.reclaim(p);
                 }
             }
@@ -2290,6 +2267,36 @@ mod tests {
         assert_eq!(m.stats().prefetch_pages_reclaimed, 1);
         assert_eq!(m.stats().prefetch_pages_issued, 0);
         assert!(m.bits().test(0));
+    }
+
+    #[test]
+    fn a_page_is_reclaimed_from_where_it_was_last_queued() {
+        let mut m = tiny();
+        for p in 0..3 {
+            m.touch(p * 4096, 8, false);
+        }
+        // Releases queue at the front: page 1 ends up in the middle.
+        for p in [0, 1, 2] {
+            m.sys_release(p, 1);
+        }
+        assert_eq!(m.free_list.iter().collect::<Vec<_>>(), [2, 1, 0]);
+        // A prefetch takes it back out of the middle and a touch uses it.
+        m.sys_prefetch(1, 1);
+        assert_eq!(m.stats().prefetch_pages_reclaimed, 1);
+        m.touch(4096, 8, false);
+        assert_eq!((m.free_list_len(), m.stats().soft_faults), (2, 0));
+        // The only active page is the daemon's victim, which queues at
+        // the back: behind both pages it once sat between. (A list that
+        // had kept its old middle entry would find it live again here and
+        // reclaim page 1 second.)
+        assert_eq!(m.daemon_evict(&mut 0), Some(1));
+        let mut order = Vec::new();
+        while let Some(p) = m.free_list.pop_front() {
+            m.reclaim(p);
+            order.push(p);
+        }
+        assert_eq!(order, [2, 0, 1]);
+        assert_eq!((m.free_list_len(), m.resident_pages()), (0, 0));
     }
 
     #[test]
@@ -3681,12 +3688,21 @@ mod tests {
         same!("frame counts", |m: &Machine| (
             m.resident,
             m.inflight,
-            m.reclaimable,
+            m.free_list.len(),
             m.clock_hand,
             m.params.resident_limit
         ));
         assert!(a.pages == b.pages, "{ctx}: page tables differ");
         assert!(a.free_list == b.free_list, "{ctx}: free lists differ");
+        // Membership is exact: walked front to back the list is as long
+        // as it says and holds the `OnFreeList` pages, each of them once.
+        let mut listed: Vec<u64> = a.free_list.iter().collect();
+        assert_eq!(listed.len() as u64, a.free_list_len(), "{ctx}: length");
+        listed.sort_unstable();
+        let on_list =
+            |(v, p): (usize, &Page)| (p.residency() == Residency::OnFreeList).then_some(v as u64);
+        let flagged: Vec<u64> = a.pages.iter().enumerate().filter_map(on_list).collect();
+        assert_eq!(listed, flagged, "{ctx}: free list and page flags differ");
         assert!(a.bits == b.bits, "{ctx}: residency bits differ");
         assert!(
             a.tenancy.bits == b.tenancy.bits,

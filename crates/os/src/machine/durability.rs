@@ -446,7 +446,7 @@ impl Machine {
     pub(super) fn touch_crashed(&mut self, first: u64, last: u64, write: bool) {
         for vpage in first..=last {
             match self.pages[vpage as usize].residency() {
-                Residency::OnFreeList => self.reclaimable -= 1,
+                Residency::OnFreeList => self.free_list.remove(vpage),
                 Residency::Active => {}
                 Residency::InFlight(_) => {
                     self.inflight -= 1;

@@ -7,7 +7,7 @@
 use std::ops::Range;
 
 use oocp_disk::{IoError, ReqKind, Request};
-use oocp_fs::FsError;
+use oocp_fs::{FsError, PlacedRun};
 use oocp_obs::{ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE};
 use oocp_sim::time::{Ns, MILLISECOND};
 
@@ -278,6 +278,15 @@ impl Machine {
         }
     }
 
+    /// A prefetch run aimed at the dead slot goes page by page: rebuilt
+    /// rows read normally from the spare, un-rebuilt rows reroute into
+    /// survivor fan-outs instead of being dropped.
+    pub(super) fn prefetch_degraded_run(&mut self, run: PlacedRun) {
+        for i in 0..run.nblocks {
+            self.prefetch_degraded_page(self.run_page(run, i), run.disk, run.start_block + i);
+        }
+    }
+
     /// Submit one prefetch page whose home block sits on the dead
     /// slot. Rebuilt rows read normally (the spare holds the block);
     /// un-rebuilt rows reroute into a survivor fan-out — the hint is
@@ -313,7 +322,14 @@ impl Machine {
             Ok(ticket) => {
                 self.pages[vpage as usize].ticket = Some(ticket);
             }
-            Err(e) => self.drop_prefetch_run(&[vpage], disk, e),
+            Err(e) => {
+                let home = PlacedRun {
+                    disk,
+                    start_block: block,
+                    nblocks: 1,
+                };
+                self.drop_prefetch_run(home, e);
+            }
         }
     }
 

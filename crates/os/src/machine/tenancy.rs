@@ -265,7 +265,7 @@ impl Machine {
         // then straight back off it: the frame goes to the global pool,
         // not to a neighbour's reclaim.
         self.queue_on_free_list(v, true);
-        if let Some(p) = self.pop_free_list() {
+        if let Some(p) = self.free_list.pop_front() {
             debug_assert_eq!(p, v);
             self.reclaim(p);
         }
