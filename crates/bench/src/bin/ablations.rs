@@ -20,75 +20,10 @@
 //! Run: `cargo run --release -p oocp-bench --bin ablations`
 //! CI:  `... --bin ablations -- --smoke` (policy matrix only, 2 kernels).
 
-use oocp_bench::{pct, run_workload, Args, Config, Mode, RunResult, RunSpec};
+use oocp_bench::{pct, run_workload, Args, Config, Kernel, Mode, RunResult, RunSpec};
 use oocp_core::ReleaseMode;
-use oocp_ir::parse_program;
 use oocp_nas::{build, App};
 use oocp_os::PolicyKind;
-
-/// One row of the policy matrix: a NAS benchmark or a sample `.ook`
-/// kernel (same canonical set as perfgate's capture matrix).
-enum PolicyKernel {
-    Nas(App),
-    Ook {
-        file: &'static str,
-        params: &'static [i64],
-        mem_mb: u64,
-    },
-}
-
-impl PolicyKernel {
-    fn name(&self) -> String {
-        match self {
-            PolicyKernel::Nas(app) => app.name().to_string(),
-            PolicyKernel::Ook { file, .. } => format!("ook:{}", file.trim_end_matches(".ook")),
-        }
-    }
-}
-
-fn policy_kernels(smoke: bool) -> Vec<PolicyKernel> {
-    if smoke {
-        // One streaming NAS kernel plus one .ook kernel keeps the CI
-        // gate representative of both substrates but quick.
-        return vec![
-            PolicyKernel::Nas(App::Embar),
-            PolicyKernel::Ook {
-                file: "sumreduce.ook",
-                params: &[],
-                mem_mb: 2,
-            },
-        ];
-    }
-    let mut v: Vec<PolicyKernel> = App::ALL.iter().map(|&a| PolicyKernel::Nas(a)).collect();
-    v.extend([
-        PolicyKernel::Ook {
-            file: "histogram.ook",
-            params: &[500_000],
-            mem_mb: 2,
-        },
-        PolicyKernel::Ook {
-            file: "matmul.ook",
-            params: &[],
-            mem_mb: 1,
-        },
-        PolicyKernel::Ook {
-            file: "stencil.ook",
-            params: &[],
-            mem_mb: 4,
-        },
-        PolicyKernel::Ook {
-            file: "sumreduce.ook",
-            params: &[],
-            mem_mb: 2,
-        },
-        PolicyKernel::Ook {
-            file: "transpose.ook",
-            params: &[],
-            mem_mb: 4,
-        },
-    ]);
-    v
-}
 
 /// The execution mode each policy naturally runs under. The reactive
 /// policies (readahead, replay) compete with the compiler from a plain
@@ -103,20 +38,8 @@ fn policy_mode(kind: PolicyKind) -> Mode {
 
 /// Run one policy-matrix cell and enforce the timing-only contract:
 /// the run verifies and its checksum matches the no-prefetch run.
-fn policy_cell(k: &PolicyKernel, cfg: &Config, mode: Mode, oracle: Option<u64>) -> RunResult {
-    let r = match k {
-        PolicyKernel::Nas(app) => {
-            let w = build(*app, cfg.bytes_for_ratio(2.0));
-            run_workload(&w, cfg, mode)
-        }
-        PolicyKernel::Ook { file, params, .. } => {
-            let path = format!("kernels/{file}");
-            let src = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            let prog = parse_program(&src).unwrap_or_else(|e| panic!("{path}: {e}"));
-            RunSpec::new(cfg, mode).run_ir(&prog, params).result
-        }
-    };
+fn policy_cell(k: &Kernel, cfg: &Config, mode: Mode, oracle: Option<u64>) -> RunResult {
+    let r = k.run(&RunSpec::new(cfg, mode)).result;
     let policy = r.policy.unwrap_or("compiler");
     if let Err(e) = &r.verified {
         eprintln!("ablation 6: {}/{policy} failed to verify: {e}", k.name());
@@ -158,10 +81,16 @@ fn policy_matrix(args: &Args) {
         print!(" {:>17}", kind.name());
     }
     println!();
-    for k in policy_kernels(args.smoke) {
+    // One streaming NAS kernel plus one .ook kernel keeps the CI gate
+    // representative of both substrates but quick.
+    let in_smoke = |k: &Kernel| matches!(k.name().as_str(), "EMBAR" | "ook:sumreduce");
+    for k in Kernel::all()
+        .into_iter()
+        .filter(|k| !args.smoke || in_smoke(k))
+    {
         let mut cfg = args.cfg;
         cfg.metrics = true;
-        if let PolicyKernel::Ook { mem_mb, .. } = k {
+        if let Kernel::Ook { mem_mb, .. } = k {
             cfg.machine = cfg.machine.with_memory_bytes(mem_mb * 1024 * 1024);
         }
         let orig = policy_cell(&k, &cfg, Mode::Original, None);

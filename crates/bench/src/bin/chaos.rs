@@ -318,22 +318,21 @@ fn corrupt_parity_gate(cfg: &Config) {
 }
 
 fn main() {
-    let args = Args::parse();
-    let mut cfg = args.cfg;
     // Small memory keeps the sweep quick; ratios are what matter.
-    if std::env::args().all(|a| a != "--mem-mb") {
-        cfg.machine = cfg.machine.with_memory_bytes(2 * 1024 * 1024);
-    }
+    let mut platform = Config::default_platform();
+    platform.machine = platform.machine.with_memory_bytes(2 * 1024 * 1024);
+    let args = Args::parse_on(platform);
     if args.corrupt_parity {
-        corrupt_parity_gate(&cfg);
+        corrupt_parity_gate(&args.cfg);
         return;
     }
     if args.disk_death {
-        // Parity is the point of this sweep; an explicit `--redundancy
-        // none` inverts it into the negative data-loss gate.
-        if std::env::args().all(|a| a != "--redundancy") {
-            cfg.machine.redundancy = Redundancy::Parity;
-        }
+        // Parity is the point of this sweep, so it is the default here;
+        // an explicit `--redundancy none` inverts the sweep into the
+        // negative data-loss gate.
+        platform.machine.redundancy = Redundancy::Parity;
+        let args = Args::parse_on(platform);
+        let cfg = args.cfg;
         if cfg.machine.redundancy == Redundancy::None {
             // Negative gate: the first read of the dead disk must abort
             // the run with the typed data-loss error (a panic carrying
@@ -351,6 +350,7 @@ fn main() {
         disk_death_sweep(&cfg, args.ratio, args.smoke);
         return;
     }
+    let cfg = args.cfg;
     if args.crash {
         let journal = !args.no_journal;
         let lost = crash_sweep(&cfg, args.ratio, args.smoke, journal);

@@ -35,7 +35,7 @@
 //! Run: `cargo run --release -p oocp-bench --bin obsreport`
 //! CI:  `... --bin obsreport -- --smoke --json /tmp/report.json`
 
-use oocp_bench::{report, run_workload, secs, write_metrics, Args, Mode, RunResult};
+use oocp_bench::{report, run_workload, secs, write_metrics, Args, Config, Mode, RunResult};
 use oocp_nas::{build, App};
 use oocp_obs::TimeAttribution;
 
@@ -109,14 +109,13 @@ fn validator_modes() {
 
 fn main() {
     validator_modes();
-    let args = Args::parse();
-    let mut cfg = args.cfg;
-    // The whole point is the observability snapshot; force it on even
+    let mut platform = Config::default_platform();
+    platform.machine = platform.machine.with_memory_bytes(2 * 1024 * 1024);
+    // The whole point is the observability snapshot; it is on even
     // without `--json`.
-    cfg.metrics = true;
-    if std::env::args().all(|a| a != "--mem-mb") {
-        cfg.machine = cfg.machine.with_memory_bytes(2 * 1024 * 1024);
-    }
+    platform.metrics = true;
+    let args = Args::parse_on(platform);
+    let cfg = args.cfg;
     let apps: &[App] = if args.smoke {
         &[App::Embar]
     } else {

@@ -27,8 +27,7 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use oocp_bench::tenants as mt;
-use oocp_bench::{report, run_workload, secs, Config, Mode, RunOutput, RunSpec};
-use oocp_ir::parse_program;
+use oocp_bench::{report, run_workload, secs, Config, Kernel, Mode, RunOutput, RunSpec};
 use oocp_nas::{build, App};
 use oocp_obs::baseline::{
     self, Allowance, Baseline, BaselineRun, CompareReport, DriftKind, Finding, ProfileSummary,
@@ -74,61 +73,6 @@ const CONFIGS: [ConfigSpec; 4] = [
     },
 ];
 
-/// One kernel of the matrix: a NAS benchmark or a sample `.ook` file.
-#[derive(Clone, Copy)]
-enum Kernel {
-    Nas(App),
-    Ook {
-        file: &'static str,
-        params: &'static [i64],
-        mem_mb: u64,
-    },
-}
-
-impl Kernel {
-    fn name(&self) -> String {
-        match self {
-            Kernel::Nas(app) => app.name().to_string(),
-            Kernel::Ook { file, .. } => format!("ook:{}", file.trim_end_matches(".ook")),
-        }
-    }
-}
-
-/// The canonical kernel set: the full NAS suite at the 2x-memory
-/// headline ratio, plus every sample kernel at the memory size its
-/// header comment documents.
-fn kernels() -> Vec<Kernel> {
-    let mut v: Vec<Kernel> = App::ALL.iter().map(|&a| Kernel::Nas(a)).collect();
-    v.extend([
-        Kernel::Ook {
-            file: "histogram.ook",
-            params: &[500_000],
-            mem_mb: 2,
-        },
-        Kernel::Ook {
-            file: "matmul.ook",
-            params: &[],
-            mem_mb: 1,
-        },
-        Kernel::Ook {
-            file: "stencil.ook",
-            params: &[],
-            mem_mb: 4,
-        },
-        Kernel::Ook {
-            file: "sumreduce.ook",
-            params: &[],
-            mem_mb: 2,
-        },
-        Kernel::Ook {
-            file: "transpose.ook",
-            params: &[],
-            mem_mb: 4,
-        },
-    ]);
-    v
-}
-
 /// Scheduler overrides a compare run may apply on top of the canonical
 /// configuration (the controlled way to regress a run on purpose).
 #[derive(Clone, Copy, Default)]
@@ -164,7 +108,6 @@ struct Options {
     out: String,
     index: u64,
     only: Option<String>,
-    kernels_dir: String,
     allow: Vec<Allowance>,
     allowances_file: Option<String>,
     overrides: Overrides,
@@ -179,8 +122,7 @@ fn usage() -> ! {
          \x20                             [--only KERNEL] [--sched POLICY] [--queue-depth N]\n\
          \x20                             [--coalesce] [--no-tracediff]\n\
          \x20      perfgate --validate FILE\n\
-         \x20      perfgate tracediff A.json B.json\n\
-         common: [--kernels DIR] (default: kernels)"
+         \x20      perfgate tracediff A.json B.json"
     );
     std::process::exit(2);
 }
@@ -194,7 +136,6 @@ fn parse_args() -> Options {
         out: "BENCH_1.json".to_string(),
         index: 1,
         only: None,
-        kernels_dir: "kernels".to_string(),
         allow: Vec::new(),
         allowances_file: None,
         overrides: Overrides::default(),
@@ -212,7 +153,6 @@ fn parse_args() -> Options {
             "--out" => o.out = value(),
             "--index" => o.index = value().parse().unwrap_or_else(|_| usage()),
             "--only" => o.only = Some(value()),
-            "--kernels" => o.kernels_dir = value(),
             "--allow" => match baseline::parse_allowance_arg(&value()) {
                 Ok(al) => o.allow.push(al),
                 Err(e) => {
@@ -274,7 +214,6 @@ fn cell_config(kernel: &Kernel, spec: &ConfigSpec) -> Config {
 fn run_cell(
     kernel: &Kernel,
     spec: &ConfigSpec,
-    kernels_dir: &str,
     overrides: &Overrides,
     trace_cap: usize,
     profile: bool,
@@ -284,16 +223,7 @@ fn run_cell(
     let run = RunSpec::new(&cfg, spec.mode)
         .trace(trace_cap)
         .profile(profile);
-    let out = match kernel {
-        Kernel::Nas(app) => run.run(&build(*app, cfg.bytes_for_ratio(2.0))),
-        Kernel::Ook { file, params, .. } => {
-            let path = format!("{kernels_dir}/{file}");
-            let src =
-                std::fs::read_to_string(&path).map_err(|e| format!("cannot read {path}: {e}"))?;
-            let prog = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
-            run.run_ir(&prog, params)
-        }
-    };
+    let out = kernel.run(&run);
     if let Err(e) = &out.result.verified {
         return Err(format!(
             "{}/{} failed to verify: {e}",
@@ -327,12 +257,8 @@ const PROFILE_TOP_SITES: usize = 5;
 /// (gated, if widely allowed) `sim_throughput`; the profiled run's
 /// sim-visible state is bit-identical to the detached run by
 /// construction, so the profile annotates exactly the cell it rode on.
-fn profile_cell(
-    kernel: &Kernel,
-    spec: &ConfigSpec,
-    kernels_dir: &str,
-) -> Result<ProfileSummary, String> {
-    let prof = run_cell(kernel, spec, kernels_dir, &Overrides::default(), 0, true)?
+fn profile_cell(kernel: &Kernel, spec: &ConfigSpec) -> Result<ProfileSummary, String> {
+    let prof = run_cell(kernel, spec, &Overrides::default(), 0, true)?
         .profile
         .expect("a profiled run carries its profile");
     Ok(ProfileSummary {
@@ -350,15 +276,14 @@ fn profile_cell(
 /// whose summary is stamped as the report-only v3 `profile` block.
 fn run_matrix(
     only: &Option<String>,
-    kernels_dir: &str,
     overrides: &Overrides,
     profile: bool,
 ) -> Result<Vec<BaselineRun>, String> {
     let mut runs = Vec::new();
-    for kernel in kernels().iter().filter(|k| selected(k, only)) {
+    for kernel in Kernel::all().iter().filter(|k| selected(k, only)) {
         for spec in &CONFIGS {
             let started = std::time::Instant::now();
-            let r = run_cell(kernel, spec, kernels_dir, overrides, 0, false)?.result;
+            let r = run_cell(kernel, spec, overrides, 0, false)?.result;
             let host = started.elapsed();
             eprintln!(
                 "  ran {:<14} {:<10} elapsed {}s",
@@ -369,7 +294,7 @@ fn run_matrix(
             let mut run = report::baseline_run(&kernel.name(), spec.name, &r);
             stamp_throughput(&mut run, r.total(), host);
             if profile {
-                run.profile = Some(profile_cell(kernel, spec, kernels_dir)?);
+                run.profile = Some(profile_cell(kernel, spec)?);
             }
             runs.push(run);
         }
@@ -582,7 +507,7 @@ fn capture(o: &Options) -> Result<(), String> {
          + {} multi-tenant cells + 2 prefetch-policy cells + 3 redundancy cells)",
         TENANT_WIDTHS.len()
     );
-    let runs = run_matrix(&o.only, &o.kernels_dir, &Overrides::default(), o.profile)?;
+    let runs = run_matrix(&o.only, &Overrides::default(), o.profile)?;
     // Baseline-level whylate: the sum of the per-cell cause vectors, so
     // the trajectory answers "why are prefetches late overall" at a
     // glance without re-summing 58 cells.
@@ -715,7 +640,7 @@ fn print_drilldown(report: &CompareReport) {
 /// by prefetch span id and print the first divergent lifecycle event.
 fn print_tracediff(o: &Options, key: &str) -> Result<(), String> {
     let (kname, cname) = key.split_once('/').ok_or("malformed cell key")?;
-    let kernel = *kernels()
+    let kernel = *Kernel::all()
         .iter()
         .find(|k| k.name() == kname)
         .ok_or_else(|| format!("unknown kernel {kname}"))?;
@@ -723,9 +648,8 @@ fn print_tracediff(o: &Options, key: &str) -> Result<(), String> {
         .iter()
         .find(|c| c.name == cname)
         .ok_or_else(|| format!("unknown config {cname}"))?;
-    let traced = |overrides| {
-        run_cell(&kernel, &spec, &o.kernels_dir, overrides, TRACE_CAP, false).map(|out| out.trace)
-    };
+    let traced =
+        |overrides| run_cell(&kernel, &spec, overrides, TRACE_CAP, false).map(|out| out.trace);
     let (base_trace, cur_trace) = (traced(&Overrides::default())?, traced(&o.overrides)?);
     let (a, b) = (
         chrome_trace_json(&base_trace.ok_or("canonical run produced no trace")?),
@@ -775,7 +699,7 @@ fn compare(o: &Options, path: &str) -> Result<bool, String> {
     // Compare runs never profile: the profile block is report-only and
     // positionally invisible to the metric zip, so re-deriving it here
     // would only slow the gate down.
-    let current = run_matrix(&o.only, &o.kernels_dir, &o.overrides, false)?;
+    let current = run_matrix(&o.only, &o.overrides, false)?;
     // Cells excluded by --only are out of scope, not missing; likewise
     // the multi-tenant cells whenever overrides retune the scheduler
     // (they run their own canonical platform and are not re-run then).
@@ -793,7 +717,7 @@ fn compare(o: &Options, path: &str) -> Result<bool, String> {
                 if r.kernel == REDUNDANCY_KERNEL {
                     return redundancy_selected(&o.only) && !o.overrides.any();
                 }
-                kernels()
+                Kernel::all()
                     .iter()
                     .any(|k| k.name() == r.kernel && selected(k, &o.only))
             })

@@ -19,20 +19,15 @@
 //! * `profile --diff A.prof B.prof` — align two captures by full site
 //!   path and print per-site self-time deltas, largest mover first:
 //!   the before/after view of an interpreter optimization.
-//! * `profile --xcheck` — run the per-opcode-class dispatch
-//!   microbenchmarks and cross-check their wall-clock ranking against
-//!   the profiler's self-time ranking; exit 1 if the two disagree
-//!   about the slowest-vs-fastest class.
 //!
 //! The profiled run's sim-visible state is bit-identical to a detached
 //! run (tests/proptest_prof.rs holds that line), so the profile always
 //! describes the run it rode on.
 //!
-//! Exit status: 0 ok, 1 cross-check failure, 2 usage or I/O error.
+//! Exit status: 0 ok, 2 usage or I/O error.
 
 use std::process::ExitCode;
 
-use oocp_bench::microbench::{class_costs, ClassCost};
 use oocp_bench::{secs, Config, Mode, RunSpec};
 use oocp_ir::parse_program;
 use oocp_nas::{build, App};
@@ -42,7 +37,6 @@ use oocp_os::SchedPolicy;
 struct Options {
     kernel: Option<String>,
     diff: Option<(String, String)>,
-    xcheck: bool,
     mode: Mode,
     sched: SchedPolicy,
     mem_mb: u64,
@@ -56,7 +50,6 @@ fn usage() -> ! {
         "usage: profile KERNEL [--mode orig|pfnf|pf] [--sched fcfs|...] [--mem-mb N]\n\
          \x20               [--param N]... [--out PREFIX] [--top N]\n\
          \x20      profile --diff A.prof B.prof [--top N]\n\
-         \x20      profile --xcheck\n\
          KERNEL is a NAS kernel name (EMBAR, BUK, ...) or a path to a .ook file"
     );
     std::process::exit(2);
@@ -66,7 +59,6 @@ fn parse_args() -> Options {
     let mut o = Options {
         kernel: None,
         diff: None,
-        xcheck: false,
         mode: Mode::Prefetch,
         sched: SchedPolicy::Fcfs,
         mem_mb: 2,
@@ -81,7 +73,6 @@ fn parse_args() -> Options {
         let mut value = || argv.next().unwrap_or_else(|| usage());
         match a.as_str() {
             "--diff" => in_diff = true,
-            "--xcheck" => o.xcheck = true,
             "--mode" => {
                 o.mode = match value().as_str() {
                     "orig" => Mode::Original,
@@ -114,12 +105,7 @@ fn parse_args() -> Options {
         }
         o.diff = Some((diff_files[0].clone(), diff_files[1].clone()));
     }
-    if [o.kernel.is_some(), o.diff.is_some(), o.xcheck]
-        .iter()
-        .filter(|m| **m)
-        .count()
-        != 1
-    {
+    if o.kernel.is_some() == o.diff.is_some() {
         usage();
     }
     o
@@ -233,59 +219,14 @@ fn diff_mode(a_path: &str, b_path: &str, top: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Cross-check the dispatch microbenchmark ranking against the
-/// profiler's self-time ranking: the class the wall clock calls
-/// slowest must not rank below the class it calls fastest in profiler
-/// self-time. Coarse on purpose — wall-clock medians jitter, the
-/// extremes do not.
-fn xcheck() -> Result<bool, String> {
-    let costs = class_costs();
-    println!(
-        "{:<12} {:>16} {:>16}",
-        "class", "wall ns/iter", "prof self ns"
-    );
-    for c in &costs {
-        println!(
-            "{:<12} {:>16.1} {:>16}",
-            c.class, c.wall_ns_per_iter, c.prof_self_ns
-        );
-    }
-    let slowest: &ClassCost = costs
-        .iter()
-        .max_by(|a, b| a.wall_ns_per_iter.total_cmp(&b.wall_ns_per_iter))
-        .ok_or("no classes measured")?;
-    let fastest: &ClassCost = costs
-        .iter()
-        .min_by(|a, b| a.wall_ns_per_iter.total_cmp(&b.wall_ns_per_iter))
-        .ok_or("no classes measured")?;
-    if slowest.prof_self_ns >= fastest.prof_self_ns {
-        println!(
-            "xcheck PASS: wall-slowest {} ({}ns self) outranks wall-fastest {} ({}ns self)",
-            slowest.class, slowest.prof_self_ns, fastest.class, fastest.prof_self_ns
-        );
-        Ok(true)
-    } else {
-        println!(
-            "xcheck FAIL: wall clock ranks {} slowest but the profiler attributes \
-             less self time to it ({} ns) than to {} ({} ns)",
-            slowest.class, slowest.prof_self_ns, fastest.class, fastest.prof_self_ns
-        );
-        Ok(false)
-    }
-}
-
 fn main() -> ExitCode {
     let o = parse_args();
-    let outcome = if o.xcheck {
-        xcheck()
-    } else if let Some((a, b)) = &o.diff {
-        diff_mode(a, b, o.top).map(|()| true)
-    } else {
-        capture(&o).map(|()| true)
+    let outcome = match &o.diff {
+        Some((a, b)) => diff_mode(a, b, o.top),
+        None => capture(&o),
     };
     match outcome {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => ExitCode::FAILURE,
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("profile: {e}");
             ExitCode::from(2)

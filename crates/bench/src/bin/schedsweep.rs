@@ -22,7 +22,7 @@
 //! Run: `cargo run --release -p oocp-bench --bin schedsweep`
 //! CI:  `... --bin schedsweep -- --smoke` (one small kernel).
 
-use oocp_bench::{report, run_workload, secs, Args, Mode, RunResult};
+use oocp_bench::{report, run_workload, secs, Args, Config, Mode, RunResult};
 use oocp_nas::{build, App};
 use oocp_os::{SchedConfig, SchedPolicy};
 
@@ -58,14 +58,19 @@ fn configs(full: bool) -> Vec<(&'static str, SchedConfig)> {
 }
 
 fn main() {
-    let args = Args::parse();
-    let mut cfg = args.cfg;
     // Small memory keeps the sweep quick; the smoke gate goes smaller
-    // still so CI stays fast.
-    if std::env::args().all(|a| a != "--mem-mb") {
-        let mb = if args.smoke { 1 } else { 2 };
+    // still so CI stays fast. Which default applies is itself on the
+    // command line, so `--smoke` parses again from the smaller one.
+    let platform = |mb: u64| {
+        let mut cfg = Config::default_platform();
         cfg.machine = cfg.machine.with_memory_bytes(mb * 1024 * 1024);
+        cfg
+    };
+    let mut args = Args::parse_on(platform(2));
+    if args.smoke {
+        args = Args::parse_on(platform(1));
     }
+    let cfg = args.cfg;
     let apps: &[App] = if args.smoke {
         &[App::Embar]
     } else {

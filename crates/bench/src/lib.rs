@@ -1,15 +1,19 @@
 //! Shared harness for the reproduction binaries.
 //!
-//! Each `src/bin/*.rs` binary regenerates one table or figure from the
-//! paper's evaluation (see `DESIGN.md` section 5 for the index). This
-//! library provides the common machinery: building a workload, running
-//! it on the simulated machine in the original (paged-VM) or
-//! prefetching configuration, and collecting every statistic the
-//! figures need.
+//! The `repro` binary regenerates every table and figure of the paper's
+//! evaluation from one table of [`experiments`] (see `DESIGN.md`
+//! section 5 for the index); the sweeps, gates and tools are binaries of
+//! their own. This library provides the common machinery: building a
+//! workload, running it on the simulated machine in the original
+//! (paged-VM) or prefetching configuration, and collecting every
+//! statistic the figures need.
 
-pub mod microbench;
+pub mod experiments;
+mod kernel;
 pub mod report;
 pub mod tenants;
+
+pub use kernel::Kernel;
 
 use oocp_core::{compile, CompileReport, CompilerParams};
 use oocp_ir::{run_program, run_program_profiled, ArrayBinding, CostModel, ExecStats, Program};
@@ -645,12 +649,25 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args`. A bad command line or an invalid
-    /// machine configuration is an operator mistake: print it and exit
-    /// with status 2.
+    /// Parse from `std::env::args` on the default platform.
     pub fn parse() -> Self {
+        Self::parse_on(Config::default_platform())
+    }
+
+    /// Parse from `std::env::args`, the flags overriding `cfg`: a
+    /// binary whose default platform is not [`Config::default_platform`]
+    /// hands its own in, and what it gets back differs from that only
+    /// where the command line said so.
+    pub fn parse_on(cfg: Config) -> Self {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let args = Self::try_parse_from(&argv).unwrap_or_else(|e| {
+        Self::from_argv(cfg, &argv)
+    }
+
+    /// [`Args::try_parse_on`] for a `main`: a bad command line or an
+    /// invalid machine configuration is an operator mistake — print it
+    /// and exit with status 2.
+    pub(crate) fn from_argv(cfg: Config, argv: &[String]) -> Self {
+        let args = Self::try_parse_on(cfg, argv).unwrap_or_else(|e| {
             eprintln!("error: {e}\nflags: {FLAGS}");
             std::process::exit(2);
         });
@@ -658,10 +675,16 @@ impl Args {
         args
     }
 
-    /// Parse the arguments after the program name.
+    /// Parse the arguments after the program name on the default
+    /// platform.
     pub fn try_parse_from(argv: &[String]) -> Result<Self, ArgError> {
+        Self::try_parse_on(Config::default_platform(), argv)
+    }
+
+    /// Parse the arguments after the program name, overriding `cfg`.
+    pub fn try_parse_on(cfg: Config, argv: &[String]) -> Result<Self, ArgError> {
         let mut args = Self {
-            cfg: Config::default_platform(),
+            cfg,
             ratio: 2.0,
             csv: None,
             json: None,
@@ -710,7 +733,11 @@ impl Args {
                 }
                 "--ratio" => {
                     let v = value()?;
-                    args.ratio = v.parse().map_err(|_| bad(v, "a number"))?;
+                    args.ratio = v
+                        .parse()
+                        .ok()
+                        .filter(|r: &f64| r.is_finite() && *r > 0.0)
+                        .ok_or_else(|| bad(v, "a positive number"))?;
                 }
                 "--disks" => {
                     let v = value()?;
@@ -906,6 +933,26 @@ mod tests {
     }
 
     #[test]
+    fn args_override_the_platform_they_are_parsed_on() {
+        let mut small = Config::default_platform();
+        small.machine = small.machine.with_memory_bytes(2 * 1024 * 1024);
+        small.machine.redundancy = oocp_os::Redundancy::Parity;
+        let on = |line: &str| {
+            let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+            Args::try_parse_on(small, &argv).unwrap().cfg.machine
+        };
+        assert_eq!(on("--smoke").memory_bytes(), 2 * 1024 * 1024);
+        assert_eq!(on("--smoke").redundancy, oocp_os::Redundancy::Parity);
+        assert_eq!(on("--mem-mb 1").memory_bytes(), 1024 * 1024);
+        assert_eq!(
+            on("--redundancy none").redundancy,
+            oocp_os::Redundancy::None
+        );
+        // A flag's value is not a flag: `--mem-mb` here is a file name.
+        assert_eq!(on("--csv --mem-mb").memory_bytes(), 2 * 1024 * 1024);
+    }
+
+    #[test]
     fn args_reject_bad_input_with_typed_errors() {
         let bad = |line: &str, flag: &str, value: &str| match parse(line) {
             Err(ArgError::BadValue {
@@ -919,6 +966,17 @@ mod tests {
         bad("--seed -1", "--seed", "-1");
         bad("--sched nope", "--sched", "nope");
         bad("--sample-interval-us 0", "--sample-interval-us", "0");
+        // NaN, zero and negatives parse as `f64`; none is a data-set size.
+        for ratio in ["nan", "inf", "0", "-2", "x"] {
+            bad(&format!("--ratio {ratio}"), "--ratio", ratio);
+        }
+        assert!(matches!(
+            parse("--ratio nan"),
+            Err(ArgError::BadValue {
+                expected: "a positive number",
+                ..
+            })
+        ));
         assert_eq!(
             parse("--smoke --mem-mb").map(|_| ()),
             Err(ArgError::MissingValue("--mem-mb".into()))

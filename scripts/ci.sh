@@ -104,6 +104,21 @@ for gate in "page_write 64" "page_read 24"; do
     }' || { echo "$W peak_rss_mb must stay under $CAP and within 1 MB across run lengths"; exit 1; }
 done
 
+stage "repro --all --mem-mb 1 (all eleven paper experiments run; every run verifies)"
+# The tables and figures of the paper are entries of one table behind
+# one binary. It exits 1 if the workload verifier rejected any run
+# behind any of them, so a green stage means every printed number came
+# from a run that computed the right data.
+cargo run --release -q -p oocp-bench --bin repro -- --all --mem-mb 1 > /dev/null
+REPRO_WANT="table1 table2 fig3 fig4 fig5 table3 fig6 fig7 fig8 futurework modern"
+REPRO_GOT="$(cargo run --release -q -p oocp-bench --bin repro -- --list | awk '{ print $1 }' | xargs)"
+[ "$REPRO_GOT" = "$REPRO_WANT" ] || {
+    echo "repro --list names [$REPRO_GOT], expected [$REPRO_WANT]"; exit 1; }
+REPRO_RC=0
+cargo run --release -q -p oocp-bench --bin repro -- nosuch > /dev/null 2>&1 || REPRO_RC=$?
+[ "$REPRO_RC" -eq 2 ] || {
+    echo "repro nosuch exited $REPRO_RC, expected 2 (usage)"; exit 1; }
+
 stage "schedsweep smoke (policy sweep correctness gate)"
 cargo run --release -q -p oocp-bench --bin schedsweep -- --smoke
 
@@ -335,24 +350,36 @@ else
     stage "cargo clippy not available; skipping lint"
 fi
 
-stage "line counts (oocp-os non-test lines; machine.rs must not regrow)"
+stage "line counts (non-test lines of oocp-os and oocp-bench; neither may regrow)"
 # The line-count twin of the per-stage wall times. A file's non-test
 # lines are those before its first `#[cfg(test)]`. machine.rs is the
 # paging core, and the cap is the size it had when the extensions moved
-# out to machine/*.rs: something that belongs to one of them goes there,
-# and a cap raised on purpose is raised in the same commit.
+# out to machine/*.rs: something that belongs to one of them goes there.
+# crates/bench/src is capped at the size it had when the eleven
+# per-figure binaries became one table: a new experiment is an entry
+# there, not a new `main`. A cap raised on purpose is raised in the
+# same commit.
 MACHINE_RS_MAX=1941
-OS_TOTAL=0
+BENCH_SRC_MAX=5860
+count_lines() { # directory: prints each file's count, sets TOTAL and MACHINE_RS
+    TOTAL=0
+    while IFS= read -r f; do
+        n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+        printf '%6d  %s\n' "$n" "$f"
+        TOTAL=$((TOTAL + n))
+        if [ "$f" = crates/os/src/machine.rs ]; then MACHINE_RS=$n; fi
+    done < <(find "$1" -name '*.rs' | sort)
+    printf '%6d  total %s\n' "$TOTAL" "$1"
+}
 MACHINE_RS=0
-while IFS= read -r f; do
-    n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
-    printf '%6d  %s\n' "$n" "$f"
-    OS_TOTAL=$((OS_TOTAL + n))
-    if [ "$f" = crates/os/src/machine.rs ]; then MACHINE_RS=$n; fi
-done < <(find crates/os/src -name '*.rs' | sort)
-printf '%6d  total\n' "$OS_TOTAL"
+count_lines crates/os/src
 if [ "$MACHINE_RS" -gt "$MACHINE_RS_MAX" ]; then
     echo "crates/os/src/machine.rs has $MACHINE_RS non-test lines, over its cap of $MACHINE_RS_MAX"
+    exit 1
+fi
+count_lines crates/bench/src
+if [ "$TOTAL" -gt "$BENCH_SRC_MAX" ]; then
+    echo "crates/bench/src has $TOTAL non-test lines, over its cap of $BENCH_SRC_MAX"
     exit 1
 fi
 

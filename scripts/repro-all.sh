@@ -8,7 +8,8 @@ cd "$(dirname "$0")/.."
 # hours and produces tables nobody should trust.
 ./scripts/ci.sh
 
-for bin in table1 table2 fig3 fig4 fig5 table3 fig6 fig7 fig8 ablations futurework modern chaos; do
+cargo run --release -q -p oocp-bench --bin repro -- --all "$@"
+for bin in ablations chaos; do
     echo "================================================================"
     echo "== $bin"
     echo "================================================================"
