@@ -7,13 +7,13 @@
 //! resumable: [`Vm::step`] stops between two `PagedVm` calls when the
 //! machine under it asks ([`PagedVm::parked`]) and keeps the struct.
 //!
-//! There are two loops over the same ops. The general one makes every
-//! call the program implies. The strip executor ([`Code::run_strip`])
-//! runs whole iterations of a hoisted leaf body for which the
-//! [`PagedVm`] has said every access is a plain hit
+//! There are two loops. The general one runs the [`Op`] stream and makes
+//! every call the program implies. The strip executor
+//! ([`Code::run_strip`]) runs whole iterations of a hoisted leaf body
+//! for which the [`PagedVm`] has said every access is a plain hit
 //! ([`PagedVm::strip`]): no call inside, the time they owe handed over
-//! once ([`PagedVm::strip_charge`]). The arithmetic arms are shared
-//! (`dispatch!`).
+//! once ([`PagedVm::strip_charge`]). It interprets the body's
+//! [strip code](crate::strip), not its `Op`s.
 
 use oocp_obs::prof::{NoProf, ProfSink};
 
@@ -21,6 +21,7 @@ use crate::exec::{ArrayBinding, ExecStats};
 use crate::expr::CmpOp;
 use crate::lower::{lower, At, Charge, Code, LinPlan, LoopPlan, Op, Pc, Sub};
 use crate::program::Program;
+use crate::strip::{fused_kinds, StripBranch, StripKind};
 use crate::vm::{CostModel, PagedVm, Park, StripRef};
 
 /// One run of a lowered program, resumable between any two of its
@@ -47,64 +48,13 @@ thread_local! {
     /// to know its programs reach both.
     pub(crate) static HOISTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
     /// Strips, by how they went: run to the length granted, refused by
-    /// the VM, ended early by a zero divisor; and the iterations run
-    /// inside them, a part of one counting as one.
-    pub(crate) static STRIPS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
-}
-
-/// `match $op { .. }` with the arithmetic, conversion and `Lin` arms —
-/// the ones both dispatch loops execute alike, written once — ahead of
-/// the caller's own `$arms`. `$fr` and `$ir` are the register files; a
-/// zero divisor goes to the caller's `$zero!` with the panic's message.
-macro_rules! dispatch {
-    ($op:expr, $code:expr, $ir:ident, $fr:ident, $zero:ident, { $($arms:tt)* }) => {
-        match $op {
-            Op::AddF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] + $fr[b as usize],
-            Op::SubF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] - $fr[b as usize],
-            Op::MulF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] * $fr[b as usize],
-            Op::DivF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] / $fr[b as usize],
-            Op::RemF { dst, a, b } => $fr[dst as usize] = $fr[a as usize] % $fr[b as usize],
-            Op::MinF { dst, a, b } => $fr[dst as usize] = $fr[a as usize].min($fr[b as usize]),
-            Op::MaxF { dst, a, b } => $fr[dst as usize] = $fr[a as usize].max($fr[b as usize]),
-            Op::NegF { dst, a } => $fr[dst as usize] = -$fr[a as usize],
-            Op::AbsF { dst, a } => $fr[dst as usize] = $fr[a as usize].abs(),
-            Op::SqrtF { dst, a } => $fr[dst as usize] = $fr[a as usize].sqrt(),
-            Op::LnF { dst, a } => $fr[dst as usize] = $fr[a as usize].ln(),
-            Op::MovF { dst, a } => $fr[dst as usize] = $fr[a as usize],
-            Op::IToF { dst, a } => $fr[dst as usize] = $ir[a as usize] as f64,
-
-            Op::AddI { dst, a, b } => {
-                $ir[dst as usize] = $ir[a as usize].wrapping_add($ir[b as usize])
-            }
-            Op::SubI { dst, a, b } => {
-                $ir[dst as usize] = $ir[a as usize].wrapping_sub($ir[b as usize])
-            }
-            Op::MulI { dst, a, b } => {
-                $ir[dst as usize] = $ir[a as usize].wrapping_mul($ir[b as usize])
-            }
-            Op::DivI { dst, a, b } => {
-                if $ir[b as usize] == 0 {
-                    $zero!("integer division by zero");
-                }
-                $ir[dst as usize] = $ir[a as usize].wrapping_div($ir[b as usize]);
-            }
-            Op::RemI { dst, a, b } => {
-                if $ir[b as usize] == 0 {
-                    $zero!("integer remainder by zero");
-                }
-                $ir[dst as usize] = $ir[a as usize].wrapping_rem($ir[b as usize]);
-            }
-            Op::MinI { dst, a, b } => $ir[dst as usize] = $ir[a as usize].min($ir[b as usize]),
-            Op::MaxI { dst, a, b } => $ir[dst as usize] = $ir[a as usize].max($ir[b as usize]),
-            Op::NegI { dst, a } => $ir[dst as usize] = $ir[a as usize].wrapping_neg(),
-            Op::AbsI { dst, a } => $ir[dst as usize] = $ir[a as usize].wrapping_abs(),
-            Op::MovI { dst, a } => $ir[dst as usize] = $ir[a as usize],
-            Op::FToI { dst, a } => $ir[dst as usize] = $fr[a as usize] as i64,
-            Op::Lin { dst, lin } => $ir[dst as usize] = $code.lin(lin, $ir),
-
-            $($arms)*
-        }
-    };
+    /// the VM, ended early by a zero divisor; the iterations run inside
+    /// them, a part of one counting as one; and the early ends in a body
+    /// shorter as strip code than as ops, something in it fused.
+    pub(crate) static STRIPS: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
+    /// Strip ops executed, by `StripKind as usize`.
+    pub(crate) static KINDS: std::cell::RefCell<[u64; 256]> =
+        const { std::cell::RefCell::new([0; 256]) };
 }
 
 /// What a strip came to, for its caller to hand to the VM and to carry
@@ -220,10 +170,10 @@ impl Code<'_> {
         true
     }
 
-    /// The strip executor: run `n` iterations of `lp`'s hoisted body
-    /// from its first op, every access a bare 8-byte move in `mem` and
-    /// the `LoopNext` between two of them done on the spot, and count
-    /// them into `stats`. It makes no call and cannot panic: a zero
+    /// The strip executor: run `n` iterations of `lp`'s hoisted body as
+    /// strip code from its first op, every access a bare 8-byte move in
+    /// `mem` and the `Next` between two of them done on the spot, and
+    /// count them into `stats`. It makes no call and cannot panic: a zero
     /// divisor ends the strip in front of the op that found it.
     /// `pending` is the user time not yet flushed. Inside, behind an
     /// access it is zero: the accesses' own `ns` and their flushes are
@@ -240,94 +190,205 @@ impl Code<'_> {
         mem: &mut [u8],
         stats: &mut ExecStats,
     ) -> Strip {
-        let plan = lp.strip.expect("asked of a loop with a plan");
-        let ops = &self.ops[..];
+        use StripKind as K;
+        let plan = lp.strip.as_ref().expect("asked of a loop with a plan");
+        let ops = plan.code.of(&self.strip.ops);
+        let lins = plan.lins.of(&self.strip.lins);
+        let branches = plan.branches.of(&self.strip.branches);
         let bumps = lp.inds.of(&self.inds);
-        let head = lp.fast_body as usize;
-        let (mut pc, mut pending) = (head, lead);
-        let (mut left, mut early) = (n, false);
+        // The ops still ahead in this pass over the body.
+        let mut rest = ops;
+        let (mut left, mut pending) = (n, lead);
         // Branch charges taken: ns, integer and float operations.
         let mut taken = (0, 0, 0);
-        macro_rules! end_early {
-            ($msg:literal) => {{
-                pc -= 1;
-                early = true;
-                break;
-            }};
-        }
-        macro_rules! word {
-            ($at:ident) => {
-                mem[ir[$at as usize] as usize..][..8]
-            };
-        }
-        macro_rules! branch {
-            ($charge:ident) => {{
-                pending += $charge.ns;
-                taken.0 += $charge.ns;
-                taken.1 += $charge.iops as u64;
-                taken.2 += $charge.flops as u64;
-            }};
-        }
-        loop {
-            // Matched in place: an arm loads the fields it names, not
-            // the 32 bytes.
-            let op = &ops[pc];
-            pc += 1;
-            dispatch!(*op, self, ir, fr, end_early, {
-                Op::LoadF { dst, at, .. } => {
-                    fr[dst as usize] = f64::from_le_bytes(word!(at).try_into().unwrap());
+        #[cfg(test)]
+        let mut kinds = [0u64; 256];
+        let early = loop {
+            let (op, behind) = rest.split_first().expect("a body ends in its `Next`");
+            rest = behind;
+            #[cfg(test)]
+            {
+                kinds[op.kind as usize] += 1;
+            }
+            macro_rules! f {
+                ($r:ident) => {
+                    fr[op.$r as usize]
+                };
+            }
+            macro_rules! i {
+                ($r:ident) => {
+                    ir[op.$r as usize]
+                };
+            }
+            macro_rules! word {
+                ($r:ident) => {
+                    mem[i!($r) as usize..][..8]
+                };
+            }
+            // A float operand, in its register or in memory; a float
+            // result, likewise.
+            macro_rules! rd {
+                (R $r:ident) => {
+                    f!($r)
+                };
+                (M $r:ident) => {
+                    f64::from_le_bytes(word!($r).try_into().unwrap())
+                };
+            }
+            macro_rules! wr {
+                (R $v:expr) => {
+                    f!(d) = $v
+                };
+                (M $v:expr) => {{
+                    let v: f64 = $v;
+                    word!(d).copy_from_slice(&v.to_le_bytes());
+                }};
+            }
+            // An op with anything in memory is an access: behind it
+            // nothing is pending.
+            macro_rules! accessed {
+                (R R R) => {};
+                ($D:tt $A:tt $B:tt) => {
                     pending = 0;
-                }
-                Op::LoadI { dst, at, .. } => {
-                    ir[dst as usize] = i64::from_le_bytes(word!(at).try_into().unwrap());
-                    pending = 0;
-                }
-                Op::StoreF { src, at, .. } => {
-                    word!(at).copy_from_slice(&fr[src as usize].to_le_bytes());
-                    pending = 0;
-                }
-                Op::StoreI { src, at, .. } => {
-                    word!(at).copy_from_slice(&ir[src as usize].to_le_bytes());
-                    pending = 0;
-                }
-                Op::BrI { a, b, cmp, else_, charge } => {
-                    branch!(charge);
-                    if !compare(cmp, ir[a as usize], ir[b as usize]) {
-                        pc = else_ as usize;
+                };
+            }
+            macro_rules! fused {
+                ($D:tt $A:tt $B:tt |$a:ident, $b:ident $(, $c:ident)?| $e:expr) => {{
+                    let $a = rd!($A a);
+                    let $b = rd!($B b);
+                    $(let $c = f!(c);)?
+                    wr!($D $e);
+                    accessed!($D $A $B);
+                }};
+            }
+            // Charge the branch; its comparison is the value.
+            macro_rules! branch {
+                () => {{
+                    let StripBranch { cmp, charge } = branches[op.c as usize];
+                    pending += charge.ns;
+                    taken.0 += charge.ns;
+                    taken.1 += charge.iops as u64;
+                    taken.2 += charge.flops as u64;
+                    cmp
+                }};
+            }
+            // The plain arms, then eight per row of `fused_kinds!`: one
+            // for each place its destination and operands can live.
+            macro_rules! execute {
+                ({ $($plain:tt)* }
+                 $([$rrr:ident $rrm:ident $rmr:ident $rmm:ident
+                    $mrr:ident $mrm:ident $mmr:ident $mmm:ident]
+                   |$a:ident, $b:ident $(, $c:ident)?| $e:expr;)*) => {
+                    match op.kind {
+                        $($plain)*
+                        $(
+                            K::$rrr => fused!(R R R |$a, $b $(, $c)?| $e),
+                            K::$rrm => fused!(R R M |$a, $b $(, $c)?| $e),
+                            K::$rmr => fused!(R M R |$a, $b $(, $c)?| $e),
+                            K::$rmm => fused!(R M M |$a, $b $(, $c)?| $e),
+                            K::$mrr => fused!(M R R |$a, $b $(, $c)?| $e),
+                            K::$mrm => fused!(M R M |$a, $b $(, $c)?| $e),
+                            K::$mmr => fused!(M M R |$a, $b $(, $c)?| $e),
+                            K::$mmm => fused!(M M M |$a, $b $(, $c)?| $e),
+                        )*
+                    }
+                };
+            }
+            fused_kinds!(execute! {
+                {
+                    K::RemF => f!(d) = f!(a) % f!(b),
+                    K::MinF => f!(d) = f!(a).min(f!(b)),
+                    K::MaxF => f!(d) = f!(a).max(f!(b)),
+                    K::NegF => f!(d) = -f!(a),
+                    K::AbsF => f!(d) = f!(a).abs(),
+                    K::SqrtF => f!(d) = f!(a).sqrt(),
+                    K::LnF => f!(d) = f!(a).ln(),
+                    K::MovF => f!(d) = f!(a),
+                    K::IToF => f!(d) = i!(a) as f64,
+                    K::AddI => i!(d) = i!(a).wrapping_add(i!(b)),
+                    K::SubI => i!(d) = i!(a).wrapping_sub(i!(b)),
+                    K::MulI => i!(d) = i!(a).wrapping_mul(i!(b)),
+                    K::DivI => {
+                        if i!(b) == 0 {
+                            break true;
+                        }
+                        i!(d) = i!(a).wrapping_div(i!(b));
+                    }
+                    K::RemI => {
+                        if i!(b) == 0 {
+                            break true;
+                        }
+                        i!(d) = i!(a).wrapping_rem(i!(b));
+                    }
+                    K::MinI => i!(d) = i!(a).min(i!(b)),
+                    K::MaxI => i!(d) = i!(a).max(i!(b)),
+                    K::NegI => i!(d) = i!(a).wrapping_neg(),
+                    K::AbsI => i!(d) = i!(a).wrapping_abs(),
+                    K::MovI => i!(d) = i!(a),
+                    K::FToI => i!(d) = f!(a) as i64,
+                    K::Lin => i!(d) = self.lin(lins[op.a as usize], ir),
+                    K::LoadF => {
+                        f!(d) = f64::from_le_bytes(word!(a).try_into().unwrap());
+                        pending = 0;
+                    }
+                    K::LoadI => {
+                        i!(d) = i64::from_le_bytes(word!(a).try_into().unwrap());
+                        pending = 0;
+                    }
+                    K::StoreF => {
+                        word!(d).copy_from_slice(&f!(a).to_le_bytes());
+                        pending = 0;
+                    }
+                    K::StoreI => {
+                        word!(d).copy_from_slice(&i!(a).to_le_bytes());
+                        pending = 0;
+                    }
+                    K::BrI => {
+                        if !compare(branch!(), i!(a), i!(b)) {
+                            rest = &ops[op.d as usize..];
+                        }
+                    }
+                    K::BrF => {
+                        if !compare(branch!(), f!(a), f!(b)) {
+                            rest = &ops[op.d as usize..];
+                        }
+                    }
+                    K::Jump => {
+                        branch!();
+                        rest = &ops[op.d as usize..];
+                    }
+                    K::Next => {
+                        left -= 1;
+                        if left == 0 {
+                            break false;
+                        }
+                        pending += lp.tail.ns;
+                        let i = ir[lp.frame as usize].wrapping_add(lp.step);
+                        ir[lp.frame as usize] = i;
+                        ir[lp.var as usize] = i;
+                        for ind in bumps {
+                            let at = &mut ir[ind.reg as usize];
+                            *at = at.wrapping_add(ind.delta);
+                        }
+                        rest = ops;
                     }
                 }
-                Op::BrF { a, b, cmp, else_, charge } => {
-                    branch!(charge);
-                    if !compare(cmp, fr[a as usize], fr[b as usize]) {
-                        pc = else_ as usize;
-                    }
-                }
-                Op::Jump { to, charge } => {
-                    branch!(charge);
-                    pc = to as usize;
-                }
-                Op::LoopNext { .. } => {
-                    left -= 1;
-                    if left == 0 {
-                        pc -= 1;
-                        break;
-                    }
-                    pending += lp.tail.ns;
-                    let i = ir[lp.frame as usize].wrapping_add(lp.step);
-                    ir[lp.frame as usize] = i;
-                    ir[lp.var as usize] = i;
-                    for ind in bumps {
-                        let at = &mut ir[ind.reg as usize];
-                        *at = at.wrapping_add(ind.delta);
-                    }
-                    pc = head;
-                }
-                _ => unreachable!("lowering lets no other op into a strip body"),
             });
-        }
+        };
+        // The strip stops on the op it fetched last; where the `Op`
+        // stream stands for the same place.
+        let origin = plan.code.of(&self.strip.origin);
+        let pc = origin[ops.len() - rest.len() - 1] as usize;
         let whole = n - left;
         #[cfg(test)]
-        note_strip(if early { 2 } else { 0 }, whole + early as u64);
+        {
+            note_strip(if early { 2 } else { 0 }, whole + early as u64);
+            let unfused = origin[ops.len() - 1] - lp.fast_body + 1;
+            if early && ops.len() < unfused as usize {
+                note_strip(4, 0);
+            }
+            KINDS.with_borrow_mut(|all| all.iter_mut().zip(kinds).for_each(|(n, by)| *n += by));
+        }
 
         // Each body but the last was followed by its `LoopNext`; one
         // cut short by none yet, and it got through part of a pass.
@@ -407,6 +468,12 @@ impl<'p> Vm<'p> {
         }
     }
 
+    // One instance per VM, never a copy of it inside `run`: these ten
+    // kilobytes sit among the benchmark crate's code, and moving what
+    // lies behind them by a copy's worth cost the page walks, whose hot
+    // path is spread over five crates, a quarter of their host time
+    // (EXPERIMENTS.md, "Strip code").
+    #[inline(never)]
     fn step_probed<M: PagedVm, P: ProfSink>(
         &mut self,
         vm: &mut M,
@@ -507,11 +574,6 @@ impl<'p> Vm<'p> {
                 call!(vm.release(addr, $pages));
             }};
         }
-        macro_rules! zero_panics {
-            ($msg:literal) => {
-                panic!($msg)
-            };
-        }
         macro_rules! f {
             ($r:ident) => {
                 fr[$r as usize]
@@ -563,7 +625,44 @@ impl<'p> Vm<'p> {
         let halted = loop {
             let op = ops[pc];
             pc += 1;
-            dispatch!(op, code, ir, fr, zero_panics, {
+            match op {
+                Op::AddF { dst, a, b } => f!(dst) = f!(a) + f!(b),
+                Op::SubF { dst, a, b } => f!(dst) = f!(a) - f!(b),
+                Op::MulF { dst, a, b } => f!(dst) = f!(a) * f!(b),
+                Op::DivF { dst, a, b } => f!(dst) = f!(a) / f!(b),
+                Op::RemF { dst, a, b } => f!(dst) = f!(a) % f!(b),
+                Op::MinF { dst, a, b } => f!(dst) = f!(a).min(f!(b)),
+                Op::MaxF { dst, a, b } => f!(dst) = f!(a).max(f!(b)),
+                Op::NegF { dst, a } => f!(dst) = -f!(a),
+                Op::AbsF { dst, a } => f!(dst) = f!(a).abs(),
+                Op::SqrtF { dst, a } => f!(dst) = f!(a).sqrt(),
+                Op::LnF { dst, a } => f!(dst) = f!(a).ln(),
+                Op::MovF { dst, a } => f!(dst) = f!(a),
+                Op::IToF { dst, a } => f!(dst) = i!(a) as f64,
+
+                Op::AddI { dst, a, b } => i!(dst) = i!(a).wrapping_add(i!(b)),
+                Op::SubI { dst, a, b } => i!(dst) = i!(a).wrapping_sub(i!(b)),
+                Op::MulI { dst, a, b } => i!(dst) = i!(a).wrapping_mul(i!(b)),
+                Op::DivI { dst, a, b } => {
+                    if i!(b) == 0 {
+                        panic!("integer division by zero");
+                    }
+                    i!(dst) = i!(a).wrapping_div(i!(b));
+                }
+                Op::RemI { dst, a, b } => {
+                    if i!(b) == 0 {
+                        panic!("integer remainder by zero");
+                    }
+                    i!(dst) = i!(a).wrapping_rem(i!(b));
+                }
+                Op::MinI { dst, a, b } => i!(dst) = i!(a).min(i!(b)),
+                Op::MaxI { dst, a, b } => i!(dst) = i!(a).max(i!(b)),
+                Op::NegI { dst, a } => i!(dst) = i!(a).wrapping_neg(),
+                Op::AbsI { dst, a } => i!(dst) = i!(a).wrapping_abs(),
+                Op::MovI { dst, a } => i!(dst) = i!(a),
+                Op::FToI { dst, a } => i!(dst) = f!(a) as i64,
+                Op::Lin { dst, lin } => i!(dst) = code.lin(lin, ir),
+
                 Op::Addr { dst, r } => i!(dst) = code.resolve(r, ir) as i64,
                 Op::Check { r } => {
                     code.resolve(r, ir);
@@ -687,7 +786,7 @@ impl<'p> Vm<'p> {
 
                 Op::Enter { site } => prof.enter(&code.sites[site as usize]),
                 Op::Exit => prof.exit(),
-            });
+            }
         };
         (self.pc, self.pending_ns, self.stats) = (pc, pending, stats);
         halted.then_some(stats)

@@ -26,6 +26,7 @@ mod lower;
 mod oracle;
 pub mod parse;
 pub mod program;
+mod strip;
 #[cfg(test)]
 mod treewalk;
 pub mod vm;

@@ -36,7 +36,9 @@
 //! * **Strips.** A hoisted body made of nothing but arithmetic, accesses
 //!   through its own inductions and forward branches also gets a
 //!   [`StripPlan`]: what a run of its iterations costs, summed here, so
-//!   the dispatch loop can run them without a `PagedVm` call apiece.
+//!   the dispatch loop can run them without a `PagedVm` call apiece —
+//!   and the body once more as [strip code](crate::strip), which is what
+//!   those iterations execute.
 //! * **Probes.** With a live profiler sink the site brackets are ops
 //!   in the stream ([`Op::Enter`]/[`Op::Exit`]); with the detached sink
 //!   none are emitted.
@@ -46,6 +48,7 @@
 use crate::exec::ArrayBinding;
 use crate::expr::{BinOp, CmpOp, Cond, Expr, LinExpr, Sym, UnOp};
 use crate::program::{ArrayRef, ElemType, Index, Loop, Program, Stmt};
+use crate::strip::{fuse, narrow, StripBranch, StripCode, StripKind, StripOp};
 use crate::vm::CostModel;
 
 /// Index into one of the two register files.
@@ -417,6 +420,11 @@ pub(crate) struct StripPlan {
     /// The most one iteration can charge: its accesses, the loop's
     /// tail, and every branch charge whether taken or not.
     pub max_ns: u64,
+    /// The body as strip code, its `LoopNext` included: windows into
+    /// the tables of [`Code::strip`] (`ops` and `origin` share one).
+    pub code: Span,
+    pub lins: Span,
+    pub branches: Span,
 }
 
 /// One counted loop.
@@ -512,6 +520,7 @@ pub(crate) struct Code<'a> {
     pub dims: Vec<DimPlan>,
     pub inds: Vec<Induction>,
     pub strip_refs: Vec<(Reg, i64, bool)>,
+    pub strip: StripCode,
     pub loops: Vec<LoopPlan>,
     pub bundles: Vec<Bundle>,
     pub sites: Vec<String>,
@@ -625,6 +634,7 @@ pub(crate) fn lower<'a>(
             dims: Vec::new(),
             inds: Vec::new(),
             strip_refs: Vec::new(),
+            strip: StripCode::default(),
             loops: Vec::new(),
             bundles: Vec::new(),
             sites: Vec::new(),
@@ -1300,7 +1310,12 @@ impl<'a> Lowerer<'a> {
     /// The [`StripPlan`] of the hoisted body just emitted from `head`
     /// on, if it has the shape: references under an `if` are `..At`
     /// ops, so they refuse it as hints, checks and profiler brackets do.
+    /// The match is also the body's translation into strip code, op for
+    /// op ahead of [`fuse`]: a register, a table index or a branch
+    /// target too wide for a [`StripOp`] field refuses the plan as a
+    /// wrong shape does, and the loop runs op by op.
     fn strip_plan(&mut self, head: Pc, inds: Span, tail: Charge) -> Option<StripPlan> {
+        use StripKind as K;
         let next = self.pc();
         let mut refs: Vec<_> = inds
             .of(&self.code.inds)
@@ -1308,54 +1323,96 @@ impl<'a> Lowerer<'a> {
             .map(|ind| (ind.reg, ind.delta, false))
             .collect();
         let (mut branch_ns, mut first_ns, mut free_access) = (0, None, false);
+        let mut access = |at: Reg, ns: u64, store: bool| {
+            let through = refs.iter_mut().find(|(reg, ..)| *reg == at)?;
+            through.2 |= store;
+            first_ns.get_or_insert(ns);
+            free_access |= ns == 0;
+            Some(())
+        };
+        // A branch's target in the body and its entry in `branches`.
+        let mut branches = Vec::new();
+        let mut branch = |pc: Pc, to: Pc, cmp: CmpOp, charge: Charge| {
+            if to <= pc || to > next {
+                return None;
+            }
+            branch_ns += charge.ns;
+            branches.push(StripBranch { cmp, charge });
+            Some((to - head, branches.len() as u32 - 1))
+        };
+        let mut lins = Vec::new();
+        let mut plain = Vec::with_capacity((next - head) as usize + 1);
         for (pc, op) in (head..next).zip(&self.code.ops[head as usize..]) {
-            match *op {
-                Op::LoadF { at, ns, .. }
-                | Op::LoadI { at, ns, .. }
-                | Op::StoreF { at, ns, .. }
-                | Op::StoreI { at, ns, .. } => {
-                    let through = refs.iter_mut().find(|(reg, ..)| *reg == at)?;
-                    through.2 |= matches!(op, Op::StoreF { .. } | Op::StoreI { .. });
-                    first_ns.get_or_insert(ns);
-                    free_access |= ns == 0;
+            let (kind, d, a, b, c) = match *op {
+                Op::LoadF { dst, at, ns } => {
+                    access(at, ns, false)?;
+                    (K::LoadF, dst, at, 0, 0)
+                }
+                Op::LoadI { dst, at, ns } => {
+                    access(at, ns, false)?;
+                    (K::LoadI, dst, at, 0, 0)
+                }
+                Op::StoreF { src, at, ns } => {
+                    access(at, ns, true)?;
+                    (K::StoreF, at, src, 0, 0)
+                }
+                Op::StoreI { src, at, ns } => {
+                    access(at, ns, true)?;
+                    (K::StoreI, at, src, 0, 0)
                 }
                 Op::BrI {
-                    else_: to, charge, ..
+                    a,
+                    b,
+                    cmp,
+                    else_,
+                    charge,
+                } => {
+                    let (to, c) = branch(pc, else_, cmp, charge)?;
+                    (K::BrI, to, a, b, c)
                 }
-                | Op::BrF {
-                    else_: to, charge, ..
+                Op::BrF {
+                    a,
+                    b,
+                    cmp,
+                    else_,
+                    charge,
+                } => {
+                    let (to, c) = branch(pc, else_, cmp, charge)?;
+                    (K::BrF, to, a, b, c)
                 }
-                | Op::Jump { to, charge } => {
-                    if to <= pc || to > next {
-                        return None;
-                    }
-                    branch_ns += charge.ns;
+                // An unconditional branch compares nothing.
+                Op::Jump { to, charge } => {
+                    let (to, c) = branch(pc, to, CmpOp::Eq, charge)?;
+                    (K::Jump, to, 0, 0, c)
                 }
-                Op::AddF { .. }
-                | Op::SubF { .. }
-                | Op::MulF { .. }
-                | Op::DivF { .. }
-                | Op::RemF { .. }
-                | Op::MinF { .. }
-                | Op::MaxF { .. }
-                | Op::NegF { .. }
-                | Op::AbsF { .. }
-                | Op::SqrtF { .. }
-                | Op::LnF { .. }
-                | Op::MovF { .. }
-                | Op::IToF { .. }
-                | Op::AddI { .. }
-                | Op::SubI { .. }
-                | Op::MulI { .. }
-                | Op::DivI { .. }
-                | Op::RemI { .. }
-                | Op::MinI { .. }
-                | Op::MaxI { .. }
-                | Op::NegI { .. }
-                | Op::AbsI { .. }
-                | Op::MovI { .. }
-                | Op::FToI { .. }
-                | Op::Lin { .. } => {}
+                Op::AddF { dst, a, b } => (K::AddRRR, dst, a, b, 0),
+                Op::SubF { dst, a, b } => (K::SubRRR, dst, a, b, 0),
+                Op::MulF { dst, a, b } => (K::MulRRR, dst, a, b, 0),
+                Op::DivF { dst, a, b } => (K::DivRRR, dst, a, b, 0),
+                Op::RemF { dst, a, b } => (K::RemF, dst, a, b, 0),
+                Op::MinF { dst, a, b } => (K::MinF, dst, a, b, 0),
+                Op::MaxF { dst, a, b } => (K::MaxF, dst, a, b, 0),
+                Op::NegF { dst, a } => (K::NegF, dst, a, 0, 0),
+                Op::AbsF { dst, a } => (K::AbsF, dst, a, 0, 0),
+                Op::SqrtF { dst, a } => (K::SqrtF, dst, a, 0, 0),
+                Op::LnF { dst, a } => (K::LnF, dst, a, 0, 0),
+                Op::MovF { dst, a } => (K::MovF, dst, a, 0, 0),
+                Op::IToF { dst, a } => (K::IToF, dst, a, 0, 0),
+                Op::AddI { dst, a, b } => (K::AddI, dst, a, b, 0),
+                Op::SubI { dst, a, b } => (K::SubI, dst, a, b, 0),
+                Op::MulI { dst, a, b } => (K::MulI, dst, a, b, 0),
+                Op::DivI { dst, a, b } => (K::DivI, dst, a, b, 0),
+                Op::RemI { dst, a, b } => (K::RemI, dst, a, b, 0),
+                Op::MinI { dst, a, b } => (K::MinI, dst, a, b, 0),
+                Op::MaxI { dst, a, b } => (K::MaxI, dst, a, b, 0),
+                Op::NegI { dst, a } => (K::NegI, dst, a, 0, 0),
+                Op::AbsI { dst, a } => (K::AbsI, dst, a, 0, 0),
+                Op::MovI { dst, a } => (K::MovI, dst, a, 0, 0),
+                Op::FToI { dst, a } => (K::FToI, dst, a, 0, 0),
+                Op::Lin { dst, lin } => {
+                    lins.push(lin);
+                    (K::Lin, dst, lins.len() as u32 - 1, 0, 0)
+                }
                 Op::Addr { .. }
                 | Op::Check { .. }
                 | Op::Prefetch { .. }
@@ -1372,7 +1429,14 @@ impl<'a> Lowerer<'a> {
                 | Op::Halt
                 | Op::Enter { .. }
                 | Op::Exit => return None,
-            }
+            };
+            plain.push(StripOp {
+                kind,
+                d: narrow(d)?,
+                a: narrow(a)?,
+                b: narrow(b)?,
+                c: narrow(c)?,
+            });
         }
         // The tick count below is a fact of the body only while the
         // time a branch leaves pending cannot decide whether the access
@@ -1385,12 +1449,33 @@ impl<'a> Lowerer<'a> {
         refs.sort_by_key(|&(_, delta, _)| std::cmp::Reverse(delta.unsigned_abs()));
         let start = self.code.strip_refs.len();
         self.code.strip_refs.extend(refs);
+        // The `LoopNext` about to be emitted at `next`.
+        plain.push(StripOp {
+            kind: K::Next,
+            d: 0,
+            a: 0,
+            b: 0,
+            c: 0,
+        });
+        let strip = &mut self.code.strip;
+        let at = (strip.ops.len(), strip.lins.len(), strip.branches.len());
+        fuse(&plain, head, self.code.prog.num_fscalars, strip);
+        strip.lins.extend(lins);
+        strip.branches.extend(branches);
+        let (code, lins, branches) = (
+            span(at.0, strip.ops.len()),
+            span(at.1, strip.lins.len()),
+            span(at.2, strip.branches.len()),
+        );
         let body = self.code.accesses(head, next, tail.ns);
         Some(StripPlan {
             refs: span(start, self.code.strip_refs.len()),
             body,
             first_ns,
             max_ns: body.ns + tail.ns + branch_ns,
+            code,
+            lins,
+            branches,
         })
     }
 
@@ -1417,6 +1502,54 @@ mod tests {
     #[test]
     fn an_op_fits_half_a_cache_line() {
         assert!(std::mem::size_of::<Op>() <= 32);
+    }
+
+    #[test]
+    fn a_leaf_too_wide_for_strip_code_gets_no_plan() {
+        let lowered = |prog: &Program| {
+            let (binds, _) = ArrayBinding::sequential(prog, 4096);
+            let lp = lower(prog, &binds, &[9], CostModel::default(), false).loops[0];
+            (lp.inds.is_empty(), lp.strip.is_some())
+        };
+        // `s = x[i]`: hoisted, and a strip body.
+        let mut prog = programs::load_last();
+        assert_eq!(lowered(&prog), (false, true));
+        // The same into the 70 000th float register, which no `u16`
+        // names: still hoisted, run op by op.
+        let Stmt::For(l) = &mut prog.body[0] else {
+            unreachable!("one loop")
+        };
+        let Stmt::LetF { dst, .. } = &mut l.body[0] else {
+            unreachable!("one assignment")
+        };
+        *dst = 69_999;
+        prog.num_fscalars = 70_000;
+        assert_eq!(lowered(&prog), (false, false));
+        let (binds, bytes) = ArrayBinding::sequential(&prog, 4096);
+        let mut vm = crate::vm::MemVm::new(bytes, 4096);
+        let stats = crate::exec::run_program(&prog, &binds, &[9], CostModel::default(), &mut vm);
+        assert_eq!((stats.loads, vm.accesses), (9, 9));
+    }
+
+    #[test]
+    fn an_early_end_counts_the_accesses_in_front_of_it() {
+        use StripKind::*;
+        let prog = programs::divide_between();
+        let code = lowered(&prog, false);
+        let lp = code.loops[0];
+        let plan = lp.strip.expect("arithmetic and inductions only");
+        // A fused group on either side of the division, none across it.
+        let strip = plan.code.of(&code.strip.ops);
+        let kinds: Vec<_> = strip.iter().map(|op| op.kind).collect();
+        assert_eq!(kinds, [MulAddMMM, Lin, DivI, AddMMR, Next]);
+        // A zero divisor hands the general loop the `DivI` itself, and
+        // the part of the pass in front of it made three accesses.
+        let pc = plan.code.of(&code.strip.origin)[2];
+        assert!(matches!(code.ops[pc as usize], Op::DivI { .. }));
+        let part = code.accesses(lp.fast_body, pc, lp.tail.ns);
+        assert_eq!((part.loads, part.stores), (2, 1));
+        let whole = plan.body;
+        assert_eq!((whole.loads, whole.stores), (3, 2));
     }
 
     #[test]

@@ -696,6 +696,147 @@ pub(crate) mod programs {
         p
     }
 
+    /// The division between two statements strip code fuses:
+    /// `y[i] = 2.5*y[i] + x[i]; n = 7 / (2 - i); x[i] = x[i] + 1`. The
+    /// third iteration makes the first statement's three accesses and
+    /// stops.
+    pub fn divide_between() -> Program {
+        let mut p = Program::new("divbetween");
+        let x = p.array("x", ElemType::F64, vec![4]);
+        let y = p.array("y", ElemType::F64, vec![4]);
+        let n = p.fresh_iscalar();
+        let i = p.fresh_var();
+        let (xi, yi) = (
+            ArrayRef::affine(x, vec![var(i)]),
+            ArrayRef::affine(y, vec![var(i)]),
+        );
+        let body = vec![
+            Stmt::Store {
+                dst: yi.clone(),
+                value: Expr::add(
+                    Expr::mul(Expr::ConstF(2.5), Expr::LoadF(yi)),
+                    Expr::LoadF(xi.clone()),
+                ),
+            },
+            Stmt::LetI {
+                dst: n,
+                value: Expr::div(Expr::Lin(lin(7)), Expr::Lin(var(i).scale(-1).offset(2))),
+            },
+            Stmt::Store {
+                dst: xi.clone(),
+                value: Expr::add(Expr::LoadF(xi), Expr::ConstF(1.0)),
+            },
+        ];
+        p.body = vec![Stmt::for_(i, lin(0), lin(4), 1, body)];
+        p
+    }
+
+    /// The value one arm of the strip executor's fused kinds computes:
+    /// `arm / 8` is the operation — the four binary ones, then `x ± p·q`
+    /// and `p·q ± x` — and its low two bits say which of `x` and `q`
+    /// come from memory (`a[i]`, `b[i]`) and not from a register (the
+    /// scalar `s`, a constant). 0.7·q is inexact, so a product rounded
+    /// once instead of twice shows. (No arm adds two NaNs: which
+    /// payload survives that is up to the operand LLVM puts first, and
+    /// the tree-walker and the dispatch loop, compiled apart, already
+    /// differ on it.)
+    fn fused_value(arm: i64, i: usize, a: usize, b: usize, s: usize) -> Expr {
+        let ld = |array| Expr::LoadF(ArrayRef::affine(array, vec![var(i)]));
+        let x = if arm & 2 != 0 {
+            ld(a)
+        } else {
+            Expr::ScalarF(s)
+        };
+        let q = if arm & 1 != 0 {
+            ld(b)
+        } else {
+            Expr::ConstF(0.3)
+        };
+        let pq = |q| Expr::mul(Expr::ConstF(0.7), q);
+        match arm / 8 {
+            0 => Expr::add(x, q),
+            1 => Expr::sub(x, q),
+            2 => Expr::mul(x, q),
+            3 => Expr::div(x, q),
+            4 => Expr::add(x, pq(q)),
+            5 => Expr::add(pq(q), x),
+            6 => Expr::sub(x, pq(q)),
+            _ => Expr::sub(pq(q), x),
+        }
+    }
+
+    /// One row of `o` per arm of the fused kinds, over `n` elements: bit
+    /// 2 of the arm stores the value straight into the row, and without
+    /// it the value goes into the scalar `u` and that is stored. `s` is
+    /// loaded, not computed; both scalars are read behind the loop, so
+    /// one left unwritten shows.
+    pub fn fusions(n: i64) -> Program {
+        let mut p = Program::new("fusions");
+        let a = p.array("a", ElemType::F64, vec![n]);
+        let b = p.array("b", ElemType::F64, vec![n]);
+        let o = p.array("o", ElemType::F64, vec![64, n]);
+        let fin = p.array("fin", ElemType::F64, vec![1]);
+        let (s, u) = (p.fresh_fscalar(), p.fresh_fscalar());
+        let i = p.fresh_var();
+        let mut body = vec![Stmt::LetF {
+            dst: s,
+            value: Expr::LoadF(ArrayRef::affine(a, vec![var(i)])),
+        }];
+        for arm in 0..64 {
+            let value = fused_value(arm, i, a, b, s);
+            let dst = ArrayRef::affine(o, vec![lin(arm), var(i)]);
+            if arm & 4 != 0 {
+                body.push(Stmt::Store { dst, value });
+            } else {
+                body.push(Stmt::LetF { dst: u, value });
+                body.push(Stmt::Store {
+                    dst,
+                    value: Expr::ScalarF(u),
+                });
+            }
+        }
+        p.body = vec![
+            Stmt::for_(i, lin(0), lin(n), 1, body),
+            Stmt::Store {
+                dst: ArrayRef::affine(fin, vec![lin(0)]),
+                value: Expr::sub(Expr::ScalarF(s), Expr::ScalarF(u)),
+            },
+        ];
+        p
+    }
+
+    /// `s = 1.25; for i in 0..4 { u = <arm>; n = 7 / (2 - i) }` for an
+    /// arm that reads memory into a register: the third iteration ends
+    /// behind the arm, its one op that accesses anything, with nothing
+    /// pending — or the time the panic loses is the wrong time.
+    pub fn divide_behind(arm: i64) -> Program {
+        assert!(arm & 4 == 0 && arm & 3 != 0, "a register from memory");
+        let mut p = Program::new("divbehind");
+        let a = p.array("a", ElemType::F64, vec![4]);
+        let b = p.array("b", ElemType::F64, vec![4]);
+        let (s, u) = (p.fresh_fscalar(), p.fresh_fscalar());
+        let n = p.fresh_iscalar();
+        let i = p.fresh_var();
+        let body = vec![
+            Stmt::LetF {
+                dst: u,
+                value: fused_value(arm, i, a, b, s),
+            },
+            Stmt::LetI {
+                dst: n,
+                value: Expr::div(Expr::Lin(lin(7)), Expr::Lin(var(i).scale(-1).offset(2))),
+            },
+        ];
+        p.body = vec![
+            Stmt::LetF {
+                dst: s,
+                value: Expr::ConstF(1.25),
+            },
+            Stmt::for_(i, lin(0), lin(4), 1, body),
+        ];
+        p
+    }
+
     /// `for i below n { s = x[i] }`: the body's last op is its access,
     /// so nothing is pending behind an iteration but what a strip must
     /// not leave there.
@@ -836,17 +977,37 @@ impl Gen {
         self.rng.range(0, self.prog.arrays.len() as i64) as usize
     }
 
+    /// A leaf: a load, a scalar, a linear form, or a constant — one in
+    /// five of those a signed zero.
+    fn leaf(&mut self) -> Expr {
+        match self.rng.range(0, 6) {
+            0 | 1 => {
+                let a = self.any_array();
+                Expr::LoadF(self.reference(a, true))
+            }
+            2 => Expr::ScalarF(self.rng.pick(&self.fscalars)),
+            3 => Expr::ScalarI(self.rng.pick(&self.iscalars)),
+            4 => Expr::Lin(self.small_lin().0),
+            _ if self.rng.chance(20) => Expr::ConstF(self.rng.pick(&[0.0, -0.0])),
+            _ => Expr::ConstF(self.rng.range(-8, 9) as f64 / 4.0),
+        }
+    }
+
     fn expr(&mut self, depth: u32) -> Expr {
         if depth == 0 || self.rng.chance(25) {
-            return match self.rng.range(0, 6) {
-                0 | 1 => {
-                    let a = self.any_array();
-                    Expr::LoadF(self.reference(a, true))
-                }
-                2 => Expr::ScalarF(self.rng.pick(&self.fscalars)),
-                3 => Expr::ScalarI(self.rng.pick(&self.iscalars)),
-                4 => Expr::Lin(self.small_lin().0),
-                _ => Expr::ConstF(self.rng.range(-8, 9) as f64 / 4.0),
+            return self.leaf();
+        }
+        // The shapes strip code fuses, over leaves: `x ± p·q` and
+        // `p·q ± x`, or one operation on two of them.
+        if self.rng.chance(15) {
+            let (x, p, q) = (self.leaf(), self.leaf(), self.leaf());
+            let op = self
+                .rng
+                .pick(&[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div]);
+            return match self.rng.range(0, 3) {
+                0 => Expr::bin(op, x, Expr::mul(p, q)),
+                1 => Expr::bin(op, Expr::mul(p, q), x),
+                _ => Expr::bin(op, p, q),
             };
         }
         let a = self.expr(depth - 1);
@@ -1004,11 +1165,13 @@ fn odd_cost() -> CostModel {
 #[test]
 fn vm_matches_tree_walker() {
     use programs::*;
-    crate::dispatch::STRIPS.set([0; 4]);
+    crate::dispatch::STRIPS.set([0; 5]);
+    crate::dispatch::KINDS.set([0; 256]);
 
     // The hand-written unit programs, under a free and a priced model.
-    let units: [(Program, &[i64]); 10] = [
+    let units: [(Program, &[i64]); 11] = [
         (axpy(100), &[]),
+        (fusions(12), &[]),
         (histogram(), &[]),
         (symbolic_bound(), &[7]),
         (backwards(), &[]),
@@ -1053,6 +1216,22 @@ fn vm_matches_tree_walker() {
         assert_eq!(div.vm.calls, 8, "two load/store pairs came first");
         // And one strip from the loop's entry to its exit among these.
         check("loadlast", &load_last(), &[9], odd_cost(), seed, false);
+        // A fused op on either side of the division: the strip ends
+        // behind the first, all of its accesses made.
+        let div = check("divbetween", &divide_between(), &[], odd_cost(), seed, true);
+        assert_eq!(div.vm.calls, 26, "two iterations and three accesses more");
+        // And every fused arm that leaves a register as the last access
+        // in front of the division: nothing may be pending behind it.
+        for arm in (0..64).filter(|arm| arm & 4 == 0 && arm & 3 != 0) {
+            check(
+                "divbehind",
+                &divide_behind(arm),
+                &[],
+                odd_cost(),
+                seed,
+                false,
+            );
+        }
     }
 
     // Every kernel file, as written (detached only: a live profiler
@@ -1119,24 +1298,58 @@ fn vm_matches_tree_walker() {
         after >= 1000 && redone >= 1000,
         "and both kinds of park ({after} behind a call, {redone} with the call to redo)"
     );
-    let [taken, refused, early, inside] = crate::dispatch::STRIPS.get();
+    let [taken, refused, early, inside, early_fused] = crate::dispatch::STRIPS.get();
     assert!(
         taken >= 1000 && refused >= 1000 && early >= 3 && inside >= 10 * taken,
         "and every way a strip can go ({taken} taken with {inside} iterations inside, \
          {refused} refused, {early} ended early)"
     );
+    // Every arm of the fused kinds — `fusions` has a row for each — by
+    // family, and a zero divisor in a body with a fused op in it.
+    let kinds = crate::dispatch::KINDS.with_borrow(|kinds| *kinds);
+    let arms = &kinds[crate::strip::StripKind::AddRRR as usize..][..64];
+    let never: Vec<_> = (0..64).filter(|&arm| arms[arm] == 0).collect();
+    assert!(never.is_empty(), "fused arms never executed: {never:?}");
+    let family = |of: fn(usize) -> bool| -> u64 {
+        (0..64).filter(|&arm| of(arm)).map(|arm| arms[arm]).sum()
+    };
+    let (memory, through, multiply_add) = (
+        family(|arm| arm & 3 != 0),
+        family(|arm| arm & 4 != 0),
+        family(|arm| arm >= 32),
+    );
+    assert!(
+        memory >= 1_000_000 && through >= 1_000_000 && multiply_add >= 1_000 && early_fused >= 10,
+        "and every fusion of strip code ({memory} ops with a memory operand, {through} stored \
+         through, {multiply_add} multiply-adds, {early_fused} early ends in a fused body)"
+    );
 }
 
 /// On a VM that grants whatever is asked, every iteration of the
 /// stencil's leaf loop runs inside a strip — one strip per row — and
-/// only the outer loop's iterations are dispatched op by op.
+/// only the outer loop's iterations are dispatched op by op. The leaf
+/// body, ten ops with its `LoopNext`, is five of strip code.
 #[test]
 fn stencil_strips_every_leaf_iteration() {
+    use crate::strip::StripKind::*;
     let src = include_str!("../../../kernels/stencil.ook");
     let prog = parse_program(src).expect("stencil parses");
     let (binds, bytes) = ArrayBinding::sequential(&prog, 4096);
+    let code = crate::lower::lower(&prog, &binds, &[], CostModel::default(), false);
+    let leaf = code.loops[1];
+    assert_eq!(leaf.body - leaf.fast_body, 10);
+    let plan = leaf.strip.expect("the leaf is a strip body");
+    let kinds: Vec<_> = plan
+        .code
+        .of(&code.strip.ops)
+        .iter()
+        .map(|op| op.kind)
+        .collect();
+    // Two neighbours added from memory, two more added on, the product
+    // stored through.
+    assert_eq!(kinds, [AddRMM, AddRRM, AddRRM, MulMRR, Next]);
     let run = || {
-        crate::dispatch::STRIPS.set([0; 4]);
+        crate::dispatch::STRIPS.set([0; 5]);
         let mut vm = MemVm::new(bytes, 4096);
         let stats = run_program(&prog, &binds, &[], CostModel::default(), &mut vm);
         (stats.iters, vm.accesses, crate::dispatch::STRIPS.get())
@@ -1148,7 +1361,7 @@ fn stencil_strips_every_leaf_iteration() {
         (
             rows + rows * cols,
             5 * rows * cols,
-            [rows, 0, 0, rows * cols]
+            [rows, 0, 0, rows * cols, 0]
         )
     );
     assert_eq!(run(), first, "and again");

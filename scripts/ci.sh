@@ -38,8 +38,10 @@ stage "differential oracle, release arithmetic (bytecode == tree-walker)"
 # what every binary below actually runs. The oracle lives beside the
 # tree-walker it compares against, in crates/ir/src/oracle.rs; its
 # strip leg (strips of seeded lengths, compared by what the calls add
-# up to) and the pinned strip coverage of kernels/stencil.ook run here
-# too.
+# up to) runs here too, and with it strip code: every fused arm of the
+# strip executor is executed (the test counts them) with this build's
+# float codegen. `stencil_strips` pins the strip coverage and the fused
+# sequence of kernels/stencil.ook.
 cargo test -q --release -p oocp-ir -- vm_matches_tree_walker stencil_strips
 
 stage "differential oracle, release build (resident-hit fast path == slow path)"
@@ -67,9 +69,10 @@ cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
 stage "strips == per-op, all 16 nas_ooc cells (benchmark's traced pass vs its plain pass)"
 # A traced run makes one pass through `TracedVm`, which grants no
-# strips, and one through the `Runtime`, which does, and exits non-zero
-# if any simulated number of any cell differs between them or `MemVm`
-# disagrees on the final data.
+# strips and so runs the `Op` stream, and one through the `Runtime`,
+# which does and runs strip code, and exits non-zero if any simulated
+# number of any cell differs between them or `MemVm` disagrees on the
+# final data.
 bash benchmark/run.sh --workload nas_ooc --seconds 1 --trace 1 > /tmp/oocp-strips.$$ || {
     tail -5 /tmp/oocp-strips.$$; rm -f /tmp/oocp-strips.$$
     echo "nas_ooc traced and plain passes disagree"; exit 1; }
@@ -78,14 +81,17 @@ tail -1 /tmp/oocp-strips.$$ | grep -q '"correct":true,"attempted":48,"failed":0'
     echo "nas_ooc traced run did not verify"; exit 1; }
 rm -f /tmp/oocp-strips.$$
 
-stage "memory gates (page walks: bounded peaks that do not grow with the run)"
+stage "memory gates (bounded peaks that do not grow with the run)"
 # page_write: under parity every write-back carries a 4 KB payload until
 # it lands. It lands when its disk write completes, so the run peaks at
 # the data set's own images (about 46 MB here); held until `finish`
 # instead, the same run peaked at 171 MB and grew with its length.
 # page_read: the free list holds exactly its pages (about 19 MB; with a
 # deque that kept an entry per release it was 30, a third of it history).
-# Both again at eight times the length: a run of k passes must peak
+# nas_ooc: sixteen cells of 16 MB data sets on 8 MB machines (about
+# 27.6 MB); lowering adds a table of strip code per strip loop, and this
+# is what says per loop and not per iteration.
+# All again at eight times the length: a run of k passes must peak
 # where a run of one pass does.
 peak_rss() { # workload seconds
     local line
@@ -93,7 +99,7 @@ peak_rss() { # workload seconds
     grep -q '"correct":true' <<< "$line" || { echo "$line" >&2; echo "$1 did not verify" >&2; return 1; }
     sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<< "$line"
 }
-for gate in "page_write 64" "page_read 24"; do
+for gate in "page_write 64" "page_read 24" "nas_ooc 32"; do
     read -r W CAP <<< "$gate"
     RSS_1="$(peak_rss "$W" 1)"
     RSS_8="$(peak_rss "$W" 8)"
