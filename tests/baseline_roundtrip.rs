@@ -9,7 +9,11 @@
 //! under random fault plans drawn from the same shared generator the
 //! fault property tests use ([`FaultPlan::sample`]).
 
-use oocp::obs::baseline::{baseline_json, compare, metrics, parse_baseline, Baseline};
+use oocp::obs::baseline::{
+    baseline_json, compare, metrics, parse_baseline, Baseline, BaselineRun, Direction,
+    PolicySummary, ProfileSummary, RedundancySummary, TenantSummary,
+};
+use oocp::obs::WhylateSummary;
 use oocp::os::FaultPlan;
 use oocp::sim::SimRng;
 use oocp_bench::{report, run_workload, Config, Mode, RunSpec};
@@ -126,4 +130,124 @@ fn faulted_baseline_roundtrips_and_reproduces() {
             rep2.findings
         );
     }
+}
+
+fn bench7_text() -> String {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_7.json");
+    std::fs::read_to_string(path).expect("BENCH_7.json is checked in")
+}
+
+/// The gate file is what the writer emits for what the reader loads:
+/// parse → serialize reproduces `BENCH_7.json` byte for byte.
+#[test]
+fn bench7_reserializes_byte_identical() {
+    let text = bench7_text();
+    let b = parse_baseline(&oocp::obs::json::parse(&text).unwrap()).expect("BENCH_7 loads");
+    assert_eq!(b.runs.len(), 59);
+    let back = format!("{}\n", baseline_json(&b));
+    assert_eq!(back.len(), text.len(), "re-serialized length differs");
+    let first = back.bytes().zip(text.bytes()).position(|(x, y)| x != y);
+    assert_eq!(
+        first, None,
+        "re-serialized BENCH_7.json differs at byte {first:?}"
+    );
+}
+
+/// The gated metrics of a run that carries every optional block: the
+/// set of names and the direction each reads in. Order is not pinned.
+#[test]
+fn gated_metric_names_and_directions() {
+    use Direction::*;
+    let run = BaselineRun {
+        tenant: Some(TenantSummary::default()),
+        policy: Some(PolicySummary::default()),
+        whylate: Some(WhylateSummary::default()),
+        sim_throughput: Some(0),
+        profile: Some(ProfileSummary::default()),
+        redundancy: Some(RedundancySummary::default()),
+        ..BaselineRun::default()
+    };
+    let mut want = vec![
+        ("elapsed_ns", HigherWorse),
+        ("attr.compute_ns", Neutral),
+        ("attr.fault_overhead_ns", HigherWorse),
+        ("attr.hint_overhead_ns", HigherWorse),
+        ("attr.demand_stall_ns", HigherWorse),
+        ("attr.late_prefetch_stall_ns", HigherWorse),
+        ("attr.backpressure_stall_ns", HigherWorse),
+        ("attr.drain_idle_ns", HigherWorse),
+        ("faults.hard", HigherWorse),
+        ("faults.soft", Neutral),
+        ("faults.prefetched_hits", LowerWorse),
+        ("ledger.entries", Neutral),
+        ("ledger.timely_hits", LowerWorse),
+        ("ledger.late_inflight", HigherWorse),
+        ("ledger.dropped_no_memory", HigherWorse),
+        ("ledger.dropped_queue_full", HigherWorse),
+        ("ledger.dropped_io_error", HigherWorse),
+        ("ledger.dropped_quota", HigherWorse),
+        ("ledger.dropped_pressure", HigherWorse),
+        ("ledger.evicted_unused", HigherWorse),
+        ("ledger.unused_at_end", HigherWorse),
+        ("hist.fault_wait.count", Neutral),
+        ("hist.fault_wait.p50", HigherWorse),
+        ("hist.fault_wait.p95", HigherWorse),
+        ("hist.fault_wait.p99", HigherWorse),
+        ("hist.lead_time.count", Neutral),
+        ("hist.lead_time.p50", Neutral),
+        ("hist.lead_time.p95", Neutral),
+        ("hist.lead_time.p99", Neutral),
+        ("hist.arrival_to_use.count", Neutral),
+        ("hist.arrival_to_use.p50", Neutral),
+        ("hist.arrival_to_use.p95", Neutral),
+        ("hist.arrival_to_use.p99", Neutral),
+        ("journal.appends", HigherWorse),
+        ("journal.stalls", HigherWorse),
+        ("recovery.pages_replayed", Neutral),
+        ("recovery.pages_discarded", Neutral),
+        ("recovery.torn_detected", Neutral),
+        ("recovery.unrecoverable", HigherWorse),
+        ("recovery.recovery_ns", HigherWorse),
+        ("tenant.count", Neutral),
+        ("tenant.p95_stall_max_ns", HigherWorse),
+        ("tenant.dropped_quota", HigherWorse),
+        ("tenant.dropped_pressure", HigherWorse),
+        ("tenant.quota_evictions", HigherWorse),
+        ("policy.injected_prefetch_pages", Neutral),
+        ("policy.injected_release_pages", Neutral),
+        ("policy.window_peak", Neutral),
+        ("policy.distance_retunes", Neutral),
+        ("policy.late_rate_samples", Neutral),
+        ("policy.late_arrival_bp", HigherWorse),
+        ("whylate.late_issue_lag", HigherWorse),
+        ("whylate.late_queue_wait", HigherWorse),
+        ("whylate.late_service_time", HigherWorse),
+        ("whylate.late_journal_stall", HigherWorse),
+        ("whylate.late_degraded_pause", HigherWorse),
+        ("whylate.late_degraded_read", HigherWorse),
+        ("whylate.late_rebuild_contention", HigherWorse),
+        ("whylate.drop_no_memory", HigherWorse),
+        ("whylate.drop_queue_full", HigherWorse),
+        ("whylate.drop_io_error", HigherWorse),
+        ("whylate.drop_quota", HigherWorse),
+        ("whylate.drop_pressure", HigherWorse),
+        ("whylate.wasted_evicted_unused", HigherWorse),
+        ("whylate.wasted_unused_at_end", HigherWorse),
+        ("simthroughput.sim_ns_per_host_s", LowerWorse),
+        ("redundancy.degraded_reads", Neutral),
+        ("redundancy.degraded_read_ns", HigherWorse),
+        ("redundancy.hints_rerouted", Neutral),
+        ("redundancy.hedged_reads", Neutral),
+        ("redundancy.hedged_wins", Neutral),
+        ("redundancy.rebuild_rows", Neutral),
+        ("redundancy.rebuild_ns", HigherWorse),
+        ("redundancy.verify_mismatches", HigherWorse),
+        ("redundancy.parity_writes", HigherWorse),
+    ];
+    assert_eq!(want.len(), 75);
+    let mut got: Vec<(&str, Direction)> =
+        metrics(&run).into_iter().map(|(n, _, d)| (n, d)).collect();
+    got.sort_by_key(|(n, _)| *n);
+    want.sort_by_key(|(n, _)| *n);
+    assert_eq!(got, want);
 }
