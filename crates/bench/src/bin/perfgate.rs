@@ -252,7 +252,7 @@ fn stamp_throughput(run: &mut BaselineRun, sim_ns: u64, host: std::time::Duratio
 const PROFILE_TOP_SITES: usize = 5;
 
 /// Re-run one matrix cell under the host-time profiler and distill the
-/// compact summary stamped into a v3 baseline. This is a *second* run,
+/// compact summary stamped into the baseline. This is a *second* run,
 /// separate from the timed one, so probe overhead never leaks into the
 /// (gated, if widely allowed) `sim_throughput`; the profiled run's
 /// sim-visible state is bit-identical to the detached run by
@@ -273,7 +273,7 @@ fn profile_cell(kernel: &Kernel, spec: &ConfigSpec) -> Result<ProfileSummary, St
 
 /// Run the whole (possibly filtered) matrix and distill baseline runs.
 /// With `profile`, each single-kernel cell gets a second, profiled run
-/// whose summary is stamped as the report-only v3 `profile` block.
+/// whose summary is stamped as the report-only `profile` block.
 fn run_matrix(
     only: &Option<String>,
     overrides: &Overrides,
@@ -540,7 +540,7 @@ fn capture(o: &Options) -> Result<(), String> {
 
 fn validate(path: &str) -> Result<(), String> {
     let doc = read_json(path)?;
-    // Report the document's own schema tag (v1 and v2 both parse).
+    // Report the document's own schema tag (only v4 parses).
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
@@ -576,11 +576,11 @@ fn cell_findings<'a>(report: &'a CompareReport, key: &str) -> Vec<&'a Finding> {
     report.findings.iter().filter(|f| f.key == key).collect()
 }
 
-fn fmt_value(metric: &str, v: u64) -> String {
-    if metric.ends_with("_ns") || metric.contains(".p") {
-        format!("{}s", secs(v))
-    } else {
-        v.to_string()
+fn fmt_value(metric: &str, v: Option<u64>) -> String {
+    match v {
+        None => "absent".to_string(),
+        Some(v) if metric.ends_with("_ns") || metric.contains(".p") => format!("{}s", secs(v)),
+        Some(v) => v.to_string(),
     }
 }
 
@@ -589,15 +589,16 @@ fn print_finding(f: &Finding) {
         DriftKind::Regression => "regressed",
         DriftKind::Improvement => "improved",
         DriftKind::Shift => "shifted",
+        DriftKind::Unpaired => "unpaired",
     };
     let allowed = if f.allowed { " [allowed]" } else { "" };
     // A relative percentage over a zero base is noise; say "from zero".
-    let delta = if f.old == 0 {
-        "from 0".to_string()
-    } else if f.new == 0 {
-        "to 0".to_string()
-    } else {
-        format!("{:+.1}%", f.pct())
+    let delta = match (f.old, f.new) {
+        (None, _) => "appeared".to_string(),
+        (_, None) => "vanished".to_string(),
+        (Some(0), _) => "from 0".to_string(),
+        (_, Some(0)) => "to 0".to_string(),
+        _ => format!("{:+.1}%", f.pct()),
     };
     println!(
         "    {:<28} {tag:>9} {delta:>8}  ({} -> {}){allowed}",
@@ -697,8 +698,8 @@ fn compare(o: &Options, path: &str) -> Result<bool, String> {
     let base_index = base.index;
     eprintln!("perfgate: comparing against {path} (index {base_index})");
     // Compare runs never profile: the profile block is report-only and
-    // positionally invisible to the metric zip, so re-deriving it here
-    // would only slow the gate down.
+    // feeds no gated metric, so re-deriving it here would only slow the
+    // gate down.
     let current = run_matrix(&o.only, &o.overrides, false)?;
     // Cells excluded by --only are out of scope, not missing; likewise
     // the multi-tenant cells whenever overrides retune the scheduler

@@ -12,7 +12,7 @@
 //! double-count anything.
 
 use oocp_obs::baseline::{BaselineRun, HistSummary, PolicySummary, RedundancySummary};
-use oocp_obs::{Json, LatencyHist, TimeAttribution, WhylateSummary};
+use oocp_obs::{Json, LatencyHist, LedgerCounts, TimeAttribution, WhylateSummary};
 
 use crate::{RunResult, WriteError};
 
@@ -42,22 +42,6 @@ pub fn hist_json(h: &LatencyHist) -> Json {
     ])
 }
 
-fn attr_json(a: &TimeAttribution) -> Json {
-    Json::obj([
-        ("compute_ns", Json::U64(a.compute_ns)),
-        ("fault_overhead_ns", Json::U64(a.fault_overhead_ns)),
-        ("hint_overhead_ns", Json::U64(a.hint_overhead_ns)),
-        ("demand_stall_ns", Json::U64(a.demand_stall_ns)),
-        (
-            "late_prefetch_stall_ns",
-            Json::U64(a.late_prefetch_stall_ns),
-        ),
-        ("backpressure_stall_ns", Json::U64(a.backpressure_stall_ns)),
-        ("drain_idle_ns", Json::U64(a.drain_idle_ns)),
-        ("total_ns", Json::U64(a.total())),
-    ])
-}
-
 /// Serialize one run.
 pub fn run_json(name: &str, r: &RunResult) -> Json {
     let mut fields = vec![
@@ -75,7 +59,7 @@ pub fn run_json(name: &str, r: &RunResult) -> Json {
                 ("idle_ns", Json::U64(r.time.idle)),
             ]),
         ),
-        ("attribution", attr_json(&r.attr)),
+        ("attribution", r.attr.to_json()),
         (
             "faults",
             Json::obj([
@@ -148,26 +132,18 @@ pub fn run_json(name: &str, r: &RunResult) -> Json {
                 ("arrival_to_use", hist_json(&obs.arrival_to_use)),
                 (
                     "ledger",
-                    Json::obj([
-                        ("entries", Json::U64(obs.ledger_entries)),
-                        ("open", Json::U64(obs.ledger_open)),
-                        ("timely_hits", Json::U64(obs.ledger.timely_hits)),
-                        ("late_inflight", Json::U64(obs.ledger.late_inflight)),
-                        ("dropped_no_memory", Json::U64(obs.ledger.dropped_no_memory)),
-                        (
-                            "dropped_queue_full",
-                            Json::U64(obs.ledger.dropped_queue_full),
-                        ),
-                        ("dropped_io_error", Json::U64(obs.ledger.dropped_io_error)),
-                        ("dropped_quota", Json::U64(obs.ledger.dropped_quota)),
-                        ("dropped_pressure", Json::U64(obs.ledger.dropped_pressure)),
-                        ("evicted_unused", Json::U64(obs.ledger.evicted_unused)),
-                        ("unused_at_end", Json::U64(obs.ledger.unused_at_end)),
-                        (
+                    Json::obj(
+                        [
+                            ("entries", Json::U64(obs.ledger_entries)),
+                            ("open", Json::U64(obs.ledger_open)),
+                        ]
+                        .into_iter()
+                        .chain(obs.ledger.json_fields())
+                        .chain([(
                             "late_arrival_rate",
                             Json::F64(obs.ledger.late_arrival_rate()),
-                        ),
-                    ]),
+                        )]),
+                    ),
                 ),
                 // Whylate causal attribution: one dominant cause per
                 // late/dropped/wasted entry; partitions the ledger
@@ -313,20 +289,18 @@ pub fn redundancy_summary(r: &RunResult) -> Option<RedundancySummary> {
     })
 }
 
-fn field_u64(run: &Json, obj: &str, key: &str) -> Result<u64, String> {
-    run.get(obj)
-        .and_then(|o| o.get(key))
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing {obj}.{key}"))
-}
-
 /// Re-check the cross-layer invariants on a serialized report.
 ///
 /// * every run's seven attribution buckets sum to its `total_ns`
 ///   exactly, and that total matches `elapsed_ns` within 0.1%;
 /// * when observability data is present, the nine ledger outcomes plus
 ///   the open count sum to the entries *exactly* (a partition, not an
-///   approximation), and the histogram bucket counts sum to `count`.
+///   approximation), the whylate causes partition those outcomes, and
+///   the histogram bucket counts sum to `count`.
+///
+/// The attribution buckets and ledger outcomes are read by the same
+/// tables that write them ([`TimeAttribution::parse`],
+/// [`LedgerCounts::parse`]).
 ///
 /// Intended for CI: parse the file a binary just wrote and prove the
 /// exporter preserved the invariants end to end.
@@ -347,21 +321,12 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
             .get("elapsed_ns")
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("{name}: missing elapsed_ns"))?;
-        let mut sum = 0u64;
-        for key in [
-            "compute_ns",
-            "fault_overhead_ns",
-            "hint_overhead_ns",
-            "demand_stall_ns",
-            "late_prefetch_stall_ns",
-            "backpressure_stall_ns",
-            "drain_idle_ns",
-        ] {
-            sum += field_u64(run, "attribution", key)?;
-        }
-        if sum != field_u64(run, "attribution", "total_ns")? {
-            return Err(format!("{name}: attribution buckets do not sum to total"));
-        }
+        let attr = run
+            .get("attribution")
+            .ok_or_else(|| format!("{name}: missing attribution"))?;
+        let sum = TimeAttribution::parse(attr)
+            .map_err(|e| format!("{name}: {e}"))?
+            .total();
         let eps = (elapsed as f64 * 0.001).max(1.0);
         if (sum as f64 - elapsed as f64).abs() > eps {
             return Err(format!(
@@ -378,16 +343,8 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| format!("{name}: missing ledger.{k}"))
             };
-            let closed = get("timely_hits")?
-                + get("late_inflight")?
-                + get("dropped_no_memory")?
-                + get("dropped_queue_full")?
-                + get("dropped_io_error")?
-                + get("dropped_quota")?
-                + get("dropped_pressure")?
-                + get("evicted_unused")?
-                + get("unused_at_end")?;
-            if closed + get("open")? != get("entries")? {
+            let outcomes = LedgerCounts::parse(ledger).map_err(|e| format!("{name}: {e}"))?;
+            if outcomes.sum() + get("open")? != get("entries")? {
                 return Err(format!("{name}: ledger outcomes do not partition entries"));
             }
             // Whylate block (present in every report this version
@@ -398,28 +355,15 @@ pub fn validate_report(doc: &Json) -> Result<(), String> {
                 .get("whylate")
                 .ok_or_else(|| format!("{name}: obs block has no whylate"))?;
             let w = WhylateSummary::parse(wv).map_err(|e| format!("{name}: {e}"))?;
-            if w.late_total() != get("late_inflight")? {
+            if !w.partitions(&outcomes) {
                 return Err(format!(
-                    "{name}: whylate late causes sum {} != ledger late_inflight {}",
+                    "{name}: whylate causes do not partition the ledger outcomes \
+                     (late {} vs late_inflight {}, wasted {} vs {})",
                     w.late_total(),
-                    get("late_inflight")?
+                    outcomes.late_inflight,
+                    w.wasted_total(),
+                    outcomes.wasted()
                 ));
-            }
-            for (cause, outcome) in [
-                (w.drop_no_memory, "dropped_no_memory"),
-                (w.drop_queue_full, "dropped_queue_full"),
-                (w.drop_io_error, "dropped_io_error"),
-                (w.drop_quota, "dropped_quota"),
-                (w.drop_pressure, "dropped_pressure"),
-                (w.wasted_evicted_unused, "evicted_unused"),
-                (w.wasted_unused_at_end, "unused_at_end"),
-            ] {
-                if cause != get(outcome)? {
-                    return Err(format!(
-                        "{name}: whylate cause {cause} != ledger {outcome} {}",
-                        get(outcome)?
-                    ));
-                }
             }
             for h in ["fault_wait", "queue_wait", "lead_time", "arrival_to_use"] {
                 let hist = obs.get(h).ok_or_else(|| format!("{name}: missing {h}"))?;

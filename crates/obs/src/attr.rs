@@ -26,6 +26,9 @@
 
 use oocp_sim::time::Ns;
 
+use crate::baseline::{pairs, row, Block};
+use crate::json::Json;
+
 /// A complete attribution of a run's elapsed simulated time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TimeAttribution {
@@ -128,7 +131,43 @@ impl TimeAttribution {
             part as f64 / elapsed as f64
         }
     }
+
+    /// The seven buckets, then their `total_ns`, as a JSON object: a
+    /// baseline run's `attr` block and a run report's `attribution`.
+    pub fn to_json(&self) -> Json {
+        let total = (TOTAL_NS, Json::U64(self.total()));
+        Json::obj(pairs(self, ATTR.fields).chain([total]))
+    }
+
+    /// Parse a [`TimeAttribution::to_json`] object; its `total_ns`
+    /// must be the buckets' sum.
+    pub fn parse(v: &Json) -> Result<Self, String> {
+        let a = ATTR.parse(v)?;
+        match v.get(TOTAL_NS).and_then(Json::as_u64) {
+            Some(total) if total == a.total() => Ok(a),
+            Some(total) => Err(format!(
+                "attribution buckets sum to {} but {TOTAL_NS} is {total}",
+                a.total()
+            )),
+            None => Err(format!("{} missing {TOTAL_NS}", ATTR.key)),
+        }
+    }
 }
+
+/// The buckets as rows of the baseline schema (`oocp_obs::baseline`).
+#[rustfmt::skip]
+pub(crate) const ATTR: Block<TimeAttribution> = Block { key: "attr", fields: &[
+    row!("compute_ns", "attr.compute_ns", Neutral, compute_ns),
+    row!("fault_overhead_ns", "attr.fault_overhead_ns", HigherWorse, fault_overhead_ns),
+    row!("hint_overhead_ns", "attr.hint_overhead_ns", HigherWorse, hint_overhead_ns),
+    row!("demand_stall_ns", "attr.demand_stall_ns", HigherWorse, demand_stall_ns),
+    row!("late_prefetch_stall_ns", "attr.late_prefetch_stall_ns", HigherWorse, late_prefetch_stall_ns),
+    row!("backpressure_stall_ns", "attr.backpressure_stall_ns", HigherWorse, backpressure_stall_ns),
+    row!("drain_idle_ns", "attr.drain_idle_ns", HigherWorse, drain_idle_ns),
+]};
+
+/// The buckets' derived sum, written after them and checked on read.
+const TOTAL_NS: &str = "total_ns";
 
 #[cfg(test)]
 mod tests {

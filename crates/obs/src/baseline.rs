@@ -1,35 +1,143 @@
 //! Versioned performance baselines: the across-run half of the
 //! observability story.
 //!
-//! The within-run layer (attribution, ledger, histograms) explains one
-//! execution; this module makes those numbers *comparable across
-//! commits*. A capture run of the benchmark matrix is serialized as an
-//! `oocp-bench-v4` document (`BENCH_<n>.json` at the repo root); a
-//! later compare run re-executes the same matrix and diffs every metric
-//! against the stored trajectory entry. The simulator is deterministic,
-//! so the default contract is *identical-by-default*: any drift at all
-//! is a gate finding unless an explicit [`Allowance`] (from a
-//! `--allow metric=pct` flag or a checked-in `perf-allowances.toml`)
-//! declares the change intentional and bounds it.
+//! A capture of the benchmark matrix is serialized as an `oocp-bench-v4`
+//! document (`BENCH_<n>.json`); a compare run re-executes the matrix and
+//! diffs every metric against it. The simulator is deterministic, so any
+//! drift — slower, faster or sideways — is a gate finding unless an
+//! [`Allowance`] (`--allow metric=pct`, `perf-allowances.toml`) declares
+//! and bounds it. Only v4 loads: `BENCH_1`–`BENCH_6` are history.
 //!
-//! Only the current schema loads. `BENCH_1`–`BENCH_6` (v1–v3) stay in
-//! the tree as read-only history of the trajectory and are rejected by
-//! their tag; `BENCH_7.json` is the gate.
-//!
-//! Direction matters for reading a report, not for gating: a lower
-//! elapsed time is an *improvement* and a higher one a *regression*,
-//! but both are drift and both fail the gate until the baseline is
-//! re-captured — that is what keeps the committed trajectory honest.
+//! The schema is written once, as tables: each `u64` is one row holding
+//! its JSON key, the gated metric it is compared as, that metric's
+//! direction, and the field it lives in. The writer, the reader and
+//! [`metrics`] walk the same rows, so a new field is one row and a new
+//! block one table.
 
+use crate::attr::ATTR;
+use crate::ledger::OUTCOMES;
+use crate::whylate::WHYLATE;
 use crate::{Json, LatencyHist, LedgerCounts, TimeAttribution, WhylateSummary};
 
 /// The schema identifier, written by every capture and the only one
-/// accepted on read. Optional per-run blocks (`whylate`,
-/// `sim_throughput`, the report-only `profile`, `redundancy`) are each
-/// complete or absent, and their metrics ride strictly behind the
-/// always-present ones so positional compare stays aligned between
-/// cells with and without them.
+/// accepted on read. Every key is required except the optional per-run
+/// blocks (`tenant`, `policy`, `whylate`, `sim_throughput`, the
+/// report-only `profile`, `redundancy`), each complete or absent.
 pub const SCHEMA_V4: &str = "oocp-bench-v4";
+
+/// How a metric's drift reads in a report.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Direction {
+    /// An increase is worse (elapsed time, stalls, drops).
+    HigherWorse,
+    /// A decrease is worse (coverage-style counters).
+    LowerWorse,
+    /// Neither direction is inherently bad; drift still gates.
+    Neutral,
+}
+
+/// One `u64` of the schema: its JSON key, the gated metric it is
+/// compared as (`None`: stored, never gated), that metric's direction,
+/// and how to read and write it in a `T`.
+pub(crate) struct Field<T> {
+    pub(crate) key: &'static str,
+    pub(crate) metric: Option<&'static str>,
+    pub(crate) dir: Direction,
+    pub(crate) get: fn(&T) -> u64,
+    pub(crate) set: fn(&mut T, u64),
+}
+
+/// `row!(key, metric, Direction, path.to.field)` is a gated [`Field`]
+/// of a struct (no path: of a bare `u64`); `row!(key, path.to.field)`
+/// is one stored but not gated.
+macro_rules! row {
+    (@ $key:literal, $metric:expr, $dir:ident; $($f:ident).*) => {
+        $crate::baseline::Field {
+            key: $key,
+            metric: $metric,
+            dir: $crate::baseline::Direction::$dir,
+            get: |t| (*t)$(.$f)*,
+            set: |t, v| (*t)$(.$f)* = v,
+        }
+    };
+    ($key:literal, $metric:literal, $dir:ident $(, $($f:ident).+)?) => {
+        $crate::baseline::row!(@ $key, Some($metric), $dir; $($($f).+)?)
+    };
+    ($key:literal, $($f:ident).+) => {
+        $crate::baseline::row!(@ $key, None, Neutral; $($f).+)
+    };
+}
+pub(crate) use row;
+
+/// A JSON object of [`Field`]s, stored under `key` in its parent.
+pub(crate) struct Block<T: 'static> {
+    pub(crate) key: &'static str,
+    pub(crate) fields: &'static [Field<T>],
+}
+
+impl<T: Default> Block<T> {
+    fn entry(&self, t: &T) -> (&'static str, Json) {
+        (self.key, Json::obj(pairs(t, self.fields)))
+    }
+
+    /// Read the block's own object `v` into `t`; an error names the
+    /// block and the missing key.
+    fn fill(&self, v: &Json, t: &mut T) -> Result<(), String> {
+        read_fields(v, t, self.fields).map_err(|e| format!("{} {e}", self.key))
+    }
+
+    /// Read the block of `parent`, which must have it, into `t`.
+    fn read(&self, parent: &Json, t: &mut T) -> Result<(), String> {
+        self.fill(req(parent, self.key, Some)?, t)
+    }
+
+    /// Parse the block's own object `v`.
+    pub(crate) fn parse(&self, v: &Json) -> Result<T, String> {
+        let mut t = T::default();
+        self.fill(v, &mut t).map(|()| t)
+    }
+
+    /// An optional block of `parent`: absent is `None`, present must be
+    /// complete.
+    fn find(&self, parent: &Json) -> Result<Option<T>, String> {
+        parent.get(self.key).map(|v| self.parse(v)).transpose()
+    }
+}
+
+pub(crate) fn pairs<'a, T>(
+    t: &'a T,
+    fields: &'a [Field<T>],
+) -> impl Iterator<Item = (&'static str, Json)> + 'a {
+    fields.iter().map(move |f| (f.key, Json::U64((f.get)(t))))
+}
+
+fn read_fields<T>(v: &Json, t: &mut T, fields: &[Field<T>]) -> Result<(), String> {
+    for f in fields {
+        (f.set)(t, req(v, f.key, Json::as_u64)?);
+    }
+    Ok(())
+}
+
+type Metric = (&'static str, u64, Direction);
+
+/// Push the gated `fields` of each of `ts`: a block, or an optional
+/// block's zero or one.
+fn gate<'a, T: 'a>(ts: impl IntoIterator<Item = &'a T>, fields: &[Field<T>], m: &mut Vec<Metric>) {
+    for t in ts {
+        let gated = fields
+            .iter()
+            .filter_map(|f| Some((f.metric?, (f.get)(t), f.dir)));
+        m.extend(gated);
+    }
+}
+
+/// `v[key]` viewed `as_t`; absent or of another type is an error
+/// naming the key.
+fn req<'a, T>(v: &'a Json, key: &str, as_t: fn(&'a Json) -> Option<T>) -> Result<T, String> {
+    v.get(key)
+        .and_then(as_t)
+        .ok_or_else(|| format!("missing {key}"))
+}
 
 /// Compact summary of a [`LatencyHist`]: the quantiles the trajectory
 /// tracks, without the 64 raw buckets.
@@ -55,24 +163,6 @@ impl HistSummary {
             p99: h.p99(),
         }
     }
-
-    fn to_json(self) -> Json {
-        Json::obj([
-            ("count", Json::U64(self.count)),
-            ("p50_ns", Json::U64(self.p50)),
-            ("p95_ns", Json::U64(self.p95)),
-            ("p99_ns", Json::U64(self.p99)),
-        ])
-    }
-
-    fn parse(v: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(Self {
-            count: req_u64(v, "count", ctx)?,
-            p50: req_u64(v, "p50_ns", ctx)?,
-            p95: req_u64(v, "p95_ns", ctx)?,
-            p99: req_u64(v, "p99_ns", ctx)?,
-        })
-    }
 }
 
 /// Multi-tenant summary of a co-scheduled run: the fairness numbers
@@ -90,31 +180,6 @@ pub struct TenantSummary {
     pub hints_dropped_pressure: u64,
     /// Frames an over-quota tenant recycled from its own segment.
     pub quota_evictions: u64,
-}
-
-impl TenantSummary {
-    fn to_json(self) -> Json {
-        Json::obj([
-            ("count", Json::U64(self.count)),
-            ("p95_stall_max_ns", Json::U64(self.p95_stall_max_ns)),
-            ("hints_dropped_quota", Json::U64(self.hints_dropped_quota)),
-            (
-                "hints_dropped_pressure",
-                Json::U64(self.hints_dropped_pressure),
-            ),
-            ("quota_evictions", Json::U64(self.quota_evictions)),
-        ])
-    }
-
-    fn parse(v: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(Self {
-            count: req_u64(v, "count", ctx)?,
-            p95_stall_max_ns: req_u64(v, "p95_stall_max_ns", ctx)?,
-            hints_dropped_quota: req_u64(v, "hints_dropped_quota", ctx)?,
-            hints_dropped_pressure: req_u64(v, "hints_dropped_pressure", ctx)?,
-            quota_evictions: req_u64(v, "quota_evictions", ctx)?,
-        })
-    }
 }
 
 /// Prefetch-policy summary of a run that raced a policy against (or
@@ -139,46 +204,9 @@ pub struct PolicySummary {
     pub late_arrival_bp: u64,
 }
 
-impl PolicySummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::Str(self.name.clone())),
-            (
-                "injected_prefetch_pages",
-                Json::U64(self.injected_prefetch_pages),
-            ),
-            (
-                "injected_release_pages",
-                Json::U64(self.injected_release_pages),
-            ),
-            ("window_peak", Json::U64(self.window_peak)),
-            ("distance_retunes", Json::U64(self.distance_retunes)),
-            ("late_rate_samples", Json::U64(self.late_rate_samples)),
-            ("late_arrival_bp", Json::U64(self.late_arrival_bp)),
-        ])
-    }
-
-    fn parse(v: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(Self {
-            name: v
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{ctx}: policy block missing name"))?
-                .to_string(),
-            injected_prefetch_pages: req_u64(v, "injected_prefetch_pages", ctx)?,
-            injected_release_pages: req_u64(v, "injected_release_pages", ctx)?,
-            window_peak: req_u64(v, "window_peak", ctx)?,
-            distance_retunes: req_u64(v, "distance_retunes", ctx)?,
-            late_rate_samples: req_u64(v, "late_rate_samples", ctx)?,
-            late_arrival_bp: req_u64(v, "late_arrival_bp", ctx)?,
-        })
-    }
-}
-
 /// Redundancy summary of a parity cell: the degraded-read, hedging,
 /// and rebuild counters the `redundancy` matrix gates on. Absent for
-/// `--redundancy none` cells, so every pre-parity cell keeps its exact
-/// metric list.
+/// `--redundancy none` cells.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RedundancySummary {
     /// Demand reads served by survivor fan-out reconstruction.
@@ -202,36 +230,6 @@ pub struct RedundancySummary {
     pub parity_writes: u64,
 }
 
-impl RedundancySummary {
-    fn to_json(self) -> Json {
-        Json::obj([
-            ("degraded_reads", Json::U64(self.degraded_reads)),
-            ("degraded_read_ns", Json::U64(self.degraded_read_ns)),
-            ("hints_rerouted", Json::U64(self.hints_rerouted)),
-            ("hedged_reads", Json::U64(self.hedged_reads)),
-            ("hedged_wins", Json::U64(self.hedged_wins)),
-            ("rebuild_rows", Json::U64(self.rebuild_rows)),
-            ("rebuild_ns", Json::U64(self.rebuild_ns)),
-            ("verify_mismatches", Json::U64(self.verify_mismatches)),
-            ("parity_writes", Json::U64(self.parity_writes)),
-        ])
-    }
-
-    fn parse(v: &Json, ctx: &str) -> Result<Self, String> {
-        Ok(Self {
-            degraded_reads: req_u64(v, "degraded_reads", ctx)?,
-            degraded_read_ns: req_u64(v, "degraded_read_ns", ctx)?,
-            hints_rerouted: req_u64(v, "hints_rerouted", ctx)?,
-            hedged_reads: req_u64(v, "hedged_reads", ctx)?,
-            hedged_wins: req_u64(v, "hedged_wins", ctx)?,
-            rebuild_rows: req_u64(v, "rebuild_rows", ctx)?,
-            rebuild_ns: req_u64(v, "rebuild_ns", ctx)?,
-            verify_mismatches: req_u64(v, "verify_mismatches", ctx)?,
-            parity_writes: req_u64(v, "parity_writes", ctx)?,
-        })
-    }
-}
-
 /// Compact host-time profile of one cell: where the interpreter and
 /// machine spent wall-clock time while executing it. Stamped by
 /// `perfgate --capture --profile` from a second, profiled run of the
@@ -249,49 +247,6 @@ pub struct ProfileSummary {
     /// Top self-time sites as (`;`-joined site path, self ns), in
     /// descending self-time order.
     pub sites: Vec<(String, u64)>,
-}
-
-impl ProfileSummary {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("total_host_ns", Json::U64(self.total_host_ns)),
-            (
-                "sites",
-                Json::Arr(
-                    self.sites
-                        .iter()
-                        .map(|(path, ns)| {
-                            Json::obj([
-                                ("path", Json::Str(path.clone())),
-                                ("self_ns", Json::U64(*ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    fn parse(v: &Json, ctx: &str) -> Result<Self, String> {
-        let sites_v = v
-            .get("sites")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| format!("{ctx}: profile block missing sites array"))?;
-        let mut sites = Vec::with_capacity(sites_v.len());
-        for s in sites_v {
-            let path = s
-                .get("path")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{ctx}: profile site missing path"))?
-                .to_string();
-            let ns = req_u64(s, "self_ns", ctx)?;
-            sites.push((path, ns));
-        }
-        Ok(Self {
-            total_host_ns: req_u64(v, "total_host_ns", ctx)?,
-            sites,
-        })
-    }
 }
 
 /// One benchmark execution in the trajectory: a (kernel, config) cell
@@ -342,227 +297,23 @@ pub struct BaselineRun {
     pub recovery_unrecoverable: u64,
     /// Simulated time the recovery pass took (zero if never crashed).
     pub recovery_ns: u64,
-    /// Multi-tenant fairness summary; `None` for solo cells and for
-    /// baselines captured before the multi-tenant machine existed.
+    /// Multi-tenant fairness summary; `None` for solo cells.
     pub tenant: Option<TenantSummary>,
-    /// Prefetch-policy summary; `None` for compiler-only cells and for
-    /// baselines captured before the policy subsystem existed.
+    /// Prefetch-policy summary; `None` for compiler-only cells.
     pub policy: Option<PolicySummary>,
     /// Whylate causal attribution of the cell's late/dropped/wasted
-    /// prefetches; `None` for baselines captured before the telemetry
-    /// subsystem existed.
+    /// prefetches; `None` for runs without the observability layer.
     pub whylate: Option<WhylateSummary>,
     /// Simulated nanoseconds advanced per host-wall-clock second while
     /// executing the cell. Wall-clock-derived and therefore noisy —
     /// gated only under a wide `simthroughput.*` allowance band.
-    /// `None` for pre-v2 baselines.
+    /// `None` outside a matrix capture.
     pub sim_throughput: Option<u64>,
-    /// v3 addition: compact host-time profile summary. Report-only —
-    /// deliberately excluded from [`metrics`] and therefore never
-    /// gated. `None` for pre-v3 baselines and unprofiled captures.
+    /// Compact host-time profile summary. Report-only — never in
+    /// [`metrics`]. `None` for unprofiled captures.
     pub profile: Option<ProfileSummary>,
-    /// v4 addition: parity redundancy counters. `None` for
-    /// `--redundancy none` cells and pre-v4 baselines.
+    /// Parity redundancy counters. `None` for `--redundancy none` cells.
     pub redundancy: Option<RedundancySummary>,
-}
-
-/// How a metric's drift reads in a report.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// An increase is worse (elapsed time, stalls, drops).
-    HigherWorse,
-    /// A decrease is worse (coverage-style counters).
-    LowerWorse,
-    /// Neither direction is inherently bad; drift still gates.
-    Neutral,
-}
-
-/// The gated metrics of one run, in a stable order, with the direction
-/// each one reads in. `checksum` is deliberately absent — it is
-/// compared separately and can never be allowed.
-pub fn metrics(r: &BaselineRun) -> Vec<(&'static str, u64, Direction)> {
-    use Direction::*;
-    let a = &r.attr;
-    let mut m = vec![
-        ("elapsed_ns", r.elapsed_ns, HigherWorse),
-        ("attr.compute_ns", a.compute_ns, Neutral),
-        ("attr.fault_overhead_ns", a.fault_overhead_ns, HigherWorse),
-        ("attr.hint_overhead_ns", a.hint_overhead_ns, HigherWorse),
-        ("attr.demand_stall_ns", a.demand_stall_ns, HigherWorse),
-        (
-            "attr.late_prefetch_stall_ns",
-            a.late_prefetch_stall_ns,
-            HigherWorse,
-        ),
-        (
-            "attr.backpressure_stall_ns",
-            a.backpressure_stall_ns,
-            HigherWorse,
-        ),
-        ("attr.drain_idle_ns", a.drain_idle_ns, HigherWorse),
-        ("faults.hard", r.hard_faults, HigherWorse),
-        ("faults.soft", r.soft_faults, Neutral),
-        ("faults.prefetched_hits", r.prefetched_hits, LowerWorse),
-        ("ledger.entries", r.ledger_entries, Neutral),
-        ("ledger.timely_hits", r.ledger.timely_hits, LowerWorse),
-        ("ledger.late_inflight", r.ledger.late_inflight, HigherWorse),
-        (
-            "ledger.dropped_no_memory",
-            r.ledger.dropped_no_memory,
-            HigherWorse,
-        ),
-        (
-            "ledger.dropped_queue_full",
-            r.ledger.dropped_queue_full,
-            HigherWorse,
-        ),
-        (
-            "ledger.dropped_io_error",
-            r.ledger.dropped_io_error,
-            HigherWorse,
-        ),
-        ("ledger.dropped_quota", r.ledger.dropped_quota, HigherWorse),
-        (
-            "ledger.dropped_pressure",
-            r.ledger.dropped_pressure,
-            HigherWorse,
-        ),
-        (
-            "ledger.evicted_unused",
-            r.ledger.evicted_unused,
-            HigherWorse,
-        ),
-        ("ledger.unused_at_end", r.ledger.unused_at_end, HigherWorse),
-        ("hist.fault_wait.count", r.fault_wait.count, Neutral),
-        ("hist.fault_wait.p50", r.fault_wait.p50, HigherWorse),
-        ("hist.fault_wait.p95", r.fault_wait.p95, HigherWorse),
-        ("hist.fault_wait.p99", r.fault_wait.p99, HigherWorse),
-        ("hist.lead_time.count", r.lead_time.count, Neutral),
-        ("hist.lead_time.p50", r.lead_time.p50, Neutral),
-        ("hist.lead_time.p95", r.lead_time.p95, Neutral),
-        ("hist.lead_time.p99", r.lead_time.p99, Neutral),
-        ("hist.arrival_to_use.count", r.arrival_to_use.count, Neutral),
-        ("hist.arrival_to_use.p50", r.arrival_to_use.p50, Neutral),
-        ("hist.arrival_to_use.p95", r.arrival_to_use.p95, Neutral),
-        ("hist.arrival_to_use.p99", r.arrival_to_use.p99, Neutral),
-        ("journal.appends", r.journal_appends, HigherWorse),
-        ("journal.stalls", r.journal_stalls, HigherWorse),
-        ("recovery.pages_replayed", r.recovery_replayed, Neutral),
-        ("recovery.pages_discarded", r.recovery_discarded, Neutral),
-        ("recovery.torn_detected", r.recovery_torn, Neutral),
-        (
-            "recovery.unrecoverable",
-            r.recovery_unrecoverable,
-            HigherWorse,
-        ),
-        ("recovery.recovery_ns", r.recovery_ns, HigherWorse),
-    ];
-    if let Some(t) = &r.tenant {
-        m.push(("tenant.count", t.count, Neutral));
-        m.push(("tenant.p95_stall_max_ns", t.p95_stall_max_ns, HigherWorse));
-        m.push(("tenant.dropped_quota", t.hints_dropped_quota, HigherWorse));
-        m.push((
-            "tenant.dropped_pressure",
-            t.hints_dropped_pressure,
-            HigherWorse,
-        ));
-        m.push(("tenant.quota_evictions", t.quota_evictions, HigherWorse));
-    }
-    if let Some(p) = &r.policy {
-        m.push((
-            "policy.injected_prefetch_pages",
-            p.injected_prefetch_pages,
-            Neutral,
-        ));
-        m.push((
-            "policy.injected_release_pages",
-            p.injected_release_pages,
-            Neutral,
-        ));
-        m.push(("policy.window_peak", p.window_peak, Neutral));
-        m.push(("policy.distance_retunes", p.distance_retunes, Neutral));
-        m.push(("policy.late_rate_samples", p.late_rate_samples, Neutral));
-        m.push(("policy.late_arrival_bp", p.late_arrival_bp, HigherWorse));
-    }
-    // v2 additions ride strictly at the tail: compare() zips metric
-    // lists positionally, so a BENCH_4-era cell (whylate/sim_throughput
-    // absent) zips against the same prefix of a v2 capture and the new
-    // tail goes uncompared — which is exactly the backward-compat
-    // contract.
-    if let Some(w) = &r.whylate {
-        m.push(("whylate.late_issue_lag", w.late_issue_lag, HigherWorse));
-        m.push(("whylate.late_queue_wait", w.late_queue_wait, HigherWorse));
-        m.push((
-            "whylate.late_service_time",
-            w.late_service_time,
-            HigherWorse,
-        ));
-        m.push((
-            "whylate.late_journal_stall",
-            w.late_journal_stall,
-            HigherWorse,
-        ));
-        m.push((
-            "whylate.late_degraded_pause",
-            w.late_degraded_pause,
-            HigherWorse,
-        ));
-        m.push(("whylate.drop_no_memory", w.drop_no_memory, HigherWorse));
-        m.push(("whylate.drop_queue_full", w.drop_queue_full, HigherWorse));
-        m.push(("whylate.drop_io_error", w.drop_io_error, HigherWorse));
-        m.push(("whylate.drop_quota", w.drop_quota, HigherWorse));
-        m.push(("whylate.drop_pressure", w.drop_pressure, HigherWorse));
-        m.push((
-            "whylate.wasted_evicted_unused",
-            w.wasted_evicted_unused,
-            HigherWorse,
-        ));
-        m.push((
-            "whylate.wasted_unused_at_end",
-            w.wasted_unused_at_end,
-            HigherWorse,
-        ));
-    }
-    if let Some(st) = r.sim_throughput {
-        m.push(("simthroughput.sim_ns_per_host_s", st, LowerWorse));
-    }
-    // v4 additions ride behind the entire v2/v3 tail for the same
-    // positional reason: a BENCH_6-era cell's whylate block parses with
-    // the two redundancy causes defaulted to zero, so its metric list
-    // matches a fresh non-parity capture element for element, and the
-    // `redundancy` block only exists on parity cells (all new keys).
-    if let Some(w) = &r.whylate {
-        m.push((
-            "whylate.late_degraded_read",
-            w.late_degraded_read,
-            HigherWorse,
-        ));
-        m.push((
-            "whylate.late_rebuild_contention",
-            w.late_rebuild_contention,
-            HigherWorse,
-        ));
-    }
-    if let Some(rd) = &r.redundancy {
-        m.push(("redundancy.degraded_reads", rd.degraded_reads, Neutral));
-        m.push((
-            "redundancy.degraded_read_ns",
-            rd.degraded_read_ns,
-            HigherWorse,
-        ));
-        m.push(("redundancy.hints_rerouted", rd.hints_rerouted, Neutral));
-        m.push(("redundancy.hedged_reads", rd.hedged_reads, Neutral));
-        m.push(("redundancy.hedged_wins", rd.hedged_wins, Neutral));
-        m.push(("redundancy.rebuild_rows", rd.rebuild_rows, Neutral));
-        m.push(("redundancy.rebuild_ns", rd.rebuild_ns, HigherWorse));
-        m.push((
-            "redundancy.verify_mismatches",
-            rd.verify_mismatches,
-            HigherWorse,
-        ));
-        m.push(("redundancy.parity_writes", rd.parity_writes, HigherWorse));
-    }
-    m
 }
 
 impl BaselineRun {
@@ -582,265 +333,225 @@ pub struct Baseline {
     /// One entry per (kernel, config) cell.
     pub runs: Vec<BaselineRun>,
     /// Aggregate whylate cause vector across every cell (the sum of the
-    /// per-run blocks); `None` for pre-v2 baselines.
+    /// per-run blocks); `None` when no cell carried one.
     pub whylate: Option<WhylateSummary>,
 }
 
-fn attr_json(a: &TimeAttribution) -> Json {
-    Json::obj([
-        ("compute_ns", Json::U64(a.compute_ns)),
-        ("fault_overhead_ns", Json::U64(a.fault_overhead_ns)),
-        ("hint_overhead_ns", Json::U64(a.hint_overhead_ns)),
-        ("demand_stall_ns", Json::U64(a.demand_stall_ns)),
-        (
-            "late_prefetch_stall_ns",
-            Json::U64(a.late_prefetch_stall_ns),
-        ),
-        ("backpressure_stall_ns", Json::U64(a.backpressure_stall_ns)),
-        ("drain_idle_ns", Json::U64(a.drain_idle_ns)),
-        ("total_ns", Json::U64(a.total())),
-    ])
+// The v4 schema, in document order. `kernel`, `config`, the policy's
+// `name` and the profile's `sites` are strings and stay hand-written;
+// the attribution, ledger-outcome and whylate rows sit beside their
+// structs (`attr.rs`, `ledger.rs`, `whylate.rs`).
+
+/// The document's scalars, after `schema`.
+const DOC: &[Field<Baseline>] = &[row!("index", index), row!("seed", seed)];
+
+/// A run's scalars, after `kernel` and `config`. The checksum is
+/// compared on its own and can never be allowed.
+const TOP: &[Field<BaselineRun>] = &[
+    row!("elapsed_ns", "elapsed_ns", HigherWorse, elapsed_ns),
+    row!("checksum", checksum),
+];
+
+#[rustfmt::skip]
+const FAULTS: Block<BaselineRun> = Block { key: "faults", fields: &[
+    row!("hard", "faults.hard", HigherWorse, hard_faults),
+    row!("soft", "faults.soft", Neutral, soft_faults),
+    row!("prefetched_hits", "faults.prefetched_hits", LowerWorse, prefetched_hits),
+]};
+
+/// The `ledger` block: its `entries`, then the nine [`OUTCOMES`].
+#[rustfmt::skip]
+const LEDGER: Block<BaselineRun> = Block { key: OUTCOMES.key, fields: &[row!("entries", "ledger.entries", Neutral, ledger_entries)] };
+
+/// The `hist` block: one object per histogram.
+const HIST: &str = "hist";
+#[rustfmt::skip]
+const HISTS: [Block<BaselineRun>; 3] = [
+    Block { key: "fault_wait", fields: &[
+        row!("count", "hist.fault_wait.count", Neutral, fault_wait.count),
+        row!("p50_ns", "hist.fault_wait.p50", HigherWorse, fault_wait.p50),
+        row!("p95_ns", "hist.fault_wait.p95", HigherWorse, fault_wait.p95),
+        row!("p99_ns", "hist.fault_wait.p99", HigherWorse, fault_wait.p99),
+    ]},
+    Block { key: "lead_time", fields: &[
+        row!("count", "hist.lead_time.count", Neutral, lead_time.count),
+        row!("p50_ns", "hist.lead_time.p50", Neutral, lead_time.p50),
+        row!("p95_ns", "hist.lead_time.p95", Neutral, lead_time.p95),
+        row!("p99_ns", "hist.lead_time.p99", Neutral, lead_time.p99),
+    ]},
+    Block { key: "arrival_to_use", fields: &[
+        row!("count", "hist.arrival_to_use.count", Neutral, arrival_to_use.count),
+        row!("p50_ns", "hist.arrival_to_use.p50", Neutral, arrival_to_use.p50),
+        row!("p95_ns", "hist.arrival_to_use.p95", Neutral, arrival_to_use.p95),
+        row!("p99_ns", "hist.arrival_to_use.p99", Neutral, arrival_to_use.p99),
+    ]},
+];
+
+#[rustfmt::skip]
+const RECOVERY: Block<BaselineRun> = Block { key: "recovery", fields: &[
+    row!("journal_appends", "journal.appends", HigherWorse, journal_appends),
+    row!("journal_stalls", "journal.stalls", HigherWorse, journal_stalls),
+    row!("pages_replayed", "recovery.pages_replayed", Neutral, recovery_replayed),
+    row!("pages_discarded", "recovery.pages_discarded", Neutral, recovery_discarded),
+    row!("torn_detected", "recovery.torn_detected", Neutral, recovery_torn),
+    row!("unrecoverable", "recovery.unrecoverable", HigherWorse, recovery_unrecoverable),
+    row!("recovery_ns", "recovery.recovery_ns", HigherWorse, recovery_ns),
+]};
+
+#[rustfmt::skip]
+const TENANT: Block<TenantSummary> = Block { key: "tenant", fields: &[
+    row!("count", "tenant.count", Neutral, count),
+    row!("p95_stall_max_ns", "tenant.p95_stall_max_ns", HigherWorse, p95_stall_max_ns),
+    row!("hints_dropped_quota", "tenant.dropped_quota", HigherWorse, hints_dropped_quota),
+    row!("hints_dropped_pressure", "tenant.dropped_pressure", HigherWorse, hints_dropped_pressure),
+    row!("quota_evictions", "tenant.quota_evictions", HigherWorse, quota_evictions),
+]};
+
+/// The policy block, after the policy's `name`.
+#[rustfmt::skip]
+const POLICY: Block<PolicySummary> = Block { key: "policy", fields: &[
+    row!("injected_prefetch_pages", "policy.injected_prefetch_pages", Neutral, injected_prefetch_pages),
+    row!("injected_release_pages", "policy.injected_release_pages", Neutral, injected_release_pages),
+    row!("window_peak", "policy.window_peak", Neutral, window_peak),
+    row!("distance_retunes", "policy.distance_retunes", Neutral, distance_retunes),
+    row!("late_rate_samples", "policy.late_rate_samples", Neutral, late_rate_samples),
+    row!("late_arrival_bp", "policy.late_arrival_bp", HigherWorse, late_arrival_bp),
+]};
+
+/// A run-level scalar, not a block: present when stamped.
+#[rustfmt::skip]
+const SIM_THROUGHPUT: &[Field<u64>] = &[row!("sim_throughput", "simthroughput.sim_ns_per_host_s", LowerWorse)];
+
+/// The profile block, before its `sites`; nothing in it is gated.
+#[rustfmt::skip]
+const PROFILE: Block<ProfileSummary> = Block { key: "profile", fields: &[row!("total_host_ns", total_host_ns)] };
+
+#[rustfmt::skip]
+const REDUNDANCY: Block<RedundancySummary> = Block { key: "redundancy", fields: &[
+    row!("degraded_reads", "redundancy.degraded_reads", Neutral, degraded_reads),
+    row!("degraded_read_ns", "redundancy.degraded_read_ns", HigherWorse, degraded_read_ns),
+    row!("hints_rerouted", "redundancy.hints_rerouted", Neutral, hints_rerouted),
+    row!("hedged_reads", "redundancy.hedged_reads", Neutral, hedged_reads),
+    row!("hedged_wins", "redundancy.hedged_wins", Neutral, hedged_wins),
+    row!("rebuild_rows", "redundancy.rebuild_rows", Neutral, rebuild_rows),
+    row!("rebuild_ns", "redundancy.rebuild_ns", HigherWorse, rebuild_ns),
+    row!("verify_mismatches", "redundancy.verify_mismatches", HigherWorse, verify_mismatches),
+    row!("parity_writes", "redundancy.parity_writes", HigherWorse, parity_writes),
+]};
+
+/// The gated metrics of one run, in document order, with the direction
+/// each one reads in. `checksum` is absent — it is compared separately
+/// and can never be allowed — and so is the report-only `profile`.
+pub fn metrics(r: &BaselineRun) -> Vec<(&'static str, u64, Direction)> {
+    let mut m = Vec::new();
+    gate([r], TOP, &mut m);
+    gate([&r.attr], ATTR.fields, &mut m);
+    gate([r], FAULTS.fields, &mut m);
+    gate([r], LEDGER.fields, &mut m);
+    gate([&r.ledger], OUTCOMES.fields, &mut m);
+    HISTS.iter().for_each(|h| gate([r], h.fields, &mut m));
+    gate([r], RECOVERY.fields, &mut m);
+    gate(&r.tenant, TENANT.fields, &mut m);
+    gate(&r.policy, POLICY.fields, &mut m);
+    gate(&r.whylate, WHYLATE.fields, &mut m);
+    gate(&r.sim_throughput, SIM_THROUGHPUT, &mut m);
+    gate(&r.redundancy, REDUNDANCY.fields, &mut m);
+    m
 }
 
 fn run_json(r: &BaselineRun) -> Json {
-    let mut fields = vec![
+    let mut doc = vec![
         ("kernel", Json::Str(r.kernel.clone())),
         ("config", Json::Str(r.config.clone())),
-        ("elapsed_ns", Json::U64(r.elapsed_ns)),
-        ("checksum", Json::U64(r.checksum)),
-        ("attr", attr_json(&r.attr)),
-        (
-            "faults",
-            Json::obj([
-                ("hard", Json::U64(r.hard_faults)),
-                ("soft", Json::U64(r.soft_faults)),
-                ("prefetched_hits", Json::U64(r.prefetched_hits)),
-            ]),
-        ),
-        (
-            "ledger",
-            Json::obj([
-                ("entries", Json::U64(r.ledger_entries)),
-                ("timely_hits", Json::U64(r.ledger.timely_hits)),
-                ("late_inflight", Json::U64(r.ledger.late_inflight)),
-                ("dropped_no_memory", Json::U64(r.ledger.dropped_no_memory)),
-                ("dropped_queue_full", Json::U64(r.ledger.dropped_queue_full)),
-                ("dropped_io_error", Json::U64(r.ledger.dropped_io_error)),
-                ("dropped_quota", Json::U64(r.ledger.dropped_quota)),
-                ("dropped_pressure", Json::U64(r.ledger.dropped_pressure)),
-                ("evicted_unused", Json::U64(r.ledger.evicted_unused)),
-                ("unused_at_end", Json::U64(r.ledger.unused_at_end)),
-            ]),
-        ),
-        (
-            "hist",
-            Json::obj([
-                ("fault_wait", r.fault_wait.to_json()),
-                ("lead_time", r.lead_time.to_json()),
-                ("arrival_to_use", r.arrival_to_use.to_json()),
-            ]),
-        ),
-        (
-            "recovery",
-            Json::obj([
-                ("journal_appends", Json::U64(r.journal_appends)),
-                ("journal_stalls", Json::U64(r.journal_stalls)),
-                ("pages_replayed", Json::U64(r.recovery_replayed)),
-                ("pages_discarded", Json::U64(r.recovery_discarded)),
-                ("torn_detected", Json::U64(r.recovery_torn)),
-                ("unrecoverable", Json::U64(r.recovery_unrecoverable)),
-                ("recovery_ns", Json::U64(r.recovery_ns)),
-            ]),
-        ),
     ];
-    if let Some(t) = &r.tenant {
-        fields.push(("tenant", t.to_json()));
-    }
+    doc.extend(pairs(r, TOP));
+    doc.push((ATTR.key, r.attr.to_json()));
+    doc.push(FAULTS.entry(r));
+    let ledger = pairs(r, LEDGER.fields).chain(r.ledger.json_fields());
+    doc.push((LEDGER.key, Json::obj(ledger)));
+    doc.push((HIST, Json::obj(HISTS.iter().map(|h| h.entry(r)))));
+    doc.push(RECOVERY.entry(r));
+    doc.extend(r.tenant.iter().map(|t| TENANT.entry(t)));
     if let Some(p) = &r.policy {
-        fields.push(("policy", p.to_json()));
+        let fields = pairs(p, POLICY.fields);
+        let name = ("name", Json::Str(p.name.clone()));
+        doc.push((POLICY.key, Json::obj([name].into_iter().chain(fields))));
     }
-    if let Some(w) = &r.whylate {
-        fields.push(("whylate", w.to_json()));
-    }
-    if let Some(st) = r.sim_throughput {
-        fields.push(("sim_throughput", Json::U64(st)));
+    doc.extend(r.whylate.iter().map(|w| WHYLATE.entry(w)));
+    if let Some(st) = &r.sim_throughput {
+        doc.extend(pairs(st, SIM_THROUGHPUT));
     }
     if let Some(p) = &r.profile {
-        fields.push(("profile", p.to_json()));
+        let site = |(path, ns): &(String, u64)| {
+            let path = ("path", Json::Str(path.clone()));
+            Json::obj([path, ("self_ns", Json::U64(*ns))])
+        };
+        let sites = ("sites", Json::Arr(p.sites.iter().map(site).collect()));
+        let fields = pairs(p, PROFILE.fields).chain([sites]);
+        doc.push((PROFILE.key, Json::obj(fields)));
     }
-    if let Some(rd) = &r.redundancy {
-        fields.push(("redundancy", rd.to_json()));
-    }
-    Json::obj(fields)
+    doc.extend(r.redundancy.iter().map(|rd| REDUNDANCY.entry(rd)));
+    Json::obj(doc)
 }
 
 /// Serialize a baseline as an `oocp-bench-v4` document.
 pub fn baseline_json(b: &Baseline) -> Json {
-    let mut fields = vec![
-        ("schema", Json::Str(SCHEMA_V4.to_string())),
-        ("index", Json::U64(b.index)),
-        ("seed", Json::U64(b.seed)),
-        ("runs", Json::Arr(b.runs.iter().map(run_json).collect())),
-    ];
-    if let Some(w) = &b.whylate {
-        fields.push(("whylate", w.to_json()));
-    }
-    Json::obj(fields)
-}
-
-fn req_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("{ctx}: missing {key}"))
-}
-
-fn req_obj<'a>(v: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing {key}"))
-}
-
-/// Like [`req_u64`] but a missing key reads as zero — for outcome
-/// counters added after older baselines were captured.
-fn opt_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    match v.get(key) {
-        None => Ok(0),
-        Some(x) => x
-            .as_u64()
-            .ok_or_else(|| format!("{ctx}: {key} is not an integer")),
-    }
+    let mut doc = vec![("schema", Json::Str(SCHEMA_V4.to_string()))];
+    doc.extend(pairs(b, DOC));
+    doc.push(("runs", Json::Arr(b.runs.iter().map(run_json).collect())));
+    doc.extend(b.whylate.iter().map(|w| WHYLATE.entry(w)));
+    Json::obj(doc)
 }
 
 fn parse_run(v: &Json) -> Result<BaselineRun, String> {
-    let kernel = v
-        .get("kernel")
-        .and_then(Json::as_str)
-        .ok_or("run: missing kernel")?
-        .to_string();
-    let config = v
-        .get("config")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{kernel}: missing config"))?
-        .to_string();
-    let ctx = format!("{kernel}/{config}");
-    let attr_v = req_obj(v, "attr", &ctx)?;
-    let attr = TimeAttribution {
-        compute_ns: req_u64(attr_v, "compute_ns", &ctx)?,
-        fault_overhead_ns: req_u64(attr_v, "fault_overhead_ns", &ctx)?,
-        hint_overhead_ns: req_u64(attr_v, "hint_overhead_ns", &ctx)?,
-        demand_stall_ns: req_u64(attr_v, "demand_stall_ns", &ctx)?,
-        late_prefetch_stall_ns: req_u64(attr_v, "late_prefetch_stall_ns", &ctx)?,
-        backpressure_stall_ns: req_u64(attr_v, "backpressure_stall_ns", &ctx)?,
-        drain_idle_ns: req_u64(attr_v, "drain_idle_ns", &ctx)?,
-    };
-    let faults = req_obj(v, "faults", &ctx)?;
-    let ledger_v = req_obj(v, "ledger", &ctx)?;
-    let ledger = LedgerCounts {
-        timely_hits: req_u64(ledger_v, "timely_hits", &ctx)?,
-        late_inflight: req_u64(ledger_v, "late_inflight", &ctx)?,
-        dropped_no_memory: req_u64(ledger_v, "dropped_no_memory", &ctx)?,
-        dropped_queue_full: req_u64(ledger_v, "dropped_queue_full", &ctx)?,
-        dropped_io_error: req_u64(ledger_v, "dropped_io_error", &ctx)?,
-        // Added with the multi-tenant machine; absent (zero) in older
-        // trajectory entries.
-        dropped_quota: opt_u64(ledger_v, "dropped_quota", &ctx)?,
-        dropped_pressure: opt_u64(ledger_v, "dropped_pressure", &ctx)?,
-        evicted_unused: req_u64(ledger_v, "evicted_unused", &ctx)?,
-        unused_at_end: req_u64(ledger_v, "unused_at_end", &ctx)?,
-    };
-    let hist = req_obj(v, "hist", &ctx)?;
-    // Baselines captured before the crash-consistency subsystem carry
-    // no `recovery` block; they parse as all-zero so old trajectory
-    // entries stay comparable. When the block is present it must be
-    // complete — partial blocks are corruption, not history.
-    let rec = match v.get("recovery") {
-        None => [0u64; 7],
-        Some(rv) => [
-            req_u64(rv, "journal_appends", &ctx)?,
-            req_u64(rv, "journal_stalls", &ctx)?,
-            req_u64(rv, "pages_replayed", &ctx)?,
-            req_u64(rv, "pages_discarded", &ctx)?,
-            req_u64(rv, "torn_detected", &ctx)?,
-            req_u64(rv, "unrecoverable", &ctx)?,
-            req_u64(rv, "recovery_ns", &ctx)?,
-        ],
-    };
-    // Solo cells and pre-multi-tenant baselines carry no `tenant`
-    // block; when present it must be complete, like `recovery`.
-    let tenant = match v.get("tenant") {
-        None => None,
-        Some(tv) => Some(TenantSummary::parse(tv, &ctx)?),
-    };
-    // Compiler-only cells and pre-policy baselines carry no `policy`
-    // block; when present it must be complete, like `tenant`.
-    let policy = match v.get("policy") {
-        None => None,
-        Some(pv) => Some(PolicySummary::parse(pv, &ctx)?),
-    };
-    // v2 additions: pre-telemetry cells carry neither; when the whylate
-    // block is present it must be complete, like `tenant` and `policy`.
-    let whylate = match v.get("whylate") {
-        None => None,
-        Some(wv) => Some(WhylateSummary::parse(wv).map_err(|e| format!("{ctx}: {e}"))?),
-    };
-    let sim_throughput = match v.get("sim_throughput") {
-        None => None,
-        Some(sv) => Some(
-            sv.as_u64()
-                .ok_or_else(|| format!("{ctx}: sim_throughput is not an integer"))?,
-        ),
-    };
-    // v3 addition: unprofiled captures carry no `profile` block; when
-    // present it must be complete, like the other optional blocks.
-    let profile = match v.get("profile") {
-        None => None,
-        Some(pv) => Some(ProfileSummary::parse(pv, &ctx)?),
-    };
-    // v4 addition: non-parity cells carry no `redundancy` block; when
-    // present it must be complete, like the other optional blocks.
-    let redundancy = match v.get("redundancy") {
-        None => None,
-        Some(rv) => Some(RedundancySummary::parse(rv, &ctx)?),
-    };
-    let run = BaselineRun {
-        elapsed_ns: req_u64(v, "elapsed_ns", &ctx)?,
-        checksum: req_u64(v, "checksum", &ctx)?,
-        attr,
-        hard_faults: req_u64(faults, "hard", &ctx)?,
-        soft_faults: req_u64(faults, "soft", &ctx)?,
-        prefetched_hits: req_u64(faults, "prefetched_hits", &ctx)?,
-        ledger,
-        ledger_entries: req_u64(ledger_v, "entries", &ctx)?,
-        fault_wait: HistSummary::parse(req_obj(hist, "fault_wait", &ctx)?, &ctx)?,
-        lead_time: HistSummary::parse(req_obj(hist, "lead_time", &ctx)?, &ctx)?,
-        arrival_to_use: HistSummary::parse(req_obj(hist, "arrival_to_use", &ctx)?, &ctx)?,
-        journal_appends: rec[0],
-        journal_stalls: rec[1],
-        recovery_replayed: rec[2],
-        recovery_discarded: rec[3],
-        recovery_torn: rec[4],
-        recovery_unrecoverable: rec[5],
-        recovery_ns: rec[6],
-        tenant,
-        policy,
-        whylate,
-        sim_throughput,
-        profile,
-        redundancy,
-        kernel,
-        config,
-    };
-    // Schema-level invariants: the attribution must still cover the
-    // elapsed time exactly, and the serialized total must agree.
-    if run.attr.total() != run.elapsed_ns {
+    let mut r = BaselineRun::default();
+    let kernel = req(v, "kernel", Json::as_str);
+    r.kernel = kernel.map_err(|e| format!("run: {e}"))?.into();
+    let config = req(v, "config", Json::as_str);
+    r.config = config.map_err(|e| format!("{}: {e}", r.kernel))?.into();
+    read_run(v, &mut r).map_err(|e| format!("{}: {e}", r.key()))?;
+    Ok(r)
+}
+
+fn read_run(v: &Json, r: &mut BaselineRun) -> Result<(), String> {
+    read_fields(v, r, TOP)?;
+    r.attr = TimeAttribution::parse(req(v, ATTR.key, Some)?)?;
+    FAULTS.read(v, r)?;
+    LEDGER.read(v, r)?;
+    OUTCOMES.read(v, &mut r.ledger)?;
+    let hist = req(v, HIST, Some)?;
+    for h in &HISTS {
+        h.read(hist, r).map_err(|e| format!("{HIST} {e}"))?;
+    }
+    RECOVERY.read(v, r)?;
+    r.tenant = TENANT.find(v)?;
+    r.policy = POLICY.find(v)?;
+    if let (Some(p), Some(pv)) = (&mut r.policy, v.get(POLICY.key)) {
+        let name = req(pv, "name", Json::as_str);
+        p.name = name.map_err(|e| format!("{} {e}", POLICY.key))?.into();
+    }
+    r.whylate = WHYLATE.find(v)?;
+    if v.get(SIM_THROUGHPUT[0].key).is_some() {
+        read_fields(v, r.sim_throughput.insert(0), SIM_THROUGHPUT)?;
+    }
+    r.profile = PROFILE.find(v)?;
+    if let (Some(p), Some(pv)) = (&mut r.profile, v.get(PROFILE.key)) {
+        let site = |s: &Json| {
+            let path = req(s, "path", Json::as_str)?.to_string();
+            Ok((path, req(s, "self_ns", Json::as_u64)?))
+        };
+        let sites = req(pv, "sites", Json::as_arr).and_then(|s| s.iter().map(site).collect());
+        p.sites = sites.map_err(|e: String| format!("{} {e}", PROFILE.key))?;
+    }
+    r.redundancy = REDUNDANCY.find(v)?;
+    // The attribution must still cover the elapsed time exactly.
+    let (total, elapsed) = (r.attr.total(), r.elapsed_ns);
+    if total != elapsed {
         return Err(format!(
-            "{ctx}: attribution sums to {} but elapsed is {}",
-            run.attr.total(),
-            run.elapsed_ns
+            "attribution sums to {total} but elapsed is {elapsed}"
         ));
     }
-    if req_u64(attr_v, "total_ns", &ctx)? != run.elapsed_ns {
-        return Err(format!("{ctx}: attr.total_ns disagrees with elapsed_ns"));
-    }
-    Ok(run)
+    Ok(())
 }
 
 /// Parse and validate an `oocp-bench-v4` document.
@@ -855,32 +566,22 @@ pub fn parse_baseline(doc: &Json) -> Result<Baseline, String> {
         Some(s) => return Err(format!("schema is {s}, expected {SCHEMA_V4}")),
         None => return Err("missing schema field".into()),
     }
-    let runs_v = doc
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing runs array")?;
-    let mut runs = Vec::with_capacity(runs_v.len());
-    for v in runs_v {
-        runs.push(parse_run(v)?);
-    }
-    let mut keys: Vec<String> = runs.iter().map(BaselineRun::key).collect();
+    let runs = req(doc, "runs", Json::as_arr).map_err(|e| format!("baseline: {e}"))?;
+    let mut b = Baseline {
+        runs: runs.iter().map(parse_run).collect::<Result<_, _>>()?,
+        ..Baseline::default()
+    };
+    let mut keys: Vec<String> = b.runs.iter().map(BaselineRun::key).collect();
     keys.sort();
     if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
         return Err(format!("duplicate matrix cell {}", dup[0]));
     }
-    if runs.is_empty() {
+    if b.runs.is_empty() {
         return Err("baseline holds no runs".into());
     }
-    let whylate = match doc.get("whylate") {
-        None => None,
-        Some(wv) => Some(WhylateSummary::parse(wv).map_err(|e| format!("baseline: {e}"))?),
-    };
-    Ok(Baseline {
-        index: req_u64(doc, "index", "baseline")?,
-        seed: req_u64(doc, "seed", "baseline")?,
-        runs,
-        whylate,
-    })
+    read_fields(doc, &mut b, DOC).map_err(|e| format!("baseline: {e}"))?;
+    b.whylate = WHYLATE.find(doc).map_err(|e| format!("baseline: {e}"))?;
+    Ok(b)
 }
 
 /// A declared, bounded, intentional change to one metric.
@@ -896,21 +597,23 @@ pub struct Allowance {
 impl Allowance {
     /// Whether this allowance covers `metric`.
     pub fn covers(&self, metric: &str) -> bool {
-        if self.metric == "all" {
-            return true;
-        }
         match self.metric.strip_suffix('*') {
+            _ if self.metric == "all" => true,
             Some(prefix) => metric.starts_with(prefix),
             None => self.metric == metric,
         }
     }
 }
 
-/// Parse a `--allow metric=pct` argument.
+/// Parse a `--allow metric=pct` argument; the metric may be quoted.
 pub fn parse_allowance_arg(s: &str) -> Result<Allowance, String> {
     let (metric, pct) = s
         .split_once('=')
         .ok_or_else(|| format!("allowance '{s}' is not metric=pct"))?;
+    let metric = metric.trim().trim_matches('"').to_string();
+    if metric.is_empty() {
+        return Err(format!("allowance '{s}' names no metric"));
+    }
     let pct: f64 = pct
         .trim()
         .parse()
@@ -920,43 +623,20 @@ pub fn parse_allowance_arg(s: &str) -> Result<Allowance, String> {
             "allowance '{s}': percentage must be finite and >= 0"
         ));
     }
-    Ok(Allowance {
-        metric: metric.trim().to_string(),
-        pct,
-    })
+    Ok(Allowance { metric, pct })
 }
 
 /// Parse a `perf-allowances.toml` file: a flat list of `metric = pct`
-/// lines. `#` comments, blank lines, and `[section]` headers are
-/// ignored; keys may be bare or double-quoted. This is the whole
+/// lines, each read like a `--allow` argument. `#` comments, blank
+/// lines, and `[section]` headers are ignored. This is the whole
 /// dialect — the file is a declaration list, not a config language.
 pub fn parse_allowances_toml(text: &str) -> Result<Vec<Allowance>, String> {
-    let mut out = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() || (line.starts_with('[') && line.ends_with(']')) {
-            continue;
-        }
-        let (key, val) = line
-            .split_once('=')
-            .ok_or_else(|| format!("line {}: expected 'metric = pct'", lineno + 1))?;
-        let key = key.trim().trim_matches('"').to_string();
-        if key.is_empty() {
-            return Err(format!("line {}: empty metric name", lineno + 1));
-        }
-        let pct: f64 = val
-            .trim()
-            .parse()
-            .map_err(|_| format!("line {}: '{}' is not a number", lineno + 1, val.trim()))?;
-        if !(pct >= 0.0 && pct.is_finite()) {
-            return Err(format!(
-                "line {}: percentage must be finite and >= 0",
-                lineno + 1
-            ));
-        }
-        out.push(Allowance { metric: key, pct });
-    }
-    Ok(out)
+    let lines = text.lines().enumerate();
+    let lines = lines.map(|(n, raw)| (n + 1, raw.split('#').next().unwrap_or("").trim()));
+    lines
+        .filter(|(_, l)| !(l.is_empty() || (l.starts_with('[') && l.ends_with(']'))))
+        .map(|(n, l)| parse_allowance_arg(l).map_err(|e| format!("line {n}: {e}")))
+        .collect()
 }
 
 /// How one metric's drift reads.
@@ -968,6 +648,9 @@ pub enum DriftKind {
     Improvement,
     /// Direction-neutral change.
     Shift,
+    /// Present on one side only: an optional block appeared or
+    /// vanished. Never allowable.
+    Unpaired,
 }
 
 /// One metric that moved between baseline and current run.
@@ -977,10 +660,10 @@ pub struct Finding {
     pub key: String,
     /// Metric name.
     pub metric: String,
-    /// Baseline value.
-    pub old: u64,
-    /// Current value.
-    pub new: u64,
+    /// Baseline value; `None` when the baseline cell lacks the metric.
+    pub old: Option<u64>,
+    /// Current value; `None` when the current cell lacks the metric.
+    pub new: Option<u64>,
     /// How the move reads.
     pub kind: DriftKind,
     /// Covered by an allowance (does not fail the gate).
@@ -989,10 +672,13 @@ pub struct Finding {
 
 impl Finding {
     /// Relative drift in percent, against a floor-1 base so zero
-    /// baselines still produce a finite number.
+    /// baselines still produce a finite number; infinite for an
+    /// unpaired metric.
     pub fn pct(&self) -> f64 {
-        let base = self.old.max(1) as f64;
-        (self.new as f64 - self.old as f64) / base * 100.0
+        match (self.old, self.new) {
+            (Some(old), Some(new)) => (new as f64 - old as f64) / old.max(1) as f64 * 100.0,
+            _ => f64::INFINITY,
+        }
     }
 }
 
@@ -1042,10 +728,11 @@ fn drift_kind(dir: Direction, old: u64, new: u64) -> DriftKind {
 
 /// Diff `current` against `base`, metric by metric.
 ///
-/// Cells are matched by [`BaselineRun::key`]. Every differing metric
-/// produces a [`Finding`]; an allowance marks it tolerated when the
-/// relative drift stays within the declared percentage. Checksums are
-/// compared unconditionally and can never be allowed.
+/// Cells are matched by [`BaselineRun::key`] and metrics by name.
+/// Every differing metric produces a [`Finding`]; an allowance marks it
+/// tolerated when the relative drift stays within the declared
+/// percentage. A metric only one side has is an unpaired finding, and
+/// checksums are compared unconditionally: neither can be allowed.
 pub fn compare(base: &Baseline, current: &[BaselineRun], allow: &[Allowance]) -> CompareReport {
     let mut report = CompareReport::default();
     for cur in current {
@@ -1063,22 +750,29 @@ pub fn compare(base: &Baseline, current: &[BaselineRun], allow: &[Allowance]) ->
         if old.checksum != new.checksum {
             report.checksum_divergence.push(key.clone());
         }
-        let old_m = metrics(old);
-        let new_m = metrics(new);
-        for ((name, ov, dir), (_, nv, _)) in old_m.into_iter().zip(new_m) {
+        let (old_m, new_m) = (metrics(old), metrics(new));
+        let value = |m: &[Metric], name: &str| m.iter().find(|x| x.0 == name).map(|x| x.1);
+        let only_new = new_m.iter().filter(|(n, ..)| value(&old_m, n).is_none());
+        for &(name, _, dir) in old_m.iter().chain(only_new) {
+            let (ov, nv) = (value(&old_m, name), value(&new_m, name));
             if ov == nv {
                 continue;
             }
-            let rel = (nv as f64 - ov as f64).abs() / ov.max(1) as f64 * 100.0;
-            let allowed = allow.iter().any(|a| a.covers(name) && rel <= a.pct);
-            report.findings.push(Finding {
+            let mut f = Finding {
                 key: key.clone(),
                 metric: name.to_string(),
                 old: ov,
                 new: nv,
-                kind: drift_kind(dir, ov, nv),
-                allowed,
-            });
+                kind: DriftKind::Unpaired,
+                allowed: false,
+            };
+            if let (Some(o), Some(n)) = (ov, nv) {
+                f.kind = drift_kind(dir, o, n);
+                f.allowed = allow
+                    .iter()
+                    .any(|a| a.covers(name) && f.pct().abs() <= a.pct);
+            }
+            report.findings.push(f);
         }
     }
     report
@@ -1160,6 +854,40 @@ mod tests {
         }
     }
 
+    fn sample_policy() -> PolicySummary {
+        PolicySummary {
+            name: "readahead".into(),
+            injected_prefetch_pages: 512,
+            injected_release_pages: 16,
+            window_peak: 64,
+            distance_retunes: 0,
+            late_rate_samples: 0,
+            late_arrival_bp: 250,
+        }
+    }
+
+    /// `doc` with `key` removed from the first run's `block`, or with
+    /// the whole block removed when `key` is `None`.
+    fn without(mut doc: Json, block: &str, key: Option<&str>) -> Json {
+        let Json::Obj(fields) = &mut doc else {
+            panic!("a baseline is an object");
+        };
+        let Some((_, Json::Arr(runs))) = fields.iter_mut().find(|(k, _)| k == "runs") else {
+            panic!("a baseline has runs");
+        };
+        let Json::Obj(run) = &mut runs[0] else {
+            panic!("a run is an object");
+        };
+        match key {
+            None => run.retain(|(k, _)| k != block),
+            Some(key) => match run.iter_mut().find(|(k, _)| k == block) {
+                Some((_, Json::Obj(b))) => b.retain(|(k, _)| k != key),
+                _ => panic!("the first run has no {block} block"),
+            },
+        }
+        doc
+    }
+
     #[test]
     fn baseline_roundtrips_through_json() {
         let b = sample_baseline();
@@ -1183,50 +911,51 @@ mod tests {
     }
 
     #[test]
-    fn pre_crash_baselines_parse_with_zeroed_recovery() {
-        // A trajectory entry captured before the crash subsystem has no
-        // `recovery` block; it must still load, reading as all-zero.
-        let b = sample_baseline();
-        let mut doc = baseline_json(&b);
-        if let Json::Obj(fields) = &mut doc {
-            if let Json::Arr(runs) = &mut fields[3].1 {
-                for run in runs {
-                    if let Json::Obj(run) = run {
-                        run.retain(|(k, _)| k != "recovery");
-                    }
-                }
-            }
+    fn v4_runs_missing_a_key_are_rejected_by_name() {
+        // Every key outside the optional blocks is required: the keys
+        // older schemas lacked included. The error names what is gone.
+        let mut b = sample_baseline();
+        b.runs[0].whylate = Some(WhylateSummary::default());
+        let doc = baseline_json(&b);
+        for (block, key, want) in [
+            ("recovery", None, "missing recovery"),
+            (
+                "recovery",
+                Some("unrecoverable"),
+                "recovery missing unrecoverable",
+            ),
+            (
+                "ledger",
+                Some("dropped_quota"),
+                "ledger missing dropped_quota",
+            ),
+            (
+                "ledger",
+                Some("dropped_pressure"),
+                "ledger missing dropped_pressure",
+            ),
+            (
+                "whylate",
+                Some("late_degraded_read"),
+                "whylate missing late_degraded_read",
+            ),
+            (
+                "whylate",
+                Some("late_rebuild_contention"),
+                "whylate missing late_rebuild_contention",
+            ),
+            ("hist", Some("lead_time"), "hist missing lead_time"),
+            ("attr", Some("total_ns"), "attr missing total_ns"),
+        ] {
+            let err = parse_baseline(&without(doc.clone(), block, key)).unwrap_err();
+            assert_eq!(err, format!("EMBAR/pf+fcfs: {want}"));
         }
-        let back = parse_baseline(&doc).unwrap();
-        assert_eq!(back.runs[0].journal_appends, 0);
-        assert_eq!(back.runs[0].recovery_ns, 0);
-        // But a present-yet-partial block is corruption.
-        let mut doc = baseline_json(&b);
-        if let Json::Obj(fields) = &mut doc {
-            if let Json::Arr(runs) = &mut fields[3].1 {
-                if let Json::Obj(run) = &mut runs[0] {
-                    if let Some((_, Json::Obj(rec))) = run.iter_mut().find(|(k, _)| k == "recovery")
-                    {
-                        rec.retain(|(k, _)| k != "unrecoverable");
-                    }
-                }
-            }
-        }
-        assert!(parse_baseline(&doc).unwrap_err().contains("unrecoverable"));
     }
 
     #[test]
     fn policy_block_roundtrips_and_rejects_partials() {
         let mut b = sample_baseline();
-        b.runs[0].policy = Some(PolicySummary {
-            name: "readahead".into(),
-            injected_prefetch_pages: 512,
-            injected_release_pages: 16,
-            window_peak: 64,
-            distance_retunes: 0,
-            late_rate_samples: 0,
-            late_arrival_bp: 250,
-        });
+        b.runs[0].policy = Some(sample_policy());
         let doc = baseline_json(&b);
         let back = parse_baseline(&doc).unwrap();
         assert_eq!(back, b);
@@ -1238,17 +967,10 @@ mod tests {
             .iter()
             .any(|(n, _, _)| n.starts_with("policy.")));
         // A present-yet-partial block is corruption.
-        let mut doc = baseline_json(&b);
-        if let Json::Obj(fields) = &mut doc {
-            if let Json::Arr(runs) = &mut fields[3].1 {
-                if let Json::Obj(run) = &mut runs[0] {
-                    if let Some((_, Json::Obj(p))) = run.iter_mut().find(|(k, _)| k == "policy") {
-                        p.retain(|(k, _)| k != "window_peak");
-                    }
-                }
-            }
+        for key in ["window_peak", "name"] {
+            let partial = without(doc.clone(), "policy", Some(key));
+            assert!(parse_baseline(&partial).unwrap_err().contains(key));
         }
-        assert!(parse_baseline(&doc).unwrap_err().contains("window_peak"));
     }
 
     #[test]
@@ -1270,9 +992,7 @@ mod tests {
     #[test]
     fn whylate_and_throughput_additions_roundtrip() {
         // Captures round-trip the whylate and sim_throughput blocks
-        // exactly, and the new metrics ride strictly behind every
-        // always-present metric so positional compare against a cell
-        // without them stays aligned.
+        // exactly, and gate every cause plus the throughput.
         let b = sample_baseline();
         let mut b2 = sample_baseline();
         let w = WhylateSummary {
@@ -1286,40 +1006,20 @@ mod tests {
         b2.whylate = Some(w);
         let back = parse_baseline(&baseline_json(&b2)).unwrap();
         assert_eq!(back, b2);
-        let old_m = metrics(&b.runs[0]);
         let new_m = metrics(&back.runs[0]);
-        assert!(new_m.len() > old_m.len());
-        for ((on, ..), (nn, ..)) in old_m.iter().zip(&new_m) {
-            assert_eq!(on, nn, "v2 metrics must extend, not reorder");
-        }
         assert_eq!(
-            new_m.last().unwrap().0,
-            "whylate.late_rebuild_contention",
-            "without a redundancy block the v4 whylate tail is final"
+            new_m.len(),
+            metrics(&b.runs[0]).len() + crate::WHYLATE_CAUSES + 1
         );
-        assert!(
-            new_m
-                .iter()
-                .position(|(n, ..)| *n == "simthroughput.sim_ns_per_host_s")
-                .unwrap()
-                < new_m
-                    .iter()
-                    .position(|(n, ..)| *n == "whylate.late_degraded_read")
-                    .unwrap(),
-            "v4 whylate causes ride behind the whole v2 tail"
+        let st = (
+            "simthroughput.sim_ns_per_host_s",
+            123_456_789,
+            Direction::LowerWorse,
         );
+        assert!(new_m.contains(&st));
         // A present-yet-partial whylate block is corruption.
-        let mut doc = baseline_json(&b2);
-        if let Json::Obj(fields) = &mut doc {
-            if let Json::Arr(runs) = &mut fields[3].1 {
-                if let Json::Obj(run) = &mut runs[0] {
-                    if let Some((_, Json::Obj(wf))) = run.iter_mut().find(|(k, _)| k == "whylate") {
-                        wf.retain(|(k, _)| k != "late_queue_wait");
-                    }
-                }
-            }
-        }
-        assert!(parse_baseline(&doc)
+        let partial = without(baseline_json(&b2), "whylate", Some("late_queue_wait"));
+        assert!(parse_baseline(&partial)
             .unwrap_err()
             .contains("late_queue_wait"));
     }
@@ -1346,23 +1046,16 @@ mod tests {
             "profile fields must never appear in the gated metrics"
         );
         // A present-yet-partial profile block is corruption.
-        let mut doc = baseline_json(&b3);
-        if let Json::Obj(fields) = &mut doc {
-            if let Json::Arr(runs) = &mut fields[3].1 {
-                if let Json::Obj(run) = &mut runs[0] {
-                    if let Some((_, Json::Obj(p))) = run.iter_mut().find(|(k, _)| k == "profile") {
-                        p.retain(|(k, _)| k != "total_host_ns");
-                    }
-                }
-            }
+        for key in ["total_host_ns", "sites"] {
+            let partial = without(baseline_json(&b3), "profile", Some(key));
+            assert!(parse_baseline(&partial).unwrap_err().contains(key));
         }
-        assert!(parse_baseline(&doc).unwrap_err().contains("total_host_ns"));
     }
 
     #[test]
     fn redundancy_block_roundtrips_behind_the_plain_metrics() {
-        // Parity cells round-trip the block exactly and append every
-        // redundancy metric strictly behind the non-parity list.
+        // Parity cells round-trip the block exactly; redundancy is the
+        // last block, so its metrics follow the non-parity list.
         let b = sample_baseline();
         let mut b4 = sample_baseline();
         b4.runs[0].redundancy = Some(RedundancySummary {
@@ -1380,25 +1073,14 @@ mod tests {
         assert_eq!(back, b4);
         let plain = metrics(&b.runs[0]);
         let par = metrics(&back.runs[0]);
-        for ((on, ..), (nn, ..)) in plain.iter().zip(&par) {
-            assert_eq!(on, nn, "redundancy metrics must extend, not reorder");
-        }
+        assert_eq!(par[..plain.len()], plain[..]);
         assert_eq!(par.len(), plain.len() + 9);
         assert_eq!(par.last().unwrap().0, "redundancy.parity_writes");
         // A present-yet-partial redundancy block is corruption.
-        let mut doc = baseline_json(&b4);
-        if let Json::Obj(fields) = &mut doc {
-            if let Json::Arr(runs) = &mut fields[3].1 {
-                if let Json::Obj(run) = &mut runs[0] {
-                    if let Some((_, Json::Obj(rd))) =
-                        run.iter_mut().find(|(k, _)| k == "redundancy")
-                    {
-                        rd.retain(|(k, _)| k != "rebuild_rows");
-                    }
-                }
-            }
-        }
-        assert!(parse_baseline(&doc).unwrap_err().contains("rebuild_rows"));
+        let partial = without(baseline_json(&b4), "redundancy", Some("rebuild_rows"));
+        assert!(parse_baseline(&partial)
+            .unwrap_err()
+            .contains("rebuild_rows"));
     }
 
     #[test]
@@ -1467,6 +1149,44 @@ mod tests {
                 .kind,
             DriftKind::Improvement
         );
+    }
+
+    #[test]
+    fn compare_pairs_metrics_by_name() {
+        // A cell whose optional block vanished (or appeared) reports
+        // exactly that block's metrics, unpaired and never allowable;
+        // the blocks behind it still compare against themselves.
+        let mut b = sample_baseline();
+        b.runs[0].policy = Some(sample_policy());
+        b.runs[0].whylate = Some(WhylateSummary {
+            late_issue_lag: 3,
+            ..WhylateSummary::default()
+        });
+        b.runs[0].sim_throughput = Some(1_000);
+        let mut cur = b.runs.clone();
+        cur[0].policy = None;
+        let all = [parse_allowance_arg("all=100").unwrap()];
+        let report = compare(&b, &cur, &all);
+        let policy: Vec<&str> = POLICY.fields.iter().filter_map(|f| f.metric).collect();
+        let got: Vec<&str> = report.findings.iter().map(|f| f.metric.as_str()).collect();
+        assert_eq!(got, policy);
+        assert!(report.findings.iter().all(|f| f.kind == DriftKind::Unpaired
+            && !f.allowed
+            && f.old.is_some()
+            && f.new.is_none()));
+        assert!(!report.passed());
+        // The other way round: the block appeared.
+        let back = Baseline {
+            runs: cur.clone(),
+            ..b.clone()
+        };
+        let report = compare(&back, &b.runs, &all);
+        let got: Vec<&str> = report.findings.iter().map(|f| f.metric.as_str()).collect();
+        assert_eq!(got, policy);
+        assert!(report
+            .findings
+            .iter()
+            .all(|f| f.old.is_none() && f.new.is_some() && f.pct().is_infinite()));
     }
 
     #[test]

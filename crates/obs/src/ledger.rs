@@ -29,7 +29,9 @@ use std::collections::HashMap;
 
 use oocp_sim::time::Ns;
 
+use crate::baseline::{pairs, row, Block};
 use crate::hist::LatencyHist;
+use crate::json::Json;
 
 /// Closed-outcome counts. The partition invariant is
 /// [`LedgerCounts::sum`] `==` [`PrefetchLedger::entries`].
@@ -103,7 +105,32 @@ impl LedgerCounts {
             self.late_inflight as f64 / consumed as f64
         }
     }
+
+    /// The nine outcomes as `(key, value)` pairs, in document order.
+    pub fn json_fields(&self) -> impl Iterator<Item = (&'static str, Json)> + '_ {
+        pairs(self, OUTCOMES.fields)
+    }
+
+    /// Read the nine outcomes from a `ledger` object.
+    pub fn parse(v: &Json) -> Result<Self, String> {
+        OUTCOMES.parse(v)
+    }
 }
+
+/// The outcomes as rows of the baseline schema (`oocp_obs::baseline`):
+/// its `ledger` block, after `entries`.
+#[rustfmt::skip]
+pub(crate) const OUTCOMES: Block<LedgerCounts> = Block { key: "ledger", fields: &[
+    row!("timely_hits", "ledger.timely_hits", LowerWorse, timely_hits),
+    row!("late_inflight", "ledger.late_inflight", HigherWorse, late_inflight),
+    row!("dropped_no_memory", "ledger.dropped_no_memory", HigherWorse, dropped_no_memory),
+    row!("dropped_queue_full", "ledger.dropped_queue_full", HigherWorse, dropped_queue_full),
+    row!("dropped_io_error", "ledger.dropped_io_error", HigherWorse, dropped_io_error),
+    row!("dropped_quota", "ledger.dropped_quota", HigherWorse, dropped_quota),
+    row!("dropped_pressure", "ledger.dropped_pressure", HigherWorse, dropped_pressure),
+    row!("evicted_unused", "ledger.evicted_unused", HigherWorse, evicted_unused),
+    row!("unused_at_end", "ledger.unused_at_end", HigherWorse, unused_at_end),
+]};
 
 /// The single dominant cause the whylate attribution engine assigns to
 /// a late (in-flight) consumption. Exactly one cause per late entry, so

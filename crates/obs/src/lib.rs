@@ -17,10 +17,11 @@
 //!   buckets that sum exactly to end-to-end elapsed time.
 //! * [`json`] — a hand-rolled JSON value type (writer *and* parser) so
 //!   run reports and Chrome trace-event files need no external crates.
-//! * [`baseline`] — the *across-run* layer: versioned `oocp-bench-v1`
-//!   performance baselines (`BENCH_<n>.json`), an identical-by-default
-//!   diff with explicit per-metric allowances, and drift
-//!   classification for the perfgate regression gate.
+//! * [`baseline`] — the *across-run* layer: versioned `oocp-bench-v4`
+//!   performance baselines (`BENCH_<n>.json`) whose schema is one table
+//!   per JSON block, an identical-by-default diff that pairs metrics by
+//!   name with explicit per-metric allowances, and drift classification
+//!   for the perfgate regression gate.
 //! * [`tracediff`] — aligns two Chrome trace exports by prefetch span
 //!   id and reports the first divergent lifecycle event, turning a
 //!   metric regression into a timeline location.

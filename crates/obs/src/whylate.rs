@@ -10,30 +10,50 @@
 //! `late + dropped + wasted` total — a checked invariant, like the
 //! ledger partition itself.
 
+use crate::baseline::{pairs, row, Block, Field};
 use crate::json::Json;
 use crate::ledger::{LateCause, LedgerCounts};
 
 /// Number of whylate causes (7 late + 5 drop + 2 wasted).
 pub const WHYLATE_CAUSES: usize = 14;
 
+/// The fourteen causes: JSON key, gated baseline metric (every cause
+/// reads worse as it grows) and field.
+#[rustfmt::skip]
+const CAUSES: [Field<WhylateSummary>; WHYLATE_CAUSES] = [
+    row!("late_issue_lag", "whylate.late_issue_lag", HigherWorse, late_issue_lag),
+    row!("late_queue_wait", "whylate.late_queue_wait", HigherWorse, late_queue_wait),
+    row!("late_service_time", "whylate.late_service_time", HigherWorse, late_service_time),
+    row!("late_journal_stall", "whylate.late_journal_stall", HigherWorse, late_journal_stall),
+    row!("late_degraded_pause", "whylate.late_degraded_pause", HigherWorse, late_degraded_pause),
+    row!("late_degraded_read", "whylate.late_degraded_read", HigherWorse, late_degraded_read),
+    row!("late_rebuild_contention", "whylate.late_rebuild_contention", HigherWorse, late_rebuild_contention),
+    row!("drop_no_memory", "whylate.drop_no_memory", HigherWorse, drop_no_memory),
+    row!("drop_queue_full", "whylate.drop_queue_full", HigherWorse, drop_queue_full),
+    row!("drop_io_error", "whylate.drop_io_error", HigherWorse, drop_io_error),
+    row!("drop_quota", "whylate.drop_quota", HigherWorse, drop_quota),
+    row!("drop_pressure", "whylate.drop_pressure", HigherWorse, drop_pressure),
+    row!("wasted_evicted_unused", "whylate.wasted_evicted_unused", HigherWorse, wasted_evicted_unused),
+    row!("wasted_unused_at_end", "whylate.wasted_unused_at_end", HigherWorse, wasted_unused_at_end),
+];
+
+/// The `whylate` block of a baseline run and of a run report.
+pub(crate) const WHYLATE: Block<WhylateSummary> = Block {
+    key: "whylate",
+    fields: &CAUSES,
+};
+
 /// Stable snake_case names for the fourteen causes, in
 /// [`WhylateSummary::as_array`] order.
-pub const WHYLATE_NAMES: [&str; WHYLATE_CAUSES] = [
-    "late_issue_lag",
-    "late_queue_wait",
-    "late_service_time",
-    "late_journal_stall",
-    "late_degraded_pause",
-    "late_degraded_read",
-    "late_rebuild_contention",
-    "drop_no_memory",
-    "drop_queue_full",
-    "drop_io_error",
-    "drop_quota",
-    "drop_pressure",
-    "wasted_evicted_unused",
-    "wasted_unused_at_end",
-];
+pub const WHYLATE_NAMES: [&str; WHYLATE_CAUSES] = {
+    let mut names = [""; WHYLATE_CAUSES];
+    let mut i = 0;
+    while i < WHYLATE_CAUSES {
+        names[i] = CAUSES[i].key;
+        i += 1;
+    }
+    names
+};
 
 /// Per-run (or aggregated per-baseline) whylate cause vector.
 ///
@@ -111,42 +131,16 @@ impl WhylateSummary {
 
     /// The fourteen counts in [`WHYLATE_NAMES`] order.
     pub fn as_array(&self) -> [u64; WHYLATE_CAUSES] {
-        [
-            self.late_issue_lag,
-            self.late_queue_wait,
-            self.late_service_time,
-            self.late_journal_stall,
-            self.late_degraded_pause,
-            self.late_degraded_read,
-            self.late_rebuild_contention,
-            self.drop_no_memory,
-            self.drop_queue_full,
-            self.drop_io_error,
-            self.drop_quota,
-            self.drop_pressure,
-            self.wasted_evicted_unused,
-            self.wasted_unused_at_end,
-        ]
+        CAUSES.map(|f| (f.get)(self))
     }
 
     /// Inverse of [`WhylateSummary::as_array`].
     pub fn from_array(a: [u64; WHYLATE_CAUSES]) -> Self {
-        Self {
-            late_issue_lag: a[0],
-            late_queue_wait: a[1],
-            late_service_time: a[2],
-            late_journal_stall: a[3],
-            late_degraded_pause: a[4],
-            late_degraded_read: a[5],
-            late_rebuild_contention: a[6],
-            drop_no_memory: a[7],
-            drop_queue_full: a[8],
-            drop_io_error: a[9],
-            drop_quota: a[10],
-            drop_pressure: a[11],
-            wasted_evicted_unused: a[12],
-            wasted_unused_at_end: a[13],
+        let mut w = Self::default();
+        for (f, v) in CAUSES.iter().zip(a) {
+            (f.set)(&mut w, v);
         }
+        w
     }
 
     /// Sum of the seven late causes.
@@ -201,33 +195,13 @@ impl WhylateSummary {
 
     /// JSON object with one field per cause, in stable order.
     pub fn to_json(&self) -> Json {
-        Json::Obj(
-            WHYLATE_NAMES
-                .iter()
-                .zip(self.as_array())
-                .map(|(k, v)| ((*k).to_string(), Json::U64(v)))
-                .collect(),
-        )
+        Json::obj(pairs(self, &CAUSES))
     }
 
     /// Parse a JSON object produced by [`WhylateSummary::to_json`].
-    /// All fields must be present (a partial block is corruption, not a
-    /// version skew — absence of the whole block is the backward-compat
-    /// path), except the two redundancy causes `late_degraded_read` and
-    /// `late_rebuild_contention`, which default to zero: pre-redundancy
-    /// baselines (schema v3 and older) could not have recorded them.
+    /// Every cause must be present; an error names the missing one.
     pub fn parse(doc: &Json) -> Result<Self, String> {
-        let mut a = [0u64; WHYLATE_CAUSES];
-        for (slot, name) in a.iter_mut().zip(WHYLATE_NAMES) {
-            match doc.get(name).and_then(Json::as_u64) {
-                Some(v) => *slot = v,
-                None if matches!(name, "late_degraded_read" | "late_rebuild_contention") => {
-                    *slot = 0;
-                }
-                None => return Err(format!("whylate block missing field '{name}'")),
-            }
-        }
-        Ok(Self::from_array(a))
+        WHYLATE.parse(doc)
     }
 }
 
@@ -290,25 +264,31 @@ mod tests {
     }
 
     #[test]
-    fn parse_defaults_missing_redundancy_causes_to_zero() {
-        // A pre-redundancy (schema <= v3) whylate block lacks the two
-        // redundancy causes; parse must default them, not reject.
-        let mut w = WhylateSummary::from_ledger(&busy_ledger());
-        w.late_degraded_read = 4;
-        w.late_rebuild_contention = 2;
-        let Json::Obj(fields) = w.to_json() else {
-            panic!("to_json must emit an object");
+    fn parse_rejects_missing_redundancy_causes() {
+        // Only v4 documents load, and every v4 whylate block carries
+        // the two redundancy causes: a block without one is corrupt.
+        let w = WhylateSummary::from_ledger(&busy_ledger());
+        for cause in ["late_degraded_read", "late_rebuild_contention"] {
+            let Json::Obj(mut fields) = w.to_json() else {
+                panic!("to_json must emit an object");
+            };
+            fields.retain(|(k, _)| k != cause);
+            let err = WhylateSummary::parse(&Json::Obj(fields)).unwrap_err();
+            assert!(err.contains(cause), "{err}");
+        }
+    }
+
+    #[test]
+    fn names_follow_the_array_order() {
+        let w = WhylateSummary {
+            late_degraded_read: 6,
+            wasted_unused_at_end: 14,
+            ..WhylateSummary::default()
         };
-        let old: Vec<_> = fields
-            .into_iter()
-            .filter(|(k, _)| k != "late_degraded_read" && k != "late_rebuild_contention")
-            .collect();
-        let back = WhylateSummary::parse(&Json::Obj(old)).unwrap();
-        assert_eq!(back.late_degraded_read, 0);
-        assert_eq!(back.late_rebuild_contention, 0);
-        w.late_degraded_read = 0;
-        w.late_rebuild_contention = 0;
-        assert_eq!(back, w);
+        let a = w.as_array();
+        assert_eq!(WHYLATE_NAMES[5], "late_degraded_read");
+        assert_eq!((a[5], a[13]), (6, 14));
+        assert_eq!(WhylateSummary::from_array(a), w);
     }
 
     #[test]

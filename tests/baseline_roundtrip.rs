@@ -251,3 +251,48 @@ fn gated_metric_names_and_directions() {
     want.sort_by_key(|(n, _)| *n);
     assert_eq!(got, want);
 }
+
+/// A cell whose optional block vanished between baseline and capture
+/// reports exactly that block's metrics, and no allowance covers them:
+/// `ablations/readahead` of `BENCH_7.json` against itself minus its
+/// `policy` block.
+#[test]
+fn a_vanished_block_is_reported_by_name() {
+    let base = parse_baseline(&oocp::obs::json::parse(&bench7_text()).unwrap()).unwrap();
+    let mut cell = base
+        .runs
+        .iter()
+        .find(|r| r.key() == "ablations/readahead")
+        .expect("BENCH_7 has the readahead policy cell")
+        .clone();
+    cell.policy = None;
+    let all = oocp::obs::baseline::parse_allowance_arg("all=100").unwrap();
+    let scoped = Baseline {
+        runs: vec![base
+            .runs
+            .iter()
+            .find(|r| r.key() == cell.key())
+            .unwrap()
+            .clone()],
+        ..base
+    };
+    let rep = compare(&scoped, &[cell], &[all]);
+    let got: Vec<&str> = rep.findings.iter().map(|f| f.metric.as_str()).collect();
+    assert_eq!(
+        got,
+        [
+            "policy.injected_prefetch_pages",
+            "policy.injected_release_pages",
+            "policy.window_peak",
+            "policy.distance_retunes",
+            "policy.late_rate_samples",
+            "policy.late_arrival_bp",
+        ]
+    );
+    assert!(
+        rep.findings.iter().all(|f| !f.allowed),
+        "{:?}",
+        rep.findings
+    );
+    assert!(!rep.passed());
+}
