@@ -1,9 +1,10 @@
-//! `repro` — regenerate the paper's tables and figures.
+//! `repro` — regenerate the paper's tables and figures, and run the
+//! sweeps and gates.
 //!
-//! `repro <name> [flags]` runs one experiment, `repro --all [flags]`
-//! every one, `repro --list` names them; the table is
+//! `repro <name> [flags]` runs one row, `repro --all [flags]` every
+//! paper experiment, `repro --list` names every row; the tables are
 //! `oocp_bench::experiments`. Exit status: 0 ok, 1 a run failed
-//! verification, 2 usage.
+//! verification or a check did not hold, 2 usage.
 
 use std::process::ExitCode;
 

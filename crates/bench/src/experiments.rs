@@ -1,16 +1,20 @@
 //! The paper's evaluation (section 4: Tables 1-3, Figures 3-8) and the
 //! two follow-ups, as one table that the `repro` binary drives:
-//! `repro <name> [flags]`, `repro --all [flags]`, `repro --list`.
+//! `repro <name> [flags]`, `repro --all [flags]`, `repro --list`. The
+//! sweeps and gates (`crate::sweeps`) are a second table beside it that
+//! `repro <name>` and `--list` search too, and `--all` does not run.
 //!
 //! Every experiment is the same suite run original-vs-prefetching under
 //! a handful of platform settings, so what they share is written once
 //! here: the banner, the suite iterator, the O/P pair, and
 //! [`Runner::run_spec`], the one place a run is executed and its
-//! verification checked. A run the workload verifier rejects is named
-//! on stderr and `repro` exits 1 after printing — a table is only worth
-//! reading if every run behind it computed the right data.
+//! verification checked. A run the workload verifier rejects, or a
+//! sweep's [`Runner::gate`] that does not hold, is named on stderr and
+//! `repro` exits 1 after printing — a table is only worth reading if
+//! every run behind it computed the right data.
 
 use std::cell::Cell;
+use std::fmt::Display;
 
 use oocp_core::ReleaseMode;
 use oocp_ir::CostModel;
@@ -18,38 +22,57 @@ use oocp_nas::{build, buk, App, Workload};
 use oocp_os::MachineParams;
 use oocp_sim::time::{fmt_ns, TimeBreakdown, TimeCategory, SECOND};
 
+use crate::sweeps;
 use crate::{
     exit_on, pct, print_breakdown_row, secs, share, write_csv, Args, Config, Mode, RunResult,
     RunSpec,
 };
 
-/// One entry of the table.
+/// One entry of a table.
 pub struct Experiment {
     /// What `repro` calls it.
     pub name: &'static str,
-    /// What the paper calls it.
+    /// What the paper calls it; for a sweep, what it varies.
     pub paper: &'static str,
     /// One line for `repro --list`.
     pub about: &'static str,
+    /// The platform the command line's flags override.
+    pub platform: fn() -> Config,
     /// Prints the table or figure to stdout.
     pub run: fn(&Runner),
 }
 
-/// The table, one row an experiment, in the order `repro --all` (and
-/// `scripts/repro-all.sh`) prints them.
+/// The paper's experiments, one row each, in the order `repro --all`
+/// (and `scripts/repro-all.sh`) prints them.
 #[rustfmt::skip]
 pub static EXPERIMENTS: [Experiment; 11] = [
-    Experiment { name: "table1", paper: "Table 1", about: "experimental platform characteristics", run: table1 },
-    Experiment { name: "table2", paper: "Table 2", about: "applications and data-set sizes", run: table2 },
-    Experiment { name: "fig3", paper: "Figure 3", about: "overall performance improvement from prefetching", run: fig3 },
-    Experiment { name: "fig4", paper: "Figure 4", about: "effectiveness of the compiler analysis and run-time filter", run: fig4 },
-    Experiment { name: "fig5", paper: "Figure 5", about: "disk request breakdown and average disk utilization", run: fig5 },
-    Experiment { name: "table3", paper: "Table 3", about: "memory sub-system activity and amount of free memory", run: table3 },
-    Experiment { name: "fig6", paper: "Figure 6", about: "in-core data sets, cold- and warm-started", run: fig6 },
-    Experiment { name: "fig7", paper: "Figure 7", about: "larger out-of-core problem sizes", run: fig7 },
-    Experiment { name: "fig8", paper: "Figure 8", about: "BUK execution time across a range of problem sizes", run: fig8 },
-    Experiment { name: "futurework", paper: "Section 6", about: "in-core adaptivity and multiprogrammed memory pressure", run: futurework },
-    Experiment { name: "modern", paper: "Section 1", about: "the same suite on SSD- and NVMe-era machines", run: modern },
+    Experiment { name: "table1", paper: "Table 1", about: "experimental platform characteristics", platform: Config::default_platform, run: table1 },
+    Experiment { name: "table2", paper: "Table 2", about: "applications and data-set sizes", platform: Config::default_platform, run: table2 },
+    Experiment { name: "fig3", paper: "Figure 3", about: "overall performance improvement from prefetching", platform: Config::default_platform, run: fig3 },
+    Experiment { name: "fig4", paper: "Figure 4", about: "effectiveness of the compiler analysis and run-time filter", platform: Config::default_platform, run: fig4 },
+    Experiment { name: "fig5", paper: "Figure 5", about: "disk request breakdown and average disk utilization", platform: Config::default_platform, run: fig5 },
+    Experiment { name: "table3", paper: "Table 3", about: "memory sub-system activity and amount of free memory", platform: Config::default_platform, run: table3 },
+    Experiment { name: "fig6", paper: "Figure 6", about: "in-core data sets, cold- and warm-started", platform: Config::default_platform, run: fig6 },
+    Experiment { name: "fig7", paper: "Figure 7", about: "larger out-of-core problem sizes", platform: Config::default_platform, run: fig7 },
+    Experiment { name: "fig8", paper: "Figure 8", about: "BUK execution time across a range of problem sizes", platform: Config::default_platform, run: fig8 },
+    Experiment { name: "futurework", paper: "Section 6", about: "in-core adaptivity and multiprogrammed memory pressure", platform: Config::default_platform, run: futurework },
+    Experiment { name: "modern", paper: "Section 1", about: "the same suite on SSD- and NVMe-era machines", platform: Config::default_platform, run: modern },
+];
+
+/// The sweeps and gates: the paper's non-binding-hint law restated
+/// over policies, schedules, faults, crashes, disk deaths and tenants.
+/// `repro <name>` runs one; `--all` runs none.
+#[rustfmt::skip]
+pub static SWEEPS: [Experiment; 9] = [
+    Experiment { name: "ablations", paper: "Ablations", about: "block size, two-version loops, release, disks, distance, policy race", platform: Config::default_platform, run: sweeps::ablations },
+    Experiment { name: "schedsweep", paper: "Scheduler", about: "every I/O scheduling policy changes time, never results", platform: sweeps::two_mb, run: sweeps::schedsweep },
+    Experiment { name: "chaos", paper: "Faults", about: "errors, stragglers and a brownout cost time, never results", platform: sweeps::two_mb, run: sweeps::chaos },
+    Experiment { name: "crash", paper: "Crashes", about: "power loss, journal recovery and restart (--no-journal: must lose data)", platform: sweeps::two_mb, run: sweeps::crash },
+    Experiment { name: "disk-death", paper: "Disk loss", about: "a disk dies under parity (--redundancy none: must be fatal)", platform: sweeps::parity, run: sweeps::disk_death },
+    Experiment { name: "corrupt-parity", paper: "Parity", about: "latent bad parity is caught by the rebuild's verify sweep", platform: sweeps::parity, run: sweeps::corrupt_parity },
+    Experiment { name: "tenants", paper: "Tenants", about: "co-scheduled tenants: fairness, throughput, bit-exact survivors", platform: crate::tenants::platform, run: sweeps::tenants },
+    Experiment { name: "tenants-full", paper: "Tenants", about: "the tenant sweep out to 128 tenants", platform: crate::tenants::platform, run: sweeps::tenants_full },
+    Experiment { name: "quota-gate", paper: "Quotas", about: "memory quotas hold, and without them a hog overruns", platform: sweeps::one_mb, run: sweeps::quota_gate },
 ];
 
 /// What an experiment's `run` is handed: the command line, and the one
@@ -110,13 +133,35 @@ impl<'a> Runner<'a> {
         )
     }
 
-    /// Report a run the verifier rejected, and remember it for the
-    /// exit status.
-    fn check(&self, what: &str, mode: Mode, verified: &Result<(), String>) {
-        if let Err(e) = verified {
-            eprintln!("WARNING: {} {what} {}: {e}", self.exp.name, mode.label());
-            self.failed.set(self.failed.get() + 1);
+    /// Report a run the verifier rejected; true when it verified.
+    pub(crate) fn check(&self, what: &str, mode: Mode, verified: &Result<(), String>) -> bool {
+        let Err(e) = verified else { return true };
+        self.fail(format_args!(
+            "{what} {} failed to verify: {e}",
+            mode.label()
+        ));
+        false
+    }
+
+    /// A check of a sweep: unless `ok`, [`Runner::fail`] with `what`.
+    /// Returns `ok`.
+    pub fn gate(&self, ok: bool, what: impl Display) -> bool {
+        if !ok {
+            self.fail(what);
         }
+        ok
+    }
+
+    /// Name a check that did not hold on stderr, one line, and
+    /// remember it for the exit status.
+    pub fn fail(&self, what: impl Display) {
+        eprintln!("FAIL: {} {what}", self.exp.name);
+        self.failed.set(self.failed.get() + 1);
+    }
+
+    /// Whether every run and check so far held.
+    pub fn ok(&self) -> bool {
+        self.failed.get() == 0
     }
 }
 
@@ -129,7 +174,7 @@ fn suite(cfg: &Config, ratio: f64) -> impl Iterator<Item = (App, Workload)> + '_
 }
 
 /// `a / b` of two simulated totals: the speedup of `b` over `a`.
-fn speedup(a: &RunResult, b: &RunResult) -> f64 {
+pub(crate) fn speedup(a: &RunResult, b: &RunResult) -> f64 {
     a.total() as f64 / b.total() as f64
 }
 
@@ -138,28 +183,34 @@ fn stall_elim(o: &RunResult, p: &RunResult) -> f64 {
     1.0 - p.time.idle as f64 / o.time.idle.max(1) as f64
 }
 
-/// `repro`'s `main` minus the process exit: 0 when every run of every
-/// selected experiment verified, 1 when one did not, 2 for a command
-/// line that names no experiment.
+/// `repro`'s `main` minus the process exit: 0 when every run and check
+/// of every selected row held, 1 when one did not, 2 for a command line
+/// that names no row.
 pub fn repro(argv: &[String]) -> u8 {
-    drive(&EXPERIMENTS, argv)
+    drive(&EXPERIMENTS, &SWEEPS, argv)
 }
 
-fn drive(table: &[Experiment], argv: &[String]) -> u8 {
+/// `--all` runs `paper`; a name selects from either table.
+fn drive<'t>(paper: &'t [Experiment], sweeps: &'t [Experiment], argv: &[String]) -> u8 {
     let list = || {
-        table
+        paper
             .iter()
-            .map(|e| format!("  {:<11} {:<10} {}\n", e.name, e.paper, e.about))
+            .chain(sweeps)
+            .map(|e| format!("  {:<14} {:<10} {}\n", e.name, e.paper, e.about))
             .collect::<String>()
+    };
+    let find = |table: &'t [Experiment], name: &str| {
+        let i = table.iter().position(|e| e.name == name)?;
+        Some(&table[i..=i])
     };
     let (selected, flags, all) = match argv.split_first() {
         Some((first, _)) if first == "--list" => {
             print!("{}", list());
             return 0;
         }
-        Some((first, flags)) if first == "--all" => (table, flags, true),
-        Some((name, flags)) => match table.iter().position(|e| e.name == name) {
-            Some(i) => (&table[i..=i], flags, false),
+        Some((first, flags)) if first == "--all" => (paper, flags, true),
+        Some((name, flags)) => match find(paper, name).or_else(|| find(sweeps, name)) {
+            Some(row) => (row, flags, false),
             None => {
                 eprint!("error: no experiment named {name:?}; there are\n{}", list());
                 return 2;
@@ -173,9 +224,9 @@ fn drive(table: &[Experiment], argv: &[String]) -> u8 {
             return 2;
         }
     };
-    let args = Args::from_argv(Config::default_platform(), flags);
     let mut failed = 0;
     for exp in selected {
+        let args = Args::from_argv((exp.platform)(), flags);
         if all {
             let rule = "=".repeat(64);
             println!("{rule}\n== {}\n{rule}", exp.name);
@@ -188,7 +239,7 @@ fn drive(table: &[Experiment], argv: &[String]) -> u8 {
         }
     }
     if failed > 0 {
-        eprintln!("repro: {failed} run(s) failed verification");
+        eprintln!("repro: {failed} check(s) failed");
         return 1;
     }
     0
@@ -784,39 +835,52 @@ mod tests {
         line.split_whitespace().map(String::from).collect()
     }
 
+    /// Every row of both tables.
+    fn rows() -> impl Iterator<Item = &'static Experiment> {
+        EXPERIMENTS.iter().chain(&SWEEPS)
+    }
+
     #[test]
     fn names_are_unique_and_nonempty() {
-        for (i, e) in EXPERIMENTS.iter().enumerate() {
+        let all: Vec<_> = rows().collect();
+        for (i, e) in all.iter().enumerate() {
             assert!(!e.name.is_empty() && !e.paper.is_empty() && !e.about.is_empty());
             assert!(
-                EXPERIMENTS[..i].iter().all(|other| other.name != e.name),
+                all[..i].iter().all(|other| other.name != e.name),
                 "{} is registered twice",
                 e.name
             );
         }
     }
 
-    /// The experiment names a document invokes: the word after `repro `
-    /// (or `repro -- `, the `cargo run` form). `--all`, `--list` and
-    /// `<name>` are not names.
+    /// The row names a document invokes: the word after `repro ` (or
+    /// `repro -- `, the `cargo run` form), letters, digits and `-`.
+    /// `--all`, `--list` and `<name>` are not names.
     fn invoked(text: &str) -> Vec<&str> {
         text.split("repro ")
             .skip(1)
             .map(|rest| rest.strip_prefix("-- ").unwrap_or(rest))
             .map(|rest| {
                 let end = rest
-                    .find(|c: char| !c.is_ascii_alphanumeric())
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
                     .unwrap_or(rest.len());
                 &rest[..end]
             })
-            .filter(|word| !word.is_empty())
+            .filter(|word| word.starts_with(|c: char| c.is_ascii_alphanumeric()))
             .collect()
+    }
+
+    #[test]
+    fn invoked_reads_hyphenated_names_and_skips_flags() {
+        let text = "`repro disk-death --smoke`, repro -- --all, repro <name>, \
+                    cargo run --bin repro -- tenants-full";
+        assert_eq!(invoked(text), ["disk-death", "tenants-full"]);
     }
 
     #[test]
     fn documented_command_lines_name_registered_experiments() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        // (document, whether it must show every experiment)
+        // (document, whether it must show every row)
         for (doc, index) in [
             ("README.md", false),
             ("DESIGN.md", true),
@@ -828,12 +892,17 @@ mod tests {
             let names = invoked(&text);
             assert!(!names.is_empty(), "{doc} shows no repro command line");
             for name in &names {
-                let registered = EXPERIMENTS.iter().any(|e| e.name == *name);
+                let registered = rows().any(|e| e.name == *name);
                 assert!(registered, "{doc} runs `repro {name}`: no such experiment");
             }
-            for e in EXPERIMENTS.iter().filter(|_| index) {
+            for e in rows().filter(|_| index) {
                 let name = e.name;
                 assert!(names.contains(&name), "{doc} never runs `repro {name}`");
+            }
+            // These were binaries; they are `repro` rows now.
+            for gone in ["ablations", "schedsweep", "chaos", "tenants"] {
+                let line = format!("--bin {gone}");
+                assert!(!text.contains(&line), "{doc} still runs `{line}`");
             }
         }
     }
@@ -847,17 +916,32 @@ mod tests {
             x.check("EMBAR", Mode::Original, &Ok(()));
             x.check("EMBAR", Mode::Prefetch, &Err("sum 3 != 4".to_string()));
         }
-        let entry = |name, run| Experiment {
+        fn holds(x: &Runner) {
+            x.gate(true, "a gate that holds");
+        }
+        fn breaks(x: &Runner) {
+            x.check("EMBAR", Mode::Prefetch, &Ok(()));
+            x.gate(false, "checksum 1 != 2");
+        }
+        let entry = |name, run: fn(&Runner)| Experiment {
             name,
             paper: "Figure 0",
             about: "test",
+            platform: Config::default_platform,
             run,
         };
         let table = [entry("good", passes), entry("bad", fails)];
-        assert_eq!(drive(&table, &argv("good")), 0);
-        assert_eq!(drive(&table, &argv("bad")), 1);
+        let gates = [entry("gated", breaks), entry("neighbour", holds)];
+        assert_eq!(drive(&table, &gates, &argv("good")), 0);
+        assert_eq!(drive(&table, &gates, &argv("bad")), 1);
         // One rejected run anywhere fails the whole sweep.
-        assert_eq!(drive(&table, &argv("--all")), 1);
+        assert_eq!(drive(&table, &gates, &argv("--all")), 1);
+        // A run that verifies but a gate that does not hold fails its
+        // row, and only its row.
+        assert_eq!(drive(&table, &gates, &argv("gated")), 1);
+        assert_eq!(drive(&table, &gates, &argv("neighbour")), 0);
+        // `--all` runs the first table only.
+        assert_eq!(drive(&table[..1], &gates, &argv("--all")), 0);
     }
 
     #[test]
@@ -867,5 +951,15 @@ mod tests {
         assert_eq!(repro(&argv("--list")), 0);
         // Table 1 runs nothing, so this is the driver alone.
         assert_eq!(repro(&argv("table1 --mem-mb 1")), 0);
+    }
+
+    #[test]
+    fn corrupt_parity_gate_passes_through_the_driver() {
+        assert_eq!(repro(&argv("corrupt-parity")), 0);
+    }
+
+    #[test]
+    fn quota_gate_holds_with_quotas_and_is_overrun_without() {
+        assert_eq!(repro(&argv("quota-gate")), 0);
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The `repro` binary regenerates every table and figure of the paper's
 //! evaluation from one table of [`experiments`] (see `DESIGN.md`
-//! section 5 for the index); the sweeps, gates and tools are binaries of
-//! their own. This library provides the common machinery: building a
+//! section 5 for the index), and runs the sweeps and gates from a second
+//! table beside it; the tools are binaries of their own. This library
+//! provides the common machinery: building a
 //! workload, running it on the simulated machine in the original
 //! (paged-VM) or prefetching configuration, and collecting every
 //! statistic the figures need.
@@ -11,6 +12,7 @@
 pub mod experiments;
 mod kernel;
 pub mod report;
+mod sweeps;
 pub mod tenants;
 
 pub use kernel::Kernel;
@@ -603,8 +605,7 @@ impl std::error::Error for ArgError {}
 /// The flags [`Args`] understands, printed with every [`ArgError`].
 const FLAGS: &str = "--mem-mb <n> --seed <n> --ratio <f> --disks <n> --csv <path> \
 --json <path> --metrics-out <prefix> --sample-interval-us <n> --sched <policy> \
---queue-depth <n> --policy <name> --redundancy <none|parity> --coalesce --smoke --crash \
---no-journal --disk-death --corrupt-parity";
+--queue-depth <n> --policy <name> --redundancy <none|parity> --coalesce --no-journal --smoke";
 
 /// `--key value` style overrides shared by the binaries. A rejected
 /// command line prints the full flag list.
@@ -626,34 +627,12 @@ pub struct Args {
     /// (time-series rows) from [`RunResult::telemetry`]. Giving
     /// `--metrics-out` attaches the sampler ([`Config::sampler`]).
     pub metrics_out: Option<String>,
-    /// Quick-gate mode: binaries that support it shrink to a single
-    /// small kernel so CI can run them on every change.
+    /// Quick-gate mode: a sweep that supports it shrinks to a small
+    /// kernel set so CI can run it on every change.
     pub smoke: bool,
-    /// Crash sweep mode (the chaos binary): simulate power loss at
-    /// several points of each kernel and check verified recovery.
-    pub crash: bool,
-    /// Disable the writeback journal (`cfg.machine.journal = false`).
-    /// Combined with `--crash` this is the *negative* gate: torn writes
-    /// must then lose data, proving the crash oracle has teeth.
-    pub no_journal: bool,
-    /// Disk-death sweep mode (the chaos binary): kill one whole disk at
-    /// several points of each kernel's run and check degraded reads,
-    /// online rebuild, and bit-identical results under `--redundancy
-    /// parity`. With `--redundancy none` the sweep must instead die
-    /// with the typed data-loss error (the negative gate).
-    pub disk_death: bool,
-    /// Latent-corruption gate (the chaos binary): flip bits in stripe
-    /// parity via the debug hook before a disk death; the rebuild's
-    /// verify sweep must detect every corrupted row.
-    pub corrupt_parity: bool,
 }
 
 impl Args {
-    /// Parse from `std::env::args` on the default platform.
-    pub fn parse() -> Self {
-        Self::parse_on(Config::default_platform())
-    }
-
     /// Parse from `std::env::args`, the flags overriding `cfg`: a
     /// binary whose default platform is not [`Config::default_platform`]
     /// hands its own in, and what it gets back differs from that only
@@ -671,7 +650,9 @@ impl Args {
             eprintln!("error: {e}\nflags: {FLAGS}");
             std::process::exit(2);
         });
-        exit_on_bad_config(&args.cfg);
+        if let Err(e) = args.cfg.machine.check() {
+            exit_on_bad_config(e);
+        }
         args
     }
 
@@ -690,10 +671,6 @@ impl Args {
             json: None,
             metrics_out: None,
             smoke: false,
-            crash: false,
-            no_journal: false,
-            disk_death: false,
-            corrupt_parity: false,
         };
         let cfg = &mut args.cfg;
         let mut sample_interval = SAMPLE_INTERVAL_NS;
@@ -711,13 +688,7 @@ impl Args {
             match flag.as_str() {
                 "--coalesce" => cfg.machine.sched = cfg.machine.sched.with_coalesce(true),
                 "--smoke" => args.smoke = true,
-                "--crash" => args.crash = true,
-                "--no-journal" => {
-                    args.no_journal = true;
-                    cfg.machine.journal = false;
-                }
-                "--disk-death" => args.disk_death = true,
-                "--corrupt-parity" => args.corrupt_parity = true,
+                "--no-journal" => cfg.machine.journal = false,
                 "--mem-mb" => {
                     let v = value()?;
                     let bytes = v
@@ -815,15 +786,13 @@ pub fn write_metrics(
     Ok(())
 }
 
-/// Reject an invalid machine configuration with a typed
-/// [`oocp_os::ConfigError`] message and exit code 2 (operator error),
-/// instead of letting `Machine::new` panic mid-run. Every binary that
-/// accepts machine overrides funnels through here.
-pub fn exit_on_bad_config(cfg: &Config) {
-    if let Err(e) = cfg.machine.check() {
-        eprintln!("error: invalid machine configuration: {e}");
-        std::process::exit(2);
-    }
+/// Report an invalid machine configuration, a typed
+/// [`oocp_os::ConfigError`], and exit with code 2 (operator error)
+/// instead of letting `Machine::new` panic mid-run. Every command line
+/// that overrides the machine funnels through here.
+pub(crate) fn exit_on_bad_config(e: oocp_os::ConfigError) -> ! {
+    eprintln!("error: invalid machine configuration: {e}");
+    std::process::exit(2);
 }
 
 /// Write CSV rows to `path` (header first). An unwritable path is
@@ -981,10 +950,30 @@ mod tests {
             parse("--smoke --mem-mb").map(|_| ()),
             Err(ArgError::MissingValue("--mem-mb".into()))
         );
-        assert_eq!(
-            parse("--frobnicate 3").map(|_| ()),
-            Err(ArgError::UnknownFlag("--frobnicate".into()))
-        );
+        // A sweep's mode is a `repro` row, not a flag: `repro crash`,
+        // `repro tenants-full`, and `repro quota-gate` runs the
+        // quotas-off leg itself.
+        for flag in [
+            "--frobnicate",
+            "--crash",
+            "--disk-death",
+            "--corrupt-parity",
+            "--quota-gate",
+            "--no-quotas",
+            "--full",
+        ] {
+            assert_eq!(
+                parse(&format!("{flag} 3")).map(|_| ()),
+                Err(ArgError::UnknownFlag(flag.into()))
+            );
+        }
+        // Every flag the usage line lists parses.
+        for flag in FLAGS.split_whitespace().filter(|w| w.starts_with("--")) {
+            assert!(
+                !matches!(parse(&format!("{flag} 1")), Err(ArgError::UnknownFlag(f)) if f == flag),
+                "FLAGS lists {flag}, which does not parse"
+            );
+        }
         let msg = parse("--mem-mb x").map(|_| ()).unwrap_err().to_string();
         assert!(msg.contains("--mem-mb") && msg.contains("\"x\""), "{msg}");
     }

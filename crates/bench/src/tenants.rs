@@ -1,8 +1,9 @@
 //! Multi-tenant co-scheduling harness.
 //!
-//! Shared by the `tenants` bench binary (the fairness/throughput
-//! sweep), the perfgate tenant matrix cells (`tenants/co<n>` in the
-//! `BENCH_<n>.json` trajectory), and the repo-level proptest oracle.
+//! Shared by the `repro tenants` and `quota-gate` rows (the
+//! fairness/throughput sweep and the isolation gate), the perfgate
+//! tenant matrix cells (`tenants/co<n>` in the `BENCH_<n>.json`
+//! trajectory), and the repo-level proptest oracle.
 //!
 //! The canonical multi-tenant cell co-schedules `n` copies of the
 //! EMBAR kernel — the compiler's cleanest streaming case — on one

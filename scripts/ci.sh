@@ -112,11 +112,13 @@ done
 
 stage "repro --all --mem-mb 1 (all eleven paper experiments run; every run verifies)"
 # The tables and figures of the paper are entries of one table behind
-# one binary. It exits 1 if the workload verifier rejected any run
-# behind any of them, so a green stage means every printed number came
-# from a run that computed the right data.
+# one binary, and the sweeps and gates below are rows of a second table
+# beside it. `repro` exits 1 if the workload verifier rejected any run,
+# or a sweep's gate did not hold, so a green stage means every printed
+# number came from a run that computed the right data.
 cargo run --release -q -p oocp-bench --bin repro -- --all --mem-mb 1 > /dev/null
-REPRO_WANT="table1 table2 fig3 fig4 fig5 table3 fig6 fig7 fig8 futurework modern"
+REPRO_WANT="table1 table2 fig3 fig4 fig5 table3 fig6 fig7 fig8 futurework modern \
+ablations schedsweep chaos crash disk-death corrupt-parity tenants tenants-full quota-gate"
 REPRO_GOT="$(cargo run --release -q -p oocp-bench --bin repro -- --list | awk '{ print $1 }' | xargs)"
 [ "$REPRO_GOT" = "$REPRO_WANT" ] || {
     echo "repro --list names [$REPRO_GOT], expected [$REPRO_WANT]"; exit 1; }
@@ -126,29 +128,29 @@ cargo run --release -q -p oocp-bench --bin repro -- nosuch > /dev/null 2>&1 || R
     echo "repro nosuch exited $REPRO_RC, expected 2 (usage)"; exit 1; }
 
 stage "schedsweep smoke (policy sweep correctness gate)"
-cargo run --release -q -p oocp-bench --bin schedsweep -- --smoke
+cargo run --release -q -p oocp-bench --bin repro -- schedsweep --smoke --mem-mb 1
 
 stage "ablations smoke (policy x kernel matrix + checksum oracle)"
 # The policy matrix gates itself: every policy cell must verify and
 # its final checksum must equal the no-prefetch run — policies are
 # timing-only by contract.
-cargo run --release -q -p oocp-bench --bin ablations -- --smoke
+cargo run --release -q -p oocp-bench --bin repro -- ablations --smoke
 
 stage "policy negative gate (a data-corrupting policy must be caught)"
 # Install the test-only broken policy; the same matrix must now fail
 # with a verification error or checksum divergence — otherwise the
 # timing-only oracle has no teeth. The proptest twin of this gate is
 # tests/proptest_policy.rs::broken_policy_is_caught.
-if cargo run --release -q -p oocp-bench --bin ablations -- \
-    --smoke --policy broken > /tmp/oocp-bp.$$ 2>&1; then
+if cargo run --release -q -p oocp-bench --bin repro -- \
+    ablations --smoke --policy broken > /tmp/oocp-bp.$$ 2>&1; then
     cat /tmp/oocp-bp.$$
     rm -f /tmp/oocp-bp.$$
-    echo "ablations --policy broken passed: the policy oracle has no teeth"
+    echo "repro ablations --policy broken passed: the policy oracle has no teeth"
     exit 1
 fi
-grep -q "failed to verify\|checksum" /tmp/oocp-bp.$$ || {
+grep -q "FAIL: ablations .*\(failed to verify\|checksum\)" /tmp/oocp-bp.$$ || {
     cat /tmp/oocp-bp.$$; rm -f /tmp/oocp-bp.$$
-    echo "ablations --policy broken failed for the wrong reason"; exit 1; }
+    echo "repro ablations --policy broken failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-bp.$$
 
 stage "tenants smoke (multi-tenant fairness + isolation gates)"
@@ -156,29 +158,19 @@ stage "tenants smoke (multi-tenant fairness + isolation gates)"
 # must match its solo run, worst p95 demand stall within 3x solo, and
 # the co-scheduled makespan must beat the serial schedule; a chaos
 # cell (disk faults + one tenant killed) must leave survivors
-# bit-exact. The binary gates all of this itself and exits non-zero.
+# bit-exact. The row gates all of this itself and exits non-zero.
 # Each run takes seconds; under `timeout`, a scheduler that never
 # terminates fails its stage instead of hanging CI.
-timeout 600 cargo run --release -q -p oocp-bench --bin tenants -- --smoke
+timeout 600 cargo run --release -q -p oocp-bench --bin repro -- tenants --smoke
 
-stage "tenants quota gates (enforcement, then a required failure)"
-# Positive: a hint-free hog sharing the machine with a small victim is
-# clamped at its fair share, with quota evictions as the witness.
-timeout 600 cargo run --release -q -p oocp-bench --bin tenants -- --quota-gate
-# Negative: with quotas disabled the same hog must overrun its share
-# and the binary must fail saying so — otherwise the quota machinery
-# is decorative.
-if timeout 600 cargo run --release -q -p oocp-bench --bin tenants -- \
-    --quota-gate --no-quotas > /tmp/oocp-nq.$$ 2>&1; then
-    cat /tmp/oocp-nq.$$
-    rm -f /tmp/oocp-nq.$$
-    echo "tenants --no-quotas saw no overrun: the quota gate has no teeth"
-    exit 1
-fi
-grep -q "exceeds fair share" /tmp/oocp-nq.$$ || {
-    cat /tmp/oocp-nq.$$; rm -f /tmp/oocp-nq.$$
-    echo "tenants --no-quotas failed for the wrong reason"; exit 1; }
-rm -f /tmp/oocp-nq.$$
+stage "tenants quota gate (enforcement, and an overrun without it)"
+# Both legs in one row: with quotas a hint-free hog sharing the machine
+# with a small victim is clamped at its fair share, with quota evictions
+# as the witness; with quotas off the same hog must overrun its share —
+# otherwise the quota machinery is decorative. Either leg failing exits
+# non-zero. `quota_gate_holds_with_quotas_and_is_overrun_without` runs
+# the same row under `cargo test`.
+timeout 600 cargo run --release -q -p oocp-bench --bin repro -- quota-gate
 
 stage "obsreport smoke (observability invariants + JSON round-trip)"
 # The binary asserts the attribution, ledger, and whylate-partition
@@ -291,10 +283,10 @@ else
 fi
 
 stage "crash-recovery gate (power loss -> journal replay -> verified restart)"
-# The chaos binary's crash sweep: kill each kernel mid-run (torn writes
-# included), recover through the writeback journal, and require an
-# application restart to match the never-crashed reference bit for bit.
-cargo run --release -q -p oocp-bench --bin chaos -- --crash --smoke
+# The crash sweep: kill each kernel mid-run (torn writes included),
+# recover through the writeback journal, and require an application
+# restart to match the never-crashed reference bit for bit.
+cargo run --release -q -p oocp-bench --bin repro -- crash --smoke
 # The oracle proptest in its quick profile (one kernel, full crash
 # matrix); the full five-kernel matrix runs with plain `cargo test`.
 CRASH_ORACLE_QUICK=1 cargo test -q --test proptest_crash
@@ -302,24 +294,24 @@ CRASH_ORACLE_QUICK=1 cargo test -q --test proptest_crash
 stage "crash negative gate (a disabled journal must lose data)"
 # Inverted expectation: with --no-journal the same sweep must go
 # unrecoverable and exit non-zero — otherwise the oracle has no teeth.
-if cargo run --release -q -p oocp-bench --bin chaos -- \
-    --crash --smoke --no-journal > /tmp/oocp-nj.$$ 2>&1; then
+if cargo run --release -q -p oocp-bench --bin repro -- \
+    crash --smoke --no-journal > /tmp/oocp-nj.$$ 2>&1; then
     cat /tmp/oocp-nj.$$
     rm -f /tmp/oocp-nj.$$
-    echo "chaos --crash --no-journal lost nothing: the negative gate has no teeth"
+    echo "repro crash --no-journal lost nothing: the negative gate has no teeth"
     exit 1
 fi
-grep -q "unrecoverable (expected)" /tmp/oocp-nj.$$ || {
+grep -q "FAIL: crash .*pages unrecoverable without the journal" /tmp/oocp-nj.$$ || {
     cat /tmp/oocp-nj.$$; rm -f /tmp/oocp-nj.$$
-    echo "chaos --crash --no-journal failed for the wrong reason"; exit 1; }
+    echo "repro crash --no-journal failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-nj.$$
 
 stage "disk-death gate (parity survival: degraded reads -> online rebuild)"
-# The chaos binary's disk-death sweep: kill a whole disk mid-run under
-# rotating parity, serve the hole through survivor reconstruction, and
-# require every cell's final data to match the fault-free reference bit
-# for bit while the online rebuild completes.
-cargo run --release -q -p oocp-bench --bin chaos -- --disk-death --smoke
+# The disk-death sweep: kill a whole disk mid-run under rotating parity,
+# serve the hole through survivor reconstruction, and require every
+# cell's final data to match the fault-free reference bit for bit while
+# the online rebuild completes.
+cargo run --release -q -p oocp-bench --bin repro -- disk-death --smoke
 # The oracle proptest in its quick profile (one kernel, early + mid
 # deaths); the full kernel x death-time x policy matrix runs with plain
 # `cargo test`.
@@ -329,23 +321,25 @@ stage "disk-death negative gate (no redundancy must be fatal, and typed)"
 # Inverted expectation: the same death on a plain striped array must
 # abort with the typed data-loss error — if it survives, degraded reads
 # are fabricating data from nowhere.
-if cargo run --release -q -p oocp-bench --bin chaos -- \
-    --disk-death --smoke --redundancy none > /tmp/oocp-nr.$$ 2>&1; then
+if cargo run --release -q -p oocp-bench --bin repro -- \
+    disk-death --smoke --redundancy none > /tmp/oocp-nr.$$ 2>&1; then
     cat /tmp/oocp-nr.$$
     rm -f /tmp/oocp-nr.$$
-    echo "chaos --disk-death --redundancy none survived: the parity gate has no teeth"
+    echo "repro disk-death --redundancy none survived: the parity gate has no teeth"
     exit 1
 fi
 grep -q "no redundancy: data lost" /tmp/oocp-nr.$$ || {
     cat /tmp/oocp-nr.$$; rm -f /tmp/oocp-nr.$$
-    echo "chaos --disk-death --redundancy none failed for the wrong reason"; exit 1; }
+    echo "repro disk-death --redundancy none failed for the wrong reason"; exit 1; }
 rm -f /tmp/oocp-nr.$$
 
 stage "parity-corruption gate (latent bad parity must be caught by rebuild verify)"
 # Corrupt two parity rows behind the machine's back; the rebuild's
 # verify sweep must detect exactly those rows, heal them from the
 # durable data pages, and reconstruct the dead disk correctly anyway.
-cargo run --release -q -p oocp-bench --bin chaos -- --corrupt-parity
+# `corrupt_parity_gate_passes_through_the_driver` runs the same row
+# under `cargo test`.
+cargo run --release -q -p oocp-bench --bin repro -- corrupt-parity
 
 # Clippy needs its component installed; offline or minimal toolchains
 # may not have it, and the gate should not fail for that.
@@ -361,15 +355,15 @@ stage "line counts (non-test lines of oocp-os, oocp-bench and the baseline schem
 # lines are those before its first `#[cfg(test)]`. machine.rs is the
 # paging core, and the cap is the size it had when the extensions moved
 # out to machine/*.rs: something that belongs to one of them goes there.
-# crates/bench/src is capped at the size it had when the eleven
-# per-figure binaries became one table: a new experiment is an entry
-# there, not a new `main`. crates/obs/src/baseline.rs is capped at the
+# crates/bench/src is capped at the size it had when the sweeps and
+# gates joined the paper's experiments as rows behind `repro`: a new
+# experiment or gate is an entry there, not a new `main`. crates/obs/src/baseline.rs is capped at the
 # size it had when the BENCH schema became one table per JSON block: a
 # new baseline field is one row of a table, not three edits (writer,
 # reader, metrics()). A cap raised on purpose is raised in the same
 # commit.
 MACHINE_RS_MAX=1941
-BENCH_SRC_MAX=5860
+BENCH_SRC_MAX=5657
 BASELINE_RS_MAX=780
 count_lines() { # directory: prints each file's count, sets TOTAL and the capped files' counts
     TOTAL=0

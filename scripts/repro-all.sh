@@ -9,10 +9,10 @@ cd "$(dirname "$0")/.."
 ./scripts/ci.sh
 
 cargo run --release -q -p oocp-bench --bin repro -- --all "$@"
-for bin in ablations chaos; do
+for row in ablations chaos; do
     echo "================================================================"
-    echo "== $bin"
+    echo "== $row"
     echo "================================================================"
-    cargo run --release -q -p oocp-bench --bin "$bin" -- "$@"
+    cargo run --release -q -p oocp-bench --bin repro -- "$row" "$@"
     echo
 done
