@@ -116,21 +116,39 @@ pub fn build_sized(n: i64, buckets: i64, iters: i64) -> Workload {
         }),
         Box::new(move |_prog, binds, data| {
             // rank must place keys in non-decreasing order and be a
-            // permutation of 0..n.
-            let mut out = vec![-1i64; nu as usize];
+            // permutation of 0..n: in the sorted order, the keys equal
+            // to `k` fill one block of positions, `start[k]..start[k+1]`,
+            // counted here from `key` alone (not from the program's
+            // `count`), so each rank must lie in its key's block and no
+            // two ranks may be equal.
+            let mut start = vec![0u32; nb as usize + 1];
+            for i in 0..nu {
+                let k = peek_i(binds, data, key, i);
+                if !(0..nb as i64).contains(&k) {
+                    return Err(format!("key[{i}] = {k} out of range"));
+                }
+                start[k as usize + 1] += 1;
+            }
+            for b in 1..start.len() {
+                start[b] += start[b - 1];
+            }
+            let mut taken = vec![0u64; nu.div_ceil(64) as usize];
             for i in 0..nu {
                 let r = peek_i(binds, data, rank, i);
                 if !(0..nu as i64).contains(&r) {
                     return Err(format!("rank[{i}] = {r} out of range"));
                 }
-                if out[r as usize] != -1 {
+                let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
+                if taken[word] & bit != 0 {
                     return Err(format!("rank collision at position {r}"));
                 }
-                out[r as usize] = peek_i(binds, data, key, i);
-            }
-            for w in out.windows(2) {
-                if w[0] > w[1] {
-                    return Err(format!("not sorted: {} > {}", w[0], w[1]));
+                taken[word] |= bit;
+                let k = peek_i(binds, data, key, i) as usize;
+                let block = start[k] as i64..start[k + 1] as i64;
+                if !block.contains(&r) {
+                    return Err(format!(
+                        "not sorted: key {k} at position {r}, outside {block:?}"
+                    ));
                 }
             }
             Ok(())
@@ -166,6 +184,30 @@ mod tests {
         let v = vm.peek_i64(rank_base);
         vm.poke_i64(rank_base + 8, v); // duplicate position
         assert!(w.verify(&binds, &vm).is_err());
+    }
+
+    #[test]
+    fn buk_verify_catches_ranks_swapped_across_buckets() {
+        let w = build_sized(1000, 100, 1);
+        let (binds, bytes) = ArrayBinding::sequential(&w.prog, 4096);
+        let mut vm = MemVm::new(bytes, 4096);
+        w.init(&binds, &mut vm, 42);
+        run_program(&w.prog, &binds, &w.param_values, CostModel::free(), &mut vm);
+        // Still a permutation, but two keys of different buckets now
+        // sit in each other's places.
+        use oocp_ir::ArrayData;
+        let (key, rank) = (
+            |i: u64| binds[0].base + 8 * i,
+            |i: u64| binds[1].base + 8 * i,
+        );
+        let j = (1..1000)
+            .find(|&j| vm.peek_i64(key(j)) != vm.peek_i64(key(0)))
+            .expect("more than one bucket is used");
+        let (r0, rj) = (vm.peek_i64(rank(0)), vm.peek_i64(rank(j)));
+        vm.poke_i64(rank(0), rj);
+        vm.poke_i64(rank(j), r0);
+        let err = w.verify(&binds, &vm).expect_err("a swap across buckets");
+        assert!(err.starts_with("not sorted"), "{err}");
     }
 
     #[test]

@@ -136,8 +136,12 @@ impl Page {
     /// The page is currently counted as "in memory" in the shared bit
     /// vector (idempotence guard for the per-bit reference counts).
     const BIT_NOTED: u8 = 1 << 6;
+    /// A plain durable write in flight carries the page's live image as
+    /// its payload (`durability::PlainWrite`): `Machine::unshare` must
+    /// copy the page before anything changes its bytes.
+    const SHARED: u8 = 1 << 7;
     /// What outlives a change of residency.
-    const HISTORY: u8 = Self::PREFETCH_TAG | Self::TOUCHED | Self::BIT_NOTED;
+    const HISTORY: u8 = Self::PREFETCH_TAG | Self::TOUCHED | Self::BIT_NOTED | Self::SHARED;
 
     fn has(&self, flag: u8) -> bool {
         self.flags & flag != 0
@@ -159,18 +163,19 @@ impl Page {
     /// notifies no one — active, referenced, touched, dirty if it is to
     /// be written, and with no prefetch outstanding (no tag, hence no
     /// span). Derived from the flags that arm maintains, so there is
-    /// nothing to invalidate.
+    /// nothing to invalidate. A shared page is never hot, so neither the
+    /// fast path nor a strip stores to it past the hook.
     #[inline]
     fn hot(&self, write: bool) -> bool {
         let want = Self::RESIDENT | Self::REFERENCED | Self::TOUCHED | (write as u8 * Self::DIRTY);
         debug_assert!(self.span == 0 || self.has(Self::PREFETCH_TAG));
-        self.flags & (want | Self::ON_FREE_LIST | Self::PREFETCH_TAG) == want
+        self.flags & (want | Self::ON_FREE_LIST | Self::PREFETCH_TAG | Self::SHARED) == want
     }
 
     /// A demand access takes the page: mapped and active, referenced,
     /// touched, and done with whatever prefetch brought it in.
     fn activate(&mut self, dirty: bool) {
-        self.flags = (self.flags & Self::BIT_NOTED)
+        self.flags = (self.flags & (Self::BIT_NOTED | Self::SHARED))
             | (Self::RESIDENT | Self::REFERENCED | Self::TOUCHED)
             | (dirty as u8 * Self::DIRTY);
         self.ticket = None;
@@ -940,6 +945,9 @@ impl Machine {
     /// error rate or brownout length defeats the retry budget). Fault-
     /// aware callers use [`Machine::try_touch`].
     pub fn touch(&mut self, addr: u64, len: u64, write: bool) -> u64 {
+        if write && self.durability.store.is_some() {
+            return self.touch_then_unshare(addr, len);
+        }
         self.try_touch(addr, len, write)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -1003,6 +1011,8 @@ impl Machine {
         }
         for &(addr, delta, write) in refs {
             let (mut at, mut hits) = (addr, 0);
+            // A stride of a page or more leaves the page every iteration.
+            let far = delta.unsigned_abs() >= self.params.page_bytes;
             // Aligned words never straddle a page.
             while hits < n && (at | delta as u64) & 7 == 0 {
                 match self.pages.get(self.page_of(at) as usize) {
@@ -1012,6 +1022,7 @@ impl Machine {
                 // Iterations until `at` leaves the page, if it moves at all.
                 let within = at & (self.params.page_bytes - 1);
                 let ahead = match delta {
+                    _ if far => 1,
                     1.. => (self.params.page_bytes - within).div_ceil(delta as u64),
                     0 => n,
                     _ => within / delta.unsigned_abs() + 1,
@@ -1836,7 +1847,7 @@ impl Machine {
     /// Write an `f64` at `addr` without touching residency (init only).
     #[inline]
     pub fn poke_f64(&mut self, addr: u64, v: f64) {
-        self.data[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
+        self.poke(addr, v.to_le_bytes());
     }
 
     /// Read an `i64` at `addr` without touching residency (init/verify).
@@ -1852,7 +1863,13 @@ impl Machine {
     /// Write an `i64` at `addr` without touching residency (init only).
     #[inline]
     pub fn poke_i64(&mut self, addr: u64, v: i64) {
-        self.data[addr as usize..addr as usize + 8].copy_from_slice(&v.to_le_bytes());
+        self.poke(addr, v.to_le_bytes());
+    }
+
+    /// The bytes of a store, after its touch (which unshared the page).
+    #[inline]
+    fn write_word(&mut self, addr: u64, bytes: [u8; 8]) {
+        self.data[addr as usize..addr as usize + 8].copy_from_slice(&bytes);
     }
 
     /// The touch of a timed 8-byte access: the hit test inlined into
@@ -1878,7 +1895,7 @@ impl Machine {
     #[inline]
     pub fn store_f64(&mut self, addr: u64, v: f64) {
         self.touch_word(addr, true);
-        self.poke_f64(addr, v);
+        self.write_word(addr, v.to_le_bytes());
     }
 
     /// Timed load of an `i64`.
@@ -1892,7 +1909,7 @@ impl Machine {
     #[inline]
     pub fn store_i64(&mut self, addr: u64, v: i64) {
         self.touch_word(addr, true);
-        self.poke_i64(addr, v);
+        self.write_word(addr, v.to_le_bytes());
     }
 
     /// Copy of the raw bytes of a segment (result verification).
@@ -1923,7 +1940,7 @@ mod tests {
 
     use super::*;
     use crate::parity::ParityStore;
-    use crate::store::DurableStore;
+    use crate::store::{DurableStore, SECTOR_BYTES};
     use crate::tenant::{QosClass, TenantId, TenantSpec};
     use crate::trace::Trace;
 
@@ -3278,28 +3295,168 @@ mod tests {
 
     #[test]
     fn durable_payloads_are_bounded_by_the_io_in_flight() {
+        // A plain write-back carries the live page; the only copies are
+        // those the hook takes for a store to a page whose write is in
+        // flight. Every eighth round releases each page after its store
+        // and stores it again, meeting the write-back the release issued.
         let mut m = tiny_parity();
-        let frames = m.params.resident_limit as usize;
-        let mut peak = 0;
-        let mut round = 0u64;
+        let (mut restored, mut round) = (0, 0u64);
         while m.stats().writebacks < 10_000 {
             round += 1;
             for p in 0..64u64 {
-                m.store_f64(p * 4096, (round * 64 + p) as f64);
+                let mut store = |m: &mut Machine, v: u64| {
+                    restored += m.pages[p as usize].has(Page::SHARED) as usize;
+                    m.store_f64(p * 4096, v as f64);
+                };
+                store(&mut m, round * 64 + p);
+                if round % 8 == 0 {
+                    m.sys_release(p, 1);
+                    store(&mut m, round * 64 + p + 1);
+                }
                 m.tick_user(300 * oocp_sim::time::MICROSECOND);
                 let held = m.durability.payload_buffers();
-                let queued = m.disk_stats().queue_depth_hwm as usize;
                 assert!(
-                    held <= frames + queued,
-                    "{held} payloads held at write-back {} (frames {frames}, deepest queue {queued})",
+                    held <= restored,
+                    "{held} page copies held at write-back {}, for {restored} stores to a page \
+                     with a write in flight",
                     m.stats().writebacks
                 );
-                peak = peak.max(held);
             }
         }
-        assert!(peak > 0, "write-backs did hold payloads in flight");
+        assert!(restored > 0, "stores met write-backs in flight");
         assert!(m.try_finish().is_ok());
         assert_durable_is_memory_and_parity_its_xor(&m);
+    }
+
+    /// The first word of `page`'s durable image.
+    fn durable_word(m: &Machine, page: u64) -> f64 {
+        let store = m.durability.store.as_ref().expect("a durable store");
+        f64::from_le_bytes(store.page(page)[..8].try_into().unwrap())
+    }
+
+    /// Store `v` to page 0 and release it: its write-back is in flight,
+    /// carrying the page itself.
+    fn write_back_page_zero(m: &mut Machine, v: f64) {
+        m.store_f64(0, v);
+        m.sys_release(0, 1);
+        assert!(m.pages[0].has(Page::SHARED), "the write shares the page");
+        // A load takes it back, active and clean and still shared: the
+        // fast path and the strips must pass it by.
+        assert_eq!(m.load_f64(0), v);
+        assert!(!m.pages[0].hot(false), "a shared page is never hot");
+    }
+
+    /// Land every write-back issued so far: the next one retires them.
+    fn land_in_flight_writes(m: &mut Machine) {
+        m.tick_user(1_000 * MILLISECOND);
+        m.store_f64(63 * 4096, 63.0);
+        m.sys_release(63, 1);
+    }
+
+    #[test]
+    fn a_store_behind_a_write_back_lands_the_bytes_the_write_had() {
+        // A timed store, and an untimed `poke`, which dirties nothing.
+        for poke in [false, true] {
+            let mut m = tiny_parity();
+            write_back_page_zero(&mut m, 1.0);
+            assert_eq!(m.durability.payload_buffers(), 0, "nothing copied yet");
+            if poke {
+                m.poke_f64(0, 2.0);
+            } else {
+                m.store_f64(0, 2.0);
+            }
+            assert_eq!(m.durability.payload_buffers(), 1, "poke {poke}: copied");
+            assert!(!m.pages[0].has(Page::SHARED));
+            land_in_flight_writes(&mut m);
+            assert_eq!(durable_word(&m, 0), 1.0, "poke {poke}: the write's bytes");
+            assert_eq!(m.peek_f64(0), 2.0, "poke {poke}: memory keeps the store");
+            assert!(m.try_finish().is_ok());
+            if !poke {
+                assert_durable_is_memory_and_parity_its_xor(&m);
+            }
+        }
+    }
+
+    #[test]
+    fn a_page_restored_behind_two_writes_in_flight_ends_with_the_later_image() {
+        let mut m = tiny_parity();
+        write_back_page_zero(&mut m, 1.0);
+        // The second store copies the first write's bytes; the second
+        // write shares the page until the third store copies its own.
+        write_back_page_zero(&mut m, 2.0);
+        m.store_f64(0, 3.0);
+        assert_eq!(m.durability.payload_buffers(), 2);
+        land_in_flight_writes(&mut m);
+        assert_eq!(durable_word(&m, 0), 2.0, "the later write lands last");
+        assert_eq!(m.peek_f64(0), 3.0);
+        assert!(m.try_finish().is_ok());
+        assert_durable_is_memory_and_parity_its_xor(&m);
+    }
+
+    #[test]
+    fn a_page_written_back_twice_before_its_store_shares_one_write() {
+        // `try_touch` dirties the page without the store (its caller
+        // stores next), and a release writes it back again meanwhile:
+        // the older write takes its copy, the newer one shares.
+        let mut m = tiny_parity();
+        write_back_page_zero(&mut m, 1.0);
+        m.try_touch(0, 8, true).unwrap();
+        m.sys_release(0, 1);
+        assert_eq!(m.durability.payload_buffers(), 1, "the older write copied");
+        m.poke_f64(0, 2.0);
+        assert_eq!(m.durability.payload_buffers(), 2, "the newer one too");
+        land_in_flight_writes(&mut m);
+        assert_eq!(durable_word(&m, 0), 1.0);
+    }
+
+    #[test]
+    fn a_torn_write_tears_with_the_bytes_it_had_also_after_a_zombie_store() {
+        // Page 0 carries 1.0 in the first word of every sector when its
+        // write-back is issued, and 2.0 once stored again: before the
+        // power dies, or by the zombie run after. The crash catches the
+        // write mid-air and lands a sector prefix of it, which must be
+        // the write's own bytes, never the later store's.
+        let sector = SECTOR_BYTES;
+        let store_sectors = |m: &mut Machine, v: f64| {
+            for s in 0..4096 / sector {
+                m.store_f64(s * sector, v);
+            }
+        };
+        let mut landed = 0;
+        for (seed, zombie) in (0..8).flat_map(|seed| [(seed, false), (seed, true)]) {
+            let mut p = MachineParams::small();
+            p.journal = false;
+            let mut m = Machine::new(p, 64 * 4096);
+            // Op 0 is page 0's fault, op 1 its write-back, op 2 the
+            // fault on page 1 that finds the power gone.
+            m.set_fault_plan(&crash_plan(seed, CrashPoint::AtOp(2), true));
+            store_sectors(&mut m, 1.0);
+            m.sys_release(0, 1);
+            if !zombie {
+                store_sectors(&mut m, 2.0);
+            }
+            m.touch(4096, 8, false);
+            assert!(m.crashed_at().is_some());
+            if zombie {
+                store_sectors(&mut m, 2.0);
+            }
+            assert!(
+                m.try_finish().is_err(),
+                "the second store never reached the disks"
+            );
+            let store = m.durability.store.as_ref().expect("crash mode");
+            for s in 0..4096 / sector {
+                let at = (s * sector) as usize;
+                let word = f64::from_le_bytes(store.page(0)[at..at + 8].try_into().unwrap());
+                assert!(
+                    word == 0.0 || word == 1.0,
+                    "seed {seed}: sector {s} holds {word}"
+                );
+                landed += (word == 1.0) as u64;
+            }
+            assert_eq!(m.peek_f64(0), 2.0);
+        }
+        assert!(landed > 0, "some draws landed part of the write");
     }
 
     #[test]

@@ -52,9 +52,15 @@ impl WalRecord {
 /// scheduled, or durability mode with the journal disabled — the
 /// configuration the negative CI gate uses to prove torn writes lose
 /// data without WAL protection.
+///
+/// The write carries the page's live image, not a copy of it: while it
+/// is in flight the page carries [`Page::SHARED`], so whatever is about
+/// to change its bytes first calls [`Machine::unshare`], which gives the
+/// write its own copy of them (`copy`). Until then the live page *is*
+/// the payload.
 struct PlainWrite {
     vpage: u64,
-    payload: Vec<u8>,
+    copy: Option<Vec<u8>>,
     data: Ticket,
 }
 
@@ -121,8 +127,9 @@ pub(super) struct Durability {
     /// as their disk writes complete, so what is here is what the disks
     /// still owe — not the run's history.
     plain_pending: VecDeque<PlainWrite>,
-    /// Page buffers of retired plain writes, kept for the next payload:
-    /// a steady-state write-back allocates nothing.
+    /// Page buffers of landed copies, kept for the next copy a
+    /// write-back or the copy-on-write hook takes: neither allocates
+    /// once the run has taken as many as it ever holds at once.
     spare_payloads: Vec<Vec<u8>>,
     /// `t` of a scheduled [`CrashPoint::AtTime`]. That crash latches at
     /// the first submission *after* `t`, so until then the clock can be
@@ -182,6 +189,14 @@ impl Durability {
         self.flush_failures.push(vpage);
     }
 
+    /// A copy of page `vpage` of `data`, in a recycled buffer.
+    fn copy_page(&mut self, data: &[u8], vpage: u64, page_bytes: u64) -> Vec<u8> {
+        let mut copy = self.spare_payloads.pop().unwrap_or_default();
+        copy.clear();
+        copy.extend_from_slice(live_page(data, vpage, page_bytes));
+        copy
+    }
+
     /// A write caught mid-air by the crash: an arbitrary sector prefix
     /// of the `per_page` sectors landed (possibly none, possibly all).
     /// Returns whether all of it did.
@@ -196,6 +211,11 @@ impl Durability {
         }
         k >= per_page
     }
+}
+
+/// Page `vpage` of the address space image `data`.
+fn live_page(data: &[u8], vpage: u64, page_bytes: u64) -> &[u8] {
+    &data[(vpage * page_bytes) as usize..][..page_bytes as usize]
 }
 
 impl Machine {
@@ -265,17 +285,82 @@ impl Machine {
     pub(super) fn writeback_durable(&mut self, vpage: u64, disk: usize, block: u64) {
         self.ensure_durable_snapshot();
         self.retire_landed();
-        let start = (vpage * self.params.page_bytes) as usize;
-        let mut payload = self.durability.spare_payloads.pop().unwrap_or_default();
-        payload.clear();
-        payload.extend_from_slice(&self.data[start..start + self.params.page_bytes as usize]);
         if self.durability.journal.is_some() {
+            // A journal record is its own copy: the ring bounds how many
+            // are in flight, and a sealed one outlives the write.
+            let payload = self
+                .durability
+                .copy_page(&self.data, vpage, self.params.page_bytes);
             let t0 = self.prof_start();
             self.writeback_journaled(vpage, disk, block, payload);
             self.prof_end(t0, MachineBucket::Journal);
         } else {
-            self.writeback_plain(vpage, disk, block, payload);
+            self.writeback_plain(vpage, disk, block);
         }
+    }
+
+    /// The copy-on-write hook: `vpage`'s bytes are about to change. If
+    /// a plain write in flight still carries them as the live page, it
+    /// gets its own copy of them first. Every writer of the image that
+    /// can meet such a page calls it: a timed store past the fast path,
+    /// zombie or not ([`Machine::touch_then_unshare`]), and an
+    /// untimed `poke_*`. A shared page is never `hot`, so neither the
+    /// fast path nor a strip writes to it.
+    #[inline]
+    pub(super) fn unshare(&mut self, vpage: u64) {
+        if self.pages[vpage as usize].has(Page::SHARED) {
+            self.copy_shared_write(vpage);
+        }
+    }
+
+    /// An untimed write (`poke_*`): through the hook while a plain
+    /// write is in flight, out of line, so that the pokes of a program's
+    /// set-up stay a bare store.
+    #[inline]
+    pub(super) fn poke(&mut self, addr: u64, bytes: [u8; 8]) {
+        if self.durability.plain_pending.is_empty() {
+            self.write_word(addr, bytes);
+        } else {
+            self.poke_shared(addr, bytes);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn poke_shared(&mut self, addr: u64, bytes: [u8; 8]) {
+        self.unshare_pages(addr, 8);
+        self.write_word(addr, bytes);
+    }
+
+    /// [`Machine::touch`] for a store on a machine that can share a page
+    /// (it has a durable store): the access, then the hook on each page
+    /// of it, whose bytes `store_*` changes next. After the access, not
+    /// before it: its faults can write the page back, which shares it
+    /// again. A call of its own, so that the demand path of every other
+    /// access runs the code it ran without the hook.
+    #[inline(never)]
+    pub(super) fn touch_then_unshare(&mut self, addr: u64, len: u64) -> u64 {
+        let faults = self.try_touch(addr, len, true);
+        self.unshare_pages(addr, len);
+        faults.unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    fn unshare_pages(&mut self, addr: u64, len: u64) {
+        for vpage in self.page_of(addr)..=self.page_of(addr + len.max(1) - 1) {
+            self.unshare(vpage);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn copy_shared_write(&mut self, vpage: u64) {
+        self.pages[vpage as usize].flags &= !Page::SHARED;
+        let dur = &mut self.durability;
+        let copy = dur.copy_page(&self.data, vpage, self.params.page_bytes);
+        let mut writes = dur.plain_pending.iter_mut().rev();
+        let w = writes.find(|w| w.vpage == vpage && w.copy.is_none());
+        w.expect("a shared page has a write in flight that carries it")
+            .copy = Some(copy);
     }
 
     /// The WAL commit protocol for one writeback. All four writes are
@@ -336,14 +421,22 @@ impl Machine {
 
     /// Durable writeback without WAL protection: one bare tracked
     /// write. A crash catching it mid-air can tear the home block with
-    /// no payload to repair from — the unrecoverable case.
-    fn writeback_plain(&mut self, vpage: u64, disk: usize, block: u64, payload: Vec<u8>) {
+    /// no payload to repair from — the unrecoverable case. The write
+    /// shares the page's image ([`PlainWrite`]).
+    fn writeback_plain(&mut self, vpage: u64, disk: usize, block: u64) {
         match self.submit_tracked_with_retry(disk, Request::new(ReqKind::Write, block, 1), vpage) {
             Ok(data) => {
                 self.note_writeback(vpage);
+                // A page shares its bytes with one write at most: an
+                // older one still sharing them (the page was dirtied by an
+                // access whose store has not come yet) takes its copy now.
+                if self.pages[vpage as usize].has(Page::SHARED) {
+                    self.copy_shared_write(vpage);
+                }
+                self.pages[vpage as usize].flags |= Page::SHARED;
                 self.durability.plain_pending.push_back(PlainWrite {
                     vpage,
-                    payload,
+                    copy: None,
                     data,
                 });
             }
@@ -376,16 +469,27 @@ impl Machine {
                 .plain_pending
                 .pop_front()
                 .expect("just seen");
-            self.land_durable(w.vpage, &w.payload);
-            self.durability.spare_payloads.push(w.payload);
+            self.land_plain(w);
         }
     }
 
-    /// Land a page image in the durable store, first folding the
-    /// change into its stripe row's parity content (the XOR identity
-    /// `parity ^= old ^ new` needs the *old* durable image, so the
-    /// order matters).
-    fn land_durable(&mut self, vpage: u64, payload: &[u8]) {
+    /// Land a plain write: from its copy if the hook took one, which
+    /// is then kept for the next, and from the live page otherwise,
+    /// which from here on carries no write.
+    fn land_plain(&mut self, w: PlainWrite) {
+        if w.copy.is_none() {
+            self.pages[w.vpage as usize].flags &= !Page::SHARED;
+        }
+        self.land_durable(w.vpage, w.copy.as_deref());
+        self.durability.spare_payloads.extend(w.copy);
+    }
+
+    /// Land a page image — `copy`, or the live page when `None` — in
+    /// the durable store, first folding the change into its stripe
+    /// row's parity content (the XOR identity `parity ^= old ^ new`
+    /// needs the *old* durable image, so the order matters).
+    fn land_durable(&mut self, vpage: u64, copy: Option<&[u8]>) {
+        let payload = copy.unwrap_or_else(|| live_page(&self.data, vpage, self.params.page_bytes));
         if self.redundancy.parity.is_some() {
             if let Ok(row) = self.fs.row_of(self.swap, vpage) {
                 if let (Some(ps), Some(d)) = (&mut self.redundancy.parity, &self.durability.store) {
@@ -429,7 +533,7 @@ impl Machine {
         self.stall_until(done);
         self.stats.journal_stalls += 1;
         if rec.data.is_some() {
-            self.land_durable(rec.vpage, &rec.payload);
+            self.land_durable(rec.vpage, Some(&rec.payload));
         }
         let journal = self.durability.journal.as_mut();
         journal.expect("journal").retire(disk, seq);
@@ -487,7 +591,7 @@ impl Machine {
                 let _ = self.disks.poll(t, drain);
             }
             if rec.data.is_some() {
-                self.land_durable(rec.vpage, &rec.payload);
+                self.land_durable(rec.vpage, Some(&rec.payload));
             }
             if let Some(j) = &mut self.durability.journal {
                 j.retire(rec.disk, rec.seq);
@@ -498,7 +602,7 @@ impl Machine {
         }
         for w in std::mem::take(&mut self.durability.plain_pending) {
             let _ = self.disks.poll(w.data, drain);
-            self.land_durable(w.vpage, &w.payload);
+            self.land_plain(w);
         }
     }
 
@@ -560,13 +664,18 @@ impl Machine {
         }
         for w in std::mem::take(&mut dur.plain_pending) {
             let done = self.disks.poll(w.data, drain).unwrap_or(Ns::MAX);
+            if w.copy.is_none() {
+                self.pages[w.vpage as usize].flags &= !Page::SHARED;
+            }
+            let live = || live_page(&self.data, w.vpage, self.params.page_bytes);
+            let payload = w.copy.as_deref().unwrap_or_else(live);
             if done <= t_crash {
                 if let Some(d) = &mut dur.store {
-                    d.write_page(w.vpage, &w.payload);
+                    d.write_page(w.vpage, payload);
                 }
                 continue;
             }
-            let landed_fully = dur.torn_writes && dur.tear(w.vpage, &w.payload, per_page);
+            let landed_fully = dur.torn_writes && dur.tear(w.vpage, payload, per_page);
             if !landed_fully {
                 dur.discard_at_crash(w.vpage);
             }
@@ -826,10 +935,12 @@ impl Machine {
 
 #[cfg(test)]
 impl Durability {
-    /// Page buffers the write-back path holds: one per durable write
-    /// in flight, plus the spares kept for the next ones.
+    /// Page copies the write-back path holds: one per journaled write
+    /// in flight and per plain write the hook unshared, plus the spares
+    /// kept for the next ones.
     pub(super) fn payload_buffers(&self) -> usize {
-        self.wal_pending.len() + self.plain_pending.len() + self.spare_payloads.len()
+        let copies = self.plain_pending.iter().filter(|w| w.copy.is_some());
+        self.wal_pending.len() + copies.count() + self.spare_payloads.len()
     }
 
     /// What crash resolution decided: the updates it discarded, in

@@ -174,6 +174,7 @@ impl Machine {
         // this, and only so the timing-only oracle can prove it notices.
         for vpage in act.corrupt {
             if vpage < self.total_pages() {
+                self.unshare(vpage);
                 let off = (vpage * self.params.page_bytes) as usize;
                 self.data[off] ^= 0xFF;
             }

@@ -17,36 +17,38 @@
 //!
 //! [`DurableStore`]: crate::store::DurableStore
 
+use crate::image::Image;
 use crate::store::page_checksum;
 
 /// XOR images of every stripe row's parity block.
 pub struct ParityStore {
     page_bytes: u64,
-    image: Vec<u8>,
-    /// Whether the initial resync against the durable snapshot has
-    /// happened (lazily, like the snapshot itself).
-    synced: bool,
+    rows: u64,
+    /// Empty until the first resync (lazily, like the durable snapshot),
+    /// which takes the rows from the thread's image pool and fills them.
+    image: Image,
 }
 
 impl ParityStore {
-    /// An all-zero store for `rows` stripe rows (XOR of all-zero pages
-    /// is zero, matching a fresh machine's zeroed backing file).
+    /// A store for `rows` stripe rows. It holds no image until the
+    /// first [`ParityStore::resync`], and no row may be read or updated
+    /// before that.
     pub fn new(rows: u64, page_bytes: u64) -> Self {
         Self {
             page_bytes,
-            image: vec![0u8; (rows * page_bytes) as usize],
-            synced: false,
+            rows,
+            image: Image::default(),
         }
     }
 
     /// Number of stripe rows covered.
     pub fn rows(&self) -> u64 {
-        self.image.len() as u64 / self.page_bytes
+        self.rows
     }
 
     /// Whether the initial resync has happened.
     pub fn is_synced(&self) -> bool {
-        self.synced
+        !self.image.is_empty()
     }
 
     fn range(&self, row: u64) -> std::ops::Range<usize> {
@@ -70,7 +72,9 @@ impl ParityStore {
     /// `k = ndisks - 1` data pages per row. Short final rows XOR only
     /// the pages that exist (missing lanes contribute zero).
     pub fn resync(&mut self, k: u64, data: &[u8], total_pages: u64) {
-        self.synced = true;
+        if self.image.is_empty() {
+            self.image = Image::scratch((self.rows * self.page_bytes) as usize);
+        }
         self.image.fill(0);
         let pb = self.page_bytes as usize;
         for p in 0..total_pages {

@@ -15,6 +15,8 @@
 //! on read — the hook both recovery and the background scrubber hang
 //! off.
 
+use crate::image::Image;
+
 /// Sector size of the torn-write model: a 4 KB page is eight 512-byte
 /// sectors, and a torn write lands an arbitrary prefix of them.
 pub const SECTOR_BYTES: u64 = 512;
@@ -52,24 +54,21 @@ pub fn page_checksum(bytes: &[u8]) -> u64 {
 /// Durable (on-media) image of the whole address space.
 pub struct DurableStore {
     page_bytes: u64,
-    images: Vec<u8>,
+    /// Empty until the snapshot, which takes the images from the
+    /// thread's image pool and fills them by its copy.
+    images: Image,
     checksums: Vec<u64>,
-    /// Whether the initial-state snapshot has been taken (lazily, at
-    /// the first timed access, so workload `init()` pokes count as the
-    /// pre-existing on-disk data set).
-    snapshotted: bool,
 }
 
 impl DurableStore {
-    /// An all-zero store for `total_pages` pages (matching a fresh
-    /// machine's zeroed backing file).
+    /// A store for `total_pages` pages. It holds no image until
+    /// [`DurableStore::ensure_snapshot`] adopts one, and nothing may be
+    /// read or written before that.
     pub fn new(total_pages: u64, page_bytes: u64) -> Self {
-        let zero_sum = page_checksum(&vec![0u8; page_bytes as usize]);
         Self {
             page_bytes,
-            images: vec![0u8; (total_pages * page_bytes) as usize],
-            checksums: vec![zero_sum; total_pages as usize],
-            snapshotted: false,
+            images: Image::default(),
+            checksums: vec![0; total_pages as usize],
         }
     }
 
@@ -83,11 +82,10 @@ impl DurableStore {
     /// untimed is treated as already on disk — the state a real system
     /// would have loaded the input from.
     pub fn ensure_snapshot(&mut self, data: &[u8]) {
-        if self.snapshotted {
+        if !self.images.is_empty() {
             return;
         }
-        self.snapshotted = true;
-        self.images.copy_from_slice(data);
+        self.images = Image::copy_of(data);
         for p in 0..self.total_pages() {
             self.checksums[p as usize] = page_checksum(self.page(p));
         }
@@ -149,7 +147,7 @@ impl DurableStore {
         self.images[r.start + 1] ^= 0xA5;
     }
 
-    /// Move the page images out (recovery hands them to the fresh
+    /// The page images, all of them (recovery hands them to the fresh
     /// machine as its in-memory data).
     pub fn images(&self) -> &[u8] {
         &self.images
@@ -160,9 +158,17 @@ impl DurableStore {
 mod tests {
     use super::*;
 
+    /// A one-page store whose baseline is a zero page.
+    fn zero_page() -> DurableStore {
+        let mut s = DurableStore::new(1, 4096);
+        s.ensure_snapshot(&[0u8; 4096]);
+        s
+    }
+
     #[test]
     fn snapshot_is_taken_once() {
         let mut s = DurableStore::new(2, 4096);
+        assert!(s.images().is_empty(), "no image before the snapshot");
         let mut data = vec![7u8; 2 * 4096];
         s.ensure_snapshot(&data);
         assert_eq!(s.page(0)[0], 7);
@@ -174,7 +180,7 @@ mod tests {
 
     #[test]
     fn full_write_verifies_and_partial_tear_does_not() {
-        let mut s = DurableStore::new(1, 4096);
+        let mut s = zero_page();
         let new = vec![0xABu8; 4096];
         s.write_page(0, &new);
         assert!(s.verify(0));
@@ -184,7 +190,7 @@ mod tests {
         assert_eq!(s.page(0)[3 * 512 - 1], 0xCD);
         assert_eq!(s.page(0)[3 * 512], 0xAB, "tail keeps old image");
         // A zero-sector tear lands nothing; a full tear is atomic.
-        let mut s = DurableStore::new(1, 4096);
+        let mut s = zero_page();
         s.write_page(0, &new);
         s.tear_page(0, &newer, 0);
         assert!(s.verify(0) && s.page(0)[0] == 0xAB);
@@ -216,7 +222,7 @@ mod tests {
 
     #[test]
     fn corruption_hook_breaks_verification() {
-        let mut s = DurableStore::new(1, 4096);
+        let mut s = zero_page();
         assert!(s.verify(0));
         s.corrupt(0);
         assert!(!s.verify(0));

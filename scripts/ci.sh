@@ -82,15 +82,19 @@ tail -1 /tmp/oocp-strips.$$ | grep -q '"correct":true,"attempted":48,"failed":0'
 rm -f /tmp/oocp-strips.$$
 
 stage "memory gates (bounded peaks that do not grow with the run)"
-# page_write: under parity every write-back carries a 4 KB payload until
-# it lands. It lands when its disk write completes, so the run peaks at
-# the data set's own images (about 46 MB here); held until `finish`
-# instead, the same run peaked at 171 MB and grew with its length.
-# page_read: the free list holds exactly its pages (about 19 MB; with a
+# page_write: under parity every write-back is a durable write, and it
+# carries the page itself, not a copy: only a store to a page whose write
+# is still in flight takes a 4 KB copy, and the walk makes none. The run
+# peaks at the data set's own images (about 39 MB here: the live, durable
+# and parity images, the last two taken from the per-thread image pool
+# at the snapshot); with a copy per write in flight it was 46.7, held
+# until `finish` 171, growing with the run.
+# page_read: the free list holds exactly its pages (about 19.6 MB; with a
 # deque that kept an entry per release it was 30, a third of it history).
-# nas_ooc: sixteen cells of 16 MB data sets on 8 MB machines (about
-# 27.6 MB); lowering adds a table of strip code per strip loop, and this
-# is what says per loop and not per iteration.
+# nas_ooc, nas_incore: sixteen cells of 16 MB data sets on 8 and 32 MB
+# machines (about 21 MB each, since BUK's verifier stopped allocating a
+# word per key); lowering adds a table of strip code per strip loop, and
+# this is what says per loop and not per iteration.
 # All again at eight times the length: a run of k passes must peak
 # where a run of one pass does.
 peak_rss() { # workload seconds
@@ -99,7 +103,7 @@ peak_rss() { # workload seconds
     grep -q '"correct":true' <<< "$line" || { echo "$line" >&2; echo "$1 did not verify" >&2; return 1; }
     sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<< "$line"
 }
-for gate in "page_write 64" "page_read 24" "nas_ooc 32"; do
+for gate in "page_write 44" "page_read 24" "nas_ooc 24" "nas_incore 24"; do
     read -r W CAP <<< "$gate"
     RSS_1="$(peak_rss "$W" 1)"
     RSS_8="$(peak_rss "$W" 8)"

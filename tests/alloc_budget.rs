@@ -174,21 +174,32 @@ fn page_walk_allocations_do_not_grow_with_the_run() {
     }
 }
 
-/// Under parity every write-back carries a 4 KB payload until its disk
-/// write completes. The buffers are recycled, so a cell allocates as
-/// many as it ever had write-backs outstanding — under an unbounded
-/// FCFS queue that is a property of the burst, not of the run's length —
-/// and what it still holds at the end does not depend on the length at
-/// all.
+/// Under parity every write-back is a durable write whose payload is the
+/// page itself until it lands: only a store to a page whose write is
+/// still in flight makes a copy, and none of the page walk's does. So a
+/// parity cell allocates no buffer per write-back, and what it still
+/// holds at the end does not depend on its length. The first run warms
+/// this thread's image pool, as a benchmark process's first cell does,
+/// so the durable and parity images are taken from it, not allocated, in
+/// the measured runs.
+///
+/// `O.parity` still makes more than [`BUDGET`] (184; `P.parity` 56): its
+/// unbounded FCFS queues take a burst of about 2,100 write-backs, which
+/// doubles each of seven disks' request queue, completion slab and free
+/// slot list up to 1,024 / 512 / 512 entries. Those are growth steps of
+/// what is in flight, fixed by the burst; none of them is a page buffer.
 #[test]
 fn parity_write_backs_keep_only_their_buffers() {
     let parity = page_machine().with_redundancy(Redundancy::Parity);
     for (label, prefetch) in [("O.parity", false), ("P.parity", true)] {
+        page_walk_heap(PAGEWALK_WRITE, prefetch, parity, 1);
         let short = page_walk_heap(PAGEWALK_WRITE, prefetch, parity, 4);
         let long = page_walk_heap(PAGEWALK_WRITE, prefetch, parity, 16);
-        assert_eq!(short.1, long.1, "{label}: live bytes at 4 and at 16 sweeps");
-        // One buffer per page of the array at the very most.
-        assert!(long.0 <= 4096 + BUDGET, "{label}: {} allocations", long.0);
+        assert_eq!(
+            short, long,
+            "{label}: (allocations, live bytes) at 4 and at 16 sweeps"
+        );
+        assert!(long.0 <= 2 * BUDGET, "{label}: {} allocations", long.0);
     }
 }
 
