@@ -363,6 +363,64 @@ mod tests {
         assert_eq!(a.poll(t, done), None, "both units redeemed");
     }
 
+    /// The submission shapes differ only in the completions a request
+    /// owes. One request stream, under errors and stragglers on every
+    /// disk, gets the same injector verdicts, completion times and disk
+    /// statistics whether it is sent blocking, tracked or posted.
+    #[test]
+    fn every_shape_gets_the_same_verdicts_times_and_stats() {
+        use oocp_sim::time::MILLISECOND;
+        let plan = FaultPlan::none(29)
+            .with_errors(0.2, 0.2, 0.2)
+            .with_stragglers(0.3, 3.0, 2 * MILLISECOND);
+        let kinds = [ReqKind::DemandRead, ReqKind::PrefetchRead, ReqKind::Write];
+        let stream: Vec<(usize, Ns, Request)> = (0..600u64)
+            .map(|i| {
+                let r = Request::new(kinds[(i / 3 % 3) as usize], i * 7_919 % 100_000, 1 + i % 4);
+                ((i % 3) as usize, i * MILLISECOND, r)
+            })
+            .collect();
+        let run = |shape: &str| {
+            let mut a = DiskArray::new(3, DiskParams::default());
+            a.set_fault_plan(plan.clone());
+            let (mut verdicts, mut times, mut tickets) = (Vec::new(), Vec::new(), Vec::new());
+            for &(id, now, r) in &stream {
+                verdicts.push(match shape {
+                    "blocking" => a.try_submit(id, now, r).map(|t| times.push(t)),
+                    "tracked" => a.try_track(id, now, r).map(|t| tickets.push(t)),
+                    _ => a.try_post(id, now, r),
+                });
+            }
+            times.extend(tickets.into_iter().map(|t| a.wait_for(t)));
+            let drained = a.drain_all();
+            let stats: Vec<_> = (0..3)
+                .map(|d| {
+                    let s = a.stats(d);
+                    let counts = (s.faults_injected, s.stragglers_injected);
+                    (counts, s.straggle_extra_ns, s.busy_ns)
+                })
+                .collect();
+            (verdicts, times, drained, stats)
+        };
+        let [blocking, tracked, posted] = ["blocking", "tracked", "posted"].map(run);
+        assert!(
+            blocking.0.iter().any(Result::is_err),
+            "errors were injected"
+        );
+        assert!(
+            blocking.3.iter().all(|&((f, s), _, _)| f > 0 && s > 0),
+            "every disk failed and straggled: {:?}",
+            blocking.3
+        );
+        assert_eq!(blocking, tracked, "tracked vs blocking");
+        assert!(posted.1.is_empty(), "a posted request owes no completion");
+        assert_eq!(
+            (&posted.0, posted.2, &posted.3),
+            (&blocking.0, blocking.2, &blocking.3),
+            "posted vs blocking"
+        );
+    }
+
     #[test]
     fn queue_full_errors_carry_the_array_index() {
         use crate::sched::SchedConfig;
