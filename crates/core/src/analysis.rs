@@ -19,13 +19,6 @@ pub struct LoopInfo {
     pub est_iter_ns: u64,
 }
 
-impl LoopInfo {
-    /// Trip count, with `assumed` substituted when unknown.
-    pub fn trip_or(&self, assumed: i64) -> i64 {
-        self.trip.unwrap_or(assumed)
-    }
-}
-
 /// An array reference with its analysis context.
 #[derive(Clone, Debug)]
 pub struct RefInfo {

@@ -15,7 +15,9 @@
 //! existing `hi_min` are left untouched — the former would flip
 //! direction semantics, and the latter only occur in compiler output.
 
-use oocp_ir::{lin, var, Expr, Index, LinExpr, Loop, Program, Stmt, Sym};
+use oocp_ir::{lin, var, Expr, LinExpr, Loop, Program, Stmt, Sym};
+
+use crate::transform::subst_ref;
 
 /// Normalize every eligible loop in the program (pure; returns a copy).
 pub fn normalize_loops(prog: &Program) -> Program {
@@ -66,23 +68,6 @@ fn norm_stmt(s: &Stmt) -> Stmt {
 
 fn subst_lin(e: &LinExpr, v: usize, with: &LinExpr) -> LinExpr {
     e.subst(Sym::Var(v), with)
-}
-
-fn subst_index(ix: &Index, v: usize, with: &LinExpr) -> Index {
-    match ix {
-        Index::Lin(e) => Index::Lin(subst_lin(e, v, with)),
-        Index::Ind { array, idx } => Index::Ind {
-            array: *array,
-            idx: idx.iter().map(|e| subst_lin(e, v, with)).collect(),
-        },
-    }
-}
-
-fn subst_ref(r: &oocp_ir::ArrayRef, v: usize, with: &LinExpr) -> oocp_ir::ArrayRef {
-    oocp_ir::ArrayRef {
-        array: r.array,
-        idx: r.idx.iter().map(|ix| subst_index(ix, v, with)).collect(),
-    }
 }
 
 fn subst_expr(e: &Expr, v: usize, with: &LinExpr) -> Expr {
@@ -175,7 +160,7 @@ fn subst_block(stmts: &[Stmt], v: usize, with: &LinExpr) -> Vec<Stmt> {
 mod tests {
     use super::*;
     use oocp_ir::{
-        param, run_program, ArrayBinding, ArrayData, ArrayRef, CostModel, ElemType, MemVm,
+        param, run_program, ArrayBinding, ArrayData, ArrayRef, CostModel, ElemType, Index, MemVm,
     };
 
     /// A tiled copy: for i0 = 0..n step b { for i = i0..i0+b { y[i]=x[i] } }

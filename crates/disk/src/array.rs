@@ -65,7 +65,7 @@ impl DiskArray {
         }
     }
 
-    /// Install a fault plan; subsequent [`DiskArray::try_submit`] calls
+    /// Install a fault plan; subsequent [`DiskArray::admit`] calls
     /// consult it. A plan with no disk-level faults enabled is not
     /// installed at all (the fault-free fast path stays branch-free).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
@@ -113,118 +113,61 @@ impl DiskArray {
         false
     }
 
-    /// Submit a request to disk `id`; returns the completion time.
+    /// Admit a request to disk `id` owing `units` completions (see
+    /// [`Disk::enqueue`]: 1 for a blocking request the caller waits on
+    /// next, `req.nblocks` for a tracked read, 0 for a posted one), and
+    /// return the [`Ticket`] that redeems them via [`DiskArray::poll`] /
+    /// [`DiskArray::wait_for`].
     ///
-    /// # Panics
-    ///
-    /// Panics on malformed or injector-failed requests; fault-aware
-    /// callers use [`DiskArray::try_submit`].
-    pub fn submit(&mut self, id: usize, now: Ns, req: Request) -> Ns {
-        self.try_submit(id, now, req)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Submit a request to disk `id`, consulting the fault injector.
-    ///
-    /// On an injected failure the request never reaches the media: the
-    /// head does not move, no busy time accrues, and only the disk's
-    /// `faults_injected` counter advances. Stragglers are served with
-    /// stretched service time.
-    pub fn try_submit(&mut self, id: usize, now: Ns, req: Request) -> Result<Ns, IoError> {
-        match self
-            .injector
-            .as_mut()
-            .map_or(Injection::None, |inj| inj.decide(id, now, &req))
-        {
-            Injection::Fail(e) => {
-                self.disks[id].note_injected_fault();
-                Err(e)
-            }
-            Injection::Straggle { mult, add_ns } => {
-                self.disks[id].try_submit_slowed(now, req, mult, add_ns)
-            }
-            Injection::None => self.disks[id].try_submit(now, req),
-        }
-        .map_err(|e| Self::name_disk(e, id))
-    }
-
-    /// Submit a tracked request to disk `id`, consulting the fault
-    /// injector; returns a [`Ticket`] redeemable once per block via
-    /// [`DiskArray::poll`] / [`DiskArray::wait_for`].
-    ///
-    /// The injector is consulted here, at submission, in global
+    /// The fault injector is consulted here, at submission, in global
     /// submission order — so the fault stream a run experiences depends
     /// only on the request sequence, never on the scheduling policy
-    /// that later reorders dispatch.
-    pub fn try_track(&mut self, id: usize, now: Ns, req: Request) -> Result<Ticket, IoError> {
-        match self
+    /// that later reorders dispatch. On an injected failure the request
+    /// never reaches the media: the head does not move, no busy time
+    /// accrues, and only the disk's `faults_injected` counter advances.
+    /// Stragglers are served with stretched service time.
+    pub fn admit(
+        &mut self,
+        id: usize,
+        now: Ns,
+        req: Request,
+        units: u64,
+    ) -> Result<Ticket, IoError> {
+        let (mult, add_ns) = match self
             .injector
             .as_mut()
             .map_or(Injection::None, |inj| inj.decide(id, now, &req))
         {
             Injection::Fail(e) => {
                 self.disks[id].note_injected_fault();
-                Err(e)
+                return Err(e);
             }
-            Injection::Straggle { mult, add_ns } => {
-                self.disks[id].try_track_slowed(now, req, mult, add_ns)
+            Injection::Straggle { mult, add_ns } => (mult, add_ns),
+            Injection::None => (1.0, 0),
+        };
+        match self.disks[id].enqueue(now, req, mult, add_ns, units) {
+            Ok(seq) => Ok(Ticket { disk: id, seq }),
+            // A disk reports its own queue as disk 0: name it.
+            Err(IoError::QueueFull { retry_at, .. }) => {
+                Err(IoError::QueueFull { disk: id, retry_at })
             }
-            Injection::None => self.disks[id].try_track(now, req),
+            Err(e) => Err(e),
         }
-        .map(|seq| Ticket { disk: id, seq })
-        .map_err(|e| Self::name_disk(e, id))
-    }
-
-    /// Submit a posted (fire-and-forget) request to disk `id`,
-    /// consulting the fault injector.
-    pub fn try_post(&mut self, id: usize, now: Ns, req: Request) -> Result<(), IoError> {
-        match self
-            .injector
-            .as_mut()
-            .map_or(Injection::None, |inj| inj.decide(id, now, &req))
-        {
-            Injection::Fail(e) => {
-                self.disks[id].note_injected_fault();
-                Err(e)
-            }
-            Injection::Straggle { mult, add_ns } => {
-                self.disks[id].try_post_slowed(now, req, mult, add_ns)
-            }
-            Injection::None => self.disks[id].try_post(now, req),
-        }
-        .map_err(|e| Self::name_disk(e, id))
     }
 
     /// Redeem one completion unit of `t` if its request has finished by
-    /// `now`; returns the completion time.
-    pub fn poll(&mut self, t: Ticket, now: Ns) -> Option<Ns> {
+    /// `now`.
+    pub fn poll(&mut self, t: Ticket, now: Ns) -> Option<Completion> {
         self.disks[t.disk].poll(t.seq, now)
     }
 
-    /// Like [`DiskArray::poll`] but returns the full [`Completion`]
-    /// detail (queue wait and service split).
-    pub fn poll_detail(&mut self, t: Ticket, now: Ns) -> Option<Completion> {
-        self.disks[t.disk].poll_detail(t.seq, now)
-    }
-
-    /// Block until `t`'s request completes, redeeming one unit; returns
-    /// the completion time.
+    /// Block until `t`'s request completes, redeeming one unit.
     ///
     /// # Panics
     ///
     /// Panics if the ticket is unknown or fully redeemed.
-    pub fn wait_for(&mut self, t: Ticket) -> Ns {
+    pub fn wait_for(&mut self, t: Ticket) -> Completion {
         self.disks[t.disk].wait_for(t.seq)
-    }
-
-    /// Like [`DiskArray::wait_for`] but returns the full [`Completion`]
-    /// detail; timing is identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ticket is unknown or fully redeemed.
-    pub fn wait_for_detail(&mut self, t: Ticket) -> Completion {
-        self.disks[t.disk].wait_for_detail(t.seq)
     }
 
     /// Undispatched requests queued on disk `id` — the queue-depth
@@ -243,14 +186,6 @@ impl DiskArray {
     /// which the most-backlogged disk falls idle.
     pub fn drain_all(&mut self) -> Ns {
         self.disks.iter_mut().map(|d| d.drain()).max().unwrap_or(0)
-    }
-
-    /// Rewrite a disk-relative error with the array-level disk index.
-    fn name_disk(e: IoError, id: usize) -> IoError {
-        match e {
-            IoError::QueueFull { retry_at, .. } => IoError::QueueFull { disk: id, retry_at },
-            other => other,
-        }
     }
 
     /// Statistics for one disk.
@@ -277,13 +212,6 @@ impl DiskArray {
             / self.disks.len() as f64
     }
 
-    /// Time at which the most-backlogged disk's *dispatched* work
-    /// finishes. Queued-but-undispatched requests are not included;
-    /// use [`DiskArray::drain_all`] to force them out.
-    pub fn drain_time(&self) -> Ns {
-        self.disks.iter().map(|d| d.busy_until()).max().unwrap_or(0)
-    }
-
     /// Underlying disk parameters (identical across the array).
     pub fn params(&self) -> &DiskParams {
         self.disks[0].params()
@@ -299,11 +227,17 @@ mod tests {
         Request::new(ReqKind::PrefetchRead, start, n)
     }
 
+    /// A blocking submission: admit owing one completion, then wait.
+    fn submit(a: &mut DiskArray, id: usize, now: Ns, r: Request) -> Ns {
+        let t = a.admit(id, now, r, 1).expect("fault-free array");
+        a.wait_for(t).at
+    }
+
     #[test]
     fn disks_queue_independently() {
         let mut a = DiskArray::new(2, DiskParams::default());
-        let t0 = a.submit(0, 0, req(10_000, 1));
-        let t1 = a.submit(1, 0, req(10_000, 1));
+        let t0 = submit(&mut a, 0, 0, req(10_000, 1));
+        let t1 = submit(&mut a, 1, 0, req(10_000, 1));
         // Same request on two idle disks completes at the same time:
         // no cross-disk queueing.
         assert_eq!(t0, t1);
@@ -312,9 +246,9 @@ mod tests {
     #[test]
     fn total_stats_sum_over_disks() {
         let mut a = DiskArray::new(3, DiskParams::default());
-        a.submit(0, 0, req(0, 1));
-        a.submit(1, 0, req(0, 2));
-        a.submit(2, 0, req(0, 3));
+        submit(&mut a, 0, 0, req(0, 1));
+        submit(&mut a, 1, 0, req(0, 2));
+        submit(&mut a, 2, 0, req(0, 3));
         let s = a.total_stats();
         assert_eq!(s.prefetch_reads, 3);
         assert_eq!(s.prefetch_blocks, 6);
@@ -323,7 +257,7 @@ mod tests {
     #[test]
     fn avg_utilization_averages_over_all_disks() {
         let mut a = DiskArray::new(2, DiskParams::default());
-        let done = a.submit(0, 0, req(0, 1));
+        let done = submit(&mut a, 0, 0, req(0, 1));
         // Disk 1 idle: average utilization is half of disk 0's.
         let u = a.avg_utilization(done);
         assert!((u - 0.5).abs() < 1e-9);
@@ -332,9 +266,9 @@ mod tests {
     #[test]
     fn drain_time_is_max_backlog() {
         let mut a = DiskArray::new(2, DiskParams::default());
-        let t0 = a.submit(0, 0, req(100_000, 1));
-        let t1 = a.submit(1, 0, req(100_000, 8));
-        assert_eq!(a.drain_time(), t0.max(t1));
+        let t0 = submit(&mut a, 0, 0, req(100_000, 1));
+        let t1 = submit(&mut a, 1, 0, req(100_000, 8));
+        assert_eq!(a.drain_all(), t0.max(t1));
     }
 
     #[test]
@@ -354,12 +288,16 @@ mod tests {
     fn tracked_tickets_name_their_disk() {
         let mut a = DiskArray::new(2, DiskParams::default());
         let t = a
-            .try_track(1, 0, req(10_000, 2))
+            .admit(1, 0, req(10_000, 2), 2)
             .expect("track on idle disk");
         assert_eq!(t.disk(), 1);
         let done = a.drain_all();
-        assert_eq!(a.wait_for(t), done);
-        assert_eq!(a.poll(t, done), Some(done), "second block unit");
+        assert_eq!(a.wait_for(t).at, done);
+        assert_eq!(
+            a.poll(t, done).map(|c| c.at),
+            Some(done),
+            "second block unit"
+        );
         assert_eq!(a.poll(t, done), None, "both units redeemed");
     }
 
@@ -380,18 +318,23 @@ mod tests {
                 ((i % 3) as usize, i * MILLISECOND, r)
             })
             .collect();
-        let run = |shape: &str| {
+        // A shape is the completions a request owes, and whether its
+        // caller waits for it at once.
+        type Shape = (fn(&Request) -> u64, bool);
+        let run = |(units, waits): Shape| {
             let mut a = DiskArray::new(3, DiskParams::default());
             a.set_fault_plan(plan.clone());
             let (mut verdicts, mut times, mut tickets) = (Vec::new(), Vec::new(), Vec::new());
             for &(id, now, r) in &stream {
-                verdicts.push(match shape {
-                    "blocking" => a.try_submit(id, now, r).map(|t| times.push(t)),
-                    "tracked" => a.try_track(id, now, r).map(|t| tickets.push(t)),
-                    _ => a.try_post(id, now, r),
-                });
+                let admitted = a.admit(id, now, r, units(&r));
+                match admitted {
+                    Ok(t) if waits => times.push(a.wait_for(t).at),
+                    Ok(t) if units(&r) > 0 => tickets.push(t),
+                    _ => {}
+                }
+                verdicts.push(admitted.map(drop));
             }
-            times.extend(tickets.into_iter().map(|t| a.wait_for(t)));
+            times.extend(tickets.into_iter().map(|t| a.wait_for(t).at));
             let drained = a.drain_all();
             let stats: Vec<_> = (0..3)
                 .map(|d| {
@@ -402,7 +345,10 @@ mod tests {
                 .collect();
             (verdicts, times, drained, stats)
         };
-        let [blocking, tracked, posted] = ["blocking", "tracked", "posted"].map(run);
+        let blocking: Shape = (|_| 1, true);
+        let tracked: Shape = (|r| r.nblocks, false);
+        let posted: Shape = (|_| 0, false);
+        let [blocking, tracked, posted] = [blocking, tracked, posted].map(run);
         assert!(
             blocking.0.iter().any(Result::is_err),
             "errors were injected"
@@ -426,9 +372,9 @@ mod tests {
         use crate::sched::SchedConfig;
         let mut a = DiskArray::new(3, DiskParams::default());
         a.set_sched(SchedConfig::default().with_queue_depth(1));
-        a.try_track(2, 0, req(10_000, 1)).unwrap();
-        a.try_track(2, 0, req(20_000, 1)).unwrap();
-        match a.try_track(2, 0, req(30_000, 1)) {
+        a.admit(2, 0, req(10_000, 1), 1).unwrap();
+        a.admit(2, 0, req(20_000, 1), 1).unwrap();
+        match a.admit(2, 0, req(30_000, 1), 1) {
             Err(IoError::QueueFull { disk, .. }) => assert_eq!(disk, 2),
             other => panic!("expected QueueFull, got {other:?}"),
         }

@@ -116,16 +116,6 @@ impl fmt::Display for IoError {
     }
 }
 
-impl IoError {
-    /// Whether retrying this error can ever succeed. Transients and
-    /// backpressure clear on their own; brownouts lift at a known time;
-    /// a crash or a dead disk never comes back, so retry loops must
-    /// classify them as futile and escalate instead of burning budget.
-    pub fn retry_is_futile(&self) -> bool {
-        matches!(self, IoError::Crashed { .. } | IoError::DiskDead { .. })
-    }
-}
-
 impl std::error::Error for IoError {}
 
 /// A time window during which one disk (or the whole array) fails
@@ -742,19 +732,6 @@ mod tests {
         for i in 0..200 {
             assert_eq!(a.decide(1, i, &r), b.decide(1, i, &r), "op {i}");
         }
-    }
-
-    #[test]
-    fn futility_classification_matches_variants() {
-        assert!(IoError::Crashed { at: 1 }.retry_is_futile());
-        assert!(IoError::DiskDead { disk: 0, at: 1 }.retry_is_futile());
-        assert!(!IoError::Transient { disk: 0 }.retry_is_futile());
-        assert!(!IoError::Brownout { disk: 0, until: 9 }.retry_is_futile());
-        assert!(!IoError::QueueFull {
-            disk: 0,
-            retry_at: 9
-        }
-        .retry_is_futile());
     }
 
     #[test]

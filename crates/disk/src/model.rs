@@ -334,15 +334,12 @@ impl DiskStats {
 /// queueless model that computed `max(now, busy_until) + service` at
 /// submission.
 ///
-/// Three submission flavors exist:
-///
-/// * *blocking* ([`Disk::try_submit`]): dispatches the queue up to and
-///   including this request and returns its completion time — demand
-///   reads the application stalls on.
-/// * *tracked* ([`Disk::try_track`]): returns a ticket sequence number
-///   redeemed later via [`Disk::poll`] / [`Disk::wait_for`] — prefetch
-///   reads whose completion the OS observes per page.
-/// * *posted* ([`Disk::try_post`]): fire-and-forget — write-backs.
+/// Every request is admitted by [`Disk::enqueue`], told the completions
+/// it owes: one for a *blocking* request its caller waits on next (a
+/// demand read; [`Disk::submit`]), one per block for a *tracked*
+/// prefetch whose pages the OS settles one by one through
+/// [`Disk::poll`] / [`Disk::wait_for`], none for a *posted* write-back
+/// nobody observes ([`Disk::try_post`]).
 #[derive(Clone, Debug)]
 pub struct Disk {
     params: DiskParams,
@@ -366,9 +363,9 @@ pub struct Disk {
     spare_merged: Vec<Vec<(u64, u64)>>,
 }
 
-/// Completion detail of a tracked request: when it finished and how the
-/// time between submission and completion split between sitting in the
-/// queue and occupying the media. The whylate attribution engine uses
+/// How a request completed: when it finished and how the time between
+/// submission and completion split between sitting in the queue and
+/// occupying the media. The whylate attribution engine uses
 /// the split to decide whether a late prefetch was a scheduling problem
 /// (queue wait dominates) or a bandwidth problem (service dominates).
 ///
@@ -518,79 +515,37 @@ impl Disk {
         self.tenant_count = n.max(1);
     }
 
-    /// Submit a request at simulated time `now`; returns completion time.
+    /// Submit a blocking request at simulated time `now` and wait for
+    /// it; returns the completion time.
     ///
     /// # Panics
     ///
     /// Panics if the request is empty or extends past the disk capacity —
     /// the file system is responsible for allocating valid extents, so an
     /// out-of-range request is a logic error, not a recoverable condition.
-    /// Callers that want a typed error instead (the OS's retry path) use
-    /// [`Disk::try_submit`].
+    /// Callers that want a typed error instead use [`Disk::enqueue`].
     pub fn submit(&mut self, now: Ns, req: Request) -> Ns {
-        self.try_submit(now, req).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Submit a blocking request, reporting malformed requests and a
-    /// full queue as typed errors.
-    pub fn try_submit(&mut self, now: Ns, req: Request) -> Result<Ns, IoError> {
-        self.try_submit_slowed(now, req, 1.0, 0)
-    }
-
-    /// Blocking submit with injected straggler latency: the computed
-    /// service time is multiplied by `mult` and extended by `add_ns`
-    /// (the fault injector's tail-latency model). `mult = 1.0,
-    /// add_ns = 0` is a normal submission.
-    pub fn try_submit_slowed(
-        &mut self,
-        now: Ns,
-        req: Request,
-        mult: f64,
-        add_ns: Ns,
-    ) -> Result<Ns, IoError> {
-        let seq = self.enqueue(now, req, mult, add_ns, 1)?;
-        Ok(self.wait_for(seq))
-    }
-
-    /// Submit a tracked request: it queues without blocking and returns
-    /// a ticket sequence number for [`Disk::poll`] / [`Disk::wait_for`].
-    /// The ticket carries `req.nblocks` completion units, one per page
-    /// the request loads.
-    pub fn try_track(&mut self, now: Ns, req: Request) -> Result<u64, IoError> {
-        self.try_track_slowed(now, req, 1.0, 0)
-    }
-
-    /// Tracked submit with injected straggler latency.
-    pub fn try_track_slowed(
-        &mut self,
-        now: Ns,
-        req: Request,
-        mult: f64,
-        add_ns: Ns,
-    ) -> Result<u64, IoError> {
-        self.enqueue(now, req, mult, add_ns, req.nblocks)
+        self.enqueue(now, req, 1.0, 0, 1)
+            .map(|seq| self.wait_for(seq).at)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Submit a posted (fire-and-forget) request: it queues without
     /// blocking and its completion is never individually observed.
     pub fn try_post(&mut self, now: Ns, req: Request) -> Result<(), IoError> {
-        self.try_post_slowed(now, req, 1.0, 0)
+        self.enqueue(now, req, 1.0, 0, 0).map(drop)
     }
 
-    /// Posted submit with injected straggler latency.
-    pub fn try_post_slowed(
-        &mut self,
-        now: Ns,
-        req: Request,
-        mult: f64,
-        add_ns: Ns,
-    ) -> Result<(), IoError> {
-        self.enqueue(now, req, mult, add_ns, 0).map(|_| ())
-    }
-
-    /// Validate, account, coalesce-or-queue one request. Returns the
-    /// assigned ticket sequence number.
-    fn enqueue(
+    /// Admit one request: validate, account, coalesce or queue it.
+    /// `units` is the completions it owes — 1 for a blocking request
+    /// its caller waits on next, `req.nblocks` for a tracked read whose
+    /// pages settle one by one, 0 for a posted one nobody observes — and
+    /// the returned ticket sequence number redeems them through
+    /// [`Disk::poll`] / [`Disk::wait_for`]. The fault injector's
+    /// straggle multiplies the service time by `mult` and extends it by
+    /// `add_ns`; `1.0, 0` is a normal request. Malformed requests and a
+    /// full queue are typed errors.
+    pub fn enqueue(
         &mut self,
         now: Ns,
         req: Request,
@@ -831,41 +786,21 @@ impl Disk {
         false
     }
 
-    /// Non-blocking completion check for a tracked request: if ticket
-    /// `seq` completed by `now`, consume one unit and return the
-    /// completion time.
-    pub fn poll(&mut self, seq: u64, now: Ns) -> Option<Ns> {
-        self.poll_detail(seq, now).map(|c| c.at)
-    }
-
-    /// Like [`Disk::poll`] but returns the full [`Completion`] detail
-    /// (queue wait and service split) instead of just the time.
-    pub fn poll_detail(&mut self, seq: u64, now: Ns) -> Option<Completion> {
+    /// Non-blocking completion check: if ticket `seq` completed by
+    /// `now`, redeem one unit and return its [`Completion`].
+    pub fn poll(&mut self, seq: u64, now: Ns) -> Option<Completion> {
         self.advance(now);
         self.done.take(seq, now)
     }
 
     /// Block until ticket `seq` completes (dispatching queued requests
-    /// in policy order as needed); consumes one unit and returns the
-    /// completion time.
+    /// in policy order as needed); redeems one unit.
     ///
     /// # Panics
     ///
     /// Panics if `seq` was never issued or all its units were already
     /// redeemed — redeeming a ticket twice is a logic error.
-    pub fn wait_for(&mut self, seq: u64) -> Ns {
-        self.wait_for_detail(seq).at
-    }
-
-    /// Like [`Disk::wait_for`] but returns the full [`Completion`]
-    /// detail. Timing is identical to `wait_for` — the detail is
-    /// recorded at dispatch either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seq` was never issued or all its units were already
-    /// redeemed — redeeming a ticket twice is a logic error.
-    pub fn wait_for_detail(&mut self, seq: u64) -> Completion {
+    pub fn wait_for(&mut self, seq: u64) -> Completion {
         loop {
             if let Some(c) = self.done.take(seq, Ns::MAX) {
                 return c;
@@ -921,6 +856,16 @@ mod tests {
 
     fn req(kind: ReqKind, start: u64, n: u64) -> Request {
         Request::new(kind, start, n)
+    }
+
+    /// Admit a tracked request: one completion unit per block.
+    fn track(d: &mut Disk, now: Ns, r: Request) -> Result<u64, IoError> {
+        d.enqueue(now, r, 1.0, 0, r.nblocks)
+    }
+
+    /// The completion time `poll` redeemed, if any.
+    fn at(c: Option<Completion>) -> Option<Ns> {
+        c.map(|c| c.at)
     }
 
     #[test]
@@ -1035,26 +980,24 @@ mod tests {
     #[test]
     fn tracked_request_queues_until_polled() {
         let mut d = Disk::new(DiskParams::default());
-        let t = d
-            .try_track(0, req(ReqKind::PrefetchRead, 10_000, 1))
-            .unwrap();
+        let t = track(&mut d, 0, req(ReqKind::PrefetchRead, 10_000, 1)).unwrap();
         assert_eq!(d.queue_len(), 1, "tracked request sits in the queue");
         // Polling too early dispatches it (its slot is now) but the
         // completion is still in the future.
         assert_eq!(d.poll(t, 0), None);
         assert_eq!(d.queue_len(), 0, "poll dispatched the request");
         let done = d.busy_until();
-        assert_eq!(d.poll(t, done), Some(done));
+        assert_eq!(at(d.poll(t, done)), Some(done));
     }
 
     #[test]
     fn tracked_ticket_carries_one_unit_per_block() {
         let mut d = Disk::new(DiskParams::default());
-        let t = d.try_track(0, req(ReqKind::PrefetchRead, 0, 3)).unwrap();
+        let t = track(&mut d, 0, req(ReqKind::PrefetchRead, 0, 3)).unwrap();
         let done = d.drain();
-        assert_eq!(d.poll(t, done), Some(done));
-        assert_eq!(d.poll(t, done), Some(done));
-        assert_eq!(d.wait_for(t), done, "third unit still redeemable");
+        assert_eq!(at(d.poll(t, done)), Some(done));
+        assert_eq!(at(d.poll(t, done)), Some(done));
+        assert_eq!(d.wait_for(t).at, done, "third unit still redeemable");
         assert_eq!(d.poll(t, done), None, "all units consumed");
     }
 
@@ -1063,27 +1006,25 @@ mod tests {
         let mut d = Disk::new(DiskParams::default());
         // One old ticket nobody redeems, then 100 000 more that are
         // each redeemed before the next is issued.
-        let old = d.try_track(0, req(ReqKind::PrefetchRead, 7, 1)).unwrap();
+        let old = track(&mut d, 0, req(ReqKind::PrefetchRead, 7, 1)).unwrap();
         let mut now = 0;
         for i in 0..100_000u64 {
-            let t = d
-                .try_track(now, req(ReqKind::Write, 1_000 + i % 50_000, 1))
-                .unwrap();
+            let t = track(&mut d, now, req(ReqKind::Write, 1_000 + i % 50_000, 1)).unwrap();
             assert_ne!(t, old, "a live ticket's seq is never reissued");
-            now = d.wait_for(t);
+            now = d.wait_for(t).at;
             assert!(d.done.slots.len() <= 2, "{} slots", d.done.slots.len());
         }
         // A burst of 64 outstanding at once grows the store to the
         // burst, and redeeming it gives the slots back for reuse.
         for round in 0..100 {
             let burst: Vec<u64> = (0..64)
-                .map(|i| d.try_track(now, req(ReqKind::Write, 64 * i, 1)).unwrap())
+                .map(|i| track(&mut d, now, req(ReqKind::Write, 64 * i, 1)).unwrap())
                 .collect();
-            now = burst.iter().map(|&t| d.wait_for(t)).max().unwrap();
+            now = burst.iter().map(|&t| d.wait_for(t).at).max().unwrap();
             assert!(d.done.slots.len() <= 65, "round {round}");
         }
         // The old ticket was dispatched long ago and is still good.
-        let done = d.poll(old, now).expect("completed at the start");
+        let done = d.poll(old, now).expect("completed at the start").at;
         assert!(done < now);
         assert_eq!(d.poll(old, now), None, "its one unit is spent");
     }
@@ -1092,11 +1033,11 @@ mod tests {
     #[should_panic(expected = "waiting on unknown or fully-redeemed disk ticket")]
     fn redeeming_a_ticket_twice_panics() {
         let mut d = Disk::new(DiskParams::default());
-        let t = d.try_track(0, req(ReqKind::PrefetchRead, 7, 1)).unwrap();
+        let t = track(&mut d, 0, req(ReqKind::PrefetchRead, 7, 1)).unwrap();
         d.wait_for(t);
         // The slot has since been recycled for another request; the
         // spent ticket must not redeem that one's completion.
-        let u = d.try_track(0, req(ReqKind::PrefetchRead, 9, 1)).unwrap();
+        let u = track(&mut d, 0, req(ReqKind::PrefetchRead, 9, 1)).unwrap();
         assert_ne!(t, u);
         d.drain();
         d.wait_for(t);
@@ -1106,25 +1047,22 @@ mod tests {
     fn completion_detail_splits_wait_and_service() {
         let mut d = Disk::new(DiskParams::default());
         // Two tracked reads: the second waits out the first's service.
-        let t1 = d.try_track(0, req(ReqKind::PrefetchRead, 0, 1)).unwrap();
-        let t2 = d
-            .try_track(0, req(ReqKind::PrefetchRead, 50_000, 1))
-            .unwrap();
-        let c1 = d.wait_for_detail(t1);
-        let c2 = d.wait_for_detail(t2);
+        let t1 = track(&mut d, 0, req(ReqKind::PrefetchRead, 0, 1)).unwrap();
+        let t2 = track(&mut d, 0, req(ReqKind::PrefetchRead, 50_000, 1)).unwrap();
+        let c1 = d.wait_for(t1);
+        let c2 = d.wait_for(t2);
         assert_eq!(c1.wait, 0, "first request dispatches immediately");
         assert!(c1.service > 0);
         assert_eq!(c1.at, c1.wait + c1.service);
         assert_eq!(c2.wait, c1.at, "second waited out the first");
         assert_eq!(c2.at, c2.wait + c2.service);
-        // The detail-free path sees identical timing.
+        // Polling after a drain redeems the same detail.
         let mut e = Disk::new(DiskParams::default());
-        let u1 = e.try_track(0, req(ReqKind::PrefetchRead, 0, 1)).unwrap();
-        let u2 = e
-            .try_track(0, req(ReqKind::PrefetchRead, 50_000, 1))
-            .unwrap();
-        assert_eq!(e.wait_for(u1), c1.at);
-        assert_eq!(e.wait_for(u2), c2.at);
+        let u1 = track(&mut e, 0, req(ReqKind::PrefetchRead, 0, 1)).unwrap();
+        let u2 = track(&mut e, 0, req(ReqKind::PrefetchRead, 50_000, 1)).unwrap();
+        e.drain();
+        assert_eq!(e.poll(u1, c2.at), Some(c1));
+        assert_eq!(e.poll(u2, c2.at), Some(c2));
     }
 
     #[test]
@@ -1136,16 +1074,12 @@ mod tests {
         let a = legacy.submit(0, req(ReqKind::PrefetchRead, 10_000, 2));
         let b = legacy.submit(0, req(ReqKind::PrefetchRead, 90_000, 1));
         let c = legacy.submit(0, req(ReqKind::DemandRead, 200, 1));
-        let ta = queued
-            .try_track(0, req(ReqKind::PrefetchRead, 10_000, 2))
-            .unwrap();
-        let tb = queued
-            .try_track(0, req(ReqKind::PrefetchRead, 90_000, 1))
-            .unwrap();
+        let ta = track(&mut queued, 0, req(ReqKind::PrefetchRead, 10_000, 2)).unwrap();
+        let tb = track(&mut queued, 0, req(ReqKind::PrefetchRead, 90_000, 1)).unwrap();
         let got = queued.submit(0, req(ReqKind::DemandRead, 200, 1));
         assert_eq!(got, c);
-        assert_eq!(queued.wait_for(ta), a);
-        assert_eq!(queued.wait_for(tb), b);
+        assert_eq!(queued.wait_for(ta).at, a);
+        assert_eq!(queued.wait_for(tb).at, b);
         assert_eq!(queued.stats().busy_ns, legacy.stats().busy_ns);
         assert!(queued.stats().demand_wait_ns > 0, "demand read queued");
     }
@@ -1167,19 +1101,14 @@ mod tests {
             let sched = SchedConfig::default().with_coalesce(coalesce);
             let mut d = Disk::with_sched(DiskParams::default(), sched);
             // Plug: occupies the media so the adjacent reads queue.
-            d.try_track(0, req(ReqKind::DemandRead, 500_000, 1))
-                .unwrap();
-            let t1 = d
-                .try_track(0, req(ReqKind::PrefetchRead, 1_000, 2))
-                .unwrap();
+            track(&mut d, 0, req(ReqKind::DemandRead, 500_000, 1)).unwrap();
+            let t1 = track(&mut d, 0, req(ReqKind::PrefetchRead, 1_000, 2)).unwrap();
             // Back-merge (follows the queued request) and front-merge
             // (precedes it).
-            let t2 = d
-                .try_track(0, req(ReqKind::PrefetchRead, 1_002, 1))
-                .unwrap();
-            let t3 = d.try_track(0, req(ReqKind::PrefetchRead, 999, 1)).unwrap();
+            let t2 = track(&mut d, 0, req(ReqKind::PrefetchRead, 1_002, 1)).unwrap();
+            let t3 = track(&mut d, 0, req(ReqKind::PrefetchRead, 999, 1)).unwrap();
             let done = d.drain();
-            let finishes: Vec<Ns> = [t1, t2, t3].map(|t| d.wait_for(t)).to_vec();
+            let finishes: Vec<Ns> = [t1, t2, t3].map(|t| d.wait_for(t).at).to_vec();
             if coalesce {
                 // All three tickets redeem against the one merged transfer.
                 assert!(finishes.iter().all(|&f| f == done), "{finishes:?}");
@@ -1216,7 +1145,7 @@ mod tests {
             .into_iter()
             .chain([1_001, 2_000, 2_001].map(|b| (ReqKind::PrefetchRead, b)));
             let tickets: Vec<u64> = blocks
-                .map(|(kind, b)| d.try_track(now, req(kind, b, 1)).unwrap())
+                .map(|(kind, b)| track(&mut d, now, req(kind, b, 1)).unwrap())
                 .collect();
             now = d.drain();
             assert!(tickets.iter().all(|&t| d.poll(t, now).is_some()));
@@ -1236,11 +1165,10 @@ mod tests {
         let sched = SchedConfig::default().with_coalesce(true);
         let mut d = Disk::with_sched(params, sched);
         // Plug so the candidates below stay queued.
-        d.try_track(0, req(ReqKind::DemandRead, 500_000, 1))
-            .unwrap();
-        d.try_track(0, req(ReqKind::PrefetchRead, 100, 3)).unwrap();
+        track(&mut d, 0, req(ReqKind::DemandRead, 500_000, 1)).unwrap();
+        track(&mut d, 0, req(ReqKind::PrefetchRead, 100, 3)).unwrap();
         // Would exceed the 4-block cylinder span: not merged.
-        d.try_track(0, req(ReqKind::PrefetchRead, 103, 2)).unwrap();
+        track(&mut d, 0, req(ReqKind::PrefetchRead, 103, 2)).unwrap();
         // Adjacent but a different class: not merged.
         d.try_post(0, req(ReqKind::Write, 105, 1)).unwrap();
         assert_eq!(d.queue_len(), 3);
@@ -1251,23 +1179,18 @@ mod tests {
     fn bounded_queue_rejects_with_retry_time() {
         let sched = SchedConfig::default().with_queue_depth(1);
         let mut d = Disk::with_sched(DiskParams::default(), sched);
-        d.try_track(0, req(ReqKind::PrefetchRead, 10_000, 1))
-            .unwrap();
+        track(&mut d, 0, req(ReqKind::PrefetchRead, 10_000, 1)).unwrap();
         // The second submission's arrival dispatches the first (the
         // media was idle), so it takes the single queue slot; the third
         // finds the media busy and the queue full.
-        d.try_track(0, req(ReqKind::PrefetchRead, 20_000, 1))
-            .unwrap();
+        track(&mut d, 0, req(ReqKind::PrefetchRead, 20_000, 1)).unwrap();
         assert_eq!(d.queue_len(), 1);
-        let err = d
-            .try_track(0, req(ReqKind::PrefetchRead, 30_000, 1))
-            .unwrap_err();
+        let err = track(&mut d, 0, req(ReqKind::PrefetchRead, 30_000, 1)).unwrap_err();
         match err {
             IoError::QueueFull { retry_at, .. } => {
                 assert!(retry_at > 0, "retry time points past now");
                 // At retry_at a slot has freed.
-                d.try_track(retry_at, req(ReqKind::PrefetchRead, 30_000, 1))
-                    .unwrap();
+                track(&mut d, retry_at, req(ReqKind::PrefetchRead, 30_000, 1)).unwrap();
             }
             other => panic!("expected QueueFull, got {other}"),
         }
@@ -1280,8 +1203,7 @@ mod tests {
             let sched = SchedConfig::default().with_policy(policy);
             let mut d = Disk::with_sched(DiskParams::default(), sched);
             for i in 0..6 {
-                d.try_track(0, req(ReqKind::PrefetchRead, 50_000 + i * 200, 1))
-                    .unwrap();
+                track(&mut d, 0, req(ReqKind::PrefetchRead, 50_000 + i * 200, 1)).unwrap();
             }
             d.submit(0, req(ReqKind::DemandRead, 100, 1));
             d.drain();
@@ -1310,14 +1232,10 @@ mod tests {
         // Plug the media, then queue one prefetch behind a wall of
         // demand reads. Strict priority would starve it; the 1 ms aging
         // bound forces it in once the plug (≫ 1 ms of service) is done.
-        d.try_track(0, req(ReqKind::DemandRead, 500_000, 1))
-            .unwrap();
-        let t = d
-            .try_track(0, req(ReqKind::PrefetchRead, 50_000, 1))
-            .unwrap();
+        track(&mut d, 0, req(ReqKind::DemandRead, 500_000, 1)).unwrap();
+        let t = track(&mut d, 0, req(ReqKind::PrefetchRead, 50_000, 1)).unwrap();
         for i in 0..8 {
-            d.try_track(0, req(ReqKind::DemandRead, i * 30_000, 1))
-                .unwrap();
+            track(&mut d, 0, req(ReqKind::DemandRead, i * 30_000, 1)).unwrap();
         }
         d.wait_for(t);
         assert!(
@@ -1336,8 +1254,7 @@ mod tests {
         let mut d = Disk::new(DiskParams::default());
         assert_eq!(d.stats().queue_depth_hwm, 0);
         for i in 0..5 {
-            d.try_track(0, req(ReqKind::PrefetchRead, 10_000 * (i + 1), 1))
-                .unwrap();
+            track(&mut d, 0, req(ReqKind::PrefetchRead, 10_000 * (i + 1), 1)).unwrap();
         }
         // First submission dispatched at once; four piled up behind it.
         assert_eq!(d.stats().queue_depth_hwm, 4);
@@ -1350,8 +1267,7 @@ mod tests {
         let mut d = Disk::new(DiskParams::default());
         d.submit(0, req(ReqKind::DemandRead, 9_000, 1));
         d.try_post(0, req(ReqKind::Write, 200_000, 2)).unwrap();
-        d.try_track(0, req(ReqKind::PrefetchRead, 400_000, 1))
-            .unwrap();
+        track(&mut d, 0, req(ReqKind::PrefetchRead, 400_000, 1)).unwrap();
         d.drain();
         let s = *d.stats();
         assert_eq!(s.service_ns(), s.busy_ns, "service partition covers busy");
@@ -1367,20 +1283,28 @@ mod tests {
         // prefetches. The first submission dispatches immediately, so
         // tenant 0 fits two more in its share before the cap fires.
         for i in 0..3 {
-            d.try_track(
+            track(
+                &mut d,
                 0,
                 req(ReqKind::PrefetchRead, 10_000 * (i + 1), 1).with_tenant(0),
             )
             .unwrap();
         }
-        let err = d
-            .try_track(0, req(ReqKind::PrefetchRead, 90_000, 1).with_tenant(0))
-            .unwrap_err();
+        let err = track(
+            &mut d,
+            0,
+            req(ReqKind::PrefetchRead, 90_000, 1).with_tenant(0),
+        )
+        .unwrap_err();
         assert!(matches!(err, IoError::QueueFull { .. }));
         assert_eq!(d.stats().share_rejections, 1);
         // Tenant 1 still has its own share...
-        d.try_track(0, req(ReqKind::PrefetchRead, 50_000, 1).with_tenant(1))
-            .unwrap();
+        track(
+            &mut d,
+            0,
+            req(ReqKind::PrefetchRead, 50_000, 1).with_tenant(1),
+        )
+        .unwrap();
         // ...and tenant 0's non-prefetch traffic is exempt from the
         // share: only the global depth bounds it.
         d.try_post(0, req(ReqKind::Write, 70_000, 1).with_tenant(0))
@@ -1396,8 +1320,7 @@ mod tests {
         d.set_sched(SchedConfig::default().with_queue_depth(4));
         // tenant_count defaults to 1: only the global depth applies.
         for i in 0..5u64 {
-            d.try_track(0, req(ReqKind::PrefetchRead, 10_000 * (i + 1), 1))
-                .unwrap();
+            track(&mut d, 0, req(ReqKind::PrefetchRead, 10_000 * (i + 1), 1)).unwrap();
         }
         assert_eq!(d.stats().share_rejections, 0);
     }

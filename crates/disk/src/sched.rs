@@ -191,12 +191,12 @@ impl SchedConfig {
     }
 }
 
-/// Opaque handle to a tracked (non-blocking) disk request.
+/// Opaque handle to an admitted disk request.
 ///
-/// Returned by [`crate::DiskArray::try_track`]; redeemed with
-/// [`crate::DiskArray::poll`] or [`crate::DiskArray::wait_for`]. A
-/// ticket for an `n`-block read carries `n` completion units, so each
-/// of the `n` pages it loads can be settled independently.
+/// Returned by [`crate::DiskArray::admit`]; redeemed with
+/// [`crate::DiskArray::poll`] or [`crate::DiskArray::wait_for`], once
+/// per completion unit it was admitted with: a tracked `n`-block read
+/// carries `n`, so each of the `n` pages it loads settles on its own.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Ticket {
     pub(crate) disk: usize,

@@ -238,11 +238,6 @@ impl FileSystem {
         Ok(())
     }
 
-    /// Size of a file in pages.
-    pub fn file_pages(&self, id: FileId) -> Result<u64, FsError> {
-        self.meta(id).map(|m| m.pages)
-    }
-
     /// Physical placement of one file page: `(disk, block)`.
     pub fn place(&self, id: FileId, page: u64) -> Result<(usize, u64), FsError> {
         let meta = self.meta(id)?;

@@ -1,6 +1,6 @@
 //! Shared helpers for the benchmark builders.
 
-use oocp_ir::{ArrayBinding, ArrayData, ArrayRef, ElemType, Expr, LinExpr, Program};
+use oocp_ir::{ArrayBinding, ArrayData, ElemType, Program};
 
 /// Deterministic generator used by initializers (separate from the
 /// simulator's RNG so data sets are stable across crate versions).
@@ -32,16 +32,6 @@ impl InitRng {
     pub fn next_below(&mut self, bound: u64) -> u64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
-}
-
-/// Load expression for an affine element of a float array.
-pub fn ldf(array: usize, idx: Vec<LinExpr>) -> Expr {
-    Expr::LoadF(ArrayRef::affine(array, idx))
-}
-
-/// Load expression for an affine element of an integer array.
-pub fn ldi(array: usize, idx: Vec<LinExpr>) -> Expr {
-    Expr::LoadI(ArrayRef::affine(array, idx))
 }
 
 /// Fill a float array with values from `f(element_index)`.

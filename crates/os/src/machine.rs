@@ -603,7 +603,7 @@ impl Machine {
     /// redeeming one of its ticket's completion units.
     fn settle(&mut self, vpage: u64) {
         if let Residency::InFlight(ticket) = self.pages[vpage as usize].residency() {
-            if let Some(done) = self.disks.poll(ticket, self.now) {
+            if let Some(done) = self.disks.poll(ticket, self.now).map(|c| c.at) {
                 let page = &mut self.pages[vpage as usize];
                 page.map(0);
                 page.flags &= !Page::TOUCHED;
@@ -653,27 +653,30 @@ impl Machine {
 
     /// The one bounded-retry ladder every request the application
     /// *needs* goes through (demand reads and write-backs; prefetch
-    /// reads are hints and never come here). `submit` is the submission
-    /// shape — blocking, posted or tracked — and is the only thing the
-    /// callers differ in. A transient error waits the current backoff
-    /// (which doubles per retry); a brownout waits out the reported
-    /// window. A full queue is backpressure, not a fault: the OS waits
+    /// reads are hints and never come here). `units` is the submission
+    /// shape, the completions the request owes (see
+    /// [`DiskArray::admit`]), and is the only thing the callers differ
+    /// in: a demand read owes one and waits for it on the returned
+    /// ticket, a write-back owes none, a durable write owes one that
+    /// crash resolution redeems. A transient error waits the current
+    /// backoff (which doubles per retry); a brownout waits out the
+    /// reported window. A full queue is backpressure, not a fault: the OS waits
     /// until the scheduler promises a free slot without consuming any
     /// retry budget. Waits are charged as idle time. The error surfaces
     /// once the retry count or the wait budget is exhausted.
-    fn retry_ladder<T>(
+    fn retry_ladder(
         &mut self,
         disk: usize,
         req: Request,
+        units: u64,
         vpage: u64,
-        submit: impl Fn(&mut DiskArray, usize, Ns, Request) -> Result<T, IoError>,
-    ) -> Result<T, OsError> {
+    ) -> Result<Ticket, OsError> {
         let mut attempts: u32 = 1;
         let mut waited: Ns = 0;
         let mut backoff = self.params.io_backoff_base_ns.max(1);
         loop {
-            match submit(&mut self.disks, disk, self.now, req) {
-                Ok(done) => return Ok(done),
+            match self.disks.admit(disk, self.now, req, units) {
+                Ok(ticket) => return Ok(ticket),
                 Err(e @ (IoError::EmptyRequest | IoError::OutOfRange { .. })) => {
                     // Logic errors: retrying cannot help.
                     return Err(OsError::Io(e));
@@ -746,30 +749,6 @@ impl Machine {
         }
     }
 
-    /// Submit through the retry ladder and learn the completion time:
-    /// demand reads block (the faulting thread stalls inline on the
-    /// returned time); writes are posted fire-and-forget and return 0.
-    fn submit_with_retry(&mut self, disk: usize, req: Request, vpage: u64) -> Result<Ns, OsError> {
-        if req.kind == ReqKind::Write {
-            let post = |d: &mut DiskArray, id, now, r| d.try_post(id, now, r).map(|()| 0);
-            self.retry_ladder(disk, req, vpage, post)
-        } else {
-            self.retry_ladder(disk, req, vpage, DiskArray::try_submit)
-        }
-    }
-
-    /// Submit through the retry ladder as a tracked [`Ticket`] — the
-    /// shape the durable writeback protocol needs, since it must learn
-    /// each write's exact completion time at crash resolution.
-    fn submit_tracked_with_retry(
-        &mut self,
-        disk: usize,
-        req: Request,
-        vpage: u64,
-    ) -> Result<Ticket, OsError> {
-        self.retry_ladder(disk, req, vpage, DiskArray::try_track)
-    }
-
     /// Schedule a write-back of `vpage`'s current contents.
     ///
     /// Failures are retried with backoff; if retries exhaust, the
@@ -795,11 +774,8 @@ impl Machine {
             return;
         }
         let owner = self.owner_of(vpage).unwrap_or(0);
-        match self.submit_with_retry(
-            disk,
-            Request::new(ReqKind::Write, block, 1).with_tenant(owner),
-            vpage,
-        ) {
+        let req = Request::new(ReqKind::Write, block, 1).with_tenant(owner);
+        match self.retry_ladder(disk, req, 0, vpage) {
             Ok(_) => self.note_writeback(vpage),
             Err(_) => self.abandon_writeback(vpage),
         }
@@ -1158,9 +1134,13 @@ impl Machine {
         self.touch_miss(addr, len, write, FaultWait::Caller)
     }
 
-    /// The demand read of one block on behalf of the current tenant.
-    fn demand_request(&self, block: u64) -> Request {
-        Request::new(ReqKind::DemandRead, block, 1).with_tenant(self.tenancy.cur)
+    /// The demand read of one block on behalf of the current tenant,
+    /// through the retry ladder: it owes one completion, and the caller
+    /// waits for it at once. Returns the completion time.
+    fn demand_read(&mut self, disk: usize, block: u64, vpage: u64) -> Result<Ns, OsError> {
+        let req = Request::new(ReqKind::DemandRead, block, 1).with_tenant(self.tenancy.cur);
+        let ticket = self.retry_ladder(disk, req, 1, vpage)?;
+        Ok(self.disks.wait_for(ticket).at)
     }
 
     /// Submit the demand read for `vpage` (home block `(disk, block)`).
@@ -1178,7 +1158,7 @@ impl Machine {
         if self.read_goes_degraded(disk, vpage) {
             return self.degraded_demand_read(vpage).map(|d| (d, true));
         }
-        match self.submit_with_retry(disk, self.demand_request(block), vpage) {
+        match self.demand_read(disk, block, vpage) {
             Ok(done) if self.redundancy.degraded() => self
                 .maybe_hedge(vpage, disk, block, done)
                 .map(|d| (d, false)),
@@ -1301,7 +1281,7 @@ impl Machine {
         if !self.tenancy.tenants.is_empty() {
             self.disks.promote(ticket, self.now);
         }
-        let completion = self.disks.wait_for_detail(ticket);
+        let completion = self.disks.wait_for(ticket);
         let arrival = completion.at;
         let lt0 = self.prof_start();
         let cause = self.classify_late(vpage, self.now, completion);
@@ -1594,7 +1574,7 @@ impl Machine {
             return;
         }
         let req = self.prefetch_request(run.start_block, run.nblocks);
-        match self.disks.try_track(run.disk, self.now, req) {
+        match self.disks.admit(run.disk, self.now, req, run.nblocks) {
             Ok(ticket) => {
                 for i in 0..run.nblocks {
                     let vpage = self.run_page(run, i);
@@ -1754,10 +1734,10 @@ impl Machine {
         }
     }
 
-    /// End the run: flush dirty pages and (by default) stall until the
-    /// disks drain, mirroring the paper's applications writing their
-    /// results back to disk. Flush failures are swallowed; callers who
-    /// care about durability use [`Machine::try_finish`].
+    /// End the run: flush dirty pages and stall until the disks drain,
+    /// mirroring the paper's applications writing their results back to
+    /// disk. Flush failures are swallowed; callers who care about
+    /// durability use [`Machine::try_finish`].
     pub fn finish(&mut self) {
         let _ = self.try_finish();
     }
@@ -1802,18 +1782,15 @@ impl Machine {
             self.finish_crashed();
             return;
         }
-        // Dispatch everything still queued regardless of the stall
-        // policy, so busy-time/utilization stats cover all accepted
-        // work; only the *stall* is optional.
+        // Dispatch everything still queued and wait for it, so
+        // busy-time/utilization stats cover all accepted work.
         let drain = self.disks.drain_all();
         self.settle_pending_durable(drain);
-        if self.params.drain_at_exit {
-            self.stall_until(drain);
-            // Everything has completed: settle stragglers so frame
-            // accounting ends clean.
-            for vpage in 0..self.total_pages() {
-                self.settle(vpage);
-            }
+        self.stall_until(drain);
+        // Everything has completed: settle stragglers so frame
+        // accounting ends clean.
+        for vpage in 0..self.total_pages() {
+            self.settle(vpage);
         }
         self.close_ledger();
     }
@@ -2032,21 +2009,12 @@ mod tests {
 
     #[test]
     fn every_submission_shape_climbs_the_same_retry_ladder() {
-        type Shape = fn(&mut Machine, usize, u64) -> Result<(), OsError>;
         const PAGE: u64 = 7;
-        let shapes: [(&str, Shape); 3] = [
-            ("demand read", |m, d, b| {
-                let req = Request::new(ReqKind::DemandRead, b, 1);
-                m.submit_with_retry(d, req, PAGE).map(drop)
-            }),
-            ("posted write-back", |m, d, b| {
-                let req = Request::new(ReqKind::Write, b, 1);
-                m.submit_with_retry(d, req, PAGE).map(drop)
-            }),
-            ("tracked durable write", |m, d, b| {
-                let req = Request::new(ReqKind::Write, b, 1);
-                m.submit_tracked_with_retry(d, req, PAGE).map(drop)
-            }),
+        // A shape is the request's kind and the completions it owes.
+        let shapes = [
+            ("demand read", ReqKind::DemandRead, 1),
+            ("posted write-back", ReqKind::Write, 0),
+            ("tracked durable write", ReqKind::Write, 1),
         ];
         // One plan for all three: the target disk's two-slot queue is
         // full at time zero (backpressure), a brownout covers the
@@ -2066,7 +2034,7 @@ mod tests {
         for (plan, survives) in [(survivable, true), (hopeless, false)] {
             let outcomes: Vec<_> = shapes
                 .iter()
-                .map(|&(name, shape)| {
+                .map(|&(name, kind, units)| {
                     let mut p = MachineParams::small();
                     p.sched = p.sched.with_queue_depth(2);
                     p.io_max_retries = 3;
@@ -2080,10 +2048,11 @@ mod tests {
                             .filter(|&(d, _)| d == disk);
                         for (d, b) in same_disk.take(3) {
                             let fill = Request::new(ReqKind::PrefetchRead, b, 1);
-                            m.disks.try_track(d, 0, fill).unwrap();
+                            m.disks.admit(d, 0, fill, 1).unwrap();
                         }
                     }
-                    let res = shape(&mut m, disk, block);
+                    let req = Request::new(kind, block, 1);
+                    let res = m.retry_ladder(disk, req, units, PAGE).map(drop);
                     assert_eq!(res.is_ok(), survives, "{name}: {res:?}");
                     assert_eq!(m.breakdown().total(), m.now(), "{name}: waits charged");
                     let s = m.stats();

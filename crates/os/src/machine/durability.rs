@@ -392,7 +392,7 @@ impl Machine {
         };
         self.stats.journal_appends += 1;
         let issue = |m: &mut Self, b: u64| {
-            m.submit_tracked_with_retry(disk, Request::new(ReqKind::Write, b, 1), vpage)
+            m.retry_ladder(disk, Request::new(ReqKind::Write, b, 1), 1, vpage)
                 .ok()
         };
         let desc = issue(self, slot.desc_block);
@@ -424,7 +424,7 @@ impl Machine {
     /// no payload to repair from — the unrecoverable case. The write
     /// shares the page's image ([`PlainWrite`]).
     fn writeback_plain(&mut self, vpage: u64, disk: usize, block: u64) {
-        match self.submit_tracked_with_retry(disk, Request::new(ReqKind::Write, block, 1), vpage) {
+        match self.retry_ladder(disk, Request::new(ReqKind::Write, block, 1), 1, vpage) {
             Ok(data) => {
                 self.note_writeback(vpage);
                 // A page shares its bytes with one write at most: an
@@ -527,7 +527,7 @@ impl Machine {
         let done = [rec.desc, rec.pay, rec.data, rec.commit]
             .into_iter()
             .flatten()
-            .map(|t| self.disks.wait_for(t))
+            .map(|t| self.disks.wait_for(t).at)
             .max()
             .unwrap_or(self.now);
         self.stall_until(done);
@@ -632,7 +632,8 @@ impl Machine {
         let drain = self.disks.drain_all();
         let per_page = self.params.page_bytes / SECTOR_BYTES;
         let poll = |disks: &mut DiskArray, t: Option<Ticket>| -> Ns {
-            t.and_then(|t| disks.poll(t, drain)).unwrap_or(Ns::MAX)
+            t.and_then(|t| disks.poll(t, drain))
+                .map_or(Ns::MAX, |c| c.at)
         };
         let dur = &mut self.durability;
         for rec in std::mem::take(&mut dur.wal_pending) {
@@ -663,7 +664,7 @@ impl Machine {
                 .push(rec.into_durable(committed_eff <= t_crash));
         }
         for w in std::mem::take(&mut dur.plain_pending) {
-            let done = self.disks.poll(w.data, drain).unwrap_or(Ns::MAX);
+            let done = self.disks.poll(w.data, drain).map_or(Ns::MAX, |c| c.at);
             if w.copy.is_none() {
                 self.pages[w.vpage as usize].flags &= !Page::SHARED;
             }
@@ -728,12 +729,9 @@ impl Machine {
             let mut done = 0;
             for d in 0..m.fs.ndisks() {
                 let ext = j.extent(d);
-                if let Ok(t) = m.disks.try_submit(
-                    d,
-                    m.now,
-                    Request::new(ReqKind::DemandRead, ext.start, ext.len),
-                ) {
-                    done = done.max(t);
+                let scan = Request::new(ReqKind::DemandRead, ext.start, ext.len);
+                if let Ok(t) = m.disks.admit(d, m.now, scan, 1) {
+                    done = done.max(m.disks.wait_for(t).at);
                 }
             }
             m.stall_until(done);
@@ -754,11 +752,9 @@ impl Machine {
                 durable.write_page(rec.vpage, &rec.payload);
                 report.pages_replayed += 1;
                 if let Ok((disk, block)) = m.fs.place(m.swap, rec.vpage) {
-                    if let Ok(t) =
-                        m.disks
-                            .try_submit(disk, m.now, Request::new(ReqKind::Write, block, 1))
-                    {
-                        replay_done = replay_done.max(t);
+                    let replay = Request::new(ReqKind::Write, block, 1);
+                    if let Ok(t) = m.disks.admit(disk, m.now, replay, 1) {
+                        replay_done = replay_done.max(m.disks.wait_for(t).at);
                     }
                 }
             }
@@ -803,12 +799,9 @@ impl Machine {
                     Err(_) => continue,
                 }
             };
-            if let Ok(t) = m.disks.try_submit(
-                disk,
-                m.now,
-                Request::new(ReqKind::DemandRead, block, nblocks),
-            ) {
-                scan_done = scan_done.max(t);
+            let scan = Request::new(ReqKind::DemandRead, block, nblocks);
+            if let Ok(t) = m.disks.admit(disk, m.now, scan, 1) {
+                scan_done = scan_done.max(m.disks.wait_for(t).at);
             }
         }
         m.stall_until(scan_done);
@@ -874,11 +867,8 @@ impl Machine {
             // Model the verification read; the scrubber runs in the
             // background, so nothing stalls on it.
             if let Ok((disk, block)) = self.fs.place(self.swap, vpage) {
-                let _ = self.disks.try_post(
-                    disk,
-                    self.now,
-                    Request::new(ReqKind::DemandRead, block, 1),
-                );
+                let verify = Request::new(ReqKind::DemandRead, block, 1);
+                let _ = self.disks.admit(disk, self.now, verify, 0);
             }
             verified += 1;
             let ok = self
@@ -906,9 +896,8 @@ impl Machine {
                     d.write_page(vpage, &payload);
                 }
                 if let Ok((disk, block)) = self.fs.place(self.swap, vpage) {
-                    let _ =
-                        self.disks
-                            .try_post(disk, self.now, Request::new(ReqKind::Write, block, 1));
+                    let repair = Request::new(ReqKind::Write, block, 1);
+                    let _ = self.disks.admit(disk, self.now, repair, 0);
                 }
                 repaired += 1;
             }

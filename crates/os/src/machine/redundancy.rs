@@ -183,12 +183,9 @@ impl Machine {
             }
         }
         let owner = self.owner_of(vpage).unwrap_or(0);
-        match self.disks.try_post(
-            pd,
-            self.now,
-            Request::new(ReqKind::Write, pb, 1).with_tenant(owner),
-        ) {
-            Ok(()) => self.stats.parity_writes += 1,
+        let req = Request::new(ReqKind::Write, pb, 1).with_tenant(owner);
+        match self.disks.admit(pd, self.now, req, 0) {
+            Ok(_) => self.stats.parity_writes += 1,
             Err(IoError::Crashed { at }) => self.latch_crash(at),
             Err(IoError::DiskDead { disk, at }) => {
                 self.note_disk_death(disk, at);
@@ -216,7 +213,7 @@ impl Machine {
         let row = self.stripe_row(row).map_err(OsError::Fs)?;
         let mut done = self.now;
         for (d, b) in row.siblings(vpage).chain([row.parity]) {
-            done = done.max(self.submit_with_retry(d, self.demand_request(b), vpage)?);
+            done = done.max(self.demand_read(d, b, vpage)?);
         }
         Ok(done)
     }
@@ -268,7 +265,7 @@ impl Machine {
         let alt = if row < self.redundancy.rebuilt_rows {
             self.row_fanout_read(vpage, row)?
         } else {
-            self.submit_with_retry(disk, self.demand_request(block), vpage)?
+            self.demand_read(disk, block, vpage)?
         };
         if alt < done {
             self.stats.hedged_wins += 1;
@@ -300,7 +297,7 @@ impl Machine {
         };
         let outcome = if row < self.redundancy.rebuilt_rows {
             let req = self.prefetch_request(block, 1);
-            self.disks.try_track(disk, self.now, req)
+            self.disks.admit(disk, self.now, req, 1)
         } else {
             match self.stripe_row(row) {
                 Ok(row) => {
@@ -309,7 +306,7 @@ impl Machine {
                     }
                     let (pd, pb) = row.parity;
                     let req = self.prefetch_request(pb, 1);
-                    let r = self.disks.try_track(pd, self.now, req);
+                    let r = self.disks.admit(pd, self.now, req, 1);
                     if r.is_ok() {
                         self.stats.hints_rerouted_degraded += 1;
                     }
@@ -508,9 +505,9 @@ impl Machine {
     fn post_background(&mut self, disk: usize, kind: ReqKind, block: u64) {
         match self
             .disks
-            .try_post(disk, self.now, Request::new(kind, block, 1))
+            .admit(disk, self.now, Request::new(kind, block, 1), 0)
         {
-            Ok(()) | Err(IoError::QueueFull { .. }) => {}
+            Ok(_) | Err(IoError::QueueFull { .. }) => {}
             Err(IoError::Crashed { at }) => self.latch_crash(at),
             Err(IoError::DiskDead { disk: d, at }) => {
                 self.note_disk_death(d, at);

@@ -81,9 +81,6 @@ pub struct MachineParams {
     /// coalescing). The default is the paper baseline: unbounded FCFS
     /// with no coalescing.
     pub sched: SchedConfig,
-    /// Whether to stall at exit until all dirty pages are flushed and the
-    /// disks drain (the paper's apps write their results back out).
-    pub drain_at_exit: bool,
     /// Retries granted to a failed demand read or write-back before the
     /// error surfaces (prefetch reads never retry — they are hints).
     pub io_max_retries: u32,
@@ -138,7 +135,6 @@ impl MachineParams {
             ndisks: 7,
             disk: DiskParams::default(),
             sched: SchedConfig::default(),
-            drain_at_exit: true,
             io_max_retries: 6,
             io_backoff_base_ns: 2 * MILLISECOND,
             io_retry_budget_ns: 2000 * MILLISECOND,
@@ -167,7 +163,6 @@ impl MachineParams {
             ndisks: 1,
             disk: DiskParams::ssd(),
             sched: SchedConfig::default(),
-            drain_at_exit: true,
             io_max_retries: 6,
             io_backoff_base_ns: 100 * MICROSECOND,
             io_retry_budget_ns: 500 * MILLISECOND,

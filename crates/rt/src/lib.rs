@@ -20,7 +20,7 @@
 use oocp_ir::vm::StripRef;
 use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Program};
 use oocp_os::{Machine, MachineParams, Segment};
-use oocp_sim::time::{Ns, MICROSECOND};
+use oocp_sim::time::Ns;
 
 mod filter;
 pub mod tenants;
@@ -166,12 +166,6 @@ impl Runtime {
         let (binds, bytes) = ArrayBinding::sequential(prog, params.page_bytes);
         let machine = Machine::new(params, bytes);
         (Self::new(machine, mode), binds)
-    }
-
-    /// Override the per-check cost.
-    pub fn with_check_ns(mut self, ns: Ns) -> Self {
-        self.filter.check_ns = ns;
-        self
     }
 
     /// Enable in-core adaptive suppression (paper section 4.3.1): if the
@@ -344,9 +338,6 @@ impl ArrayData for Runtime {
         self.machine.poke_i64(addr, v);
     }
 }
-
-/// One microsecond, re-exported for check-cost sweeps in benches.
-pub const US: Ns = MICROSECOND;
 
 #[cfg(test)]
 mod tests {
