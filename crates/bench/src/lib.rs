@@ -883,7 +883,9 @@ mod tests {
         assert!(p.attr.sums_to(p.total(), 0.0), "attribution exact");
         assert!(p.obs.is_some(), "metrics flow through the IR path");
         let trace = out.trace.expect("trace was enabled");
-        assert!(!trace.span_lifecycles().is_empty(), "prefetch spans traced");
+        let doc = oocp_obs::json::parse(&oocp_os::chrome_trace_json(&trace)).unwrap();
+        let spans = oocp_obs::tracediff::index_spans(&doc).unwrap();
+        assert!(!spans.is_empty(), "prefetch spans exported");
     }
 
     fn parse(line: &str) -> Result<Args, ArgError> {

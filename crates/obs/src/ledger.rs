@@ -25,8 +25,6 @@
 //! lead-time histograms 3PO-style timeliness tuning needs: issue to
 //! arrival, and arrival to first use.
 
-use std::collections::HashMap;
-
 use oocp_sim::time::Ns;
 
 use crate::baseline::{pairs, row, Block};
@@ -136,8 +134,8 @@ pub(crate) const OUTCOMES: Block<LedgerCounts> = Block { key: "ledger", fields: 
 /// a late (in-flight) consumption. Exactly one cause per late entry, so
 /// the per-cause counts partition [`LedgerCounts::late_inflight`].
 ///
-/// The decision tree (applied by the OS at the stalling touch, in
-/// order):
+/// The decision tree (applied by the OS's metrics layer at the stalling
+/// touch, in order):
 ///
 /// 1. **DegradedPause** — the runtime entered or left degraded mode
 ///    while the prefetch was in flight; the pause, not the I/O path,
@@ -203,32 +201,42 @@ impl LateCause {
 }
 
 /// Issue-context flag: the page was issued as a degraded survivor
-/// fan-out (its home disk was dead). See [`PrefetchLedger::issued_ctx_flags`].
+/// fan-out (its home disk was dead). See [`IssueCtx::flags`].
 pub const ISSUE_DEGRADED: u64 = 1 << 0;
 /// Issue-context flag: the online rebuild scrubber was active when the
 /// page was issued.
 pub const ISSUE_REBUILD_ACTIVE: u64 = 1 << 1;
 
+/// When a prefetch page was issued and the environment then (whylate
+/// context), read back through [`PrefetchLedger::issue_ctx`] when its
+/// entry closes late, so the cause can be classified.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IssueCtx {
+    /// When the read was issued.
+    pub issued_at: Ns,
+    /// Machine-wide journal-stall count at issue.
+    pub journal_stalls: u64,
+    /// Degraded-mode epoch at issue.
+    pub degrade_epoch: u64,
+    /// Redundancy issue flags ([`ISSUE_DEGRADED`] | [`ISSUE_REBUILD_ACTIVE`]).
+    pub flags: u64,
+}
+
 /// An open entry: issued, not yet consumed, dropped, or evicted.
 #[derive(Clone, Copy, Debug)]
 struct Open {
-    issued_at: Ns,
+    ctx: IssueCtx,
     /// Completion time of the disk read, once known.
     arrived_at: Option<Ns>,
-    /// Machine-wide journal-stall count at issue (whylate context).
-    journal_stalls: u64,
-    /// Degraded-mode epoch at issue (whylate context).
-    degrade_epoch: u64,
-    /// Redundancy issue flags ([`ISSUE_DEGRADED`] | [`ISSUE_REBUILD_ACTIVE`]).
-    flags: u64,
 }
 
 /// Tracks every prefetch page from issue to its terminal outcome.
 ///
-/// Keyed by virtual page: at most one entry per page can be open at a
-/// time (a page cannot be re-prefetched while it is in flight or
-/// resident-untouched — the OS classifies those hints as in-flight or
-/// unnecessary and never re-issues).
+/// Indexed by virtual page, in a table that grows to the highest page
+/// issued: at most one entry per page can be open at a time (a page
+/// cannot be re-prefetched while it is in flight or resident-untouched
+/// — the OS classifies those hints as in-flight or unnecessary and
+/// never re-issues).
 ///
 /// # Examples
 ///
@@ -247,7 +255,10 @@ struct Open {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct PrefetchLedger {
-    open: HashMap<u64, Open>,
+    /// The open entry of each page, if it has one.
+    open: Vec<Option<Open>>,
+    /// How many of `open` are `Some`.
+    open_len: u64,
     counts: LedgerCounts,
     entries: u64,
     lead_time: LatencyHist,
@@ -270,7 +281,7 @@ impl PrefetchLedger {
 
     /// Entries still open (in flight or resident-unused).
     pub fn open_entries(&self) -> u64 {
-        self.open.len() as u64
+        self.open_len
     }
 
     /// Closed-outcome counts.
@@ -310,60 +321,44 @@ impl PrefetchLedger {
     /// exactly one outcome (true only after [`PrefetchLedger::finalize`]
     /// or while no entries are open).
     pub fn partition_ok(&self) -> bool {
-        self.counts.sum() + self.open.len() as u64 == self.entries
+        self.counts.sum() + self.open_len == self.entries
     }
 
     /// A prefetch page's disk read was issued at `now`.
     pub fn issued(&mut self, page: u64, now: Ns) {
-        self.issued_ctx(page, now, 0, 0);
+        let ctx = IssueCtx {
+            issued_at: now,
+            ..IssueCtx::default()
+        };
+        self.issued_with(page, ctx);
     }
 
-    /// Like [`PrefetchLedger::issued`], with the whylate issue context:
-    /// the machine's journal-stall count and degraded-mode epoch at
-    /// issue time, read back via [`PrefetchLedger::issue_ctx`] when the
-    /// entry closes late so the OS can classify the cause.
-    pub fn issued_ctx(&mut self, page: u64, now: Ns, journal_stalls: u64, degrade_epoch: u64) {
-        self.issued_ctx_flags(page, now, journal_stalls, degrade_epoch, 0);
-    }
-
-    /// Like [`PrefetchLedger::issued_ctx`], also recording the
-    /// redundancy issue flags ([`ISSUE_DEGRADED`],
-    /// [`ISSUE_REBUILD_ACTIVE`]) for the degraded-read and
-    /// rebuild-contention whylate causes.
-    pub fn issued_ctx_flags(
-        &mut self,
-        page: u64,
-        now: Ns,
-        journal_stalls: u64,
-        degrade_epoch: u64,
-        flags: u64,
-    ) {
+    /// Like [`PrefetchLedger::issued`], with the whylate issue context
+    /// the entry is classified against if it closes late.
+    pub fn issued_with(&mut self, page: u64, ctx: IssueCtx) {
         self.entries += 1;
-        let prev = self.open.insert(
-            page,
-            Open {
-                issued_at: now,
-                arrived_at: None,
-                journal_stalls,
-                degrade_epoch,
-                flags,
-            },
-        );
+        let i = page as usize;
+        if i >= self.open.len() {
+            self.open.resize(i + 1, None);
+        }
+        let prev = self.open[i].replace(Open {
+            ctx,
+            arrived_at: None,
+        });
         debug_assert!(prev.is_none(), "page {page} already has an open entry");
+        self.open_len += u64::from(prev.is_none());
     }
 
-    /// Issue context of an open entry:
-    /// `(issued_at, journal_stalls_at_issue, degrade_epoch_at_issue)`.
-    pub fn issue_ctx(&self, page: u64) -> Option<(Ns, u64, u64)> {
-        self.open
-            .get(&page)
-            .map(|e| (e.issued_at, e.journal_stalls, e.degrade_epoch))
+    /// Issue context of an open entry.
+    pub fn issue_ctx(&self, page: u64) -> Option<IssueCtx> {
+        Some(self.open.get(page as usize)?.as_ref()?.ctx)
     }
 
-    /// Redundancy issue flags of an open entry (zero unless issued
-    /// through [`PrefetchLedger::issued_ctx_flags`]).
-    pub fn issue_flags(&self, page: u64) -> Option<u64> {
-        self.open.get(&page).map(|e| e.flags)
+    /// Close the open entry of `page`, if it has one.
+    fn close(&mut self, page: u64) -> Option<Open> {
+        let e = self.open.get_mut(page as usize)?.take()?;
+        self.open_len -= 1;
+        Some(e)
     }
 
     /// A prefetch page was dropped before issue for lack of memory.
@@ -387,14 +382,14 @@ impl PrefetchLedger {
 
     /// An issued page was reverted: the bounded disk queue was full.
     pub fn dropped_queue_full(&mut self, page: u64) {
-        if self.open.remove(&page).is_some() {
+        if self.close(page).is_some() {
             self.counts.dropped_queue_full += 1;
         }
     }
 
     /// An issued page was reverted: its disk read failed.
     pub fn dropped_io_error(&mut self, page: u64) {
-        if self.open.remove(&page).is_some() {
+        if self.close(page).is_some() {
             self.counts.dropped_io_error += 1;
         }
     }
@@ -404,10 +399,11 @@ impl PrefetchLedger {
     /// the exact simulated completion time, so lead time is exact even
     /// when observation is late). Idempotent.
     pub fn arrived(&mut self, page: u64, arrival: Ns) {
-        if let Some(e) = self.open.get_mut(&page) {
+        if let Some(Some(e)) = self.open.get_mut(page as usize) {
             if e.arrived_at.is_none() {
                 e.arrived_at = Some(arrival);
-                self.lead_time.record(arrival.saturating_sub(e.issued_at));
+                let lead = arrival.saturating_sub(e.ctx.issued_at);
+                self.lead_time.record(lead);
             }
         }
     }
@@ -416,7 +412,7 @@ impl PrefetchLedger {
     /// No-ops when no entry is open for the page (e.g. the hit came
     /// from a free-list reclaim that never did I/O).
     pub fn consumed(&mut self, page: u64, now: Ns) {
-        if let Some(e) = self.open.remove(&page) {
+        if let Some(e) = self.close(page) {
             self.counts.timely_hits += 1;
             if let Some(at) = e.arrived_at {
                 self.arrival_to_use.record(now.saturating_sub(at));
@@ -425,23 +421,17 @@ impl PrefetchLedger {
     }
 
     /// First demand touch found the page still in flight and stalled
-    /// until `arrival`. Records the lead time if the arrival had not
-    /// been observed yet; arrival-to-use is zero by definition (the
-    /// touch consumes the page the moment it lands). Attributed to
-    /// [`LateCause::IssueLag`]; callers with real completion detail use
-    /// [`PrefetchLedger::consumed_late_caused`].
-    pub fn consumed_late(&mut self, page: u64, arrival: Ns) {
-        self.consumed_late_caused(page, arrival, LateCause::IssueLag);
-    }
-
-    /// Like [`PrefetchLedger::consumed_late`], recording the dominant
-    /// cause the whylate engine assigned to this stall.
+    /// until `arrival`; `cause` is the dominant cause the whylate engine
+    /// assigned to the stall. Records the lead time if the arrival had
+    /// not been observed yet; arrival-to-use is zero by definition (the
+    /// touch consumes the page the moment it lands).
     pub fn consumed_late_caused(&mut self, page: u64, arrival: Ns, cause: LateCause) {
-        if let Some(e) = self.open.remove(&page) {
+        if let Some(e) = self.close(page) {
             self.counts.late_inflight += 1;
             self.late_causes[cause as usize] += 1;
             if e.arrived_at.is_none() {
-                self.lead_time.record(arrival.saturating_sub(e.issued_at));
+                let lead = arrival.saturating_sub(e.ctx.issued_at);
+                self.lead_time.record(lead);
             }
             self.arrival_to_use.record(0);
         }
@@ -450,7 +440,7 @@ impl PrefetchLedger {
     /// The page was unmapped before its first use: wasted I/O.
     /// No-ops when no entry is open for the page.
     pub fn evicted(&mut self, page: u64) {
-        if self.open.remove(&page).is_some() {
+        if self.close(page).is_some() {
             self.counts.evicted_unused += 1;
         }
     }
@@ -458,8 +448,9 @@ impl PrefetchLedger {
     /// Close every still-open entry as unused-at-end. Call once when
     /// the run finishes; afterwards the partition is total.
     pub fn finalize(&mut self) {
-        self.counts.unused_at_end += self.open.len() as u64;
+        self.counts.unused_at_end += self.open_len;
         self.open.clear();
+        self.open_len = 0;
     }
 }
 
@@ -475,7 +466,7 @@ mod tests {
         l.consumed(1, 30); // timely
 
         l.issued(2, 10);
-        l.consumed_late(2, 50); // late
+        l.consumed_late_caused(2, 50, LateCause::IssueLag); // late
 
         l.dropped_no_memory();
 
@@ -535,22 +526,28 @@ mod tests {
 
     #[test]
     fn late_causes_partition_the_late_count() {
+        let ctx = |journal_stalls, degrade_epoch, flags| IssueCtx {
+            issued_at: 10,
+            journal_stalls,
+            degrade_epoch,
+            flags,
+        };
         let mut l = PrefetchLedger::new();
-        l.issued_ctx(1, 10, 0, 0);
+        l.issued_with(1, ctx(0, 0, 0));
         l.consumed_late_caused(1, 50, LateCause::QueueWait);
         l.issued(2, 10);
-        l.consumed_late(2, 60); // legacy path: IssueLag
-        l.issued_ctx(3, 10, 2, 1);
-        assert_eq!(l.issue_ctx(3), Some((10, 2, 1)));
-        assert_eq!(l.issue_flags(3), Some(0));
+        l.consumed_late_caused(2, 60, LateCause::IssueLag);
+        l.issued_with(3, ctx(2, 1, 0));
+        assert_eq!(l.issue_ctx(3), Some(ctx(2, 1, 0)));
         l.consumed_late_caused(3, 70, LateCause::JournalStall);
-        l.issued_ctx_flags(4, 10, 0, 0, ISSUE_DEGRADED | ISSUE_REBUILD_ACTIVE);
+        assert_eq!(l.issue_ctx(3), None, "a closed entry has no context");
+        l.issued_with(4, ctx(0, 0, ISSUE_DEGRADED | ISSUE_REBUILD_ACTIVE));
         assert_eq!(
-            l.issue_flags(4),
+            l.issue_ctx(4).map(|c| c.flags),
             Some(ISSUE_DEGRADED | ISSUE_REBUILD_ACTIVE)
         );
         l.consumed_late_caused(4, 80, LateCause::DegradedRead);
-        l.issued_ctx_flags(5, 10, 0, 0, ISSUE_REBUILD_ACTIVE);
+        l.issued_with(5, ctx(0, 0, ISSUE_REBUILD_ACTIVE));
         l.consumed_late_caused(5, 90, LateCause::RebuildContention);
         let causes = l.late_causes();
         assert_eq!(causes[LateCause::IssueLag as usize], 1);
@@ -581,7 +578,7 @@ mod tests {
     fn late_consume_records_lead_from_stall_arrival() {
         let mut l = PrefetchLedger::new();
         l.issued(3, 1000);
-        l.consumed_late(3, 1700);
+        l.consumed_late_caused(3, 1700, LateCause::IssueLag);
         assert_eq!(l.lead_time().sum_ns(), 700);
         assert_eq!(l.arrival_to_use().max(), 0);
     }
@@ -593,6 +590,8 @@ mod tests {
         l.evicted(42);
         l.dropped_queue_full(42);
         l.dropped_io_error(42);
+        l.arrived(42, 10);
+        assert_eq!(l.issue_ctx(42), None);
         assert_eq!(l.entries(), 0);
         assert_eq!(l.counts().sum(), 0);
         assert!(l.partition_ok());
@@ -611,5 +610,9 @@ mod tests {
         assert_eq!(l.counts().evicted_unused, 1);
         assert_eq!(l.counts().timely_hits, 1);
         assert!(l.partition_ok());
+        // A page below the table's end, after `finalize` emptied it.
+        l.issued(3, 200);
+        assert_eq!(l.open_entries(), 1);
+        assert_eq!(l.issue_ctx(3).map(|c| c.issued_at), Some(200));
     }
 }

@@ -61,7 +61,9 @@ pub use baseline::{
 pub use flame::flamegraph_svg;
 pub use hist::LatencyHist;
 pub use json::Json;
-pub use ledger::{LateCause, LedgerCounts, PrefetchLedger, ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE};
+pub use ledger::{
+    IssueCtx, LateCause, LedgerCounts, PrefetchLedger, ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE,
+};
 pub use prof::{
     check_collapsed, HostProf, MachineBucket, MachineProf, NoProf, ProfSink, Profile, PROF_SCHEMA,
 };

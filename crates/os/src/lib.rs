@@ -41,7 +41,7 @@ pub use export::chrome_trace_json;
 // run-time filter, the bench harness) can build plans without a direct
 // disk-crate dependency.
 pub use machine::{DurableRecord, Machine, RecoveryReport, Segment, Touch};
-pub use metrics::{MetricsReport, ObsMetrics};
+pub use metrics::MetricsReport;
 // Observability types that appear in this crate's public API, re-
 // exported for the same reason as the fault-injection types above.
 pub use oocp_disk::{
@@ -66,4 +66,4 @@ pub use store::{page_checksum, DurableStore, SECTOR_BYTES};
 pub use tenant::{
     PressureLevel, QosClass, TenantId, TenantSpec, TenantStats, ELEVATED_BEST_EFFORT_SLOTS,
 };
-pub use trace::{SpanLifecycle, Trace, TraceEvent, TraceRecord};
+pub use trace::{Trace, TraceEvent, TraceRecord};

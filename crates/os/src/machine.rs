@@ -22,7 +22,7 @@ mod tenancy;
 
 use oocp_disk::{DiskArray, FaultPlan, IoError, ReqKind, Request, Ticket};
 use oocp_fs::{FileId, FileSystem, PlacedRun};
-use oocp_obs::MachineBucket;
+use oocp_obs::{LatencyHist, MachineBucket};
 use oocp_policy::TouchKind;
 use oocp_sim::rng::SimRng;
 use oocp_sim::stats::TimeWeighted;
@@ -41,7 +41,7 @@ use crate::image::Image;
 use crate::params::{MachineParams, Redundancy};
 use crate::stats::OsStats;
 use crate::tenant::PressureLevel;
-use crate::trace::TraceEvent;
+use crate::trace::{Event, RevertCause, TraceEvent};
 
 /// A page-aligned region of the virtual address space backing one array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -95,14 +95,6 @@ enum FaultWait {
     /// The access returns the completion time and its caller waits (a
     /// co-scheduling hub runs other tenants meanwhile).
     Caller,
-}
-
-/// Why an admitted prefetch page is being reverted.
-#[derive(Clone, Copy, Debug)]
-enum RevertCause {
-    QueueFull,
-    IoError,
-    Crashed,
 }
 
 /// Per-page metadata: one byte of flags, so that the hit test is one
@@ -220,6 +212,10 @@ pub struct Machine {
     now: Ns,
     breakdown: TimeBreakdown,
     stats: OsStats,
+    /// Every demand fault's wait, as a distribution: what a degraded
+    /// array's hedge deadline is read from (§14.5). Boxed, so the
+    /// fields the resident-hit test reads keep their places.
+    fault_hist: Box<LatencyHist>,
     pages: Vec<Page>,
     /// Exactly the [`Residency::OnFreeList`] pages, front = next reclaim:
     /// a release queues at the front, the daemon at the back.
@@ -312,6 +308,7 @@ impl Machine {
             now: 0,
             breakdown: TimeBreakdown::new(),
             stats: OsStats::default(),
+            fault_hist: Box::default(),
             pages: vec![Page::default(); total_pages as usize],
             free_list: FreeList::new(total_pages),
             resident: 0,
@@ -578,7 +575,7 @@ impl Machine {
         self.resync_tenant_bits();
         self.stats.bitvec_resyncs += 1;
         self.stats.bitvec_stale_fixed += fixed;
-        self.trace_event(TraceEvent::BitvecResync { fixed });
+        self.emit(TraceEvent::BitvecResync { fixed });
         fixed
     }
 }
@@ -612,11 +609,8 @@ impl Machine {
                 self.resident += 1;
                 // `done` is the read's exact completion time even when
                 // this observation is late (completions settle lazily).
-                if let Some(mx) = &mut self.observe.metrics {
-                    mx.ledger.arrived(vpage, done);
-                }
                 let span = self.pages[vpage as usize].span;
-                self.trace_event(TraceEvent::PrefetchArrive {
+                self.emit(TraceEvent::PrefetchArrive {
                     page: vpage,
                     span,
                     arrival: done,
@@ -642,9 +636,7 @@ impl Machine {
         self.bit_out(vpage);
         // If a prefetch loaded this page and it was never touched, its
         // I/O is now provably wasted (no-op for demand-loaded pages).
-        if let Some(mx) = &mut self.observe.metrics {
-            mx.ledger.evicted(vpage);
-        }
+        self.emit(Event::Reclaimed { page: vpage });
         self.pages[vpage as usize].span = 0;
         if wasted {
             self.policy_evicted_unused(vpage);
@@ -706,10 +698,7 @@ impl Machine {
                     self.charge(TimeCategory::Idle, wait);
                     self.stats.queue_full_waits += 1;
                     self.stats.queue_full_wait_ns += wait;
-                    if let Some(mx) = &mut self.observe.metrics {
-                        mx.queue_wait.record(wait);
-                    }
-                    self.trace_event(TraceEvent::QueueFullWait {
+                    self.emit(TraceEvent::QueueFullWait {
                         page: vpage,
                         disk: d,
                         wait,
@@ -717,7 +706,7 @@ impl Machine {
                 }
                 Err(e) => {
                     self.stats.io_errors_observed += 1;
-                    self.trace_event(TraceEvent::IoError {
+                    self.emit(TraceEvent::IoError {
                         page: Some(vpage),
                         disk,
                     });
@@ -740,7 +729,7 @@ impl Machine {
                     self.charge(TimeCategory::Idle, wait);
                     self.stats.io_retries += 1;
                     self.stats.io_retry_wait_ns += wait;
-                    self.trace_event(TraceEvent::IoRetry { page: vpage, wait });
+                    self.emit(TraceEvent::IoRetry { page: vpage, wait });
                     waited += wait;
                     backoff = backoff.saturating_mul(2);
                     attempts += 1;
@@ -784,7 +773,7 @@ impl Machine {
     /// A write-back was accepted by the disks.
     fn note_writeback(&mut self, vpage: u64) {
         self.stats.writebacks += 1;
-        self.trace_event(TraceEvent::Writeback { page: vpage });
+        self.emit(TraceEvent::Writeback { page: vpage });
     }
 
     /// Move a resident page to the free list (daemon eviction path).
@@ -856,7 +845,7 @@ impl Machine {
             let Some(page) = self.daemon_evict(&mut scanned) else {
                 break;
             };
-            self.trace_event(TraceEvent::Eviction { page });
+            self.emit(TraceEvent::Eviction { page });
             pool += 1;
         }
     }
@@ -1176,11 +1165,8 @@ impl Machine {
     /// since: the fault it eliminated.
     fn note_prefetched_hit(&mut self, vpage: u64, span: u64) {
         self.stats.prefetched_hits += 1;
-        if let Some(mx) = &mut self.observe.metrics {
-            mx.ledger.consumed(vpage, self.now);
-        }
         if span != 0 {
-            self.trace_event(TraceEvent::PrefetchConsume {
+            self.emit(TraceEvent::PrefetchConsume {
                 page: vpage,
                 span,
                 late: false,
@@ -1230,7 +1216,7 @@ impl Machine {
                 );
                 self.stats.soft_faults += 1;
                 self.free_list.remove(vpage);
-                self.trace_event(TraceEvent::SoftFault { page: vpage });
+                self.emit(TraceEvent::SoftFault { page: vpage });
                 if prefetched_hit {
                     // Loaded from disk by a prefetch, released/evicted
                     // before first use, but still mapped: the original
@@ -1281,32 +1267,28 @@ impl Machine {
         if !self.tenancy.tenants.is_empty() {
             self.disks.promote(ticket, self.now);
         }
-        let completion = self.disks.wait_for(ticket);
-        let arrival = completion.at;
-        let lt0 = self.prof_start();
-        let cause = self.classify_late(vpage, self.now, completion);
-        let waited = self.fault_wait(arrival, wait);
+        let read = self.disks.wait_for(ticket);
+        let touch = self.now;
+        let waited = self.fault_wait(read.at, wait);
         self.stats.fault_wait.push(waited as f64);
+        self.fault_hist.record(waited);
         self.stats.late_prefetch_stall_ns += waited;
-        if let Some(mx) = &mut self.observe.metrics {
-            mx.fault_wait.record(waited);
-            mx.ledger.consumed_late_caused(vpage, arrival, cause);
-        }
+        let lt0 = self.prof_start();
+        self.emit(Event::ConsumedLate {
+            page: vpage,
+            span,
+            touch,
+            read,
+            journal_stalls: self.stats.journal_stalls,
+        });
         self.prof_end(lt0, MachineBucket::Ledger);
-        if span != 0 {
-            self.trace_event(TraceEvent::PrefetchConsume {
-                page: vpage,
-                span,
-                late: true,
-            });
-        }
         self.inflight -= 1;
         self.note_tenant_inflight(vpage, -1);
         self.note_tenant_fault(waited);
         self.resident += 1;
         self.pages[vpage as usize].activate(write);
         self.policy_touch(vpage, TouchKind::PrefetchedLate);
-        arrival
+        read.at
     }
 
     /// Hard fault on a page that is not in memory: full kernel overhead
@@ -1348,11 +1330,9 @@ impl Machine {
             self.stats.degraded_read_ns += waited;
         }
         self.stats.fault_wait.push(waited as f64);
+        self.fault_hist.record(waited);
         self.note_tenant_fault(waited);
-        if let Some(mx) = &mut self.observe.metrics {
-            mx.fault_wait.record(waited);
-        }
-        self.trace_event(TraceEvent::HardFault {
+        self.emit(TraceEvent::HardFault {
             page: vpage,
             waited,
         });
@@ -1429,7 +1409,7 @@ impl Machine {
             if self.pages[vpage as usize].residency() == Residency::Active {
                 self.queue_on_free_list(vpage, true);
                 self.stats.release_pages_effective += 1;
-                self.trace_event(TraceEvent::Release {
+                self.emit(TraceEvent::Release {
                     page: vpage,
                     count: 1,
                 });
@@ -1487,10 +1467,7 @@ impl Machine {
                     }
                     if !self.alloc_frame_prefetch() {
                         self.stats.prefetch_pages_dropped += 1;
-                        if let Some(mx) = &mut self.observe.metrics {
-                            mx.ledger.dropped_no_memory();
-                        }
-                        self.trace_event(TraceEvent::PrefetchDrop { page: vpage });
+                        self.emit(TraceEvent::PrefetchDrop { page: vpage });
                         // Leave any prior prefetch_tag: a dropped hint
                         // still marks the fault as "prefetched" for
                         // Figure 4(a).
@@ -1513,19 +1490,14 @@ impl Machine {
                     let p = &mut self.pages[vpage as usize];
                     p.flags |= Page::PREFETCH_TAG;
                     p.span = sid;
-                    // Record the issue-time environment (journal-stall
-                    // count, degraded-mode epoch, redundancy flags) so
-                    // a late consumption can tell interference during
-                    // the flight from a plain short lead.
-                    let (now, js, de) = (
-                        self.now,
-                        self.stats.journal_stalls,
-                        self.observe.degrade_epoch,
-                    );
-                    let flags = self.issue_flags(vpage);
-                    if let Some(mx) = &mut self.observe.metrics {
-                        mx.ledger.issued_ctx_flags(vpage, now, js, de, flags);
-                    }
+                    // The issue-time environment (journal-stall count,
+                    // redundancy flags) lets a late consumption tell
+                    // interference during the flight from a short lead.
+                    self.emit(Event::Issued {
+                        page: vpage,
+                        journal_stalls: self.stats.journal_stalls,
+                        flags: self.issue_flags(vpage),
+                    });
                     self.bit_in(vpage);
                     match spans.last_mut() {
                         Some((s, c)) if *s + *c == vpage => *c += 1,
@@ -1540,7 +1512,7 @@ impl Machine {
         let mut runs = std::mem::take(&mut self.hint_runs);
         for &(span_start, count) in &spans {
             let first_span = self.pages[span_start as usize].span;
-            self.trace_event(TraceEvent::PrefetchIssue {
+            self.emit(TraceEvent::PrefetchIssue {
                 page: span_start,
                 count,
                 span: first_span,
@@ -1600,7 +1572,7 @@ impl Machine {
         let (page, count, disk) = (self.run_page(run, 0), run.nblocks, run.disk);
         let cause = match e {
             IoError::QueueFull { .. } => {
-                self.trace_event(TraceEvent::HintDropQueueFull { page, count });
+                self.emit(TraceEvent::HintDropQueueFull { page, count });
                 RevertCause::QueueFull
             }
             IoError::Crashed { at } => {
@@ -1609,11 +1581,11 @@ impl Machine {
             }
             _ => {
                 self.stats.io_errors_observed += 1;
-                self.trace_event(TraceEvent::IoError {
+                self.emit(TraceEvent::IoError {
                     page: Some(page),
                     disk,
                 });
-                self.trace_event(TraceEvent::HintDropOnError { page, count });
+                self.emit(TraceEvent::HintDropOnError { page, count });
                 RevertCause::IoError
             }
         };
@@ -1634,20 +1606,11 @@ impl Machine {
         self.stats.prefetch_pages_issued -= 1;
         self.stats.prefetch_pages_dropped += 1;
         match cause {
-            RevertCause::QueueFull => {
-                self.stats.hints_dropped_queue_full += 1;
-                if let Some(mx) = &mut self.observe.metrics {
-                    mx.ledger.dropped_queue_full(vpage);
-                }
-            }
-            RevertCause::IoError => {
-                self.stats.hints_dropped_on_error += 1;
-                if let Some(mx) = &mut self.observe.metrics {
-                    mx.ledger.dropped_io_error(vpage);
-                }
-            }
+            RevertCause::QueueFull => self.stats.hints_dropped_queue_full += 1,
+            RevertCause::IoError => self.stats.hints_dropped_on_error += 1,
             RevertCause::Crashed => {}
         }
+        self.emit(Event::Reverted { page: vpage, cause });
     }
 }
 
@@ -1792,16 +1755,14 @@ impl Machine {
         for vpage in 0..self.total_pages() {
             self.settle(vpage);
         }
-        self.close_ledger();
+        self.end_run();
     }
 
-    /// The last step of a run, clean or crashed: close the lifecycle
-    /// ledger — prefetched pages never touched by now are wasted I/O,
-    /// and the partition becomes total — and note the final free level.
-    fn close_ledger(&mut self) {
-        if let Some(mx) = &mut self.observe.metrics {
-            mx.ledger.finalize();
-        }
+    /// The last step of a run, clean or crashed: report its end — the
+    /// ledger closes every lifecycle still open, prefetched pages never
+    /// touched by now being wasted I/O — and note the final free level.
+    fn end_run(&mut self) {
+        self.emit(Event::Finished);
         self.note_free_level();
     }
 }
@@ -1919,7 +1880,6 @@ mod tests {
     use crate::parity::ParityStore;
     use crate::store::{DurableStore, SECTOR_BYTES};
     use crate::tenant::{QosClass, TenantId, TenantSpec};
-    use crate::trace::Trace;
 
     fn tiny() -> Machine {
         let mut p = MachineParams::small();
@@ -2548,7 +2508,7 @@ mod tests {
         m.tick_user(oocp_sim::time::SECOND);
         m.touch(4096, 8, false); // arrival -> hit, no event
         let trace = m.take_trace().expect("tracing enabled");
-        let recs = trace.records();
+        let recs: Vec<_> = trace.iter().collect();
         let tags: Vec<&str> = recs.iter().map(|r| r.event.tag()).collect();
         assert!(tags.contains(&"FAULT"));
         assert!(tags.contains(&"PF"));
@@ -2560,7 +2520,7 @@ mod tests {
         // prefetched, so this is a fresh hard fault).
         m.touch(10 * 4096, 8, false);
         let t2 = m.take_trace().expect("still tracing");
-        assert!(t2.records().iter().any(|r| r.event.tag() == "FAULT"));
+        assert!(t2.iter().any(|r| r.event.tag() == "FAULT"));
     }
 
     #[test]
@@ -3870,9 +3830,9 @@ mod tests {
                 *x.ledger.counts(),
                 x.ledger.entries(),
                 x.ledger.open_entries(),
-                x.fault_wait.count()
             )
         ));
+        same!("fault waits", |m: &Machine| *m.fault_hist);
         same!("sampler rows", |m: &Machine| m
             .observe
             .sampler
@@ -3883,7 +3843,7 @@ mod tests {
                 .observe
                 .trace
                 .as_ref()
-                .map(Trace::records));
+                .map(|t| t.iter().copied().collect::<Vec<_>>()));
             same!("metrics report", |m: &Machine| format!(
                 "{:?}",
                 m.metrics_report()

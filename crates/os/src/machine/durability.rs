@@ -573,7 +573,7 @@ impl Machine {
                 self.durability.flush_failures.push(vpage);
             }
         }
-        self.close_ledger();
+        self.end_run();
     }
 
     /// Power stayed on to the end: every accepted durable write still

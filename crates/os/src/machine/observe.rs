@@ -2,19 +2,19 @@
 //! metrics/ledger layer, the sim-time sampler, and the host-time
 //! profiler. All four are detached by default and purely passive when
 //! attached: they record what the core already did and never advance
-//! the clock or change a paging decision.
+//! the clock or change a paging decision. The first two are folds over
+//! one event stream, [`Machine::emit`]; the core reads neither back.
 
-use oocp_disk::Completion;
 use oocp_obs::{
-    LateCause, LedgerCounts, MachineBucket, MachineProf, MetricsRegistry, SeriesKind,
-    TimeAttribution, TimeSeriesRing, ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE,
+    LedgerCounts, MachineBucket, MachineProf, MetricsRegistry, SeriesKind, TimeAttribution,
+    TimeSeriesRing,
 };
 use oocp_sim::time::Ns;
 
 use super::Machine;
 use crate::bitvec::ResidencyBits;
 use crate::metrics::{MetricsReport, ObsMetrics};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::{Event, Trace, TraceEvent};
 
 /// The observers' state.
 #[derive(Default)]
@@ -32,11 +32,6 @@ pub(super) struct Observers {
     /// (residency / ledger / journal / sampler). Detached runs pay one
     /// `is_some` branch per probed boundary and read no clocks.
     pub(super) host_prof: Option<MachineProf>,
-    /// Degraded-mode generation counter: bumped every time the runtime
-    /// enters degraded (demand-only) paging. A prefetch that was in
-    /// flight across a bump was paused on, not raced — the whylate
-    /// engine attributes its lateness to the mode switch.
-    pub(super) degrade_epoch: u64,
 }
 
 /// The attached sampler: a metrics registry whose scalar vector is
@@ -243,15 +238,23 @@ impl Machine {
         self.observe.trace.replace(Trace::new(cap))
     }
 
+    /// Report one machine event: the one call every observable
+    /// occurrence goes through, once. The trace ring and the metrics
+    /// layer are its two folds; a detached machine pays two `is_some`
+    /// tests.
     #[inline]
-    pub(super) fn trace_event(&mut self, event: TraceEvent) {
+    pub(super) fn emit(&mut self, event: impl Into<Event>) {
+        let event = event.into();
         if let Some(t) = &mut self.observe.trace {
-            t.push(self.now, event);
+            t.fold(self.now, event);
+        }
+        if let Some(m) = &mut self.observe.metrics {
+            m.fold(self.now, event);
         }
     }
 
-    /// Enable the observability layer: latency histograms for fault and
-    /// backpressure waits plus the prefetch-lifecycle ledger. Idempotent
+    /// Enable the observability layer: the backpressure-wait histogram
+    /// and the prefetch-lifecycle ledger. Idempotent
     /// (re-enabling keeps accumulated state). Timing-neutral: the layer
     /// only records what already happened and never influences paging.
     pub fn enable_metrics(&mut self) {
@@ -260,14 +263,11 @@ impl Machine {
         }
     }
 
-    /// The live observability state, if enabled.
-    pub fn metrics(&self) -> Option<&ObsMetrics> {
-        self.observe.metrics.as_ref()
-    }
-
-    /// Flat snapshot of the observability state, if enabled.
+    /// Flat snapshot of the observability state, if enabled, with the
+    /// machine's own demand-fault distribution.
     pub fn metrics_report(&self) -> Option<MetricsReport> {
-        self.observe.metrics.as_ref().map(|m| m.report())
+        let metrics = self.observe.metrics.as_ref()?;
+        Some(metrics.report(*self.fault_hist))
     }
 
     /// Attach the continuous-telemetry sampler: every `interval_ns` of
@@ -327,9 +327,7 @@ impl Machine {
         for (i, series) in s.series.iter().enumerate() {
             s.reg.set(i, (series.read)(self, series.index));
         }
-        if let Some(m) = &self.observe.metrics {
-            s.reg.set_hist(0, m.fault_wait);
-        }
+        s.reg.set_hist(0, *self.fault_hist);
     }
 
     /// Emit any sample rows that came due as the clock advanced. Rows
@@ -425,64 +423,15 @@ impl Machine {
         )
     }
 
-    /// Record a runtime degradation transition in the trace (the state
-    /// machine itself lives in the run-time layer, which has no trace
-    /// of its own).
+    /// Record a runtime degradation transition (the state machine
+    /// itself lives in the run-time layer, which has no trace of its
+    /// own). A prefetch in flight across an entry was paused on, not
+    /// raced, and the metrics layer classifies it so.
     pub fn note_degraded(&mut self, entered: bool) {
-        if entered {
-            self.observe.degrade_epoch += 1;
-        }
-        self.trace_event(if entered {
+        self.emit(if entered {
             TraceEvent::DegradedEnter
         } else {
             TraceEvent::DegradedExit
         });
-    }
-
-    /// Assign the single dominant cause of a late prefetch: the page
-    /// was touched at `touch` (before any stall) while its read, whose
-    /// completion detail is `c`, was still in flight. The decision tree
-    /// (documented on [`LateCause`]) checks environmental interference
-    /// first, then asks whether even an uncontended disk could have made
-    /// the deadline, then splits the remainder by where the flight time
-    /// actually went.
-    pub(super) fn classify_late(&self, vpage: u64, touch: Ns, c: Completion) -> LateCause {
-        let Some((issued_at, js0, de0)) = self
-            .observe
-            .metrics
-            .as_ref()
-            .and_then(|m| m.ledger.issue_ctx(vpage))
-        else {
-            return LateCause::IssueLag;
-        };
-        let flags = self
-            .observe
-            .metrics
-            .as_ref()
-            .and_then(|m| m.ledger.issue_flags(vpage))
-            .unwrap_or(0);
-        if flags & ISSUE_DEGRADED != 0 {
-            // The read itself was a survivor fan-out for a page on the
-            // dead disk — reconstruction latency, not scheduling.
-            return LateCause::DegradedRead;
-        }
-        if self.observe.degrade_epoch != de0 {
-            return LateCause::DegradedPause;
-        }
-        if self.stats.journal_stalls > js0 && c.wait >= c.service {
-            return LateCause::JournalStall;
-        }
-        if flags & ISSUE_REBUILD_ACTIVE != 0 && c.wait >= c.service {
-            // Queue wait dominated while the rebuild scrubber was
-            // pushing reconstruction I/O through the survivors.
-            return LateCause::RebuildContention;
-        }
-        if touch.saturating_sub(issued_at) < c.service {
-            return LateCause::IssueLag;
-        }
-        if c.wait >= c.service {
-            return LateCause::QueueWait;
-        }
-        LateCause::ServiceTime
     }
 }

@@ -162,7 +162,7 @@ impl Machine {
             // injections across runs instead of skipping instants.
             let span = self.next_span;
             self.next_span += 1;
-            self.trace_event(TraceEvent::PolicyInject {
+            self.emit(TraceEvent::PolicyInject {
                 page: start,
                 count,
                 span,

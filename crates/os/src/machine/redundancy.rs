@@ -11,12 +11,13 @@ use oocp_fs::{FsError, PlacedRun};
 use oocp_obs::{ISSUE_DEGRADED, ISSUE_REBUILD_ACTIVE};
 use oocp_sim::time::{Ns, MILLISECOND};
 
-use super::{Machine, RevertCause};
+use super::Machine;
 use crate::error::OsError;
 use crate::params::{MachineParams, Redundancy};
 use crate::parity::ParityStore;
 use crate::store::page_checksum;
 use crate::tenant::PressureLevel;
+use crate::trace::RevertCause;
 
 /// The redundancy extension's state: the parity content model and the
 /// progress of a death through detection, degraded service and rebuild.
@@ -228,16 +229,12 @@ impl Machine {
     }
 
     /// Deadline after which a degraded-mode demand read hedges: the
-    /// p99 of observed fault waits (the tail the hedge is cutting),
-    /// falling back to a generous constant when metrics are detached
-    /// or still empty.
+    /// p99 of the machine's fault waits so far (the tail the hedge is
+    /// cutting), or a generous constant before there is one.
     fn hedge_deadline(&self) -> Ns {
-        let metrics = self.observe.metrics.as_ref();
-        let p99 = metrics.map_or(0, |m| m.fault_wait.p99());
-        if p99 > 0 {
-            p99
-        } else {
-            25 * MILLISECOND
+        match self.fault_hist.p99() {
+            0 => 25 * MILLISECOND,
+            p99 => p99,
         }
     }
 

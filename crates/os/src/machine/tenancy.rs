@@ -270,7 +270,7 @@ impl Machine {
             self.reclaim(p);
         }
         self.tenancy.tenants[t as usize].stats.quota_evictions += 1;
-        self.trace_event(TraceEvent::Eviction { page: v });
+        self.emit(TraceEvent::Eviction { page: v });
         true
     }
 
@@ -327,10 +327,7 @@ impl Machine {
         if quota {
             self.stats.hints_dropped_quota += 1;
             self.tenancy.tenants[t as usize].stats.hints_dropped_quota += 1;
-            if let Some(mx) = &mut self.observe.metrics {
-                mx.ledger.dropped_quota();
-            }
-            self.trace_event(TraceEvent::HintDropQuota {
+            self.emit(TraceEvent::HintDropQuota {
                 page: vpage,
                 tenant: t,
             });
@@ -339,10 +336,7 @@ impl Machine {
             self.tenancy.tenants[t as usize]
                 .stats
                 .hints_dropped_pressure += 1;
-            if let Some(mx) = &mut self.observe.metrics {
-                mx.ledger.dropped_pressure();
-            }
-            self.trace_event(TraceEvent::HintDropPressure {
+            self.emit(TraceEvent::HintDropPressure {
                 page: vpage,
                 tenant: t,
             });

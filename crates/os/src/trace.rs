@@ -7,6 +7,7 @@
 //! bounded ring buffer, which experiments and the `oocpc --trace` flag
 //! can dump as a timeline.
 
+use oocp_disk::Completion;
 use oocp_sim::time::Ns;
 
 /// One traced event.
@@ -191,28 +192,53 @@ impl TraceEvent {
     }
 }
 
-/// One prefetch lifecycle aligned by span id, reassembled from a
-/// trace's issue/arrive/consume records.
-///
-/// Span ids are allocated in issue order, so two traces of the same
-/// kernel can be compared lifecycle-by-lifecycle — the basis of the
-/// perfgate tracediff (`oocp_obs::tracediff` does the same alignment on
-/// exported Chrome traces; this is the in-process view).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpanLifecycle {
-    /// Lifecycle span id.
-    pub span: u64,
-    /// Page the span covers.
-    pub page: u64,
-    /// When the hint was issued (`None` if the issue record was lost to
-    /// ring overflow).
-    pub issued_at: Option<Ns>,
-    /// Exact disk-read completion time.
-    pub arrival: Option<Ns>,
-    /// First demand touch, when the page was used at all.
-    pub consumed_at: Option<Ns>,
-    /// Whether the first touch found the read still in flight.
-    pub late: Option<bool>,
+/// Why an admitted prefetch page is being reverted.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum RevertCause {
+    QueueFull,
+    IoError,
+    Crashed,
+}
+
+/// One observable machine event, as `Machine::emit` reports it: the one
+/// stream the trace ring and the metrics layer fold over (DESIGN.md
+/// §3.5). Most events are trace records as they stand; the others carry
+/// what only the metrics layer needs, and the ring keeps a record of a
+/// late consume and of nothing else among them.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Event {
+    /// A record of the paging timeline.
+    Trace(TraceEvent),
+    /// The first touch of `page`, whose prefetch `read` was still in
+    /// flight: at `touch`, before the stall, when the machine had
+    /// counted `journal_stalls`. Traced as a late `PrefetchConsume`.
+    ConsumedLate {
+        page: u64,
+        span: u64,
+        touch: Ns,
+        read: Completion,
+        journal_stalls: u64,
+    },
+    /// The read of one prefetch page was issued, with the journal-stall
+    /// count and the redundancy issue flags at the time (the run it
+    /// belongs to is traced as one `PrefetchIssue`).
+    Issued {
+        page: u64,
+        journal_stalls: u64,
+        flags: u64,
+    },
+    /// A free-list page was unmapped.
+    Reclaimed { page: u64 },
+    /// An issued prefetch page was taken back: its read was refused.
+    Reverted { page: u64, cause: RevertCause },
+    /// The run ended, cleanly or not.
+    Finished,
+}
+
+impl From<TraceEvent> for Event {
+    fn from(event: TraceEvent) -> Self {
+        Event::Trace(event)
+    }
 }
 
 /// A timestamped trace record.
@@ -279,72 +305,27 @@ impl Trace {
         self.capacity
     }
 
+    /// The trace fold: record what the ring keeps of `event`, which
+    /// happened at `at` — the paging timeline, without the events only
+    /// the metrics layer reads.
+    pub(crate) fn fold(&mut self, at: Ns, event: Event) {
+        let rec = match event {
+            Event::Trace(rec) => rec,
+            Event::ConsumedLate { page, span, .. } => TraceEvent::PrefetchConsume {
+                page,
+                span,
+                late: true,
+            },
+            _ => return,
+        };
+        self.push(at, rec);
+    }
+
     /// Iterate the records in chronological order without copying the
-    /// buffer — the ring's two slices are chained in place. Prefer this
-    /// over [`Trace::records`] anywhere a pass over the timeline
-    /// suffices (rendering, counting, export).
+    /// buffer — the ring's two slices are chained in place.
     pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
         let (tail, head) = self.buf.split_at(self.start);
         head.iter().chain(tail.iter())
-    }
-
-    /// Records in chronological order, as an owned vector.
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.iter().copied().collect()
-    }
-
-    /// Reassemble the prefetch lifecycles, aligned by span id and
-    /// sorted ascending.
-    ///
-    /// A multi-page [`TraceEvent::PrefetchIssue`] opens `count`
-    /// consecutive spans (ids `span .. span + count`, one per page);
-    /// arrive and consume records then attach to their span. Records
-    /// referring to spans whose issue fell off the ring still produce a
-    /// lifecycle, with `issued_at` unknown.
-    pub fn span_lifecycles(&self) -> Vec<SpanLifecycle> {
-        let mut spans: Vec<SpanLifecycle> = Vec::new();
-        fn entry(spans: &mut Vec<SpanLifecycle>, span: u64, page: u64) -> &mut SpanLifecycle {
-            match spans.iter().position(|s| s.span == span) {
-                Some(i) => &mut spans[i],
-                None => {
-                    spans.push(SpanLifecycle {
-                        span,
-                        page,
-                        ..SpanLifecycle::default()
-                    });
-                    spans.last_mut().expect("just pushed")
-                }
-            }
-        }
-        for rec in self.iter() {
-            match rec.event {
-                TraceEvent::PrefetchIssue { page, count, span } => {
-                    for k in 0..count {
-                        entry(&mut spans, span + k, page + k).issued_at = Some(rec.at);
-                    }
-                }
-                TraceEvent::PrefetchArrive {
-                    page,
-                    span,
-                    arrival,
-                } => entry(&mut spans, span, page).arrival = Some(arrival),
-                TraceEvent::PrefetchConsume { page, span, late } => {
-                    let e = entry(&mut spans, span, page);
-                    e.consumed_at = Some(rec.at);
-                    e.late = Some(late);
-                }
-                TraceEvent::PolicyInject { page, span, .. } => {
-                    // Injections are zero-length spans: opened and
-                    // closed at the decision instant, never late.
-                    let e = entry(&mut spans, span, page);
-                    e.issued_at = Some(rec.at);
-                    e.consumed_at = Some(rec.at);
-                }
-                _ => {}
-            }
-        }
-        spans.sort_by_key(|s| s.span);
-        spans
     }
 }
 
@@ -367,16 +348,18 @@ mod tests {
         TraceEvent::SoftFault { page: p }
     }
 
+    /// The stamps of the records, oldest first.
+    fn ats(t: &Trace) -> Vec<Ns> {
+        t.iter().map(|r| r.at).collect()
+    }
+
     #[test]
     fn records_in_order_until_capacity() {
         let mut t = Trace::new(4);
         for i in 0..3 {
             t.push(i * 10, ev(i));
         }
-        let r = t.records();
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].at, 0);
-        assert_eq!(r[2].at, 20);
+        assert_eq!(ats(&t), [0, 10, 20]);
         assert_eq!(t.dropped(), 0);
     }
 
@@ -386,10 +369,7 @@ mod tests {
         for i in 0..5 {
             t.push(i, ev(i));
         }
-        let r = t.records();
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].at, 2, "oldest surviving record");
-        assert_eq!(r[2].at, 4);
+        assert_eq!(ats(&t), [2, 3, 4], "oldest surviving record first");
         assert_eq!(t.dropped(), 2);
     }
 
@@ -453,9 +433,8 @@ mod tests {
             t.push(i * 7, ev(i));
         }
         let from_iter: Vec<TraceRecord> = t.iter().copied().collect();
-        assert_eq!(from_iter, t.records());
-        assert_eq!(from_iter.len(), 4);
-        assert!(from_iter.windows(2).all(|w| w[0].at < w[1].at));
+        assert_eq!(ats(&t), [49, 56, 63, 70]);
+        assert!(from_iter.iter().zip(7..).all(|(r, i)| r.event == ev(i)));
         assert_eq!(t.dropped(), 7);
         // The borrowing IntoIterator sees the same sequence.
         let from_ref: Vec<TraceRecord> = (&t).into_iter().copied().collect();
@@ -463,81 +442,48 @@ mod tests {
     }
 
     #[test]
-    fn span_lifecycles_align_by_id() {
-        let mut t = Trace::new(64);
-        t.push(
-            5,
-            TraceEvent::PrefetchIssue {
-                page: 10,
-                count: 3,
-                span: 7,
+    fn the_fold_keeps_the_timeline_and_skips_what_only_metrics_read() {
+        let mut t = Trace::new(16);
+        let read = Completion {
+            at: 9,
+            wait: 0,
+            service: 9,
+        };
+        t.fold(1, ev(3).into());
+        t.fold(
+            2,
+            Event::Issued {
+                page: 4,
+                journal_stalls: 0,
+                flags: 0,
             },
         );
-        t.push(
+        t.fold(3, Event::Reclaimed { page: 3 });
+        t.fold(
+            4,
+            Event::Reverted {
+                page: 4,
+                cause: RevertCause::IoError,
+            },
+        );
+        t.fold(
             9,
-            TraceEvent::PrefetchArrive {
-                page: 11,
-                span: 8,
-                arrival: 8,
-            },
-        );
-        t.push(
-            12,
-            TraceEvent::PrefetchConsume {
-                page: 11,
-                span: 8,
-                late: true,
-            },
-        );
-        // Arrive for a span whose issue was never recorded.
-        t.push(
-            20,
-            TraceEvent::PrefetchArrive {
-                page: 99,
-                span: 42,
-                arrival: 19,
-            },
-        );
-        let spans = t.span_lifecycles();
-        assert_eq!(spans.len(), 4, "3-page issue opens 3 spans, plus orphan");
-        assert_eq!(spans[0].span, 7);
-        assert_eq!(spans[0].page, 10);
-        assert_eq!(spans[0].issued_at, Some(5));
-        assert_eq!(spans[0].arrival, None);
-        assert_eq!(spans[1].span, 8);
-        assert_eq!(spans[1].arrival, Some(8), "true completion time, not stamp");
-        assert_eq!(spans[1].consumed_at, Some(12));
-        assert_eq!(spans[1].late, Some(true));
-        assert_eq!(spans[3].span, 42);
-        assert_eq!(spans[3].issued_at, None, "orphan keeps unknown issue");
-    }
-
-    #[test]
-    fn policy_injections_are_zero_length_spans() {
-        let mut t = Trace::new(64);
-        t.push(
-            5,
-            TraceEvent::PrefetchIssue {
-                page: 10,
-                count: 1,
-                span: 1,
-            },
-        );
-        t.push(
-            8,
-            TraceEvent::PolicyInject {
-                page: 20,
-                count: 4,
+            Event::ConsumedLate {
+                page: 5,
                 span: 2,
+                touch: 6,
+                read,
+                journal_stalls: 0,
             },
         );
-        let spans = t.span_lifecycles();
-        assert_eq!(spans.len(), 2, "injection opens exactly one span");
-        assert_eq!(spans[1].span, 2);
-        assert_eq!(spans[1].page, 20);
-        assert_eq!(spans[1].issued_at, Some(8));
-        assert_eq!(spans[1].consumed_at, Some(8), "closed at the instant");
-        assert_eq!(spans[1].late, None, "injections are never late");
+        t.fold(10, Event::Finished);
+        let late = TraceEvent::PrefetchConsume {
+            page: 5,
+            span: 2,
+            late: true,
+        };
+        let got: Vec<(Ns, TraceEvent)> = t.iter().map(|r| (r.at, r.event)).collect();
+        assert_eq!(got, [(1, ev(3)), (9, late)]);
     }
 
     #[test]
@@ -552,8 +498,6 @@ mod tests {
         }
         assert_eq!(t.dropped(), 98);
         assert_eq!(t.len(), 2);
-        let r = t.records();
-        assert_eq!(r[0].at, 98);
-        assert_eq!(r[1].at, 99);
+        assert_eq!(ats(&t), [98, 99]);
     }
 }

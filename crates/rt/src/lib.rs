@@ -185,11 +185,6 @@ impl Runtime {
         self
     }
 
-    /// Snapshot of the machine's observability state, if enabled.
-    pub fn metrics_report(&self) -> Option<oocp_os::MetricsReport> {
-        self.machine.metrics_report()
-    }
-
     /// Figure-5 attribution of the machine's elapsed time (available
     /// with or without metrics enabled).
     pub fn attribution(&self) -> oocp_os::TimeAttribution {

@@ -321,6 +321,21 @@ cargo run --release -q -p oocp-bench --bin repro -- disk-death --smoke
 # `cargo test`.
 DISKFAIL_ORACLE_QUICK=1 cargo test -q --test proptest_diskfail
 
+stage "disk-death observer gate (attaching metrics must not move the run)"
+# `--json` attaches the metrics layer. No paging decision reads an
+# observer — the hedge deadline comes from the machine's own fault-wait
+# histogram — so the sweep must print the same bytes either way.
+# `tests/proptest_diskfail.rs::attaching_metrics_never_moves_a_disk_death_run`
+# holds one cell of it under `cargo test`.
+DD_JSON="/tmp/oocp-dd.$$.json"
+cargo run --release -q -p oocp-bench --bin repro -- disk-death --smoke > /tmp/oocp-dd.$$
+cargo run --release -q -p oocp-bench --bin repro -- \
+    disk-death --smoke --json "$DD_JSON" > /tmp/oocp-ddj.$$
+cmp -s /tmp/oocp-dd.$$ /tmp/oocp-ddj.$$ || {
+    diff /tmp/oocp-dd.$$ /tmp/oocp-ddj.$$; rm -f /tmp/oocp-dd.$$ /tmp/oocp-ddj.$$ "$DD_JSON"
+    echo "repro disk-death --smoke printed differently with metrics attached"; exit 1; }
+rm -f /tmp/oocp-dd.$$ /tmp/oocp-ddj.$$ "$DD_JSON"
+
 stage "disk-death negative gate (no redundancy must be fatal, and typed)"
 # Inverted expectation: the same death on a plain striped array must
 # abort with the typed data-loss error — if it survives, degraded reads
@@ -354,7 +369,7 @@ else
     stage "cargo clippy not available; skipping lint"
 fi
 
-stage "line counts (non-test lines of oocp-os, oocp-disk, oocp-bench and the baseline schema; none may regrow)"
+stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench; none may regrow)"
 # The line-count twin of the per-stage wall times. A file's non-test
 # lines are those before its first `#[cfg(test)]`. machine.rs is the
 # paging core, and the cap is the size it had when the extensions moved
@@ -368,8 +383,14 @@ stage "line counts (non-test lines of oocp-os, oocp-disk, oocp-bench and the bas
 # each layer kept one admission method (Disk::enqueue, DiskArray::admit)
 # and the retry ladder took the submission shape as a value: a new kind
 # of request is a number of completion units, not a submit method per
-# layer. A cap raised on purpose is raised in the same commit.
-MACHINE_RS_MAX=1912
+# layer. crates/os/src and crates/obs/src are capped as wholes at the
+# size they had when every machine event became one `emit` that the
+# trace ring and the metrics layer fold over: a new observer is a fold,
+# not a second report at each site. A cap raised on purpose is raised in
+# the same commit.
+MACHINE_RS_MAX=1873
+OS_SRC_MAX=6797
+OBS_SRC_MAX=3728
 DISK_SRC_MAX=2059
 BENCH_SRC_MAX=5657
 BASELINE_RS_MAX=780
@@ -390,6 +411,10 @@ if [ "$MACHINE_RS" -gt "$MACHINE_RS_MAX" ]; then
     echo "crates/os/src/machine.rs has $MACHINE_RS non-test lines, over its cap of $MACHINE_RS_MAX"
     exit 1
 fi
+if [ "$TOTAL" -gt "$OS_SRC_MAX" ]; then
+    echo "crates/os/src has $TOTAL non-test lines, over its cap of $OS_SRC_MAX"
+    exit 1
+fi
 count_lines crates/disk/src
 if [ "$TOTAL" -gt "$DISK_SRC_MAX" ]; then
     echo "crates/disk/src has $TOTAL non-test lines, over its cap of $DISK_SRC_MAX"
@@ -404,6 +429,10 @@ BASELINE_RS=0
 count_lines crates/obs/src
 if [ "$BASELINE_RS" -gt "$BASELINE_RS_MAX" ]; then
     echo "crates/obs/src/baseline.rs has $BASELINE_RS non-test lines, over its cap of $BASELINE_RS_MAX"
+    exit 1
+fi
+if [ "$TOTAL" -gt "$OBS_SRC_MAX" ]; then
+    echo "crates/obs/src has $TOTAL non-test lines, over its cap of $OBS_SRC_MAX"
     exit 1
 fi
 

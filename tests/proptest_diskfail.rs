@@ -135,6 +135,32 @@ fn disk_death_is_bit_identical_to_fault_free_reference() {
     }
 }
 
+/// Attaching metrics never moves a disk-death run: a degraded array's
+/// hedge deadline comes from the machine's own fault-wait distribution,
+/// so the demand-paged EMBAR cell with disk 1 dying at 1/20 of the
+/// reference run hedges the same reads, at the same times, detached or
+/// attached.
+#[test]
+fn attaching_metrics_never_moves_a_disk_death_run() {
+    let cfg = parity_config();
+    let w = build(App::Embar, cfg.bytes_for_ratio(2.0));
+    let reference = run_workload(&w, &cfg, Mode::Prefetch);
+    let at = (reference.total() / 20).max(1);
+    let plan = FaultPlan::none(0xD15F_0000).with_disk_death(DiskDeath { disk: 1, at });
+    let mut attached = cfg;
+    attached.metrics = true;
+    let [bare, inst] = [cfg, attached].map(|c| {
+        RunSpec::new(&c, Mode::Original)
+            .faults(&plan)
+            .run(&w)
+            .result
+    });
+    assert!(inst.os.hedged_reads > 0, "the death must arm the hedge");
+    assert_eq!(bare.time, inst.time, "metrics moved the time ledger");
+    assert_eq!(bare.os, inst.os, "metrics moved the OS counters");
+    assert_eq!(bare.checksum, inst.checksum);
+}
+
 /// A power loss while the online rebuild is still scrubbing: recovery
 /// re-derives parity wholesale from the durable image (a crash
 /// mid-rebuild leaves no trustworthy incremental state), and the
