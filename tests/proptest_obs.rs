@@ -374,6 +374,48 @@ fn sampled_time_series_is_deterministic_and_timing_neutral() {
     }
 }
 
+/// The sampler's two export documents of one attached machine, as
+/// `(prometheus text, JSONL time series)`.
+fn sampler_exports(m: &mut Machine) -> (String, String) {
+    let (reg, ring) = m.sampler_output().expect("sampler attached");
+    (
+        oocp::obs::prometheus_text(reg),
+        oocp::obs::jsonl_series(reg, ring),
+    )
+}
+
+/// FNV-1a over a document's bytes.
+fn fnv(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The export contract, byte for byte: a sampler on a small machine,
+/// a fixed op sequence long enough to overflow its ring, and the
+/// `.prom` and `.jsonl` documents it exports. Any change to a series'
+/// name, help text, kind, order or value, to the histogram lines, or to
+/// which rows the ring keeps shows here.
+#[test]
+fn sampler_exports_are_pinned() {
+    let mut m = machine();
+    m.attach_sampler(MILLISECOND, 16);
+    for op in &random_ops(&mut SimRng::new(0x0B_0030), 400) {
+        apply(&mut m, op);
+    }
+    m.finish();
+    let (prom, jsonl) = sampler_exports(&mut m);
+    assert!(
+        jsonl.starts_with(
+            "{\"schema\":\"oocp-metrics-v1\",\"interval_ns\":1000000,\"dropped_rows\":789,"
+        ),
+        "JSONL header: {jsonl}"
+    );
+    assert_eq!(jsonl.lines().count(), 17, "header + a full ring");
+    assert_eq!(fnv(&prom), 18441193294188413923, "Prometheus text:\n{prom}");
+    assert_eq!(fnv(&jsonl), 11982931253855789542, "JSONL series:\n{jsonl}");
+}
+
 /// `MetricsRegistry::merge` follows the same algebra the per-disk stats
 /// and `perfgate` aggregation rely on: counters add, gauges take the
 /// max, histograms fold via `LatencyHist::merge` — and the whole merge
