@@ -20,93 +20,36 @@
 //! sibling question to the simulated-time charts.
 
 use oocp_obs::json::{self, Json};
-use oocp_obs::{WhylateSummary, METRICS_SCHEMA};
+use oocp_obs::{JsonlDump, WhylateSummary};
 
-/// A parsed `--metrics-out` JSONL dump.
-struct Dump {
-    interval_ns: u64,
-    names: Vec<String>,
-    rows: Vec<(u64, Vec<u64>)>,
+/// Raw sampled values of one series (gauge semantics).
+fn series(dump: &JsonlDump, name: &str) -> Vec<f64> {
+    match dump.series.iter().position(|n| n == name) {
+        Some(i) => dump.rows.iter().map(|(_, v)| v[i] as f64).collect(),
+        None => Vec::new(),
+    }
 }
 
-impl Dump {
-    fn parse(text: &str) -> Result<Dump, String> {
-        let mut lines = text.lines();
-        let header =
-            json::parse(lines.next().ok_or("empty dump")?).map_err(|e| format!("header: {e}"))?;
-        if header.get("schema").and_then(Json::as_str) != Some(METRICS_SCHEMA) {
-            return Err(format!("not a {METRICS_SCHEMA} dump"));
-        }
-        let interval_ns = header
-            .get("interval_ns")
-            .and_then(Json::as_u64)
-            .ok_or("header missing interval_ns")?;
-        let names: Vec<String> = header
-            .get("series")
-            .and_then(Json::as_arr)
-            .ok_or("header missing series")?
-            .iter()
-            .filter_map(|s| s.as_str().map(str::to_string))
-            .collect();
-        let mut rows = Vec::new();
-        for (i, line) in lines.enumerate() {
-            let row = json::parse(line).map_err(|e| format!("line {}: {e}", i + 2))?;
-            let t = row
-                .get("t")
-                .and_then(Json::as_u64)
-                .ok_or(format!("line {}: missing t", i + 2))?;
-            let v: Vec<u64> = row
-                .get("v")
-                .and_then(Json::as_arr)
-                .ok_or(format!("line {}: missing v", i + 2))?
-                .iter()
-                .filter_map(Json::as_u64)
-                .collect();
-            if v.len() != names.len() {
-                return Err(format!("line {}: row width mismatch", i + 2));
-            }
-            rows.push((t, v));
-        }
-        Ok(Dump {
-            interval_ns,
-            names,
-            rows,
-        })
-    }
+/// Per-interval increments of a cumulative counter series.
+fn deltas(dump: &JsonlDump, name: &str) -> Vec<f64> {
+    let s = series(dump, name);
+    s.windows(2).map(|w| (w[1] - w[0]).max(0.0)).collect()
+}
 
-    fn col(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Raw sampled values of one series (gauge semantics).
-    fn series(&self, name: &str) -> Vec<f64> {
-        match self.col(name) {
-            Some(i) => self.rows.iter().map(|(_, v)| v[i] as f64).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Per-interval increments of a cumulative counter series.
-    fn deltas(&self, name: &str) -> Vec<f64> {
-        let s = self.series(name);
-        s.windows(2).map(|w| (w[1] - w[0]).max(0.0)).collect()
-    }
-
-    /// Sum of per-interval increments across every series whose name
-    /// matches the prefix+suffix pattern (e.g. all `disk*.queue_len`).
-    fn gauge_sum(&self, prefix: &str, suffix: &str) -> Vec<f64> {
-        let cols: Vec<usize> = self
-            .names
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.starts_with(prefix) && n.ends_with(suffix))
-            .map(|(i, _)| i)
-            .collect();
-        self.rows
-            .iter()
-            .map(|(_, v)| cols.iter().map(|&i| v[i] as f64).sum())
-            .collect()
-    }
+/// Sum across every series whose name matches the prefix+suffix
+/// pattern (e.g. all `disk*.queue_len`), row by row.
+fn gauge_sum(dump: &JsonlDump, prefix: &str, suffix: &str) -> Vec<f64> {
+    let cols: Vec<usize> = dump
+        .series
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.starts_with(prefix) && n.ends_with(suffix))
+        .map(|(i, _)| i)
+        .collect();
+    dump.rows
+        .iter()
+        .map(|(_, v)| cols.iter().map(|&i| v[i] as f64).sum())
+        .collect()
 }
 
 /// Downsample to `width` buckets by averaging, then render one block
@@ -266,26 +209,26 @@ fn main() {
         eprintln!("error: cannot read {jsonl}: {e}");
         std::process::exit(1);
     });
-    let dump = Dump::parse(&text).unwrap_or_else(|e| {
+    let dump = oocp_obs::read_jsonl(&text).unwrap_or_else(|e| {
         eprintln!("error: {jsonl}: {e}");
         std::process::exit(1);
     });
 
     // Derived phase-timeline series. Counters are differentiated per
     // interval; gauges are plotted as sampled.
-    let late_stall = dump.deltas("os.late_prefetch_stall_ns");
-    let demand = dump.deltas("disk.demand_wait_ns");
-    let write = dump.deltas("disk.write_wait_ns");
-    let timely = dump.deltas("ledger.timely_hits");
-    let late = dump.deltas("ledger.late_inflight");
+    let late_stall = deltas(&dump, "os.late_prefetch_stall_ns");
+    let demand = deltas(&dump, "disk.demand_wait_ns");
+    let write = deltas(&dump, "disk.write_wait_ns");
+    let timely = deltas(&dump, "ledger.timely_hits");
+    let late = deltas(&dump, "ledger.late_inflight");
     let late_rate: Vec<f64> = timely
         .iter()
         .zip(&late)
         .map(|(&t, &l)| if t + l > 0.0 { l / (t + l) } else { 0.0 })
         .collect();
-    let queue = dump.gauge_sum("disk", ".queue_len");
-    let inflight = dump.series("os.inflight_prefetch");
-    let free = dump.series("os.free_frames");
+    let queue = gauge_sum(&dump, "disk", ".queue_len");
+    let inflight = series(&dump, "os.inflight_prefetch");
+    let free = series(&dump, "os.free_frames");
 
     let span_ns = dump.rows.last().map(|(t, _)| *t).unwrap_or(0);
     println!(
@@ -293,7 +236,7 @@ fn main() {
         dump.rows.len(),
         dump.interval_ns / 1_000,
         span_ns as f64 / 1e9,
-        dump.names.len()
+        dump.series.len()
     );
     println!("{}", ascii_row("late-rate", &late_rate));
     println!("{}", ascii_row("late stall ns/intvl", &late_stall));

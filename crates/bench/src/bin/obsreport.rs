@@ -255,11 +255,11 @@ fn main() {
             .iter()
             .find(|(_, r)| r.mode == Mode::Prefetch && r.telemetry.is_some())
             .expect("--metrics-out attaches a sampler to every run");
-        let (reg, ring) = r.telemetry.as_ref().unwrap();
-        write_metrics(prefix, reg, ring).unwrap_or_else(|e| oocp_bench::exit_on(e));
+        let telemetry = r.telemetry.as_ref().unwrap();
+        write_metrics(prefix, telemetry).unwrap_or_else(|e| oocp_bench::exit_on(e));
         println!(
             "\nmetrics exported for {name}: {prefix}.prom + {prefix}.jsonl ({} samples)",
-            ring.len()
+            telemetry.ring.len()
         );
     }
 

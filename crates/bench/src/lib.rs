@@ -22,8 +22,8 @@ use oocp_ir::{run_program, run_program_profiled, ArrayBinding, CostModel, ExecSt
 use oocp_nas::Workload;
 use oocp_obs::{HostProf, Profile, TimeAttribution};
 use oocp_os::{
-    FaultPlan, FlushError, HistoryReplay, Machine, MachineParams, MetricsRegistry, MetricsReport,
-    OsStats, PolicyKind, PrefetchPolicy, RecoveryReport, Segment, TimeSeriesRing, Trace,
+    FaultPlan, FlushError, HistoryReplay, Machine, MachineParams, MetricsReport, OsStats,
+    PolicyKind, PrefetchPolicy, RecoveryReport, Segment, Telemetry, Trace,
 };
 use oocp_rt::{segment_checksum, FilterMode, RtStats, Runtime};
 use oocp_sim::time::{Ns, TimeBreakdown};
@@ -135,10 +135,10 @@ pub struct RunResult {
     /// Name of the prefetch policy installed on the machine; `None`
     /// for the compiler-only default (no policy object at all).
     pub policy: Option<&'static str>,
-    /// Continuous-telemetry output: the metrics registry (final values)
-    /// and the sampled time-series ring. Present when
+    /// Continuous-telemetry output: the sampler's series, their final
+    /// values and the sampled time-series ring. Present when
     /// [`Config::sampler`] was set.
-    pub telemetry: Option<(MetricsRegistry, TimeSeriesRing)>,
+    pub telemetry: Option<Telemetry>,
 }
 
 impl RunResult {
@@ -448,7 +448,7 @@ impl<'a> RunSpec<'a> {
         let mut rt =
             Runtime::new(machine, filter).with_adaptive(self.mode == Mode::PrefetchAdaptive);
         if cfg.metrics {
-            rt = rt.with_metrics();
+            rt.machine_mut().enable_metrics();
         }
         if let Some((interval, cap)) = cfg.sampler {
             rt.machine_mut().attach_sampler(interval, cap);
@@ -484,11 +484,6 @@ impl<'a> RunSpec<'a> {
         let verified = p.workload.map_or(Ok(()), |w| w.verify(&p.binds, &rt));
         let checksum = data_checksum(&rt, p.bytes);
         let trace = rt.machine_mut().take_trace();
-        // Needs the machine mutably to refresh the registry.
-        let telemetry = rt
-            .machine_mut()
-            .sampler_output()
-            .map(|(reg, ring)| (reg.clone(), ring.clone()));
         let m = rt.machine();
         let result = RunResult {
             mode: self.mode,
@@ -506,7 +501,7 @@ impl<'a> RunSpec<'a> {
             checksum,
             flush,
             policy: m.policy_name(),
-            telemetry,
+            telemetry: m.sampler_output(),
         };
         let out = RunOutput {
             result,
@@ -769,14 +764,10 @@ impl Args {
 /// validated by `oocp_obs::check_prometheus_text` / `check_jsonl`
 /// before touching the filesystem — an exporter bug should fail the
 /// run, not land a corrupt file.
-pub fn write_metrics(
-    prefix: &str,
-    reg: &MetricsRegistry,
-    ring: &TimeSeriesRing,
-) -> Result<(), WriteError> {
-    let prom = oocp_obs::prometheus_text(reg);
+pub fn write_metrics(prefix: &str, telemetry: &Telemetry) -> Result<(), WriteError> {
+    let prom = oocp_obs::prometheus_text(telemetry);
     oocp_obs::check_prometheus_text(&prom).expect("prometheus exporter invariant");
-    let jsonl = oocp_obs::jsonl_series(reg, ring);
+    let jsonl = oocp_obs::jsonl_series(telemetry);
     oocp_obs::check_jsonl(&jsonl).expect("jsonl exporter invariant");
     for (ext, text) in [("prom", prom), ("jsonl", jsonl)] {
         let path = format!("{prefix}.{ext}");

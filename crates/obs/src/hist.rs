@@ -274,6 +274,38 @@ mod tests {
         assert_eq!(before, (a.count(), a.sum_ns(), a.min(), a.max()));
     }
 
+    /// `DiskStats::merge` and `DiskArray::total_stats` fold per-disk
+    /// histograms in whatever order the disks come: merging must commute
+    /// and must equal recording both parts' samples into one histogram.
+    #[test]
+    fn merge_commutes_and_equals_recording_the_union() {
+        let mut g = oocp_sim::SimRng::new(0x0B_0005);
+        for case in 0..64 {
+            let samples = |g: &mut oocp_sim::SimRng| -> Vec<Ns> {
+                (0..g.next_below(100))
+                    .map(|_| {
+                        let bits = g.next_below(40);
+                        g.next_below(1u64 << bits)
+                    })
+                    .collect()
+            };
+            let (xs, ys) = (samples(&mut g), samples(&mut g));
+            let hist = |vs: &[Ns]| {
+                let mut h = LatencyHist::new();
+                vs.iter().for_each(|&v| h.record(v));
+                h
+            };
+            let (a, b) = (hist(&xs), hist(&ys));
+            let mut ab = a;
+            ab.merge(&b);
+            let mut ba = b;
+            ba.merge(&a);
+            assert_eq!(ab, ba, "case {case}: merge must commute");
+            let union: Vec<Ns> = xs.iter().chain(&ys).copied().collect();
+            assert_eq!(ab, hist(&union), "case {case}: merge == one recording");
+        }
+    }
+
     #[test]
     fn zero_samples_land_in_bucket_zero() {
         let mut h = LatencyHist::new();

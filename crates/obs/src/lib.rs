@@ -25,9 +25,10 @@
 //! * [`tracediff`] — aligns two Chrome trace exports by prefetch span
 //!   id and reports the first divergent lifecycle event, turning a
 //!   metric regression into a timeline location.
-//! * [`registry`] — the *continuous* layer: a typed metrics registry
-//!   every crate publishes into, sampled on the sim clock into a
-//!   bounded time-series ring with Prometheus/JSONL exporters.
+//! * [`registry`] — the *continuous* layer: the machine's sampler
+//!   reads its series on the sim clock into a bounded time-series ring
+//!   and hands out one [`Telemetry`] value, which the Prometheus/JSONL
+//!   exporters read; one JSONL reader serves the validator and `dash`.
 //! * [`whylate`] — causal attribution: every late, dropped, or wasted
 //!   prefetch gets exactly one dominant cause, partition-checked
 //!   against the ledger.
@@ -68,8 +69,8 @@ pub use prof::{
     check_collapsed, HostProf, MachineBucket, MachineProf, NoProf, ProfSink, Profile, PROF_SCHEMA,
 };
 pub use registry::{
-    check_jsonl, check_prometheus_text, jsonl_series, prometheus_text, JsonlError, MetricsRegistry,
-    SeriesDef, SeriesKind, TimeSeriesRing, METRICS_SCHEMA,
+    check_jsonl, check_prometheus_text, jsonl_series, prometheus_text, read_jsonl, JsonlDump,
+    JsonlError, SeriesDef, SeriesKind, Telemetry, TimeSeriesRing, METRICS_SCHEMA,
 };
 pub use tracediff::{Divergence, SpanRecord};
 pub use whylate::{WhylateSummary, WHYLATE_CAUSES, WHYLATE_NAMES};

@@ -1,17 +1,17 @@
-//! Continuous telemetry: a typed metrics registry sampled on the sim
-//! clock into an in-memory time-series ring, with Prometheus text and
-//! JSONL exporters.
+//! Continuous telemetry: what the machine's sim-time sampler hands
+//! out, its time-series ring, the Prometheus text and JSONL exporters,
+//! and their validators (the JSONL one a reader `dash` uses too).
 //!
 //! End-of-run aggregates (the baseline schema, the `--json` report)
 //! answer "how did the run do"; phase-level failures — readahead's
 //! late-arrival collapse on transpose, a brownout shedding one tenant's
-//! hints for a window — are invisible in totals. The registry gives
-//! every layer (disk, os, fs, policy, rt) a place to publish counters
-//! and gauges by name; a sampler attached to the machine snapshots the
-//! whole value vector at a fixed simulated interval. Sampling is
-//! *pull-based* and entirely passive: nothing here ever advances the
-//! sim clock, so a run with no sampler attached is bit-identical to one
-//! that never linked this module.
+//! hints for a window — are invisible in totals. The sampler attached
+//! to the machine reads its table of counters and gauges at a fixed
+//! simulated interval into a [`TimeSeriesRing`], and hands the result
+//! out as one [`Telemetry`] value. Sampling is *pull-based* and
+//! entirely passive: nothing here ever advances the sim clock, so a run
+//! with no sampler attached is bit-identical to one that never linked
+//! this module.
 
 use crate::hist::LatencyHist;
 use crate::json::{self, Json};
@@ -20,16 +20,19 @@ use oocp_sim::time::Ns;
 /// Schema tag written at the head of the JSONL time-series dump.
 pub const METRICS_SCHEMA: &str = "oocp-metrics-v1";
 
-/// How a series' values combine across samples and merges.
+/// Exported name and help text of [`Telemetry::fault_wait`].
+const FAULT_WAIT: (&str, &str) = ("os.fault_wait_ns", "demand-fault stall distribution");
+
+/// How a series' values evolve across samples.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SeriesKind {
-    /// Monotone running total; merging two registries adds counters.
+    /// Monotone running total.
     Counter,
-    /// Instantaneous level; merging takes the max (peak occupancy).
+    /// Instantaneous level.
     Gauge,
 }
 
-/// One registered series.
+/// One sampled series.
 #[derive(Clone, Debug)]
 pub struct SeriesDef {
     /// Dotted series name, e.g. `disk0.queue_len`.
@@ -37,188 +40,59 @@ pub struct SeriesDef {
     /// Counter or gauge.
     pub kind: SeriesKind,
     /// One-line help text (the Prometheus `# HELP` line).
-    pub help: String,
+    pub help: &'static str,
 }
 
-/// A registry of named counters, gauges, and log2 histograms.
-///
-/// Layers register series at construction and get back a dense integer
-/// id; updating a value is one array store. The registry itself holds
-/// no time — the machine's sampler snapshots [`MetricsRegistry::values`]
-/// rows into a [`TimeSeriesRing`] on the sim clock.
-///
-/// # Examples
-///
-/// ```
-/// use oocp_obs::{MetricsRegistry, SeriesKind};
-///
-/// let mut r = MetricsRegistry::new();
-/// let faults = r.counter("os.hard_faults", "demand faults");
-/// let depth = r.gauge("disk0.queue_len", "queued requests");
-/// r.add(faults, 3);
-/// r.set(depth, 7);
-/// assert_eq!(r.values(), &[3, 7]);
-/// assert_eq!(r.defs()[1].kind, SeriesKind::Gauge);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
-    defs: Vec<SeriesDef>,
-    values: Vec<u64>,
-    hists: Vec<(String, String, LatencyHist)>,
+/// What an attached sampler hands out: its series, their values at the
+/// end of the run, the machine's demand-fault stall distribution, and
+/// the rows sampled on the sim clock. Both exporters read this value.
+#[derive(Clone, Debug)]
+pub struct Telemetry {
+    /// The sampled series, in row order.
+    pub series: Vec<SeriesDef>,
+    /// Each series' end-of-run value, aligned with `series`.
+    pub values: Vec<u64>,
+    /// Demand-fault stall distribution.
+    pub fault_wait: LatencyHist,
+    /// The sampled rows, each aligned with `series`.
+    pub ring: TimeSeriesRing,
 }
 
-impl MetricsRegistry {
-    /// Create an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn series(&mut self, name: &str, kind: SeriesKind, help: &str) -> usize {
-        assert!(
-            !self.defs.iter().any(|d| d.name == name),
-            "duplicate series name {name}"
-        );
-        self.defs.push(SeriesDef {
-            name: name.to_string(),
-            kind,
-            help: help.to_string(),
-        });
-        self.values.push(0);
-        self.values.len() - 1
-    }
-
-    /// Register a counter; returns its dense id.
-    pub fn counter(&mut self, name: &str, help: &str) -> usize {
-        self.series(name, SeriesKind::Counter, help)
-    }
-
-    /// Register a gauge; returns its dense id.
-    pub fn gauge(&mut self, name: &str, help: &str) -> usize {
-        self.series(name, SeriesKind::Gauge, help)
-    }
-
-    /// Register a histogram; returns its id in the histogram space
-    /// (histograms are exported but not sampled per-row — the row is
-    /// the scalar vector only).
-    pub fn hist(&mut self, name: &str, help: &str) -> usize {
-        assert!(
-            !self.hists.iter().any(|(n, _, _)| n == name),
-            "duplicate histogram name {name}"
-        );
-        self.hists
-            .push((name.to_string(), help.to_string(), LatencyHist::new()));
-        self.hists.len() - 1
-    }
-
-    /// Set a series to an absolute value (gauges, or counters mirrored
-    /// from an external accumulator).
-    #[inline]
-    pub fn set(&mut self, id: usize, v: u64) {
-        self.values[id] = v;
-    }
-
-    /// Increment a counter.
-    #[inline]
-    pub fn add(&mut self, id: usize, v: u64) {
-        self.values[id] += v;
-    }
-
-    /// Current value of a series.
-    pub fn get(&self, id: usize) -> u64 {
-        self.values[id]
-    }
-
-    /// Record one sample into histogram `id`.
-    #[inline]
-    pub fn record(&mut self, id: usize, v: Ns) {
-        self.hists[id].2.record(v);
-    }
-
-    /// Replace histogram `id` wholesale (mirroring an external hist).
-    pub fn set_hist(&mut self, id: usize, h: LatencyHist) {
-        self.hists[id].2 = h;
-    }
-
-    /// Registered scalar series, in registration order.
-    pub fn defs(&self) -> &[SeriesDef] {
-        &self.defs
-    }
-
-    /// Current scalar values, aligned with [`MetricsRegistry::defs`].
-    pub fn values(&self) -> &[u64] {
-        &self.values
-    }
-
-    /// Registered histograms as `(name, help, hist)`.
-    pub fn hists(&self) -> &[(String, String, LatencyHist)] {
-        &self.hists
-    }
-
-    /// Snapshot the scalar vector (one time-series row).
-    pub fn snapshot_row(&self) -> Vec<u64> {
-        self.values.clone()
-    }
-
-    /// Fold another registry with the *same schema* into this one:
-    /// counters add, gauges take the max, histograms merge via
-    /// [`LatencyHist::merge`] — the same algebra the per-disk stats use,
-    /// so aggregation order never matters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the schemas differ (series registered in a different
-    /// order or under different names/kinds) — merging mismatched
-    /// registries is a programming error, not data.
-    pub fn merge(&mut self, o: &MetricsRegistry) {
-        assert_eq!(self.defs.len(), o.defs.len(), "registry schema mismatch");
-        for (a, b) in self.defs.iter().zip(o.defs.iter()) {
-            assert!(
-                a.name == b.name && a.kind == b.kind,
-                "registry schema mismatch at series {}",
-                a.name
-            );
-        }
-        for (i, v) in o.values.iter().enumerate() {
-            match self.defs[i].kind {
-                SeriesKind::Counter => self.values[i] += v,
-                SeriesKind::Gauge => self.values[i] = self.values[i].max(*v),
-            }
-        }
-        assert_eq!(self.hists.len(), o.hists.len(), "registry schema mismatch");
-        for (mine, theirs) in self.hists.iter_mut().zip(o.hists.iter()) {
-            assert_eq!(mine.0, theirs.0, "registry schema mismatch");
-            mine.2.merge(&theirs.2);
-        }
-    }
-}
-
-/// A bounded in-memory time series of sampled registry rows.
+/// A bounded in-memory time series of sampled rows.
 ///
-/// Rows are `(sim_time, values)` with `values` aligned to the
-/// registry's series definitions. When the ring overflows, the oldest
-/// rows are dropped and counted — a flight recorder, like the trace.
+/// Rows are `(sim_time, values)`, every row `width` values wide, kept in
+/// one flat buffer of at most `cap` rows. When the ring is full, a push
+/// overwrites the oldest row and counts it dropped — a flight recorder,
+/// like the trace — so its footprint is set by `cap`, not by the run's
+/// length, and a push moves no other row.
 #[derive(Clone, Debug)]
 pub struct TimeSeriesRing {
     interval: Ns,
+    width: usize,
     cap: usize,
-    rows: Vec<(Ns, Vec<u64>)>,
+    /// Up to `cap` rows of `1 + width` words, the stamp first. Once the
+    /// ring is full, row `head` is the oldest.
+    buf: Vec<u64>,
+    head: usize,
     dropped: u64,
 }
 
 impl TimeSeriesRing {
     /// Create a ring sampling every `interval` ns, keeping at most
-    /// `cap` rows.
+    /// `cap` rows of `width` values.
     ///
     /// # Panics
     ///
     /// Panics on a zero interval or capacity.
-    pub fn new(interval: Ns, cap: usize) -> Self {
+    pub fn new(interval: Ns, width: usize, cap: usize) -> Self {
         assert!(interval > 0, "sampling interval must be positive");
         assert!(cap > 0, "ring capacity must be positive");
         Self {
             interval,
+            width,
             cap,
-            rows: Vec::new(),
+            buf: Vec::new(),
+            head: 0,
             dropped: 0,
         }
     }
@@ -228,18 +102,38 @@ impl TimeSeriesRing {
         self.interval
     }
 
-    /// Append a row, evicting the oldest when full.
-    pub fn push(&mut self, t: Ns, row: Vec<u64>) {
-        if self.rows.len() == self.cap {
-            self.rows.remove(0);
+    /// Append a row stamped `t`, overwriting the oldest when full.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `values` yields exactly the ring's width.
+    pub fn push(&mut self, t: Ns, values: impl IntoIterator<Item = u64>) {
+        let stride = self.width + 1;
+        let at = if self.len() < self.cap {
+            self.buf.resize(self.buf.len() + stride, 0);
+            self.buf.len() - stride
+        } else {
+            let at = self.head * stride;
+            self.head = (self.head + 1) % self.cap;
             self.dropped += 1;
+            at
+        };
+        let row = &mut self.buf[at..at + stride];
+        row[0] = t;
+        let mut values = values.into_iter();
+        for slot in &mut row[1..] {
+            *slot = values.next().expect("row narrower than the ring");
         }
-        self.rows.push((t, row));
+        assert!(values.next().is_none(), "row wider than the ring");
     }
 
     /// Retained rows, oldest first.
-    pub fn rows(&self) -> &[(Ns, Vec<u64>)] {
-        &self.rows
+    pub fn rows(&self) -> impl DoubleEndedIterator<Item = (Ns, &[u64])> + ExactSizeIterator {
+        let (stride, len) = (self.width + 1, self.len());
+        (0..len).map(move |i| {
+            let at = (self.head + i) % len * stride;
+            (self.buf[at], &self.buf[at + 1..at + stride])
+        })
     }
 
     /// Rows evicted by overflow.
@@ -249,12 +143,12 @@ impl TimeSeriesRing {
 
     /// Number of retained rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.buf.len() / (self.width + 1)
     }
 
     /// Whether no rows were sampled.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.buf.is_empty()
     }
 }
 
@@ -272,12 +166,13 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Render the registry's current state in the Prometheus text
-/// exposition format: scalars as `counter`/`gauge`, histograms as
-/// cumulative `_bucket{le=...}` series plus `_sum` and `_count`.
-pub fn prometheus_text(reg: &MetricsRegistry) -> String {
+/// Render the telemetry's end-of-run state in the Prometheus text
+/// exposition format: scalars as `counter`/`gauge`, the fault-wait
+/// histogram as cumulative `_bucket{le=...}` series plus `_sum` and
+/// `_count`.
+pub fn prometheus_text(telemetry: &Telemetry) -> String {
     let mut out = String::new();
-    for (d, v) in reg.defs().iter().zip(reg.values()) {
+    for (d, v) in telemetry.series.iter().zip(&telemetry.values) {
         let name = prom_name(&d.name);
         let kind = match d.kind {
             SeriesKind::Counter => "counter",
@@ -287,38 +182,35 @@ pub fn prometheus_text(reg: &MetricsRegistry) -> String {
         out.push_str(&format!("# TYPE {name} {kind}\n"));
         out.push_str(&format!("{name} {v}\n"));
     }
-    for (raw, help, h) in reg.hists() {
-        let name = prom_name(raw);
-        out.push_str(&format!("# HELP {name} {help}\n"));
-        out.push_str(&format!("# TYPE {name} histogram\n"));
-        let mut cum = 0u64;
-        for (i, &c) in h.buckets().iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            cum += c;
-            let bound = LatencyHist::bucket_bound(i);
-            if bound == Ns::MAX {
-                out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n"));
-            } else {
-                out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cum}\n"));
-            }
+    let (raw, help) = FAULT_WAIT;
+    let h = &telemetry.fault_wait;
+    let name = prom_name(raw);
+    out.push_str(&format!("# HELP {name} {help}\n"));
+    out.push_str(&format!("# TYPE {name} histogram\n"));
+    let mut cum = 0u64;
+    for (i, &c) in h.buckets().iter().enumerate() {
+        if c == 0 {
+            continue;
         }
-        if cum < h.count() {
-            // Unreachable by construction, but keep +Inf total exact.
-            cum = h.count();
+        cum += c;
+        let bound = LatencyHist::bucket_bound(i);
+        if bound == Ns::MAX {
+            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n"));
+        } else {
+            out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cum}\n"));
         }
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cum}\n"));
-        out.push_str(&format!("{name}_sum {}\n", h.sum_ns()));
-        out.push_str(&format!("{name}_count {}\n", h.count()));
     }
+    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
+    out.push_str(&format!("{name}_sum {}\n", h.sum_ns()));
+    out.push_str(&format!("{name}_count {}\n", h.count()));
     out
 }
 
 /// Render the sampled time series as JSONL: a header object
 /// (`schema`, `interval_ns`, `dropped_rows`, `series`) followed by one
 /// `{"t": ..., "v": [...]}` object per retained row.
-pub fn jsonl_series(reg: &MetricsRegistry, ring: &TimeSeriesRing) -> String {
+pub fn jsonl_series(telemetry: &Telemetry) -> String {
+    let ring = &telemetry.ring;
     let mut out = String::new();
     let header = Json::obj([
         ("schema", Json::Str(METRICS_SCHEMA.into())),
@@ -327,7 +219,8 @@ pub fn jsonl_series(reg: &MetricsRegistry, ring: &TimeSeriesRing) -> String {
         (
             "series",
             Json::Arr(
-                reg.defs()
+                telemetry
+                    .series
                     .iter()
                     .map(|d| Json::Str(d.name.clone()))
                     .collect(),
@@ -338,7 +231,7 @@ pub fn jsonl_series(reg: &MetricsRegistry, ring: &TimeSeriesRing) -> String {
     out.push('\n');
     for (t, row) in ring.rows() {
         let obj = Json::obj([
-            ("t", Json::U64(*t)),
+            ("t", Json::U64(t)),
             ("v", Json::Arr(row.iter().map(|&v| Json::U64(v)).collect())),
         ]);
         out.push_str(&obj.to_string());
@@ -394,15 +287,16 @@ pub fn check_prometheus_text(text: &str) -> Result<usize, String> {
     Ok(samples)
 }
 
-/// Why a JSONL time-series dump failed [`check_jsonl`]. Row-level
+/// Why a JSONL time-series dump failed [`read_jsonl`]. Row-level
 /// variants carry the 1-based line number of the **first** offending
 /// row so a corrupted capture can be located without re-parsing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JsonlError {
     /// The dump has no header line at all.
     Empty,
-    /// The header line is broken: bad JSON, a missing field, or an
-    /// unknown schema tag. The payload says which.
+    /// The header line is broken: bad JSON, a missing field, an
+    /// unknown schema tag, or a series name that is not a string. The
+    /// payload says which.
     Header(String),
     /// A row is malformed: bad JSON, missing `t`/`v`, a value vector
     /// of the wrong width, or a non-integer value.
@@ -442,23 +336,36 @@ impl std::fmt::Display for JsonlError {
     }
 }
 
-/// Validate a JSONL time-series dump produced by [`jsonl_series`]:
-/// correct schema tag, every row's value vector as wide as the
-/// header's series list, and timestamps that sit on **contiguous**
-/// multiples of the header's `interval_ns` — the sampler stamps a row
-/// at every interval boundary it crosses and the ring evicts only its
-/// oldest rows, so the first retained row may be any grid point but
-/// each successive row must be exactly one interval later (which also
-/// makes them strictly increasing). Returns the number of rows; the
-/// error names the first bad row.
-pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
+/// A JSONL time-series dump as [`read_jsonl`] reads it back.
+#[derive(Clone, Debug)]
+pub struct JsonlDump {
+    /// The header's sampling interval.
+    pub interval_ns: Ns,
+    /// Rows the ring had evicted when the dump was written.
+    pub dropped_rows: u64,
+    /// Series names, in row order.
+    pub series: Vec<String>,
+    /// `(sim_time, values)` rows, oldest first, each as wide as `series`.
+    pub rows: Vec<(Ns, Vec<u64>)>,
+}
+
+/// Read a JSONL time-series dump produced by [`jsonl_series`]: correct
+/// schema tag, every row's value vector as wide as the header's series
+/// list, and timestamps that sit on **contiguous** multiples of the
+/// header's `interval_ns` — the sampler stamps a row at every interval
+/// boundary it crosses and the ring evicts only its oldest rows, so the
+/// first retained row may be any grid point but each successive row
+/// must be exactly one interval later (which also makes them strictly
+/// increasing). The error names the first bad row.
+pub fn read_jsonl(text: &str) -> Result<JsonlDump, JsonlError> {
     let mut lines = text.lines();
     let header = json::parse(lines.next().ok_or(JsonlError::Empty)?)
         .map_err(|e| JsonlError::Header(e.to_string()))?;
+    let missing = |what: &str| JsonlError::Header(format!("missing {what}"));
     let schema = header
         .get("schema")
         .and_then(Json::as_str)
-        .ok_or_else(|| JsonlError::Header("missing schema".into()))?;
+        .ok_or_else(|| missing("schema"))?;
     if schema != METRICS_SCHEMA {
         return Err(JsonlError::Header(format!(
             "unknown metrics schema '{schema}'"
@@ -468,14 +375,20 @@ pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
         .get("interval_ns")
         .and_then(Json::as_u64)
         .filter(|&i| i > 0)
-        .ok_or_else(|| JsonlError::Header("missing positive interval_ns".into()))?;
-    let width = header
+        .ok_or_else(|| missing("positive interval_ns"))?;
+    let dropped_rows = header
+        .get("dropped_rows")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| missing("dropped_rows"))?;
+    let series = header
         .get("series")
         .and_then(Json::as_arr)
-        .ok_or_else(|| JsonlError::Header("missing series list".into()))?
-        .len();
-    let mut rows = 0usize;
-    let mut last_t: Option<u64> = None;
+        .ok_or_else(|| missing("series list"))?
+        .iter()
+        .map(|n| n.as_str().map(str::to_string))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| JsonlError::Header("non-string series name".into()))?;
+    let mut rows: Vec<(Ns, Vec<u64>)> = Vec::new();
     for (i, line) in lines.enumerate() {
         let n = i + 2;
         let malformed = |reason: String| JsonlError::Malformed { line: n, reason };
@@ -491,7 +404,7 @@ pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
                 interval_ns,
             });
         }
-        if let Some(prev) = last_t {
+        if let Some(&(prev, _)) = rows.last() {
             let expected = prev + interval_ns;
             if t != expected {
                 return Err(JsonlError::Gap {
@@ -501,90 +414,107 @@ pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
                 });
             }
         }
-        last_t = Some(t);
         let v = row
             .get("v")
             .and_then(Json::as_arr)
             .ok_or_else(|| malformed("row missing v".into()))?;
-        if v.len() != width {
+        if v.len() != series.len() {
             return Err(malformed(format!(
-                "row width {} != series width {width}",
-                v.len()
+                "row width {} != series width {}",
+                v.len(),
+                series.len()
             )));
         }
-        if v.iter().any(|x| x.as_u64().is_none()) {
-            return Err(malformed("non-integer value in row".into()));
-        }
-        rows += 1;
+        let v = v
+            .iter()
+            .map(Json::as_u64)
+            .collect::<Option<Vec<_>>>()
+            .ok_or_else(|| malformed("non-integer value in row".into()))?;
+        rows.push((t, v));
     }
-    Ok(rows)
+    Ok(JsonlDump {
+        interval_ns,
+        dropped_rows,
+        series,
+        rows,
+    })
+}
+
+/// Validate a JSONL time-series dump with [`read_jsonl`]; returns the
+/// number of rows.
+pub fn check_jsonl(text: &str) -> Result<usize, JsonlError> {
+    read_jsonl(text).map(|d| d.rows.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_registry() -> MetricsRegistry {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("os.hard_faults", "demand faults");
-        let g = r.gauge("disk0.queue_len", "queued requests");
-        let h = r.hist("os.fault_wait_ns", "hard-fault stall");
-        r.add(c, 5);
-        r.set(g, 3);
-        r.record(h, 1_000);
-        r.record(h, 0);
-        r
+    fn def(name: &str, kind: SeriesKind, help: &'static str) -> SeriesDef {
+        SeriesDef {
+            name: name.to_string(),
+            kind,
+            help,
+        }
     }
 
-    #[test]
-    fn ids_are_dense_and_values_align() {
-        let r = sample_registry();
-        assert_eq!(r.values(), &[5, 3]);
-        assert_eq!(r.defs()[0].name, "os.hard_faults");
-        assert_eq!(r.defs()[0].kind, SeriesKind::Counter);
-        assert_eq!(r.defs()[1].kind, SeriesKind::Gauge);
-        assert_eq!(r.hists()[0].2.count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate series name")]
-    fn duplicate_names_panic() {
-        let mut r = MetricsRegistry::new();
-        r.counter("a", "");
-        r.gauge("a", "");
-    }
-
-    #[test]
-    fn merge_algebra_counters_add_gauges_max_hists_merge() {
-        let mut a = sample_registry();
-        let mut b = sample_registry();
-        b.set(1, 9); // deeper queue in b
-        b.record(0, 7_777);
-        let expect_hist = {
-            let mut h = a.hists()[0].2;
-            h.merge(&b.hists()[0].2);
-            h
-        };
-        a.merge(&b);
-        assert_eq!(a.get(0), 10, "counters add");
-        assert_eq!(a.get(1), 9, "gauges take the max");
-        assert_eq!(a.hists()[0].2, expect_hist, "hists merge exactly");
+    fn sample_telemetry() -> Telemetry {
+        let mut fault_wait = LatencyHist::new();
+        fault_wait.record(1_000);
+        fault_wait.record(0);
+        let mut ring = TimeSeriesRing::new(1_000, 2, 16);
+        ring.push(1_000, [4, 2]);
+        ring.push(2_000, [5, 3]);
+        Telemetry {
+            series: vec![
+                def("os.hard_faults", SeriesKind::Counter, "demand faults"),
+                def("disk0.queue_len", SeriesKind::Gauge, "queued requests"),
+            ],
+            values: vec![5, 3],
+            fault_wait,
+            ring,
+        }
     }
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        let mut ring = TimeSeriesRing::new(100, 2);
-        ring.push(100, vec![1]);
-        ring.push(200, vec![2]);
-        ring.push(300, vec![3]);
+        let mut ring = TimeSeriesRing::new(100, 1, 2);
+        ring.push(100, [1]);
+        ring.push(200, [2]);
+        ring.push(300, [3]);
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.dropped(), 1);
-        assert_eq!(ring.rows()[0].0, 200, "oldest evicted first");
+        assert_eq!(ring.rows().next().unwrap().0, 200, "oldest evicted first");
+
+        // Many overflows, at every phase of the ring: the newest `cap`
+        // rows remain, contiguous and in order, and every push past
+        // `cap` is one drop.
+        for cap in [1, 3, 7] {
+            let mut ring = TimeSeriesRing::new(10, 2, cap);
+            for n in 1..=100u64 {
+                ring.push(10 * n, [n, n * n]);
+                let kept = (n as usize).min(cap);
+                assert_eq!(ring.len(), kept);
+                assert_eq!(ring.dropped(), n - kept as u64, "cap {cap} after {n}");
+                let want: Vec<(Ns, Vec<u64>)> = (n + 1 - kept as u64..=n)
+                    .map(|k| (10 * k, vec![k, k * k]))
+                    .collect();
+                let got: Vec<(Ns, Vec<u64>)> = ring.rows().map(|(t, v)| (t, v.to_vec())).collect();
+                assert_eq!(got, want, "cap {cap} after {n}");
+                assert_eq!(ring.rows().next_back().unwrap().0, 10 * n);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row narrower than the ring")]
+    fn ring_refuses_a_row_of_the_wrong_width() {
+        TimeSeriesRing::new(10, 2, 4).push(10, [1]);
     }
 
     #[test]
     fn prometheus_export_validates() {
-        let text = prometheus_text(&sample_registry());
+        let text = prometheus_text(&sample_telemetry());
         assert!(text.contains("# TYPE oocp_os_hard_faults counter"));
         assert!(text.contains("oocp_disk0_queue_len 3"));
         assert!(text.contains("oocp_os_fault_wait_ns_count 2"));
@@ -601,21 +531,34 @@ mod tests {
 
     #[test]
     fn jsonl_export_roundtrips_through_checker() {
-        let reg = sample_registry();
-        let mut ring = TimeSeriesRing::new(1_000, 16);
-        ring.push(1_000, reg.snapshot_row());
-        ring.push(2_000, reg.snapshot_row());
-        let text = jsonl_series(&reg, &ring);
+        let text = jsonl_series(&sample_telemetry());
         assert_eq!(check_jsonl(&text).unwrap(), 2);
     }
 
     #[test]
+    fn jsonl_reader_returns_exactly_the_rings_rows() {
+        // An overflowed ring, so the first row read back is not the
+        // first row sampled.
+        let mut t = sample_telemetry();
+        t.ring = TimeSeriesRing::new(1_000, 2, 5);
+        for n in 3..40u64 {
+            t.ring.push(n * 1_000, [n, 40 - n]);
+        }
+        let dump = read_jsonl(&jsonl_series(&t)).unwrap();
+        assert_eq!(dump.interval_ns, 1_000);
+        assert_eq!(dump.dropped_rows, t.ring.dropped());
+        assert_eq!(dump.series, ["os.hard_faults", "disk0.queue_len"]);
+        let rows: Vec<(Ns, Vec<u64>)> = t.ring.rows().map(|(t, v)| (t, v.to_vec())).collect();
+        assert_eq!(dump.rows, rows);
+        assert_eq!(dump.rows[0].0, 35_000);
+    }
+
+    #[test]
     fn jsonl_checker_rejects_width_and_order_violations() {
-        let reg = sample_registry();
-        let mut ring = TimeSeriesRing::new(1_000, 16);
-        ring.push(1_000, vec![1]); // too narrow for 2 series
-        let text = jsonl_series(&reg, &ring);
-        assert!(check_jsonl(&text).is_err());
+        let mut t = sample_telemetry();
+        t.ring = TimeSeriesRing::new(1_000, 1, 16);
+        t.ring.push(1_000, [1]); // too narrow for 2 series
+        assert!(check_jsonl(&jsonl_series(&t)).is_err());
         let bad_order = format!(
             "{}\n{}\n{}\n",
             Json::obj([

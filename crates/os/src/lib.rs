@@ -49,8 +49,8 @@ pub use oocp_disk::{
     SchedPolicy,
 };
 pub use oocp_obs::{
-    LateCause, LatencyHist, LedgerCounts, MachineBucket, MachineProf, MetricsRegistry,
-    PrefetchLedger, TimeAttribution, TimeSeriesRing, WhylateSummary,
+    LateCause, LatencyHist, LedgerCounts, MachineBucket, MachineProf, PrefetchLedger, Telemetry,
+    TimeAttribution, TimeSeriesRing, WhylateSummary,
 };
 // Prefetch-policy types, re-exported so the runtime and bench layers
 // can select and install policies without a direct policy-crate

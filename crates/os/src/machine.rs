@@ -3761,11 +3761,11 @@ mod tests {
     /// Everything two machines fed the same ops must agree on. `deep`
     /// adds what is too long to walk after every op: the whole trace,
     /// the histograms, the sampler's ring.
-    fn assert_same_machine(a: &mut Machine, b: &mut Machine, deep: bool, ctx: &str) {
+    fn assert_same_machine(a: &Machine, b: &Machine, deep: bool, ctx: &str) {
         macro_rules! same {
             ($what:literal, $of:expr) => {{
                 let of = $of;
-                assert_eq!(of(&*a), of(&*b), "{}: {} differ", ctx, $what);
+                assert_eq!(of(a), of(b), "{}: {} differ", ctx, $what);
             }};
         }
         same!("now()", |m: &Machine| m.now);
@@ -3849,11 +3849,10 @@ mod tests {
                 m.metrics_report()
             ));
             same!("disk stats", |m: &Machine| format!("{:?}", m.disk_stats()));
-            let ring = |m: &mut Machine| {
+            same!("sampler output", |m: &Machine| format!(
+                "{:?}",
                 m.sampler_output()
-                    .map(|(reg, ring)| format!("{reg:?} {ring:?}"))
-            };
-            assert_eq!(ring(a), ring(b), "{ctx}: sampler output differs");
+            ));
         }
     }
 
@@ -3891,10 +3890,10 @@ mod tests {
             hits += u64::from(hit);
             let ctx = format!("{arm}: op {i} {op:?} (hit: {hit})");
             assert_eq!(op.apply(&mut a, false), op.apply(&mut b, true), "{ctx}");
-            assert_same_machine(&mut a, &mut b, i % 256 == 0, &ctx);
+            assert_same_machine(&a, &b, i % 256 == 0, &ctx);
         }
         assert_eq!(a.try_finish(), b.try_finish(), "{arm}: try_finish");
-        assert_same_machine(&mut a, &mut b, true, &format!("{arm}: after try_finish"));
+        assert_same_machine(&a, &b, true, &format!("{arm}: after try_finish"));
         DiffRun { hits, fast: a }
     }
 
@@ -4162,7 +4161,7 @@ mod tests {
             let (n, read) = ask.stripped(&mut a);
             let ctx = format!("{ctx}: {n} granted");
             assert_eq!(ask.one_by_one(&mut b, 0, n, ask.lead), read, "{ctx}: loads");
-            assert_same_machine(&mut a, &mut b, round % 256 == 0, &ctx);
+            assert_same_machine(&a, &b, round % 256 == 0, &ctx);
             run.iterations += n;
             *(if n > 0 {
                 &mut run.granted
@@ -4196,10 +4195,10 @@ mod tests {
                 let done = op.apply(&mut a, false);
                 assert_eq!(done, op.apply(&mut b, false), "{ctx}: {op:?}");
             }
-            assert_same_machine(&mut a, &mut b, false, &format!("{ctx}: after churn"));
+            assert_same_machine(&a, &b, false, &format!("{ctx}: after churn"));
         }
         assert_eq!(a.try_finish(), b.try_finish(), "{arm}: try_finish");
-        assert_same_machine(&mut a, &mut b, true, &format!("{arm}: after try_finish"));
+        assert_same_machine(&a, &b, true, &format!("{arm}: after try_finish"));
         run.rows = a.observe.sampler.as_ref().map_or(0, |s| s.ring.len());
         run
     }

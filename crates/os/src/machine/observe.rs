@@ -6,7 +6,7 @@
 //! one event stream, [`Machine::emit`]; the core reads neither back.
 
 use oocp_obs::{
-    LedgerCounts, MachineBucket, MachineProf, MetricsRegistry, SeriesKind, TimeAttribution,
+    LedgerCounts, MachineBucket, MachineProf, SeriesDef, SeriesKind, Telemetry, TimeAttribution,
     TimeSeriesRing,
 };
 use oocp_sim::time::Ns;
@@ -34,17 +34,15 @@ pub(super) struct Observers {
     pub(super) host_prof: Option<MachineProf>,
 }
 
-/// The attached sampler: a metrics registry whose scalar vector is
-/// refilled from live machine state and snapshotted into a bounded
-/// time-series ring every `interval` of *simulated* time.
+/// The attached sampler: a table of series read from live machine
+/// state into a bounded time-series ring every `interval` of
+/// *simulated* time.
 pub(super) struct SamplerState {
-    reg: MetricsRegistry,
+    /// What a row holds, in row order.
+    series: Vec<Series>,
     pub(super) ring: TimeSeriesRing,
     /// Next sim time a row is due.
     pub(super) next_due: Ns,
-    /// The table `reg`'s scalars were registered from, in registry
-    /// order.
-    series: Vec<Series>,
 }
 
 /// Reads one sampled scalar off the machine. The index is the disk or
@@ -55,13 +53,18 @@ type Read = fn(&Machine, usize) -> u64;
 /// `disk3.`-style prefix), help text, kind, and where the value lives.
 type SeriesRow = (&'static str, &'static str, SeriesKind, Read);
 
-/// One sampled scalar series of an attached sampler.
+/// One sampled scalar series of an attached sampler: what it exports
+/// and where its value lives.
 struct Series {
-    name: String,
-    help: &'static str,
-    kind: SeriesKind,
+    def: SeriesDef,
     read: Read,
     index: usize,
+}
+
+impl Series {
+    fn value(&self, m: &Machine) -> u64 {
+        (self.read)(m, self.index)
+    }
 }
 
 const fn counter(name: &'static str, help: &'static str, read: Read) -> SeriesRow {
@@ -79,8 +82,8 @@ fn ledger_counts(m: &Machine) -> LedgerCounts {
 
 /// Every scalar series the sampler exports, in row order, for a machine
 /// with `ndisks` disks and `ntenants` registered tenants. The one place
-/// a series' name and its source are written: [`Machine::attach_sampler`]
-/// registers these rows and `fill_registry` reads through them.
+/// a series' name and its source are written: the sampler's rows and
+/// [`Machine::sampler_output`] read through it.
 fn series_table(ndisks: usize, ntenants: usize) -> Vec<Series> {
     const MACHINE: &[SeriesRow] = &[
         counter("os.user_ops", "interpreter operations retired", |m, _| {
@@ -211,9 +214,11 @@ fn series_table(ndisks: usize, ntenants: usize) -> Vec<Series> {
         index: usize,
     ) -> impl Iterator<Item = Series> {
         rows.iter().map(move |&(name, help, kind, read)| Series {
-            name: format!("{prefix}{name}"),
-            help,
-            kind,
+            def: SeriesDef {
+                name: format!("{prefix}{name}"),
+                kind,
+                help,
+            },
             read,
             index,
         })
@@ -271,14 +276,14 @@ impl Machine {
     }
 
     /// Attach the continuous-telemetry sampler: every `interval_ns` of
-    /// simulated time, the full registry of counters and gauges (disk
-    /// queue depths and per-class waits, residency and free-frame
-    /// levels, journal occupancy, ledger and policy counters, ops
-    /// retired) is snapshotted into a ring holding up to `capacity`
-    /// rows. Implies [`Machine::enable_metrics`]. Pull-based and
-    /// passive: sampling reads state the machine already keeps and
-    /// never advances the clock, so a sampled run's simulated timeline
-    /// is identical to an unsampled one.
+    /// simulated time, every series of the sampler's table (disk queue
+    /// depths and per-class waits, residency and free-frame levels,
+    /// journal occupancy, ledger and policy counters, ops retired) is
+    /// read into a ring holding up to `capacity` rows. Implies
+    /// [`Machine::enable_metrics`]. Pull-based and passive: sampling
+    /// reads state the machine already keeps and never advances the
+    /// clock, so a sampled run's simulated timeline is identical to an
+    /// unsampled one.
     ///
     /// Per-tenant series cover the tenants registered at attach time;
     /// later registrations are not sampled (attach after
@@ -290,44 +295,23 @@ impl Machine {
     pub fn attach_sampler(&mut self, interval_ns: Ns, capacity: usize) {
         self.enable_metrics();
         let series = series_table(self.params.ndisks, self.tenancy.tenants.len());
-        let mut reg = MetricsRegistry::new();
-        for s in &series {
-            match s.kind {
-                SeriesKind::Counter => reg.counter(&s.name, s.help),
-                SeriesKind::Gauge => reg.gauge(&s.name, s.help),
-            };
-        }
-        assert_eq!(
-            series.len(),
-            reg.values().len(),
-            "one registry scalar per table row"
-        );
-        reg.hist("os.fault_wait_ns", "demand-fault stall distribution");
         self.observe.sampler = Some(SamplerState {
-            reg,
-            ring: TimeSeriesRing::new(interval_ns, capacity),
+            ring: TimeSeriesRing::new(interval_ns, series.len(), capacity),
             next_due: self.now + interval_ns,
             series,
         });
     }
 
-    /// The sampled telemetry (registry in its end-of-run state plus the
-    /// time-series ring), if a sampler is attached. Refreshes the
-    /// registry first so exports reflect the final counters.
-    pub fn sampler_output(&mut self) -> Option<(&MetricsRegistry, &TimeSeriesRing)> {
-        let mut s = self.observe.sampler.take()?;
-        self.fill_registry(&mut s);
-        self.observe.sampler = Some(s);
-        self.observe.sampler.as_ref().map(|s| (&s.reg, &s.ring))
-    }
-
-    /// Refill the registry's scalar vector from live machine state,
-    /// through the table it was registered from.
-    fn fill_registry(&self, s: &mut SamplerState) {
-        for (i, series) in s.series.iter().enumerate() {
-            s.reg.set(i, (series.read)(self, series.index));
-        }
-        s.reg.set_hist(0, *self.fault_hist);
+    /// The sampled telemetry, if a sampler is attached: its series,
+    /// their values now, the demand-fault distribution and the ring.
+    pub fn sampler_output(&self) -> Option<Telemetry> {
+        let s = self.observe.sampler.as_ref()?;
+        Some(Telemetry {
+            series: s.series.iter().map(|x| x.def.clone()).collect(),
+            values: s.series.iter().map(|x| x.value(self)).collect(),
+            fault_wait: *self.fault_hist,
+            ring: s.ring.clone(),
+        })
     }
 
     /// Emit any sample rows that came due as the clock advanced. Rows
@@ -349,10 +333,8 @@ impl Machine {
             return;
         };
         while s.next_due <= self.now {
-            self.fill_registry(&mut s);
-            let row = s.reg.snapshot_row();
             let due = s.next_due;
-            s.ring.push(due, row);
+            s.ring.push(due, s.series.iter().map(|x| x.value(self)));
             s.next_due = due + s.ring.interval();
         }
         self.observe.sampler = Some(s);

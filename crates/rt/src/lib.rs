@@ -177,14 +177,6 @@ impl Runtime {
         self
     }
 
-    /// Enable the machine's observability layer (latency histograms and
-    /// the prefetch-lifecycle ledger). Timing-neutral; see
-    /// [`Machine::enable_metrics`].
-    pub fn with_metrics(mut self) -> Self {
-        self.machine.enable_metrics();
-        self
-    }
-
     /// Figure-5 attribution of the machine's elapsed time (available
     /// with or without metrics enabled).
     pub fn attribution(&self) -> oocp_os::TimeAttribution {

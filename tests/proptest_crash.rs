@@ -136,11 +136,14 @@ fn crash_at_first_op_recovers_to_baseline_and_reruns_clean() {
     assert_eq!(run.recovery.unrecoverable, 0);
     assert_eq!(run.recovery.pages_replayed, 0, "nothing was ever written");
     assert_eq!(run.rerun.result.checksum, reference.checksum);
-    let (_, ring) = run
+    let telemetry = run
         .rerun
         .result
         .telemetry
         .as_ref()
         .expect("the rerun leg attaches the sampler");
-    assert!(!ring.is_empty(), "the rerun leg sampled its time series");
+    assert!(
+        !telemetry.ring.is_empty(),
+        "the rerun leg sampled its time series"
+    );
 }

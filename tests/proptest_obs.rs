@@ -353,35 +353,45 @@ fn sampled_time_series_is_deterministic_and_timing_neutral() {
     assert!(bare.telemetry.is_none() && a.telemetry.is_some());
 
     // Determinism: two runs with the same seed agree bit-for-bit.
-    let (reg_a, ring_a) = a.telemetry.as_ref().expect("sampler attached");
-    let (reg_b, ring_b) = b.telemetry.as_ref().expect("sampler attached");
-    assert_eq!(reg_a.values(), reg_b.values(), "registries diverged");
-    assert_eq!(ring_a.rows(), ring_b.rows(), "time-series rings diverged");
+    let ta = a.telemetry.as_ref().expect("sampler attached");
+    let tb = b.telemetry.as_ref().expect("sampler attached");
+    let (ring_a, ring_b) = (&ta.ring, &tb.ring);
+    assert_eq!(ta.values, tb.values, "end-of-run values diverged");
+    assert!(
+        ring_a.rows().eq(ring_b.rows()),
+        "time-series rings diverged"
+    );
     assert_eq!(ring_a.dropped(), ring_b.dropped());
     assert!(!ring_a.is_empty(), "a multi-second run must sample rows");
 
     // Rows are stamped at contiguous sampling-interval boundaries, and
-    // every row is as wide as the registry's scalar schema.
-    for w2 in ring_a.rows().windows(2) {
+    // every row is as wide as the series table.
+    let stamps: Vec<_> = ring_a.rows().map(|(t, _)| t).collect();
+    for w2 in stamps.windows(2) {
         assert_eq!(
-            w2[1].0 - w2[0].0,
+            w2[1] - w2[0],
             oocp_bench::SAMPLE_INTERVAL_NS,
             "sample stamps must advance by exactly one interval"
         );
     }
     for (_, row) in ring_a.rows() {
-        assert_eq!(row.len(), reg_a.defs().len(), "row width != schema");
+        assert_eq!(row.len(), ta.series.len(), "row width != schema");
     }
+
+    // The JSONL dump reads back to exactly the ring's rows.
+    let dump = oocp::obs::read_jsonl(&oocp::obs::jsonl_series(ta)).expect("valid dump");
+    assert!(dump
+        .rows
+        .iter()
+        .map(|(t, v)| (*t, v.as_slice()))
+        .eq(ring_a.rows()));
 }
 
 /// The sampler's two export documents of one attached machine, as
 /// `(prometheus text, JSONL time series)`.
 fn sampler_exports(m: &mut Machine) -> (String, String) {
-    let (reg, ring) = m.sampler_output().expect("sampler attached");
-    (
-        oocp::obs::prometheus_text(reg),
-        oocp::obs::jsonl_series(reg, ring),
-    )
+    let t = m.sampler_output().expect("sampler attached");
+    (oocp::obs::prometheus_text(&t), oocp::obs::jsonl_series(&t))
 }
 
 /// FNV-1a over a document's bytes.
@@ -414,75 +424,6 @@ fn sampler_exports_are_pinned() {
     assert_eq!(jsonl.lines().count(), 17, "header + a full ring");
     assert_eq!(fnv(&prom), 18441193294188413923, "Prometheus text:\n{prom}");
     assert_eq!(fnv(&jsonl), 11982931253855789542, "JSONL series:\n{jsonl}");
-}
-
-/// `MetricsRegistry::merge` follows the same algebra the per-disk stats
-/// and `perfgate` aggregation rely on: counters add, gauges take the
-/// max, histograms fold via `LatencyHist::merge` — and the whole merge
-/// commutes, so aggregation order never matters.
-#[test]
-fn registry_merge_matches_latency_hist_algebra() {
-    use oocp::obs::MetricsRegistry;
-
-    let random_reg = |g: &mut SimRng| {
-        let mut r = MetricsRegistry::new();
-        let c0 = r.counter("c0", "test counter 0");
-        let c1 = r.counter("c1", "test counter 1");
-        let g0 = r.gauge("g0", "test gauge");
-        let h0 = r.hist("h0", "test histogram");
-        r.set(c0, g.next_below(1_000_000));
-        r.add(c1, g.next_below(1_000));
-        r.set(g0, g.next_below(500));
-        for _ in 0..g.next_below(100) {
-            let bits = g.next_below(40);
-            r.record(h0, g.next_below((1u64 << bits).max(1)));
-        }
-        r
-    };
-    let mut g = SimRng::new(0x0B_0005);
-    for case in 0..64 {
-        let (a, b) = (random_reg(&mut g), random_reg(&mut g));
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab.values(), ba.values(), "case {case}: merge must commute");
-        assert_eq!(
-            ab.hists(),
-            ba.hists(),
-            "case {case}: hist merge must commute"
-        );
-
-        // Counters add, gauges max.
-        assert_eq!(ab.get(0), a.get(0) + b.get(0), "case {case}: counter");
-        assert_eq!(ab.get(1), a.get(1) + b.get(1), "case {case}: counter");
-        assert_eq!(ab.get(2), a.get(2).max(b.get(2)), "case {case}: gauge");
-
-        // The merged histogram is exactly LatencyHist::merge of the parts.
-        let mut expect = a.hists()[0].2;
-        expect.merge(&b.hists()[0].2);
-        assert_eq!(
-            ab.hists()[0].2,
-            expect,
-            "case {case}: registry hist merge must match LatencyHist::merge"
-        );
-        assert_eq!(
-            ab.hists()[0].2.count(),
-            a.hists()[0].2.count() + b.hists()[0].2.count(),
-            "case {case}"
-        );
-    }
-
-    // Schema mismatch is a programming error and must panic loudly.
-    let mismatch = std::panic::catch_unwind(|| {
-        let mut x = MetricsRegistry::new();
-        x.counter("a", "");
-        let mut y = MetricsRegistry::new();
-        y.gauge("a", "");
-        x.merge(&y);
-    });
-    assert!(mismatch.is_err(), "mismatched schemas must not merge");
 }
 
 /// The Chrome-trace exporter emits valid JSON for arbitrary traces:
