@@ -61,7 +61,7 @@ pub use oocp_policy::{
 pub use params::{MachineParams, Redundancy};
 pub use parity::ParityStore;
 pub use posix::{madvise, Advice, MadviseError};
-pub use stats::{FaultKind, OsStats};
+pub use stats::OsStats;
 pub use store::{page_checksum, DurableStore, SECTOR_BYTES};
 pub use tenant::{
     PressureLevel, QosClass, TenantId, TenantSpec, TenantStats, ELEVATED_BEST_EFFORT_SLOTS,

@@ -615,7 +615,6 @@ impl Machine {
                     span,
                     arrival: done,
                 });
-                self.policy_arrived(vpage, done);
             }
         }
     }

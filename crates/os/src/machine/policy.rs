@@ -98,16 +98,6 @@ impl Machine {
         }
     }
 
-    /// Observation hook: the prefetch read of `vpage` completed at `done`.
-    #[inline]
-    pub(super) fn policy_arrived(&mut self, vpage: u64, done: Ns) {
-        if self.policy_ready() {
-            if let Some(pol) = self.policy.hooks.as_mut() {
-                pol.on_prefetch_arrived(vpage, done);
-            }
-        }
-    }
-
     /// Observation hook: a prefetched page was reclaimed before anyone
     /// touched it.
     #[inline]

@@ -3,21 +3,6 @@
 use oocp_sim::stats::RunningStat;
 use oocp_sim::time::Ns;
 
-/// Classification of a first demand touch of a page-in, matching
-/// Figure 4(a)'s breakdown of "the original page faults".
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The page had been prefetched and was resident when first touched:
-    /// the original fault was eliminated.
-    PrefetchedHit,
-    /// The page had been prefetched but the touch still faulted (the
-    /// prefetch was issued too late, or the page was flushed or dropped
-    /// before use).
-    PrefetchedFault,
-    /// The page was never prefetched; the fault survived untouched.
-    NonPrefetchedFault,
-}
-
 /// Counters maintained by the machine during a run.
 ///
 /// All figures and tables of the paper's evaluation are computed from
@@ -230,15 +215,6 @@ impl OsStats {
             0.0
         } else {
             self.io_retries as f64 / self.io_errors_observed as f64
-        }
-    }
-
-    /// Record a first-touch classification.
-    pub fn classify(&mut self, kind: FaultKind) {
-        match kind {
-            FaultKind::PrefetchedHit => self.prefetched_hits += 1,
-            FaultKind::PrefetchedFault => {} // split into the two detailed counters by the caller
-            FaultKind::NonPrefetchedFault => self.non_prefetched_faults += 1,
         }
     }
 }

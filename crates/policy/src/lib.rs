@@ -186,11 +186,6 @@ pub trait PrefetchPolicy {
         act: &mut PolicyActions,
     );
 
-    /// A prefetch read for `vpage` completed and the page is resident.
-    /// Observation only — no actions, so a policy cannot recurse
-    /// through its own injections.
-    fn on_prefetch_arrived(&mut self, _vpage: u64, _now: Ns) {}
-
     /// A prefetched page was evicted without ever being touched: the
     /// prefetch was wasted. The shrink signal for window policies.
     fn on_prefetch_evicted_unused(&mut self, _vpage: u64) {}
