@@ -4,12 +4,14 @@
 //! prefetch coverage across the out-of-core suite. This binary makes
 //! that trajectory machine-checkable across commits:
 //!
-//! * `--capture` runs the canonical benchmark matrix — the 8 NAS
-//!   kernels plus the 5 `kernels/*.ook` sample kernels, each under the
-//!   canonical configurations (original, prefetch without the run-time
-//!   filter, prefetch+rt on FCFS, prefetch+rt on demand-priority
-//!   scheduling) — and writes a versioned `oocp-bench-v4` baseline
-//!   (`BENCH_<n>.json`, see `scripts/bench.sh`).
+//! * `--capture` runs the canonical benchmark matrix, one table of 59
+//!   cells (`matrix`): the 8 NAS kernels plus the 5 `kernels/*.ook`
+//!   sample kernels, each under the canonical configurations (original,
+//!   prefetch without the run-time filter, prefetch+rt on FCFS,
+//!   prefetch+rt on demand-priority scheduling), then two multi-tenant
+//!   hubs, two prefetch-policy cells and three disk-redundancy cells —
+//!   and writes a versioned `oocp-bench-v4` baseline (`BENCH_<n>.json`,
+//!   see `scripts/bench.sh`).
 //! * `--compare FILE` re-runs the same matrix and diffs every metric
 //!   against the stored baseline. The simulator is deterministic, so
 //!   the contract is identical-by-default; intentional changes are
@@ -25,10 +27,11 @@
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use oocp_bench::tenants as mt;
-use oocp_bench::{report, run_workload, secs, Config, Kernel, Mode, RunOutput, RunSpec};
-use oocp_nas::{build, App};
+use oocp_bench::{report, secs, Config, Kernel, Mode, RunOutput, RunSpec};
+use oocp_nas::App;
 use oocp_obs::baseline::{
     self, Allowance, Baseline, BaselineRun, CompareReport, DriftKind, Finding, ProfileSummary,
 };
@@ -39,38 +42,15 @@ use oocp_os::{chrome_trace_json, DiskDeath, FaultPlan, PolicyKind, Redundancy, S
 /// of a matrix cell, so span alignment sees the whole timeline.
 const TRACE_CAP: usize = 1 << 18;
 
-/// One canonical configuration of the capture matrix.
-#[derive(Clone, Copy)]
-struct ConfigSpec {
-    name: &'static str,
-    mode: Mode,
-    policy: SchedPolicy,
-}
-
-/// The canonical configurations. `orig` runs only make sense on FCFS
-/// (no prefetch traffic to schedule); the prefetching modes run with
-/// and without the run-time layer and under both interesting policies.
-const CONFIGS: [ConfigSpec; 4] = [
-    ConfigSpec {
-        name: "orig+fcfs",
-        mode: Mode::Original,
-        policy: SchedPolicy::Fcfs,
-    },
-    ConfigSpec {
-        name: "pfnf+fcfs",
-        mode: Mode::PrefetchNoFilter,
-        policy: SchedPolicy::Fcfs,
-    },
-    ConfigSpec {
-        name: "pf+fcfs",
-        mode: Mode::Prefetch,
-        policy: SchedPolicy::Fcfs,
-    },
-    ConfigSpec {
-        name: "pf+dprio",
-        mode: Mode::Prefetch,
-        policy: SchedPolicy::DemandPriority,
-    },
+/// The canonical configurations: name, mode, disk scheduler. `orig`
+/// runs only make sense on FCFS (no prefetch traffic to schedule); the
+/// prefetching modes run with and without the run-time layer and under
+/// both interesting policies.
+const CONFIGS: [(&str, Mode, SchedPolicy); 4] = [
+    ("orig+fcfs", Mode::Original, SchedPolicy::Fcfs),
+    ("pfnf+fcfs", Mode::PrefetchNoFilter, SchedPolicy::Fcfs),
+    ("pf+fcfs", Mode::Prefetch, SchedPolicy::Fcfs),
+    ("pf+dprio", Mode::Prefetch, SchedPolicy::DemandPriority),
 ];
 
 /// Scheduler overrides a compare run may apply on top of the canonical
@@ -195,8 +175,9 @@ fn parse_args() -> Options {
     o
 }
 
-/// Canonical per-cell configuration (before compare overrides).
-fn cell_config(kernel: &Kernel, spec: &ConfigSpec) -> Config {
+/// The platform of a kernel cell: the kernel's memory size and the
+/// config's scheduler (before compare overrides).
+fn cell_config(kernel: &Kernel, policy: SchedPolicy) -> Config {
     let mut cfg = Config::default_platform();
     cfg.metrics = true;
     let mem_mb = match kernel {
@@ -204,64 +185,173 @@ fn cell_config(kernel: &Kernel, spec: &ConfigSpec) -> Config {
         Kernel::Ook { mem_mb, .. } => *mem_mb,
     };
     cfg.machine = cfg.machine.with_memory_bytes(mem_mb * 1024 * 1024);
-    cfg.machine.sched = cfg.machine.sched.with_policy(spec.policy);
+    cfg.machine.sched = cfg.machine.sched.with_policy(policy);
     cfg
 }
 
-/// Execute one matrix cell; a nonzero `trace_cap` additionally
-/// captures the event timeline for span alignment, `profile` the
-/// host-time attribution.
-fn run_cell(
-    kernel: &Kernel,
-    spec: &ConfigSpec,
-    overrides: &Overrides,
-    trace_cap: usize,
-    profile: bool,
-) -> Result<RunOutput, String> {
-    let mut cfg = cell_config(kernel, spec);
-    overrides.apply(&mut cfg);
-    let run = RunSpec::new(&cfg, spec.mode)
-        .trace(trace_cap)
-        .profile(profile);
-    let out = kernel.run(&run);
-    if let Err(e) = &out.result.verified {
-        return Err(format!(
-            "{}/{} failed to verify: {e}",
-            kernel.name(),
-            spec.name
-        ));
-    }
-    // A matrix cell must also flush its dirty pages cleanly — a typed
-    // FlushError here means the final writeback lost data, which is a
-    // correctness failure, not a perf number.
-    if let Some(f) = &out.result.flush {
-        return Err(format!("{}/{}: {f}", kernel.name(), spec.name));
-    }
-    Ok(out)
+/// One interpreter run of a cell.
+struct Single {
+    kernel: Kernel,
+    mode: Mode,
+    cfg: Config,
+    /// Disk 1 dies at this fraction of the cell's own fault-free
+    /// elapsed time (the simulator is deterministic, so the point is
+    /// the same on every run of the cell).
+    death: Option<(u64, u64)>,
 }
 
-/// Stamp the wall-clock-derived simulation throughput (simulated ns per
-/// host second) on a freshly distilled cell. Noisy by nature — the
-/// `simthroughput.*` allowance band is deliberately wide.
-fn stamp_throughput(run: &mut BaselineRun, sim_ns: u64, host: std::time::Duration) {
-    let secs = host.as_secs_f64().max(1e-9);
-    run.sim_throughput = Some((sim_ns as f64 / secs) as u64);
+impl Single {
+    /// Run once under `overrides`; a nonzero `trace` also captures the
+    /// event timeline for span alignment, `profile` the host-time
+    /// attribution. The host time returned is the measured run's alone,
+    /// without the fault-free run a death is anchored on.
+    fn run(&self, overrides: &Overrides, trace: usize, profile: bool) -> (RunOutput, Duration) {
+        let mut cfg = self.cfg;
+        overrides.apply(&mut cfg);
+        let plan = self.death.map(|(num, den)| {
+            let fault_free = self.kernel.run(&RunSpec::new(&cfg, self.mode)).result;
+            let at = (fault_free.total() * num / den).max(1);
+            // The death is scheduled, so the seed only feeds the plan's
+            // unused probabilistic knobs.
+            FaultPlan::none(0x0d15_0dea).with_disk_death(DiskDeath { disk: 1, at })
+        });
+        let mut spec = RunSpec::new(&cfg, self.mode).trace(trace).profile(profile);
+        if let Some(p) = &plan {
+            spec = spec.faults(p);
+        }
+        let started = Instant::now();
+        let out = self.kernel.run(&spec);
+        (out, started.elapsed())
+    }
+}
+
+/// How a cell runs.
+enum Cell {
+    /// One interpreter run.
+    One(Box<Single>),
+    /// This many canonical tenants co-scheduled on one hub
+    /// (`tenants::platform`). A hub runs one interpreter per tenant,
+    /// so it has no trace and no profile.
+    Hub(usize),
+}
+
+/// One cell of the matrix.
+struct Row {
+    /// The baseline key is `kernel/config`.
+    kernel: String,
+    config: String,
+    /// Whether the cell runs under the compare overrides (`--sched`,
+    /// `--queue-depth`, `--coalesce`). Only the kernel x config cells
+    /// do; the others run their own canonical platform and are skipped
+    /// while the overrides retune the scheduler.
+    retunable: bool,
+    cell: Cell,
+}
+
+impl Row {
+    fn key(&self) -> String {
+        format!("{}/{}", self.kernel, self.config)
+    }
+
+    /// The one selection rule, for the cells a run measures and for the
+    /// baseline cells a compare holds it to: the lowercased kernel
+    /// contains the lowercased `--only` text, and the cell runs under
+    /// the overrides if any are given.
+    fn selected(&self, only: &Option<String>, overrides: &Overrides) -> bool {
+        (self.retunable || !overrides.any())
+            && only
+                .as_ref()
+                .is_none_or(|f| self.kernel.to_lowercase().contains(&f.to_lowercase()))
+    }
+}
+
+/// The matrix, in baseline order: every kernel under every canonical
+/// configuration; two hubs of co-scheduled tenants, which pin the
+/// fairness surface; EMBAR under the readahead policy alone and under
+/// hints plus the distance controller, which pin the policy counters;
+/// and EMBAR under rotating parity, fault-free, with a disk death a
+/// third of the way into a demand-paged run (degraded reads, hedging)
+/// and with an early death while prefetching (hint rerouting, online
+/// rebuild). A kernel cell runs with no policy object and no
+/// redundancy, the machine's defaults.
+fn matrix() -> Vec<Row> {
+    const EMBAR: Kernel = Kernel::Nas(App::Embar);
+    let row = |kernel: &str, config: &str, retunable, cell| Row {
+        kernel: kernel.to_string(),
+        config: config.to_string(),
+        retunable,
+        cell,
+    };
+    let one = |kernel, mode, cfg, death| {
+        Cell::One(Box::new(Single {
+            kernel,
+            mode,
+            cfg,
+            death,
+        }))
+    };
+    let mut rows: Vec<Row> = Kernel::all()
+        .into_iter()
+        .flat_map(|k| {
+            CONFIGS.iter().map(move |&(config, mode, sched)| {
+                let cell = one(k, mode, cell_config(&k, sched), None);
+                row(&k.name(), config, true, cell)
+            })
+        })
+        .collect();
+    rows.extend([4, 16].map(|n| row(mt::KERNEL, &format!("co{n}"), false, Cell::Hub(n))));
+    let base = cell_config(&EMBAR, SchedPolicy::Fcfs);
+    let ablation = |config, mode, kind| {
+        let mut cfg = base;
+        cfg.machine = cfg.machine.with_prefetch_policy(kind);
+        row("ablations", config, false, one(EMBAR, mode, cfg, None))
+    };
+    let mut cfg = base;
+    cfg.machine = cfg.machine.with_redundancy(Redundancy::Parity);
+    let parity =
+        |config, mode, death| row("redundancy", config, false, one(EMBAR, mode, cfg, death));
+    rows.extend([
+        ablation("readahead", Mode::Original, PolicyKind::Readahead),
+        ablation("adaptive", Mode::Prefetch, PolicyKind::AdaptiveDistance),
+        parity("parity", Mode::Prefetch, None),
+        parity("degraded", Mode::Original, Some((1, 3))),
+        parity("rebuild", Mode::Prefetch, Some((1, 4))),
+    ]);
+    rows
+}
+
+/// The cells this run measures, in baseline order.
+fn selection(only: &Option<String>, overrides: &Overrides) -> Result<Vec<Row>, String> {
+    let rows: Vec<Row> = matrix()
+        .into_iter()
+        .filter(|r| r.selected(only, overrides))
+        .collect();
+    match only {
+        Some(f) if rows.is_empty() => Err(format!("--only {f} matches no kernel")),
+        _ => Ok(rows),
+    }
 }
 
 /// Number of top self-time sites stamped into a profiled capture.
 const PROFILE_TOP_SITES: usize = 5;
 
-/// Re-run one matrix cell under the host-time profiler and distill the
-/// compact summary stamped into the baseline. This is a *second* run,
-/// separate from the timed one, so probe overhead never leaks into the
-/// (gated, if widely allowed) `sim_throughput`; the profiled run's
-/// sim-visible state is bit-identical to the detached run by
-/// construction, so the profile annotates exactly the cell it rode on.
-fn profile_cell(kernel: &Kernel, spec: &ConfigSpec) -> Result<ProfileSummary, String> {
-    let prof = run_cell(kernel, spec, &Overrides::default(), 0, true)?
+/// Re-run one cell under the host-time profiler and distill the compact
+/// summary stamped into the baseline; `None` for a hub. This is a
+/// *second* run, separate from the timed one, so probe overhead never
+/// leaks into the (gated, if widely allowed) `sim_throughput`; the
+/// profiled run's sim-visible state is bit-identical to the detached
+/// run by construction, so the profile annotates exactly the cell it
+/// rode on.
+fn profile_cell(row: &Row) -> Option<ProfileSummary> {
+    let Cell::One(single) = &row.cell else {
+        return None;
+    };
+    let prof = single
+        .run(&Overrides::default(), 0, true)
+        .0
         .profile
         .expect("a profiled run carries its profile");
-    Ok(ProfileSummary {
+    Some(ProfileSummary {
         total_host_ns: prof.total_ns(),
         sites: prof
             .top_self(PROFILE_TOP_SITES)
@@ -271,226 +361,60 @@ fn profile_cell(kernel: &Kernel, spec: &ConfigSpec) -> Result<ProfileSummary, St
     })
 }
 
-/// Run the whole (possibly filtered) matrix and distill baseline runs.
-/// With `profile`, each single-kernel cell gets a second, profiled run
-/// whose summary is stamped as the report-only `profile` block.
+/// Measure each cell of `rows` and distill its baseline run. With
+/// `profile`, each cell gets a second, profiled run whose summary is
+/// stamped as the report-only `profile` block.
 fn run_matrix(
-    only: &Option<String>,
+    rows: &[Row],
     overrides: &Overrides,
     profile: bool,
 ) -> Result<Vec<BaselineRun>, String> {
-    let mut runs = Vec::new();
-    for kernel in Kernel::all().iter().filter(|k| selected(k, only)) {
-        for spec in &CONFIGS {
-            let started = std::time::Instant::now();
-            let r = run_cell(kernel, spec, overrides, 0, false)?.result;
-            let host = started.elapsed();
-            eprintln!(
-                "  ran {:<14} {:<10} elapsed {}s",
-                kernel.name(),
-                spec.name,
-                secs(r.total())
-            );
-            let mut run = report::baseline_run(&kernel.name(), spec.name, &r);
-            stamp_throughput(&mut run, r.total(), host);
-            if profile {
-                run.profile = Some(profile_cell(kernel, spec)?);
-            }
-            runs.push(run);
-        }
-    }
-    // The multi-tenant cells ride on their own canonical platform, so
-    // they are skipped whenever compare overrides retune the scheduler.
-    if !overrides.any() {
-        runs.extend(tenant_runs(only)?);
-        runs.extend(policy_runs(only)?);
-        runs.extend(redundancy_runs(only)?);
-    }
-    if runs.is_empty() {
-        return Err(match only {
-            Some(f) => format!("--only {f} matches no kernel"),
-            None => "matrix produced no runs".to_string(),
-        });
-    }
-    Ok(runs)
-}
-
-fn selected(kernel: &Kernel, only: &Option<String>) -> bool {
-    match only {
-        None => true,
-        Some(f) => kernel.name().to_lowercase().contains(&f.to_lowercase()),
-    }
-}
-
-/// Co-scheduling widths of the multi-tenant trajectory cells.
-const TENANT_WIDTHS: [usize; 2] = [4, 16];
-
-/// Whether the multi-tenant pseudo-kernel passes the `--only` filter.
-fn tenants_selected(only: &Option<String>) -> bool {
-    match only {
-        None => true,
-        Some(f) => mt::KERNEL.contains(&f.to_lowercase()),
-    }
-}
-
-/// The multi-tenant trajectory cells: `tenants/co4` and `tenants/co16`
-/// on the canonical co-scheduling platform. These pin down the fairness
-/// surface (worst per-tenant p95 demand stall, per-reason hint drops,
-/// quota evictions) next to the single-tenant matrix, so a scheduler or
-/// arbiter change that shifts multi-tenant behaviour trips the same
-/// gate as a single-tenant regression. Scheduler overrides (`--sched`,
-/// `--queue-depth`) deliberately do not apply: the tenant platform is
-/// its own canonical configuration.
-fn tenant_runs(only: &Option<String>) -> Result<Vec<BaselineRun>, String> {
-    if !tenants_selected(only) {
-        return Ok(Vec::new());
-    }
-    let cfg = mt::platform();
+    // Solo runs of the tenants, shared by the hub widths.
     let mut solos = HashMap::new();
     let mut runs = Vec::new();
-    for &n in &TENANT_WIDTHS {
-        let opts = mt::CoOptions {
-            metrics: true,
-            ..Default::default()
+    for row in rows {
+        let key = row.key();
+        let (mut run, sim_ns, host, verified, flush) = match &row.cell {
+            Cell::One(single) => {
+                let (out, host) = single.run(overrides, 0, false);
+                let r = out.result;
+                let run = report::baseline_run(&row.kernel, &row.config, &r);
+                (run, r.total(), host, r.verified, r.flush)
+            }
+            Cell::Hub(n) => {
+                let opts = mt::CoOptions {
+                    metrics: true,
+                    ..Default::default()
+                };
+                let started = Instant::now();
+                let cell = mt::co_run(&mt::platform(), *n, &opts, &mut solos)
+                    .map_err(|e| format!("{key}: {e}"))?;
+                let host = started.elapsed();
+                let run = mt::tenant_baseline_run(&row.config, &cell);
+                (run, cell.hub.elapsed_ns, host, cell.verified, None)
+            }
         };
-        let started = std::time::Instant::now();
-        let cell =
-            mt::co_run(&cfg, n, &opts, &mut solos).map_err(|e| format!("tenants/co{n}: {e}"))?;
-        let host = started.elapsed();
-        if let Err(e) = &cell.verified {
-            return Err(format!("tenants/co{n} failed to verify: {e}"));
+        if let Err(e) = verified {
+            return Err(format!("{key} failed to verify: {e}"));
+        }
+        // A cell must also flush its dirty pages cleanly — a typed
+        // FlushError here means the final writeback lost data, which is
+        // a correctness failure, not a perf number.
+        if let Some(f) = flush {
+            return Err(format!("{key}: {f}"));
         }
         eprintln!(
             "  ran {:<14} {:<10} elapsed {}s",
-            mt::KERNEL,
-            format!("co{n}"),
-            secs(cell.hub.elapsed_ns)
+            row.kernel,
+            row.config,
+            secs(sim_ns)
         );
-        let mut run = mt::tenant_baseline_run(&format!("co{n}"), &cell);
-        stamp_throughput(&mut run, cell.hub.elapsed_ns, host);
-        runs.push(run);
-    }
-    Ok(runs)
-}
-
-/// Pseudo-kernel name of the prefetch-policy trajectory cells.
-const POLICY_KERNEL: &str = "ablations";
-
-/// Whether the policy pseudo-kernel passes the `--only` filter.
-fn policy_selected(only: &Option<String>) -> bool {
-    match only {
-        None => true,
-        Some(f) => POLICY_KERNEL.contains(&f.to_lowercase()),
-    }
-}
-
-/// The prefetch-policy trajectory cells: `ablations/readahead` (EMBAR
-/// with no compiler hints, the reactive readahead policy alone) and
-/// `ablations/adaptive` (EMBAR with compiler hints plus the online
-/// distance controller). These pin down the policy subsystem's
-/// surface — injected page counts, window peak, retunes, and the
-/// late-arrival rate — so a policy change trips the gate like any
-/// other regression, while the `CompilerOnly` default leaves every
-/// pre-existing cell bit-identical. Like the tenant cells, they skip
-/// compare runs with scheduler overrides.
-fn policy_runs(only: &Option<String>) -> Result<Vec<BaselineRun>, String> {
-    if !policy_selected(only) {
-        return Ok(Vec::new());
-    }
-    let cells = [
-        ("readahead", Mode::Original, PolicyKind::Readahead),
-        ("adaptive", Mode::Prefetch, PolicyKind::AdaptiveDistance),
-    ];
-    let mut runs = Vec::new();
-    for (name, mode, kind) in cells {
-        let mut cfg = cell_config(&Kernel::Nas(App::Embar), &CONFIGS[0]);
-        cfg.machine = cfg.machine.with_prefetch_policy(kind);
-        let w = build(App::Embar, cfg.bytes_for_ratio(2.0));
-        let started = std::time::Instant::now();
-        let r = run_workload(&w, &cfg, mode);
-        let host = started.elapsed();
-        if let Err(e) = &r.verified {
-            return Err(format!("{POLICY_KERNEL}/{name} failed to verify: {e}"));
+        // Simulated ns per host second: noisy by nature, so the
+        // `simthroughput.*` allowance band is deliberately wide.
+        run.sim_throughput = Some((sim_ns as f64 / host.as_secs_f64().max(1e-9)) as u64);
+        if profile {
+            run.profile = profile_cell(row);
         }
-        if let Some(f) = &r.flush {
-            return Err(format!("{POLICY_KERNEL}/{name}: {f}"));
-        }
-        eprintln!(
-            "  ran {POLICY_KERNEL:<14} {name:<10} elapsed {}s",
-            secs(r.total())
-        );
-        let mut run = report::baseline_run(POLICY_KERNEL, name, &r);
-        stamp_throughput(&mut run, r.total(), host);
-        runs.push(run);
-    }
-    Ok(runs)
-}
-
-/// Pseudo-kernel name of the disk-redundancy trajectory cells.
-const REDUNDANCY_KERNEL: &str = "redundancy";
-
-/// Seed of the redundancy cells' fault plans. Deaths are scheduled
-/// deterministically (fractions of the fault-free elapsed time), so the
-/// seed only feeds the plan's unused probabilistic knobs.
-const REDUNDANCY_FAULT_SEED: u64 = 0x0d15_0dea;
-
-/// Whether the redundancy pseudo-kernel passes the `--only` filter.
-fn redundancy_selected(only: &Option<String>) -> bool {
-    match only {
-        None => true,
-        Some(f) => REDUNDANCY_KERNEL.contains(&f.to_lowercase()),
-    }
-}
-
-/// The disk-redundancy trajectory cells, all EMBAR under rotating
-/// parity: `redundancy/parity` (fault-free, pinning the write-path
-/// parity overhead), `redundancy/degraded` (demand-paged with a disk
-/// death a third of the way in — degraded demand reads and hedging),
-/// and `redundancy/rebuild` (prefetching with an early death — hint
-/// rerouting and the online rebuild racing the app). The simulator is
-/// deterministic, so each death point is anchored to the cell's own
-/// fault-free elapsed time. The `--redundancy none` default leaves
-/// every pre-existing cell bit-identical; like the tenant and policy
-/// cells, these skip compare runs with scheduler overrides.
-fn redundancy_runs(only: &Option<String>) -> Result<Vec<BaselineRun>, String> {
-    if !redundancy_selected(only) {
-        return Ok(Vec::new());
-    }
-    // (cell, mode, death point as a fraction of the fault-free total).
-    let cells = [
-        ("parity", Mode::Prefetch, None),
-        ("degraded", Mode::Original, Some((1u64, 3u64))),
-        ("rebuild", Mode::Prefetch, Some((1, 4))),
-    ];
-    let mut runs = Vec::new();
-    for (name, mode, death) in cells {
-        let mut cfg = cell_config(&Kernel::Nas(App::Embar), &CONFIGS[0]);
-        cfg.machine = cfg.machine.with_redundancy(Redundancy::Parity);
-        let w = build(App::Embar, cfg.bytes_for_ratio(2.0));
-        let plan = death.map(|(num, den)| {
-            let base = run_workload(&w, &cfg, mode);
-            let at = (base.total() * num / den).max(1);
-            FaultPlan::none(REDUNDANCY_FAULT_SEED).with_disk_death(DiskDeath { disk: 1, at })
-        });
-        let started = std::time::Instant::now();
-        let mut run = RunSpec::new(&cfg, mode);
-        if let Some(p) = &plan {
-            run = run.faults(p);
-        }
-        let r = run.run(&w).result;
-        let host = started.elapsed();
-        if let Err(e) = &r.verified {
-            return Err(format!("{REDUNDANCY_KERNEL}/{name} failed to verify: {e}"));
-        }
-        if let Some(f) = &r.flush {
-            return Err(format!("{REDUNDANCY_KERNEL}/{name}: {f}"));
-        }
-        eprintln!(
-            "  ran {REDUNDANCY_KERNEL:<14} {name:<10} elapsed {}s",
-            secs(r.total())
-        );
-        let mut run = report::baseline_run(REDUNDANCY_KERNEL, name, &r);
-        stamp_throughput(&mut run, r.total(), host);
         runs.push(run);
     }
     Ok(runs)
@@ -501,16 +425,26 @@ fn read_json(path: &str) -> Result<Json, String> {
     oocp_obs::json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// The shape of a selection, for the capture banner: "59 cells: 13
+/// kernels x 4 configs + 2 tenants + 2 ablations + 3 redundancy".
+fn shape(rows: &[Row]) -> String {
+    let (cells, configs) = (rows.len(), CONFIGS.len());
+    let kernels = rows.iter().filter(|r| r.retunable).count() / configs;
+    let mut text = format!("{cells} cells: {kernels} kernels x {configs} configs");
+    let families = rows.chunk_by(|a, b| a.kernel == b.kernel);
+    for f in families.filter(|f| !f[0].retunable) {
+        text += &format!(" + {} {}", f.len(), f[0].kernel);
+    }
+    text
+}
+
 fn capture(o: &Options) -> Result<(), String> {
-    eprintln!(
-        "perfgate: capturing baseline (matrix of 13 kernels x 4 configs \
-         + {} multi-tenant cells + 2 prefetch-policy cells + 3 redundancy cells)",
-        TENANT_WIDTHS.len()
-    );
-    let runs = run_matrix(&o.only, &Overrides::default(), o.profile)?;
+    let rows = selection(&o.only, &Overrides::default())?;
+    eprintln!("perfgate: capturing baseline ({})", shape(&rows));
+    let runs = run_matrix(&rows, &Overrides::default(), o.profile)?;
     // Baseline-level whylate: the sum of the per-cell cause vectors, so
     // the trajectory answers "why are prefetches late overall" at a
-    // glance without re-summing 58 cells.
+    // glance without re-summing every cell.
     let mut agg = WhylateSummary::default();
     let mut any = false;
     for r in &runs {
@@ -640,18 +574,15 @@ fn print_drilldown(report: &CompareReport) {
 /// Align the canonical and the overridden execution of one failing cell
 /// by prefetch span id and print the first divergent lifecycle event.
 fn print_tracediff(o: &Options, key: &str) -> Result<(), String> {
-    let (kname, cname) = key.split_once('/').ok_or("malformed cell key")?;
-    let kernel = *Kernel::all()
-        .iter()
-        .find(|k| k.name() == kname)
-        .ok_or_else(|| format!("unknown kernel {kname}"))?;
-    let spec = *CONFIGS
-        .iter()
-        .find(|c| c.name == cname)
-        .ok_or_else(|| format!("unknown config {cname}"))?;
-    let traced =
-        |overrides| run_cell(&kernel, &spec, overrides, TRACE_CAP, false).map(|out| out.trace);
-    let (base_trace, cur_trace) = (traced(&Overrides::default())?, traced(&o.overrides)?);
+    let row = matrix()
+        .into_iter()
+        .find(|r| r.key() == key)
+        .ok_or_else(|| format!("no cell {key} in the matrix"))?;
+    let Cell::One(single) = &row.cell else {
+        return Err("a hub run has no trace".to_string());
+    };
+    let traced = |overrides| single.run(overrides, TRACE_CAP, false).0.trace;
+    let (base_trace, cur_trace) = (traced(&Overrides::default()), traced(&o.overrides));
     let (a, b) = (
         chrome_trace_json(&base_trace.ok_or("canonical run produced no trace")?),
         chrome_trace_json(&cur_trace.ok_or("current run produced no trace")?),
@@ -700,28 +631,15 @@ fn compare(o: &Options, path: &str) -> Result<bool, String> {
     // Compare runs never profile: the profile block is report-only and
     // feeds no gated metric, so re-deriving it here would only slow the
     // gate down.
-    let current = run_matrix(&o.only, &o.overrides, false)?;
-    // Cells excluded by --only are out of scope, not missing; likewise
-    // the multi-tenant cells whenever overrides retune the scheduler
-    // (they run their own canonical platform and are not re-run then).
+    let rows = selection(&o.only, &o.overrides)?;
+    let current = run_matrix(&rows, &o.overrides, false)?;
+    // The baseline holds the run to the kernels the selection measured:
+    // cells the selection left out are out of scope, not missing.
     let scoped = Baseline {
         runs: base
             .runs
             .iter()
-            .filter(|r| {
-                if r.kernel == mt::KERNEL {
-                    return tenants_selected(&o.only) && !o.overrides.any();
-                }
-                if r.kernel == POLICY_KERNEL {
-                    return policy_selected(&o.only) && !o.overrides.any();
-                }
-                if r.kernel == REDUNDANCY_KERNEL {
-                    return redundancy_selected(&o.only) && !o.overrides.any();
-                }
-                Kernel::all()
-                    .iter()
-                    .any(|k| k.name() == r.kernel && selected(k, &o.only))
-            })
+            .filter(|r| rows.iter().any(|row| row.kernel == r.kernel))
             .cloned()
             .collect(),
         ..base
@@ -818,5 +736,86 @@ fn main() -> ExitCode {
             eprintln!("perfgate: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The keys of the matrix cells that `only` and `overrides` select.
+    fn keys(only: Option<&str>, overrides: &Overrides) -> Vec<String> {
+        let only = only.map(str::to_string);
+        matrix()
+            .iter()
+            .filter(|r| r.selected(&only, overrides))
+            .map(Row::key)
+            .collect()
+    }
+
+    /// The newest baseline, chosen as `scripts/ci.sh` chooses it: the
+    /// highest `<n>` of the repository's `BENCH_<n>.json` files.
+    fn newest_baseline() -> Baseline {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let newest = std::fs::read_dir(root)
+            .expect("repository root")
+            .filter_map(|e| {
+                let name = e.ok()?.file_name().into_string().ok()?;
+                let n = name.strip_prefix("BENCH_")?.strip_suffix(".json")?;
+                n.parse::<u64>().ok()
+            })
+            .max()
+            .expect("a BENCH_<n>.json baseline");
+        let path = format!("{root}/BENCH_{newest}.json");
+        baseline::parse_baseline(&read_json(&path).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn the_matrix_is_the_newest_baseline_in_order() {
+        let want: Vec<String> = newest_baseline()
+            .runs
+            .iter()
+            .map(|r| format!("{}/{}", r.kernel, r.config))
+            .collect();
+        assert_eq!(want.len(), 59);
+        assert_eq!(keys(None, &Overrides::default()), want);
+    }
+
+    #[test]
+    fn one_predicate_selects_the_cells() {
+        let all = keys(None, &Overrides::default());
+        let cases = [
+            ("EMBAR", 4, "EMBAR/"),
+            ("embar", 4, "EMBAR/"),
+            ("ook", 20, "ook:"),
+            ("tenants", 2, "tenants/"),
+            ("ablations", 2, "ablations/"),
+            ("redundancy", 3, "redundancy/"),
+        ];
+        for (only, n, prefix) in cases {
+            let want: Vec<&String> = all.iter().filter(|k| k.starts_with(prefix)).collect();
+            let got = keys(Some(only), &Overrides::default());
+            assert_eq!(want.len(), n, "--only {only}");
+            assert_eq!(got.iter().collect::<Vec<_>>(), want, "--only {only}");
+        }
+        // Under scheduler overrides only the kernel x config cells run:
+        // the first 52, and with `--only` the kernel's own four.
+        let retuned = Overrides {
+            queue_depth: Some(1),
+            ..Overrides::default()
+        };
+        assert_eq!(keys(None, &retuned), all[..52]);
+        assert_eq!(keys(Some("EMBAR"), &retuned).len(), 4);
+        assert!(keys(Some("tenants"), &retuned).is_empty());
+        assert!(selection(&Some("nosuch".into()), &Overrides::default()).is_err());
+    }
+
+    #[test]
+    fn the_capture_banner_is_the_table_shape() {
+        let rows = matrix();
+        assert_eq!(
+            shape(&rows),
+            "59 cells: 13 kernels x 4 configs + 2 tenants + 2 ablations + 3 redundancy"
+        );
     }
 }

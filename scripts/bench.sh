@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Capture the next performance baseline for the trajectory gate.
 #
-# Runs `perfgate --capture` — the full canonical matrix (8 NAS kernels
-# plus the 5 sample .ook kernels, each under the original, both
-# prefetching, and demand-priority configurations) — and writes it to
-# the next free BENCH_<n>.json at the repo root, then re-validates the
-# file with the schema validator. The file carries the oocp-bench-v4
+# Runs `perfgate --capture` — the full canonical matrix, one table of
+# 59 cells: 8 NAS kernels plus the 5 sample .ook kernels, each under the
+# original, both prefetching, and demand-priority configurations, then
+# two multi-tenant hubs, two prefetch-policy cells and three
+# disk-redundancy cells — and writes it to the next free BENCH_<n>.json
+# at the repo root, then re-validates the file with the schema
+# validator. The file carries the oocp-bench-v4
 # schema, the only one the reader accepts: BENCH_1..BENCH_6 (v1-v3) stay
 # in the tree as read-only history and no longer load, BENCH_7.json is
 # the gate. Per run it holds the whylate cause vector, sim_throughput
