@@ -3437,6 +3437,109 @@ mod tests {
         assert_eq!(m.breakdown().total(), m.now());
     }
 
+    /// FNV-1a, a byte at a time, continuing from `h`.
+    fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+        let step = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        bytes.iter().fold(h, step)
+    }
+
+    const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// The durable image of `page`, as the store presents it.
+    fn durable_page(m: &Machine, page: u64) -> &[u8] {
+        m.durability
+            .store
+            .as_ref()
+            .expect("a durable store")
+            .page(page)
+    }
+
+    /// FNV-1a of every page's durable bytes, of every parity row (0
+    /// without parity) and of the live image.
+    fn durable_state(m: &Machine) -> [u64; 3] {
+        let pages = (0..m.total_pages()).fold(FNV_BASIS, |h, p| fnv1a(h, durable_page(m, p)));
+        let rows = m.redundancy.parity.as_ref().map_or(0, |ps| {
+            (0..ps.rows()).fold(FNV_BASIS, |h, r| fnv1a(h, ps.row(r)))
+        });
+        [pages, rows, fnv1a(FNV_BASIS, &m.data)]
+    }
+
+    /// A page walk: `rounds` sweeps storing one word into every sector
+    /// of every page, a different word and value each round.
+    fn sector_walk(m: &mut Machine, rounds: u64) {
+        for round in 0..rounds {
+            for p in 0..m.total_pages() {
+                for s in 0..4096 / SECTOR_BYTES {
+                    let at = p * 4096 + s * SECTOR_BYTES + round % 64 * 8;
+                    m.store_f64(at, (round * 4096 + p * 8 + s) as f64 + 0.5);
+                }
+                m.tick_user(300 * oocp_sim::time::MICROSECOND);
+            }
+        }
+    }
+
+    /// The durable state after a crash (before and after recovery) and
+    /// the recovery report, as FNV-1a values.
+    fn crash_and_recover(mut m: Machine) -> Vec<u64> {
+        sector_walk(&mut m, 3);
+        assert!(m.crashed_at().is_some(), "the crash point was reached");
+        assert!(m.try_finish().is_err(), "the crash cut writes off");
+        let before = durable_state(&m);
+        let (m2, report) = m.recover();
+        let report = fnv1a(FNV_BASIS, format!("{report:?}").as_bytes());
+        [&before[..], &durable_state(&m2), &[report]].concat()
+    }
+
+    #[test]
+    fn durable_state_is_pinned() {
+        // A parity page walk with no journal, torn at a fixed op.
+        let mut p = tiny_parity().params;
+        p.journal = false;
+        let mut m = Machine::new(p, 64 * 4096);
+        m.set_fault_plan(&crash_plan(11, CrashPoint::AtOp(200), true));
+        let torn = crash_and_recover(m);
+        // A journaled crash.
+        let mut m = tiny();
+        m.set_fault_plan(&crash_plan(12, CrashPoint::AtTime(114 * MILLISECOND), true));
+        let journaled = crash_and_recover(m);
+        // A disk death, served degraded and rebuilt online.
+        let mut m = tiny_parity();
+        let at = 40 * MILLISECOND;
+        m.set_fault_plan(&FaultPlan::none(9).with_disk_death(oocp_disk::DiskDeath { disk: 2, at }));
+        sector_walk(&mut m, 3);
+        assert!(m.stats().rebuild_rows > 0 && m.stats().degraded_reads > 0);
+        m.finish_rebuild();
+        assert!(m.try_finish().is_ok());
+        let rebuilt = durable_state(&m).to_vec();
+        let got = [torn, journaled, rebuilt];
+        let pinned: [Vec<u64>; 3] = [
+            vec![
+                5544744435551815786,
+                15869693685917720337,
+                4516336494337901329,
+                5544744435551815786,
+                419363527514095630,
+                5544744435551815786,
+                2560859128793834463,
+            ],
+            vec![
+                2042960235837294262,
+                0,
+                4516336494337901329,
+                13038829310517773605,
+                0,
+                13038829310517773605,
+                8665268595897088783,
+            ],
+            vec![
+                4516336494337901329,
+                17484062783718394105,
+                4516336494337901329,
+            ],
+        ];
+        assert_eq!(got, pinned);
+    }
+
     #[test]
     fn disk_death_without_redundancy_surfaces_typed_loss() {
         let mut m = tiny();
