@@ -1,5 +1,5 @@
-//! The machine's flat images — its address space, and under durability
-//! the on-media pages and the parity rows — recycled per thread.
+//! The machine's flat images — its address space, and under parity the
+//! parity rows — recycled per thread.
 //!
 //! Every bin, test and benchmark cell builds machines back to back:
 //! `Machine::new`, one program, drop, the next `Machine::new`. With a
@@ -24,13 +24,13 @@
 //! request, so they never coexist with it — which keeps the pool no
 //! larger than the most images that were ever live at once.
 //!
-//! [`Image::zeroed`] zeroes the part it needs; [`Image::copy_of`] and
-//! [`Image::scratch`] do not, for the durable and parity images, which
-//! their first use overwrites whole. Images above [`RECYCLE_MAX`] are
-//! left alone: the allocator gives those a mapping of their own whatever
-//! has been freed before, which is returned at drop and comes back as
-//! untouched zero pages, and zeroing them by hand would touch address
-//! space a sparse run never does.
+//! [`Image::zeroed`] zeroes the part it needs; [`Image::scratch`] does
+//! not, for the parity image, which its first use overwrites whole.
+//! Images above [`RECYCLE_MAX`] are left alone: the allocator gives
+//! those a mapping of their own whatever has been freed before, which
+//! is returned at drop and comes back as untouched zero pages, and
+//! zeroing them by hand would touch address space a sparse run never
+//! does.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -76,13 +76,6 @@ impl Image {
             }
             None => fresh(bytes),
         })
-    }
-
-    /// A copy of `src`.
-    pub(crate) fn copy_of(src: &[u8]) -> Self {
-        let mut image = Self::scratch(src.len());
-        image.copy_from_slice(src);
-        image
     }
 }
 
@@ -198,8 +191,8 @@ mod tests {
     #[test]
     fn copies_and_scratch_skip_the_zeroing_and_a_miss_releases_the_pool() {
         let src: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
-        let a = Image::copy_of(&src);
-        assert_eq!(&a[..], &src[..]);
+        let mut a = Image::scratch(4096);
+        a.copy_from_slice(&src);
         let at = a.as_ptr();
         drop(a);
         // The parked bytes are still there for a scratch image.

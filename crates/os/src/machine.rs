@@ -983,6 +983,7 @@ impl Machine {
                     Some(page) if page.hot(write) => {}
                     _ => break,
                 }
+                debug_assert!(!write || self.durability.store.is_none());
                 // Iterations until `at` leaves the page, if it moves at all.
                 let within = at & (self.params.page_bytes - 1);
                 let ahead = match delta {
@@ -1718,14 +1719,12 @@ impl Machine {
             } else {
                 self.finish_clean();
             }
-            self.durability.flush_failures.sort_unstable();
-            self.durability.flush_failures.dedup();
         }
         if self.durability.flush_failures.is_empty() {
             Ok(())
         } else {
             Err(FlushError {
-                vpages: self.durability.flush_failures.clone(),
+                vpages: self.durability.flush_failures.iter().copied().collect(),
             })
         }
     }
@@ -1877,7 +1876,7 @@ mod tests {
 
     use super::*;
     use crate::parity::ParityStore;
-    use crate::store::{DurableStore, SECTOR_BYTES};
+    use crate::store::SECTOR_BYTES;
     use crate::tenant::{QosClass, TenantId, TenantSpec};
 
     fn tiny() -> Machine {
@@ -3210,12 +3209,17 @@ mod tests {
         let store = m.durability.store.as_ref().expect("parity keeps a store");
         for page in 0..m.total_pages() {
             let r = (page * 4096) as usize..(page * 4096 + 4096) as usize;
-            assert!(store.page(page) == &m.data[r], "durable page {page}");
-            assert!(store.verify(page), "checksum of page {page}");
+            assert!(
+                store.page(page, &m.data) == &m.data[r],
+                "durable page {page}"
+            );
+            assert!(store.verify(page, &m.data), "checksum of page {page}");
         }
         let ps = m.redundancy.parity.as_ref().expect("parity mode");
         let mut fresh = ParityStore::new(ps.rows(), 4096);
-        fresh.resync(m.params.ndisks as u64 - 1, store.images(), m.total_pages());
+        fresh.resync(m.params.ndisks as u64 - 1, m.total_pages(), |p| {
+            store.page(p, &m.data)
+        });
         for row in 0..ps.rows() {
             assert!(ps.row(row) == fresh.row(row), "parity row {row}");
         }
@@ -3256,10 +3260,45 @@ mod tests {
         assert_durable_is_memory_and_parity_its_xor(&m);
     }
 
+    /// The most copies the durable store of a parity page walk making
+    /// `sweeps` sweeps holds at a landing, each landing checked against
+    /// the resident dirty pages plus the plain writes in flight
+    /// (`Machine::note_landing`), and what it holds after `try_finish`.
+    fn durable_copies_of_a_page_walk(sweeps: u64) -> (usize, usize) {
+        let p = MachineParams::small().with_memory_bytes(64 * 4096);
+        let mut m = Machine::new(p.with_redundancy(Redundancy::Parity), 256 * 4096);
+        durability::COPIES_PEAK.set(Some(0));
+        for sweep in 0..sweeps {
+            for page in 0..256 {
+                m.store_f64(page * 4096 + sweep % 512 * 8, (sweep * 256 + page) as f64);
+                m.tick_user(300 * oocp_sim::time::MICROSECOND);
+            }
+        }
+        assert!(m.try_finish().is_ok());
+        assert_durable_is_memory_and_parity_its_xor(&m);
+        let peak = durability::COPIES_PEAK.take().expect("watched");
+        (peak, m.durability.store.as_ref().expect("parity").copies())
+    }
+
+    #[test]
+    fn durable_copies_are_bounded_by_memory_not_by_the_data_or_the_run() {
+        let (short, after) = durable_copies_of_a_page_walk(4);
+        assert_eq!(after, 0, "every page landed from memory: no copy is left");
+        assert!(
+            short > 0 && short <= 64,
+            "{short} copies, for 64 frames of 256 pages"
+        );
+        assert_eq!(
+            durable_copies_of_a_page_walk(16),
+            (short, 0),
+            "4 and 16 sweeps"
+        );
+    }
+
     /// The first word of `page`'s durable image.
     fn durable_word(m: &Machine, page: u64) -> f64 {
         let store = m.durability.store.as_ref().expect("a durable store");
-        f64::from_le_bytes(store.page(page)[..8].try_into().unwrap())
+        f64::from_le_bytes(store.page(page, &m.data)[..8].try_into().unwrap())
     }
 
     /// Store `v` to page 0 and release it: its write-back is in flight,
@@ -3375,7 +3414,8 @@ mod tests {
             let store = m.durability.store.as_ref().expect("crash mode");
             for s in 0..4096 / sector {
                 let at = (s * sector) as usize;
-                let word = f64::from_le_bytes(store.page(0)[at..at + 8].try_into().unwrap());
+                let word = store.page(0, &m.data)[at..at + 8].try_into().unwrap();
+                let word = f64::from_le_bytes(word);
                 assert!(
                     word == 0.0 || word == 1.0,
                     "seed {seed}: sector {s} holds {word}"
@@ -3451,7 +3491,7 @@ mod tests {
             .store
             .as_ref()
             .expect("a durable store")
-            .page(page)
+            .page(page, &m.data)
     }
 
     /// FNV-1a of every page's durable bytes, of every parity row (0
@@ -3913,11 +3953,15 @@ mod tests {
             m.redundancy.rebuilt_rows,
             m.redundancy.rebuild_next_at
         ));
-        assert!(
-            a.durability.store.as_ref().map(DurableStore::images)
-                == b.durability.store.as_ref().map(DurableStore::images),
-            "{ctx}: durable stores differ"
-        );
+        let durable = |m: &Machine| {
+            let d = m.durability.store.as_ref()?;
+            Some(
+                (0..m.total_pages())
+                    .map(|p| d.page(p, &m.data).to_vec())
+                    .collect::<Vec<_>>(),
+            )
+        };
+        assert!(durable(a) == durable(b), "{ctx}: durable stores differ");
         same!("MachineProf call counts", |m: &Machine| m
             .observe
             .host_prof

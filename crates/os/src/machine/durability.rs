@@ -4,7 +4,7 @@
 //! [`Machine::recover`] and the scrubber. Armed by a scheduled crash
 //! point, a recovery, or parity mode; otherwise nothing here runs.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 use oocp_disk::{CrashPoint, CrashSpec, DiskArray, ReqKind, Request, Ticket};
 use oocp_fs::WriteJournal;
@@ -113,9 +113,9 @@ pub struct RecoveryReport {
 /// journal and the writes in flight through it, and the crash latch.
 #[derive(Default)]
 pub(super) struct Durability {
-    /// Durable (on-media) page images + checksums. Present only in
-    /// durability mode (a crash is scheduled, parity needs it, or this
-    /// machine came out of a recovery), so default runs pay nothing.
+    /// Durable (on-media) pages, a view of the live ones. Present only
+    /// in durability mode (a crash is scheduled, parity needs it, or
+    /// this machine came out of a recovery), so default runs pay nothing.
     pub(super) store: Option<DurableStore>,
     /// Per-disk write-ahead journal rings (durability mode with
     /// `params.journal`).
@@ -156,9 +156,9 @@ pub(super) struct Durability {
     /// Updates lost at the crash: writebacks whose intent record was
     /// never sealed (journaled) or whose write never landed (plain).
     crash_discarded: Vec<u64>,
-    /// Dirty pages whose final contents never became durable:
+    /// Dirty pages whose final contents never became durable, each once:
     /// abandoned writebacks plus everything cut off by a crash.
-    pub(super) flush_failures: Vec<u64>,
+    pub(super) flush_failures: BTreeSet<u64>,
 }
 
 impl Durability {
@@ -186,7 +186,7 @@ impl Durability {
     /// image.
     fn discard_at_crash(&mut self, vpage: u64) {
         self.crash_discarded.push(vpage);
-        self.flush_failures.push(vpage);
+        self.flush_failures.insert(vpage);
     }
 
     /// A copy of page `vpage` of `data`, in a recycled buffer.
@@ -197,18 +197,18 @@ impl Durability {
         copy
     }
 
-    /// A write caught mid-air by the crash: an arbitrary sector prefix
-    /// of the `per_page` sectors landed (possibly none, possibly all).
-    /// Returns whether all of it did.
-    fn tear(&mut self, vpage: u64, payload: &[u8], per_page: u64) -> bool {
-        let k = self
-            .crash_rng
-            .as_mut()
-            .expect("torn writes need the crash rng")
-            .next_below(per_page + 1);
-        if let Some(d) = &mut self.store {
-            d.tear_page(vpage, payload, k);
-        }
+    /// A write the crash found: all of it landed if `done` by then, else
+    /// an arbitrary sector prefix if writes tear (possibly none, possibly
+    /// all), else none. Returns whether all of it did.
+    fn tear(&mut self, vpage: u64, payload: &[u8], done: bool, live: &[u8]) -> bool {
+        let per_page = payload.len() as u64 / SECTOR_BYTES;
+        let k = match &mut self.crash_rng {
+            _ if done => per_page,
+            Some(rng) if self.torn_writes => rng.next_below(per_page + 1),
+            _ => 0,
+        };
+        let d = self.store.as_mut().expect("crash mode");
+        d.tear_page(vpage, payload, k, live);
         k >= per_page
     }
 }
@@ -229,12 +229,9 @@ impl Machine {
             CrashPoint::AtOp(_) => None,
         };
         self.durability.crash_rng = Some(SimRng::new(seed ^ 0x70B5_C4A5_11ED));
-        if self.durability.store.is_none() {
-            self.durability.store = Some(DurableStore::new(
-                self.total_pages(),
-                self.params.page_bytes,
-            ));
-        }
+        let (total, page_bytes) = (self.total_pages(), self.params.page_bytes);
+        let store = &mut self.durability.store;
+        store.get_or_insert_with(|| DurableStore::new(total, page_bytes));
         if self.params.journal && self.durability.journal.is_none() {
             self.durability.journal = Some(
                 WriteJournal::create(&mut self.fs, self.params.journal_blocks_per_disk)
@@ -258,7 +255,7 @@ impl Machine {
     /// reported by [`Machine::try_finish`]'s `FlushError`.
     pub(super) fn abandon_writeback(&mut self, vpage: u64) {
         self.stats.writebacks_abandoned += 1;
-        self.durability.flush_failures.push(vpage);
+        self.durability.flush_failures.insert(vpage);
     }
 
     /// Take the lazy durable-baseline snapshot if it has not been taken
@@ -269,11 +266,9 @@ impl Machine {
             // Parity is defined over the durable images; derive it
             // once, then keep it incrementally consistent at every
             // durable landing ([`Machine::land_durable`]).
-            if let Some(ps) = &mut self.redundancy.parity {
-                if !ps.is_synced() {
-                    let k = self.fs.ndisks() as u64 - 1;
-                    ps.resync(k, d.images(), self.pages.len() as u64);
-                }
+            if let Some(ps) = self.redundancy.parity.as_mut().filter(|ps| !ps.is_synced()) {
+                let k = self.fs.ndisks() as u64 - 1;
+                ps.resync(k, self.pages.len() as u64, |p| d.page(p, &self.data));
             }
         }
     }
@@ -301,27 +296,31 @@ impl Machine {
 
     /// The copy-on-write hook: `vpage`'s bytes are about to change. If
     /// a plain write in flight still carries them as the live page, it
-    /// gets its own copy of them first. Every writer of the image that
+    /// gets its own copy of them first, and so does the durable store
+    /// if the page is its durable image. Every writer of the image that
     /// can meet such a page calls it: a timed store past the fast path,
     /// zombie or not ([`Machine::touch_then_unshare`]), and an
-    /// untimed `poke_*`. A shared page is never `hot`, so neither the
-    /// fast path nor a strip writes to it.
+    /// untimed `poke_*`. A machine with a durable store has no fast
+    /// path, and grants no strip.
     #[inline]
     pub(super) fn unshare(&mut self, vpage: u64) {
         if self.pages[vpage as usize].has(Page::SHARED) {
             self.copy_shared_write(vpage);
         }
+        if let Some(d) = self.durability.store.as_mut().filter(|d| !d.holds(vpage)) {
+            d.unshare(vpage, &self.data);
+        }
     }
 
-    /// An untimed write (`poke_*`): through the hook while a plain
-    /// write is in flight, out of line, so that the pokes of a program's
-    /// set-up stay a bare store.
+    /// An untimed write (`poke_*`): through the hook once the durable
+    /// store shares the live image, out of line, so that the pokes of a
+    /// program's set-up stay a bare store.
     #[inline]
     pub(super) fn poke(&mut self, addr: u64, bytes: [u8; 8]) {
-        if self.durability.plain_pending.is_empty() {
-            self.write_word(addr, bytes);
-        } else {
+        if matches!(&self.durability.store, Some(d) if d.taken()) {
             self.poke_shared(addr, bytes);
+        } else {
+            self.write_word(addr, bytes);
         }
     }
 
@@ -488,21 +487,33 @@ impl Machine {
     /// the durable store, first folding the change into its stripe
     /// row's parity content (the XOR identity `parity ^= old ^ new`
     /// needs the *old* durable image, so the order matters).
+    ///
+    /// A copy lands as the store's own bytes, the live page as itself —
+    /// unless it is dirty again: after the snapshot, a `DIRTY` page has
+    /// its own durable copy.
     fn land_durable(&mut self, vpage: u64, copy: Option<&[u8]>) {
-        let payload = copy.unwrap_or_else(|| live_page(&self.data, vpage, self.params.page_bytes));
-        if self.redundancy.parity.is_some() {
-            if let Ok(row) = self.fs.row_of(self.swap, vpage) {
-                if let (Some(ps), Some(d)) = (&mut self.redundancy.parity, &self.durability.store) {
-                    if ps.is_synced() {
-                        ps.update(row, d.page(vpage), payload);
-                    }
-                }
+        let live = &self.data;
+        let payload = copy.unwrap_or_else(|| live_page(live, vpage, self.params.page_bytes));
+        let d = self.durability.store.as_mut().expect("a store");
+        if let Some(ps) = &mut self.redundancy.parity {
+            if let (Ok(row), true) = (self.fs.row_of(self.swap, vpage), ps.is_synced()) {
+                ps.update(row, d.page(vpage, live), payload);
             }
         }
-        if let Some(d) = &mut self.durability.store {
-            d.write_page(vpage, payload);
+        let dirty = self.pages[vpage as usize].has(Page::DIRTY);
+        if copy.is_some() || dirty {
+            d.write_page(vpage, payload, live);
+        } else {
+            d.share(vpage, live);
         }
+        debug_assert!(!dirty || d.holds(vpage), "a dirty page keeps its copy");
+        self.note_landing();
     }
+
+    /// A durable landing; tests check the store's footprint here.
+    #[cfg(not(test))]
+    #[inline(always)]
+    fn note_landing(&self) {}
 
     /// Synchronously make the oldest journal record on `disk` durable
     /// and reclaim its slot (the ring is full). Returns `false` if
@@ -570,7 +581,7 @@ impl Machine {
         // Every page still dirty in memory never made it to disk.
         for vpage in 0..self.total_pages() {
             if self.pages[vpage as usize].has(Page::DIRTY) {
-                self.durability.flush_failures.push(vpage);
+                self.durability.flush_failures.insert(vpage);
             }
         }
         self.end_run();
@@ -600,7 +611,7 @@ impl Machine {
             // simulator's stand-in for the journal's retired history).
             self.durability.wal_durable.push(rec.into_durable(true));
         }
-        for w in std::mem::take(&mut self.durability.plain_pending) {
+        while let Some(w) = self.durability.plain_pending.pop_front() {
             let _ = self.disks.poll(w.data, drain);
             self.land_plain(w);
         }
@@ -630,7 +641,6 @@ impl Machine {
         }
         self.durability.crash_resolved = true;
         let drain = self.disks.drain_all();
-        let per_page = self.params.page_bytes / SECTOR_BYTES;
         let poll = |disks: &mut DiskArray, t: Option<Ticket>| -> Ns {
             t.and_then(|t| disks.poll(t, drain))
                 .map_or(Ns::MAX, |c| c.at)
@@ -650,16 +660,10 @@ impl Machine {
                 dur.discard_at_crash(rec.vpage);
                 continue;
             }
-            if applied_eff <= t_crash {
-                // Data durably landed before the lights went out.
-                if let Some(d) = &mut dur.store {
-                    d.write_page(rec.vpage, &rec.payload);
-                }
-            } else if dur.torn_writes {
-                dur.tear(rec.vpage, &rec.payload, per_page);
-            }
-            // Either way the sealed record is what a recovery scan of
-            // the rings will find.
+            // Landed before the lights went out, or torn mid-air. Either
+            // way the sealed record is what a recovery scan of the rings
+            // will find.
+            dur.tear(rec.vpage, &rec.payload, applied_eff <= t_crash, &self.data);
             dur.wal_durable
                 .push(rec.into_durable(committed_eff <= t_crash));
         }
@@ -670,14 +674,7 @@ impl Machine {
             }
             let live = || live_page(&self.data, w.vpage, self.params.page_bytes);
             let payload = w.copy.as_deref().unwrap_or_else(live);
-            if done <= t_crash {
-                if let Some(d) = &mut dur.store {
-                    d.write_page(w.vpage, payload);
-                }
-                continue;
-            }
-            let landed_fully = dur.torn_writes && dur.tear(w.vpage, payload, per_page);
-            if !landed_fully {
+            if !dur.tear(w.vpage, payload, done <= t_crash, &self.data) {
                 dur.discard_at_crash(w.vpage);
             }
         }
@@ -688,7 +685,8 @@ impl Machine {
     /// uncommitted updates (falling back to the last durable version),
     /// verify every page's stored checksum, resync the residency bit
     /// vector, and hand back a clean machine whose memory image is
-    /// exactly the durable state. Consumes the crashed machine.
+    /// exactly the durable state: the crashed machine's live image with
+    /// the store's copies written over it. Consumes the crashed machine.
     ///
     /// On a machine that never crashed this is a no-op returning `self`
     /// and a default report.
@@ -716,6 +714,7 @@ impl Machine {
         // layout, clock restarted at zero — the reboot.
         let mut m = Machine::try_new(self.params, total * self.params.page_bytes)
             .expect("the crashed machine's geometry was valid");
+        std::mem::swap(&mut m.data, &mut self.data);
         if self.params.journal {
             m.durability.journal = Some(
                 WriteJournal::create(&mut m.fs, self.params.journal_blocks_per_disk)
@@ -745,11 +744,10 @@ impl Machine {
         // branch we expect to take).
         let mut replay_done = m.now;
         for rec in &wal_durable {
-            if !durable.verify(rec.vpage) {
-                report.torn_detected += 1;
-            }
-            if !rec.committed || !durable.verify(rec.vpage) {
-                durable.write_page(rec.vpage, &rec.payload);
+            let torn = !durable.verify(rec.vpage, &m.data);
+            report.torn_detected += torn as u64;
+            if !rec.committed || torn {
+                durable.write_page(rec.vpage, &rec.payload, &m.data);
                 report.pages_replayed += 1;
                 if let Ok((disk, block)) = m.fs.place(m.swap, rec.vpage) {
                     let replay = Request::new(ReqKind::Write, block, 1);
@@ -806,13 +804,13 @@ impl Machine {
         }
         m.stall_until(scan_done);
         for vpage in 0..total {
-            if durable.verify(vpage) {
+            if durable.verify(vpage, &m.data) {
                 continue;
             }
             report.torn_detected += 1;
             // Last committed journal payload for this page, if any.
             if let Some(rec) = wal_durable.iter().rev().find(|r| r.vpage == vpage) {
-                durable.write_page(vpage, &rec.payload);
+                durable.write_page(vpage, &rec.payload, &m.data);
                 report.pages_replayed += 1;
             } else {
                 report.unrecoverable += 1;
@@ -821,7 +819,7 @@ impl Machine {
         }
 
         // Adopt the durable image as the reborn machine's memory state.
-        m.data.copy_from_slice(durable.images());
+        durable.adopt(&mut m.data);
         m.resync_bits();
         report.recovery_ns = m.now();
         m.stats.recovery_pages_replayed = report.pages_replayed;
@@ -829,20 +827,19 @@ impl Machine {
         m.stats.recovery_torn_detected = report.torn_detected;
         m.stats.recovery_unrecoverable = report.unrecoverable;
         m.stats.recovery_ns = report.recovery_ns;
-        // The recovered machine keeps durability tracking (it has a
-        // durable store with a settled baseline) but no scheduled
-        // crash: the re-run is an ordinary one.
-        m.durability.store = Some(durable);
-        m.durability.wal_durable = wal_durable;
         // Parity is re-derived wholesale from the recovered durable
         // image (replay may have changed any subset of rows, and a
         // crash mid-rebuild leaves no trustworthy incremental state).
         // The reboot replaced the hardware, so the array is whole.
         if let Some(ps) = &mut m.redundancy.parity {
             let k = m.fs.ndisks() as u64 - 1;
-            let store = m.durability.store.as_ref().expect("just set");
-            ps.resync(k, store.images(), total);
+            ps.resync(k, total, |p| durable.page(p, &m.data));
         }
+        // The recovered machine keeps durability tracking (it has a
+        // durable store with a settled baseline) but no scheduled
+        // crash: the re-run is an ordinary one.
+        m.durability.store = Some(durable);
+        m.durability.wal_durable = wal_durable;
         (m, report)
     }
 
@@ -871,30 +868,18 @@ impl Machine {
                 let _ = self.disks.admit(disk, self.now, verify, 0);
             }
             verified += 1;
-            let ok = self
-                .durability
-                .store
-                .as_ref()
-                .map(|d| d.verify(vpage))
-                .unwrap_or(true);
-            if ok {
+            let dur = &mut self.durability;
+            let d = dur.store.as_mut().expect("checked above");
+            if d.verify(vpage, &self.data) {
                 continue;
             }
-            if let Some(rec) = self
-                .durability
-                .wal_durable
-                .iter()
-                .rev()
-                .find(|r| r.vpage == vpage && r.committed)
-            {
-                let payload = rec.payload.clone();
+            let mut committed = dur.wal_durable.iter().rev();
+            if let Some(rec) = committed.find(|r| r.vpage == vpage && r.committed) {
                 // Plain `write_page`, not `land_durable`: the current
                 // image is corrupt, so it cannot serve as the parity
                 // XOR's "old" term. Restoring the committed content
                 // restores the parity invariant as a side effect.
-                if let Some(d) = &mut self.durability.store {
-                    d.write_page(vpage, &payload);
-                }
+                d.write_page(vpage, &rec.payload, &self.data);
                 if let Ok((disk, block)) = self.fs.place(self.swap, vpage) {
                     let repair = Request::new(ReqKind::Write, block, 1);
                     let _ = self.disks.admit(disk, self.now, repair, 0);
@@ -912,13 +897,40 @@ impl Machine {
     /// tests). Returns `false` outside durability mode.
     pub fn corrupt_durable_page(&mut self, vpage: u64) -> bool {
         self.ensure_durable_snapshot();
-        match &mut self.durability.store {
-            Some(d) => {
-                d.corrupt(vpage);
-                true
-            }
-            None => false,
-        }
+        let store = self.durability.store.as_mut();
+        store.map(|d| d.corrupt(vpage, &self.data)).is_some()
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// While a test on this thread watches the durable store's copies
+    /// (`Some`), the most it held at a landing.
+    pub(super) static COPIES_PEAK: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+impl Machine {
+    /// At every landing, while this thread's test watches: the durable
+    /// store holds no more copies than there are resident dirty pages
+    /// plus plain writes in flight.
+    fn note_landing(&self) {
+        let Some(peak) = COPIES_PEAK.get() else {
+            return;
+        };
+        let copies = self
+            .durability
+            .store
+            .as_ref()
+            .map_or(0, DurableStore::copies);
+        let dirty = self.pages.iter().filter(|p| p.has(Page::DIRTY)).count();
+        let in_flight = self.durability.plain_pending.len();
+        assert!(
+            copies <= dirty + in_flight,
+            "{copies} durable copies, {dirty} dirty pages, {in_flight} plain writes in flight"
+        );
+        COPIES_PEAK.set(Some(peak.max(copies)));
     }
 }
 

@@ -333,13 +333,8 @@ impl Machine {
     /// parity layout.
     pub fn corrupt_parity_row(&mut self, row: u64) -> bool {
         self.ensure_durable_snapshot();
-        match &mut self.redundancy.parity {
-            Some(ps) if row < ps.rows() => {
-                ps.corrupt_row(row);
-                true
-            }
-            _ => false,
-        }
+        let ps = self.redundancy.parity.as_mut().filter(|ps| row < ps.rows());
+        ps.map(|ps| ps.corrupt_row(row)).is_some()
     }
 
     // ------------------------------------------------------------------
@@ -435,40 +430,32 @@ impl Machine {
         if pd != dead {
             self.post_background(pd, ReqKind::PrefetchRead, pb);
         }
-        let page_bytes = self.params.page_bytes as usize;
-        if self.redundancy.parity.is_none() || self.durability.store.is_none() {
+        let (Some(ps), Some(d)) = (&mut self.redundancy.parity, &self.durability.store) else {
             return;
-        }
+        };
+        let durable = |p| d.page(p, &self.data);
         // The authoritative parity image of this row: XOR of its
         // durable data pages (each protected by its own checksum).
-        let xor = {
-            let d = self.durability.store.as_ref().expect("checked above");
-            let mut xor = vec![0u8; page_bytes];
-            for p in pages.clone() {
-                for (dst, src) in xor.iter_mut().zip(d.page(p)) {
-                    *dst ^= src;
-                }
+        let mut xor = vec![0u8; self.params.page_bytes as usize];
+        for p in pages.clone() {
+            for (dst, src) in xor.iter_mut().zip(durable(p)) {
+                *dst ^= src;
             }
-            xor
-        };
-        let mismatch = {
-            let ps = self.redundancy.parity.as_ref().expect("checked above");
-            let d = self.durability.store.as_ref().expect("checked above");
-            if pd == dead {
-                // The row lost its parity block: verify the content
-                // model's row checksum against the recomputation.
-                page_checksum(&xor) != ps.row_checksum(row)
-            } else if let Some((lp, _)) = lost {
-                // The row lost a data page: reconstruct it from the
-                // survivors + parity and check it against the page's
-                // stored checksum.
-                let rec = ps.reconstruct(row, pages.clone(), lp, d.images());
-                page_checksum(&rec) != d.stored_checksum(lp)
-            } else {
-                // Short final row whose dead-slot block holds neither
-                // data nor parity: nothing to reconstruct.
-                false
-            }
+        }
+        let mismatch = if pd == dead {
+            // The row lost its parity block: verify the content model's
+            // row checksum against the recomputation.
+            page_checksum(&xor) != page_checksum(ps.row(row))
+        } else if let Some((lp, _)) = lost {
+            // The row lost a data page: reconstruct it from the
+            // survivors + parity and check it against the page's stored
+            // checksum.
+            let rec = ps.reconstruct(row, pages.clone(), lp, durable);
+            page_checksum(&rec) != d.stored_checksum(lp)
+        } else {
+            // Short final row whose dead-slot block holds neither data
+            // nor parity: nothing to reconstruct.
+            false
         };
         if mismatch {
             self.stats.rebuild_verify_mismatches += 1;
@@ -478,10 +465,8 @@ impl Machine {
             // content: heals latent corruption, and is the freshly
             // rebuilt parity block when the parity home was the dead
             // slot (a byte-identical no-op when already clean).
-            if let Some(ps) = &mut self.redundancy.parity {
-                let cur = ps.row(row).to_vec();
-                ps.update(row, &cur, &xor);
-            }
+            let cur = ps.row(row).to_vec();
+            ps.update(row, &cur, &xor);
         }
         // The write that lands the reconstructed block on the spare.
         let wb = if pd == dead {

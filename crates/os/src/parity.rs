@@ -5,7 +5,8 @@
 //! holds the *content* of those blocks the way [`DurableStore`] holds
 //! the data pages': one image per stripe row, equal at all times to
 //! the XOR of the row's durable data pages. It is synchronized from
-//! the durable snapshot, updated incrementally whenever a durable data
+//! the durable snapshot (read through the store's view of the live
+//! image), updated incrementally whenever a durable data
 //! page lands (`new_parity = old_parity ^ old_page ^ new_page`), and
 //! fully resynchronized by crash recovery — the same resync a real
 //! RAID array performs after an unclean shutdown.
@@ -18,7 +19,6 @@
 //! [`DurableStore`]: crate::store::DurableStore
 
 use crate::image::Image;
-use crate::store::page_checksum;
 
 /// XOR images of every stripe row's parity block.
 pub struct ParityStore {
@@ -61,26 +61,19 @@ impl ParityStore {
         &self.image[self.range(row)]
     }
 
-    /// Checksum of one row's parity image ([`page_checksum`], like data
-    /// pages).
-    pub fn row_checksum(&self, row: u64) -> u64 {
-        page_checksum(self.row(row))
-    }
-
-    /// Recompute every row from the durable data images: row `r` is
-    /// the XOR of pages `r*k .. min((r+1)*k, total_pages)` where
-    /// `k = ndisks - 1` data pages per row. Short final rows XOR only
-    /// the pages that exist (missing lanes contribute zero).
-    pub fn resync(&mut self, k: u64, data: &[u8], total_pages: u64) {
+    /// Recompute every row from the durable data images, `page(p)`
+    /// being page `p`'s: row `r` is the XOR of pages
+    /// `r*k .. min((r+1)*k, total_pages)` where `k = ndisks - 1` data
+    /// pages per row. Short final rows XOR only the pages that exist
+    /// (missing lanes contribute zero).
+    pub fn resync<'a>(&mut self, k: u64, total_pages: u64, page: impl Fn(u64) -> &'a [u8]) {
         if self.image.is_empty() {
             self.image = Image::scratch((self.rows * self.page_bytes) as usize);
         }
         self.image.fill(0);
-        let pb = self.page_bytes as usize;
         for p in 0..total_pages {
             let row = self.range(p / k);
-            let page = &data[(p * self.page_bytes) as usize..][..pb];
-            for (dst, src) in self.image[row].iter_mut().zip(page) {
+            for (dst, src) in self.image[row].iter_mut().zip(page(p)) {
                 *dst ^= src;
             }
         }
@@ -100,24 +93,20 @@ impl ParityStore {
     /// Reconstruct one lost data page of `row` by XOR-ing the row's
     /// parity with every *other* durable data page of the row — what a
     /// degraded read or the rebuild scrubber computes from the
-    /// survivors. `pages` is the row's data-page range from the fs
-    /// layout; `lost` must be inside it.
-    pub fn reconstruct(
+    /// survivors, `page(p)` being page `p`'s durable image. `pages` is
+    /// the row's data-page range from the fs layout; `lost` must be
+    /// inside it.
+    pub fn reconstruct<'a>(
         &self,
         row: u64,
         pages: std::ops::Range<u64>,
         lost: u64,
-        data: &[u8],
+        page: impl Fn(u64) -> &'a [u8],
     ) -> Vec<u8> {
         debug_assert!(pages.contains(&lost));
-        let pb = self.page_bytes as usize;
         let mut out = self.row(row).to_vec();
-        for p in pages {
-            if p == lost {
-                continue;
-            }
-            let page = &data[(p * self.page_bytes) as usize..][..pb];
-            for (dst, src) in out.iter_mut().zip(page) {
+        for p in pages.filter(|&p| p != lost) {
+            for (dst, src) in out.iter_mut().zip(page(p)) {
                 *dst ^= src;
             }
         }
@@ -137,9 +126,15 @@ impl ParityStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::page_checksum;
 
     fn page(fill: u8, pb: usize) -> Vec<u8> {
         vec![fill; pb]
+    }
+
+    /// Page `p` of the flat image `data`.
+    fn of<'a>(data: &'a [u8], pb: u64) -> impl Fn(u64) -> &'a [u8] {
+        move |p| &data[(p * pb) as usize..][..pb as usize]
     }
 
     #[test]
@@ -152,7 +147,7 @@ mod tests {
         }
         let mut ps = ParityStore::new(2, pb);
         assert!(!ps.is_synced());
-        ps.resync(3, &data, 5);
+        ps.resync(3, 5, of(&data, pb));
         assert!(ps.is_synced());
         assert_eq!(ps.row(0)[0], 1 ^ 2 ^ 4);
         assert_eq!(ps.row(1)[0], 8 ^ 16);
@@ -160,7 +155,7 @@ mod tests {
         for lost in 0..5u64 {
             let row = lost / 3;
             let pages = row * 3..5.min((row + 1) * 3);
-            let rec = ps.reconstruct(row, pages, lost, &data);
+            let rec = ps.reconstruct(row, pages, lost, of(&data, pb));
             assert_eq!(
                 rec,
                 data[(lost * pb) as usize..][..pb as usize].to_vec(),
@@ -177,13 +172,13 @@ mod tests {
             data.extend(page(f, pb as usize));
         }
         let mut ps = ParityStore::new(2, pb);
-        ps.resync(2, &data, 4);
+        ps.resync(2, 4, of(&data, pb));
         // Land a new image on page 1 and fold it in incrementally.
         let newp = page(0x55, pb as usize);
         ps.update(0, &page(5, pb as usize), &newp);
         data[(pb as usize)..2 * pb as usize].copy_from_slice(&newp);
         let mut fresh = ParityStore::new(2, pb);
-        fresh.resync(2, &data, 4);
+        fresh.resync(2, 4, of(&data, pb));
         assert_eq!(ps.row(0), fresh.row(0));
         assert_eq!(ps.row(1), fresh.row(1));
     }
@@ -196,11 +191,11 @@ mod tests {
             .flat_map(|&f| page(f, pb as usize))
             .collect();
         let mut ps = ParityStore::new(1, pb);
-        ps.resync(3, &data, 3);
-        let good = ps.reconstruct(0, 0..3, 0, &data);
+        ps.resync(3, 3, of(&data, pb));
+        let good = ps.reconstruct(0, 0..3, 0, of(&data, pb));
         assert_eq!(good[0], 1);
         ps.corrupt_row(0);
-        let bad = ps.reconstruct(0, 0..3, 0, &data);
+        let bad = ps.reconstruct(0, 0..3, 0, of(&data, pb));
         assert_ne!(good, bad);
         assert_ne!(page_checksum(&good), page_checksum(&bad));
     }

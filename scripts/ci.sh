@@ -84,11 +84,14 @@ rm -f /tmp/oocp-strips.$$
 stage "memory gates (bounded peaks that do not grow with the run)"
 # page_write: under parity every write-back is a durable write, and it
 # carries the page itself, not a copy: only a store to a page whose write
-# is still in flight takes a 4 KB copy, and the walk makes none. The run
-# peaks at the data set's own images (about 39 MB here: the live, durable
-# and parity images, the last two taken from the per-thread image pool
-# at the snapshot); with a copy per write in flight it was 46.7, held
-# until `finish` 171, growing with the run.
+# is still in flight takes a 4 KB copy, and the walk makes none. The
+# durable store is a view of the live image with copies of the pages
+# that differ from it, bounded by the dirty pages plus the writes in
+# flight, so by memory. The run peaks at the live image, the parity
+# image (taken from the per-thread image pool at the snapshot) and those
+# memory-sized durable copies: about 32 MB here. With a full durable
+# image it was 39, with a copy per write in flight 46.7, held until
+# `finish` 171, growing with the run.
 # page_read: the free list holds exactly its pages (about 19.6 MB; with a
 # deque that kept an entry per release it was 30, a third of it history).
 # nas_ooc, nas_incore: sixteen cells of 16 MB data sets on 8 and 32 MB
@@ -103,7 +106,7 @@ peak_rss() { # workload seconds
     grep -q '"correct":true' <<< "$line" || { echo "$line" >&2; echo "$1 did not verify" >&2; return 1; }
     sed -n 's/.*"peak_rss_mb":{"value":\([0-9.]*\).*/\1/p' <<< "$line"
 }
-for gate in "page_write 44" "page_read 24" "nas_ooc 24" "nas_incore 24"; do
+for gate in "page_write 36" "page_read 24" "nas_ooc 24" "nas_incore 24"; do
     read -r W CAP <<< "$gate"
     RSS_1="$(peak_rss "$W" 1)"
     RSS_8="$(peak_rss "$W" 8)"
@@ -390,12 +393,12 @@ stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench; 
 # already one `emit` that the trace ring and the metrics layer fold
 # over): a new observer is a fold, and a new series is a row of the
 # sampler's table, not a second schema. crates/os/src and machine.rs
-# are capped at the size they had after that, once the dead arrival
-# hook and the unused `FaultKind` were gone. A cap raised on purpose is
-# raised in the same commit, and one lowered in the commit that shrinks
-# it.
-MACHINE_RS_MAX=1872
-OS_SRC_MAX=6744
+# are capped at the size they had once the durable store kept copies of
+# the diverged pages only, in place of a second image. A cap raised on
+# purpose is raised in the same commit, and one lowered in the commit
+# that shrinks it.
+MACHINE_RS_MAX=1871
+OS_SRC_MAX=6743
 OBS_SRC_MAX=3655
 DISK_SRC_MAX=2059
 BENCH_SRC_MAX=5510

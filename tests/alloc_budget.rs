@@ -180,14 +180,19 @@ fn page_walk_allocations_do_not_grow_with_the_run() {
 /// parity cell allocates no buffer per write-back, and what it still
 /// holds at the end does not depend on its length. The first run warms
 /// this thread's image pool, as a benchmark process's first cell does,
-/// so the durable and parity images are taken from it, not allocated, in
-/// the measured runs.
+/// so the parity image is taken from it, not allocated, in the measured
+/// runs. The durable store keeps copies only of the pages whose durable
+/// image differs from memory, in 64-page chunks it reuses: as many
+/// chunks as the most pages ever dirty or in flight at once, the same at
+/// any length.
 ///
-/// `O.parity` still makes more than [`BUDGET`] (184; `P.parity` 56): its
+/// `O.parity` still makes more than [`BUDGET`] (232; `P.parity` 60): its
 /// unbounded FCFS queues take a burst of about 2,100 write-backs, which
 /// doubles each of seven disks' request queue, completion slab and free
-/// slot list up to 1,024 / 512 / 512 entries. Those are growth steps of
-/// what is in flight, fixed by the burst; none of them is a page buffer.
+/// slot list up to 1,024 / 512 / 512 entries, and gives the durable
+/// store about as many pages in flight to hold copies of. Those are
+/// growth steps of what is in flight, fixed by the burst; none of them
+/// is a buffer per write-back.
 #[test]
 fn parity_write_backs_keep_only_their_buffers() {
     let parity = page_machine().with_redundancy(Redundancy::Parity);
