@@ -3321,6 +3321,22 @@ mod tests {
     }
 
     #[test]
+    fn an_untimed_write_after_the_snapshot_leaves_the_durable_image() {
+        // Page 0 has no write in flight: only the durable store shares
+        // it, and a `poke` must give the store its copy first.
+        let mut m = tiny_parity();
+        m.touch(4096, 8, false);
+        m.poke_f64(0, 5.0);
+        assert_eq!((m.peek_f64(0), durable_word(&m, 0)), (5.0, 0.0));
+        assert!(m
+            .durability
+            .store
+            .as_ref()
+            .expect("parity")
+            .verify(0, &m.data));
+    }
+
+    #[test]
     fn a_store_behind_a_write_back_lands_the_bytes_the_write_had() {
         // A timed store, and an untimed `poke`, which dirties nothing.
         for poke in [false, true] {
