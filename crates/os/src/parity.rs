@@ -6,10 +6,10 @@
 //! the data pages': one image per stripe row, equal at all times to
 //! the XOR of the row's durable data pages. It is synchronized from
 //! the durable snapshot (read through the store's view of the live
-//! image), updated incrementally whenever a durable data
-//! page lands (`new_parity = old_parity ^ old_page ^ new_page`), and
-//! fully resynchronized by crash recovery — the same resync a real
-//! RAID array performs after an unclean shutdown.
+//! image), updated incrementally whenever a durable data page lands
+//! (`new_parity = old_parity ^ old_page ^ new_page`), and fully
+//! resynchronized by crash recovery — the same resync a real RAID
+//! array performs after an unclean shutdown.
 //!
 //! The invariant `parity_row == XOR(row's durable pages)` is exactly
 //! what degraded reads and the rebuild scrubber rely on; the

@@ -112,7 +112,7 @@ impl DurableStore {
     /// The copy-on-write hook, which hands out the store's own bytes of
     /// `vpage`: page `vpage` of `live` is about to change, so a shared
     /// page first takes a copy of it. Only after the snapshot.
-    pub fn unshare(&mut self, vpage: u64, live: &[u8]) -> &mut [u8] {
+    pub(crate) fn unshare(&mut self, vpage: u64, live: &[u8]) -> &mut [u8] {
         let shared = self.slots[vpage as usize] == SHARED;
         if shared {
             if self.free.is_empty() {
@@ -133,12 +133,12 @@ impl DurableStore {
     }
 
     /// Whether the snapshot has been taken.
-    pub fn taken(&self) -> bool {
+    pub(crate) fn taken(&self) -> bool {
         !self.checksums.is_empty()
     }
 
     /// Whether the store holds its own image of `vpage`, or none yet.
-    pub fn holds(&self, vpage: u64) -> bool {
+    pub(crate) fn holds(&self, vpage: u64) -> bool {
         !self.taken() || self.slots[vpage as usize] != SHARED
     }
 
@@ -154,7 +154,7 @@ impl DurableStore {
     }
 
     /// A full, atomic landing of the live page itself: shared again.
-    pub fn share(&mut self, vpage: u64, live: &[u8]) {
+    pub(crate) fn share(&mut self, vpage: u64, live: &[u8]) {
         let slot = std::mem::replace(&mut self.slots[vpage as usize], SHARED);
         self.free.extend((slot != SHARED).then_some(slot));
         self.checksums[vpage as usize] = page_checksum(&live[self.range(vpage)]);
@@ -195,7 +195,7 @@ impl DurableStore {
 
     /// Make `live` the durable image (recovery's reboot): each copy is
     /// written over its live page and given back; every page is shared.
-    pub fn adopt(&mut self, live: &mut [u8]) {
+    pub(crate) fn adopt(&mut self, live: &mut [u8]) {
         for vpage in 0..self.slots.len() as u64 {
             if self.slots[vpage as usize] != SHARED {
                 let r = self.range(vpage);
