@@ -200,7 +200,7 @@ impl Durability {
     /// A write the crash found: all of it landed if `done` by then, else
     /// an arbitrary sector prefix if writes tear (possibly none, possibly
     /// all), else none. Returns whether all of it did.
-    fn tear(&mut self, vpage: u64, payload: &[u8], done: bool, live: &[u8]) -> bool {
+    fn land_or_tear(&mut self, vpage: u64, payload: &[u8], done: bool, live: &[u8]) -> bool {
         let per_page = payload.len() as u64 / SECTOR_BYTES;
         let k = match &mut self.crash_rng {
             _ if done => per_page,
@@ -663,7 +663,7 @@ impl Machine {
             // Landed before the lights went out, or torn mid-air. Either
             // way the sealed record is what a recovery scan of the rings
             // will find.
-            dur.tear(rec.vpage, &rec.payload, applied_eff <= t_crash, &self.data);
+            dur.land_or_tear(rec.vpage, &rec.payload, applied_eff <= t_crash, &self.data);
             dur.wal_durable
                 .push(rec.into_durable(committed_eff <= t_crash));
         }
@@ -674,7 +674,7 @@ impl Machine {
             }
             let live = || live_page(&self.data, w.vpage, self.params.page_bytes);
             let payload = w.copy.as_deref().unwrap_or_else(live);
-            if !dur.tear(w.vpage, payload, done <= t_crash, &self.data) {
+            if !dur.land_or_tear(w.vpage, payload, done <= t_crash, &self.data) {
                 dur.discard_at_crash(w.vpage);
             }
         }
