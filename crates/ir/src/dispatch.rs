@@ -19,10 +19,10 @@ use oocp_obs::prof::{NoProf, ProfSink};
 
 use crate::exec::{ArrayBinding, ExecStats};
 use crate::expr::CmpOp;
-use crate::lower::{lower, At, Charge, Code, LinPlan, LoopPlan, Op, Pc, Sub};
+use crate::lower::{lower, At, Charge, Code, LinPlan, LoopPlan, Op, Pc, StripPlan, Sub};
 use crate::program::Program;
 use crate::strip::{fused_kinds, StripBranch, StripKind};
-use crate::vm::{CostModel, PagedVm, Park, StripRef};
+use crate::vm::{CostModel, PagedVm, Park, StripCharge, StripRefs};
 
 /// One run of a lowered program, resumable between any two of its
 /// [`PagedVm`] calls.
@@ -37,8 +37,11 @@ pub struct Vm<'p> {
     /// The run is parked inside the op at `pc`, which has paid — been
     /// charged, flushed and counted — but still owes its call.
     paid: bool,
-    /// The reference list of the strip being asked for, reused.
-    strip_refs: Vec<StripRef>,
+    /// The demand and hint streams of the strip being asked for, and the
+    /// hints a strip made for a VM that logs them; all reused.
+    strip_refs: Vec<(u64, i64, bool)>,
+    strip_hint_refs: Vec<(u64, i64, u64)>,
+    strip_log: Vec<(u64, u64)>,
 }
 
 #[cfg(test)]
@@ -48,10 +51,11 @@ thread_local! {
     /// to know its programs reach both.
     pub(crate) static HOISTS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
     /// Strips, by how they went: run to the length granted, refused by
-    /// the VM, ended early by a zero divisor; the iterations run inside
-    /// them, a part of one counting as one; and the early ends in a body
-    /// shorter as strip code than as ops, something in it fused.
-    pub(crate) static STRIPS: std::cell::Cell<[u64; 5]> = const { std::cell::Cell::new([0; 5]) };
+    /// the VM, ended early by a zero divisor or a subscript out of
+    /// range; the iterations run inside them, a part of one counting as
+    /// one; the early ends in a body shorter as strip code than as ops,
+    /// something in it fused; and those at a subscript.
+    pub(crate) static STRIPS: std::cell::Cell<[u64; 6]> = const { std::cell::Cell::new([0; 6]) };
     /// Strip ops executed, by `StripKind as usize`.
     pub(crate) static KINDS: std::cell::RefCell<[u64; 256]> =
         const { std::cell::RefCell::new([0; 256]) };
@@ -66,12 +70,8 @@ struct Strip {
     pc: usize,
     /// The user time pending there, as the per-op path would hold it.
     pending: u64,
-    /// The `tick_user` calls the iterations would have made, and the
-    /// time they would have handed over between them.
-    ticks: u64,
-    ns: u64,
-    /// Loads and stores made.
-    accesses: u64,
+    /// What the VM is handed for the iterations.
+    charge: StripCharge,
 }
 
 #[cfg(test)]
@@ -105,6 +105,14 @@ impl Code<'_> {
     /// dimension for a hint target, checked against it otherwise.
     #[inline(always)]
     fn resolve(&self, r: u32, ir: &[i64]) -> u64 {
+        self.locate(r, ir)
+            .unwrap_or_else(|(d, sub)| self.out_of_range(r, d, sub))
+    }
+
+    /// [`Code::resolve`], a subscript out of range its dimension and
+    /// value.
+    #[inline(always)]
+    fn locate(&self, r: u32, ir: &[i64]) -> Result<u64, (usize, i64)> {
         let plan = &self.refs[r as usize];
         let mut offset = 0i64;
         for (d, dim) in plan.dims.of(&self.dims).iter().enumerate() {
@@ -115,17 +123,46 @@ impl Code<'_> {
             if plan.clamp {
                 sub = sub.clamp(0, dim.dim - 1);
             } else if !(0..dim.dim).contains(&sub) {
-                self.out_of_range(plan, d, sub);
+                return Err((d, sub));
             }
             offset = offset.wrapping_add(sub.wrapping_mul(dim.bstride));
         }
-        plan.base.wrapping_add(offset as u64)
+        Ok(plan.base.wrapping_add(offset as u64))
+    }
+
+    /// Seed the registers of `plan`'s late inductions where a strip of
+    /// a loop stepping by `step` starts, and say for how many iterations,
+    /// `want` at most, every subscript of theirs stays in its dimension
+    /// (so the per-op path would not clamp it).
+    fn seed_late(&self, plan: &StripPlan, step: i64, want: u64, ir: &mut [i64]) -> u64 {
+        let mut n = want;
+        for ind in plan.late.of(&self.strip_inds) {
+            let target = &self.refs[ind.r as usize];
+            let mut at = target.base;
+            for dim in target.dims.of(&self.dims) {
+                let Sub::Lin(l) = dim.sub else {
+                    unreachable!("a late induction is affine")
+                };
+                let sub = self.lin(l, ir);
+                let k = dim.kvar.wrapping_mul(step);
+                let stays = match k {
+                    _ if !(0..dim.dim).contains(&sub) => 0,
+                    1.. => (dim.dim - 1 - sub) as u64 / k as u64 + 1,
+                    0 => n,
+                    _ => sub as u64 / k.unsigned_abs() + 1,
+                };
+                n = n.min(stays);
+                at = at.wrapping_add(sub.wrapping_mul(dim.bstride) as u64);
+            }
+            ir[ind.reg as usize] = at as i64;
+        }
+        n
     }
 
     #[cold]
     #[inline(never)]
-    fn out_of_range(&self, plan: &crate::lower::RefPlan, d: usize, sub: i64) -> ! {
-        let decl = &self.prog.arrays[plan.array as usize];
+    fn out_of_range(&self, r: u32, d: usize, sub: i64) -> ! {
+        let decl = &self.prog.arrays[self.refs[r as usize].array as usize];
         panic!(
             "subscript {sub} out of range [0,{}) in dim {d} of array {} ({})",
             decl.dims[d], decl.name, self.prog.name
@@ -172,15 +209,21 @@ impl Code<'_> {
 
     /// The strip executor: run `n` iterations of `lp`'s hoisted body as
     /// strip code from its first op, every access a bare 8-byte move in
-    /// `mem` and the `Next` between two of them done on the spot, and
-    /// count them into `stats`. It makes no call and cannot panic: a zero
-    /// divisor ends the strip in front of the op that found it.
+    /// `mem`, every hint nothing but its count (and, with `LOG`, its
+    /// address and pages pushed to `log`) and the `Next` between two of
+    /// them done on the spot, and count them into `stats`. It makes no
+    /// call and cannot panic: a zero divisor, or a subscript out of its
+    /// dimension, ends the strip in front of the op that found it.
     /// `pending` is the user time not yet flushed. Inside, behind an
-    /// access it is zero: the accesses' own `ns` and their flushes are
+    /// access or a hint it is zero: their own `ns` and their flushes are
     /// a sum over the [`StripPlan`](crate::lower::StripPlan), made once
-    /// at the end; branch charges are added as they are taken.
+    /// at the end; branch charges are added as they are taken. Without
+    /// `WIDE` there is no code for the ops that resolve a reference or
+    /// stand for a hint, and the plan must have none (`StripPlan::wide`):
+    /// in an instance of their own they cost the other bodies nothing —
+    /// with them, LLVM shuffles registers at every op's dispatch.
     #[allow(clippy::too_many_arguments)]
-    fn run_strip(
+    fn run_strip<const LOG: bool, const WIDE: bool>(
         &self,
         lp: &LoopPlan,
         n: u64,
@@ -189,13 +232,14 @@ impl Code<'_> {
         fr: &mut [f64],
         mem: &mut [u8],
         stats: &mut ExecStats,
+        log: &mut Vec<(u64, u64)>,
     ) -> Strip {
         use StripKind as K;
         let plan = lp.strip.as_ref().expect("asked of a loop with a plan");
         let ops = plan.code.of(&self.strip.ops);
         let lins = plan.lins.of(&self.strip.lins);
         let branches = plan.branches.of(&self.strip.branches);
-        let bumps = lp.inds.of(&self.inds);
+        let bumps = plan.bumps.of(&self.strip_inds);
         // The ops still ahead in this pass over the body.
         let mut rest = ops;
         let (mut left, mut pending) = (n, lead);
@@ -223,6 +267,16 @@ impl Code<'_> {
             macro_rules! word {
                 ($r:ident) => {
                     mem[i!($r) as usize..][..8]
+                };
+            }
+            // The eight bytes `refs[op.$r]` resolves to; a subscript out
+            // of range ends the strip in front of the op.
+            macro_rules! word_at {
+                ($r:ident) => {
+                    match self.locate(op.$r.into(), ir) {
+                        Ok(at) => &mut mem[at as usize..][..8],
+                        Err(_) => break true,
+                    }
                 };
             }
             // A float operand, in its register or in memory; a float
@@ -343,6 +397,52 @@ impl Code<'_> {
                         word!(d).copy_from_slice(&i!(a).to_le_bytes());
                         pending = 0;
                     }
+                    K::LoadFAt
+                    | K::LoadIAt
+                    | K::StoreFAt
+                    | K::StoreIAt
+                    | K::Check
+                    | K::Prefetch
+                    | K::PrefetchAt
+                        if !WIDE =>
+                    {
+                        unreachable!("a plan with these ops says so")
+                    }
+                    K::LoadFAt => {
+                        f!(d) = f64::from_le_bytes((*word_at!(a)).try_into().unwrap());
+                        pending = 0;
+                    }
+                    K::LoadIAt => {
+                        i!(d) = i64::from_le_bytes((*word_at!(a)).try_into().unwrap());
+                        pending = 0;
+                    }
+                    K::StoreFAt => {
+                        let v = f!(a);
+                        word_at!(d).copy_from_slice(&v.to_le_bytes());
+                        pending = 0;
+                    }
+                    K::StoreIAt => {
+                        let v = i!(a);
+                        word_at!(d).copy_from_slice(&v.to_le_bytes());
+                        pending = 0;
+                    }
+                    K::Check => {
+                        word_at!(a);
+                    }
+                    K::Prefetch => {
+                        if LOG {
+                            log.push((i!(a) as u64, op.b.into()));
+                        }
+                        pending = 0;
+                    }
+                    // An indirect hint is granted for its whole array,
+                    // so where it lands is asked only by a VM that logs it.
+                    K::PrefetchAt => {
+                        if LOG {
+                            log.push((self.resolve(op.a.into(), ir), op.b.into()));
+                        }
+                        pending = 0;
+                    }
                     K::BrI => {
                         if !compare(branch!(), i!(a), i!(b)) {
                             rest = &ops[op.d as usize..];
@@ -387,6 +487,9 @@ impl Code<'_> {
             if early && ops.len() < unfused as usize {
                 note_strip(4, 0);
             }
+            if early && !matches!(ops[ops.len() - rest.len() - 1].kind, K::DivI | K::RemI) {
+                note_strip(5, 0);
+            }
             KINDS.with_borrow_mut(|all| all.iter_mut().zip(kinds).for_each(|(n, by)| *n += by));
         }
 
@@ -399,12 +502,11 @@ impl Code<'_> {
             Default::default()
         };
         let body = plan.body;
-        let (loads, stores) = (
-            body.loads * whole + part.loads,
-            body.stores * whole + part.stores,
-        );
-        let mut ticks = body.ticks * whole + part.ticks;
-        if loads + stores > 0 {
+        let made = |of: fn(&crate::lower::Accesses) -> u64| of(&body) * whole + of(&part);
+        let (loads, stores, hints) = (made(|a| a.loads), made(|a| a.stores), made(|a| a.hints));
+        let hint_pages = made(|a| a.hint_pages);
+        let mut ticks = made(|a| a.ticks);
+        if loads + stores + hints > 0 {
             // The strip's first access found `lead` pending, not the
             // loop's tail as the plan has it.
             ticks += u64::from(lead + plan.first_ns > 0);
@@ -412,16 +514,22 @@ impl Code<'_> {
         }
         stats.loads += loads;
         stats.stores += stores;
+        stats.prefetch_stmts += hints;
+        stats.prefetch_pages += hint_pages;
         stats.iters += nexts;
         stats.iops += lp.tail.iops as u64 * nexts + taken.1;
         stats.flops += lp.tail.flops as u64 * nexts + taken.2;
-        let charged = lead + body.ns * whole + part.ns + lp.tail.ns * nexts + taken.0;
+        let charged = lead + made(|a| a.ns) + lp.tail.ns * nexts + taken.0;
         Strip {
             pc,
             pending,
-            ticks,
-            ns: charged - pending,
-            accesses: loads + stores,
+            charge: StripCharge {
+                ns: charged - pending,
+                ticks,
+                accesses: loads + stores,
+                hints,
+                hint_pages,
+            },
         }
     }
 }
@@ -447,6 +555,8 @@ impl<'p> Vm<'p> {
             stats: ExecStats::default(),
             paid: false,
             strip_refs: Vec::new(),
+            strip_hint_refs: Vec::new(),
+            strip_log: Vec::new(),
         }
     }
 
@@ -486,7 +596,8 @@ impl<'p> Vm<'p> {
         let mut pc = self.pc;
         let mut pending = self.pending_ns;
         let mut stats = self.stats;
-        let refs = &mut self.strip_refs;
+        let (refs, hint_refs) = (&mut self.strip_refs, &mut self.strip_hint_refs);
+        let log = &mut self.strip_log;
         // Constant `false` for a `vm` that never parks, and every park
         // check below folds away with it.
         let mut paid = M::PARKS && std::mem::take(&mut self.paid);
@@ -594,23 +705,66 @@ impl<'p> Vm<'p> {
         macro_rules! strip {
             ($lp:ident) => {
                 if let Some(plan) = &$lp.strip {
+                    // The late inductions are seeded, and bound the strip,
+                    // ahead of any question about them.
+                    let bound = match plan.late.is_empty() {
+                        true => u64::MAX,
+                        false => code.seed_late(plan, $lp.step, u64::MAX, ir),
+                    };
                     let list = plan.refs.of(&code.strip_refs);
-                    let now = |&(reg, delta, store): &(u32, i64, bool)| -> StripRef {
+                    let now = |&(reg, delta, store): &(u32, i64, bool)| {
                         (ir[reg as usize] as u64, delta, store)
                     };
                     // Where every reference faults a refusal is the
                     // common answer: get it for one page's test.
-                    let mut n = vm.strip(&[now(&list[0])], 1, pending, plan.max_ns).0;
+                    let mut n = match list.first() {
+                        Some(first) if bound > 0 => {
+                            let streams = &[now(first)];
+                            let first = StripRefs {
+                                streams,
+                                ..StripRefs::default()
+                            };
+                            vm.strip(first, 1, pending, plan.max_ns).0
+                        }
+                        _ => bound.min(1),
+                    };
                     if n > 0 {
                         let (i, hi) = (ir[$lp.frame as usize], ir[$lp.frame as usize + 1]);
                         let left = (hi.wrapping_sub(i) - $lp.step.signum()) / $lp.step + 1;
                         refs.clear();
                         refs.extend(list.iter().map(now));
+                        hint_refs.clear();
+                        let hinted = plan.hint_refs.of(&code.strip_hint_refs).iter();
+                        hint_refs.extend(
+                            hinted.map(|&(reg, delta, pages)| {
+                                (ir[reg as usize] as u64, delta, pages)
+                            }),
+                        );
+                        let all = StripRefs {
+                            streams: refs,
+                            arrays: plan.arrays.of(&code.strip_arrays),
+                            hints: plan.hints.of(&code.strip_hints),
+                            hint_streams: hint_refs,
+                        };
                         let mem;
-                        (n, mem) = vm.strip(refs, left as u64, pending, plan.max_ns);
+                        (n, mem) = vm.strip(all, bound.min(left as u64), pending, plan.max_ns);
                         if n > 0 {
-                            let strip = code.run_strip($lp, n, pending, ir, fr, mem, &mut stats);
-                            vm.strip_charge(strip.ns, strip.ticks, strip.accesses);
+                            let strip = match (M::LOGS_STRIP_HINTS, plan.wide) {
+                                (true, _) => code.run_strip::<true, true>(
+                                    $lp, n, pending, ir, fr, mem, &mut stats, log,
+                                ),
+                                (false, true) => code.run_strip::<false, true>(
+                                    $lp, n, pending, ir, fr, mem, &mut stats, log,
+                                ),
+                                (false, false) => code.run_strip::<false, false>(
+                                    $lp, n, pending, ir, fr, mem, &mut stats, log,
+                                ),
+                            };
+                            if M::LOGS_STRIP_HINTS {
+                                vm.strip_hints(log);
+                                log.clear();
+                            }
+                            vm.strip_charge(strip.charge);
                             (pc, pending) = (strip.pc, strip.pending);
                         }
                     }

@@ -33,12 +33,12 @@
 //!   counts. The dispatch loop adds the first to its pending time and
 //!   flushes exactly where the statement tree is flushed, so the
 //!   sequence of `tick_user` arguments is unchanged.
-//! * **Strips.** A hoisted body made of nothing but arithmetic, accesses
-//!   through its own inductions and forward branches also gets a
-//!   [`StripPlan`]: what a run of its iterations costs, summed here, so
-//!   the dispatch loop can run them without a `PagedVm` call apiece —
-//!   and the body once more as [strip code](crate::strip), which is what
-//!   those iterations execute.
+//! * **Strips.** A hoisted body made of nothing but arithmetic, accesses,
+//!   plain `prefetch` hints and forward branches, its accesses and hints
+//!   under no `if`, also gets a [`StripPlan`]: what a run of its
+//!   iterations costs, summed here, so the dispatch loop can run them
+//!   without a `PagedVm` call apiece — and the body once more as
+//!   [strip code](crate::strip), which is what those iterations execute.
 //! * **Probes.** With a live profiler sink the site brackets are ops
 //!   in the stream ([`Op::Enter`]/[`Op::Exit`]); with the detached sink
 //!   none are emitted.
@@ -390,35 +390,61 @@ pub(crate) struct Induction {
     pub delta: i64,
 }
 
-/// What the accesses of a stretch of a strip body come to.
+/// What the accesses and hints of a stretch of a strip body come to.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Accesses {
     pub loads: u64,
     pub stores: u64,
-    /// Sum of the accesses' own `ns`.
+    /// `prefetch` hints, and the pages they name.
+    pub hints: u64,
+    pub hint_pages: u64,
+    /// Sum of their own `ns`.
     pub ns: u64,
     /// How many of them flush (call `tick_user`).
     pub ticks: u64,
 }
 
 /// A hoisted leaf body that can run as a strip: every op of it is
-/// arithmetic, a load or store through one of its loop's inductions, or
-/// a forward branch landing inside it. Iterations of such a body reach
-/// the [`PagedVm`](crate::vm::PagedVm) in a fixed pattern, summed here.
+/// arithmetic, a load or store, a plain `prefetch`, a bounds check or a
+/// forward branch landing inside it, and every access and hint runs on
+/// every iteration. Iterations of such a body reach the
+/// [`PagedVm`](crate::vm::PagedVm) in a fixed pattern, summed here.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StripPlan {
-    /// The loop's inductions as the VM is asked about them: `(address
-    /// register, bytes per iteration, stored through)`, widest stride
-    /// first. Window into [`Code::strip_refs`].
+    /// What a strip's `Next` bumps: the loop's inductions, then the
+    /// references a strip steps itself (`late`) — an affine hint target
+    /// and the index load of one, whose subscripts the per-op path
+    /// clamps (and so never hoists). A strip seeds their registers where
+    /// it starts and is granted only as far as no subscript of theirs
+    /// would be clamped. Windows into [`Code::strip_inds`].
+    pub bumps: Span,
+    pub late: Span,
+    /// The streams as the VM is asked about them: `(address register,
+    /// bytes per iteration, stored through)`, the loop's inductions and
+    /// the late ones a demand load reads, widest stride first; and the
+    /// late hint targets, `(address register, bytes per iteration,
+    /// pages)`. Windows into [`Code::strip_refs`] and
+    /// [`Code::strip_hint_refs`].
     pub refs: Span,
+    pub hint_refs: Span,
+    /// The arrays reached through an indirect subscript, `(first byte,
+    /// bytes, stored into)`, and those an indirect hint targets, `(first
+    /// byte, bytes, pages)`. Windows into [`Code::strip_arrays`] and
+    /// [`Code::strip_hints`].
+    pub arrays: Span,
+    pub hints: Span,
+    /// Some op of the body resolves a reference itself (an indirect
+    /// access, or the check of one's leading subscripts) or stands for a
+    /// hint.
+    pub wide: bool,
     /// One whole pass over the body, begun with the loop's `tail.ns`
     /// pending as every iteration after a loop's first is.
     pub body: Accesses,
-    /// The `ns` of the body's first access: with the time pending when
-    /// an iteration starts, what decides whether that access flushes.
+    /// The `ns` of the body's first access or hint: with the time
+    /// pending when an iteration starts, what decides whether it flushes.
     pub first_ns: u64,
-    /// The most one iteration can charge: its accesses, the loop's
-    /// tail, and every branch charge whether taken or not.
+    /// The most one iteration can charge: its accesses and hints, the
+    /// loop's tail, and every branch charge whether taken or not.
     pub max_ns: u64,
     /// The body as strip code, its `LoopNext` included: windows into
     /// the tables of [`Code::strip`] (`ops` and `origin` share one).
@@ -520,6 +546,10 @@ pub(crate) struct Code<'a> {
     pub dims: Vec<DimPlan>,
     pub inds: Vec<Induction>,
     pub strip_refs: Vec<(Reg, i64, bool)>,
+    pub strip_inds: Vec<Induction>,
+    pub strip_hint_refs: Vec<(Reg, i64, u64)>,
+    pub strip_arrays: Vec<(u64, u64, bool)>,
+    pub strip_hints: Vec<(u64, u64, u64)>,
     pub strip: StripCode,
     pub loops: Vec<LoopPlan>,
     pub bundles: Vec<Bundle>,
@@ -529,21 +559,33 @@ pub(crate) struct Code<'a> {
 }
 
 impl Code<'_> {
-    /// What the accesses among `ops[from..to]` of a strip body come to
-    /// when the first of them finds `carried` ns pending: a whole pass,
-    /// or the part of one that a strip ending early got through. (An
-    /// access is under no `if`, so all of them before `to` have run.)
+    /// What the accesses and hints among `ops[from..to]` of a strip
+    /// body come to when the first of them finds `carried` ns pending: a
+    /// whole pass, or the part of one that a strip ending early got
+    /// through. (They are under no `if`, so all of them before `to` have
+    /// run.)
     pub fn accesses(&self, from: Pc, to: Pc, carried: u64) -> Accesses {
         let mut sum = Accesses::default();
         let mut pending = carried;
         for op in &self.ops[from as usize..to as usize] {
             let ns = match *op {
-                Op::LoadF { ns, .. } | Op::LoadI { ns, .. } => {
+                Op::LoadF { ns, .. }
+                | Op::LoadI { ns, .. }
+                | Op::LoadFAt { ns, .. }
+                | Op::LoadIAt { ns, .. } => {
                     sum.loads += 1;
                     ns
                 }
-                Op::StoreF { ns, .. } | Op::StoreI { ns, .. } => {
+                Op::StoreF { ns, .. }
+                | Op::StoreI { ns, .. }
+                | Op::StoreFAt { ns, .. }
+                | Op::StoreIAt { ns, .. } => {
                     sum.stores += 1;
+                    ns
+                }
+                Op::PrefetchAt { pages, ns, .. } => {
+                    sum.hints += 1;
+                    sum.hint_pages += pages;
                     ns
                 }
                 _ => continue,
@@ -634,6 +676,10 @@ pub(crate) fn lower<'a>(
             dims: Vec::new(),
             inds: Vec::new(),
             strip_refs: Vec::new(),
+            strip_inds: Vec::new(),
+            strip_hint_refs: Vec::new(),
+            strip_arrays: Vec::new(),
+            strip_hints: Vec::new(),
             strip: StripCode::default(),
             loops: Vec::new(),
             bundles: Vec::new(),
@@ -1282,7 +1328,7 @@ impl<'a> Lowerer<'a> {
             Some(_) => span(first, self.code.inds.len()),
             None => Span::default(),
         };
-        let strip = self.strip_plan(head, inds, tail);
+        let strip = self.strip_plan(head, inds, tail, l.step);
         self.emit(Op::LoopNext {
             l: id as u32,
             head,
@@ -1308,13 +1354,18 @@ impl<'a> Lowerer<'a> {
     }
 
     /// The [`StripPlan`] of the hoisted body just emitted from `head`
-    /// on, if it has the shape: references under an `if` are `..At`
-    /// ops, so they refuse it as hints, checks and profiler brackets do.
-    /// The match is also the body's translation into strip code, op for
-    /// op ahead of [`fuse`]: a register, a table index or a branch
-    /// target too wide for a [`StripOp`] field refuses the plan as a
-    /// wrong shape does, and the loop runs op by op.
-    fn strip_plan(&mut self, head: Pc, inds: Span, tail: Charge) -> Option<StripPlan> {
+    /// on, if it has the shape. A load or store through an induction,
+    /// or through a reference that is affine (clamped, the index load of
+    /// a hint target), is a stream of the plan; one through an indirect
+    /// subscript reaches its array anywhere; a `prefetch` is either.
+    /// Accesses and hints that resolve their reference must not be under
+    /// an `if` — where affine demand references are not hoisted either,
+    /// so those refuse the plan as release hints, `Addr` and profiler
+    /// brackets do. The match is also the body's translation into strip
+    /// code, op for op ahead of [`fuse`]: a register, a table index or a
+    /// branch target too wide for a [`StripOp`] field refuses the plan
+    /// as a wrong shape does, and the loop runs op by op.
+    fn strip_plan(&mut self, head: Pc, inds: Span, tail: Charge, step: i64) -> Option<StripPlan> {
         use StripKind as K;
         let next = self.pc();
         let mut refs: Vec<_> = inds
@@ -1322,44 +1373,70 @@ impl<'a> Lowerer<'a> {
             .iter()
             .map(|ind| (ind.reg, ind.delta, false))
             .collect();
+        let (mut late, mut hint_refs) = (Vec::<Induction>::new(), Vec::new());
+        let (mut arrays, mut hints) = (
+            Vec::<(u64, u64, bool)>::new(),
+            Vec::<(u64, u64, u64)>::new(),
+        );
         let (mut branch_ns, mut first_ns, mut free_access) = (0, None, false);
-        let mut access = |at: Reg, ns: u64, store: bool| {
-            let through = refs.iter_mut().find(|(reg, ..)| *reg == at)?;
-            through.2 |= store;
-            first_ns.get_or_insert(ns);
-            free_access |= ns == 0;
-            Some(())
-        };
-        // A branch's target in the body and its entry in `branches`.
+        let mut wide = false;
+        // One past the last op a branch seen so far jumps over.
+        let mut guarded = head;
         let mut branches = Vec::new();
-        let mut branch = |pc: Pc, to: Pc, cmp: CmpOp, charge: Charge| {
-            if to <= pc || to > next {
-                return None;
-            }
-            branch_ns += charge.ns;
-            branches.push(StripBranch { cmp, charge });
-            Some((to - head, branches.len() as u32 - 1))
-        };
         let mut lins = Vec::new();
         let mut plain = Vec::with_capacity((next - head) as usize + 1);
-        for (pc, op) in (head..next).zip(&self.code.ops[head as usize..]) {
-            let (kind, d, a, b, c) = match *op {
+        for pc in head..next {
+            // An access or a hint: its `ns`, through what it reaches, and
+            // whether it stores (`Ok`) or how many pages it hints (`Err`).
+            let mut reach = None;
+            let mut branch = |to: Pc, cmp: CmpOp, charge: Charge| {
+                if to <= pc || to > next {
+                    return None;
+                }
+                guarded = guarded.max(to);
+                branch_ns += charge.ns;
+                branches.push(StripBranch { cmp, charge });
+                Some((to - head, branches.len() as u32 - 1))
+            };
+            let (mut kind, mut d, mut a, b, c) = match self.code.ops[pc as usize] {
                 Op::LoadF { dst, at, ns } => {
-                    access(at, ns, false)?;
+                    reach = Some((ns, At::Reg(at), Ok(false)));
                     (K::LoadF, dst, at, 0, 0)
                 }
                 Op::LoadI { dst, at, ns } => {
-                    access(at, ns, false)?;
+                    reach = Some((ns, At::Reg(at), Ok(false)));
                     (K::LoadI, dst, at, 0, 0)
                 }
                 Op::StoreF { src, at, ns } => {
-                    access(at, ns, true)?;
+                    reach = Some((ns, At::Reg(at), Ok(true)));
                     (K::StoreF, at, src, 0, 0)
                 }
                 Op::StoreI { src, at, ns } => {
-                    access(at, ns, true)?;
+                    reach = Some((ns, At::Reg(at), Ok(true)));
                     (K::StoreI, at, src, 0, 0)
                 }
+                Op::LoadFAt { dst, r, ns } => {
+                    reach = Some((ns, At::Ref(r), Ok(false)));
+                    (K::LoadFAt, dst, r, 0, 0)
+                }
+                Op::LoadIAt { dst, r, ns } => {
+                    reach = Some((ns, At::Ref(r), Ok(false)));
+                    (K::LoadIAt, dst, r, 0, 0)
+                }
+                Op::StoreFAt { src, r, ns } => {
+                    reach = Some((ns, At::Ref(r), Ok(true)));
+                    (K::StoreFAt, r, src, 0, 0)
+                }
+                Op::StoreIAt { src, r, ns } => {
+                    reach = Some((ns, At::Ref(r), Ok(true)));
+                    (K::StoreIAt, r, src, 0, 0)
+                }
+                // A hint that names no page is dropped unfiltered.
+                Op::PrefetchAt { r, pages, ns } if pages > 0 => {
+                    reach = Some((ns, At::Ref(r), Err(pages)));
+                    (K::PrefetchAt, 0, r, narrow(pages)?.into(), 0)
+                }
+                Op::Check { r } => (K::Check, 0, r, 0, 0),
                 Op::BrI {
                     a,
                     b,
@@ -1367,7 +1444,7 @@ impl<'a> Lowerer<'a> {
                     else_,
                     charge,
                 } => {
-                    let (to, c) = branch(pc, else_, cmp, charge)?;
+                    let (to, c) = branch(else_, cmp, charge)?;
                     (K::BrI, to, a, b, c)
                 }
                 Op::BrF {
@@ -1377,12 +1454,12 @@ impl<'a> Lowerer<'a> {
                     else_,
                     charge,
                 } => {
-                    let (to, c) = branch(pc, else_, cmp, charge)?;
+                    let (to, c) = branch(else_, cmp, charge)?;
                     (K::BrF, to, a, b, c)
                 }
                 // An unconditional branch compares nothing.
                 Op::Jump { to, charge } => {
-                    let (to, c) = branch(pc, to, CmpOp::Eq, charge)?;
+                    let (to, c) = branch(to, CmpOp::Eq, charge)?;
                     (K::Jump, to, 0, 0, c)
                 }
                 Op::AddF { dst, a, b } => (K::AddRRR, dst, a, b, 0),
@@ -1413,15 +1490,10 @@ impl<'a> Lowerer<'a> {
                     lins.push(lin);
                     (K::Lin, dst, lins.len() as u32 - 1, 0, 0)
                 }
-                Op::Addr { .. }
-                | Op::Check { .. }
+                Op::PrefetchAt { .. }
+                | Op::Addr { .. }
                 | Op::Prefetch { .. }
                 | Op::Release { .. }
-                | Op::LoadFAt { .. }
-                | Op::LoadIAt { .. }
-                | Op::StoreFAt { .. }
-                | Op::StoreIAt { .. }
-                | Op::PrefetchAt { .. }
                 | Op::ReleaseAt { .. }
                 | Op::PrefetchRelease { .. }
                 | Op::LoopEnter { .. }
@@ -1430,6 +1502,65 @@ impl<'a> Lowerer<'a> {
                 | Op::Enter { .. }
                 | Op::Exit => return None,
             };
+            if let Some((ns, at, what)) = reach {
+                match at {
+                    At::Reg(at) => {
+                        refs.iter_mut().find(|(reg, ..)| *reg == at)?.2 |= what == Ok(true)
+                    }
+                    _ if pc < guarded => return None,
+                    At::Ref(r) => {
+                        let plan = self.code.refs[r as usize];
+                        let dims = plan.dims.of(&self.code.dims);
+                        let (base, bytes) = (
+                            self.bases[plan.array as usize],
+                            self.code.prog.arrays[plan.array as usize].bytes(),
+                        );
+                        if dims.iter().all(|dim| matches!(dim.sub, Sub::Lin(_))) {
+                            // Stepped by the strip: the op goes through
+                            // a register of its own as an induction's does.
+                            let per_iter = dims.iter().fold(0i64, |acc, dim| {
+                                acc.wrapping_add(dim.kvar.wrapping_mul(dim.bstride))
+                            });
+                            let (reg, delta) = (self.fresh_i(), per_iter.wrapping_mul(step));
+                            late.push(Induction { r, reg, delta });
+                            match what {
+                                Ok(store) => refs.push((reg, delta, store)),
+                                Err(pages) => hint_refs.push((reg, delta, pages)),
+                            }
+                            (kind, d, a) = match kind {
+                                K::LoadFAt => (K::LoadF, d, reg),
+                                K::LoadIAt => (K::LoadI, d, reg),
+                                K::StoreFAt => (K::StoreF, reg, a),
+                                K::StoreIAt => (K::StoreI, reg, a),
+                                _ => (K::Prefetch, d, reg),
+                            };
+                        } else {
+                            match what {
+                                Ok(store) => match arrays.iter_mut().find(|a| a.0 == base) {
+                                    Some(a) => a.2 |= store,
+                                    None => arrays.push((base, bytes, store)),
+                                },
+                                Err(pages) => match hints.iter_mut().find(|h| h.0 == base) {
+                                    Some(h) => h.2 = h.2.max(pages),
+                                    None => hints.push((base, bytes, pages)),
+                                },
+                            }
+                        }
+                    }
+                }
+                first_ns.get_or_insert(ns);
+                free_access |= ns == 0;
+            }
+            wide |= matches!(
+                kind,
+                K::LoadFAt
+                    | K::LoadIAt
+                    | K::StoreFAt
+                    | K::StoreIAt
+                    | K::Check
+                    | K::Prefetch
+                    | K::PrefetchAt
+            );
             plain.push(StripOp {
                 kind,
                 d: narrow(d)?,
@@ -1447,8 +1578,29 @@ impl<'a> Lowerer<'a> {
         }
         let first_ns = first_ns?;
         refs.sort_by_key(|&(_, delta, _)| std::cmp::Reverse(delta.unsigned_abs()));
-        let start = self.code.strip_refs.len();
-        self.code.strip_refs.extend(refs);
+        let code = &mut self.code;
+        let at = (
+            code.strip_refs.len(),
+            code.strip_hint_refs.len(),
+            code.strip_inds.len(),
+            code.strip_arrays.len(),
+            code.strip_hints.len(),
+        );
+        code.strip_refs.extend(refs);
+        code.strip_hint_refs.extend(hint_refs);
+        code.strip_inds.extend_from_slice(inds.of(&code.inds));
+        let late_at = code.strip_inds.len();
+        code.strip_inds.extend(late);
+        code.strip_arrays.extend(arrays);
+        code.strip_hints.extend(hints);
+        let (refs, hint_refs, bumps, late, arrays, hints) = (
+            span(at.0, code.strip_refs.len()),
+            span(at.1, code.strip_hint_refs.len()),
+            span(at.2, code.strip_inds.len()),
+            span(late_at, code.strip_inds.len()),
+            span(at.3, code.strip_arrays.len()),
+            span(at.4, code.strip_hints.len()),
+        );
         // The `LoopNext` about to be emitted at `next`.
         plain.push(StripOp {
             kind: K::Next,
@@ -1457,25 +1609,27 @@ impl<'a> Lowerer<'a> {
             b: 0,
             c: 0,
         });
-        let strip = &mut self.code.strip;
+        let strip = &mut code.strip;
         let at = (strip.ops.len(), strip.lins.len(), strip.branches.len());
-        fuse(&plain, head, self.code.prog.num_fscalars, strip);
+        fuse(&plain, head, code.prog.num_fscalars, strip);
         strip.lins.extend(lins);
         strip.branches.extend(branches);
-        let (code, lins, branches) = (
-            span(at.0, strip.ops.len()),
-            span(at.1, strip.lins.len()),
-            span(at.2, strip.branches.len()),
-        );
-        let body = self.code.accesses(head, next, tail.ns);
+        let body = code.accesses(head, next, tail.ns);
+        let strip = &code.strip;
         Some(StripPlan {
-            refs: span(start, self.code.strip_refs.len()),
+            bumps,
+            late,
+            refs,
+            hint_refs,
+            arrays,
+            hints,
+            wide,
             body,
             first_ns,
             max_ns: body.ns + tail.ns + branch_ns,
-            code,
-            lins,
-            branches,
+            code: span(at.0, strip.ops.len()),
+            lins: span(at.1, strip.lins.len()),
+            branches: span(at.2, strip.branches.len()),
         })
     }
 

@@ -22,7 +22,7 @@ use crate::expr::{lin, param, var, BinOp, CmpOp, Cond, Expr, LinExpr, UnOp};
 use crate::parse::parse_program;
 use crate::program::{ArrayRef, ElemType, HintTarget, Index, Program, Stmt};
 use crate::treewalk::Executor;
-use crate::vm::{ArrayData, CostModel, MemVm, PagedVm, Park, StripRef};
+use crate::vm::{ArrayData, CostModel, MemVm, PagedVm, Park, StripCharge, StripRefs};
 
 /// One call across the [`PagedVm`] boundary. Float values are kept as
 /// bits so a NaN compares equal to itself.
@@ -149,7 +149,7 @@ impl PagedVm for RecVm {
     }
     // A length anywhere in `[0, want]`, the two ends favoured: strips
     // are refused, stop short of the loop's exit, and run up to it.
-    fn strip(&mut self, refs: &[StripRef], want: u64, lead: u64, iter: u64) -> (u64, &mut [u8]) {
+    fn strip(&mut self, refs: StripRefs, want: u64, lead: u64, iter: u64) -> (u64, &mut [u8]) {
         let Some(rng) = &mut self.strips else {
             return (0, &mut []);
         };
@@ -160,10 +160,17 @@ impl PagedVm for RecVm {
         };
         (n, self.mem.strip(refs, n, lead, iter).1)
     }
-    fn strip_charge(&mut self, ns: u64, ticks: u64, accesses: u64) {
-        self.sums.tick_ns += ns;
-        self.sums.ticks += ticks;
-        self.mem.strip_charge(ns, ticks, accesses);
+    fn strip_charge(&mut self, charge: StripCharge) {
+        self.sums.tick_ns += charge.ns;
+        self.sums.ticks += charge.ticks;
+        self.mem.strip_charge(charge);
+    }
+    // The hints a strip stood in for join the hint stream in order.
+    const LOGS_STRIP_HINTS: bool = true;
+    fn strip_hints(&mut self, hints: &[(u64, u64)]) {
+        for &(addr, pages) in hints {
+            self.log(Ev::Prefetch(addr, pages));
+        }
     }
 }
 
@@ -837,6 +844,131 @@ pub(crate) mod programs {
         p
     }
 
+    /// `idx[i] = i` over `n` elements, then `y[idx[i]] = y[idx[i]] +
+    /// x[idx[i]]; s = s + y[idx[i]]` over them (arrays `idx`, `x`, `y`;
+    /// `x` and `y` of `len` elements, the sum stored behind the loop):
+    /// indirect loads and an indirect store in a leaf. With `len < n`
+    /// the subscript `len` goes out of range on iteration `len`, in the
+    /// middle of whatever strip is running.
+    pub fn indirect(n: i64, len: i64) -> Program {
+        let mut p = Program::new("indirect");
+        let idx = p.array("idx", ElemType::I64, vec![n]);
+        let x = p.array("x", ElemType::F64, vec![len]);
+        let y = p.array("y", ElemType::F64, vec![len]);
+        let fin = p.array("fin", ElemType::F64, vec![1]);
+        let s = p.fresh_fscalar();
+        let (i, j) = (p.fresh_var(), p.fresh_var());
+        let through = |array| ArrayRef {
+            array,
+            idx: vec![Index::Ind {
+                array: idx,
+                idx: vec![var(j)],
+            }],
+        };
+        p.body = vec![
+            Stmt::for_(
+                i,
+                lin(0),
+                lin(n),
+                1,
+                vec![Stmt::Store {
+                    dst: ArrayRef::affine(idx, vec![var(i)]),
+                    value: Expr::Lin(var(i)),
+                }],
+            ),
+            Stmt::for_(
+                j,
+                lin(0),
+                lin(n),
+                1,
+                vec![
+                    Stmt::Store {
+                        dst: through(y),
+                        value: Expr::add(Expr::LoadF(through(y)), Expr::LoadF(through(x))),
+                    },
+                    Stmt::LetF {
+                        dst: s,
+                        value: Expr::add(Expr::ScalarF(s), Expr::LoadF(through(y))),
+                    },
+                ],
+            ),
+            Stmt::Store {
+                dst: ArrayRef::affine(fin, vec![lin(0)]),
+                value: Expr::ScalarF(s),
+            },
+        ];
+        p
+    }
+
+    /// `for i below n { prefetch(&x[i + 1]); s = s + x[i] }` over an
+    /// `n`-element `x`: the hint's subscript is clamped on the last
+    /// iteration, so no strip may run into it.
+    pub fn clamp_last(n: i64) -> Program {
+        let mut p = Program::new("clamplast");
+        let x = p.array("x", ElemType::F64, vec![n]);
+        let s = p.fresh_fscalar();
+        let i = p.fresh_var();
+        p.body = vec![Stmt::for_(
+            i,
+            lin(0),
+            lin(n),
+            1,
+            vec![
+                Stmt::Prefetch {
+                    target: HintTarget {
+                        target: ArrayRef::affine(x, vec![var(i).offset(1)]),
+                    },
+                    pages: 1,
+                },
+                Stmt::LetF {
+                    dst: s,
+                    value: Expr::add(
+                        Expr::ScalarF(s),
+                        Expr::LoadF(ArrayRef::affine(x, vec![var(i)])),
+                    ),
+                },
+            ],
+        )];
+        p
+    }
+
+    /// `for i below n { prefetch(&a[idx[i + d]]); s = s + a[idx[i]] }`
+    /// (arrays `idx` of `n`, `a` of 3): the compiler's indirect hint,
+    /// its index load clamped on the last `d` iterations.
+    pub fn indirect_hint(n: i64, d: i64) -> Program {
+        let mut p = Program::new("indhint");
+        let idx = p.array("idx", ElemType::I64, vec![n]);
+        let a = p.array("a", ElemType::F64, vec![3]);
+        let s = p.fresh_fscalar();
+        let i = p.fresh_var();
+        let at = |e: LinExpr| ArrayRef {
+            array: a,
+            idx: vec![Index::Ind {
+                array: idx,
+                idx: vec![e],
+            }],
+        };
+        p.body = vec![Stmt::for_(
+            i,
+            lin(0),
+            lin(n),
+            1,
+            vec![
+                Stmt::Prefetch {
+                    target: HintTarget {
+                        target: at(var(i).offset(d)),
+                    },
+                    pages: 1,
+                },
+                Stmt::LetF {
+                    dst: s,
+                    value: Expr::add(Expr::ScalarF(s), Expr::LoadF(at(var(i)))),
+                },
+            ],
+        )];
+        p
+    }
+
     /// `for i below n { s = x[i] }`: the body's last op is its access,
     /// so nothing is pending behind an iteration but what a strip must
     /// not leave there.
@@ -1165,11 +1297,11 @@ fn odd_cost() -> CostModel {
 #[test]
 fn vm_matches_tree_walker() {
     use programs::*;
-    crate::dispatch::STRIPS.set([0; 5]);
+    crate::dispatch::STRIPS.set([0; 6]);
     crate::dispatch::KINDS.set([0; 256]);
 
     // The hand-written unit programs, under a free and a priced model.
-    let units: [(Program, &[i64]); 11] = [
+    let units: [(Program, &[i64]); 14] = [
         (axpy(100), &[]),
         (fusions(12), &[]),
         (histogram(), &[]),
@@ -1181,6 +1313,9 @@ fn vm_matches_tree_walker() {
         (hinted(), &[]),
         (symbolic_bound(), &[0]),
         (load_last(), &[9]),
+        (indirect(12, 12), &[]),
+        (clamp_last(10), &[]),
+        (indirect_hint(40, 3), &[]),
     ];
     for (prog, params) in &units {
         for cost in [CostModel::free(), CostModel::default(), odd_cost()] {
@@ -1207,6 +1342,28 @@ fn vm_matches_tree_walker() {
         "integer division by zero"
     );
     assert_eq!(div.vm.calls, 12, "three load/store pairs came first");
+    // An indirect subscript out of range: the same message after the
+    // same calls, however the strips around it fall.
+    for seed in 1..10 {
+        let oob = check(
+            "indirect",
+            &indirect(12, 7),
+            &[],
+            odd_cost(),
+            seed,
+            seed == 1,
+        );
+        assert_eq!(
+            oob.result
+                .expect_err("the eighth subscript is out of range"),
+            "subscript 7 out of range [0,7) in dim 0 of array y (indirect)"
+        );
+        assert_eq!(
+            oob.vm.calls,
+            24 + 7 * 16 + 2,
+            "the index stores, seven iterations, one load"
+        );
+    }
     // More strip lengths over it, and with the division ahead of the
     // accesses: some reach the third iteration and must stop in front
     // of the division.
@@ -1298,15 +1455,31 @@ fn vm_matches_tree_walker() {
         after >= 1000 && redone >= 1000,
         "and both kinds of park ({after} behind a call, {redone} with the call to redo)"
     );
-    let [taken, refused, early, inside, early_fused] = crate::dispatch::STRIPS.get();
+    let [taken, refused, early, inside, early_fused, out_of_range] = crate::dispatch::STRIPS.get();
     assert!(
-        taken >= 1000 && refused >= 1000 && early >= 3 && inside >= 10 * taken,
+        taken >= 1000 && refused >= 1000 && early >= 3 && out_of_range >= 3 && inside >= 10 * taken,
         "and every way a strip can go ({taken} taken with {inside} iterations inside, \
-         {refused} refused, {early} ended early)"
+         {refused} refused, {early} ended early, {out_of_range} of them at a subscript)"
     );
     // Every arm of the fused kinds — `fusions` has a row for each — by
     // family, and a zero divisor in a body with a fused op in it.
     let kinds = crate::dispatch::KINDS.with_borrow(|kinds| *kinds);
+    // And every op that reaches memory or hints through a reference.
+    use crate::strip::StripKind as K;
+    let resolving = [
+        K::LoadFAt,
+        K::LoadIAt,
+        K::StoreFAt,
+        K::StoreIAt,
+        K::Check,
+        K::Prefetch,
+        K::PrefetchAt,
+    ];
+    let never: Vec<_> = resolving
+        .iter()
+        .filter(|&&k| kinds[k as usize] == 0)
+        .collect();
+    assert!(never.is_empty(), "strip ops never executed: {never:?}");
     let arms = &kinds[crate::strip::StripKind::AddRRR as usize..][..64];
     let never: Vec<_> = (0..64).filter(|&arm| arms[arm] == 0).collect();
     assert!(never.is_empty(), "fused arms never executed: {never:?}");
@@ -1323,6 +1496,31 @@ fn vm_matches_tree_walker() {
         "and every fusion of strip code ({memory} ops with a memory operand, {through} stored \
          through, {multiply_add} multiply-adds, {early_fused} early ends in a fused body)"
     );
+}
+
+/// `MemVm` grants every strip and counts the hints strips stand in for
+/// as it counts the others: the affine hint whose clamp engages on the
+/// last iteration (the strip stops in front of it), the indirect one,
+/// and one beside an indirect store.
+#[test]
+fn memvm_counts_the_hints_strips_make() {
+    for (prog, strips) in [
+        (programs::clamp_last(10), 9),
+        (programs::indirect_hint(40, 3), 37),
+        (programs::hinted(), 10),
+    ] {
+        crate::dispatch::STRIPS.set([0; 6]);
+        let (binds, bytes) = ArrayBinding::sequential(&prog, 4096);
+        let mut vm = MemVm::new(bytes, 4096);
+        let stats = run_program(&prog, &binds, &[], CostModel::default(), &mut vm);
+        assert_eq!(vm.prefetches, stats.prefetch_stmts, "{}", prog.name);
+        assert_eq!(
+            crate::dispatch::STRIPS.get()[3],
+            strips,
+            "{}: iterations in strips",
+            prog.name
+        );
+    }
 }
 
 /// On a VM that grants whatever is asked, every iteration of the
@@ -1349,7 +1547,7 @@ fn stencil_strips_every_leaf_iteration() {
     // stored through.
     assert_eq!(kinds, [AddRMM, AddRRM, AddRRM, MulMRR, Next]);
     let run = || {
-        crate::dispatch::STRIPS.set([0; 5]);
+        crate::dispatch::STRIPS.set([0; 6]);
         let mut vm = MemVm::new(bytes, 4096);
         let stats = run_program(&prog, &binds, &[], CostModel::default(), &mut vm);
         (stats.iters, vm.accesses, crate::dispatch::STRIPS.get())
@@ -1361,7 +1559,7 @@ fn stencil_strips_every_leaf_iteration() {
         (
             rows + rows * cols,
             5 * rows * cols,
-            [rows, 0, 0, rows * cols, 0]
+            [rows, 0, 0, rows * cols, 0, 0]
         )
     );
     assert_eq!(run(), first, "and again");

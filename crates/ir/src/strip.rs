@@ -20,8 +20,9 @@
 //!
 //! A strip body makes no call, so within a block a load may sink to
 //! its reader: nothing between them can see the difference. What can
-//! end a strip early (`DivI`/`RemI`) or leave the block (a branch) is
-//! never part of a group, and no group spans a branch target.
+//! end a strip early (`DivI`/`RemI`, a reference resolved with its
+//! bounds check) or leave the block (a branch) is never part of a
+//! group, and no group spans a branch target.
 //! `origin` maps every strip op back to the `Op` it starts at — where
 //! the general loop takes over when a strip stops.
 
@@ -91,6 +92,17 @@ fused_kinds!(define_kinds! {
         StoreF,
         /// `m[d] = i[a]`
         StoreI,
+        // The same through `refs[..]` resolved over the integer file
+        // (`f[d] = m[refs[a]]`, `m[refs[d]] = f[a]`, …): an indirect
+        // subscript, which ends the strip in front of the op when it is
+        // out of its dimension.
+        LoadFAt, LoadIAt, StoreFAt, StoreIAt,
+        /// Every subscript of `refs[a]` in its dimension, or the strip ends.
+        Check,
+        /// A `prefetch` of `b` pages at `i[a]`.
+        Prefetch,
+        /// A `prefetch` of `b` pages at `refs[a]`, clamped.
+        PrefetchAt,
         /// Charge `branches[c]`; go to strip op `d` unless
         /// `i[a] cmp i[b]`.
         BrI,
@@ -147,7 +159,7 @@ fn float_reads(op: &StripOp) -> [Option<u16>; 2] {
     use StripKind::*;
     match op.kind {
         AddRRR | SubRRR | MulRRR | DivRRR | RemF | MinF | MaxF | BrF => [Some(op.a), Some(op.b)],
-        NegF | AbsF | SqrtF | LnF | MovF | FToI | StoreF => [Some(op.a), None],
+        NegF | AbsF | SqrtF | LnF | MovF | FToI | StoreF | StoreFAt => [Some(op.a), None],
         _ => [None, None],
     }
 }

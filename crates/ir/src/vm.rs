@@ -99,18 +99,28 @@ pub trait PagedVm {
     }
 
     /// Asked before a run of iterations of an innermost loop whose body
-    /// reaches memory through `refs` and nothing else: iteration `t`
-    /// makes 8-byte accesses at `addr + t·delta` of each of them. For
-    /// how many consecutive iterations from the first, `want` at most,
-    /// would every one of those accesses be answered without anything
-    /// else changing or being told — given that they hand over no more
-    /// than `lead_ns + n·iter_ns` of user time — and which bytes are
-    /// they then to be made against? `0` refuses, and a VM that always
-    /// refuses (the default) is never run in strips.
+    /// reaches memory through `refs` and nothing else: for how many
+    /// consecutive iterations from the first, `want` at most, would every
+    /// access and every hint of them be answered without anything else
+    /// changing or being told — given that the program hands over no
+    /// more than `lead_ns + n·iter_ns` of user time — and which bytes are
+    /// the accesses then to be made against? `0` refuses, and a VM that
+    /// always refuses (the default) is never run in strips.
+    ///
+    /// The run-time layer grants a stream while every page it walks is
+    /// hot (dirty-hot for a store), an array reached through an indirect
+    /// subscript only when every page of it is, and a hint only where
+    /// its filter would drop it on the passive path — enabled, healthy,
+    /// no adaptive suppression, no stale-bit fault plan, no shedding —
+    /// with every residency bit it would test set: walked along a hint
+    /// stream, and for an indirect target every page of the array hot
+    /// (a resident page's bit is set). The interpreter itself ends a
+    /// strip in front of any iteration where a hint target's clamp
+    /// would engage, so the VM is never asked about a clamped address.
     #[inline]
     fn strip(
         &mut self,
-        refs: &[StripRef],
+        refs: StripRefs<'_>,
         want: u64,
         lead_ns: u64,
         iter_ns: u64,
@@ -120,18 +130,57 @@ pub trait PagedVm {
     }
 
     /// What the iterations granted by the last [`PagedVm::strip`] came
-    /// to: `accesses` loads and stores made directly against the bytes,
-    /// and the `ticks` calls of `tick_user` around them, `ns` in all.
-    fn strip_charge(&mut self, ns: u64, ticks: u64, accesses: u64) {
-        let _ = (ns, ticks, accesses);
+    /// to. A VM that grants hints books each as it would have booked the
+    /// call it stands for.
+    fn strip_charge(&mut self, charge: StripCharge) {
+        let _ = charge;
         unreachable!("no strip was granted");
+    }
+
+    /// Whether this VM wants the hints a strip stood in for, as
+    /// [`PagedVm::strip_hints`]. Asked of no VM that says `false`; for
+    /// the rest the log is compiled out.
+    const LOGS_STRIP_HINTS: bool = false;
+    /// The hints the last strip made, `(address, pages)` in order, ahead
+    /// of its [`PagedVm::strip_charge`].
+    fn strip_hints(&mut self, hints: &[(u64, u64)]) {
+        let _ = hints;
     }
 }
 
-/// One reference stream of a strip: the byte address its first
-/// iteration accesses, the bytes it moves per iteration, and whether the
-/// loop body stores through it.
-pub type StripRef = (u64, i64, bool);
+/// The references a strip's iterations make, as [`PagedVm::strip`] is
+/// asked about them.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct StripRefs<'a> {
+    /// Iteration `t` makes an 8-byte access at `addr + t·delta` of each
+    /// `(addr, delta, store)`.
+    pub streams: &'a [(u64, i64, bool)],
+    /// Each iteration makes an 8-byte access (a store, when `store`)
+    /// somewhere in `[addr, addr + bytes)` of each `(addr, bytes,
+    /// store)`: an array reached through a subscript that is not affine
+    /// in the loop's variable.
+    pub arrays: &'a [(u64, u64, bool)],
+    /// Each iteration hints `pages` pages from a page of `[addr, addr +
+    /// bytes)` of each `(addr, bytes, pages)`: a `prefetch` whose target
+    /// is an element of that array, through an indirect subscript.
+    pub hints: &'a [(u64, u64, u64)],
+    /// Iteration `t` hints `pages` pages from the page of `addr +
+    /// t·delta` of each `(addr, delta, pages)`.
+    pub hint_streams: &'a [(u64, i64, u64)],
+}
+
+/// What the iterations granted by a [`PagedVm::strip`] came to: the
+/// `ticks` calls of `tick_user` they would have made, `ns` in all,
+/// `accesses` loads and stores made directly against the bytes, and
+/// `hints` prefetches of `hint_pages` pages in all.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StripCharge {
+    pub ns: u64,
+    pub ticks: u64,
+    pub accesses: u64,
+    pub hints: u64,
+    pub hint_pages: u64,
+}
 
 /// A [`PagedVm`]'s request that the run driving it stop where it is
 /// ([`crate::Vm::step`] returns `None`) until stepped again.
@@ -250,14 +299,21 @@ impl PagedVm for MemVm {
 
     // Flat memory: every iteration qualifies.
     #[inline]
-    fn strip(&mut self, _refs: &[StripRef], want: u64, _lead: u64, _iter: u64) -> (u64, &mut [u8]) {
+    fn strip(
+        &mut self,
+        _refs: StripRefs<'_>,
+        want: u64,
+        _lead: u64,
+        _iter: u64,
+    ) -> (u64, &mut [u8]) {
         (want, &mut self.data)
     }
 
     #[inline]
-    fn strip_charge(&mut self, ns: u64, _ticks: u64, accesses: u64) {
-        self.user_ns += ns;
-        self.accesses += accesses;
+    fn strip_charge(&mut self, charge: StripCharge) {
+        self.user_ns += charge.ns;
+        self.accesses += charge.accesses;
+        self.prefetches += charge.hints;
     }
 }
 

@@ -237,6 +237,8 @@ pub struct Machine {
     /// kept for their capacity so a hint allocates nothing.
     hint_spans: Vec<(u64, u64)>,
     hint_runs: Vec<PlacedRun>,
+    /// Slow-path entries so far ([`Machine::slow_entries`]).
+    slow_entries: u64,
     /// Future changes to the resident limit, sorted by time (the
     /// multiprogramming model: other applications taking and returning
     /// memory). Applied lazily as the clock passes each entry.
@@ -324,6 +326,7 @@ impl Machine {
             finished: false,
             hint_spans: Vec::new(),
             hint_runs: Vec::new(),
+            slow_entries: 0,
             pressure: Vec::new(),
             next_span: 1,
             chaos_bits: None,
@@ -437,9 +440,7 @@ impl Machine {
         let base_page = self.next_segment_page;
         assert!(
             base_page + pages <= self.total_pages(),
-            "address space exhausted: need {} pages past {}, have {}",
-            pages,
-            base_page,
+            "address space exhausted: need {pages} pages past {base_page}, have {}",
             self.total_pages()
         );
         self.next_segment_page += pages;
@@ -1000,6 +1001,12 @@ impl Machine {
         (n, &mut self.data)
     }
 
+    /// Demand accesses past the fast path, hint calls and resident-limit
+    /// changes so far: while none is made no page stops being hot.
+    pub fn slow_entries(&self) -> u64 {
+        self.slow_entries
+    }
+
     /// The extensions that intercept a demand access or a hint call
     /// before the core sees it, each with what it does there. This and
     /// [`Machine::wake_extensions`] are the one place the list is
@@ -1034,6 +1041,7 @@ impl Machine {
     /// the hint.
     #[inline(always)]
     fn wake_extensions(&mut self) -> bool {
+        self.slow_entries += 1;
         // The host profiler has no turn here: its probe brackets the
         // whole access in `touch_miss`, and hints are not probed.
         if self.durability.store.is_some() {
@@ -1651,6 +1659,7 @@ impl Machine {
     pub fn set_resident_limit(&mut self, frames: u64) {
         let min = self.params.high_water + self.params.demand_reserve + 2;
         self.params.resident_limit = frames.max(min);
+        self.slow_entries += 1;
         // Evict until we fit (in-flight pages cannot be unmapped).
         let mut guard = 0;
         while self.resident + self.inflight > self.params.resident_limit
@@ -4294,6 +4303,8 @@ mod tests {
         crossed: u64,
         iterations: u64,
         rows: usize,
+        /// Rounds whose churn entered no slow path.
+        churn_unseen: u64,
     }
 
     /// Two machines from `make`, fed the same seeded mix: a loop body's
@@ -4352,12 +4363,36 @@ mod tests {
                 );
                 run.cut_by_time += 1;
             }
+            // What the churn may change behind an unmoved count of
+            // slow-path entries: nothing any strip could be told.
+            let hot_pages = |m: &Machine| -> Vec<(bool, bool)> {
+                m.pages
+                    .iter()
+                    .map(|p| (p.hot(false), p.hot(true)))
+                    .collect()
+            };
+            let before = (a.slow_entries(), hot_pages(&a));
             for _ in 0..rng.next_below(4) {
                 let op = DiffOp::random(&mut rng, pages, page_bytes, 1);
                 let done = op.apply(&mut a, false);
                 assert_eq!(done, op.apply(&mut b, false), "{ctx}: {op:?}");
             }
             assert_same_machine(&a, &b, false, &format!("{ctx}: after churn"));
+            if a.slow_entries() == before.0 {
+                assert_eq!(
+                    hot_pages(&a),
+                    before.1,
+                    "{ctx}: a page changed on no slow path"
+                );
+                run.churn_unseen += 1;
+            }
+            // A hot page's residency bit is set: a hot range is one the
+            // filter drops every hint into.
+            let bit_kept = |v: u64| !b.pages[v as usize].hot(false) || b.bits().test(v);
+            assert!(
+                (0..pages).all(bit_kept),
+                "{ctx}: a hot page without its bit"
+            );
         }
         assert_eq!(a.try_finish(), b.try_finish(), "{arm}: try_finish");
         assert_same_machine(&a, &b, true, &format!("{arm}: after try_finish"));
@@ -4369,10 +4404,62 @@ mod tests {
     fn strips_match_per_reference_accesses_detached() {
         let run = strips_match_per_reference_accesses("detached", 3_000, tiny);
         assert!(
-            run.granted > 500 && run.refused > 500 && run.crossed > 50 && run.iterations > 20_000,
+            run.granted > 500
+                && run.refused > 500
+                && run.crossed > 50
+                && run.iterations > 20_000
+                && run.churn_unseen > 100,
             "{run:?}"
         );
         assert_eq!(run.cut_by_time, 0, "nothing tells the time here");
+    }
+
+    #[test]
+    fn a_whole_range_is_granted_only_while_every_page_of_it_is_hot() {
+        // An array reached anywhere is asked about as a stream one page
+        // apart, an iteration per page of it.
+        let mut m = tiny();
+        let hot = |m: &mut Machine, pages: u64, write| {
+            m.strip(&[(0, 4096, write)], pages, 0, 0).0 == pages
+        };
+        for v in 0..4 {
+            m.load_f64(v * 4096);
+        }
+        assert!(hot(&mut m, 4, false), "loaded: hot for loads");
+        assert!(!hot(&mut m, 4, true), "clean: not for stores");
+        assert!(!hot(&mut m, 5, false), "page 4 never touched");
+        for v in 0..4 {
+            m.store_f64(v * 4096, 1.0);
+        }
+        assert!(hot(&mut m, 4, true), "dirty-hot once each page is stored");
+        // Hits and user time enter no slow path.
+        let entries = m.slow_entries();
+        m.load_f64(8);
+        m.tick_user(1_000);
+        assert_eq!(m.slow_entries(), entries);
+        // A prefetch's arrival, not yet touched.
+        m.sys_prefetch(4, 1);
+        m.tick_user(oocp_sim::time::SECOND);
+        assert!(!hot(&mut m, 5, false), "arrived, untouched");
+        m.load_f64(4 * 4096);
+        assert!(hot(&mut m, 5, false), "touched");
+        // One page released.
+        m.sys_release(2, 1);
+        assert!(!hot(&mut m, 5, false), "a page on the free list");
+        m.load_f64(2 * 4096);
+        assert!(hot(&mut m, 5, false), "touched again");
+        // The clock sweeps over the range as the daemon makes room.
+        for v in 5..40 {
+            m.load_f64(v * 4096);
+        }
+        assert!(m.stats().daemon_evictions > 0);
+        assert!(!hot(&mut m, 5, false), "swept");
+        assert!(m.slow_entries() > entries + 30);
+        // A hot page's residency bit is set, so a hot range is one the
+        // run-time filter drops every hint into.
+        let hot_pages = (0..m.total_pages()).filter(|&v| m.pages[v as usize].hot(false));
+        assert!(hot_pages.clone().count() > 8);
+        assert!(hot_pages.clone().all(|v| m.bits().test(v)));
     }
 
     #[test]

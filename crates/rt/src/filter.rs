@@ -133,10 +133,13 @@ impl HintFilter {
         self.stats.prefetch_pages += pages;
         let mut k = 0;
         if self.mode == FilterMode::Enabled {
-            while k < pages && self.check(m, start + k) {
-                self.stats.pages_filtered += 1;
+            // Pages are checked up to the first not believed resident.
+            let bits = m.tenant_bits_of(self.tenant);
+            while k < pages && bits.test(start + k) {
                 k += 1;
             }
+            self.stats.pages_filtered += k;
+            self.check(m, (k + 1).min(pages));
         }
         self.stats.release_syscalls += u64::from(rel.is_some());
         let rel = rel.map(|(addr, n)| (m.page_of(addr), n));
@@ -177,12 +180,82 @@ impl HintFilter {
         m.sys_release(m.page_of(addr), pages);
     }
 
-    /// Check one page's residency bit, charging the user-level cost.
+    /// Book `k` residency-bit checks, each a `tick_user` of its cost: in
+    /// one step when the machine grants them as a strip with no
+    /// references (no sampler row falls due inside), else one by one.
     #[inline]
-    fn check(&mut self, m: &mut Machine, page: u64) -> bool {
-        self.stats.bit_checks += 1;
-        m.tick_user(self.check_ns);
-        m.tenant_bits_of(self.tenant).test(page)
+    fn check(&mut self, m: &mut Machine, k: u64) {
+        self.stats.bit_checks += k;
+        if m.strip(&[], k, 0, self.check_ns).0 == k {
+            m.strip_charge(k * self.check_ns, k);
+        } else {
+            (0..k).for_each(|_| m.tick_user(self.check_ns));
+        }
+    }
+
+    /// Whether a prefetch would take the passive path — counted, its
+    /// pages checked, dropped when every bit is set, nothing else
+    /// changed or consulted: the filter on and healthy, no stale-bit
+    /// fault plan whose resync cadence it would advance, no clamp of
+    /// this tenant's pages, and the shared bits its own.
+    pub(crate) fn passive(&self, m: &Machine) -> bool {
+        let shedding = match m.pressure_level() {
+            PressureLevel::Nominal => false,
+            PressureLevel::Elevated => self.spec.qos == QosClass::BestEffort,
+            PressureLevel::Brownout => self.spec.qos != QosClass::Guaranteed,
+        };
+        self.mode == FilterMode::Enabled
+            && !self.degraded
+            && !shedding
+            && self.spec.max_pipeline_depth.is_none()
+            && !m.fault_plan().is_some_and(|p| p.bitvec_stale_prob > 0.0)
+            && std::ptr::eq(m.tenant_bits_of(self.tenant), m.bits())
+    }
+
+    /// For how many iterations, `n` at most, a hint of `pages` pages at
+    /// `addr + t·delta` on iteration `t` finds every bit it would test
+    /// set and no page clamped off: walked page by page, as
+    /// [`Machine::strip`] walks a reference.
+    pub(crate) fn believed_resident(
+        &self,
+        m: &Machine,
+        addr: u64,
+        delta: i64,
+        pages: u64,
+        n: u64,
+    ) -> u64 {
+        let (bits, page_bytes) = (m.tenant_bits_of(self.tenant), m.params().page_bytes);
+        let mut t = 0;
+        while t < n {
+            let at = addr.wrapping_add(t.wrapping_mul(delta as u64));
+            let first = m.page_of(at);
+            if first.saturating_add(pages) > self.seg_end
+                || !(first..first + pages).all(|p| bits.test(p))
+            {
+                break;
+            }
+            // Iterations until `at` leaves the page, if it moves at all.
+            let within = at & (page_bytes - 1);
+            t += match delta {
+                _ if delta.unsigned_abs() >= page_bytes => 1,
+                1.. => (page_bytes - within).div_ceil(delta as u64),
+                0 => n,
+                _ => within / delta.unsigned_abs() + 1,
+            };
+        }
+        t.min(n)
+    }
+
+    /// `ops` prefetches of `pages` pages in all that took the passive
+    /// path and found every bit set, booked as [`HintFilter::hint`]
+    /// books each.
+    pub(crate) fn filtered(&mut self, m: &mut Machine, ops: u64, pages: u64) {
+        self.stats.prefetch_ops += ops;
+        self.stats.prefetch_pages += pages;
+        self.stats.pages_filtered += pages;
+        self.stats.ops_fully_filtered += ops;
+        self.hint_seq += ops;
+        self.check(m, pages);
     }
 
     /// Clamp a hint to the segment (hints near the end of an array may

@@ -17,7 +17,7 @@
 //! [`oocp_ir::PagedVm`], so the interpreter's loads, stores, and hints
 //! flow through here exactly as compiled application code would.
 
-use oocp_ir::vm::StripRef;
+use oocp_ir::vm::{StripCharge, StripRefs};
 use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Program};
 use oocp_os::{Machine, MachineParams, Segment};
 use oocp_sim::time::Ns;
@@ -128,6 +128,10 @@ pub struct Runtime {
     filtered_streak: u32,
     /// Suppression engaged (terminal for the run).
     suppressing: bool,
+    /// [`Runtime::array_hot`]'s verdicts, `(address, bytes, write,
+    /// hot)`, and the machine's slow-path entries when they were given.
+    hot_arrays: Vec<(u64, u64, bool, bool)>,
+    hot_arrays_at: u64,
 }
 
 impl Runtime {
@@ -150,6 +154,8 @@ impl Runtime {
             adaptive: false,
             filtered_streak: 0,
             suppressing: false,
+            hot_arrays: Vec::new(),
+            hot_arrays_at: 0,
         }
     }
 
@@ -235,6 +241,65 @@ impl Runtime {
         &mut self.machine
     }
 
+    /// How many of `want` iterations the references of a strip other
+    /// than its streams allow, and what one of them charges with the
+    /// checks its hints would make. An array reached through an indirect
+    /// subscript must be hot throughout. A hint is stood in for only
+    /// where the filter would drop it on its passive path, every bit it
+    /// tests set: along a hint stream, walked; for an indirect target,
+    /// every page of the array hot, so resident, so its bit set.
+    #[inline(never)]
+    fn strip_beyond_streams(&mut self, refs: StripRefs, want: u64, iter: u64) -> (u64, u64) {
+        let page = self.machine.params().page_bytes;
+        if !refs
+            .arrays
+            .iter()
+            .all(|&(addr, bytes, write)| self.array_hot(addr, bytes, write))
+        {
+            return (0, iter);
+        }
+        if refs.hints.is_empty() && refs.hint_streams.is_empty() {
+            return (want, iter);
+        }
+        if (self.adaptive && self.in_core()) || !self.filter.passive(&self.machine) {
+            return (0, iter);
+        }
+        let (mut want, mut iter) = (want, iter);
+        for &(addr, bytes, pages) in refs.hints {
+            if !self.array_hot(addr, bytes + pages.saturating_sub(1) * page, false) {
+                return (0, iter);
+            }
+            iter += pages * self.filter.check_ns;
+        }
+        for &(addr, delta, pages) in refs.hint_streams {
+            want = self
+                .filter
+                .believed_resident(&self.machine, addr, delta, pages, want);
+            iter += pages * self.filter.check_ns;
+        }
+        (want, iter)
+    }
+
+    /// Whether every page of `[addr, addr + bytes)` is hot (for a store,
+    /// when `write`): asked of the machine as a strip of one iteration a
+    /// page, and the verdict kept until it next enters a slow path.
+    fn array_hot(&mut self, addr: u64, bytes: u64, write: bool) -> bool {
+        let m = &mut self.machine;
+        if self.hot_arrays_at != m.slow_entries() {
+            self.hot_arrays_at = m.slow_entries();
+            self.hot_arrays.clear();
+        }
+        let key = (addr, bytes, write);
+        if let Some(&(.., hot)) = self.hot_arrays.iter().find(|a| (a.0, a.1, a.2) == key) {
+            return hot;
+        }
+        let page = m.params().page_bytes;
+        let (first, pages) = (addr & !(page - 1), (addr % page + bytes).div_ceil(page));
+        let hot = m.strip(&[(first, page as i64, write)], pages, 0, 0).0 == pages;
+        self.hot_arrays.push((addr, bytes, write, hot));
+        hot
+    }
+
     /// Consume the runtime, returning the machine.
     pub fn into_machine(self) -> Machine {
         self.machine
@@ -272,13 +337,21 @@ impl PagedVm for Runtime {
     }
 
     #[inline]
-    fn strip(&mut self, refs: &[StripRef], want: u64, lead: u64, iter: u64) -> (u64, &mut [u8]) {
-        self.machine.strip(refs, want, lead, iter)
+    fn strip(&mut self, refs: StripRefs, want: u64, lead: u64, iter: u64) -> (u64, &mut [u8]) {
+        let (mut want, mut iter) = (want, iter);
+        if !(refs.arrays.is_empty() && refs.hints.is_empty() && refs.hint_streams.is_empty()) {
+            (want, iter) = self.strip_beyond_streams(refs, want, iter);
+        }
+        self.machine.strip(refs.streams, want, lead, iter)
     }
 
     #[inline]
-    fn strip_charge(&mut self, ns: u64, ticks: u64, _accesses: u64) {
-        self.machine.strip_charge(ns, ticks);
+    fn strip_charge(&mut self, charge: StripCharge) {
+        self.machine.strip_charge(charge.ns, charge.ticks);
+        if charge.hints > 0 {
+            let m = &mut self.machine;
+            self.filter.filtered(m, charge.hints, charge.hint_pages);
+        }
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {

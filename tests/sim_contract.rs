@@ -42,7 +42,10 @@ const KB: u64 = 1024;
 
 #[test]
 fn every_nas_cell_is_pinned() {
-    let machines = [("incore", config(512 * KB), 0.5), ("ooc", config(128 * KB), 2.0)];
+    let machines = [
+        ("incore", config(512 * KB), 0.5),
+        ("ooc", config(128 * KB), 2.0),
+    ];
     let mut got = Vec::new();
     for (name, cfg, ratio) in &machines {
         for app in App::ALL {
@@ -62,7 +65,10 @@ fn every_nas_cell_is_pinned() {
     let stale = FaultPlan::none(7).with_bitvec_staleness(0.5);
     let cfg = config(128 * KB);
     let w = build(App::Buk, cfg.bytes_for_ratio(2.0));
-    let r = RunSpec::new(&cfg, Mode::Prefetch).faults(&stale).run(&w).result;
+    let r = RunSpec::new(&cfg, Mode::Prefetch)
+        .faults(&stale)
+        .run(&w)
+        .result;
     assert!(r.rt.periodic_resyncs > 0);
     got.push(("stale/Buk.P".to_string(), fingerprint(&r)));
 
