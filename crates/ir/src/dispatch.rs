@@ -733,19 +733,20 @@ impl<'p> Vm<'p> {
                         let left = (hi.wrapping_sub(i) - $lp.step.signum()) / $lp.step + 1;
                         refs.clear();
                         refs.extend(list.iter().map(now));
-                        hint_refs.clear();
-                        let hinted = plan.hint_refs.of(&code.strip_hint_refs).iter();
-                        hint_refs.extend(
-                            hinted.map(|&(reg, delta, pages)| {
-                                (ir[reg as usize] as u64, delta, pages)
-                            }),
-                        );
-                        let all = StripRefs {
+                        let mut all = StripRefs {
                             streams: refs,
-                            arrays: plan.arrays.of(&code.strip_arrays),
-                            hints: plan.hints.of(&code.strip_hints),
-                            hint_streams: hint_refs,
+                            ..StripRefs::default()
                         };
+                        if plan.wide {
+                            hint_refs.clear();
+                            let hinted = plan.hint_refs.of(&code.strip_hint_refs).iter();
+                            hint_refs.extend(hinted.map(|&(reg, delta, pages)| {
+                                (ir[reg as usize] as u64, delta, pages)
+                            }));
+                            all.arrays = plan.arrays.of(&code.strip_arrays);
+                            all.hints = plan.hints.of(&code.strip_hints);
+                            all.hint_streams = hint_refs;
+                        }
                         let mem;
                         (n, mem) = vm.strip(all, bound.min(left as u64), pending, plan.max_ns);
                         if n > 0 {
