@@ -10,9 +10,9 @@
 //! There are two loops. The general one runs the [`Op`] stream and makes
 //! every call the program implies. The strip executor
 //! ([`Code::run_strip`]) runs whole iterations of a hoisted leaf body
-//! for which the [`PagedVm`] has said every access is a plain hit
-//! ([`PagedVm::strip`]): no call inside, the time they owe handed over
-//! once ([`PagedVm::strip_charge`]). It interprets the body's
+//! for which the [`PagedVm`] has said every access is a plain hit and
+//! every hint one it would drop unseen ([`PagedVm::strip`]): no call
+//! inside, what they owe handed over once ([`PagedVm::strip_charge`]). It interprets the body's
 //! [strip code](crate::strip), not its `Op`s.
 
 use oocp_obs::prof::{NoProf, ProfSink};
