@@ -109,8 +109,8 @@ impl Code<'_> {
             .unwrap_or_else(|(d, sub)| self.out_of_range(r, d, sub))
     }
 
-    /// [`Code::resolve`], a subscript out of range its dimension and
-    /// value.
+    /// [`Code::resolve`], or the dimension and value of the first
+    /// subscript out of range.
     #[inline(always)]
     fn locate(&self, r: u32, ir: &[i64]) -> Result<u64, (usize, i64)> {
         let plan = &self.refs[r as usize];

@@ -390,6 +390,15 @@ pub(crate) struct Induction {
     pub delta: i64,
 }
 
+/// What an access or a hint of a strip body does with what it reaches.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Reach {
+    Load,
+    Store,
+    /// A `prefetch` of this many pages.
+    Hint(u64),
+}
+
 /// What the accesses and hints of a stretch of a strip body come to.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Accesses {
@@ -1387,7 +1396,7 @@ impl<'a> Lowerer<'a> {
         let mut plain = Vec::with_capacity((next - head) as usize + 1);
         for pc in head..next {
             // An access or a hint: its `ns`, through what it reaches, and
-            // whether it stores (`Ok`) or how many pages it hints (`Err`).
+            // what it does there.
             let mut reach = None;
             let mut branch = |to: Pc, cmp: CmpOp, charge: Charge| {
                 if to <= pc || to > next {
@@ -1400,40 +1409,40 @@ impl<'a> Lowerer<'a> {
             };
             let (mut kind, mut d, mut a, b, c) = match self.code.ops[pc as usize] {
                 Op::LoadF { dst, at, ns } => {
-                    reach = Some((ns, At::Reg(at), Ok(false)));
+                    reach = Some((ns, At::Reg(at), Reach::Load));
                     (K::LoadF, dst, at, 0, 0)
                 }
                 Op::LoadI { dst, at, ns } => {
-                    reach = Some((ns, At::Reg(at), Ok(false)));
+                    reach = Some((ns, At::Reg(at), Reach::Load));
                     (K::LoadI, dst, at, 0, 0)
                 }
                 Op::StoreF { src, at, ns } => {
-                    reach = Some((ns, At::Reg(at), Ok(true)));
+                    reach = Some((ns, At::Reg(at), Reach::Store));
                     (K::StoreF, at, src, 0, 0)
                 }
                 Op::StoreI { src, at, ns } => {
-                    reach = Some((ns, At::Reg(at), Ok(true)));
+                    reach = Some((ns, At::Reg(at), Reach::Store));
                     (K::StoreI, at, src, 0, 0)
                 }
                 Op::LoadFAt { dst, r, ns } => {
-                    reach = Some((ns, At::Ref(r), Ok(false)));
+                    reach = Some((ns, At::Ref(r), Reach::Load));
                     (K::LoadFAt, dst, r, 0, 0)
                 }
                 Op::LoadIAt { dst, r, ns } => {
-                    reach = Some((ns, At::Ref(r), Ok(false)));
+                    reach = Some((ns, At::Ref(r), Reach::Load));
                     (K::LoadIAt, dst, r, 0, 0)
                 }
                 Op::StoreFAt { src, r, ns } => {
-                    reach = Some((ns, At::Ref(r), Ok(true)));
+                    reach = Some((ns, At::Ref(r), Reach::Store));
                     (K::StoreFAt, r, src, 0, 0)
                 }
                 Op::StoreIAt { src, r, ns } => {
-                    reach = Some((ns, At::Ref(r), Ok(true)));
+                    reach = Some((ns, At::Ref(r), Reach::Store));
                     (K::StoreIAt, r, src, 0, 0)
                 }
                 // A hint that names no page is dropped unfiltered.
                 Op::PrefetchAt { r, pages, ns } if pages > 0 => {
-                    reach = Some((ns, At::Ref(r), Err(pages)));
+                    reach = Some((ns, At::Ref(r), Reach::Hint(pages)));
                     (K::PrefetchAt, 0, r, narrow(pages)?.into(), 0)
                 }
                 Op::Check { r } => (K::Check, 0, r, 0, 0),
@@ -1505,7 +1514,7 @@ impl<'a> Lowerer<'a> {
             if let Some((ns, at, what)) = reach {
                 match at {
                     At::Reg(at) => {
-                        refs.iter_mut().find(|(reg, ..)| *reg == at)?.2 |= what == Ok(true)
+                        refs.iter_mut().find(|(reg, ..)| *reg == at)?.2 |= what == Reach::Store
                     }
                     _ if pc < guarded => return None,
                     At::Ref(r) => {
@@ -1524,8 +1533,8 @@ impl<'a> Lowerer<'a> {
                             let (reg, delta) = (self.fresh_i(), per_iter.wrapping_mul(step));
                             late.push(Induction { r, reg, delta });
                             match what {
-                                Ok(store) => refs.push((reg, delta, store)),
-                                Err(pages) => hint_refs.push((reg, delta, pages)),
+                                Reach::Hint(pages) => hint_refs.push((reg, delta, pages)),
+                                access => refs.push((reg, delta, access == Reach::Store)),
                             }
                             (kind, d, a) = match kind {
                                 K::LoadFAt => (K::LoadF, d, reg),
@@ -1536,14 +1545,19 @@ impl<'a> Lowerer<'a> {
                             };
                         } else {
                             match what {
-                                Ok(store) => match arrays.iter_mut().find(|a| a.0 == base) {
-                                    Some(a) => a.2 |= store,
-                                    None => arrays.push((base, bytes, store)),
-                                },
-                                Err(pages) => match hints.iter_mut().find(|h| h.0 == base) {
-                                    Some(h) => h.2 = h.2.max(pages),
-                                    None => hints.push((base, bytes, pages)),
-                                },
+                                Reach::Hint(pages) => {
+                                    match hints.iter_mut().find(|h| h.0 == base) {
+                                        Some(h) => h.2 = h.2.max(pages),
+                                        None => hints.push((base, bytes, pages)),
+                                    }
+                                }
+                                access => {
+                                    let store = access == Reach::Store;
+                                    match arrays.iter_mut().find(|a| a.0 == base) {
+                                        Some(a) => a.2 |= store,
+                                        None => arrays.push((base, bytes, store)),
+                                    }
+                                }
                             }
                         }
                     }
