@@ -37,10 +37,11 @@ pub struct Vm<'p> {
     /// The run is parked inside the op at `pc`, which has paid — been
     /// charged, flushed and counted — but still owes its call.
     paid: bool,
-    /// The demand and hint streams of the strip being asked for, and the
-    /// hints a strip made for a VM that logs them; all reused.
+    /// The demand and hint streams of the strip being asked for; reused.
     strip_refs: Vec<(u64, i64, bool)>,
     strip_hint_refs: Vec<(u64, i64, u64)>,
+    /// The hints a strip made, for a VM that logs them (test builds).
+    #[cfg(test)]
     strip_log: Vec<(u64, u64)>,
 }
 
@@ -556,6 +557,7 @@ impl<'p> Vm<'p> {
             paid: false,
             strip_refs: Vec::new(),
             strip_hint_refs: Vec::new(),
+            #[cfg(test)]
             strip_log: Vec::new(),
         }
     }
@@ -597,7 +599,11 @@ impl<'p> Vm<'p> {
         let mut pending = self.pending_ns;
         let mut stats = self.stats;
         let (refs, hint_refs) = (&mut self.strip_refs, &mut self.strip_hint_refs);
+        #[cfg(test)]
         let log = &mut self.strip_log;
+        // Never pushed to: only a test VM logs the hints strips make.
+        #[cfg(not(test))]
+        let log = &mut Vec::new();
         // Constant `false` for a `vm` that never parks, and every park
         // check below folds away with it.
         let mut paid = M::PARKS && std::mem::take(&mut self.paid);
@@ -750,17 +756,19 @@ impl<'p> Vm<'p> {
                         let mem;
                         (n, mem) = vm.strip(all, bound.min(left as u64), pending, plan.max_ns);
                         if n > 0 {
-                            let strip = match (M::LOGS_STRIP_HINTS, plan.wide) {
-                                (true, _) => code.run_strip::<true, true>(
+                            let strip = match plan.wide {
+                                #[cfg(test)]
+                                _ if M::LOGS_STRIP_HINTS => code.run_strip::<true, true>(
                                     $lp, n, pending, ir, fr, mem, &mut stats, log,
                                 ),
-                                (false, true) => code.run_strip::<false, true>(
+                                true => code.run_strip::<false, true>(
                                     $lp, n, pending, ir, fr, mem, &mut stats, log,
                                 ),
-                                (false, false) => code.run_strip::<false, false>(
+                                false => code.run_strip::<false, false>(
                                     $lp, n, pending, ir, fr, mem, &mut stats, log,
                                 ),
                             };
+                            #[cfg(test)]
                             if M::LOGS_STRIP_HINTS {
                                 vm.strip_hints(log);
                                 log.clear();

@@ -138,11 +138,13 @@ pub trait PagedVm {
     }
 
     /// Whether this VM wants the hints a strip stood in for, as
-    /// [`PagedVm::strip_hints`]. Asked of no VM that says `false`; for
-    /// the rest the log is compiled out.
+    /// [`PagedVm::strip_hints`]: the oracle's, which holds the hint
+    /// stream of a run in strips to the tree-walker's. Test builds only.
+    #[cfg(test)]
     const LOGS_STRIP_HINTS: bool = false;
     /// The hints the last strip made, `(address, pages)` in order, ahead
     /// of its [`PagedVm::strip_charge`].
+    #[cfg(test)]
     fn strip_hints(&mut self, hints: &[(u64, u64)]) {
         let _ = hints;
     }

@@ -237,8 +237,6 @@ pub struct Machine {
     /// kept for their capacity so a hint allocates nothing.
     hint_spans: Vec<(u64, u64)>,
     hint_runs: Vec<PlacedRun>,
-    /// Slow-path entries so far ([`Machine::slow_entries`]).
-    slow_entries: u64,
     /// Future changes to the resident limit, sorted by time (the
     /// multiprogramming model: other applications taking and returning
     /// memory). Applied lazily as the clock passes each entry.
@@ -326,7 +324,6 @@ impl Machine {
             finished: false,
             hint_spans: Vec::new(),
             hint_runs: Vec::new(),
-            slow_entries: 0,
             pressure: Vec::new(),
             next_span: 1,
             chaos_bits: None,
@@ -440,7 +437,9 @@ impl Machine {
         let base_page = self.next_segment_page;
         assert!(
             base_page + pages <= self.total_pages(),
-            "address space exhausted: need {pages} pages past {base_page}, have {}",
+            "address space exhausted: need {} pages past {}, have {}",
+            pages,
+            base_page,
             self.total_pages()
         );
         self.next_segment_page += pages;
@@ -975,36 +974,35 @@ impl Machine {
             n = n.min(room.map_or(0, |ns| ns.checked_div(iter_ns).unwrap_or(n)));
         }
         for &(addr, delta, write) in refs {
-            let (mut at, mut hits) = (addr, 0);
-            // A stride of a page or more leaves the page every iteration.
-            let far = delta.unsigned_abs() >= self.params.page_bytes;
+            debug_assert!(n == 0 || !write || self.durability.store.is_none());
             // Aligned words never straddle a page.
-            while hits < n && (at | delta as u64) & 7 == 0 {
-                match self.pages.get(self.page_of(at) as usize) {
-                    Some(page) if page.hot(write) => {}
-                    _ => break,
-                }
-                debug_assert!(!write || self.durability.store.is_none());
-                // Iterations until `at` leaves the page, if it moves at all.
-                let within = at & (self.params.page_bytes - 1);
-                let ahead = match delta {
-                    _ if far => 1,
-                    1.. => (self.params.page_bytes - within).div_ceil(delta as u64),
-                    0 => n,
-                    _ => within / delta.unsigned_abs() + 1,
-                };
-                hits += ahead;
-                at = at.wrapping_add(ahead.wrapping_mul(delta as u64));
-            }
-            n = n.min(hits);
+            n *= u64::from((addr | delta as u64) & 7 == 0);
+            let hot = |v: u64| self.pages.get(v as usize).is_some_and(|p| p.hot(write));
+            n = self.walk_pages(addr, delta, n, hot);
         }
         (n, &mut self.data)
     }
 
-    /// Demand accesses past the fast path, hint calls and resident-limit
-    /// changes so far: while none is made no page stops being hot.
-    pub fn slow_entries(&self) -> u64 {
-        self.slow_entries
+    /// For how many iterations, `n` at most, a reference at `addr +
+    /// t·delta` on iteration `t` finds `ok` of the page it reaches true,
+    /// asked once a page: up to the first page it refuses.
+    #[inline]
+    pub fn walk_pages(&self, addr: u64, delta: i64, n: u64, ok: impl Fn(u64) -> bool) -> u64 {
+        let (page_bytes, mut at, mut t) = (self.params.page_bytes, addr, 0);
+        while t < n && ok(self.page_of(at)) {
+            // Iterations until `at` leaves the page, if it moves at all.
+            let within = at & (page_bytes - 1);
+            let ahead = match delta {
+                // A stride of a page or more leaves the page every iteration.
+                _ if delta.unsigned_abs() >= page_bytes => 1,
+                1.. => (page_bytes - within).div_ceil(delta as u64),
+                0 => n,
+                _ => within / delta.unsigned_abs() + 1,
+            };
+            t += ahead;
+            at = at.wrapping_add(ahead.wrapping_mul(delta as u64));
+        }
+        t.min(n)
     }
 
     /// The extensions that intercept a demand access or a hint call
@@ -1041,7 +1039,6 @@ impl Machine {
     /// the hint.
     #[inline(always)]
     fn wake_extensions(&mut self) -> bool {
-        self.slow_entries += 1;
         // The host profiler has no turn here: its probe brackets the
         // whole access in `touch_miss`, and hints are not probed.
         if self.durability.store.is_some() {
@@ -1659,7 +1656,6 @@ impl Machine {
     pub fn set_resident_limit(&mut self, frames: u64) {
         let min = self.params.high_water + self.params.demand_reserve + 2;
         self.params.resident_limit = frames.max(min);
-        self.slow_entries += 1;
         // Evict until we fit (in-flight pages cannot be unmapped).
         let mut guard = 0;
         while self.resident + self.inflight > self.params.resident_limit
@@ -4303,8 +4299,6 @@ mod tests {
         crossed: u64,
         iterations: u64,
         rows: usize,
-        /// Rounds whose churn entered no slow path.
-        churn_unseen: u64,
     }
 
     /// Two machines from `make`, fed the same seeded mix: a loop body's
@@ -4363,29 +4357,12 @@ mod tests {
                 );
                 run.cut_by_time += 1;
             }
-            // What the churn may change behind an unmoved count of
-            // slow-path entries: nothing any strip could be told.
-            let hot_pages = |m: &Machine| -> Vec<(bool, bool)> {
-                m.pages
-                    .iter()
-                    .map(|p| (p.hot(false), p.hot(true)))
-                    .collect()
-            };
-            let before = (a.slow_entries(), hot_pages(&a));
             for _ in 0..rng.next_below(4) {
                 let op = DiffOp::random(&mut rng, pages, page_bytes, 1);
                 let done = op.apply(&mut a, false);
                 assert_eq!(done, op.apply(&mut b, false), "{ctx}: {op:?}");
             }
             assert_same_machine(&a, &b, false, &format!("{ctx}: after churn"));
-            if a.slow_entries() == before.0 {
-                assert_eq!(
-                    hot_pages(&a),
-                    before.1,
-                    "{ctx}: a page changed on no slow path"
-                );
-                run.churn_unseen += 1;
-            }
             // A hot page's residency bit is set: a hot range is one the
             // filter drops every hint into.
             let bit_kept = |v: u64| !b.pages[v as usize].hot(false) || b.bits().test(v);
@@ -4404,11 +4381,7 @@ mod tests {
     fn strips_match_per_reference_accesses_detached() {
         let run = strips_match_per_reference_accesses("detached", 3_000, tiny);
         assert!(
-            run.granted > 500
-                && run.refused > 500
-                && run.crossed > 50
-                && run.iterations > 20_000
-                && run.churn_unseen > 100,
+            run.granted > 500 && run.refused > 500 && run.crossed > 50 && run.iterations > 20_000,
             "{run:?}"
         );
         assert_eq!(run.cut_by_time, 0, "nothing tells the time here");
@@ -4432,11 +4405,6 @@ mod tests {
             m.store_f64(v * 4096, 1.0);
         }
         assert!(hot(&mut m, 4, true), "dirty-hot once each page is stored");
-        // Hits and user time enter no slow path.
-        let entries = m.slow_entries();
-        m.load_f64(8);
-        m.tick_user(1_000);
-        assert_eq!(m.slow_entries(), entries);
         // A prefetch's arrival, not yet touched.
         m.sys_prefetch(4, 1);
         m.tick_user(oocp_sim::time::SECOND);
@@ -4454,7 +4422,6 @@ mod tests {
         }
         assert!(m.stats().daemon_evictions > 0);
         assert!(!hot(&mut m, 5, false), "swept");
-        assert!(m.slow_entries() > entries + 30);
         // A hot page's residency bit is set, so a hot range is one the
         // run-time filter drops every hint into.
         let hot_pages = (0..m.total_pages()).filter(|&v| m.pages[v as usize].hot(false));

@@ -214,8 +214,8 @@ impl HintFilter {
 
     /// For how many iterations, `n` at most, a hint of `pages` pages at
     /// `addr + t·delta` on iteration `t` finds every bit it would test
-    /// set and no page clamped off: walked page by page, as
-    /// [`Machine::strip`] walks a reference.
+    /// set and no page clamped off: walked by [`Machine::walk_pages`],
+    /// as [`Machine::strip`] walks a reference over `Page::hot`.
     pub(crate) fn believed_resident(
         &self,
         m: &Machine,
@@ -224,26 +224,11 @@ impl HintFilter {
         pages: u64,
         n: u64,
     ) -> u64 {
-        let (bits, page_bytes) = (m.tenant_bits_of(self.tenant), m.params().page_bytes);
-        let mut t = 0;
-        while t < n {
-            let at = addr.wrapping_add(t.wrapping_mul(delta as u64));
-            let first = m.page_of(at);
-            if first.saturating_add(pages) > self.seg_end
-                || !(first..first + pages).all(|p| bits.test(p))
-            {
-                break;
-            }
-            // Iterations until `at` leaves the page, if it moves at all.
-            let within = at & (page_bytes - 1);
-            t += match delta {
-                _ if delta.unsigned_abs() >= page_bytes => 1,
-                1.. => (page_bytes - within).div_ceil(delta as u64),
-                0 => n,
-                _ => within / delta.unsigned_abs() + 1,
-            };
-        }
-        t.min(n)
+        let bits = m.tenant_bits_of(self.tenant);
+        m.walk_pages(addr, delta, n, |first| {
+            first.saturating_add(pages) <= self.seg_end
+                && (first..first + pages).all(|p| bits.test(p))
+        })
     }
 
     /// `ops` prefetches of `pages` pages in all that took the passive

@@ -128,10 +128,6 @@ pub struct Runtime {
     filtered_streak: u32,
     /// Suppression engaged (terminal for the run).
     suppressing: bool,
-    /// [`Runtime::array_hot`]'s verdicts, `(address, bytes, write,
-    /// hot)`, and the machine's slow-path entries when they were given.
-    hot_arrays: Vec<(u64, u64, bool, bool)>,
-    hot_arrays_at: u64,
 }
 
 impl Runtime {
@@ -154,8 +150,6 @@ impl Runtime {
             adaptive: false,
             filtered_streak: 0,
             suppressing: false,
-            hot_arrays: Vec::new(),
-            hot_arrays_at: 0,
         }
     }
 
@@ -282,22 +276,12 @@ impl Runtime {
 
     /// Whether every page of `[addr, addr + bytes)` is hot (for a store,
     /// when `write`): asked of the machine as a strip of one iteration a
-    /// page, and the verdict kept until it next enters a slow path.
+    /// page.
     fn array_hot(&mut self, addr: u64, bytes: u64, write: bool) -> bool {
         let m = &mut self.machine;
-        if self.hot_arrays_at != m.slow_entries() {
-            self.hot_arrays_at = m.slow_entries();
-            self.hot_arrays.clear();
-        }
-        let key = (addr, bytes, write);
-        if let Some(&(.., hot)) = self.hot_arrays.iter().find(|a| (a.0, a.1, a.2) == key) {
-            return hot;
-        }
         let page = m.params().page_bytes;
         let (first, pages) = (addr & !(page - 1), (addr % page + bytes).div_ceil(page));
-        let hot = m.strip(&[(first, page as i64, write)], pages, 0, 0).0 == pages;
-        self.hot_arrays.push((addr, bytes, write, hot));
-        hot
+        m.strip(&[(first, page as i64, write)], pages, 0, 0).0 == pages
     }
 
     /// Consume the runtime, returning the machine.
