@@ -40,7 +40,7 @@ pub use export::chrome_trace_json;
 // Fault-injection types, re-exported so layers above the OS (the
 // run-time filter, the bench harness) can build plans without a direct
 // disk-crate dependency.
-pub use machine::{DurableRecord, Machine, RecoveryReport, Segment, Touch};
+pub use machine::{Machine, RecoveryReport, Segment, Touch};
 pub use metrics::MetricsReport;
 // Observability types that appear in this crate's public API, re-
 // exported for the same reason as the fault-injection types above.

@@ -29,7 +29,7 @@ use oocp_sim::stats::TimeWeighted;
 use oocp_sim::time::{Ns, TimeBreakdown, TimeCategory};
 
 use self::durability::Durability;
-pub use self::durability::{DurableRecord, RecoveryReport};
+pub use self::durability::RecoveryReport;
 use self::freelist::FreeList;
 use self::observe::Observers;
 use self::policy::PolicyState;
@@ -128,8 +128,8 @@ impl Page {
     /// The page is currently counted as "in memory" in the shared bit
     /// vector (idempotence guard for the per-bit reference counts).
     const BIT_NOTED: u8 = 1 << 6;
-    /// A plain durable write in flight carries the page's live image as
-    /// its payload (`durability::PlainWrite`): `Machine::unshare` must
+    /// A durable write in flight carries the page's live image as its
+    /// payload (`durability::DurableWrite`): `Machine::unshare` must
     /// copy the page before anything changes its bytes.
     const SHARED: u8 = 1 << 7;
     /// What outlives a change of residency.
@@ -3300,6 +3300,87 @@ mod tests {
         );
     }
 
+    /// The most page buffers a journaled page walk making `sweeps`
+    /// sweeps holds at a landing, ring records included, each landing
+    /// checked against the rings' slots plus the writes in flight
+    /// (`Machine::note_landing`), and the ring slots.
+    fn journaled_buffers_of_a_page_walk(sweeps: u64) -> (usize, u64) {
+        let p = MachineParams::small().with_memory_bytes(64 * 4096);
+        let mut m = Machine::new(p, 256 * 4096);
+        m.set_fault_plan(&crash_plan(3, CrashPoint::AtOp(u64::MAX), false));
+        durability::JOURNALED_PEAK.set(Some(0));
+        for sweep in 0..sweeps {
+            for page in 0..256 {
+                m.store_f64(page * 4096 + sweep % 512 * 8, (sweep * 256 + page) as f64);
+                m.tick_user(300 * oocp_sim::time::MICROSECOND);
+            }
+        }
+        assert!(m.try_finish().is_ok());
+        let slots = p.ndisks as u64 * p.journal_blocks_per_disk / oocp_fs::RECORD_BLOCKS;
+        assert!(
+            m.stats().journal_appends > 4 * slots,
+            "the walk wrote back more records than the rings hold"
+        );
+        let peak = durability::JOURNALED_PEAK.take().expect("watched");
+        (peak, slots)
+    }
+
+    #[test]
+    fn journaled_write_backs_are_bounded_by_the_rings_not_by_the_run() {
+        let (short, slots) = journaled_buffers_of_a_page_walk(4);
+        // A record per slot, and a copy per write in flight, which holds
+        // a slot too.
+        assert!(
+            short > 0 && short as u64 <= 2 * slots,
+            "{short} page buffers, for {slots} ring slots"
+        );
+        assert_eq!(
+            journaled_buffers_of_a_page_walk(16),
+            (short, slots),
+            "4 and 16 sweeps"
+        );
+    }
+
+    #[test]
+    fn the_scrubber_repairs_only_from_what_the_rings_hold() {
+        // Page 0's one record, then more records on its disk than its
+        // ring has slots: a later record has taken page 0's slot, so
+        // nothing is left to repair it from.
+        let mut m = tiny();
+        m.set_fault_plan(&crash_plan(9, CrashPoint::AtOp(u64::MAX), false));
+        let (home, _) = m.fs.place(m.swap, 0).unwrap();
+        let disk_pages: Vec<u64> = (1..64)
+            .filter(|&p| m.fs.place(m.swap, p).unwrap().0 == home)
+            .collect();
+        m.store_f64(0, 1.0);
+        m.sys_release(0, 1);
+        let slots = m.params.journal_blocks_per_disk / oocp_fs::RECORD_BLOCKS;
+        let mut later = 0;
+        while later <= slots {
+            for &p in &disk_pages {
+                m.store_f64(p * 4096, later as f64);
+                m.sys_release(p, 1);
+                later += 1;
+            }
+        }
+        // Page 0 goes cold.
+        for p in 1..64 {
+            m.touch(p * 4096, 8, false);
+        }
+        m.try_finish().expect("clean durable run");
+        assert_eq!(m.pages[0].residency(), Residency::Unmapped);
+        for page in 0..64u64 {
+            assert!(m.corrupt_durable_page(page));
+        }
+        let (verified, repaired) = m.scrub(u64::MAX);
+        assert!(
+            verified > 0 && repaired > 0,
+            "pages the rings hold were repaired"
+        );
+        let store = m.durability.store.as_ref().expect("crash mode");
+        assert!(!store.verify(0, &m.data), "page 0's record was overwritten");
+    }
+
     /// The first word of `page`'s durable image.
     fn durable_word(m: &Machine, page: u64) -> f64 {
         let store = m.durability.store.as_ref().expect("a durable store");
@@ -3343,9 +3424,17 @@ mod tests {
 
     #[test]
     fn a_store_behind_a_write_back_lands_the_bytes_the_write_had() {
-        // A timed store, and an untimed `poke`, which dirties nothing.
-        for poke in [false, true] {
+        // A timed store, and an untimed `poke`, which dirties nothing;
+        // behind a plain write, and behind a journaled one whose ring
+        // has one slot a disk, so that the next write-back on page 0's
+        // disk retires its record.
+        for (journal, poke) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut m = tiny_parity();
+            if journal {
+                m = tiny();
+                m.params.journal_blocks_per_disk = oocp_fs::RECORD_BLOCKS;
+                m.set_fault_plan(&crash_plan(3, CrashPoint::AtOp(u64::MAX), false));
+            }
             write_back_page_zero(&mut m, 1.0);
             assert_eq!(m.durability.payload_buffers(), 0, "nothing copied yet");
             if poke {
@@ -3356,10 +3445,11 @@ mod tests {
             assert_eq!(m.durability.payload_buffers(), 1, "poke {poke}: copied");
             assert!(!m.pages[0].has(Page::SHARED));
             land_in_flight_writes(&mut m);
+            assert_eq!(m.stats().journal_stalls, journal as u64);
             assert_eq!(durable_word(&m, 0), 1.0, "poke {poke}: the write's bytes");
             assert_eq!(m.peek_f64(0), 2.0, "poke {poke}: memory keeps the store");
             assert!(m.try_finish().is_ok());
-            if !poke {
+            if !poke && !journal {
                 assert_durable_is_memory_and_parity_its_xor(&m);
             }
         }
@@ -3402,50 +3492,67 @@ mod tests {
         // Page 0 carries 1.0 in the first word of every sector when its
         // write-back is issued, and 2.0 once stored again: before the
         // power dies, or by the zombie run after. The crash catches the
-        // write mid-air and lands a sector prefix of it, which must be
-        // the write's own bytes, never the later store's.
+        // write mid-air — a bare write, or the journal's with its seal
+        // durable — and lands a sector prefix of it, which must be the
+        // write's own bytes, never the later store's.
         let sector = SECTOR_BYTES;
         let store_sectors = |m: &mut Machine, v: f64| {
             for s in 0..4096 / sector {
                 m.store_f64(s * sector, v);
             }
         };
-        let mut landed = 0;
-        for (seed, zombie) in (0..8).flat_map(|seed| [(seed, false), (seed, true)]) {
-            let mut p = MachineParams::small();
-            p.journal = false;
-            let mut m = Machine::new(p, 64 * 4096);
-            // Op 0 is page 0's fault, op 1 its write-back, op 2 the
-            // fault on page 1 that finds the power gone.
-            m.set_fault_plan(&crash_plan(seed, CrashPoint::AtOp(2), true));
-            store_sectors(&mut m, 1.0);
-            m.sys_release(0, 1);
-            if !zombie {
-                store_sectors(&mut m, 2.0);
-            }
-            m.touch(4096, 8, false);
-            assert!(m.crashed_at().is_some());
-            if zombie {
-                store_sectors(&mut m, 2.0);
+        for journal in [false, true] {
+            let (mut landed, mut short) = (0, 0);
+            for (seed, zombie) in (0..8).flat_map(|seed| [(seed, false), (seed, true)]) {
+                let mut p = MachineParams::small();
+                p.journal = journal;
+                let mut m = Machine::new(p, 64 * 4096);
+                // Op 0 is page 0's fault, then its write-back (one write,
+                // or the journal's four), then the fault on page 1 that
+                // finds the power gone.
+                let op = if journal { 5 } else { 2 };
+                m.set_fault_plan(&crash_plan(seed, CrashPoint::AtOp(op), true));
+                store_sectors(&mut m, 1.0);
+                m.sys_release(0, 1);
+                if !zombie {
+                    store_sectors(&mut m, 2.0);
+                }
+                // 10 ms on, the journal's descriptor and payload blocks
+                // have landed and its data write has not.
+                m.tick_user(journal as u64 * 10 * MILLISECOND);
+                m.touch(4096, 8, false);
+                assert!(m.crashed_at().is_some());
+                if zombie {
+                    store_sectors(&mut m, 2.0);
+                }
+                assert!(
+                    m.try_finish().is_err(),
+                    "the second store never reached the disks"
+                );
+                let (discarded, _) = m.durability.crash_verdict();
+                assert!(!journal || discarded.is_empty(), "seed {seed}: sealed");
+                let store = m.durability.store.as_ref().expect("crash mode");
+                let mut ones = 0;
+                for s in 0..4096 / sector {
+                    let at = (s * sector) as usize;
+                    let word = store.page(0, &m.data)[at..at + 8].try_into().unwrap();
+                    let word = f64::from_le_bytes(word);
+                    assert!(
+                        word == 0.0 || word == 1.0,
+                        "journal {journal}, seed {seed}: sector {s} holds {word}"
+                    );
+                    ones += (word == 1.0) as u64;
+                }
+                landed += ones;
+                short += (ones < 4096 / sector) as u64;
+                assert_eq!(m.peek_f64(0), 2.0);
             }
             assert!(
-                m.try_finish().is_err(),
-                "the second store never reached the disks"
+                landed > 0,
+                "journal {journal}: some draws landed part of the write"
             );
-            let store = m.durability.store.as_ref().expect("crash mode");
-            for s in 0..4096 / sector {
-                let at = (s * sector) as usize;
-                let word = store.page(0, &m.data)[at..at + 8].try_into().unwrap();
-                let word = f64::from_le_bytes(word);
-                assert!(
-                    word == 0.0 || word == 1.0,
-                    "seed {seed}: sector {s} holds {word}"
-                );
-                landed += (word == 1.0) as u64;
-            }
-            assert_eq!(m.peek_f64(0), 2.0);
+            assert!(short > 0, "journal {journal}: some caught it mid-air");
         }
-        assert!(landed > 0, "some draws landed part of the write");
     }
 
     #[test]

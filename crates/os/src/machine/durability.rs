@@ -1,12 +1,13 @@
 //! Durability (DESIGN.md §9): what has durably landed on the media, as
-//! opposed to what memory holds — the journaled and plain write-back
-//! protocols, the crash latch and its resolution, the zombie touch,
-//! [`Machine::recover`] and the scrubber. Armed by a scheduled crash
-//! point, a recovery, or parity mode; otherwise nothing here runs.
+//! opposed to what memory holds — one queue of durable write-backs in
+//! flight, journaled or plain, the records the journal rings hold, the
+//! crash latch and its resolution, the zombie touch, [`Machine::recover`]
+//! and the scrubber. Armed by a scheduled crash point, a recovery, or
+//! parity mode; otherwise nothing here runs.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use oocp_disk::{CrashPoint, CrashSpec, DiskArray, ReqKind, Request, Ticket};
+use oocp_disk::{CrashPoint, CrashSpec, ReqKind, Request, Ticket};
 use oocp_fs::WriteJournal;
 use oocp_obs::MachineBucket;
 use oocp_sim::rng::SimRng;
@@ -17,68 +18,107 @@ use crate::error::OsError;
 use crate::params::{MachineParams, Redundancy};
 use crate::store::{DurableStore, SECTOR_BYTES};
 
-/// One journaled writeback whose commit protocol is in flight: the
-/// journal slot it reserved, a snapshot of the page image being
-/// written, and the tickets of the protocol's four writes (descriptor,
-/// payload, in-place data, commit mark). A ticket is `None` when the
-/// submission itself was refused (crash or exhausted retries) — the
-/// write never reached the media, so its effective completion time is
-/// "never".
-struct WalRecord {
-    seq: u64,
-    disk: usize,
-    vpage: u64,
-    payload: Vec<u8>,
-    desc: Option<Ticket>,
-    pay: Option<Ticket>,
-    data: Option<Ticket>,
-    commit: Option<Ticket>,
-}
-
-impl WalRecord {
-    /// The record as a scan of the journal rings finds it.
-    fn into_durable(self, committed: bool) -> DurableRecord {
-        DurableRecord {
-            seq: self.seq,
-            disk: self.disk,
-            vpage: self.vpage,
-            payload: self.payload,
-            committed,
-        }
-    }
-}
-
-/// An unjournaled durable write in flight: parity mode with no crash
-/// scheduled, or durability mode with the journal disabled — the
-/// configuration the negative CI gate uses to prove torn writes lose
-/// data without WAL protection.
+/// A durable write-back in flight: the tracked write of a page to its
+/// home block and, through the write-ahead journal, the ring slot it
+/// reserved and the protocol's other writes. Without the journal it is
+/// a bare write (parity mode with no crash scheduled, or durability
+/// mode with the journal disabled — the configuration the negative CI
+/// gate uses to prove torn writes lose data without WAL protection).
 ///
 /// The write carries the page's live image, not a copy of it: while it
 /// is in flight the page carries [`Page::SHARED`], so whatever is about
 /// to change its bytes first calls [`Machine::unshare`], which gives the
 /// write its own copy of them (`copy`). Until then the live page *is*
-/// the payload.
-struct PlainWrite {
+/// the payload, of the home block and of the journal slot alike.
+struct DurableWrite {
     vpage: u64,
     copy: Option<Vec<u8>>,
-    data: Ticket,
+    /// The in-place data write. A ticket is `None` when the submission
+    /// itself was refused (crash or exhausted retries): the write never
+    /// reached the media, so its effective completion time is "never".
+    /// A bare write is queued only once accepted.
+    data: Option<Ticket>,
+    /// A journaled write's part, boxed so that a bare write — each
+    /// write-back of a parity run — stays small.
+    journal: Option<Box<JournalWrite>>,
 }
 
-/// A journal record whose journal blocks were durable when the power
-/// died — exactly what a recovery scan of the rings can see.
-#[derive(Clone, Debug)]
-pub struct DurableRecord {
+/// The journal's part of a write-back: the slot it reserved (its disk
+/// and the record's sequence number) and the descriptor, payload and
+/// commit-mark tickets.
+struct JournalWrite {
+    slot: (usize, u64),
+    tickets: [Option<Ticket>; 3],
+}
+
+impl DurableWrite {
+    /// The journal slot of a journaled write.
+    fn slot(&self) -> Option<(usize, u64)> {
+        self.journal.as_ref().map(|j| j.slot)
+    }
+
+    /// The tickets in protocol order: descriptor, payload, in-place
+    /// data, commit mark.
+    fn tickets(&self) -> [Option<Ticket>; 4] {
+        let [desc, pay, commit] = self.journal.as_ref().map_or([None; 3], |j| j.tickets);
+        [desc, pay, self.data, commit]
+    }
+}
+
+/// A journal record whose journal blocks became durable: what a scan of
+/// the rings finds in its slot until a later record on the same disk
+/// takes the slot.
+struct RingRecord {
     /// Record sequence number (per-disk monotone).
-    pub seq: u64,
-    /// Disk whose ring holds the record.
-    pub disk: usize,
-    /// The page the record describes.
-    pub vpage: u64,
+    seq: u64,
+    vpage: u64,
     /// The full page image from the journal's payload block.
-    pub payload: Vec<u8>,
-    /// Whether the commit mark was durable too (the in-place data
-    /// write is then guaranteed durable by the write barrier).
-    pub committed: bool,
+    payload: Vec<u8>,
+    /// Whether the commit mark was durable too (the in-place data write
+    /// is then guaranteed durable by the write barrier).
+    committed: bool,
+}
+
+/// The write-ahead journal: the rings' geometry and accounting, and
+/// what their slots hold.
+struct Journal {
+    rings: WriteJournal,
+    /// Per slot (`disk * slots + seq % slots`), the last record sealed
+    /// into it: the retired history is what the rings hold.
+    records: Vec<Option<RingRecord>>,
+}
+
+impl Journal {
+    /// Seal `w`'s record into its slot, over the record the slot held.
+    /// Its payload is the write's copy if the hook took one, and
+    /// otherwise the live page, copied into the slot's own buffer.
+    fn seal(&mut self, w: DurableWrite, live: &[u8], committed: bool) {
+        let (disk, seq) = w.slot().expect("a journaled write");
+        let slots = self.rings.slots(disk);
+        let slot = &mut self.records[(disk as u64 * slots + seq % slots) as usize];
+        let payload = w.copy.unwrap_or_else(|| {
+            let mut buf = slot.take().map(|r| r.payload).unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(live);
+            buf
+        });
+        *slot = Some(RingRecord {
+            seq,
+            vpage: w.vpage,
+            payload,
+            committed,
+        });
+    }
+
+    /// The records a scan of the rings finds, each disk's in the order
+    /// they were sealed. A page's records are all on its home disk, and
+    /// replaying one disk's touches neither another disk's queue nor its
+    /// pages, so the order across disks is immaterial.
+    fn scan(self) -> Vec<RingRecord> {
+        let mut found: Vec<RingRecord> = self.records.into_iter().flatten().collect();
+        found.sort_by_key(|r| r.seq);
+        found
+    }
 }
 
 /// What [`Machine::recover`] found and did.
@@ -87,7 +127,8 @@ pub struct RecoveryReport {
     /// Simulated time of the power loss (0 if the machine never
     /// crashed and recovery was a no-op).
     pub crashed_at: Ns,
-    /// Sealed journal records the ring scan found.
+    /// Sealed journal records a scan of the rings found: at most one
+    /// per ring slot.
     pub scanned_records: u64,
     /// Pages replayed from journal payloads onto their home blocks
     /// (uncommitted records, plus any page whose image failed its
@@ -110,7 +151,7 @@ pub struct RecoveryReport {
 }
 
 /// The durability extension's state: the durable content model, the
-/// journal and the writes in flight through it, and the crash latch.
+/// journal, the writes in flight, and the crash latch.
 #[derive(Default)]
 pub(super) struct Durability {
     /// Durable (on-media) pages, a view of the live ones. Present only
@@ -119,26 +160,20 @@ pub(super) struct Durability {
     pub(super) store: Option<DurableStore>,
     /// Per-disk write-ahead journal rings (durability mode with
     /// `params.journal`).
-    journal: Option<WriteJournal>,
-    /// Journaled writebacks whose commit protocol is in flight.
-    wal_pending: Vec<WalRecord>,
-    /// Unjournaled durable writes in flight (no journal), in issue
-    /// order. [`Machine::retire_landed`] lands them from the front
-    /// as their disk writes complete, so what is here is what the disks
-    /// still owe — not the run's history.
-    plain_pending: VecDeque<PlainWrite>,
-    /// Page buffers of landed copies, kept for the next copy a
-    /// write-back or the copy-on-write hook takes: neither allocates
-    /// once the run has taken as many as it ever holds at once.
+    journal: Option<Journal>,
+    /// Durable writes in flight, in issue order: what the disks still
+    /// owe, and, for a journaled write, a ring slot not yet retired —
+    /// not the run's history.
+    pending: VecDeque<DurableWrite>,
+    /// Page buffers of landed copies, kept for the next copy the
+    /// copy-on-write hook takes: it allocates nothing once the run has
+    /// taken as many as it ever holds at once.
     spare_payloads: Vec<Vec<u8>>,
     /// `t` of a scheduled [`CrashPoint::AtTime`]. That crash latches at
     /// the first submission *after* `t`, so until then the clock can be
     /// past `t` with the power still nominally on — and a write that
     /// completes in that gap was, in truth, in flight when it died.
     pub(super) crash_at_time: Option<Ns>,
-    /// Journal records durable at crash time, as a recovery scan would
-    /// find them.
-    wal_durable: Vec<DurableRecord>,
     /// Simulated time of the power loss, once it happened. From then on
     /// the machine is a "zombie": accesses are served from the
     /// in-memory image with no disk and no time, so the interpreter can
@@ -176,10 +211,8 @@ impl Durability {
 
     /// Live journal slots across the rings of all `ndisks` disks.
     pub(super) fn journal_in_use(&self, ndisks: usize) -> u64 {
-        match &self.journal {
-            Some(j) => (0..ndisks).map(|d| j.in_use(d)).sum(),
-            None => 0,
-        }
+        let in_use = |j: &Journal| (0..ndisks).map(|d| j.rings.in_use(d)).sum();
+        self.journal.as_ref().map_or(0, in_use)
     }
 
     /// An update the crash lost: its home block keeps the last durable
@@ -232,11 +265,18 @@ impl Machine {
         let (total, page_bytes) = (self.total_pages(), self.params.page_bytes);
         let store = &mut self.durability.store;
         store.get_or_insert_with(|| DurableStore::new(total, page_bytes));
+        self.open_journal();
+    }
+
+    /// Claim the write-ahead journal's rings, empty, if write-backs go
+    /// through the journal and it has none yet.
+    fn open_journal(&mut self) {
         if self.params.journal && self.durability.journal.is_none() {
-            self.durability.journal = Some(
-                WriteJournal::create(&mut self.fs, self.params.journal_blocks_per_disk)
-                    .expect("disks must have room for the writeback journal"),
-            );
+            let rings = WriteJournal::create(&mut self.fs, self.params.journal_blocks_per_disk)
+                .expect("disks must have room for the writeback journal");
+            let slots = self.fs.ndisks() as u64 * rings.slots(0);
+            let records = (0..slots).map(|_| None).collect();
+            self.durability.journal = Some(Journal { rings, records });
         }
     }
 
@@ -281,13 +321,8 @@ impl Machine {
         self.ensure_durable_snapshot();
         self.retire_landed();
         if self.durability.journal.is_some() {
-            // A journal record is its own copy: the ring bounds how many
-            // are in flight, and a sealed one outlives the write.
-            let payload = self
-                .durability
-                .copy_page(&self.data, vpage, self.params.page_bytes);
             let t0 = self.prof_start();
-            self.writeback_journaled(vpage, disk, block, payload);
+            self.writeback_journaled(vpage, disk, block);
             self.prof_end(t0, MachineBucket::Journal);
         } else {
             self.writeback_plain(vpage, disk, block);
@@ -295,7 +330,7 @@ impl Machine {
     }
 
     /// The copy-on-write hook: `vpage`'s bytes are about to change. If
-    /// a plain write in flight still carries them as the live page, it
+    /// a write in flight still carries them as the live page, it
     /// gets its own copy of them first, and so does the durable store
     /// if the page is its durable image. Every writer of the image that
     /// can meet such a page calls it: a timed store past the fast path,
@@ -356,7 +391,7 @@ impl Machine {
         self.pages[vpage as usize].flags &= !Page::SHARED;
         let dur = &mut self.durability;
         let copy = dur.copy_page(&self.data, vpage, self.params.page_bytes);
-        let mut writes = dur.plain_pending.iter_mut().rev();
+        let mut writes = dur.pending.iter_mut().rev();
         let w = writes.find(|w| w.vpage == vpage && w.copy.is_none());
         w.expect("a shared page has a write in flight that carries it")
             .copy = Some(copy);
@@ -372,21 +407,12 @@ impl Machine {
     /// 1. descriptor + payload into the journal slot  (seal),
     /// 2. the in-place data write to the home block   (apply),
     /// 3. the descriptor rewritten with its commit mark (commit).
-    fn writeback_journaled(&mut self, vpage: u64, disk: usize, block: u64, payload: Vec<u8>) {
+    fn writeback_journaled(&mut self, vpage: u64, disk: usize, block: u64) {
         let slot = loop {
-            let j = self
-                .durability
-                .journal
-                .as_mut()
-                .expect("journaled writeback");
-            match j.reserve(disk) {
+            let j = self.durability.journal.as_mut();
+            match j.expect("journaled writeback").rings.reserve(disk) {
                 Some(slot) => break slot,
-                None => {
-                    if !self.force_retire_oldest(disk) {
-                        self.abandon_writeback(vpage);
-                        return;
-                    }
-                }
+                None => self.force_retire_oldest(disk),
             }
         };
         self.stats.journal_appends += 1;
@@ -394,22 +420,12 @@ impl Machine {
             m.retry_ladder(disk, Request::new(ReqKind::Write, b, 1), 1, vpage)
                 .ok()
         };
-        let desc = issue(self, slot.desc_block);
-        let pay = issue(self, slot.payload_block);
-        let data = issue(self, block);
-        let commit = issue(self, slot.desc_block);
-        let complete = desc.is_some() && pay.is_some() && data.is_some() && commit.is_some();
-        self.durability.wal_pending.push(WalRecord {
-            seq: slot.seq,
-            disk,
-            vpage,
-            payload,
-            desc,
-            pay,
-            data,
-            commit,
-        });
-        if complete {
+        let blocks = [slot.desc_block, slot.payload_block, block, slot.desc_block];
+        let [desc, pay, data, commit] = blocks.map(|b| issue(self, b));
+        let slot = (disk, slot.seq);
+        let tickets = [desc, pay, commit];
+        self.queue_write(vpage, data, Some(Box::new(JournalWrite { slot, tickets })));
+        if data.is_some() && tickets.iter().all(Option::is_some) {
             self.note_writeback(vpage);
         } else if self.durability.crashed.is_none() {
             // Retries exhausted mid-protocol with the power still on:
@@ -420,24 +436,12 @@ impl Machine {
 
     /// Durable writeback without WAL protection: one bare tracked
     /// write. A crash catching it mid-air can tear the home block with
-    /// no payload to repair from — the unrecoverable case. The write
-    /// shares the page's image ([`PlainWrite`]).
+    /// no payload to repair from — the unrecoverable case.
     fn writeback_plain(&mut self, vpage: u64, disk: usize, block: u64) {
         match self.retry_ladder(disk, Request::new(ReqKind::Write, block, 1), 1, vpage) {
             Ok(data) => {
                 self.note_writeback(vpage);
-                // A page shares its bytes with one write at most: an
-                // older one still sharing them (the page was dirtied by an
-                // access whose store has not come yet) takes its copy now.
-                if self.pages[vpage as usize].has(Page::SHARED) {
-                    self.copy_shared_write(vpage);
-                }
-                self.pages[vpage as usize].flags |= Page::SHARED;
-                self.durability.plain_pending.push_back(PlainWrite {
-                    vpage,
-                    copy: None,
-                    data,
-                });
+                self.queue_write(vpage, Some(data), None);
             }
             // Never accepted: the home block keeps the old image; the
             // update is simply lost.
@@ -446,10 +450,34 @@ impl Machine {
         }
     }
 
-    /// A durable write lands when its disk write completes: land, from
-    /// the front, every plain write that has. Issue order, so a page
-    /// written twice ends with the later image and the parity XOR chain
-    /// is the one a single pass at exit would have produced.
+    /// Queue a write that shares the page's image ([`DurableWrite`]). A
+    /// page shares its bytes with one write at most: an older one still
+    /// sharing them (the page was dirtied by an access whose store has
+    /// not come yet) takes its copy now.
+    fn queue_write(
+        &mut self,
+        vpage: u64,
+        data: Option<Ticket>,
+        journal: Option<Box<JournalWrite>>,
+    ) {
+        if self.pages[vpage as usize].has(Page::SHARED) {
+            self.copy_shared_write(vpage);
+        }
+        self.pages[vpage as usize].flags |= Page::SHARED;
+        let w = DurableWrite {
+            vpage,
+            copy: None,
+            data,
+            journal,
+        };
+        self.durability.pending.push_back(w);
+    }
+
+    /// A plain write lands when its disk write completes: land, from
+    /// the front, every one that has. Issue order, so a page written
+    /// twice ends with the later image and the parity XOR chain is the
+    /// one a single pass at exit would have produced. A journaled write
+    /// stays until its ring slot retires ([`Machine::force_retire_oldest`]).
     ///
     /// A write may land only once [`Machine::resolve_crash`] could no
     /// longer call it in flight (tear or discard it, spending a
@@ -459,28 +487,41 @@ impl Machine {
         let by = self
             .now
             .min(self.durability.crash_at_time.unwrap_or(Ns::MAX));
-        while let Some(w) = self.durability.plain_pending.front() {
-            if self.disks.poll(w.data, by).is_none() {
+        while let Some(w) = self.durability.pending.front() {
+            let plain = w.data.filter(|_| w.journal.is_none());
+            if plain.and_then(|t| self.disks.poll(t, by)).is_none() {
                 break;
             }
-            let w = self
-                .durability
-                .plain_pending
-                .pop_front()
-                .expect("just seen");
-            self.land_plain(w);
+            let w = self.durability.pending.pop_front().expect("just seen");
+            self.land_write(w);
         }
     }
 
-    /// Land a plain write: from its copy if the hook took one, which
-    /// is then kept for the next, and from the live page otherwise,
-    /// which from here on carries no write.
-    fn land_plain(&mut self, w: PlainWrite) {
+    /// Land a write whose disk writes are done: from its copy if the
+    /// hook took one, and from the live page otherwise, which from here
+    /// on carries no write; a data write the disks refused lands
+    /// nothing. A journaled write's record, committed, takes its ring
+    /// slot (with the copy as its payload), and the slot retires. Each
+    /// write retires into its slot this way, and that slot is the
+    /// record a recovery scan or the scrubber reads until a later
+    /// record on the disk takes it: the journal keeps what its rings
+    /// hold, not the run's history.
+    fn land_write(&mut self, w: DurableWrite) {
         if w.copy.is_none() {
             self.pages[w.vpage as usize].flags &= !Page::SHARED;
         }
-        self.land_durable(w.vpage, w.copy.as_deref());
-        self.durability.spare_payloads.extend(w.copy);
+        if w.data.is_some() {
+            self.land_durable(w.vpage, w.copy.as_deref());
+        }
+        let live = live_page(&self.data, w.vpage, self.params.page_bytes);
+        let dur = &mut self.durability;
+        match (w.slot(), &mut dur.journal) {
+            (Some((disk, seq)), Some(j)) => {
+                j.seal(w, live, true);
+                j.rings.retire(disk, seq);
+            }
+            _ => dur.spare_payloads.extend(w.copy),
+        }
     }
 
     /// Land a page image — `copy`, or the live page when `None` — in
@@ -516,40 +557,19 @@ impl Machine {
     fn note_landing(&self) {}
 
     /// Synchronously make the oldest journal record on `disk` durable
-    /// and reclaim its slot (the ring is full). Returns `false` if
-    /// there is nothing to retire.
-    fn force_retire_oldest(&mut self, disk: usize) -> bool {
-        let journal = self.durability.journal.as_ref();
-        let Some(seq) = journal.and_then(|j| j.oldest_live(disk)) else {
-            return false;
-        };
-        let Some(idx) = self
-            .durability
-            .wal_pending
-            .iter()
-            .position(|r| r.disk == disk && r.seq == seq)
-        else {
-            // Already resolved elsewhere; just reclaim the slot.
-            let journal = self.durability.journal.as_mut();
-            journal.expect("journal").retire(disk, seq);
-            return true;
-        };
-        let rec = self.durability.wal_pending.remove(idx);
-        let done = [rec.desc, rec.pay, rec.data, rec.commit]
-            .into_iter()
-            .flatten()
-            .map(|t| self.disks.wait_for(t).at)
-            .max()
-            .unwrap_or(self.now);
-        self.stall_until(done);
+    /// and reclaim its slot (the ring is full).
+    fn force_retire_oldest(&mut self, disk: usize) {
+        let dur = &mut self.durability;
+        let journal = dur.journal.as_ref().expect("journaled writeback");
+        let oldest = Some((disk, journal.rings.oldest_live(disk).expect("a full ring")));
+        let at = dur.pending.iter().position(|w| w.slot() == oldest);
+        let at = at.expect("the oldest record of a ring is in flight");
+        let w = dur.pending.remove(at).expect("just found");
+        let done = w.tickets().into_iter().flatten();
+        let done = done.map(|t| self.disks.wait_for(t).at).max();
+        self.stall_until(done.unwrap_or(self.now));
         self.stats.journal_stalls += 1;
-        if rec.data.is_some() {
-            self.land_durable(rec.vpage, Some(&rec.payload));
-        }
-        let journal = self.durability.journal.as_mut();
-        journal.expect("journal").retire(disk, seq);
-        self.durability.wal_durable.push(rec.into_durable(true));
-        true
+        self.land_write(w);
     }
 
     /// Post-crash touch of pages `first..=last`: pure metadata
@@ -589,31 +609,14 @@ impl Machine {
 
     /// Power stayed on to the end: every accepted durable write still
     /// in flight lands in full. Apply them to the durable store in
-    /// issue order and retire their journal slots.
+    /// issue order and retire their journal slots (into the rings'
+    /// records, [`Machine::land_write`]).
     pub(super) fn settle_pending_durable(&mut self, drain: Ns) {
-        if self.durability.store.is_none() {
-            return;
-        }
-        for rec in std::mem::take(&mut self.durability.wal_pending) {
-            for t in [rec.desc, rec.pay, rec.data, rec.commit]
-                .into_iter()
-                .flatten()
-            {
+        while let Some(w) = self.durability.pending.pop_front() {
+            for t in w.tickets().into_iter().flatten() {
                 let _ = self.disks.poll(t, drain);
             }
-            if rec.data.is_some() {
-                self.land_durable(rec.vpage, Some(&rec.payload));
-            }
-            if let Some(j) = &mut self.durability.journal {
-                j.retire(rec.disk, rec.seq);
-            }
-            // Keep the committed record as scrubber repair state (the
-            // simulator's stand-in for the journal's retired history).
-            self.durability.wal_durable.push(rec.into_durable(true));
-        }
-        while let Some(w) = self.durability.plain_pending.pop_front() {
-            let _ = self.disks.poll(w.data, drain);
-            self.land_plain(w);
+            self.land_write(w);
         }
     }
 
@@ -641,41 +644,40 @@ impl Machine {
         }
         self.durability.crash_resolved = true;
         let drain = self.disks.drain_all();
-        let poll = |disks: &mut DiskArray, t: Option<Ticket>| -> Ns {
-            t.and_then(|t| disks.poll(t, drain))
+        let mut poll = |t: Option<Ticket>| -> Ns {
+            t.and_then(|t| self.disks.poll(t, drain))
                 .map_or(Ns::MAX, |c| c.at)
         };
-        let dur = &mut self.durability;
-        for rec in std::mem::take(&mut dur.wal_pending) {
-            let desc_done = poll(&mut self.disks, rec.desc);
-            let pay_done = poll(&mut self.disks, rec.pay);
-            let data_done = poll(&mut self.disks, rec.data);
-            let commit_done = poll(&mut self.disks, rec.commit);
-            let sealed_eff = desc_done.max(pay_done);
-            let applied_eff = data_done.max(sealed_eff);
-            let committed_eff = commit_done.max(applied_eff);
-            if sealed_eff > t_crash {
-                // Intent never sealed: the barrier kept the home block's
-                // old image intact. The update is simply lost.
-                dur.discard_at_crash(rec.vpage);
-                continue;
-            }
-            // Landed before the lights went out, or torn mid-air. Either
-            // way the sealed record is what a recovery scan of the rings
-            // will find.
-            dur.land_or_tear(rec.vpage, &rec.payload, applied_eff <= t_crash, &self.data);
-            dur.wal_durable
-                .push(rec.into_durable(committed_eff <= t_crash));
-        }
-        for w in std::mem::take(&mut dur.plain_pending) {
-            let done = self.disks.poll(w.data, drain).map_or(Ns::MAX, |c| c.at);
+        for w in std::mem::take(&mut self.durability.pending) {
+            let [desc, pay, data, commit] = w.tickets().map(&mut poll);
+            // A bare write has no intent record to seal.
+            let sealed_eff = if w.journal.is_some() {
+                desc.max(pay)
+            } else {
+                0
+            };
+            let applied_eff = data.max(sealed_eff);
+            let committed_eff = commit.max(applied_eff);
             if w.copy.is_none() {
                 self.pages[w.vpage as usize].flags &= !Page::SHARED;
             }
-            let live = || live_page(&self.data, w.vpage, self.params.page_bytes);
-            let payload = w.copy.as_deref().unwrap_or_else(live);
-            if !dur.land_or_tear(w.vpage, payload, done <= t_crash, &self.data) {
+            let dur = &mut self.durability;
+            if sealed_eff > t_crash {
+                // Intent never sealed: the barrier kept the home block's
+                // old image intact. The update is simply lost.
                 dur.discard_at_crash(w.vpage);
+                continue;
+            }
+            let live = live_page(&self.data, w.vpage, self.params.page_bytes);
+            let payload = w.copy.as_deref().unwrap_or(live);
+            let landed = dur.land_or_tear(w.vpage, payload, applied_eff <= t_crash, &self.data);
+            match (w.slot(), &mut dur.journal) {
+                // Landed before the lights went out, or torn mid-air.
+                // Either way the sealed record is what a recovery scan
+                // of the rings will find.
+                (Some(_), Some(j)) => j.seal(w, live, committed_eff <= t_crash),
+                _ if !landed => dur.discard_at_crash(w.vpage),
+                _ => {}
             }
         }
     }
@@ -700,12 +702,13 @@ impl Machine {
             .store
             .take()
             .expect("crash implies durability mode");
-        let wal_durable = std::mem::take(&mut self.durability.wal_durable);
+        let journal = self.durability.journal.take();
+        let records = journal.map_or_else(Vec::new, Journal::scan);
         let discarded = std::mem::take(&mut self.durability.crash_discarded);
         let total = self.total_pages();
         let mut report = RecoveryReport {
             crashed_at: t_crash,
-            scanned_records: wal_durable.len() as u64,
+            scanned_records: records.len() as u64,
             pages_discarded: discarded.len() as u64,
             ..RecoveryReport::default()
         };
@@ -715,19 +718,14 @@ impl Machine {
         let mut m = Machine::try_new(self.params, total * self.params.page_bytes)
             .expect("the crashed machine's geometry was valid");
         std::mem::swap(&mut m.data, &mut self.data);
-        if self.params.journal {
-            m.durability.journal = Some(
-                WriteJournal::create(&mut m.fs, self.params.journal_blocks_per_disk)
-                    .expect("journal fit before the crash, so it fits now"),
-            );
-        }
+        m.open_journal();
 
         // Phase 1: sequential scan of every journal ring (one read per
         // disk covering the whole ring extent).
         if let Some(j) = &m.durability.journal {
             let mut done = 0;
             for d in 0..m.fs.ndisks() {
-                let ext = j.extent(d);
+                let ext = j.rings.extent(d);
                 let scan = Request::new(ReqKind::DemandRead, ext.start, ext.len);
                 if let Ok(t) = m.disks.admit(d, m.now, scan, 1) {
                     done = done.max(m.disks.wait_for(t).at);
@@ -743,7 +741,7 @@ impl Machine {
         // otherwise (it never does — this is an invariant, not a
         // branch we expect to take).
         let mut replay_done = m.now;
-        for rec in &wal_durable {
+        for rec in &records {
             let torn = !durable.verify(rec.vpage, &m.data);
             report.torn_detected += torn as u64;
             if !rec.committed || torn {
@@ -808,8 +806,8 @@ impl Machine {
                 continue;
             }
             report.torn_detected += 1;
-            // Last committed journal payload for this page, if any.
-            if let Some(rec) = wal_durable.iter().rev().find(|r| r.vpage == vpage) {
+            // The last record the rings hold for this page, if any.
+            if let Some(rec) = records.iter().rev().find(|r| r.vpage == vpage) {
                 durable.write_page(vpage, &rec.payload, &m.data);
                 report.pages_replayed += 1;
             } else {
@@ -837,17 +835,16 @@ impl Machine {
         }
         // The recovered machine keeps durability tracking (it has a
         // durable store with a settled baseline) but no scheduled
-        // crash: the re-run is an ordinary one.
+        // crash: the re-run is an ordinary one, from empty rings.
         m.durability.store = Some(durable);
-        m.durability.wal_durable = wal_durable;
         (m, report)
     }
 
     /// Background scrubber: verify the stored checksums of up to
     /// `max_pages` cold (unmapped) pages against the durable store and
-    /// repair any corruption from committed journal state. Returns
-    /// `(verified, repaired)`. A no-op outside durability mode or after
-    /// a crash.
+    /// repair any corruption from the last committed record the rings
+    /// hold for the page. Returns `(verified, repaired)`. A no-op
+    /// outside durability mode or after a crash.
     pub fn scrub(&mut self, max_pages: u64) -> (u64, u64) {
         if self.durability.crashed.is_some() || self.durability.store.is_none() {
             return (0, 0);
@@ -873,8 +870,9 @@ impl Machine {
             if d.verify(vpage, &self.data) {
                 continue;
             }
-            let mut committed = dur.wal_durable.iter().rev();
-            if let Some(rec) = committed.find(|r| r.vpage == vpage && r.committed) {
+            let records = dur.journal.iter().flat_map(|j| j.records.iter().flatten());
+            let committed = records.filter(|r| r.vpage == vpage && r.committed);
+            if let Some(rec) = committed.max_by_key(|r| r.seq) {
                 // Plain `write_page`, not `land_durable`: the current
                 // image is corrupt, so it cannot serve as the parity
                 // XOR's "old" term. Restoring the committed content
@@ -908,40 +906,53 @@ thread_local! {
     /// (`Some`), the most it held at a landing.
     pub(super) static COPIES_PEAK: std::cell::Cell<Option<usize>> =
         const { std::cell::Cell::new(None) };
+    /// While a test on this thread watches a journaled machine's page
+    /// buffers (`Some`), the most it held at a landing, ring records
+    /// included.
+    pub(super) static JOURNALED_PEAK: std::cell::Cell<Option<usize>> =
+        const { std::cell::Cell::new(None) };
 }
 
 #[cfg(test)]
 impl Machine {
     /// At every landing, while this thread's test watches: the durable
     /// store holds no more copies than there are resident dirty pages
-    /// plus plain writes in flight.
+    /// plus writes in flight, and a journaled machine's page buffers and
+    /// ring records are no more than its ring slots plus writes in
+    /// flight.
     fn note_landing(&self) {
-        let Some(peak) = COPIES_PEAK.get() else {
-            return;
-        };
-        let copies = self
-            .durability
-            .store
-            .as_ref()
-            .map_or(0, DurableStore::copies);
-        let dirty = self.pages.iter().filter(|p| p.has(Page::DIRTY)).count();
-        let in_flight = self.durability.plain_pending.len();
-        assert!(
-            copies <= dirty + in_flight,
-            "{copies} durable copies, {dirty} dirty pages, {in_flight} plain writes in flight"
-        );
-        COPIES_PEAK.set(Some(peak.max(copies)));
+        let dur = &self.durability;
+        let in_flight = dur.pending.len();
+        if let Some(peak) = COPIES_PEAK.get() {
+            let copies = dur.store.as_ref().map_or(0, DurableStore::copies);
+            let dirty = self.pages.iter().filter(|p| p.has(Page::DIRTY)).count();
+            assert!(
+                copies <= dirty + in_flight,
+                "{copies} durable copies, {dirty} dirty pages, {in_flight} writes in flight"
+            );
+            COPIES_PEAK.set(Some(peak.max(copies)));
+        }
+        if let (Some(peak), Some(j)) = (JOURNALED_PEAK.get(), &dur.journal) {
+            let records = j.records.iter().flatten().count();
+            let held = dur.payload_buffers() + records;
+            assert!(
+                held <= j.records.len() + in_flight,
+                "{held} page buffers ({records} ring records), {} ring slots, {in_flight} writes \
+                 in flight",
+                j.records.len()
+            );
+            JOURNALED_PEAK.set(Some(peak.max(held)));
+        }
     }
 }
 
 #[cfg(test)]
 impl Durability {
-    /// Page copies the write-back path holds: one per journaled write
-    /// in flight and per plain write the hook unshared, plus the spares
-    /// kept for the next ones.
+    /// Page copies the write-back path holds: one per write in flight
+    /// the hook unshared, plus the spares kept for the next ones.
     pub(super) fn payload_buffers(&self) -> usize {
-        let copies = self.plain_pending.iter().filter(|w| w.copy.is_some());
-        self.wal_pending.len() + copies.count() + self.spare_payloads.len()
+        let copies = self.pending.iter().filter(|w| w.copy.is_some());
+        copies.count() + self.spare_payloads.len()
     }
 
     /// What crash resolution decided: the updates it discarded, in
@@ -949,5 +960,36 @@ impl Durability {
     pub(super) fn crash_verdict(&mut self) -> (Vec<u64>, Option<u64>) {
         let next_draw = self.crash_rng.as_mut().map(|r| r.next_below(u64::MAX));
         (self.crash_discarded.clone(), next_draw)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oocp_fs::FileSystem;
+
+    #[test]
+    fn a_scan_finds_each_disks_records_in_the_order_they_were_sealed() {
+        // Two slots a disk. On disk 0 record 2 takes record 0's slot, and
+        // record 3, never sealed, leaves record 1 in the other.
+        let mut fs = FileSystem::new(2, 1000);
+        let rings = WriteJournal::create(&mut fs, 4).unwrap();
+        let records = (0..4).map(|_| None).collect();
+        let mut j = Journal { rings, records };
+        for (disk, seq, vpage) in [(0, 0, 10), (1, 0, 11), (0, 1, 12), (0, 2, 14), (1, 1, 13)] {
+            let journal = Some(Box::new(JournalWrite {
+                slot: (disk, seq),
+                tickets: [None; 3],
+            }));
+            let w = DurableWrite {
+                vpage,
+                copy: None,
+                data: None,
+                journal,
+            };
+            j.seal(w, &[vpage as u8; 8], true);
+        }
+        let found: Vec<u64> = j.scan().iter().map(|r| r.vpage).collect();
+        assert_eq!(found, [11, 12, 13, 14]);
     }
 }
