@@ -18,14 +18,14 @@ pub mod tenants;
 pub use kernel::Kernel;
 
 use oocp_core::{compile, CompileReport, CompilerParams};
-use oocp_ir::{run_program, run_program_profiled, ArrayBinding, CostModel, ExecStats, Program};
+use oocp_ir::{run_program, run_program_profiled, ArrayBinding, CostModel, ExecStats, Program, Vm};
 use oocp_nas::Workload;
 use oocp_obs::{HostProf, Profile, TimeAttribution};
 use oocp_os::{
     FaultPlan, FlushError, HistoryReplay, Machine, MachineParams, MetricsReport, OsStats,
     PolicyKind, PrefetchPolicy, RecoveryReport, Segment, Telemetry, Trace,
 };
-use oocp_rt::{segment_checksum, FilterMode, RtStats, Runtime};
+use oocp_rt::{segment_checksum, FilterMode, RtStats, Runtime, UntilCrash};
 use oocp_sim::time::{Ns, TimeBreakdown};
 
 /// A file the harness could not create or write, with the path kept
@@ -231,20 +231,20 @@ pub struct RunOutput {
 }
 
 /// A crash-recovery round trip of one workload. The fault plan must
-/// schedule a power loss: the first leg runs into it (completing in
-/// zombie mode so the interpreter never panics), the machine is then
-/// recovered — journal rings scanned, committed intents replayed, torn
-/// and uncommitted pages rolled back to their last durable version —
-/// and the workload restarts from scratch on the recovered machine.
+/// schedule a power loss: the first leg runs into it and stops there,
+/// the machine is recovered as the crash left it — journal rings
+/// scanned, committed intents replayed, torn and uncommitted pages
+/// rolled back to their last durable version — and the workload
+/// restarts from scratch on the recovered machine.
 ///
 /// The write-ahead journal gives *per-page* atomicity, not cross-page
 /// snapshot consistency, so the correctness oracle is application-
 /// restart semantics: the re-run (same workload, same seed) must
 /// produce bit-identical results to a run that never crashed.
 pub struct CrashRun {
-    /// The run that hit the power loss. Its in-memory checksum is
-    /// intact (the crash affects durability, never computation), but
-    /// [`RunResult::flush`] reports everything that failed to land.
+    /// The run that hit the power loss, stopped at the call it latched
+    /// in: [`RunResult::exec`] counts what ran, [`RunResult::flush`] the
+    /// pages dirty at the crash or lost by it.
     pub crashed: RunOutput,
     /// What recovery found and did.
     pub recovery: RecoveryReport,
@@ -465,6 +465,11 @@ impl<'a> RunSpec<'a> {
         }
         let mut host = self.profile.then(HostProf::default);
         let exec = match &mut host {
+            // A power loss ends the run: stop at the call it latches in.
+            _ if plan.is_some_and(|p| p.crash.is_some()) => {
+                let mut vm = Vm::new(&p.prog, &p.binds, &p.params, cfg.cost);
+                vm.step(&mut UntilCrash(&mut rt)).unwrap_or(vm.stats())
+            }
             Some(host) => {
                 rt.machine_mut().attach_host_prof();
                 run_program_profiled(&p.prog, &p.binds, &p.params, cfg.cost, &mut rt, host)

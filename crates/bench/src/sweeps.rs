@@ -686,12 +686,7 @@ pub(crate) fn crash(x: &Runner) {
                     .faults(&plan)
                     .crash_recover(&w);
                 let rec = &run.recovery;
-                let cut_off = run
-                    .crashed
-                    .result
-                    .flush
-                    .as_ref()
-                    .map_or(0, |f| f.vpages.len());
+                let cut_off = run.crashed.result.flush.map_or(0, |f| f.vpages.len());
                 let ok = run.rerun.result.verified.is_ok()
                     && run.rerun.result.checksum == base.checksum
                     && run.rerun.result.flush.is_none();

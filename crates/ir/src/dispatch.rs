@@ -570,6 +570,11 @@ impl<'p> Vm<'p> {
         self.step_probed(vm, &mut NoProf)
     }
 
+    /// The dynamic counts of what has run so far, halted or parked.
+    pub fn stats(&self) -> ExecStats {
+        self.stats
+    }
+
     /// Step until the program halts, resuming at once whenever `vm`
     /// parks; `prof` is the sink the code was lowered for.
     pub(crate) fn run<M: PagedVm, P: ProfSink>(&mut self, vm: &mut M, prof: &mut P) -> ExecStats {

@@ -900,7 +900,9 @@ impl Machine {
     /// Touch the bytes `[addr, addr + len)` as a demand access,
     /// faulting as needed. `write` marks the pages dirty.
     ///
-    /// Returns the number of pages that hard-faulted (test hook).
+    /// Returns the number of pages that hard-faulted (test hook). An
+    /// access during which the power dies returns quietly, the bytes
+    /// served from memory: the run ends at it ([`Machine::crashed_at`]).
     ///
     /// # Panics
     ///
@@ -909,17 +911,22 @@ impl Machine {
     /// error rate or brownout length defeats the retry budget). Fault-
     /// aware callers use [`Machine::try_touch`].
     pub fn touch(&mut self, addr: u64, len: u64, write: bool) -> u64 {
-        if write && self.durability.store.is_some() {
-            return self.touch_then_unshare(addr, len);
+        let touched = if write && self.durability.store.is_some() {
+            self.touch_then_unshare(addr, len)
+        } else {
+            self.try_touch(addr, len, write)
+        };
+        match touched {
+            Ok(faults) => faults,
+            Err(OsError::Crashed { .. }) => 0,
+            Err(e) => panic!("{e}"),
         }
-        self.try_touch(addr, len, write)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`Machine::touch`], but surfaces exhausted-retry demand-read
-    /// failures as typed errors. Pages before the failing one remain
-    /// touched; the failing page is left unmapped, so the access can be
-    /// retried later.
+    /// failures and the power loss as typed errors. Pages before the
+    /// failing one remain touched; the failing page is left unmapped, so
+    /// the access can be retried later.
     ///
     /// Inlined into its caller as far as the resident-hit test; the
     /// miss is one out-of-line call.
@@ -1021,10 +1028,8 @@ impl Machine {
         // The host profiler counts every touch into its residency bucket.
         self.observe.host_prof.is_none()
             // The durable store takes its lazy baseline snapshot on the
-            // first timed access.
+            // first timed access. A crash point always creates it.
             && self.durability.store.is_none()
-            // A crashed machine serves accesses zombie-style.
-            && self.durability.crashed.is_none()
             // Pressure-schedule entries are applied as the clock passes
             // them, and an access or a hint is where that is noticed.
             && self.pressure.is_empty()
@@ -1034,18 +1039,13 @@ impl Machine {
 
     /// Give every armed extension of [`Machine::extensions_quiet`] its
     /// turn, in the same order, at the head of a demand access or a hint
-    /// call. Returns `false` when the power is out: there is no disk and
-    /// no time, and the caller serves the access from memory or drops
-    /// the hint.
+    /// call.
     #[inline(always)]
-    fn wake_extensions(&mut self) -> bool {
+    fn wake_extensions(&mut self) {
         // The host profiler has no turn here: its probe brackets the
         // whole access in `touch_miss`, and hints are not probed.
         if self.durability.store.is_some() {
             self.ensure_durable_snapshot();
-        }
-        if self.durability.crashed.is_some() {
-            return false;
         }
         if !self.pressure.is_empty() {
             self.apply_pressure();
@@ -1053,23 +1053,16 @@ impl Machine {
         if self.redundancy.dead_disk.is_some() {
             self.pump_rebuild();
         }
-        true
     }
 
     /// What every demand access does before its first page, blocking
-    /// or not. Returns the first and last page left to touch; `None`
-    /// when a crashed machine has already served the whole access.
+    /// or not. Returns the first and last page to touch.
     #[inline(always)]
-    fn touch_preamble(&mut self, addr: u64, len: u64, write: bool) -> Option<(u64, u64)> {
+    fn touch_preamble(&mut self, addr: u64, len: u64) -> (u64, u64) {
         debug_assert!(!self.finished, "touch after finish()");
-        let powered = self.wake_extensions();
-        let first = self.page_of(addr);
-        let last = self.page_of(addr + len.max(1) - 1);
-        if !powered {
-            self.touch_crashed(first, last, write);
-            return None;
-        }
-        Some((first, last))
+        debug_assert!(self.crashed_at().is_none(), "access after the power loss");
+        self.wake_extensions();
+        (self.page_of(addr), self.page_of(addr + len.max(1) - 1))
     }
 
     /// A demand access past the fast path: every access that is not a
@@ -1085,9 +1078,7 @@ impl Machine {
     ) -> Result<Touch, OsError> {
         let t0 = self.prof_start();
         let touched = (|| {
-            let Some((first, last)) = self.touch_preamble(addr, len, write) else {
-                return Ok(Touch::Done { faults: 0 });
-            };
+            let (first, last) = self.touch_preamble(addr, len);
             let mut faults = 0;
             for vpage in first..=last {
                 match self.touch_page(vpage, write, wait)? {
@@ -1318,18 +1309,7 @@ impl Machine {
         self.enforce_memory_quota();
         self.alloc_frame_demand()?;
         let (disk, block) = self.fs.place(self.swap, vpage).map_err(OsError::Fs)?;
-        let (done, degraded) = match self.demand_read_submit(vpage, disk, block) {
-            Ok(v) => v,
-            Err(OsError::Crashed { .. }) => {
-                // The power died under this very fault. Serve it
-                // zombie-style (the in-memory image is still
-                // authoritative for the interpreter) so `touch` callers
-                // do not panic mid-kernel.
-                self.touch_crashed(vpage, vpage, write);
-                return Ok(self.now);
-            }
-            Err(e) => return Err(e),
-        };
+        let (done, degraded) = self.demand_read_submit(vpage, disk, block)?;
         let waited = self.fault_wait(done, wait);
         if degraded {
             self.stats.degraded_read_ns += waited;
@@ -1374,10 +1354,8 @@ impl Machine {
 
     fn hint_call(&mut self, prefetch: Option<(u64, u64)>, release: Option<(u64, u64)>) {
         debug_assert!(!self.finished, "hint after finish()");
-        if !self.wake_extensions() {
-            // Hints are advice; a dead machine takes none.
-            return;
-        }
+        debug_assert!(self.crashed_at().is_none(), "hint after the power loss");
+        self.wake_extensions();
         self.stats.hint_syscalls += 1;
         let pages_named = prefetch.map_or(0, |(_, n)| n) + release.map_or(0, |(_, n)| n);
         self.charge(
@@ -1570,7 +1548,7 @@ impl Machine {
     /// The prefetch submission of `run` was refused. Prefetches
     /// are hints: no retry, no surfaced error. A full queue is
     /// backpressure, dropped silently with no error counted; a power
-    /// loss is latched (zombie mode takes over from here); anything
+    /// loss is latched (the run ends with this call); anything
     /// else — a disk death without redundancy included — is an I/O
     /// error the run-time layer's health window will see.
     fn drop_prefetch_run(&mut self, run: PlacedRun, e: IoError) {
@@ -1758,13 +1736,8 @@ impl Machine {
         for vpage in 0..self.total_pages() {
             self.settle(vpage);
         }
-        self.end_run();
-    }
-
-    /// The last step of a run, clean or crashed: report its end — the
-    /// ledger closes every lifecycle still open, prefetched pages never
-    /// touched by now being wasted I/O — and note the final free level.
-    fn end_run(&mut self) {
+        // Report the end: the ledger closes every lifecycle still open,
+        // prefetched pages never touched by now being wasted I/O.
         self.emit(Event::Finished);
         self.note_free_level();
     }
@@ -2690,16 +2663,31 @@ mod tests {
         })
     }
 
+    /// Store `value(p)` to the first word of page `p` = 0, 1, … up to
+    /// the store the power dies under, or the last of `pages`. Returns
+    /// how many stores were made.
+    fn store_until_the_crash(m: &mut Machine, pages: u64, value: impl Fn(u64) -> f64) -> u64 {
+        let mut p = 0;
+        while p < pages && m.crashed_at().is_none() {
+            m.store_f64(p * 4096, value(p));
+            p += 1;
+        }
+        p
+    }
+
     #[test]
-    fn crash_latches_and_the_zombie_run_completes() {
+    fn crash_latches_and_the_run_stops_at_it() {
         let mut m = tiny();
         m.set_fault_plan(&crash_plan(5, CrashPoint::AtOp(10), false));
-        for p in 0..64u64 {
-            m.store_f64(p * 4096, p as f64);
-        }
+        let stored = store_until_the_crash(&mut m, 64, |p| p as f64);
         assert!(m.crashed_at().is_some(), "the 10th disk op tripped it");
-        for p in 0..64u64 {
-            assert_eq!(m.peek_f64(p * 4096), p as f64, "zombie served store {p}");
+        assert!(stored < 64, "the run ended at the crash");
+        for p in 0..stored {
+            assert_eq!(
+                m.peek_f64(p * 4096),
+                p as f64,
+                "store {p} was made in memory"
+            );
         }
         let err = m.try_finish().unwrap_err();
         assert!(!err.vpages.is_empty(), "dirty pages were cut off");
@@ -2718,13 +2706,10 @@ mod tests {
         m.touch(0, 8, false); // op 1
         m.sys_prefetch(8, 4); // one of these submissions trips the crash
         assert!(m.crashed_at().is_some());
-        // Zombie mode: everything still "works", data intact.
-        for p in 0..16u64 {
-            m.store_f64(p * 4096, 3.0 * p as f64);
-        }
-        for p in 0..16u64 {
-            assert_eq!(m.peek_f64(p * 4096), 3.0 * p as f64);
-        }
+        // The refused pages went back to unmapped, nothing in flight.
+        assert!(m.stats().prefetch_pages_dropped > 0);
+        assert_eq!(m.inflight + m.stats().prefetch_pages_dropped, 4);
+        assert!(m.try_finish().is_ok(), "nothing was dirty");
     }
 
     #[test]
@@ -2733,9 +2718,7 @@ mod tests {
         // Op 100 lands among the eviction writebacks, so WAL records
         // are genuinely in flight when the power dies.
         m.set_fault_plan(&crash_plan(7, CrashPoint::AtOp(100), true));
-        for p in 0..64u64 {
-            m.store_f64(p * 4096, 100.0 + p as f64);
-        }
+        store_until_the_crash(&mut m, 64, |p| 100.0 + p as f64);
         m.finish();
         let (m2, report) = m.recover();
         assert!(report.crashed_at > 0);
@@ -2777,9 +2760,7 @@ mod tests {
         p.journal = false;
         let mut m = Machine::new(p, 64 * 4096);
         m.set_fault_plan(&crash_plan(21, CrashPoint::AtOp(100), true));
-        for page in 0..64u64 {
-            m.store_f64(page * 4096, 7.0 + page as f64);
-        }
+        store_until_the_crash(&mut m, 64, |p| 7.0 + p as f64);
         m.finish();
         let (_, report) = m.recover();
         assert!(report.torn_detected > 0, "a torn home block was found");
@@ -2817,9 +2798,11 @@ mod tests {
     fn crash_at_time_zero_discards_everything_but_recovers_the_baseline() {
         let mut m = tiny();
         m.set_fault_plan(&crash_plan(13, CrashPoint::AtTime(0), false));
-        for p in 0..8u64 {
-            m.store_f64(p * 4096, 9.0);
-        }
+        assert_eq!(
+            store_until_the_crash(&mut m, 8, |_| 9.0),
+            1,
+            "the first fault"
+        );
         assert_eq!(m.crashed_at(), Some(0));
         m.finish();
         let (m2, report) = m.recover();
@@ -3488,13 +3471,13 @@ mod tests {
     }
 
     #[test]
-    fn a_torn_write_tears_with_the_bytes_it_had_also_after_a_zombie_store() {
+    fn a_torn_write_tears_with_the_bytes_it_had_also_at_a_crashing_store() {
         // Page 0 carries 1.0 in the first word of every sector when its
         // write-back is issued, and 2.0 once stored again: before the
-        // power dies, or by the zombie run after. The crash catches the
-        // write mid-air — a bare write, or the journal's with its seal
-        // durable — and lands a sector prefix of it, which must be the
-        // write's own bytes, never the later store's.
+        // power dies, or by the store the power dies under. The crash
+        // catches the write mid-air — a bare write, or the journal's
+        // with its seal durable — and lands a sector prefix of it, which
+        // must be the write's own bytes, never the later store's.
         let sector = SECTOR_BYTES;
         let store_sectors = |m: &mut Machine, v: f64| {
             for s in 0..4096 / sector {
@@ -3503,30 +3486,40 @@ mod tests {
         };
         for journal in [false, true] {
             let (mut landed, mut short) = (0, 0);
-            for (seed, zombie) in (0..8).flat_map(|seed| [(seed, false), (seed, true)]) {
+            for (seed, at_store) in (0..8).flat_map(|seed| [(seed, false), (seed, true)]) {
                 let mut p = MachineParams::small();
                 p.journal = journal;
+                // A prefetch takes a free frame only while it leaves the
+                // demand reserve: with all frames but one reserved, it
+                // takes page 0's from the free list.
+                if at_store {
+                    p.demand_reserve = p.resident_limit - 1;
+                }
                 let mut m = Machine::new(p, 64 * 4096);
                 // Op 0 is page 0's fault, then its write-back (one write,
                 // or the journal's four), then the fault on page 1 that
-                // finds the power gone.
-                let op = if journal { 5 } else { 2 };
+                // finds the power gone — or the prefetch of page 2 and
+                // then the store that faults page 0 back in.
+                let op = (if journal { 5 } else { 2 }) + u64::from(at_store);
                 m.set_fault_plan(&crash_plan(seed, CrashPoint::AtOp(op), true));
                 store_sectors(&mut m, 1.0);
                 m.sys_release(0, 1);
-                if !zombie {
+                if !at_store {
                     store_sectors(&mut m, 2.0);
                 }
                 // 10 ms on, the journal's descriptor and payload blocks
                 // have landed and its data write has not.
                 m.tick_user(journal as u64 * 10 * MILLISECOND);
-                m.touch(4096, 8, false);
-                assert!(m.crashed_at().is_some());
-                if zombie {
-                    store_sectors(&mut m, 2.0);
+                if at_store {
+                    m.sys_prefetch(2, 1);
+                    assert_eq!(m.pages[0].residency(), Residency::Unmapped);
+                    m.store_f64(0, 2.0);
+                } else {
+                    m.touch(4096, 8, false);
                 }
+                assert!(m.crashed_at().is_some());
                 assert!(
-                    m.try_finish().is_err(),
+                    m.try_finish().is_err() || at_store,
                     "the second store never reached the disks"
                 );
                 let (discarded, _) = m.durability.crash_verdict();
@@ -3633,11 +3626,15 @@ mod tests {
     }
 
     /// A page walk: `rounds` sweeps storing one word into every sector
-    /// of every page, a different word and value each round.
+    /// of every page, a different word and value each round, up to the
+    /// store the power dies under.
     fn sector_walk(m: &mut Machine, rounds: u64) {
         for round in 0..rounds {
             for p in 0..m.total_pages() {
                 for s in 0..4096 / SECTOR_BYTES {
+                    if m.crashed_at().is_some() {
+                        return;
+                    }
                     let at = p * 4096 + s * SECTOR_BYTES + round % 64 * 8;
                     m.store_f64(at, (round * 4096 + p * 8 + s) as f64 + 0.5);
                 }
@@ -3684,7 +3681,7 @@ mod tests {
             vec![
                 5544744435551815786,
                 15869693685917720337,
-                4516336494337901329,
+                17973719420062695557,
                 5544744435551815786,
                 419363527514095630,
                 5544744435551815786,
@@ -3693,7 +3690,7 @@ mod tests {
             vec![
                 2042960235837294262,
                 0,
-                4516336494337901329,
+                8449251010358822324,
                 13038829310517773605,
                 0,
                 13038829310517773605,
@@ -4157,6 +4154,9 @@ mod tests {
         }
         let mut hits = 0;
         for i in 0..OPS {
+            if a.crashed_at().is_some() {
+                break; // a power loss ends the run
+            }
             let op = DiffOp::random(&mut rng, pages, page_bytes, tenants);
             let hit = op
                 .access()
@@ -4556,9 +4556,9 @@ mod tests {
         type Step = fn(&mut Machine);
         // One arm per line of `extensions_quiet`, each arming only that
         // line. Where the machine offers no way back (a durable store
-        // stays, a crash stays latched, a plain array never rebuilds)
-        // the disarm step resets the extension's one field.
-        let gate: [(&str, Step, Step); 5] = [
+        // stays, a plain array never rebuilds) the disarm step resets
+        // the extension's one field.
+        let gate: [(&str, Step, Step); 4] = [
             (
                 "host profiler",
                 |m| m.attach_host_prof(),
@@ -4569,11 +4569,6 @@ mod tests {
             (
                 "durable store",
                 |m| m.set_fault_plan(&crash_plan(1, CrashPoint::AtOp(u64::MAX), false)),
-                |m| m.durability = Durability::default(),
-            ),
-            (
-                "latched crash",
-                |m| m.latch_crash(0),
                 |m| m.durability = Durability::default(),
             ),
             (
@@ -4619,7 +4614,6 @@ mod tests {
             let armed = [
                 m.observe.host_prof.is_some(),
                 m.durability.store.is_some(),
-                m.durability.crashed.is_some(),
                 !m.pressure.is_empty(),
                 m.redundancy.dead_disk.is_some(),
             ];
@@ -4653,6 +4647,17 @@ mod tests {
         m.touch(0, 8, false);
         m.finish();
         m.touch(0, 8, false);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "access after the power loss")]
+    fn access_after_the_power_loss_asserts() {
+        let mut m = tiny();
+        m.set_fault_plan(&crash_plan(4, CrashPoint::AtOp(0), false));
+        m.load_f64(0);
+        assert!(m.crashed_at().is_some(), "the first fault tripped it");
+        m.load_f64(0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Durability (DESIGN.md §9): what has durably landed on the media, as
 //! opposed to what memory holds — one queue of durable write-backs in
 //! flight, journaled or plain, the records the journal rings hold, the
-//! crash latch and its resolution, the zombie touch, [`Machine::recover`]
-//! and the scrubber. Armed by a scheduled crash point, a recovery, or
+//! crash latch and its resolution, [`Machine::recover`] and the
+//! scrubber. Armed by a scheduled crash point, a recovery, or
 //! parity mode; otherwise nothing here runs.
 
 use std::collections::{BTreeSet, VecDeque};
@@ -174,11 +174,11 @@ pub(super) struct Durability {
     /// past `t` with the power still nominally on — and a write that
     /// completes in that gap was, in truth, in flight when it died.
     pub(super) crash_at_time: Option<Ns>,
-    /// Simulated time of the power loss, once it happened. From then on
-    /// the machine is a "zombie": accesses are served from the
-    /// in-memory image with no disk and no time, so the interpreter can
-    /// run to completion and the harness can recover. Only a scheduled
-    /// crash point sets it, and scheduling one creates `store`.
+    /// Simulated time of the power loss, once it happened. The call
+    /// during which it latches completes in memory, and the run ends
+    /// there: the machine takes no further access or hint, only
+    /// [`Machine::try_finish`]'s report and [`Machine::recover`]. Only a
+    /// scheduled crash point sets it, and scheduling one creates `store`.
     pub(super) crashed: Option<Ns>,
     /// Whether crash resolution (freezing the in-flight writes into
     /// durable state) has run.
@@ -334,9 +334,10 @@ impl Machine {
     /// gets its own copy of them first, and so does the durable store
     /// if the page is its durable image. Every writer of the image that
     /// can meet such a page calls it: a timed store past the fast path,
-    /// zombie or not ([`Machine::touch_then_unshare`]), and an
-    /// untimed `poke_*`. A machine with a durable store has no fast
-    /// path, and grants no strip.
+    /// the one the power dies under included
+    /// ([`Machine::touch_then_unshare`]), and an untimed `poke_*`. A
+    /// machine with a durable store has no fast path, and grants no
+    /// strip.
     #[inline]
     pub(super) fn unshare(&mut self, vpage: u64) {
         if self.pages[vpage as usize].has(Page::SHARED) {
@@ -370,13 +371,15 @@ impl Machine {
     /// (it has a durable store): the access, then the hook on each page
     /// of it, whose bytes `store_*` changes next. After the access, not
     /// before it: its faults can write the page back, which shares it
-    /// again. A call of its own, so that the demand path of every other
-    /// access runs the code it ran without the hook.
+    /// again. The hook runs also after an access the power died under,
+    /// since its store still writes. A call of its own, so that the
+    /// demand path of every other access runs the code it ran without
+    /// the hook.
     #[inline(never)]
-    pub(super) fn touch_then_unshare(&mut self, addr: u64, len: u64) -> u64 {
+    pub(super) fn touch_then_unshare(&mut self, addr: u64, len: u64) -> Result<u64, OsError> {
         let faults = self.try_touch(addr, len, true);
         self.unshare_pages(addr, len);
-        faults.unwrap_or_else(|e| panic!("{e}"))
+        faults
     }
 
     fn unshare_pages(&mut self, addr: u64, len: u64) {
@@ -572,39 +575,15 @@ impl Machine {
         self.land_write(w);
     }
 
-    /// Post-crash touch of pages `first..=last`: pure metadata
-    /// bookkeeping, no disk, no time, no fault statistics — the power is
-    /// out, so accesses are served from the in-memory image and the
-    /// interpreter can run to completion for the harness to recover.
-    /// Keeps frame counters consistent so a later [`Machine::recover`]
-    /// starts from sane accounting.
-    pub(super) fn touch_crashed(&mut self, first: u64, last: u64, write: bool) {
-        for vpage in first..=last {
-            match self.pages[vpage as usize].residency() {
-                Residency::OnFreeList => self.free_list.remove(vpage),
-                Residency::Active => {}
-                Residency::InFlight(_) => {
-                    self.inflight -= 1;
-                    self.note_tenant_inflight(vpage, -1);
-                    self.resident += 1;
-                }
-                Residency::Unmapped => self.resident += 1,
-            }
-            let dirty = self.pages[vpage as usize].has(Page::DIRTY);
-            self.pages[vpage as usize].activate(dirty || write);
-        }
-    }
-
-    /// `try_finish` on a machine whose power is out.
+    /// `try_finish` on a machine whose power is out: resolve the crash,
+    /// and report every page dirty at it, which never made it to disk.
     pub(super) fn finish_crashed(&mut self) {
         self.resolve_crash();
-        // Every page still dirty in memory never made it to disk.
         for vpage in 0..self.total_pages() {
             if self.pages[vpage as usize].has(Page::DIRTY) {
                 self.durability.flush_failures.insert(vpage);
             }
         }
-        self.end_run();
     }
 
     /// Power stayed on to the end: every accepted durable write still
@@ -844,9 +823,9 @@ impl Machine {
     /// `max_pages` cold (unmapped) pages against the durable store and
     /// repair any corruption from the last committed record the rings
     /// hold for the page. Returns `(verified, repaired)`. A no-op
-    /// outside durability mode or after a crash.
+    /// outside durability mode.
     pub fn scrub(&mut self, max_pages: u64) -> (u64, u64) {
-        if self.durability.crashed.is_some() || self.durability.store.is_none() {
+        if self.durability.store.is_none() {
             return (0, 0);
         }
         self.ensure_durable_snapshot();

@@ -364,7 +364,7 @@ impl Machine {
 
     /// Drive the rebuild to completion regardless of pressure (harness
     /// hook: the workload is done and the scrubber gets the array to
-    /// itself). No-op when the array is healthy or power is out.
+    /// itself). No-op when the array is healthy.
     pub fn finish_rebuild(&mut self) {
         self.advance_rebuild(u64::MAX, None);
     }
@@ -377,7 +377,7 @@ impl Machine {
         let Some((dead, _)) = self.redundancy.dead_disk else {
             return;
         };
-        if self.redundancy.parity.is_none() || self.durability.crashed.is_some() {
+        if self.redundancy.parity.is_none() {
             return;
         }
         self.ensure_durable_snapshot();

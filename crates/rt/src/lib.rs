@@ -18,7 +18,7 @@
 //! flow through here exactly as compiled application code would.
 
 use oocp_ir::vm::{StripCharge, StripRefs};
-use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Program};
+use oocp_ir::{ArrayBinding, ArrayData, PagedVm, Park, Program};
 use oocp_os::{Machine, MachineParams, Segment};
 use oocp_sim::time::Ns;
 
@@ -362,6 +362,59 @@ impl PagedVm for Runtime {
         }
         let rel = Some((rel_addr, rel_pages));
         self.filter.hint(&mut self.machine, pf_addr, pf_pages, rel);
+    }
+}
+
+/// A [`Runtime`] that parks the run driving it once the power is out.
+/// The call during which a scheduled crash latches completes in memory;
+/// behind it [`PagedVm::parked`] answers [`Park::After`], and the caller
+/// drops the run and recovers the machine as the crash left it. It
+/// grants no strip: a machine that can crash has a durable store, and a
+/// durable store grants none.
+pub struct UntilCrash<'a>(pub &'a mut Runtime);
+
+impl PagedVm for UntilCrash<'_> {
+    const PARKS: bool = true;
+
+    fn parked(&mut self) -> Option<Park> {
+        self.0.machine.crashed_at().map(|_| Park::After)
+    }
+
+    fn page_bytes(&self) -> u64 {
+        self.0.page_bytes()
+    }
+
+    fn tick_user(&mut self, ns: u64) {
+        self.0.tick_user(ns);
+    }
+
+    fn load_f64(&mut self, addr: u64) -> f64 {
+        self.0.load_f64(addr)
+    }
+
+    fn store_f64(&mut self, addr: u64, v: f64) {
+        self.0.store_f64(addr, v);
+    }
+
+    fn load_i64(&mut self, addr: u64) -> i64 {
+        self.0.load_i64(addr)
+    }
+
+    fn store_i64(&mut self, addr: u64, v: i64) {
+        self.0.store_i64(addr, v);
+    }
+
+    fn prefetch(&mut self, addr: u64, pages: u64) {
+        self.0.prefetch(addr, pages);
+    }
+
+    fn release(&mut self, addr: u64, pages: u64) {
+        self.0.release(addr, pages);
+    }
+
+    fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64) {
+        self.0
+            .prefetch_release(pf_addr, pf_pages, rel_addr, rel_pages);
     }
 }
 
