@@ -802,6 +802,55 @@ mod tests {
         );
     }
 
+    /// FNV-1a over a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn killed_hub_results_are_pinned() {
+        // stream, demand and stream on one machine with metrics on, the
+        // first stream killed at each op around its first slice boundary
+        // and mid-run, and never: the FNV-1a of each run's whole `Debug`
+        // form. A kill is a stop, so it moves nothing but the victim.
+        let digest = |kill: Option<u64>| {
+            let tenants = [stream(256), demand(256), stream(256)]
+                .into_iter()
+                .enumerate()
+                .map(|(t, prog)| {
+                    let p = TenantProgram::new(prog, vec![]);
+                    match kill {
+                        Some(k) if t == 0 => p.with_kill_at(k),
+                        _ => p,
+                    }
+                })
+                .collect();
+            let mut hub = TenantHub::new(params(), tenants).unwrap();
+            hub.machine_mut().enable_metrics();
+            for t in 0..3 {
+                let seg = hub.segment(t);
+                fill(&mut hub.data(), seg.base, seg.bytes, t as u64);
+            }
+            let res = hub.run();
+            assert_eq!(res.tenants[0].killed, kill.is_some());
+            fnv1a(format!("{res:?}").as_bytes())
+        };
+        let pinned = [
+            (None, 0x722a29d1112e327f),
+            (Some(0), 0x19a6bdaba87f2bea),
+            (Some(1), 0x35d062ebc096bed9),
+            (Some(255), 0x5e6ec32bfb06e654),
+            (Some(256), 0x5d616ca5569b1919),
+            (Some(257), 0xe4e2f5d8348b110c),
+            (Some(500), 0x5273d784514ab13b),
+        ];
+        for (kill, want) in pinned {
+            assert_eq!(digest(kill), want, "kill at {kill:?}");
+        }
+    }
+
     #[test]
     fn quota_starved_tenant_still_terminates_with_correct_data() {
         // No releases: used pages pile up, so the 2-frame quota forces
