@@ -380,9 +380,13 @@ else
     stage "cargo clippy not available; skipping lint"
 fi
 
-stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench; none may regrow)"
+stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench, oocp-ir; none may regrow)"
 # The line-count twin of the per-stage wall times. A file's non-test
-# lines are those before its first `#[cfg(test)]`. machine.rs is the
+# lines are all but each `#[cfg(test)]` and the item it gates: the line
+# after it when that line ends in `;` or `,` (a field, a `mod x;`, a
+# `const`), else everything through the next line that closes a brace
+# at the attribute's own indentation. oracle.rs and treewalk.rs are
+# modules only tests compile, and count nothing. machine.rs is the
 # paging core, and the cap is the size it had when the extensions moved
 # out to machine/*.rs: something that belongs to one of them goes there.
 # crates/bench/src is capped at the size it had when perfgate's four
@@ -404,24 +408,33 @@ stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench; 
 # are capped at the size they had once a power loss ended the run: the
 # call during which the crash latches completes, nothing runs after it,
 # and the machine has no post-crash ("zombie") touch, no crash test on
-# the touch gate and no hint path for a dead machine.
+# the touch gate and no hint path for a dead machine. crates/ir/src is
+# capped at the size it had when the counter stopped ending a file at
+# its first `#[cfg(test)]`, which in dispatch.rs gates a struct field
+# and hid all but 43 of its lines.
 # A cap raised on purpose is raised in the same commit, and one lowered
 # in the commit that shrinks it.
 MACHINE_RS_MAX=1849
-OS_SRC_MAX=6698
+OS_SRC_MAX=6704
 OBS_SRC_MAX=3655
 DISK_SRC_MAX=2059
 BENCH_SRC_MAX=5510
 BASELINE_RS_MAX=780
+IR_SRC_MAX=4830
 count_lines() { # directory: prints each file's count, sets TOTAL and the capped files' counts
     TOTAL=0
     while IFS= read -r f; do
-        n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")
+        n=$(awk '
+            skip == 1 { skip = /[;,][[:space:]]*$/ ? 0 : 2; next }
+            skip == 2 { if (substr($0, 1, length(ind) + 1) == ind "}") skip = 0; next }
+            /^[[:space:]]*#\[cfg\(test\)\]/ { ind = $0; sub(/#.*/, "", ind); skip = 1; next }
+            { n++ }
+            END { print n + 0 }' "$f")
         printf '%6d  %s\n' "$n" "$f"
         TOTAL=$((TOTAL + n))
         if [ "$f" = crates/os/src/machine.rs ]; then MACHINE_RS=$n; fi
         if [ "$f" = crates/obs/src/baseline.rs ]; then BASELINE_RS=$n; fi
-    done < <(find "$1" -name '*.rs' | sort)
+    done < <(find "$1" -name '*.rs' ! -name oracle.rs ! -name treewalk.rs | sort)
     printf '%6d  total %s\n' "$TOTAL" "$1"
 }
 MACHINE_RS=0
@@ -452,6 +465,11 @@ if [ "$BASELINE_RS" -gt "$BASELINE_RS_MAX" ]; then
 fi
 if [ "$TOTAL" -gt "$OBS_SRC_MAX" ]; then
     echo "crates/obs/src has $TOTAL non-test lines, over its cap of $OBS_SRC_MAX"
+    exit 1
+fi
+count_lines crates/ir/src
+if [ "$TOTAL" -gt "$IR_SRC_MAX" ]; then
+    echo "crates/ir/src has $TOTAL non-test lines, over its cap of $IR_SRC_MAX"
     exit 1
 fi
 
