@@ -70,10 +70,6 @@ pub struct TenantSpec {
     /// Maximum prefetch pages the tenant may keep in flight; `None` is
     /// unlimited. Hints past the quota are dropped with reason `quota`.
     pub prefetch_slots: Option<u64>,
-    /// Software-pipelining depth cap the runtime hub applies to this
-    /// tenant's prefetch distance (in pages); `None` leaves the
-    /// compiler's distance alone. Clamped further under pressure.
-    pub max_pipeline_depth: Option<u64>,
 }
 
 impl TenantSpec {
@@ -154,6 +150,5 @@ mod tests {
         assert_eq!(s.qos, QosClass::BestEffort);
         assert_eq!(s.memory_frames, Some(16));
         assert_eq!(s.prefetch_slots, Some(8));
-        assert_eq!(s.max_pipeline_depth, None);
     }
 }

@@ -5,9 +5,8 @@
 //! A filter is scoped by *data*: the tenant it filters for, that
 //! tenant's [`TenantSpec`] and the segment its hints are clamped to. A
 //! solo run is the implicit tenant 0, unlimited, over the whole address
-//! space — for which every tenant-only rule below (segment and
-//! pipeline-depth clamp, brownout entry, pressure sheds counted as
-//! probe errors) is a no-op and [`Machine::tenant_bits_of`] is the
+//! space — for which every tenant-only rule below (segment clamp,
+//! brownout entry, pressure sheds counted as probe errors) is a no-op and [`Machine::tenant_bits_of`] is the
 //! shared bit vector.
 
 use oocp_os::{Machine, PressureLevel, QosClass, Segment, TenantId, TenantSpec};
@@ -196,8 +195,8 @@ impl HintFilter {
     /// Whether a prefetch would take the passive path — counted, its
     /// pages checked, dropped when every bit is set, nothing else
     /// changed or consulted: the filter on and healthy, no stale-bit
-    /// fault plan whose resync cadence it would advance, no clamp of
-    /// this tenant's pages, and the shared bits its own.
+    /// fault plan whose resync cadence it would advance, and the shared
+    /// bits its own.
     pub(crate) fn passive(&self, m: &Machine) -> bool {
         let shedding = match m.pressure_level() {
             PressureLevel::Nominal => false,
@@ -207,7 +206,6 @@ impl HintFilter {
         self.mode == FilterMode::Enabled
             && !self.degraded
             && !shedding
-            && self.spec.max_pipeline_depth.is_none()
             && !m.fault_plan().is_some_and(|p| p.bitvec_stale_prob > 0.0)
             && std::ptr::eq(m.tenant_bits_of(self.tenant), m.bits())
     }
@@ -244,14 +242,12 @@ impl HintFilter {
     }
 
     /// Clamp a hint to the segment (hints near the end of an array may
-    /// name pages past it; they are non-binding) and to the tenant's
-    /// pipelining-depth quota, tightened for best-effort tenants under
-    /// elevated pressure: the arbiter's second lever.
+    /// name pages past it; they are non-binding) and, for a best-effort
+    /// tenant under elevated pressure, to
+    /// [`oocp_os::ELEVATED_BEST_EFFORT_SLOTS`]: the arbiter's second
+    /// lever.
     fn clamp_hint(&self, m: &Machine, start: u64, pages: u64) -> u64 {
         let mut pages = pages.min(self.seg_end.saturating_sub(start));
-        if let Some(d) = self.spec.max_pipeline_depth {
-            pages = pages.min(d.max(1));
-        }
         if self.spec.qos == QosClass::BestEffort && m.pressure_level() == PressureLevel::Elevated {
             pages = pages.min(oocp_os::ELEVATED_BEST_EFFORT_SLOTS);
         }

@@ -31,11 +31,10 @@
 //! and degraded-mode state machine — the very code [`crate::Runtime`]
 //! runs, scoped to the tenant's id, [`TenantSpec`] and segment. That
 //! scope is what switches on the tenant-only rules: hints are clamped
-//! to the segment and the pipelining-depth quota, the pressure arbiter
-//! pushes non-guaranteed tenants into demand-only degraded mode
-//! whenever global pressure reaches brownout, and their probes count
-//! pressure sheds as errors, so a clean streak means the pressure has
-//! passed as well as the faults.
+//! to the segment, the pressure arbiter pushes non-guaranteed tenants
+//! into demand-only degraded mode whenever global pressure reaches
+//! brownout, and their probes count pressure sheds as errors, so a
+//! clean streak means the pressure has passed as well as the faults.
 //!
 //! # Crash (kill) modeling
 //!
