@@ -257,11 +257,6 @@ impl FileSystem {
         Ok((d, block))
     }
 
-    /// Whether a file carries rotating parity.
-    pub fn is_parity(&self, id: FileId) -> Result<bool, FsError> {
-        self.meta(id).map(|m| m.parity)
-    }
-
     /// Number of stripe rows in a parity file (zero for a plain file:
     /// plain rows have no parity and nothing to reconstruct).
     pub fn rows(&self, id: FileId) -> Result<u64, FsError> {
@@ -544,7 +539,7 @@ mod tests {
     fn parity_rotates_and_never_collides_with_data() {
         let mut fs = FileSystem::new(4, 1000);
         let f = fs.create_parity_file(30).unwrap();
-        assert!(fs.is_parity(f).unwrap());
+        assert!(fs.meta(f).unwrap().parity);
         let rows = fs.rows(f).unwrap();
         assert_eq!(rows, 10); // ceil(30 / 3)
         for row in 0..rows {

@@ -104,16 +104,6 @@ impl TimeAttribution {
             + self.drain_idle_ns
     }
 
-    /// Combined kernel overhead.
-    pub fn overhead_ns(&self) -> Ns {
-        self.fault_overhead_ns + self.hint_overhead_ns
-    }
-
-    /// Combined I/O stall across all three stall buckets.
-    pub fn stall_ns(&self) -> Ns {
-        self.demand_stall_ns + self.late_prefetch_stall_ns + self.backpressure_stall_ns
-    }
-
     /// The invariant: buckets partition `elapsed` within `eps_frac`
     /// (relative; e.g. `0.001` = 0.1%). With consistent inputs the
     /// partition is exact and any `eps_frac >= 0` passes.
@@ -200,8 +190,13 @@ mod tests {
     #[test]
     fn overhead_and_stall_roll_ups() {
         let a = TimeAttribution::new(1, 2, 3, 60, 40, 15, 10);
-        assert_eq!(a.overhead_ns(), 5);
-        assert_eq!(a.stall_ns(), 25 + 15 + 10);
+        assert_eq!((a.fault_overhead_ns, a.hint_overhead_ns), (2, 3));
+        let stalls = (
+            a.demand_stall_ns,
+            a.late_prefetch_stall_ns,
+            a.backpressure_stall_ns,
+        );
+        assert_eq!(stalls, (25, 15, 10));
         assert_eq!(a.drain_idle_ns, 10);
     }
 }

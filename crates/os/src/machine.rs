@@ -2967,7 +2967,7 @@ mod tests {
         assert_eq!(m.tenant_count(), 2);
         assert_eq!(segs[0].base, 0);
         assert_eq!(segs[1].base, segs[0].bytes, "segments are disjoint");
-        assert_eq!(m.cur_tenant(), 0);
+        assert_eq!(m.tenancy.cur, 0);
         assert_eq!(m.tenant_spec(0).qos, QosClass::Guaranteed);
         assert_eq!(m.tenant_spec(1).qos, QosClass::BestEffort);
         // Out-of-range lookups read as the implicit unlimited tenant.

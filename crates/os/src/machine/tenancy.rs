@@ -108,11 +108,6 @@ impl Machine {
         self.tenancy.cur = t;
     }
 
-    /// The currently selected tenant (0 without registrations).
-    pub fn cur_tenant(&self) -> TenantId {
-        self.tenancy.cur
-    }
-
     /// Number of tenants sharing the machine (1 without registrations).
     pub fn tenant_count(&self) -> usize {
         self.tenancy.tenants.len().max(1)

@@ -415,8 +415,8 @@ stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench, 
 # A cap raised on purpose is raised in the same commit, and one lowered
 # in the commit that shrinks it.
 MACHINE_RS_MAX=1849
-OS_SRC_MAX=6704
-OBS_SRC_MAX=3655
+OS_SRC_MAX=6695
+OBS_SRC_MAX=3645
 DISK_SRC_MAX=2059
 BENCH_SRC_MAX=5510
 BASELINE_RS_MAX=780
