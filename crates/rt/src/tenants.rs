@@ -12,10 +12,11 @@
 //!
 //! One loop on the calling thread: pick a tenant round-robin, step its
 //! resumable interpreter ([`oocp_ir::Vm::step`]) until the tenant's VM
-//! parks it, pick again. A VM parks in two cases, both functions of
+//! parks it, pick again. A VM parks in three cases, all functions of
 //! simulated state alone — the tenant's slice of [`PagedVm`] calls ran
-//! out, or a demand fault blocked — so co-scheduled runs are exactly
-//! reproducible, and a tenant's panic is the hub's.
+//! out, a demand fault blocked, or the tenant was killed — so
+//! co-scheduled runs are exactly reproducible, and a tenant's panic is
+//! the hub's.
 //!
 //! A tenant that hard-faults uses the machine's non-blocking touch
 //! ([`Machine::touch_nb`]): all fault bookkeeping happens at block
@@ -38,10 +39,12 @@
 //!
 //! # Crash (kill) modeling
 //!
-//! A tenant may be killed after a fixed number of VM operations: from
-//! that point its VM methods are no-ops (loads return zero) and its
-//! interpreter finishes at native speed with zero simulated cost. Its
-//! resident pages linger until the pageout daemon reclaims them —
+//! A tenant may be killed after a fixed number of VM operations. The
+//! next one is never made: the VM parks there, and the hub marks the
+//! tenant done and never steps it again, the stop a power loss makes
+//! of a solo run ([`crate::UntilCrash`]). A killed program computes
+//! nothing past its kill, so it cannot fault on data it never loaded.
+//! Its resident pages linger until the pageout daemon reclaims them —
 //! exactly what happens to a SIGKILLed process's page cache.
 
 use oocp_ir::{ArrayBinding, ArrayData, CostModel, PagedVm, Park, Program, Vm};
@@ -187,16 +190,18 @@ fn schedule(machine: &mut Machine, tenants: &mut [Tenant], rr: &mut usize) -> Op
 /// VM calls between cooperative yields. Small enough that a
 /// compute-bound tenant cannot starve its neighbours, large enough
 /// that scheduling is noise.
-const OPS_PER_SLICE: u32 = 256;
+const OPS_PER_SLICE: u64 = 256;
 
 /// What one tenant carries from slice to slice: its scheduler state and
-/// hint filter, plus kill and timeslice counters.
+/// hint filter, plus the call count that drives both its kill and its
+/// slices.
 struct Tenant {
     run: Run,
     filter: HintFilter,
     kill_at_op: Option<u64>,
+    /// [`PagedVm`] calls, each counted when first made however often
+    /// it blocks before it goes through.
     ops: u64,
-    ops_since_yield: u32,
     killed: bool,
     /// Page-in service time of the demand access in progress, summed
     /// over its blocked attempts (`Some` from the first block until
@@ -218,39 +223,45 @@ struct TenantVm<'a> {
 }
 
 impl TenantVm<'_> {
-    /// Count one VM operation; returns `true` when the op must be
-    /// swallowed because the tenant is (now) dead.
-    fn note_op(&mut self) -> bool {
+    /// Make one VM call: `f` on the machine and the tenant's filter,
+    /// behind a demand touch of the 8 bytes at `access` (an address,
+    /// and whether it is a store) when the call is an access. The call
+    /// is not made, and the tenant parks with [`Park::Redo`], when the
+    /// tenant is killed at it or its touch blocks; `R::default()` then
+    /// stands for a result nobody reads. A call made that ends the
+    /// tenant's slice parks it with [`Park::After`].
+    fn op<R: Default>(
+        &mut self,
+        access: Option<(u64, bool)>,
+        f: impl FnOnce(&mut Machine, &mut HintFilter) -> R,
+    ) -> R {
         let t = &mut *self.t;
-        if t.killed {
-            return true;
-        }
         // An access made again after blocking was counted the first time.
-        if t.io_wait.is_some() {
-            return false;
+        if t.io_wait.is_none() {
+            t.ops += 1;
+            if t.kill_at_op.is_some_and(|k| t.ops > k) {
+                t.killed = true;
+                t.park = Some(Park::Redo);
+                return R::default();
+            }
         }
-        t.ops += 1;
-        if t.kill_at_op.is_some_and(|k| t.ops > k) {
-            t.killed = true;
-            return true;
+        if let Some((addr, write)) = access {
+            if !self.touch(addr, write) {
+                return R::default();
+            }
         }
-        false
-    }
-
-    /// End-of-op bookkeeping: park after a full slice.
-    fn maybe_yield(&mut self) {
-        self.t.ops_since_yield += 1;
-        if self.t.ops_since_yield >= OPS_PER_SLICE {
-            self.t.ops_since_yield = 0;
+        let r = f(self.machine, &mut self.t.filter);
+        if self.t.ops.is_multiple_of(OPS_PER_SLICE) {
             self.t.park = Some(Park::After);
         }
+        r
     }
 
-    /// Demand-touch; `false` when the fault blocked, the tenant is
-    /// parked on it and the access has to be made again.
-    fn touch(&mut self, addr: u64, len: u64, write: bool) -> bool {
+    /// Demand-touch 8 bytes; `false` when the fault blocked, the tenant
+    /// is parked on it and the access has to be made again.
+    fn touch(&mut self, addr: u64, write: bool) -> bool {
         let t = &mut *self.t;
-        match self.machine.touch_nb(addr, len, write) {
+        match self.machine.touch_nb(addr, 8, write) {
             Ok(Touch::Done { .. }) => {
                 // The stall sample is the page-in *service* time: from
                 // blocking to the page's arrival. Alone on the machine
@@ -289,70 +300,39 @@ impl PagedVm for TenantVm<'_> {
     }
 
     fn tick_user(&mut self, ns: u64) {
-        if self.note_op() {
-            return;
-        }
-        self.machine.tick_user(ns);
-        self.maybe_yield();
+        self.op(None, |m, _| m.tick_user(ns));
     }
 
     fn load_f64(&mut self, addr: u64) -> f64 {
-        if self.note_op() || !self.touch(addr, 8, false) {
-            return 0.0;
-        }
-        let v = self.machine.peek_f64(addr);
-        self.maybe_yield();
-        v
+        self.op(Some((addr, false)), |m, _| m.peek_f64(addr))
     }
 
     fn store_f64(&mut self, addr: u64, v: f64) {
-        if self.note_op() || !self.touch(addr, 8, true) {
-            return;
-        }
-        self.machine.poke_f64(addr, v);
-        self.maybe_yield();
+        self.op(Some((addr, true)), |m, _| m.poke_f64(addr, v));
     }
 
     fn load_i64(&mut self, addr: u64) -> i64 {
-        if self.note_op() || !self.touch(addr, 8, false) {
-            return 0;
-        }
-        let v = self.machine.peek_i64(addr);
-        self.maybe_yield();
-        v
+        self.op(Some((addr, false)), |m, _| m.peek_i64(addr))
     }
 
     fn store_i64(&mut self, addr: u64, v: i64) {
-        if self.note_op() || !self.touch(addr, 8, true) {
-            return;
-        }
-        self.machine.poke_i64(addr, v);
-        self.maybe_yield();
+        self.op(Some((addr, true)), |m, _| m.poke_i64(addr, v));
     }
 
     fn prefetch(&mut self, addr: u64, pages: u64) {
-        if self.note_op() {
-            return;
-        }
-        self.t.filter.hint(self.machine, addr, pages, None);
-        self.maybe_yield();
+        self.op(None, |m, f| {
+            f.hint(m, addr, pages, None);
+        });
     }
 
     fn release(&mut self, addr: u64, pages: u64) {
-        if self.note_op() {
-            return;
-        }
-        self.t.filter.release(self.machine, addr, pages);
-        self.maybe_yield();
+        self.op(None, |m, f| f.release(m, addr, pages));
     }
 
     fn prefetch_release(&mut self, pf_addr: u64, pf_pages: u64, rel_addr: u64, rel_pages: u64) {
-        if self.note_op() {
-            return;
-        }
-        let rel = Some((rel_addr, rel_pages));
-        self.t.filter.hint(self.machine, pf_addr, pf_pages, rel);
-        self.maybe_yield();
+        self.op(None, |m, f| {
+            f.hint(m, pf_addr, pf_pages, Some((rel_addr, rel_pages)));
+        });
     }
 }
 
@@ -475,7 +455,6 @@ impl TenantHub {
                 filter: HintFilter::new(&machine, e.t.mode, id as u32, e.seg),
                 kill_at_op: e.t.kill_at_op,
                 ops: 0,
-                ops_since_yield: 0,
                 killed: false,
                 io_wait: None,
                 stalls: Vec::new(),
@@ -494,7 +473,10 @@ impl TenantHub {
                 machine: &mut machine,
                 t: &mut tenants[t],
             };
-            if runs[t].step(&mut vm).is_some() {
+            // A killed tenant stops at the call it dies at, as a run
+            // stops at the one a power loss latches in: it is never
+            // stepped again.
+            if runs[t].step(&mut vm).is_some() || tenants[t].killed {
                 tenants[t].run = Run::Done;
                 tenants[t].finished_at = machine.now();
             }
@@ -647,6 +629,26 @@ mod tests {
         p
     }
 
+    /// For each of `pages` pages, `d[i] = 1000 / d[i]` on the page's
+    /// first word: an integer division by a word the program loaded.
+    fn divide(pages: i64) -> Program {
+        let mut p = Program::new("divide");
+        let d = p.array("d", ElemType::I64, vec![pages * WORDS]);
+        let at = |i| ArrayRef::affine(d, vec![var(i).scale(WORDS)]);
+        let i = p.fresh_var();
+        p.body = vec![Stmt::for_(
+            i,
+            lin(0),
+            lin(pages),
+            1,
+            vec![Stmt::Store {
+                dst: at(i),
+                value: Expr::div(Expr::Lin(lin(1000)), Expr::LoadI(at(i))),
+            }],
+        )];
+        p
+    }
+
     /// An out-of-core machine: 64 frames against 256-page tenants.
     fn params() -> MachineParams {
         let mut p = MachineParams::small();
@@ -778,27 +780,32 @@ mod tests {
 
     #[test]
     fn killed_tenant_leaves_the_survivor_bit_exact() {
+        // Each victim dies mid-run. The divider's `1000 / d[i]` would
+        // divide by zero on a word it never loaded, were it to run on
+        // past its kill; every word the fill writes is nonzero.
         let prog = stream(256);
         let survivor_solo = solo_hub(&prog, 0, None).tenants[0].checksum;
-        let mut hub = TenantHub::new(
-            params(),
-            vec![
-                TenantProgram::new(prog.clone(), vec![]),
-                TenantProgram::new(prog.clone(), vec![]).with_kill_at(500),
-            ],
-        )
-        .unwrap();
-        for t in 0..2 {
-            let seg = hub.segment(t);
-            fill(&mut hub.data(), seg.base, seg.bytes, t as u64);
+        for victim in [stream(256), divide(256)] {
+            let mut hub = TenantHub::new(
+                params(),
+                vec![
+                    TenantProgram::new(prog.clone(), vec![]),
+                    TenantProgram::new(victim, vec![]).with_kill_at(500),
+                ],
+            )
+            .unwrap();
+            for t in 0..2 {
+                let seg = hub.segment(t);
+                fill(&mut hub.data(), seg.base, seg.bytes, t as u64);
+            }
+            let res = hub.run();
+            assert!(res.tenants[1].killed, "tenant 1 must have been killed");
+            assert!(!res.tenants[0].killed);
+            assert_eq!(
+                res.tenants[0].checksum, survivor_solo,
+                "the survivor's data must be untouched by the crash"
+            );
         }
-        let res = hub.run();
-        assert!(res.tenants[1].killed, "tenant 1 must have been killed");
-        assert!(!res.tenants[0].killed);
-        assert_eq!(
-            res.tenants[0].checksum, survivor_solo,
-            "the survivor's data must be untouched by the crash"
-        );
     }
 
     /// FNV-1a over a byte string.

@@ -380,7 +380,7 @@ else
     stage "cargo clippy not available; skipping lint"
 fi
 
-stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench, oocp-ir; none may regrow)"
+stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench, oocp-ir, oocp-rt; none may regrow)"
 # The line-count twin of the per-stage wall times. A file's non-test
 # lines are all but each `#[cfg(test)]` and the item it gates: the line
 # after it when that line ends in `;` or `,` (a field, a `mod x;`, a
@@ -411,7 +411,10 @@ stage "line counts (non-test lines of oocp-os, oocp-obs, oocp-disk, oocp-bench, 
 # the touch gate and no hint path for a dead machine. crates/ir/src is
 # capped at the size it had when the counter stopped ending a file at
 # its first `#[cfg(test)]`, which in dispatch.rs gates a struct field
-# and hid all but 43 of its lines.
+# and hid all but 43 of its lines. crates/rt/src is capped at the size
+# it had once a kill ended a tenant: the hub's VM parks a killed tenant
+# at the call it dies at, every call goes through one guard that counts
+# it, and one counter drives both the kill and the slice.
 # A cap raised on purpose is raised in the same commit, and one lowered
 # in the commit that shrinks it.
 MACHINE_RS_MAX=1849
@@ -421,6 +424,7 @@ DISK_SRC_MAX=2059
 BENCH_SRC_MAX=5510
 BASELINE_RS_MAX=780
 IR_SRC_MAX=4830
+RT_SRC_MAX=1342
 count_lines() { # directory: prints each file's count, sets TOTAL and the capped files' counts
     TOTAL=0
     while IFS= read -r f; do
@@ -470,6 +474,11 @@ fi
 count_lines crates/ir/src
 if [ "$TOTAL" -gt "$IR_SRC_MAX" ]; then
     echo "crates/ir/src has $TOTAL non-test lines, over its cap of $IR_SRC_MAX"
+    exit 1
+fi
+count_lines crates/rt/src
+if [ "$TOTAL" -gt "$RT_SRC_MAX" ]; then
+    echo "crates/rt/src has $TOTAL non-test lines, over its cap of $RT_SRC_MAX"
     exit 1
 fi
 
