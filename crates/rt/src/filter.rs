@@ -6,8 +6,8 @@
 //! tenant's [`TenantSpec`] and the segment its hints are clamped to. A
 //! solo run is the implicit tenant 0, unlimited, over the whole address
 //! space — for which every tenant-only rule below (segment clamp,
-//! brownout entry, pressure sheds counted as probe errors) is a no-op and [`Machine::tenant_bits_of`] is the
-//! shared bit vector.
+//! brownout entry, pressure sheds counted as probe errors) is a no-op
+//! and [`Machine::tenant_bits_of`] is the shared bit vector.
 
 use oocp_os::{Machine, PressureLevel, QosClass, Segment, TenantId, TenantSpec};
 use oocp_sim::time::Ns;

@@ -106,7 +106,7 @@ pub struct TenantOutcome {
     pub checksum: u64,
     /// Whether the tenant was killed mid-run.
     pub killed: bool,
-    /// Simulated time the tenant's interpreter finished.
+    /// Simulated time the tenant's interpreter halted or was killed.
     pub finished_at: Ns,
     /// Exact 95th-percentile demand stall the tenant experienced:
     /// the page-in service time from blocking to arrival. CPU queueing
@@ -149,7 +149,7 @@ enum Run {
     Ready,
     /// Blocked on a demand read completing at the given time.
     Blocked(Ns),
-    /// Program halted.
+    /// Program halted, or the tenant was killed.
     Done,
 }
 
@@ -211,7 +211,7 @@ struct Tenant {
     stalls: Vec<Ns>,
     /// The interpreter's next answer from [`PagedVm::parked`].
     park: Option<Park>,
-    /// Simulated time the program halted.
+    /// Simulated time the program halted or was killed.
     finished_at: Ns,
 }
 
